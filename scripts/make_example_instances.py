@@ -14,12 +14,10 @@ from hnzz.affine import (
     AffineQuiver,
     CCW,
     CW,
-    default_window,
+    classify_lift,
     eta_from_lift,
     indec_N,
     indec_T,
-    lift_truncated,
-    lifted_multiplicities,
 )
 from hnzz.linalg import GF
 from hnzz.serialize import (
@@ -29,7 +27,6 @@ from hnzz.serialize import (
     instance_to_json,
     write_json,
 )
-from hnzz.zigzag import barcode
 
 
 def main() -> None:
@@ -45,12 +42,11 @@ def main() -> None:
         ("jordan_cell_2_3", indec_T(aq, 2, 3, fld)),
     ]:
         write_json(os.path.join(args.dir, f"{name}.json"), instance_to_json(rep, aq))
-        d_inf, classes = lifted_multiplicities(rep)
-        lifted = lift_truncated(rep, default_window(rep))
+        d_inf, classes, bar = classify_lift(rep)
         report = {
             "d_inf": d_inf,
             "classes": classes_to_json(classes),
-            "barcode": barcode_to_json(barcode(lifted)),
+            "barcode": barcode_to_json(bar),
             "hn": hn_to_json(eta_from_lift(rep)),
         }
         write_json(os.path.join(args.dir, f"{name}.report.json"), report)

@@ -30,7 +30,7 @@ from fractions import Fraction
 from .errors import InternalCheckError, ShapeError, ValidationError
 from .linalg import Field, Matrix
 from .quiver import Quiver, Representation
-from .zigzag import barcode
+from .zigzag import Barcode, barcode
 from .hn import HNReport
 
 CW = 0
@@ -255,19 +255,38 @@ def _classify(lo: int, hi: int, window: LiftWindow, clip_bound: int) -> AffineCl
     return None
 
 
-def lifted_multiplicities(
-    v: Representation, window: LiftWindow | None = None
-) -> tuple[int, dict[tuple[int, int], int]]:
-    """Summand multiplicities of v, read off the truncated unwinding.
+def _checked_window(v: Representation, window: LiftWindow | None) -> LiftWindow:
+    """``window``, or the default one, once it is known to be long enough.
 
-    Returns (d_inf, classes): d_inf counts full-window bars (one per
-    Jordan-cell dimension) and classes maps (u, length) to the
-    multiplicity of the wrapped interval starting at residue u.
+    A window shorter than ``default_window(v)`` can clip every translate
+    of a wrapped interval and silently report wrong classes, so it is
+    refused before anything is lifted.
     """
+    bound = default_window(v)
     if window is None:
-        window = default_window(v)
-    lifted = lift_truncated(v, window)
-    bar = barcode(lifted)
+        return bound
+    if window.D < bound.D:
+        raise ShapeError(
+            f"window length {window.D} is below {bound.D} = (dim at x_0 + 2) * n, "
+            "the shortest window that certifies every summand"
+        )
+    return window
+
+
+def classify_lift(
+    v: Representation, window: LiftWindow | None = None
+) -> tuple[int, dict[tuple[int, int], int], Barcode]:
+    """Summand multiplicities of v and the window barcode they come from.
+
+    Lifts v to the window (the default one if none is given), computes
+    the barcode of the truncated unwinding once and classifies its bars:
+    d_inf counts full-window bars (one per Jordan-cell dimension) and
+    classes maps (u, length) to the multiplicity of the wrapped interval
+    starting at residue u.  Raises ShapeError for a window shorter than
+    ``default_window(v)``.
+    """
+    window = _checked_window(v, window)
+    bar = barcode(lift_truncated(v, window))
     clip_bound = (v.dims[0] + 1) * window.n
     d_inf = 0
     classes: dict[tuple[int, int], int] = {}
@@ -278,6 +297,14 @@ def lifted_multiplicities(
         elif isinstance(cls, NClass):
             key = (cls.u, cls.v - cls.u)
             classes[key] = classes.get(key, 0) + mult
+    return d_inf, classes, bar
+
+
+def lifted_multiplicities(
+    v: Representation, window: LiftWindow | None = None
+) -> tuple[int, dict[tuple[int, int], int]]:
+    """(d_inf, classes) of ``classify_lift``, without the window barcode."""
+    d_inf, classes, _ = classify_lift(v, window)
     return d_inf, classes
 
 

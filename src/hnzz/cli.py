@@ -12,13 +12,7 @@ import json
 import random
 import sys
 
-from .affine import (
-    LiftWindow,
-    default_window,
-    eta_from_lift,
-    lift_truncated,
-    lifted_multiplicities,
-)
+from .affine import LiftWindow, classify_lift, eta_from_lift
 from .errors import (
     GuardError,
     InternalCheckError,
@@ -104,17 +98,12 @@ def _cmd_lift(args) -> int:
     inst = instance_from_json(load_json(args.input))
     if inst.affine is None:
         raise ShapeError("lift requires an affine instance")
-    rep = inst.rep
-    if args.window is not None:
-        window = LiftWindow(inst.affine.n, args.window)
-    else:
-        window = None
-    d_inf, classes = lifted_multiplicities(rep, window)
-    lifted = lift_truncated(rep, window if window is not None else default_window(rep))
+    window = LiftWindow(inst.affine.n, args.window) if args.window is not None else None
+    d_inf, classes, bar = classify_lift(inst.rep, window)
     doc = {
         "d_inf": d_inf,
         "classes": classes_to_json(classes),
-        "barcode": barcode_to_json(barcode(lifted)),
+        "barcode": barcode_to_json(bar),
     }
     _emit(doc, args.out)
     return 0

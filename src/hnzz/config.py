@@ -18,6 +18,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
+from .errors import ParseError
+
 
 @dataclass(frozen=True)
 class GuardConfig:
@@ -37,24 +39,33 @@ class GuardConfig:
 
 
 def load_guard() -> GuardConfig:
-    """Default guards, with optional HNZZ_GUARD_OVERRIDE adjustments."""
+    """Default guards, with optional HNZZ_GUARD_OVERRIDE adjustments.
+
+    A malformed override raises ParseError (a ValueError), which the CLI
+    maps to exit code 2.
+    """
     raw = os.environ.get("HNZZ_GUARD_OVERRIDE")
+    base = GuardConfig()
     if not raw:
-        return GuardConfig()
-    max_dim, max_p = 6, 3
-    totals = {2: 8, 3: 6}
+        return base
+    max_dim, max_p = base.max_enum_dim, base.max_enum_p
+    totals = dict(base.max_total_dim)
     for item in raw.split(","):
         item = item.strip()
         if not item:
             continue
         key, _, value = item.partition("=")
         key, value = key.strip(), value.strip()
-        if key == "dim":
-            max_dim = int(value)
-        elif key == "p":
-            max_p = int(value)
-        elif key.startswith("total"):
-            totals[int(key[len("total"):])] = int(value)
-        else:
-            raise ValueError(f"unknown guard override key: {key!r}")
+        if key not in ("dim", "p") and not key.startswith("total"):
+            raise ParseError(f"unknown guard override key: {key!r}")
+        try:
+            number = int(value)
+            if key == "dim":
+                max_dim = number
+            elif key == "p":
+                max_p = number
+            else:
+                totals[int(key[len("total"):])] = number
+        except ValueError as exc:
+            raise ParseError(f"bad guard override {item!r} in HNZZ_GUARD_OVERRIDE") from exc
     return GuardConfig(max_enum_dim=max_dim, max_enum_p=max_p, max_total_dim=totals)

@@ -64,6 +64,13 @@ class RationalField:
             raise ZeroDivisionError("inverse of zero")
         return 1 / Fraction(a)
 
+    def scale_row(self, f, row: list) -> list:
+        return [f * x for x in row]
+
+    def sub_scaled_row(self, row: list, f, prow: list) -> list:
+        """``row - f * prow`` entrywise, in one pass over the row."""
+        return [x - f * y for x, y in zip(row, prow)]
+
     def contains(self, value) -> bool:
         return isinstance(value, Fraction)
 
@@ -78,10 +85,11 @@ class PrimeField:
     p: int
 
     def __post_init__(self) -> None:
-        if not _is_prime(self.p):
-            raise ValidationError(f"modulus {self.p} is not prime")
+        # bound first: trial division of a huge modulus would not finish
         if self.p > 2**31:
             raise ValidationError(f"modulus {self.p} exceeds 2**31")
+        if not _is_prime(self.p):
+            raise ValidationError(f"modulus {self.p} is not prime")
 
     @property
     def zero(self) -> int:
@@ -108,6 +116,15 @@ class PrimeField:
 
     def inv(self, a):
         return pow(a, -1, self.p)
+
+    def scale_row(self, f, row: list) -> list:
+        p = self.p
+        return [f * x % p for x in row]
+
+    def sub_scaled_row(self, row: list, f, prow: list) -> list:
+        """``row - f * prow`` entrywise, reduced once per entry."""
+        p = self.p
+        return [(x - f * y) % p for x, y in zip(row, prow)]
 
     def contains(self, value) -> bool:
         return isinstance(value, int) and 0 <= value < self.p
@@ -220,9 +237,6 @@ class Matrix:
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.data for x in row)
 
-    def to_lists(self) -> list[list]:
-        return [list(row) for row in self.data]
-
 
 def hstack(mats: Iterable[Matrix]) -> Matrix:
     mats = list(mats)
@@ -237,18 +251,6 @@ def hstack(mats: Iterable[Matrix]) -> Matrix:
     return Matrix(field, data, cols)
 
 
-def vstack(mats: Iterable[Matrix]) -> Matrix:
-    mats = list(mats)
-    if not mats:
-        raise ValidationError("vstack of nothing")
-    field, cols = mats[0].field, mats[0].cols
-    for m in mats:
-        if m.field != field or m.cols != cols:
-            raise ValidationError("vstack shape/field mismatch")
-    data = [row for m in mats for row in m.data]
-    return Matrix(field, data, cols)
-
-
 def block_diag(a: Matrix, b: Matrix) -> Matrix:
     if a.field != b.field:
         raise ValidationError("block_diag across different fields")
@@ -259,12 +261,20 @@ def block_diag(a: Matrix, b: Matrix) -> Matrix:
     return Matrix(field, data, a.cols + b.cols)
 
 
-def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    """Reduced row-echelon form and its pivot columns."""
-    field = m.field
-    sub, mul, inv = field.sub, field.mul, field.inv
-    work = [list(row) for row in m.data]
-    nr, nc = m.rows, m.cols
+def _gauss_jordan(field: Field, work: list[list], reduced: bool = True) -> list[int]:
+    """Reduce the row lists ``work`` in place to reduced row-echelon form.
+
+    Returns the pivot columns; row i holds the pivot of column
+    ``pivots[i]`` and every row past the last pivot is zero.  This is the
+    one elimination loop of the package: ``rref``, ``rank``,
+    ``kernel_basis`` and ``column_echelon`` all run through it.  With
+    ``reduced=False`` only the rows below each pivot are cleared: the
+    pivots are the same, at about half the row operations, which is all
+    ``rank`` needs.
+    """
+    scale, sub_scaled, one = field.scale_row, field.sub_scaled_row, field.one
+    nr = len(work)
+    nc = len(work[0]) if work else 0
     pivots = []
     r = 0
     for c in range(nc):
@@ -279,46 +289,37 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
             continue
         work[r], work[pr] = work[pr], work[r]
         pv = work[r][c]
-        if pv != field.one:
-            f = inv(pv)
-            work[r] = [mul(f, x) for x in work[r]]
+        if pv != one:
+            work[r] = scale(field.inv(pv), work[r])
         prow = work[r]
-        for i in range(nr):
+        for i in range(0 if reduced else r + 1, nr):
             if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [sub(x, mul(f, y)) for x, y in zip(work[i], prow)]
+                work[i] = sub_scaled(work[i], work[i][c], prow)
         pivots.append(c)
         r += 1
-    return Matrix(field, work, nc), tuple(pivots)
+    return pivots
+
+
+def _echelon_of_columns(field: Field, columns: list[list], dim: int) -> Matrix:
+    """Canonical column-echelon basis of the span of ``columns``.
+
+    ``columns`` holds vectors of length ``dim`` as lists and is consumed:
+    reducing it as rows leaves the basis in its leading rows.
+    """
+    kept = columns[: len(_gauss_jordan(field, columns))]
+    return Matrix(field, list(zip(*kept)) if kept else [[] for _ in range(dim)], len(kept))
+
+
+def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
+    """Reduced row-echelon form and its pivot columns."""
+    work = [list(row) for row in m.data]
+    pivots = _gauss_jordan(m.field, work)
+    return Matrix(m.field, work, m.cols), tuple(pivots)
 
 
 def rank(m: Matrix) -> int:
-    """Rank via forward Gaussian elimination; 0 for empty matrices."""
-    field = m.field
-    sub, mul, inv = field.sub, field.mul, field.inv
-    work = [list(row) for row in m.data]
-    nr, nc = m.rows, m.cols
-    r = 0
-    for c in range(nc):
-        if r == nr:
-            break
-        pr = None
-        for i in range(r, nr):
-            if work[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
-            continue
-        work[r], work[pr] = work[pr], work[r]
-        prow = work[r]
-        pv_inv = inv(prow[c])
-        for i in range(r + 1, nr):
-            x = work[i][c]
-            if x != 0:
-                f = mul(x, pv_inv)
-                work[i] = [sub(a, mul(f, b)) for a, b in zip(work[i], prow)]
-        r += 1
-    return r
+    """Rank as the pivot count of the echelon form; 0 for empty matrices."""
+    return len(_gauss_jordan(m.field, [list(row) for row in m.data], reduced=False))
 
 
 def kernel_basis(m: Matrix) -> Matrix:
@@ -328,7 +329,8 @@ def kernel_basis(m: Matrix) -> Matrix:
     canonical one, so repeated runs (and golden tests) are bit-stable.
     """
     field = m.field
-    reduced, pivots = rref(m)
+    reduced = [list(row) for row in m.data]
+    pivots = _gauss_jordan(field, reduced)
     pivot_set = set(pivots)
     free = [c for c in range(m.cols) if c not in pivot_set]
     z, o = field.zero, field.one
@@ -338,10 +340,9 @@ def kernel_basis(m: Matrix) -> Matrix:
         vec = [z] * m.cols
         vec[f] = o
         for i, pc in enumerate(pivots):
-            vec[pc] = neg(reduced.data[i][f])
+            vec[pc] = neg(reduced[i][f])
         columns.append(vec)
-    raw = Matrix(field, list(zip(*columns)) if columns else [[] for _ in range(m.cols)], len(columns))
-    return column_echelon(raw)
+    return _echelon_of_columns(field, columns, m.cols)
 
 
 def column_echelon(m: Matrix) -> Matrix:
@@ -350,9 +351,7 @@ def column_echelon(m: Matrix) -> Matrix:
     Zero columns are dropped, so the result always has full column rank
     and two matrices span the same subspace iff the results are equal.
     """
-    reduced, pivots = rref(m.transpose())
-    kept = [reduced.data[i] for i in range(len(pivots))]
-    return Matrix(m.field, list(zip(*kept)) if kept else [[] for _ in range(m.rows)], len(kept))
+    return _echelon_of_columns(m.field, [list(col) for col in zip(*m.data)], m.rows)
 
 
 def solve(m: Matrix, b: Matrix) -> Matrix | None:

@@ -26,11 +26,17 @@ class Instance:
     affine: AffineQuiver | None
 
 
+def _is_int(value) -> bool:
+    """JSON integers only: ``true``/``false`` load as bools, which are ints too."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _need(obj, key, kind, where):
     if not isinstance(obj, dict) or key not in obj:
         raise ParseError(f"{where}: missing key {key!r}")
     value = obj[key]
-    if kind is not None and not isinstance(value, kind):
+    ok = _is_int(value) if kind is int else kind is None or isinstance(value, kind)
+    if not ok:
         raise ParseError(f"{where}: key {key!r} has the wrong type")
     return value
 
@@ -62,15 +68,15 @@ def _entry_to_json(fld: Field, value):
 
 def _entry_from_json(fld: Field, raw, where: str):
     if isinstance(fld, PrimeField):
-        if not isinstance(raw, int) or isinstance(raw, bool):
+        if not _is_int(raw):
             raise ParseError(f"{where}: prime-field entries must be ints")
         return raw
-    if isinstance(raw, str) or (isinstance(raw, int) and not isinstance(raw, bool)):
+    if isinstance(raw, str) or _is_int(raw):
         try:
             return Fraction(raw)
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"{where}: bad rational {raw!r}") from exc
-    raise ParseError(f"{where}: rational entries must be strings")
+    raise ParseError(f"{where}: rational entries must be ints or strings")
 
 
 def instance_to_json(rep: Representation, affine: AffineQuiver | None = None) -> dict:
@@ -105,7 +111,7 @@ def instance_from_json(doc) -> Instance:
         aobj = _need(qobj, "affine", dict, "quiver")
         n = _need(aobj, "n", int, "quiver.affine")
         orientation = _need(aobj, "orientation", list, "quiver.affine")
-        if not all(isinstance(o, int) and o in (0, 1) for o in orientation):
+        if not all(_is_int(o) and o in (0, 1) for o in orientation):
             raise ParseError("quiver.affine: orientation must be a 0/1 array")
         affine = AffineQuiver(n, tuple(orientation))
         quiver = to_quiver(affine)
@@ -118,7 +124,7 @@ def instance_from_json(doc) -> Instance:
             )
         quiver = Quiver(vertices, tuple(edges))
     dims = _need(doc, "dims", list, "instance")
-    if not all(isinstance(d, int) and d >= 0 for d in dims):
+    if not all(_is_int(d) and d >= 0 for d in dims):
         raise ParseError("dims must be non-negative ints")
     if len(dims) != quiver.vertex_count:
         raise ValidationError(
@@ -133,6 +139,8 @@ def instance_from_json(doc) -> Instance:
         if e in slots:
             raise ParseError(f"duplicate matrix for edge {e}")
         rows = _need(mobj, "rows", list, f"matrix {e}")
+        if not all(isinstance(row, list) for row in rows):
+            raise ParseError(f"matrix {e}: rows must be arrays")
         src, dst = quiver.edges[e]
         parsed = [
             [_entry_from_json(fld, x, f"matrix {e}") for x in row] for row in rows
@@ -192,7 +200,7 @@ def classes_to_json(classes: dict[tuple[int, int], int]) -> list[dict]:
 def weights_from_json(items) -> StabilityCondition:
     if not isinstance(items, list):
         raise ParseError("weights file must hold a JSON array")
-    return StabilityCondition(tuple(Fraction(w) for w in items))
+    return StabilityCondition(tuple(_entry_from_json(QQ, w, "weights") for w in items))
 
 
 def truth_to_json(

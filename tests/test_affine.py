@@ -268,6 +268,12 @@ class TestLiftedMultiplicities:
         bigger = LiftWindow(base.n, base.D + base.n)
         assert lifted_multiplicities(rep, bigger) == lifted_multiplicities(rep, base)
 
+    def test_short_window_rejected(self):
+        rep = indec_N(EX, 1, 9, GF(5))
+        base = default_window(rep)
+        with pytest.raises(ShapeError):
+            lifted_multiplicities(rep, LiftWindow(base.n, base.D - base.n))
+
 
 class TestEtaFromLift:
     def test_jordan_single_step(self):

@@ -1,5 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
+import pytest
+
+import hnzz
 from hnzz.affine import AffineQuiver, CCW, CW, indec_N, indec_T
 from hnzz.cli import main
 from hnzz.generators import equioriented_quiver
@@ -19,6 +25,31 @@ def write_instance(tmp_path, rep, affine=None, name="inst.json"):
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def run_process(args, env_extra=None):
+    """Run the CLI in a child process: (exit code, stderr).
+
+    A child process shows what an uncaught exception really does: a
+    traceback on stderr rather than an exception inside the test.
+    """
+    env = dict(os.environ)
+    env.pop("HNZZ_GUARD_OVERRIDE", None)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(os.path.abspath(hnzz.__file__)))
+    env.update(env_extra or {})
+    proc = subprocess.run(
+        [sys.executable, "-m", "hnzz.cli", *[str(a) for a in args]],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    return proc.returncode, proc.stderr
+
+
+def gen_short_window_instance(tmp_path):
+    """Truth N(0,6) + T(1,1) + T(1,2) on a 3-cycle, dims (6,5,5): D >= 24."""
+    out = tmp_path / "aff3.json"
+    assert run(["gen", "--kind", "affine", "--n", 3, "--seed", 5, "--field", 3,
+                "--max-summands", 3, "--out", out]) == 0
+    return out
 
 
 class TestBarcodeCommand:
@@ -153,6 +184,23 @@ class TestLiftCommand:
         inp = write_instance(tmp_path, rep)
         assert run(["lift", inp]) == 4
 
+    @pytest.mark.parametrize("window", [6, 9])
+    def test_short_window_exit_4(self, tmp_path, window):
+        inp = gen_short_window_instance(tmp_path)
+        code, err = run_process(["lift", inp, "--window", window])
+        assert code == 4
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("window", [None, 27])
+    def test_sufficient_window_gives_truth(self, tmp_path, capsys, window):
+        inp = gen_short_window_instance(tmp_path)
+        capsys.readouterr()
+        extra = [] if window is None else ["--window", window]
+        assert run(["lift", inp, *extra]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["d_inf"] == 3
+        assert doc["classes"] == [{"u": 0, "len": 6, "mult": 1}]
+
 
 class TestGenCommand:
     def test_deterministic(self, tmp_path):
@@ -244,3 +292,76 @@ class TestVerifyCommand:
     def test_theorem_b_small(self, capsys):
         assert run(["verify", "--theorem", "b", "--cases", 8, "--seed", 6]) == 0
         assert "8 passed, 0 failed" in capsys.readouterr().out
+
+
+def _small_instance():
+    return instance_to_json(interval_module(equioriented_quiver(3), Interval(0, 2), GF(2)))
+
+
+def _affine_instance():
+    aq = AffineQuiver(3, (CW, CW, CCW))
+    return instance_to_json(indec_N(aq, 0, 1, GF(2)), aq)
+
+
+def _set(path, value):
+    """Mutator that replaces the entry at ``path`` of an instance document."""
+    def mutate(doc):
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+    return mutate
+
+
+class TestMalformedInput:
+    """Each malformed input exits with its code and prints no traceback."""
+
+    @pytest.mark.parametrize("weights", ['["abc"]', "[1, [2]]", "[0.1, 0.2, 0.3]"],
+                             ids=["word", "nested", "float"])
+    def test_bad_weights_exit_2(self, tmp_path, weights):
+        inp = tmp_path / "inst.json"
+        write_json(str(inp), _small_instance())
+        wfile = tmp_path / "w.json"
+        wfile.write_text(weights)
+        code, err = run_process(["hn", inp, "--stability", wfile, "--oracle"])
+        assert code == 2
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "make, mutate",
+        [
+            (_small_instance, _set(("matrices", 0, "rows"), [1])),
+            (_small_instance, _set(("dims", 0), True)),
+            (_affine_instance, _set(("quiver", "affine", "n"), True)),
+            (_small_instance, _set(("field",), {"kind": "prime", "p": True})),
+            (_affine_instance, _set(("quiver", "affine", "orientation", 0), True)),
+            (_small_instance, _set(("matrices", 0, "edge"), False)),
+            (_small_instance, _set(("quiver", "edges", 0, "src"), False)),
+            (_small_instance, _set(("quiver", "edges", 0, "dst"), True)),
+            (_small_instance, _set(("field",), {"kind": "prime", "p": 2305843009213693951})),
+        ],
+        ids=["int-row", "bool-dims", "bool-n", "bool-p", "bool-orientation",
+             "bool-edge", "bool-src", "bool-dst", "huge-p"],
+    )
+    def test_bad_instance_exit_2(self, tmp_path, make, mutate):
+        doc = make()
+        mutate(doc)
+        inp = tmp_path / "inst.json"
+        write_json(str(inp), doc)
+        command = "lift" if "affine" in doc["quiver"] else "barcode"
+        code, err = run_process([command, inp])
+        assert code == 2
+        assert "Traceback" not in err
+
+    def test_gen_huge_field_exit_2(self, tmp_path):
+        code, err = run_process(["gen", "--kind", "affine", "--n", 3,
+                                 "--field", 2305843009213693951, "--out", tmp_path / "g.json"])
+        assert code == 2
+        assert "Traceback" not in err
+
+    def test_bad_guard_override_exit_2(self, tmp_path):
+        inp = tmp_path / "inst.json"
+        write_json(str(inp), _small_instance())
+        code, err = run_process(["hn", inp, "--oracle"], {"HNZZ_GUARD_OVERRIDE": "dim=x"})
+        assert code == 2
+        assert "Traceback" not in err

@@ -1,0 +1,105 @@
+"""Byte pins of CLI stdout on seeded generated instances.
+
+Each case generates an instance with ``hnzz gen`` and runs one command
+on it; the sha256 of everything the command prints must match the digest
+recorded here.  The elimination kernel, the lift classification and the
+oracle may be rewritten freely, but not one output byte may move.
+"""
+
+import hashlib
+
+import pytest
+
+from hnzz.cli import main
+
+# id -> (gen arguments, command with {inst} for the instance path, digest)
+CASES = {
+    "barcode-persistence-gf2": (
+        ["persistence", 6, 5, "2", 4],
+        ["barcode", "{inst}"],
+        "aebfe955f2ddbbb3b438215b72b1fcb5f389a7b59c6003b6912bc8b117a3a300",
+    ),
+    "barcode-persistence-gf3": (
+        ["persistence", 7, 6, "3", 4],
+        ["barcode", "{inst}"],
+        "1c26b93b2c19c6fe0662461cc9b131527329112058f93a98414baf485298b2d3",
+    ),
+    "barcode-persistence-qq": (
+        ["persistence", 6, 6, "rational", 4],
+        ["barcode", "{inst}"],
+        "a1a9275e16a4765fad598fb3393f7d01680f39bc3a8c0ce20ccf07ba452925f0",
+    ),
+    "barcode-persistence-qq-long": (
+        ["persistence", 7, 7, "rational", 4],
+        ["barcode", "{inst}"],
+        "f1f60dbc6ac7fc8235bf48b2b0007fb8c17d2b4549f9c46538f8e89076428ffc",
+    ),
+    "hn-affine-gf3": (
+        ["affine", 3, 5, "3", 3],
+        ["hn", "{inst}"],
+        "bf0912b8e229f46bc86d159635bfd5d08c988b2795e56e42220e4b328e164d89",
+    ),
+    "lift-affine-gf3": (
+        ["affine", 3, 5, "3", 3],
+        ["lift", "{inst}"],
+        "a74e4216632b63aa447c2c161986e74651feee6ab202d2003b690ccb618075cd",
+    ),
+    "lift-affine-gf3-window27": (
+        ["affine", 3, 5, "3", 3],
+        ["lift", "{inst}", "--window", 27],
+        "4abf92d5590262fcd023186c297caba5bf32d30d7ec04b8a655adc65fb32e2c1",
+    ),
+    "hn-affine-gf5": (
+        ["affine", 4, 1, "5", 3],
+        ["hn", "{inst}"],
+        "dd8ea9f990d12b17f2c471b0d7469183e3702857c9fff58809ce617641a13387",
+    ),
+    "lift-affine-gf5": (
+        ["affine", 4, 1, "5", 3],
+        ["lift", "{inst}"],
+        "06b981ef99bfd91d5567fa14dc2b77b32a333ade8a8c5807c0b2ddd83fbbb36f",
+    ),
+    "hn-affine-qq": (
+        ["affine", 4, 4, "rational", 3],
+        ["hn", "{inst}"],
+        "a8d457db6bb53aef3562e6182b5fc1add77f6202bb6f11eeeb8459a1aad73139",
+    ),
+    "lift-affine-qq": (
+        ["affine", 4, 4, "rational", 3],
+        ["lift", "{inst}"],
+        "df9a9ca70e10af164942a184b14ee75adae07c6860ef71220138a6cf86df9663",
+    ),
+    "hn-affine-gf2": (
+        ["affine", 5, 2, "2", 3],
+        ["hn", "{inst}"],
+        "479dc969cbe425479c5c34a85ec27ee7f1879cf3495e9bd3dee8c8e387e6d77e",
+    ),
+    "lift-affine-gf2": (
+        ["affine", 5, 2, "2", 3],
+        ["lift", "{inst}"],
+        "1488dbd3d4a81934a589c9b4eb643aaab2df9aeb7fc5b1eccc1a9013c27d3075",
+    ),
+    "hn-oracle-persistence-gf2": (
+        ["persistence", 6, 5, "2", 4],
+        ["hn", "{inst}", "--oracle"],
+        "ef1bb09000093a81b0136a3aca50cd93b263800bbdded0b8f53c9b4cefde8734",
+    ),
+    "hn-oracle-persistence-gf3": (
+        ["persistence", 3, 5, "3", 2],
+        ["hn", "{inst}", "--oracle"],
+        "3b8c17d265942354179c564f5cf94fc03468e739943713a8434ef69bdcd31bbc",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_stdout_bytes_pinned(case, tmp_path, capsys):
+    (kind, n, seed, field, summands), command, digest = CASES[case]
+    inst = str(tmp_path / "inst.json")
+    gen = ["gen", "--kind", kind, "--n", n, "--seed", seed, "--field", field,
+           "--max-summands", summands, "--out", inst]
+    assert main([str(a) for a in gen]) == 0
+    capsys.readouterr()
+    assert main([str(a).format(inst=inst) for a in command]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

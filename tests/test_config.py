@@ -1,6 +1,7 @@
 import pytest
 
 from hnzz.config import GuardConfig, load_guard
+from hnzz.errors import ParseError
 
 
 class TestGuardConfig:
@@ -28,4 +29,9 @@ class TestGuardConfig:
     def test_bad_key(self, monkeypatch):
         monkeypatch.setenv("HNZZ_GUARD_OVERRIDE", "speed=11")
         with pytest.raises(ValueError):
+            load_guard()
+
+    def test_bad_value_is_parse_error(self, monkeypatch):
+        monkeypatch.setenv("HNZZ_GUARD_OVERRIDE", "dim=x")
+        with pytest.raises(ParseError):
             load_guard()
