@@ -7,6 +7,7 @@ Subpackage map:
 * ``zigzag``   -- interval modules and barcode decomposition on paths
 * ``hn``       -- HN filtrations: barcode fast path and brute-force oracle
 * ``affine``   -- cycle quivers: wrapped intervals, Jordan cells, unwinding
+* ``campaign`` -- the dual-path verification campaign behind ``hnzz verify``
 * ``cli``      -- JSON instance files and the ``hnzz`` command
 """
 

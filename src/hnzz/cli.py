@@ -1,17 +1,19 @@
 """Command-line interface: barcode, hn, lift, gen, verify.
 
-Exit codes are stable: 0 success, 1 check failure or internal error,
-2 malformed input, 3 invariant violation, 4 unsupported quiver shape or
-window, 5 enumeration guard exceeded.
+Exit codes are stable: 0 success, 1 check failure, internal error or
+closed stdout, 2 malformed input, 3 invariant violation, 4 unsupported
+quiver shape or window, 5 enumeration guard exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 
+from . import campaign
 from .affine import LiftWindow, classify_lift, eta_from_lift
 from .errors import (
     GuardError,
@@ -55,41 +57,28 @@ def _cmd_barcode(args) -> int:
 def _cmd_hn(args) -> int:
     inst = instance_from_json(load_json(args.input))
     rep = inst.rep
-    custom = args.stability != "euler"
-    if custom:
+    fast = None
+    if args.stability == "euler":
+        alpha = euler_stability(rep.quiver)
+        if inst.affine is not None:
+            fast = eta_from_lift(rep)
+        elif all(fwd for _, fwd in path_steps(rep.quiver)):
+            fast = hn_from_barcode(barcode(rep), rep.quiver)
+        else:
+            raise ShapeError("fast path requires an equioriented path or an affine cycle")
+    else:
         alpha = weights_from_json(load_json(args.stability))
         if len(alpha.weights) != rep.quiver.vertex_count:
             raise ValidationError("weights file does not match the vertex count")
-    else:
-        alpha = euler_stability(rep.quiver)
-
-    fast = None
-    if custom:
         if not args.oracle:
             raise ShapeError(
                 "the barcode-driven fast path supports the Euler weights only; "
                 "pass --oracle for custom weights"
             )
-    elif inst.affine is not None:
-        fast = eta_from_lift(rep)
-    else:
-        steps = path_steps(rep.quiver)
-        if not all(fwd for _, fwd in steps):
-            raise ShapeError(
-                "fast path requires an equioriented path or an affine cycle"
-            )
-        fast = hn_from_barcode(barcode(rep), rep.quiver)
-
-    doc: dict = {}
-    if args.oracle:
-        oracle = hn_bruteforce(rep, alpha)
-        report = fast if fast is not None else oracle
-        doc["hn"] = hn_to_json(report)
-        if fast is not None:
-            doc["oracle_agrees"] = fast.steps == oracle.steps
-    else:
-        assert fast is not None
-        doc["hn"] = hn_to_json(fast)
+    oracle = hn_bruteforce(rep, alpha) if args.oracle else None
+    doc: dict = {"hn": hn_to_json(fast if fast is not None else oracle)}
+    if fast is not None and oracle is not None:
+        doc["oracle_agrees"] = fast.steps == oracle.steps
     _emit(doc, args.out)
     return 0
 
@@ -119,6 +108,11 @@ def _parse_field(raw: str):
 
 
 def _cmd_gen(args) -> int:
+    least = 1 if args.kind == "persistence" else 2
+    if args.n < least:
+        raise ParseError(f"--kind {args.kind} needs --n of at least {least}")
+    if args.max_summands < 0:
+        raise ParseError("--max-summands must not be negative")
     fld = _parse_field(args.field)
     rng = random.Random(args.seed)
     if args.kind == "persistence":
@@ -134,62 +128,16 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _theorem_a_case(rng: random.Random) -> tuple[bool, dict]:
-    p = rng.choice((2, 3))
-    fld = GF(p)
-    cap = 8 if p == 2 else 6
-    n = rng.randint(1, 5)
-    rep, truth = gen_persistence(
-        n, fld, 4, rng, min_summands=1, total_cap=cap, vertex_cap=6
-    )
-    doc = instance_to_json(rep)
-    if rep.is_zero():
-        return True, doc
-    bar = barcode(rep)
-    fast = hn_from_barcode(bar, rep.quiver)
-    oracle = hn_bruteforce(rep, euler_stability(rep.quiver))
-    if fast.steps != oracle.steps:
-        return False, doc
-    j_count = sum(1 for iv, _ in bar if iv.lo == 0)
-    has_rest = any(iv.lo != 0 for iv, _ in bar)
-    expected_len = j_count + (1 if has_rest else 0)
-    return len(oracle.steps) == expected_len, doc
-
-
-def _theorem_b_case(rng: random.Random) -> tuple[bool, dict]:
-    p = rng.choice((2, 3))
-    fld = GF(p)
-    cap = 8 if p == 2 else 6
-    n = rng.randint(2, 5)
-    aq, rep, _, _ = gen_affine(
-        n, fld, 3, rng, min_summands=1, total_cap=cap, vertex_cap=6, max_len=2 * n
-    )
-    doc = instance_to_json(rep, aq)
-    if rep.is_zero():
-        return True, doc
-    fast = eta_from_lift(rep)
-    oracle = hn_bruteforce(rep, euler_stability(rep.quiver))
-    return fast.steps == oracle.steps, doc
-
-
 def _cmd_verify(args) -> int:
-    rng = random.Random(args.seed)
-    case = _theorem_a_case if args.theorem == "a" else _theorem_b_case
-    passed = failed = 0
-    first_bad = None
-    for _ in range(args.cases):
-        ok, doc = case(rng)
-        if ok:
-            passed += 1
-        else:
-            failed += 1
-            if first_bad is None:
-                first_bad = doc
-    print(f"theorem {args.theorem}: {passed} passed, {failed} failed of {args.cases}")
-    if first_bad is not None:
+    if args.cases < 0:
+        raise ParseError("--cases must not be negative")
+    tally = campaign.run(args.theorem, args.cases, args.seed)
+    print(f"theorem {args.theorem}: {tally.passed} passed, {tally.failed} failed of {args.cases}")
+    if tally.first_bad is not None:
+        print(f"first disagreement: {tally.first_reason}", file=sys.stderr)
         print("first counterexample instance:")
-        print(json.dumps(first_bad, indent=2))
-    return 0 if failed == 0 else 1
+        print(json.dumps(tally.first_bad, indent=2))
+    return 0 if tally.failed == 0 else 1
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -242,7 +190,16 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early; send what is still buffered to
+        # devnull, so the interpreter's final flush does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

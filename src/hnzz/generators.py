@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 
 from .affine import AffineQuiver, CCW, CW, NClass, TClass, indec_N, indec_T, to_quiver
+from .errors import ValidationError
 from .linalg import Field, PrimeField, random_invertible_rng
 from .quiver import Quiver, Representation, conjugate, direct_sum, zero_representation
 from .zigzag import Interval, interval_module
@@ -23,6 +24,8 @@ def equioriented_quiver(n: int) -> Quiver:
 
 def random_orientation(n: int, rng: random.Random) -> tuple[int, ...]:
     """A uniformly random acyclic orientation of the n-cycle."""
+    if n < 2:
+        raise ValidationError("an acyclic orientation needs a cycle of at least two vertices")
     while True:
         bits = tuple(rng.choice((CW, CCW)) for _ in range(n))
         if len(set(bits)) > 1:

@@ -519,8 +519,7 @@ def subspace_enumerator(dim: int, p: int, guard: GuardConfig | None = None) -> I
     """
     if guard is None:
         guard = load_guard()
-    if not _is_prime(p):
-        raise ValidationError(f"modulus {p} is not prime")
+    field = GF(p)
     if dim < 0:
         raise ValidationError("negative dimension")
     if dim > guard.max_enum_dim or p > guard.max_enum_p:
@@ -528,7 +527,6 @@ def subspace_enumerator(dim: int, p: int, guard: GuardConfig | None = None) -> I
             f"subspace enumeration guard exceeded (dim={dim}, p={p}; "
             f"limits dim<={guard.max_enum_dim}, p<={guard.max_enum_p})"
         )
-    field = GF(p)
 
     def generate() -> Iterator[Matrix]:
         for k in range(dim + 1):

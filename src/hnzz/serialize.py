@@ -232,9 +232,12 @@ def truth_to_json(
 
 
 def write_json(path: str, doc) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=2)
+            fh.write("\n")
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}") from exc
 
 
 def load_json(path: str):

@@ -16,7 +16,6 @@ from hnzz.affine import (
     CW,
     AffineQuiver,
     LiftWindow,
-    NClass,
     default_window,
     eta_from_lift,
     euler_slope_N,
@@ -24,11 +23,11 @@ from hnzz.affine import (
     indec_T,
     lifted_multiplicities,
     p_value,
-    recover_N_multiplicities,
     to_quiver,
 )
-from hnzz.generators import gen_affine, gen_persistence, random_orientation
-from hnzz.hn import hn_bruteforce, hn_from_barcode, is_semistable, recover_barcode_via_truncations
+from hnzz import campaign
+from hnzz.generators import gen_affine, random_orientation
+from hnzz.hn import is_semistable, recover_barcode_via_truncations
 from hnzz.linalg import GF, Matrix, random_invertible_rng
 from hnzz.quiver import conjugate, direct_sum, euler_stability, slope
 from hnzz.serialize import instance_to_json, load_json
@@ -77,44 +76,36 @@ def test_criterion_1_running_example_golden():
     report(1, "running-example constructions are bit-exact", start, 1.0)
 
 
-@functools.lru_cache(maxsize=1)
-def theorem_a_modules():
-    """200 seeded equioriented modules within the oracle guard, conjugated."""
-    rng = random.Random(20_240_001)
+def nonzero_cases(draw, seed, count):
+    """The first ``count`` nonzero instances of a campaign draw from one seed."""
+    rng = random.Random(seed)
     out = []
-    while len(out) < 200:
-        p = rng.choice((2, 3))
-        cap = 8 if p == 2 else 6
-        n = rng.randint(1, 5)
-        rep, _ = gen_persistence(
-            n, GF(p), 4, rng, min_summands=1, total_cap=cap, vertex_cap=6
-        )
-        if rep.is_zero():
-            continue
-        out.append(rep)
+    while len(out) < count:
+        case = draw(rng)
+        if not case.rep.is_zero():
+            out.append(case)
     return out
+
+
+@functools.lru_cache(maxsize=1)
+def theorem_a_cases():
+    """200 seeded equioriented modules within the oracle guard, conjugated."""
+    return nonzero_cases(campaign.draw_a, 20_240_001, 200)
 
 
 def test_criterion_2_theorem_a_suite():
     start = time.perf_counter()
-    for rep in theorem_a_modules():
-        bar = barcode(rep)
-        fast = hn_from_barcode(bar, rep.quiver)
-        oracle = hn_bruteforce(rep, euler_stability(rep.quiver))
-        assert fast.steps == oracle.steps
-        j_count = sum(1 for iv, _ in bar if iv.lo == 0)
-        has_other = any(iv.lo != 0 for iv, _ in bar)
-        # length formula: 1 + #J, with the degenerate all-left-anchored case
-        # collapsing to #J (the final quotient would otherwise be zero)
-        expected = j_count + 1 if has_other else j_count
-        assert len(oracle.steps) == expected
+    cases = theorem_a_cases()
+    assert len(cases) == 200
+    for case in cases:
+        assert campaign.check_a(case) is None
     report(2, "barcode fast path matches the oracle on 200 modules", start, 60.0)
 
 
 def test_criterion_3_truncation_recovery():
     start = time.perf_counter()
-    for rep in theorem_a_modules():
-        assert recover_barcode_via_truncations(rep) == barcode(rep)
+    for case in theorem_a_cases():
+        assert recover_barcode_via_truncations(case.rep) == barcode(case.rep)
     report(3, "truncation recursion rebuilds 200 barcodes", start, 60.0)
 
 
@@ -164,31 +155,10 @@ def test_criterion_5_lift_multiplicity_suite():
 
 def test_criterion_6_theorem_b_suite():
     start = time.perf_counter()
-    rng = random.Random(20_240_006)
-    done = 0
-    while done < 100:
-        p = rng.choice((2, 3))
-        cap = 8 if p == 2 else 6
-        n = rng.randint(2, 5)
-        aq, rep, truth_n, _ = gen_affine(
-            n, GF(p), 3, rng,
-            min_summands=1, total_cap=cap, vertex_cap=6, max_len=2 * n,
-        )
-        if rep.is_zero():
-            continue
-        fast = eta_from_lift(rep)
-        oracle = hn_bruteforce(rep, euler_stability(rep.quiver))
-        assert fast.steps == oracle.steps
-        for cls, mult in truth_n.items():
-            if p_value(aq, cls.u, cls.v) != 1:
-                assert recover_N_multiplicities(aq, fast, cls.u, cls.v) == mult
-        for u in range(n):
-            for length in range(2 * n):
-                cls = NClass(u, u + length)
-                if cls in truth_n or p_value(aq, cls.u, cls.v) == 1:
-                    continue
-                assert recover_N_multiplicities(aq, fast, cls.u, cls.v) == 0
-        done += 1
+    cases = nonzero_cases(campaign.draw_b, 20_240_006, 100)
+    assert len(cases) == 100
+    for case in cases:
+        assert campaign.check_b(case) is None
     report(6, "lift-derived HN equals the oracle on 100 mixtures", start, 600.0)
 
 

@@ -1,11 +1,13 @@
 import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
 import hnzz
+from hnzz import campaign
 from hnzz.affine import AffineQuiver, CCW, CW, indec_N, indec_T
 from hnzz.cli import main
 from hnzz.generators import equioriented_quiver
@@ -27,8 +29,8 @@ def run(args):
     return main([str(a) for a in args])
 
 
-def run_process(args, env_extra=None):
-    """Run the CLI in a child process: (exit code, stderr).
+def cli_process(args, env_extra=None):
+    """Keyword arguments that start the CLI in a child process.
 
     A child process shows what an uncaught exception really does: a
     traceback on stderr rather than an exception inside the test.
@@ -37,10 +39,13 @@ def run_process(args, env_extra=None):
     env.pop("HNZZ_GUARD_OVERRIDE", None)
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(os.path.abspath(hnzz.__file__)))
     env.update(env_extra or {})
-    proc = subprocess.run(
-        [sys.executable, "-m", "hnzz.cli", *[str(a) for a in args]],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    return {"args": [sys.executable, "-m", "hnzz.cli", *[str(a) for a in args]],
+            "stderr": subprocess.PIPE, "text": True, "env": env}
+
+
+def run_process(args, env_extra=None):
+    """Run the CLI in a child process: (exit code, stderr)."""
+    proc = subprocess.run(stdout=subprocess.PIPE, timeout=60, **cli_process(args, env_extra))
     return proc.returncode, proc.stderr
 
 
@@ -293,6 +298,16 @@ class TestVerifyCommand:
         assert run(["verify", "--theorem", "b", "--cases", 8, "--seed", 6]) == 0
         assert "8 passed, 0 failed" in capsys.readouterr().out
 
+    def test_failure_reports_first_counterexample(self, monkeypatch, capsys):
+        draw, _ = campaign.THEOREMS["a"]
+        monkeypatch.setitem(campaign.THEOREMS, "a", (draw, lambda case: "forced"))
+        assert run(["verify", "--theorem", "a", "--cases", 3, "--seed", 5]) == 1
+        out, err = capsys.readouterr()
+        head = "theorem a: 0 passed, 3 failed of 3\nfirst counterexample instance:\n"
+        assert out.startswith(head)
+        assert json.loads(out[len(head):]) == instance_to_json(draw(random.Random(5)).rep)
+        assert "first disagreement: forced" in err
+
 
 def _small_instance():
     return instance_to_json(interval_module(equioriented_quiver(3), Interval(0, 2), GF(2)))
@@ -365,3 +380,60 @@ class TestMalformedInput:
         code, err = run_process(["hn", inp, "--oracle"], {"HNZZ_GUARD_OVERRIDE": "dim=x"})
         assert code == 2
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["gen", "--kind", "persistence", "--n", 0],
+            ["gen", "--kind", "affine", "--n", 1],
+            ["gen", "--kind", "persistence", "--n", 3, "--max-summands", -1],
+            ["verify", "--theorem", "a", "--cases", -3],
+        ],
+        ids=["persistence-n0", "affine-n1", "negative-summands", "negative-cases"],
+    )
+    def test_bad_argument_exit_2(self, tmp_path, args):
+        if args[0] == "gen":
+            args = [*args, "--out", tmp_path / "g.json"]
+        code, err = run_process(args)
+        assert code == 2
+        assert "Traceback" not in err
+
+    def test_unwritable_out_exit_2(self, tmp_path):
+        missing = tmp_path / "missing" / "x.json"
+        code, err = run_process(["gen", "--kind", "persistence", "--n", 3, "--out", missing])
+        assert code == 2
+        assert "Traceback" not in err
+        inp = tmp_path / "inst.json"
+        write_json(str(inp), _small_instance())
+        code, err = run_process(["barcode", inp, "--out", missing])
+        assert code == 2
+        assert "Traceback" not in err
+
+
+class TestClosedStdout:
+    """A reader that stops early ends the command without a traceback."""
+
+    def test_reader_stops_after_one_line(self, tmp_path):
+        args = cli_process(["lift", gen_short_window_instance(tmp_path)])
+        with subprocess.Popen(stdout=subprocess.PIPE, **args) as proc:
+            assert proc.stdout.readline() == "{\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            # the child may have written everything before the pipe closed
+            assert proc.wait(timeout=60) in (0, 1)
+        assert "Traceback" not in err
+        assert "Exception ignored" not in err
+
+    def test_closed_pipe_exit_1(self, tmp_path):
+        args = cli_process(["lift", gen_short_window_instance(tmp_path)])
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.Popen(stdout=write_end, **args)
+        finally:
+            os.close(write_end)
+        with proc:
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 1
+        assert "Traceback" not in err
+        assert "Exception ignored" not in err

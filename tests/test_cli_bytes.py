@@ -103,3 +103,24 @@ def test_stdout_bytes_pinned(case, tmp_path, capsys):
     assert main([str(a).format(inst=inst) for a in command]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# id -> (verify arguments, digest)
+VERIFY_CASES = {
+    "verify-theorem-a": (
+        ["--theorem", "a", "--cases", 30, "--seed", 5],
+        "04807a10d139a8e17970dc026099339b304d22e1cb4a3fbd891da52f584ec14d",
+    ),
+    "verify-theorem-b": (
+        ["--theorem", "b", "--cases", 20, "--seed", 6],
+        "64e51530b28a06452db5cb7d6be537f4db81c8dbe87a5c55f2421c076258dc83",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VERIFY_CASES))
+def test_verify_stdout_bytes_pinned(case, capsys):
+    args, digest = VERIFY_CASES[case]
+    assert main(["verify", *[str(a) for a in args]]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

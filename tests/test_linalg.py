@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -193,6 +194,12 @@ class TestSubspaceEnumerator:
     def test_nonprime_rejected(self):
         with pytest.raises(ValidationError):
             subspace_enumerator(2, 4)
+
+    def test_huge_modulus_rejected_at_once(self):
+        start = time.perf_counter()
+        with pytest.raises(ValidationError):
+            subspace_enumerator(1, 2305843009213693951)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestSubspaceOps:
