@@ -5,6 +5,10 @@ residues (plain ints in ``[0, p)``) over GF(p).  Matrices are immutable,
 dense, row-major, and carry their field descriptor so that mixed-field
 arithmetic is a detectable error rather than silent nonsense.
 
+Outside input enters through ``Matrix(field, data, cols)``, which checks
+the shape and coerces every entry, refusing floats; results computed here
+are canonical already and skip that pass via the private ``Matrix._canonical``.
+
 Everything here is pure and deterministic: echelon forms are the unique
 reduced ones, so equality of spans reduces to equality of basis matrices.
 """
@@ -45,16 +49,15 @@ class RationalField:
         return Fraction(1)
 
     def coerce(self, value) -> Fraction:
-        return Fraction(value)
-
-    def add(self, a, b):
-        return a + b
+        if isinstance(value, (bool, float)):
+            raise ValidationError(f"QQ entry must be exact, not {type(value).__name__}")
+        try:
+            return Fraction(value)
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise ValidationError(f"QQ entry {value!r} is not a rational") from exc
 
     def sub(self, a, b):
         return a - b
-
-    def mul(self, a, b):
-        return a * b
 
     def neg(self, a):
         return -a
@@ -100,16 +103,12 @@ class PrimeField:
         return 1
 
     def coerce(self, value) -> int:
-        return int(value) % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValidationError(f"GF({self.p}) entry must be an int, not {type(value).__name__}")
+        return value % self.p
 
     def sub(self, a, b):
         return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
 
     def neg(self, a):
         return (-a) % self.p
@@ -142,18 +141,29 @@ def GF(p: int) -> PrimeField:
     return PrimeField(p)
 
 
+def _store(m: "Matrix", field: Field, cols: int, data: tuple) -> "Matrix":
+    """Set the four slots of ``m``, bypassing its immutability guard."""
+    object.__setattr__(m, "field", field)
+    object.__setattr__(m, "rows", len(data))
+    object.__setattr__(m, "cols", cols)
+    object.__setattr__(m, "data", data)
+    return m
+
+
 class Matrix:
     """Immutable dense matrix; ``data`` is a tuple of row tuples.
 
-    Entries are coerced into the field on construction, so a Matrix is
-    always in canonical form (reduced fractions / residues in [0, p)).
+    The public constructor checks that the rows have one length and
+    coerces every entry into the field (``ValidationError`` for entries
+    the field refuses), so a Matrix is always in canonical form: reduced
+    fractions / residues in [0, p).  ``Matrix._canonical`` trusts rows
+    that are canonical already; it is for results computed here.
     """
 
     __slots__ = ("field", "rows", "cols", "data")
 
     def __init__(self, field: Field, data: Sequence[Sequence], cols: int | None = None):
-        rows = len(data)
-        if rows:
+        if data:
             width = len(data[0])
             if cols is not None and cols != width:
                 raise ValidationError("explicit cols disagrees with row length")
@@ -165,26 +175,29 @@ class Matrix:
         for row in data:
             if len(row) != cols:
                 raise ValidationError("ragged rows in matrix data")
-            packed.append(tuple(coerce(x) for x in row))
-        self.field = field
-        self.rows = rows
-        self.cols = cols
-        self.data = tuple(packed)  # set last: enables the immutability guard
+            packed.append(tuple(map(coerce, row)))
+        _store(self, field, cols, tuple(packed))
+
+    @classmethod
+    def _canonical(cls, field: Field, rows: Iterable[Sequence], cols: int) -> "Matrix":
+        """A Matrix of rows already in canonical form: no coercion, no checks."""
+        return _store(object.__new__(cls), field, cols, tuple(map(tuple, rows)))
 
     def __setattr__(self, name, value):
-        if hasattr(self, "data"):
-            raise AttributeError("Matrix is immutable")
-        object.__setattr__(self, name, value)
+        raise AttributeError("Matrix is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("Matrix is immutable")
 
     @staticmethod
     def zeros(field: Field, rows: int, cols: int) -> "Matrix":
-        z = field.zero
-        return Matrix(field, [[z] * cols for _ in range(rows)], cols)
+        return Matrix._canonical(field, [(field.zero,) * cols] * rows, cols)
 
     @staticmethod
     def identity(field: Field, n: int) -> "Matrix":
         z, o = field.zero, field.one
-        return Matrix(field, [[o if i == j else z for j in range(n)] for i in range(n)], n)
+        rows = [[o if i == j else z for j in range(n)] for i in range(n)]
+        return Matrix._canonical(field, rows, n)
 
     def __eq__(self, other) -> bool:
         return (
@@ -209,17 +222,16 @@ class Matrix:
                 f"matmul shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
             )
         field = self.field
-        add, mul, zero = field.add, field.mul, field.zero
+        sub_scaled, neg, zero = field.sub_scaled_row, field.neg, field.zero
         odata = other.data
         out = []
         for lrow in self.data:
             acc = [zero] * other.cols
-            for t, a in enumerate(lrow):
+            for a, orow in zip(lrow, odata):
                 if a != 0:
-                    orow = odata[t]
-                    acc = [add(s, mul(a, b)) for s, b in zip(acc, orow)]
+                    acc = sub_scaled(acc, neg(a), orow)  # acc + a * orow
             out.append(acc)
-        return Matrix(field, out, other.cols)
+        return Matrix._canonical(field, out, other.cols)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         if self.field != other.field or self.rows != other.rows or self.cols != other.cols:
@@ -229,13 +241,7 @@ class Matrix:
             [sub(a, b) for a, b in zip(ra, rb)]
             for ra, rb in zip(self.data, other.data)
         ]
-        return Matrix(self.field, data, self.cols)
-
-    def transpose(self) -> "Matrix":
-        return Matrix(self.field, list(zip(*self.data)) if self.rows else [], self.rows)
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.data for x in row)
+        return Matrix._canonical(self.field, data, self.cols)
 
 
 def hstack(mats: Iterable[Matrix]) -> Matrix:
@@ -247,8 +253,8 @@ def hstack(mats: Iterable[Matrix]) -> Matrix:
         if m.field != field or m.rows != rows:
             raise ValidationError("hstack shape/field mismatch")
     cols = sum(m.cols for m in mats)
-    data = [sum((list(m.data[i]) for m in mats), []) for i in range(rows)]
-    return Matrix(field, data, cols)
+    data = [sum((m.data[i] for m in mats), ()) for i in range(rows)]
+    return Matrix._canonical(field, data, cols)
 
 
 def block_diag(a: Matrix, b: Matrix) -> Matrix:
@@ -258,7 +264,7 @@ def block_diag(a: Matrix, b: Matrix) -> Matrix:
     z = field.zero
     data = [list(row) + [z] * b.cols for row in a.data]
     data += [[z] * a.cols + list(row) for row in b.data]
-    return Matrix(field, data, a.cols + b.cols)
+    return Matrix._canonical(field, data, a.cols + b.cols)
 
 
 def _gauss_jordan(field: Field, work: list[list], reduced: bool = True) -> list[int]:
@@ -307,14 +313,14 @@ def _echelon_of_columns(field: Field, columns: list[list], dim: int) -> Matrix:
     reducing it as rows leaves the basis in its leading rows.
     """
     kept = columns[: len(_gauss_jordan(field, columns))]
-    return Matrix(field, list(zip(*kept)) if kept else [[] for _ in range(dim)], len(kept))
+    return Matrix._canonical(field, zip(*kept) if kept else [()] * dim, len(kept))
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row-echelon form and its pivot columns."""
     work = [list(row) for row in m.data]
     pivots = _gauss_jordan(m.field, work)
-    return Matrix(m.field, work, m.cols), tuple(pivots)
+    return Matrix._canonical(m.field, work, m.cols), tuple(pivots)
 
 
 def rank(m: Matrix) -> int:
@@ -367,8 +373,8 @@ def solve(m: Matrix, b: Matrix) -> Matrix | None:
     z = field.zero
     out = [[z] * b.cols for _ in range(m.cols)]
     for i, pc in enumerate(pivots):
-        out[pc] = list(reduced.data[i][m.cols:])
-    return Matrix(field, out, b.cols)
+        out[pc] = reduced.data[i][m.cols:]
+    return Matrix._canonical(field, out, b.cols)
 
 
 def inverse(m: Matrix) -> Matrix:
@@ -379,7 +385,7 @@ def inverse(m: Matrix) -> Matrix:
     if len(pivots) != n or any(c >= n for c in pivots):
         raise ValidationError("matrix is not invertible")
     data = [row[n:] for row in reduced.data]
-    return Matrix(m.field, data, n)
+    return Matrix._canonical(m.field, data, n)
 
 
 def random_matrix(field: Field, rows: int, cols: int, rng: random.Random) -> Matrix:
@@ -416,7 +422,7 @@ def full_space(field: Field, dim: int) -> Matrix:
 
 
 def zero_space(field: Field, dim: int) -> Matrix:
-    return Matrix(field, [[] for _ in range(dim)], 0)
+    return Matrix._canonical(field, [()] * dim, 0)
 
 
 def image(m: Matrix, space: Matrix) -> Matrix:
@@ -431,7 +437,7 @@ def preimage(m: Matrix, space: Matrix) -> Matrix:
     for some y exactly when (x; -y) lies in that kernel.
     """
     ker = kernel_basis(hstack([m, space]) if space.cols else m)
-    head = Matrix(m.field, [list(row) for row in ker.data[: m.cols]], ker.cols)
+    head = Matrix._canonical(m.field, ker.data[: m.cols], ker.cols)
     return column_echelon(head)
 
 
@@ -444,7 +450,7 @@ def span_intersection(a: Matrix, b: Matrix) -> Matrix:
     if a.cols == 0 or b.cols == 0:
         return zero_space(a.field, a.rows)
     ker = kernel_basis(hstack([a, b]))
-    coeffs = Matrix(a.field, [row for row in ker.data[: a.cols]], ker.cols)
+    coeffs = Matrix._canonical(a.field, ker.data[: a.cols], ker.cols)
     return column_echelon(a @ coeffs)
 
 
@@ -487,7 +493,7 @@ def section_matrix(space: Matrix) -> Matrix:
     free = [r for r in range(d) if r not in taken]
     z, o = field.zero, field.one
     data = [[o if r == f else z for f in free] for r in range(d)]
-    return Matrix(field, data, len(free))
+    return Matrix._canonical(field, data, len(free))
 
 
 def quotient_coords(space: Matrix, vectors: Matrix) -> Matrix:
@@ -501,13 +507,13 @@ def quotient_coords(space: Matrix, vectors: Matrix) -> Matrix:
     piv = pivot_rows(space)
     d = space.rows
     if space.cols:
-        coeffs = Matrix(space.field, [vectors.data[r] for r in piv], vectors.cols)
+        coeffs = Matrix._canonical(space.field, [vectors.data[r] for r in piv], vectors.cols)
         reduced = vectors - space @ coeffs
     else:
         reduced = vectors
     taken = set(piv)
     free = [r for r in range(d) if r not in taken]
-    return Matrix(space.field, [reduced.data[r] for r in free], vectors.cols)
+    return Matrix._canonical(space.field, [reduced.data[r] for r in free], vectors.cols)
 
 
 def subspace_enumerator(dim: int, p: int, guard: GuardConfig | None = None) -> Iterator[Matrix]:
@@ -546,7 +552,7 @@ def subspace_enumerator(dim: int, p: int, guard: GuardConfig | None = None) -> I
                         cols.append(vec)
                     for (r, j), v in zip(free_slots, values):
                         cols[j][r] = v
-                    yield Matrix(field, list(zip(*cols)) if cols else [[] for _ in range(dim)], k)
+                    yield Matrix._canonical(field, zip(*cols) if cols else [()] * dim, k)
 
     return generate()
 
@@ -568,18 +574,10 @@ def superspace_enumerator(floor: Matrix, guard: GuardConfig | None = None) -> It
 
     def generate() -> Iterator[Matrix]:
         for small in subspace_enumerator(q, field.p, guard):
-            lifted_cols = []
-            for j in range(small.cols):
-                vec = [0] * d
-                for i, r in enumerate(free_rows):
-                    vec[r] = small.data[i][j]
-                lifted_cols.append(vec)
-            lifted = Matrix(
-                field,
-                list(zip(*lifted_cols)) if lifted_cols else [[] for _ in range(d)],
-                small.cols,
-            )
-            yield column_echelon(hstack([floor, lifted]))
+            rows = [(0,) * small.cols] * d
+            for i, r in enumerate(free_rows):
+                rows[r] = small.data[i]
+            yield column_echelon(hstack([floor, Matrix._canonical(field, rows, small.cols)]))
 
     # trigger guard checks eagerly
     subspace_enumerator(q, field.p, guard).close()

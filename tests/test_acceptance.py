@@ -25,7 +25,7 @@ from hnzz.affine import (
     p_value,
     to_quiver,
 )
-from hnzz import campaign
+from hnzz import campaign, linalg
 from hnzz.generators import gen_affine, random_orientation
 from hnzz.hn import is_semistable, recover_barcode_via_truncations
 from hnzz.linalg import GF, Matrix, random_invertible_rng
@@ -199,23 +199,41 @@ def _scaling_instance(n: int, seed: int):
     return conjugate(rep, bases)
 
 
-def test_criterion_8_scaling_smoke():
+def test_criterion_8_scaling_smoke(monkeypatch):
     start = time.perf_counter()
-    timings = {}
-    for n in (50, 100):
-        reps = []
-        for seed in (1, 2):
-            rep = _scaling_instance(n, seed)
-            assert max(rep.dims) <= 6
-            reps.append(rep)
-        best = float("inf")
-        for _ in range(3):
+    sizes = (50, 100)
+    reps = {n: [_scaling_instance(n, seed) for seed in (1, 2)] for n in sizes}
+    assert all(max(rep.dims) <= 6 for n in sizes for rep in reps[n])
+    # each repeat times n=50 then n=100, so host speed drift hits both alike
+    timings = dict.fromkeys(sizes, float("inf"))
+    for _ in range(3):
+        for n in sizes:
             t0 = time.perf_counter()
-            for rep in reps:
+            for rep in reps[n]:
                 eta_from_lift(rep)
-            best = min(best, time.perf_counter() - t0)
-        timings[n] = best
+            timings[n] = min(timings[n], time.perf_counter() - t0)
     ratio = timings[100] / timings[50]
-    print(f"  scaling: t(50)={timings[50]:.2f}s t(100)={timings[100]:.2f}s ratio={ratio:.2f}")
+    # the same envelope on a count that does not drift: eliminations run
+    kernel = linalg._gauss_jordan
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "_gauss_jordan", counting)
+    eliminations = {}
+    for n in sizes:
+        calls.clear()
+        for rep in reps[n]:
+            eta_from_lift(rep)
+        eliminations[n] = len(calls)
+    count_ratio = eliminations[100] / eliminations[50]
+    print(
+        f"  scaling: t(50)={timings[50]:.2f}s t(100)={timings[100]:.2f}s ratio={ratio:.2f}; "
+        f"eliminations {eliminations[50]} -> {eliminations[100]} ratio={count_ratio:.2f}"
+    )
     assert ratio <= 2.5, f"doubling n scaled runtime by {ratio:.2f} (> 2.5)"
+    assert eliminations[50] > 0
+    assert count_ratio <= 2.5, f"doubling n scaled eliminations by {count_ratio:.2f} (> 2.5)"
     report(8, "doubling the cycle length stays within the 2.5x envelope", start, 300.0)

@@ -12,6 +12,7 @@ from hnzz.linalg import (
     GF,
     QQ,
     Matrix,
+    block_diag,
     column_echelon,
     hstack,
     image,
@@ -22,6 +23,7 @@ from hnzz.linalg import (
     quotient_coords,
     random_invertible,
     rank,
+    rref,
     section_matrix,
     solve,
     span_intersection,
@@ -49,10 +51,7 @@ def subspace_total(n: int, p: int) -> int:
 
 
 @st.composite
-def matrices(draw, max_dim=4):
-    fld = draw(st.sampled_from(FIELDS))
-    rows = draw(st.integers(0, max_dim))
-    cols = draw(st.integers(0, max_dim))
+def matrix_of(draw, fld, rows, cols):
     if fld is QQ:
         entry = st.fractions(min_value=-5, max_value=5, max_denominator=4)
     else:
@@ -61,6 +60,112 @@ def matrices(draw, max_dim=4):
         st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
     )
     return Matrix(fld, data, cols)
+
+
+@st.composite
+def matrices(draw, max_dim=4):
+    fld = draw(st.sampled_from(FIELDS))
+    rows = draw(st.integers(0, max_dim))
+    cols = draw(st.integers(0, max_dim))
+    return draw(matrix_of(fld, rows, cols))
+
+
+class TestConstructor:
+    @pytest.mark.parametrize(
+        "fld,entry",
+        [
+            (GF(3), Fraction(1, 2)),  # int() would truncate it to 0
+            (GF(3), 0.5),  # int() would truncate it to 0
+            (GF(3), "7"),  # int() would parse it as 7 = 1
+            (QQ, 0.1),  # Fraction() would keep the binary float 3602879701896397/2**55
+            (GF(3), True),
+            (QQ, True),
+            (QQ, "abc"),
+            (QQ, "1/0"),
+            (QQ, None),
+        ],
+    )
+    def test_foreign_entry_rejected(self, fld, entry):
+        with pytest.raises(ValidationError):
+            Matrix(fld, [[entry]])
+
+    def test_public_path_coerces(self):
+        assert Matrix(GF(3), [[-1, 7]]).data == ((2, 1),)
+        m = Matrix(QQ, [[1, "2/4"]])
+        assert m.data == ((Fraction(1), Fraction(1, 2)),)
+        assert all(type(x) is Fraction for x in m.data[0])
+
+    def test_public_path_checks_shape(self):
+        with pytest.raises(ValidationError):
+            Matrix(QQ, [[1, 2], [3]])
+        with pytest.raises(ValidationError):
+            Matrix(QQ, [[1, 2]], cols=3)
+
+    @pytest.mark.parametrize("attr", ["field", "rows", "cols", "data", "other"])
+    def test_attributes_are_read_only(self, attr):
+        # one matrix from each constructor: the public one and the trusted one
+        for m in (Matrix(QQ, [[1, 2]]), Matrix.identity(GF(2), 2)):
+            before = (m.field, m.rows, m.cols, m.data)
+            with pytest.raises(AttributeError):
+                setattr(m, attr, None)
+            with pytest.raises(AttributeError):
+                delattr(m, attr)
+            assert (m.field, m.rows, m.cols, m.data) == before
+
+
+def assert_canonical(m: Matrix) -> None:
+    kind = Fraction if m.field is QQ else int
+    assert len(m.data) == m.rows
+    for row in m.data:
+        assert type(row) is tuple and len(row) == m.cols
+        for x in row:
+            assert type(x) is kind and m.field.contains(x)
+    # coercing again changes nothing
+    assert m == Matrix(m.field, m.data, m.cols)
+
+
+RELAXED = GuardConfig(max_enum_dim=7, max_enum_p=5, max_total_dim={2: 8})
+
+
+class TestTrustedConstructor:
+    @given(st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_results_are_canonical(self, data):
+        fld = data.draw(st.sampled_from(FIELDS))
+        r, c, k = data.draw(st.tuples(*[st.integers(0, 4)] * 3))
+        m = data.draw(matrix_of(fld, r, c))
+        same_shape = data.draw(matrix_of(fld, r, c))
+        right = data.draw(matrix_of(fld, c, k))
+        target = data.draw(matrix_of(fld, r, k))
+        space = column_echelon(target)
+        seed = data.draw(st.integers(0, 1000))
+        out = [
+            rref(m)[0],
+            kernel_basis(m),
+            column_echelon(m),
+            image(m, column_echelon(right)),
+            preimage(m, space),
+            span_intersection(column_echelon(m), space),
+            inverse(random_invertible(c, fld, seed)),
+            m @ right,
+            m - same_shape,
+            hstack([m, same_shape]),
+            block_diag(m, right),
+            section_matrix(space),
+            quotient_coords(space, m),
+            Matrix.zeros(fld, r, c),
+            Matrix.identity(fld, c),
+            zero_space(fld, r),
+        ]
+        x = solve(m, m @ right)
+        assert x is not None
+        out.append(x)
+        if fld is not QQ:
+            floor = column_echelon(data.draw(matrix_of(fld, 2, 1)))
+            out += subspace_enumerator(2, fld.p, RELAXED)
+            out += superspace_enumerator(floor, RELAXED)
+        for result in out:
+            assert_canonical(result)
 
 
 class TestRank:
@@ -87,7 +192,7 @@ class TestRank:
     @settings(max_examples=100, deadline=None)
     def test_kernel_exact(self, m):
         k = kernel_basis(m)
-        assert (m @ k).is_zero()
+        assert m @ k == Matrix.zeros(m.field, m.rows, k.cols)
 
     @given(matrices(), st.fractions(min_value=-5, max_value=5, max_denominator=7))
     @settings(max_examples=60, deadline=None)
@@ -249,7 +354,7 @@ class TestSubspaceOps:
         sec = section_matrix(u)
         assert rank(hstack([u, sec])) == 3
         # quotient coordinates kill u and are the identity on the section
-        assert quotient_coords(u, u).is_zero()
+        assert quotient_coords(u, u) == Matrix.zeros(fld, 3 - u.cols, u.cols)
         assert quotient_coords(u, sec) == Matrix.identity(fld, sec.cols)
 
     def test_inverse_roundtrip(self):
