@@ -322,20 +322,13 @@ def eta_from_lift(v: Representation) -> HNReport:
     aq = affine_of_quiver(v.quiver)
     n = aq.n
     d_inf, classes = lifted_multiplicities(v)
-    groups: dict[Fraction, list[int]] = {}
-    for (u, length), mult in classes.items():
-        sl = euler_slope_N(aq, u, u + length)
-        acc = groups.setdefault(sl, [0] * n)
-        for j, d in enumerate(wrap_counts(n, u, u + length)):
-            acc[j] += mult * d
+    parts = [
+        (euler_slope_N(aq, u, u + length), tuple(mult * d for d in wrap_counts(n, u, u + length)))
+        for (u, length), mult in classes.items()
+    ]
     if d_inf:
-        acc = groups.setdefault(Fraction(0), [0] * n)
-        for j in range(n):
-            acc[j] += d_inf
-    steps = tuple(
-        (sl, tuple(groups[sl])) for sl in sorted(groups, reverse=True)
-    )
-    report = HNReport(v.quiver, steps)
+        parts.append((Fraction(0), (d_inf,) * n))
+    report = HNReport.merged(v.quiver, parts)
     if report.total_dims() != v.dims:
         raise InternalCheckError("lift-derived HN data does not sum to the input dims")
     return report

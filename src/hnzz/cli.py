@@ -25,7 +25,7 @@ from .errors import (
 from .generators import gen_affine, gen_persistence
 from .hn import hn_bruteforce, hn_from_barcode
 from .linalg import GF, QQ
-from .quiver import euler_stability
+from .quiver import check_weights, euler_stability
 from .serialize import (
     barcode_to_json,
     classes_to_json,
@@ -68,8 +68,7 @@ def _cmd_hn(args) -> int:
             raise ShapeError("fast path requires an equioriented path or an affine cycle")
     else:
         alpha = weights_from_json(load_json(args.stability))
-        if len(alpha.weights) != rep.quiver.vertex_count:
-            raise ValidationError("weights file does not match the vertex count")
+        check_weights(rep.quiver, alpha)
         if not args.oracle:
             raise ShapeError(
                 "the barcode-driven fast path supports the Euler weights only; "

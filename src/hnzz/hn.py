@@ -1,14 +1,14 @@
 """Harder-Narasimhan filtrations.
 
-Two routes are implemented.  ``hn_bruteforce`` is the oracle: it scans
-every subrepresentation of a small representation over GF(p) (subspace
-tuples closed under the edge maps), repeatedly extracts the unique
-maximal destabilizer, and returns explicit filtration bases.  It works on
-any acyclic quiver but is guarded against combinatorial blow-up.
-``hn_from_barcode`` is the fast route for equioriented type-A
-representations under the Euler weights: the filtration is read off the
-barcode, one step per interval family [0, j] plus a final slope-0 step
-for everything else.
+Two routes are implemented.  ``hn_bruteforce`` is the oracle: over GF(p)
+it scans the subrepresentations of a small representation (subspace
+tuples closed under the edge maps) that contain the current stage, which
+are those of the quotient, takes the unique maximal destabilizer as the
+next stage, and returns explicit filtration bases in the input
+coordinates.  It works on any acyclic quiver but is guarded against
+combinatorial blow-up.  ``hn_from_barcode`` is the fast route for
+equioriented type-A representations under the Euler weights: one step
+per interval family [0, j] plus a final slope-0 step for everything else.
 
 Reports carry (slope, quotient dimension vector) steps with strictly
 decreasing exact rational slopes; only the oracle fills in witness bases.
@@ -18,17 +18,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .config import GuardConfig, load_guard
 from .errors import GuardError, InternalCheckError, ShapeError, ValidationError
 from .linalg import (
     Matrix,
     PrimeField,
+    QQ,
     column_echelon,
     hstack,
-    quotient_coords,
-    section_matrix,
     solve,
     superspace_enumerator,
     zero_space,
@@ -37,6 +36,7 @@ from .quiver import (
     Quiver,
     Representation,
     StabilityCondition,
+    check_weights,
     restrict,
     slope_of_dims,
     topological_order,
@@ -68,6 +68,24 @@ class HNReport:
                 raise ValidationError("HN slopes must strictly decrease")
             prev = sl
 
+    @classmethod
+    def merged(
+        cls, quiver: Quiver, parts: Iterable[tuple[Fraction, Sequence[int]]]
+    ) -> "HNReport":
+        """HN report of a direct sum, from its summands' (slope, dims) steps.
+
+        Steps of equal slope are summed; slopes come out strictly decreasing.
+        """
+        n = quiver.vertex_count
+        groups: dict[Fraction, list[int]] = {}
+        for sl, dims in parts:
+            if len(dims) != n:
+                raise ValidationError("quotient dimension vector has wrong length")
+            acc = groups.setdefault(sl, [0] * n)
+            for x in range(n):
+                acc[x] += dims[x]
+        return cls(quiver, tuple((sl, tuple(groups[sl])) for sl in sorted(groups, reverse=True)))
+
     def slopes(self) -> tuple[Fraction, ...]:
         return tuple(sl for sl, _ in self.steps)
 
@@ -94,17 +112,22 @@ def _check_oracle_guard(v: Representation, guard: GuardConfig) -> None:
 
 
 def subrepresentations(
-    v: Representation, guard: GuardConfig | None = None
+    v: Representation,
+    guard: GuardConfig | None = None,
+    above: Sequence[Matrix] | None = None,
 ) -> Iterator[tuple[Matrix, ...]]:
-    """All subrepresentations of v, as per-vertex canonical subspace bases.
+    """Subrepresentations of v containing ``above``, as canonical bases.
 
-    Walks the vertices in topological order; at each vertex only the
-    subspaces containing the images of the already-chosen subspaces along
-    in-edges are enumerated, so every yielded tuple is closed under the
-    edge maps and every subrepresentation appears exactly once.
+    ``above`` is a subrepresentation in canonical bases, as yielded here;
+    None is the zero one.  Walks the vertices in topological order; at
+    each vertex only the subspaces containing ``above`` and the images of
+    the already-chosen subspaces along in-edges are enumerated, so every
+    yielded tuple is closed under the edge maps and appears exactly once.
     """
     if guard is None:
         guard = load_guard()
+    if above is None:
+        above = [zero_space(v.field, d) for d in v.dims]
     order = topological_order(v.quiver)
     if order is None:
         raise ShapeError("subrepresentation scan requires an acyclic quiver")
@@ -118,7 +141,7 @@ def subrepresentations(
             yield tuple(chosen[x] for x in range(v.quiver.vertex_count))
             return
         x = order[i]
-        floor = zero_space(v.field, v.dims[x])
+        floor = above[x]
         images = [v.mats[e] @ chosen[v.quiver.edges[e][0]] for e in in_edges[x]]
         if images:
             floor = column_echelon(hstack([floor] + images))
@@ -137,6 +160,7 @@ def is_semistable(
     if guard is None:
         guard = load_guard()
     _check_oracle_guard(v, guard)
+    check_weights(v.quiver, alpha)
     if v.is_zero():
         raise ValidationError("semistability of the zero representation is undefined")
     bound = slope_of_dims(v.dims, alpha)
@@ -149,52 +173,38 @@ def is_semistable(
     return True
 
 
-def _sub_quotient(
-    v: Representation, sub: Sequence[Matrix]
-) -> tuple[Representation, list[Matrix]]:
-    """Quotient representation v / span(sub) plus the per-vertex sections."""
-    sections = [section_matrix(b) for b in sub]
-    dims = tuple(v.dims[x] - sub[x].cols for x in range(v.quiver.vertex_count))
-    mats = []
-    for (src, dst), m in zip(v.quiver.edges, v.mats):
-        mats.append(quotient_coords(sub[dst], m @ sections[src]))
-    return Representation(v.quiver, v.field, dims, tuple(mats)), sections
-
-
 def _hn_stages(
     v: Representation, alpha: StabilityCondition, guard: GuardConfig
 ) -> list[tuple[Fraction, tuple[int, ...], tuple[Matrix, ...]]]:
-    best: tuple[Fraction, int] | None = None
-    ties: list[tuple[Matrix, ...]] = []
-    for bases in subrepresentations(v, guard):
-        dims = [b.cols for b in bases]
-        total = sum(dims)
-        if total == 0:
-            continue
-        key = (slope_of_dims(dims, alpha), total)
-        if best is None or key > best:
-            best, ties = key, [bases]
-        elif key == best:
-            ties.append(bases)
-    if best is None:
-        raise ValidationError("HN filtration of the zero representation is undefined")
-    if len(ties) != 1:
-        raise InternalCheckError(
-            f"maximal destabilizer is not unique ({len(ties)} candidates)"
-        )
-    top = ties[0]
-    top_dims = tuple(b.cols for b in top)
-    if sum(top_dims) == v.total_dim():
-        return [(best[0], top_dims, top)]
-    quot, sections = _sub_quotient(v, top)
-    rest = _hn_stages(quot, alpha, guard)
-    stages = [(best[0], top_dims, top)]
-    for sl, qdims, qstage in rest:
-        lifted = tuple(
-            column_echelon(hstack([top[x], sections[x] @ qstage[x]]))
-            for x in range(v.quiver.vertex_count)
-        )
-        stages.append((sl, qdims, lifted))
+    """(slope, quotient dims, stage bases) per HN stage of a nonzero v.
+
+    The subrepresentations of v containing a stage are those of v / stage,
+    so each pass keys them by their dimensions beyond the stage.
+    """
+    stage = None
+    done = (0,) * v.quiver.vertex_count
+    stages = []
+    while sum(done) < v.total_dim():
+        best: tuple[Fraction, int] | None = None
+        ties: list[tuple[Matrix, ...]] = []
+        for bases in subrepresentations(v, guard, above=stage):
+            dims = [b.cols - d for b, d in zip(bases, done)]
+            total = sum(dims)
+            if total == 0:
+                continue
+            key = (slope_of_dims(dims, alpha), total)
+            if best is None or key > best:
+                best, ties = key, [bases]
+            elif key == best:
+                ties.append(bases)
+        if len(ties) != 1:
+            raise InternalCheckError(
+                f"maximal destabilizer is not unique ({len(ties)} candidates)"
+            )
+        stage = ties[0]
+        top_dims = tuple(b.cols for b in stage)
+        stages.append((best[0], tuple(t - d for t, d in zip(top_dims, done)), stage))
+        done = top_dims
     return stages
 
 
@@ -211,6 +221,9 @@ def hn_bruteforce(
     if guard is None:
         guard = load_guard()
     _check_oracle_guard(v, guard)
+    check_weights(v.quiver, alpha)
+    if v.is_zero():
+        raise ValidationError("HN filtration of the zero representation is undefined")
     stages = _hn_stages(v, alpha, guard)
     steps = tuple((sl, dims) for sl, dims, _ in stages)
     witness = tuple(stage for _, _, stage in stages)
@@ -242,24 +255,13 @@ def hn_from_barcode(bar: Barcode, q: Quiver) -> HNReport:
     if not all(fwd for _, fwd in path_steps(q)):
         raise ShapeError("barcode-driven HN data requires an equioriented path")
     n = q.vertex_count
-    steps: list[tuple[Fraction, tuple[int, ...]]] = []
-    zero_part = [0] * n
-    have_zero = False
+    parts = []
     for iv, mult in bar:
         if iv.hi > n - 1 or iv.lo < 0:
             raise ValidationError(f"interval [{iv.lo},{iv.hi}] outside the quiver")
-        if iv.lo == 0:
-            steps.append(
-                (Fraction(1, iv.hi + 1), tuple(mult if x <= iv.hi else 0 for x in range(n)))
-            )
-        else:
-            have_zero = True
-            for x in range(iv.lo, iv.hi + 1):
-                zero_part[x] += mult
-    steps.sort(key=lambda s: s[0], reverse=True)
-    if have_zero:
-        steps.append((Fraction(0), tuple(zero_part)))
-    return HNReport(q, tuple(steps))
+        sl = Fraction(1, iv.hi + 1) if iv.lo == 0 else Fraction(0)
+        parts.append((sl, tuple(mult if iv.lo <= x <= iv.hi else 0 for x in range(n))))
+    return HNReport.merged(q, parts)
 
 
 def hn_r_filtration_eval(rep: HNReport, t) -> tuple[int, ...]:
@@ -268,7 +270,7 @@ def hn_r_filtration_eval(rep: HNReport, t) -> tuple[int, ...]:
     The stage at t collects every quotient whose slope is >= t, so the
     result is a right-continuous step function of t, non-increasing in t.
     """
-    t = Fraction(t)
+    t = QQ.coerce(t)
     n = rep.quiver.vertex_count
     out = [0] * n
     for sl, dims in rep.steps:
@@ -282,17 +284,7 @@ def hn_direct_sum_merge(a: HNReport, b: HNReport) -> HNReport:
     """HN report of a direct sum: merge steps, adding dims at equal slopes."""
     if a.quiver != b.quiver:
         raise ValidationError("HN merge across different quivers")
-    n = a.quiver.vertex_count
-    merged: dict[Fraction, list[int]] = {}
-    for report in (a, b):
-        for sl, dims in report.steps:
-            acc = merged.setdefault(sl, [0] * n)
-            for x in range(n):
-                acc[x] += dims[x]
-    steps = tuple(
-        (sl, tuple(merged[sl])) for sl in sorted(merged, reverse=True)
-    )
-    return HNReport(a.quiver, steps)
+    return HNReport.merged(a.quiver, a.steps + b.steps)
 
 
 def recover_barcode_via_truncations(v: Representation) -> Barcode:

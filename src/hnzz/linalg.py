@@ -481,41 +481,6 @@ def pivot_rows(space: Matrix) -> list[int]:
     return out
 
 
-def section_matrix(space: Matrix) -> Matrix:
-    """Unit columns at the non-pivot rows of ``space``.
-
-    Together with the basis columns of ``space`` these span all of K^d,
-    and they form a section of the quotient map of ``quotient_coords``.
-    """
-    field = space.field
-    d = space.rows
-    taken = set(pivot_rows(space))
-    free = [r for r in range(d) if r not in taken]
-    z, o = field.zero, field.one
-    data = [[o if r == f else z for f in free] for r in range(d)]
-    return Matrix._canonical(field, data, len(free))
-
-
-def quotient_coords(space: Matrix, vectors: Matrix) -> Matrix:
-    """Coordinates of ``vectors`` in K^d / span(space).
-
-    Uses the complement-row coordinates of the echelon basis ``space``:
-    each vector is reduced modulo the basis columns (the pivot-row block
-    of a reduced column-echelon basis is an identity) and the rows at
-    non-pivot positions are returned.
-    """
-    piv = pivot_rows(space)
-    d = space.rows
-    if space.cols:
-        coeffs = Matrix._canonical(space.field, [vectors.data[r] for r in piv], vectors.cols)
-        reduced = vectors - space @ coeffs
-    else:
-        reduced = vectors
-    taken = set(piv)
-    free = [r for r in range(d) if r not in taken]
-    return Matrix._canonical(space.field, [reduced.data[r] for r in free], vectors.cols)
-
-
 def subspace_enumerator(dim: int, p: int, guard: GuardConfig | None = None) -> Iterator[Matrix]:
     """All subspaces of GF(p)^dim, one canonical echelon basis each.
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import ShapeError, ValidationError
-from .linalg import Field, Matrix, inverse
+from .linalg import QQ, Field, Matrix, inverse
 
 Edge = tuple[int, int]
 
@@ -155,26 +155,28 @@ def restrict(v: Representation, vertex_subset: Iterable[int]) -> Representation:
 
 @dataclass(frozen=True)
 class StabilityCondition:
-    """One rational weight per vertex; induces the slope functional."""
+    """One exact rational weight per vertex; induces the slope functional."""
 
     weights: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(Fraction(w) for w in self.weights))
+        object.__setattr__(self, "weights", tuple(QQ.coerce(w) for w in self.weights))
+
+
+def check_weights(q: Quiver, alpha: StabilityCondition) -> None:
+    """ValidationError unless alpha has exactly one weight per vertex of q."""
+    if len(alpha.weights) != q.vertex_count:
+        raise ValidationError("stability condition does not match the quiver")
 
 
 def slope(v: Representation, alpha: StabilityCondition) -> Fraction:
     """Weighted dimension over total dimension, as an exact rational."""
-    if len(alpha.weights) != v.quiver.vertex_count:
-        raise ValidationError("stability condition does not match the quiver")
-    total = v.total_dim()
-    if total == 0:
-        raise ValidationError("slope of the zero representation is undefined")
-    num = sum((w * d for w, d in zip(alpha.weights, v.dims)), Fraction(0))
-    return num / total
+    check_weights(v.quiver, alpha)
+    return slope_of_dims(v.dims, alpha)
 
 
 def slope_of_dims(dims: Sequence[int], alpha: StabilityCondition) -> Fraction:
+    """Slope of a dimension vector; callers check the weights once (``check_weights``)."""
     total = sum(dims)
     if total == 0:
         raise ValidationError("slope of the zero dimension vector is undefined")

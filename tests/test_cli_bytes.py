@@ -7,6 +7,7 @@ oracle may be rewritten freely, but not one output byte may move.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -92,15 +93,42 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_stdout_bytes_pinned(case, tmp_path, capsys):
-    (kind, n, seed, field, summands), command, digest = CASES[case]
+def _gen(tmp_path, capsys, kind, n, seed, field, summands) -> str:
     inst = str(tmp_path / "inst.json")
     gen = ["gen", "--kind", kind, "--n", n, "--seed", seed, "--field", field,
            "--max-summands", summands, "--out", inst]
     assert main([str(a) for a in gen]) == 0
     capsys.readouterr()
+    return inst
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_stdout_bytes_pinned(case, tmp_path, capsys):
+    gen_args, command, digest = CASES[case]
+    inst = _gen(tmp_path, capsys, *gen_args)
     assert main([str(a).format(inst=inst) for a in command]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# id -> (gen arguments, weights file contents, digest of ``hn --stability
+# W.json --oracle``); custom weights run through the oracle alone
+STABILITY_CASES = {
+    "hn-oracle-weights-persistence-gf2": (
+        ["persistence", 6, 5, "2", 4],
+        ["-1", "3/2", "1/3", "-2/5", "2", "1/2"],
+        "9cd3a431f7ac8f2e00e87f52f931330c471ce62bee399360e885335e37770d5a",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STABILITY_CASES))
+def test_custom_weights_stdout_bytes_pinned(case, tmp_path, capsys):
+    gen_args, weights, digest = STABILITY_CASES[case]
+    inst = _gen(tmp_path, capsys, *gen_args)
+    wfile = tmp_path / "weights.json"
+    wfile.write_text(json.dumps(weights))
+    assert main(["hn", inst, "--stability", str(wfile), "--oracle"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 

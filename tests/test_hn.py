@@ -1,17 +1,20 @@
+import hashlib
+import random
 from fractions import Fraction
 
 import pytest
 
 import hnzz.hn as hn_module
+from hnzz import campaign
 from hnzz.errors import GuardError, ValidationError
-from hnzz.linalg import GF, QQ, Matrix, subspace_contains
+from hnzz.linalg import GF, QQ, Matrix, subspace_contains, zero_space
 from hnzz.quiver import (
     Representation,
     StabilityCondition,
     conjugate,
     direct_sum,
     euler_stability,
-    slope,
+    slope_of_dims,
     zero_representation,
 )
 from hnzz.zigzag import Barcode, Interval, barcode, interval_module
@@ -25,7 +28,6 @@ from hnzz.hn import (
     recover_barcode_via_truncations,
     subrep_matrices,
     subrepresentations,
-    _sub_quotient,
 )
 from hnzz.generators import equioriented_quiver, gen_persistence
 
@@ -44,6 +46,24 @@ def three_step_module(fld=GF(2)):
             interval_module(A3, Interval(0, 0), fld),
         ),
         interval_module(A3, Interval(1, 2), fld),
+    )
+
+
+def split_three_vertex_module(fld=GF(2)):
+    """[0, 1] + [2, 2] on A3."""
+    return direct_sum(
+        interval_module(A3, Interval(0, 1), fld),
+        interval_module(A3, Interval(2, 2), fld),
+    )
+
+
+def containing(bases, inner) -> bool:
+    return all(subspace_contains(b, i) for b, i in zip(bases, inner))
+
+
+def random_weights(q, rng):
+    return StabilityCondition(
+        tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(q.vertex_count))
     )
 
 
@@ -87,6 +107,12 @@ class TestIsSemistable:
         with pytest.raises(ValidationError):
             is_semistable(zero_representation(A2, GF(2)), EPS2)
 
+    def test_weight_count_mismatch(self, monkeypatch):
+        # checked on entry, before any subrepresentation is scanned
+        monkeypatch.setattr(hn_module, "subrepresentations", None)
+        with pytest.raises(ValidationError):
+            is_semistable(split_three_vertex_module(), StabilityCondition((1, 0)))
+
 
 class TestSubrepresentations:
     def test_counts_on_split_module(self):
@@ -111,6 +137,24 @@ class TestSubrepresentations:
         )
         with pytest.raises(ShapeError):
             list(subrepresentations(v))
+
+    def test_above_is_the_containing_part_of_the_full_scan(self):
+        rng = make_rng(28)
+        stages_checked = 0
+        for _ in range(12):
+            v = campaign.draw_a(rng).rep
+            if v.is_zero():
+                continue
+            full = list(subrepresentations(v))
+            zeros = tuple(zero_space(v.field, d) for d in v.dims)
+            assert list(subrepresentations(v, above=zeros)) == full
+            report = hn_bruteforce(v, random_weights(v.quiver, rng))
+            for stage in report.witness:
+                above = list(subrepresentations(v, above=stage))
+                assert len(set(above)) == len(above)
+                assert set(above) == {u for u in full if containing(u, stage)}
+                stages_checked += 1
+        assert stages_checked >= 10
 
     def test_closed_under_maps(self):
         rng = make_rng(21)
@@ -152,27 +196,30 @@ class TestBruteforce:
                 continue
             rep = hn_bruteforce(v, EPS3)
             assert rep.witness is not None
-            prev = None
+            prev = tuple(zero_space(GF(2), d) for d in v.dims)
             for (sl, qdims), stage in zip(rep.steps, rep.witness):
-                sub = subrep_matrices(v, stage)  # raises if not closed
-                if prev is None:
-                    quotient = sub
-                else:
-                    from hnzz.linalg import column_echelon, solve
-
-                    inner = tuple(
-                        column_echelon(solve(stage[x], prev[x]))
-                        for x in range(3)
-                    )
-                    quotient, _ = _sub_quotient(sub, inner)
-                assert quotient.dims == qdims
-                assert slope(quotient, EPS3) == sl
-                assert is_semistable(quotient, EPS3)
+                subrep_matrices(v, stage)  # raises if not closed
+                assert containing(stage, prev)
+                assert tuple(s.cols - p.cols for s, p in zip(stage, prev)) == qdims
+                assert slope_of_dims(qdims, EPS3) == sl
+                # the subrepresentations of stage / prev are those of v
+                # between prev and stage: none may have a larger slope
+                for u in subrepresentations(v, above=prev):
+                    dims = [a.cols - b.cols for a, b in zip(u, prev)]
+                    if sum(dims) and containing(stage, u):
+                        assert slope_of_dims(dims, EPS3) <= sl
                 prev = stage
             # final stage is everything
             assert rep.witness[-1] == tuple(
                 Matrix.identity(GF(2), d) for d in v.dims
             )
+
+    def test_weight_count_mismatch(self, monkeypatch):
+        # used to return a report as if the third weight were 0
+        monkeypatch.setattr(hn_module, "subrepresentations", None)
+        for weights in ((1, 0), (1, 0, 0, 0)):
+            with pytest.raises(ValidationError):
+                hn_bruteforce(split_three_vertex_module(), StabilityCondition(weights))
 
     def test_order_independence(self, monkeypatch):
         v = conjugate(three_step_module(), conjugating_bases(three_step_module(), make_rng(23)))
@@ -186,6 +233,45 @@ class TestBruteforce:
         flipped = hn_bruteforce(v, EPS3)
         assert flipped.steps == baseline.steps
         assert flipped.witness == baseline.witness
+
+
+# draw, seed, sha256 of the steps and witness bases of the oracle runs
+WITNESS_DIGESTS = {
+    "draw_a": (
+        campaign.draw_a, 31,
+        "749bd21b29d26038ace579659ed1aecdd9f308986c036ee4a6deec3a219fafa9",
+    ),
+    "draw_b": (
+        campaign.draw_b, 32,
+        "d11abc2f57951b1ea87282e16d022cd4b9f01588d766eb8d1efdca36f54c7228",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WITNESS_DIGESTS))
+def test_oracle_witness_digest_pinned(name):
+    """Steps and canonical witness bases of seeded oracle runs never move.
+
+    Each nonzero campaign instance runs under its Euler weights and under
+    random rational weights; any rewrite of the oracle must reproduce
+    every stage basis, not only the dimension vectors.
+    """
+    draw, seed, expected = WITNESS_DIGESTS[name]
+    rng = random.Random(seed)
+    h = hashlib.sha256()
+    runs = 0
+    for _ in range(60):
+        v = draw(rng).rep
+        if v.is_zero():
+            continue
+        for alpha in (euler_stability(v.quiver), random_weights(v.quiver, rng)):
+            report = hn_bruteforce(v, alpha)
+            h.update(repr(report.steps).encode())
+            for stage in report.witness:
+                h.update(repr([(m.cols, [tuple(r) for r in m.data]) for m in stage]).encode())
+            runs += 1
+    assert runs > 100
+    assert h.hexdigest() == expected
 
 
 class TestFromBarcode:
@@ -240,6 +326,11 @@ class TestRFiltration:
     def test_half(self):
         assert hn_r_filtration_eval(self.rep, Fraction(1, 2)) == (1, 0, 0)
 
+    @pytest.mark.parametrize("bad", [0.1, True, "abc"])
+    def test_inexact_parameter_rejected(self, bad):
+        with pytest.raises(ValidationError):
+            hn_r_filtration_eval(self.rep, bad)
+
     def test_monotone_step_function(self):
         grid = sorted(
             {Fraction(n, 6) for n in range(-6, 13)} | set(self.rep.slopes()),
@@ -272,6 +363,24 @@ class TestMerge:
             (Fraction(1), (1, 0)),
             (Fraction(1, 2), (1, 1)),
         )
+
+    def test_merged_sums_equal_slopes_in_decreasing_order(self):
+        parts = [
+            (Fraction(0), (0, 1)),
+            (Fraction(1), (1, 0)),
+            (Fraction(0), (1, 1)),
+            (Fraction(-1, 2), (0, 2)),
+        ]
+        assert HNReport.merged(A2, parts).steps == (
+            (Fraction(1), (1, 0)),
+            (Fraction(0), (1, 2)),
+            (Fraction(-1, 2), (0, 2)),
+        )
+        assert HNReport.merged(A2, []).steps == ()
+
+    def test_merged_rejects_wrong_length(self):
+        with pytest.raises(ValidationError):
+            HNReport.merged(A2, [(Fraction(0), (1, 1, 1))])
 
     def test_quiver_mismatch(self):
         a = HNReport(A2, ((Fraction(0), (1, 1)),))

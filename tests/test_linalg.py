@@ -20,11 +20,9 @@ from hnzz.linalg import (
     kernel_basis,
     pivot_rows,
     preimage,
-    quotient_coords,
     random_invertible,
     rank,
     rref,
-    section_matrix,
     solve,
     span_intersection,
     span_sum,
@@ -151,8 +149,6 @@ class TestTrustedConstructor:
             m - same_shape,
             hstack([m, same_shape]),
             block_diag(m, right),
-            section_matrix(space),
-            quotient_coords(space, m),
             Matrix.zeros(fld, r, c),
             Matrix.identity(fld, c),
             zero_space(fld, r),
@@ -347,15 +343,6 @@ class TestSubspaceOps:
         assert len(sup) == subspace_total(2, 2)
         assert all(subspace_contains(u, floor) for u in sup)
         assert len({(u.cols, u.data) for u in sup}) == len(sup)
-
-    def test_section_and_quotient_coords(self):
-        fld = GF(3)
-        u = column_echelon(Matrix(fld, [[1, 0], [2, 1], [0, 2]]))
-        sec = section_matrix(u)
-        assert rank(hstack([u, sec])) == 3
-        # quotient coordinates kill u and are the identity on the section
-        assert quotient_coords(u, u) == Matrix.zeros(fld, 3 - u.cols, u.cols)
-        assert quotient_coords(u, sec) == Matrix.identity(fld, sec.cols)
 
     def test_inverse_roundtrip(self):
         m = random_invertible(3, GF(7), 11)

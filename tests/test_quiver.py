@@ -141,6 +141,12 @@ class TestSlope:
         with pytest.raises(ValidationError):
             slope(zero_representation(A3, QQ), euler_stability(A3))
 
+    def test_weight_count_mismatch(self):
+        v = interval_module(A3, Interval(0, 1), QQ)
+        for weights in ((1, 0), (1, 0, 0, 0)):
+            with pytest.raises(ValidationError):
+                slope(v, StabilityCondition(weights))
+
     def test_direct_sum_between(self):
         rng = make_rng(2)
         eps3 = euler_stability(A3)
@@ -170,6 +176,18 @@ class TestSlope:
             )
             w = conjugate(v, conjugating_bases(v, rng))
             assert slope(w, alpha) == slope(v, alpha)
+
+
+class TestStabilityCondition:
+    def test_exact_weights_accepted(self):
+        alpha = StabilityCondition((2, Fraction(1, 3), "-3/4"))
+        assert alpha.weights == (Fraction(2), Fraction(1, 3), Fraction(-3, 4))
+
+    @pytest.mark.parametrize("bad", [0.1, 1.0, True, False, "abc", None])
+    def test_inexact_weights_rejected(self, bad):
+        # 0.1 used to be stored as 3602879701896397/36028797018963968, True as 1
+        with pytest.raises(ValidationError):
+            StabilityCondition((0, bad))
 
 
 class TestEulerStability:
