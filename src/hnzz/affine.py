@@ -93,10 +93,6 @@ class LiftWindow:
                 f"window length {self.D} must be a multiple of n={self.n} and at least {2 * self.n}"
             )
 
-    def rho(self, position: int) -> tuple[int, int]:
-        """Unwinding position -> (vertex index mod n, winding level)."""
-        return position % self.n, position // self.n
-
 
 def to_quiver(aq: AffineQuiver) -> Quiver:
     edges = []
@@ -315,10 +311,9 @@ def eta_from_lift(v: Representation) -> HNReport:
     quotient at each nonzero slope is the sum of those classes'
     dimension vectors, and the slope-0 quotient additionally absorbs one
     unit everywhere per full-window bar (Jordan cells are slope 0 with
-    constant dimension vector).
+    constant dimension vector).  The zero representation has no classes
+    and gets the empty report.
     """
-    if v.is_zero():
-        raise ValidationError("HN data of the zero representation is undefined")
     aq = affine_of_quiver(v.quiver)
     n = aq.n
     d_inf, classes = lifted_multiplicities(v)

@@ -6,19 +6,15 @@ such counts across vertices.  The guards below keep those scans in the
 "finishes in seconds" regime; exceeding a guard raises GuardError rather
 than silently degrading.
 
-The environment variable HNZZ_GUARD_OVERRIDE can raise the limits for
-offline experiments.  It is parsed as a comma-separated list of
-``key=value`` pairs with keys ``dim``, ``p``, ``total2``, ``total3`` (and
-generally ``totalP`` for a prime P).  Overriding the guards is unsafe for
-routine use: runtimes blow up combinatorially.
+Every guarded function takes a ``guard`` argument defaulting to
+``DEFAULT_GUARD``; a Python caller raises the limits by passing its own
+``GuardConfig``.  Raised limits are unsafe for routine use: runtimes
+blow up combinatorially.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
-
-from .errors import ParseError
 
 
 @dataclass(frozen=True)
@@ -38,34 +34,4 @@ class GuardConfig:
         return cap if cap is not None else 0
 
 
-def load_guard() -> GuardConfig:
-    """Default guards, with optional HNZZ_GUARD_OVERRIDE adjustments.
-
-    A malformed override raises ParseError (a ValueError), which the CLI
-    maps to exit code 2.
-    """
-    raw = os.environ.get("HNZZ_GUARD_OVERRIDE")
-    base = GuardConfig()
-    if not raw:
-        return base
-    max_dim, max_p = base.max_enum_dim, base.max_enum_p
-    totals = dict(base.max_total_dim)
-    for item in raw.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        key, _, value = item.partition("=")
-        key, value = key.strip(), value.strip()
-        if key not in ("dim", "p") and not key.startswith("total"):
-            raise ParseError(f"unknown guard override key: {key!r}")
-        try:
-            number = int(value)
-            if key == "dim":
-                max_dim = number
-            elif key == "p":
-                max_p = number
-            else:
-                totals[int(key[len("total"):])] = number
-        except ValueError as exc:
-            raise ParseError(f"bad guard override {item!r} in HNZZ_GUARD_OVERRIDE") from exc
-    return GuardConfig(max_enum_dim=max_dim, max_enum_p=max_p, max_total_dim=totals)
+DEFAULT_GUARD = GuardConfig()

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .config import GuardConfig, load_guard
+from .config import DEFAULT_GUARD, GuardConfig
 from .errors import GuardError, InternalCheckError, ShapeError, ValidationError
 from .linalg import (
     Matrix,
@@ -28,7 +28,6 @@ from .linalg import (
     QQ,
     column_echelon,
     hstack,
-    solve,
     superspace_enumerator,
     zero_space,
 )
@@ -113,7 +112,7 @@ def _check_oracle_guard(v: Representation, guard: GuardConfig) -> None:
 
 def subrepresentations(
     v: Representation,
-    guard: GuardConfig | None = None,
+    guard: GuardConfig = DEFAULT_GUARD,
     above: Sequence[Matrix] | None = None,
 ) -> Iterator[tuple[Matrix, ...]]:
     """Subrepresentations of v containing ``above``, as canonical bases.
@@ -124,8 +123,6 @@ def subrepresentations(
     the already-chosen subspaces along in-edges are enumerated, so every
     yielded tuple is closed under the edge maps and appears exactly once.
     """
-    if guard is None:
-        guard = load_guard()
     if above is None:
         above = [zero_space(v.field, d) for d in v.dims]
     order = topological_order(v.quiver)
@@ -154,11 +151,9 @@ def subrepresentations(
 
 
 def is_semistable(
-    v: Representation, alpha: StabilityCondition, guard: GuardConfig | None = None
+    v: Representation, alpha: StabilityCondition, guard: GuardConfig = DEFAULT_GUARD
 ) -> bool:
     """True iff no nonzero subrepresentation has a strictly larger slope."""
-    if guard is None:
-        guard = load_guard()
     _check_oracle_guard(v, guard)
     check_weights(v.quiver, alpha)
     if v.is_zero():
@@ -176,7 +171,7 @@ def is_semistable(
 def _hn_stages(
     v: Representation, alpha: StabilityCondition, guard: GuardConfig
 ) -> list[tuple[Fraction, tuple[int, ...], tuple[Matrix, ...]]]:
-    """(slope, quotient dims, stage bases) per HN stage of a nonzero v.
+    """(slope, quotient dims, stage bases) per HN stage; none for v = 0.
 
     The subrepresentations of v containing a stage are those of v / stage,
     so each pass keys them by their dimensions beyond the stage.
@@ -209,21 +204,18 @@ def _hn_stages(
 
 
 def hn_bruteforce(
-    v: Representation, alpha: StabilityCondition, guard: GuardConfig | None = None
+    v: Representation, alpha: StabilityCondition, guard: GuardConfig = DEFAULT_GUARD
 ) -> HNReport:
     """HN filtration by exhaustive search, with explicit stage bases.
 
     Repeatedly extracts the subrepresentation of maximal slope and, among
     those, maximal total dimension; non-uniqueness of that choice cannot
     happen for a genuine stability condition and raises
-    InternalCheckError.  Output is independent of enumeration order.
+    InternalCheckError.  Output is independent of enumeration order; the
+    zero representation gets the empty report.
     """
-    if guard is None:
-        guard = load_guard()
     _check_oracle_guard(v, guard)
     check_weights(v.quiver, alpha)
-    if v.is_zero():
-        raise ValidationError("HN filtration of the zero representation is undefined")
     stages = _hn_stages(v, alpha, guard)
     steps = tuple((sl, dims) for sl, dims, _ in stages)
     witness = tuple(stage for _, _, stage in stages)
@@ -231,18 +223,6 @@ def hn_bruteforce(
     if report.total_dims() != v.dims:
         raise InternalCheckError("HN quotient dimensions do not sum to the input")
     return report
-
-
-def subrep_matrices(v: Representation, bases: Sequence[Matrix]) -> Representation:
-    """The representation induced on a subrepresentation given by bases."""
-    mats = []
-    for (src, dst), m in zip(v.quiver.edges, v.mats):
-        coords = solve(bases[dst], m @ bases[src])
-        if coords is None:
-            raise ValidationError("bases are not closed under the edge maps")
-        mats.append(coords)
-    dims = tuple(b.cols for b in bases)
-    return Representation(v.quiver, v.field, dims, tuple(mats))
 
 
 def hn_from_barcode(bar: Barcode, q: Quiver) -> HNReport:

@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Iterable, Iterator, Sequence
 
-from .config import GuardConfig, load_guard
+from .config import DEFAULT_GUARD, GuardConfig
 from .errors import GuardError, ValidationError
 
 
@@ -49,8 +49,15 @@ class RationalField:
         return Fraction(1)
 
     def coerce(self, value) -> Fraction:
+        """``value`` as a Fraction: ints, rationals, and strings "a/b" or decimals.
+
+        Floats and booleans are refused, and so are strings with an
+        exponent: ``Fraction("1e10000000")`` takes seconds to build.
+        """
         if isinstance(value, (bool, float)):
             raise ValidationError(f"QQ entry must be exact, not {type(value).__name__}")
+        if isinstance(value, str) and ("e" in value or "E" in value):
+            raise ValidationError(f"QQ entry {value!r} has an exponent; write a/b or a decimal")
         try:
             return Fraction(value)
         except (TypeError, ValueError, ZeroDivisionError) as exc:
@@ -360,23 +367,6 @@ def column_echelon(m: Matrix) -> Matrix:
     return _echelon_of_columns(m.field, [list(col) for col in zip(*m.data)], m.rows)
 
 
-def solve(m: Matrix, b: Matrix) -> Matrix | None:
-    """Some x with m @ x = b, or None if the system is inconsistent."""
-    if m.rows != b.rows:
-        raise ValidationError("solve: row count mismatch")
-    if m.field != b.field:
-        raise ValidationError("solve: field mismatch")
-    reduced, pivots = rref(hstack([m, b]))
-    if any(c >= m.cols for c in pivots):
-        return None
-    field = m.field
-    z = field.zero
-    out = [[z] * b.cols for _ in range(m.cols)]
-    for i, pc in enumerate(pivots):
-        out[pc] = reduced.data[i][m.cols:]
-    return Matrix._canonical(field, out, b.cols)
-
-
 def inverse(m: Matrix) -> Matrix:
     if m.rows != m.cols:
         raise ValidationError("inverse of a non-square matrix")
@@ -394,12 +384,6 @@ def random_matrix(field: Field, rows: int, cols: int, rng: random.Random) -> Mat
     else:
         data = [[Fraction(rng.randint(-9, 9)) for _ in range(cols)] for _ in range(rows)]
     return Matrix(field, data, cols)
-
-
-def random_invertible(dim: int, field: Field, seed: int) -> Matrix:
-    """Random invertible dim x dim matrix, deterministic for a fixed seed."""
-    rng = random.Random(seed)
-    return random_invertible_rng(dim, field, rng)
 
 
 def random_invertible_rng(dim: int, field: Field, rng: random.Random) -> Matrix:
@@ -441,19 +425,6 @@ def preimage(m: Matrix, space: Matrix) -> Matrix:
     return column_echelon(head)
 
 
-def span_sum(a: Matrix, b: Matrix) -> Matrix:
-    return column_echelon(hstack([a, b]))
-
-
-def span_intersection(a: Matrix, b: Matrix) -> Matrix:
-    """Canonical basis of span(a) ∩ span(b)."""
-    if a.cols == 0 or b.cols == 0:
-        return zero_space(a.field, a.rows)
-    ker = kernel_basis(hstack([a, b]))
-    coeffs = Matrix._canonical(a.field, ker.data[: a.cols], ker.cols)
-    return column_echelon(a @ coeffs)
-
-
 def subspace_contains(space: Matrix, vectors: Matrix) -> bool:
     """True iff every column of ``vectors`` lies in span(space)."""
     if vectors.cols == 0:
@@ -481,15 +452,13 @@ def pivot_rows(space: Matrix) -> list[int]:
     return out
 
 
-def subspace_enumerator(dim: int, p: int, guard: GuardConfig | None = None) -> Iterator[Matrix]:
+def subspace_enumerator(dim: int, p: int, guard: GuardConfig = DEFAULT_GUARD) -> Iterator[Matrix]:
     """All subspaces of GF(p)^dim, one canonical echelon basis each.
 
     Walks dimension classes in increasing order (the zero subspace first,
     the full space last); the total count is the Gaussian-binomial sum.
     Raises GuardError up front when p^dim is too large to walk.
     """
-    if guard is None:
-        guard = load_guard()
     field = GF(p)
     if dim < 0:
         raise ValidationError("negative dimension")
@@ -522,7 +491,7 @@ def subspace_enumerator(dim: int, p: int, guard: GuardConfig | None = None) -> I
     return generate()
 
 
-def superspace_enumerator(floor: Matrix, guard: GuardConfig | None = None) -> Iterator[Matrix]:
+def superspace_enumerator(floor: Matrix, guard: GuardConfig = DEFAULT_GUARD) -> Iterator[Matrix]:
     """All subspaces of K^d containing span(floor), for K a prime field.
 
     Enumerates subspaces of the quotient K^d / span(floor) through the

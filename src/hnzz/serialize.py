@@ -1,6 +1,7 @@
 """JSON wire formats for instances, reports, and ground-truth sidecars.
 
-Rational entries travel as strings ("a/b" or "a") to avoid float loss;
+Rational entries travel as strings ("a/b" or "a") to avoid float loss,
+and are read by ``QQ.coerce`` (which also takes decimals, not exponents);
 prime-field entries are plain ints with the modulus stated once in the
 field descriptor.  All writers emit canonically ordered, newline
 terminated documents so repeated runs are byte-identical.
@@ -10,7 +11,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .affine import AffineQuiver, NClass, TClass, to_quiver
 from .errors import ParseError, ValidationError
@@ -71,12 +71,10 @@ def _entry_from_json(fld: Field, raw, where: str):
         if not _is_int(raw):
             raise ParseError(f"{where}: prime-field entries must be ints")
         return raw
-    if isinstance(raw, str) or _is_int(raw):
-        try:
-            return Fraction(raw)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"{where}: bad rational {raw!r}") from exc
-    raise ParseError(f"{where}: rational entries must be ints or strings")
+    try:
+        return QQ.coerce(raw)
+    except ValidationError as exc:
+        raise ParseError(f"{where}: {exc}") from exc
 
 
 def instance_to_json(rep: Representation, affine: AffineQuiver | None = None) -> dict:
@@ -160,34 +158,10 @@ def barcode_to_json(bar: Barcode) -> list[dict]:
     return [{"lo": iv.lo, "hi": iv.hi, "mult": m} for iv, m in bar.entries]
 
 
-def barcode_from_json(items) -> Barcode:
-    if not isinstance(items, list):
-        raise ParseError("barcode must be a list")
-    out: dict[Interval, int] = {}
-    for bobj in items:
-        iv = Interval(_need(bobj, "lo", int, "bar"), _need(bobj, "hi", int, "bar"))
-        mult = _need(bobj, "mult", int, "bar")
-        if iv in out:
-            raise ParseError(f"duplicate bar [{iv.lo},{iv.hi}]")
-        out[iv] = mult
-    return Barcode.from_dict(out)
-
-
 def hn_to_json(report: HNReport) -> list[dict]:
     return [
         {"slope": str(sl), "quotient_dims": list(dims)} for sl, dims in report.steps
     ]
-
-
-def hn_from_json(items, quiver: Quiver) -> HNReport:
-    if not isinstance(items, list):
-        raise ParseError("hn report must be a list")
-    steps = []
-    for sobj in items:
-        raw = _need(sobj, "slope", str, "hn step")
-        dims = _need(sobj, "quotient_dims", list, "hn step")
-        steps.append((Fraction(raw), tuple(dims)))
-    return HNReport(quiver, tuple(steps))
 
 
 def classes_to_json(classes: dict[tuple[int, int], int]) -> list[dict]:
@@ -246,5 +220,7 @@ def load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad JSON, bad UTF-8 and integer literals past
+        # Python's digit limit; RecursionError covers very deep nesting
         raise ParseError(f"{path}: {exc}") from exc

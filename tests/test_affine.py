@@ -67,7 +67,6 @@ class TestQuiverConstruction:
             LiftWindow(3, 7)
         with pytest.raises(ShapeError):
             LiftWindow(3, 3)
-        assert LiftWindow(3, 9).rho(7) == (1, 2)
 
 
 class TestIndecN:
@@ -286,8 +285,7 @@ class TestEtaFromLift:
         assert rep.steps == ((Fraction(0), (2, 3, 3, 3, 2, 2)),)
 
     def test_zero_rep(self):
-        with pytest.raises(ValidationError):
-            eta_from_lift(zero_representation(to_quiver(EX), GF(5)))
+        assert eta_from_lift(zero_representation(to_quiver(EX), GF(5))).steps == ()
 
     def test_matches_oracle(self):
         rng = make_rng(34)
@@ -298,8 +296,6 @@ class TestEtaFromLift:
                 rng.randint(2, 4), GF(p), 3, rng,
                 min_summands=1, total_cap=cap, vertex_cap=6, max_len=2 * aq_len(rng),
             )
-            if rep.is_zero():
-                continue
             fast = eta_from_lift(rep)
             oracle = hn_bruteforce(rep, euler_stability(rep.quiver))
             assert fast.steps == oracle.steps
@@ -379,8 +375,6 @@ class TestRecoverMultiplicities:
             aq, rep, truth_n, _ = gen_affine(
                 n, GF(3), 3, rng, min_summands=1, max_len=2 * n
             )
-            if rep.is_zero():
-                continue
             report = eta_from_lift(rep)
             for cls, mult in truth_n.items():
                 if p_value(aq, cls.u, cls.v) != 1:

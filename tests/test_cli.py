@@ -11,7 +11,7 @@ from hnzz import campaign
 from hnzz.affine import AffineQuiver, CCW, CW, indec_N, indec_T
 from hnzz.cli import main
 from hnzz.generators import equioriented_quiver
-from hnzz.linalg import GF, Matrix
+from hnzz.linalg import GF, QQ, Matrix
 from hnzz.quiver import Quiver, Representation, direct_sum
 from hnzz.serialize import instance_to_json, load_json, write_json
 from hnzz.zigzag import Interval, interval_module
@@ -29,23 +29,21 @@ def run(args):
     return main([str(a) for a in args])
 
 
-def cli_process(args, env_extra=None):
+def cli_process(args):
     """Keyword arguments that start the CLI in a child process.
 
     A child process shows what an uncaught exception really does: a
     traceback on stderr rather than an exception inside the test.
     """
     env = dict(os.environ)
-    env.pop("HNZZ_GUARD_OVERRIDE", None)
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(os.path.abspath(hnzz.__file__)))
-    env.update(env_extra or {})
     return {"args": [sys.executable, "-m", "hnzz.cli", *[str(a) for a in args]],
             "stderr": subprocess.PIPE, "text": True, "env": env}
 
 
-def run_process(args, env_extra=None):
+def run_process(args):
     """Run the CLI in a child process: (exit code, stderr)."""
-    proc = subprocess.run(stdout=subprocess.PIPE, timeout=60, **cli_process(args, env_extra))
+    proc = subprocess.run(stdout=subprocess.PIPE, timeout=60, **cli_process(args))
     return proc.returncode, proc.stderr
 
 
@@ -285,6 +283,36 @@ class TestGenCommand:
         assert doc["barcode"] == truth["intervals"]
 
 
+ZERO_INSTANCES = {
+    "persistence": ["--n", 5, "--seed", 2, "--field", 2, "--max-summands", 3],
+    "affine": ["--n", 3, "--seed", 1, "--field", 2, "--max-summands", 1],
+}
+
+
+class TestZeroRepresentation:
+    """Every route answers the zero representation: no bars, no HN steps."""
+
+    @pytest.mark.parametrize(
+        "kind, command, expected",
+        [
+            ("persistence", ["barcode"], {"barcode": []}),
+            ("persistence", ["hn"], {"hn": []}),
+            ("persistence", ["hn", "--oracle"], {"hn": [], "oracle_agrees": True}),
+            ("affine", ["hn"], {"hn": []}),
+            ("affine", ["hn", "--oracle"], {"hn": [], "oracle_agrees": True}),
+            ("affine", ["lift"], {"d_inf": 0, "classes": [], "barcode": []}),
+        ],
+        ids=["path-barcode", "path-hn", "path-hn-oracle",
+             "affine-hn", "affine-hn-oracle", "affine-lift"],
+    )
+    def test_route(self, tmp_path, capsys, kind, command, expected):
+        inp = tmp_path / f"{kind}.json"
+        assert run(["gen", "--kind", kind, *ZERO_INSTANCES[kind], "--out", inp]) == 0
+        assert not any(load_json(str(inp))["dims"])
+        assert run([command[0], inp, *command[1:]]) == 0
+        assert json.loads(capsys.readouterr().out) == expected
+
+
 class TestVerifyCommand:
     def test_zero_cases_vacuous(self, capsys):
         assert run(["verify", "--theorem", "a", "--cases", 0]) == 0
@@ -313,6 +341,10 @@ def _small_instance():
     return instance_to_json(interval_module(equioriented_quiver(3), Interval(0, 2), GF(2)))
 
 
+def _rational_instance():
+    return instance_to_json(interval_module(equioriented_quiver(2), Interval(0, 1), QQ))
+
+
 def _affine_instance():
     aq = AffineQuiver(3, (CW, CW, CCW))
     return instance_to_json(indec_N(aq, 0, 1, GF(2)), aq)
@@ -331,8 +363,8 @@ def _set(path, value):
 class TestMalformedInput:
     """Each malformed input exits with its code and prints no traceback."""
 
-    @pytest.mark.parametrize("weights", ['["abc"]', "[1, [2]]", "[0.1, 0.2, 0.3]"],
-                             ids=["word", "nested", "float"])
+    @pytest.mark.parametrize("weights", ['["abc"]', "[1, [2]]", "[0.1, 0.2, 0.3]", '["1e5", 0, 0]'],
+                             ids=["word", "nested", "float", "exponent"])
     def test_bad_weights_exit_2(self, tmp_path, weights):
         inp = tmp_path / "inst.json"
         write_json(str(inp), _small_instance())
@@ -354,9 +386,10 @@ class TestMalformedInput:
             (_small_instance, _set(("quiver", "edges", 0, "src"), False)),
             (_small_instance, _set(("quiver", "edges", 0, "dst"), True)),
             (_small_instance, _set(("field",), {"kind": "prime", "p": 2305843009213693951})),
+            (_rational_instance, _set(("matrices", 0, "rows", 0, 0), "1e5")),
         ],
         ids=["int-row", "bool-dims", "bool-n", "bool-p", "bool-orientation",
-             "bool-edge", "bool-src", "bool-dst", "huge-p"],
+             "bool-edge", "bool-src", "bool-dst", "huge-p", "exponent-entry"],
     )
     def test_bad_instance_exit_2(self, tmp_path, make, mutate):
         doc = make()
@@ -374,12 +407,22 @@ class TestMalformedInput:
         assert code == 2
         assert "Traceback" not in err
 
-    def test_bad_guard_override_exit_2(self, tmp_path):
+    @pytest.mark.parametrize(
+        "raw",
+        [b"[" * 3000 + b"]" * 3000, b'["\xff"]', b'{"dims": [' + b"9" * 5000 + b"]}"],
+        ids=["deep-nesting", "bad-utf8", "huge-int"],
+    )
+    def test_undecodable_file_exit_2(self, tmp_path, raw):
+        # json.load raises RecursionError, UnicodeDecodeError, or a ValueError
+        # for an integer literal past Python's 4300-digit limit
         inp = tmp_path / "inst.json"
         write_json(str(inp), _small_instance())
-        code, err = run_process(["hn", inp, "--oracle"], {"HNZZ_GUARD_OVERRIDE": "dim=x"})
-        assert code == 2
-        assert "Traceback" not in err
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(raw)
+        for args in (["barcode", bad], ["hn", inp, "--stability", bad, "--oracle"]):
+            code, err = run_process(args)
+            assert code == 2
+            assert "Traceback" not in err
 
     @pytest.mark.parametrize(
         "args",

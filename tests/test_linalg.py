@@ -20,13 +20,11 @@ from hnzz.linalg import (
     kernel_basis,
     pivot_rows,
     preimage,
-    random_invertible,
+    random_invertible_rng,
     rank,
     rref,
-    solve,
-    span_intersection,
-    span_sum,
     subspace_contains,
+    subspace_dim_sum,
     subspace_enumerator,
     superspace_enumerator,
     zero_space,
@@ -81,6 +79,9 @@ class TestConstructor:
             (QQ, "abc"),
             (QQ, "1/0"),
             (QQ, None),
+            (QQ, "1e5"),  # Fraction() takes seconds on "1e10000000"
+            (QQ, "2.5E-3"),
+            (QQ, "7" * 5000),  # past Python's digit limit for int()
         ],
     )
     def test_foreign_entry_rejected(self, fld, entry):
@@ -89,8 +90,8 @@ class TestConstructor:
 
     def test_public_path_coerces(self):
         assert Matrix(GF(3), [[-1, 7]]).data == ((2, 1),)
-        m = Matrix(QQ, [[1, "2/4"]])
-        assert m.data == ((Fraction(1), Fraction(1, 2)),)
+        m = Matrix(QQ, [[1, "2/4", "0.5", " -3 "]])
+        assert m.data == ((Fraction(1), Fraction(1, 2), Fraction(1, 2), Fraction(-3)),)
         assert all(type(x) is Fraction for x in m.data[0])
 
     def test_public_path_checks_shape(self):
@@ -143,8 +144,7 @@ class TestTrustedConstructor:
             column_echelon(m),
             image(m, column_echelon(right)),
             preimage(m, space),
-            span_intersection(column_echelon(m), space),
-            inverse(random_invertible(c, fld, seed)),
+            inverse(random_invertible_rng(c, fld, random.Random(seed))),
             m @ right,
             m - same_shape,
             hstack([m, same_shape]),
@@ -153,9 +153,6 @@ class TestTrustedConstructor:
             Matrix.identity(fld, c),
             zero_space(fld, r),
         ]
-        x = solve(m, m @ right)
-        assert x is not None
-        out.append(x)
         if fld is not QQ:
             floor = column_echelon(data.draw(matrix_of(fld, 2, 1)))
             out += subspace_enumerator(2, fld.p, RELAXED)
@@ -217,45 +214,21 @@ class TestKernel:
         assert kernel_basis(m) == column_echelon(kernel_basis(m))
 
 
-class TestSolve:
-    def test_identity(self):
-        b = Matrix(GF(7), [[3], [5]])
-        assert solve(Matrix.identity(GF(7), 2), b) == b
-
-    def test_inconsistent(self):
-        assert solve(Matrix.zeros(QQ, 2, 2), Matrix(QQ, [[1], [0]])) is None
-
-    def test_mod5(self):
-        # 2 * 4 = 8 = 3 mod 5
-        assert solve(Matrix(GF(5), [[2]]), Matrix(GF(5), [[3]])) == Matrix(GF(5), [[4]])
-
-    @given(matrices(), st.randoms(use_true_random=False))
-    @settings(max_examples=60, deadline=None)
-    def test_solution_satisfies(self, m, rnd):
-        if m.field is QQ:
-            x = Matrix(m.field, [[Fraction(rnd.randint(-3, 3))] for _ in range(m.cols)], 1)
-        else:
-            x = Matrix(m.field, [[rnd.randrange(m.field.p)] for _ in range(m.cols)], 1)
-        b = m @ x
-        got = solve(m, b)
-        assert got is not None
-        assert m @ got == b
-
-
 class TestRandomInvertible:
     def test_dim0(self):
-        m = random_invertible(0, QQ, 1)
+        m = random_invertible_rng(0, QQ, random.Random(1))
         assert m.rows == m.cols == 0
 
     def test_dim1_gf2(self):
-        assert random_invertible(1, GF(2), 99) == Matrix(GF(2), [[1]])
+        assert random_invertible_rng(1, GF(2), random.Random(99)) == Matrix(GF(2), [[1]])
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_dim3_gf5(self, seed):
-        assert rank(random_invertible(3, GF(5), seed)) == 3
+        assert rank(random_invertible_rng(3, GF(5), random.Random(seed))) == 3
 
     def test_deterministic(self):
-        assert random_invertible(4, GF(3), 7) == random_invertible(4, GF(3), 7)
+        first, again = (random_invertible_rng(4, GF(3), random.Random(7)) for _ in range(2))
+        assert first == again
 
 
 class TestSubspaceEnumerator:
@@ -326,16 +299,18 @@ class TestSubspaceOps:
             for extra in subspace_enumerator(cols, p):
                 if subspace_contains(pre, extra):
                     continue
-                assert not subspace_contains(s, m @ span_sum(pre, extra))
+                grown = column_echelon(hstack([pre, extra]))
+                assert not subspace_contains(s, m @ grown)
 
     def test_intersection_and_sum(self):
         fld = GF(2)
         a = Matrix(fld, [[1, 0], [0, 1], [0, 0]])
         b = Matrix(fld, [[0, 0], [1, 0], [0, 1]])
-        inter = span_intersection(a, b)
-        assert inter.cols == 1
-        assert subspace_contains(a, inter) and subspace_contains(b, inter)
-        assert span_sum(a, b).cols == 3
+        common = Matrix(fld, [[0], [1], [0]])
+        assert subspace_contains(a, common) and subspace_contains(b, common)
+        assert column_echelon(hstack([a, b])).cols == subspace_dim_sum(a, b) == 3
+        # dim(a + b) = dim a + dim b - dim(a ∩ b), so the intersection is a line
+        assert a.cols + b.cols - subspace_dim_sum(a, b) == 1
 
     def test_superspaces(self):
         floor = Matrix(GF(2), [[1], [0], [0]])
@@ -345,7 +320,7 @@ class TestSubspaceOps:
         assert len({(u.cols, u.data) for u in sup}) == len(sup)
 
     def test_inverse_roundtrip(self):
-        m = random_invertible(3, GF(7), 11)
+        m = random_invertible_rng(3, GF(7), random.Random(11))
         assert m @ inverse(m) == Matrix.identity(GF(7), 3)
         with pytest.raises(ValidationError):
             inverse(Matrix.zeros(QQ, 2, 2))

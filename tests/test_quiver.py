@@ -180,10 +180,10 @@ class TestSlope:
 
 class TestStabilityCondition:
     def test_exact_weights_accepted(self):
-        alpha = StabilityCondition((2, Fraction(1, 3), "-3/4"))
-        assert alpha.weights == (Fraction(2), Fraction(1, 3), Fraction(-3, 4))
+        alpha = StabilityCondition((2, Fraction(1, 3), "-3/4", "0.25"))
+        assert alpha.weights == (Fraction(2), Fraction(1, 3), Fraction(-3, 4), Fraction(1, 4))
 
-    @pytest.mark.parametrize("bad", [0.1, 1.0, True, False, "abc", None])
+    @pytest.mark.parametrize("bad", [0.1, 1.0, True, False, "abc", None, "1e5", "1E-2"])
     def test_inexact_weights_rejected(self, bad):
         # 0.1 used to be stored as 3602879701896397/36028797018963968, True as 1
         with pytest.raises(ValidationError):
