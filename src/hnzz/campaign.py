@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .affine import AffineQuiver, NClass, eta_from_lift, p_value, recover_N_multiplicities
 from .generators import gen_affine, gen_persistence
-from .hn import hn_bruteforce, hn_from_barcode
+from .hn import ORACLE_MAX_TOTAL_DIM, hn_bruteforce, hn_from_barcode
 from .linalg import GF
 from .quiver import Representation, euler_stability
 from .serialize import instance_to_json
@@ -34,7 +34,7 @@ class Case:
 def _field_and_cap(rng: random.Random):
     """GF(2) or GF(3), with the oracle's total-dimension guard for it."""
     p = rng.choice((2, 3))
-    return GF(p), 8 if p == 2 else 6
+    return GF(p), ORACLE_MAX_TOTAL_DIM[p]
 
 
 def draw_a(rng: random.Random) -> Case:

@@ -21,6 +21,7 @@ from .errors import (
     ParseError,
     ShapeError,
     ValidationError,
+    shown,
 )
 from .generators import gen_affine, gen_persistence
 from .hn import hn_bruteforce, hn_from_barcode
@@ -103,7 +104,7 @@ def _parse_field(raw: str):
     try:
         return GF(int(raw))
     except ValueError as exc:
-        raise ParseError(f"bad field {raw!r}: use 'rational' or a prime") from exc
+        raise ParseError(f"bad field {shown(raw)}: use 'rational' or a prime") from exc
 
 
 def _cmd_gen(args) -> int:

@@ -23,3 +23,14 @@ class GuardError(RuntimeError):
 
 class InternalCheckError(RuntimeError):
     """A mathematically impossible state was reached; indicates a bug."""
+
+
+def shown(value, limit: int = 60) -> str:
+    """``repr(value)`` for an error message, cut to ``limit`` characters."""
+    try:
+        text = repr(value)
+    except ValueError:  # an int past Python's digit limit for str()
+        return f"<{type(value).__name__} too long to show>"
+    if len(text) <= limit:
+        return text
+    return f"{text[:limit]}... ({len(text)} characters)"

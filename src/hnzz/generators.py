@@ -77,20 +77,17 @@ def gen_affine(
     rng: random.Random,
     *,
     min_summands: int = 0,
-    orientation: tuple[int, ...] | None = None,
     total_cap: int | None = None,
     vertex_cap: int | None = None,
     max_len: int | None = None,
-    max_w: int = 2,
 ) -> tuple[AffineQuiver, Representation, dict[NClass, int], dict[TClass, int]]:
     """Conjugated random sum of wrapped-interval and Jordan-cell summands.
 
-    Jordan eigenvalues are uniform over the nonzero field elements (over
-    the rationals, over the nonzero integers in [-9, 9]).
+    The cycle's orientation is drawn first.  Jordan eigenvalues are
+    uniform over the nonzero field elements (over the rationals, over the
+    nonzero integers in [-9, 9]); Jordan block sizes are 1 or 2.
     """
-    if orientation is None:
-        orientation = random_orientation(n, rng)
-    aq = AffineQuiver(n, orientation)
+    aq = AffineQuiver(n, random_orientation(n, rng))
     q = to_quiver(aq)
     rep = zero_representation(q, fld)
     truth_n: dict[NClass, int] = {}
@@ -109,7 +106,7 @@ def gen_affine(
                 lam = fld.coerce(rng.randint(1, fld.p - 1))
             else:
                 lam = fld.coerce(rng.choice([x for x in range(-9, 10) if x]))
-            w = rng.randint(1, max_w)
+            w = rng.randint(1, 2)
             summand = indec_T(aq, lam, w, fld)
             key = TClass(lam, w)
         cand = direct_sum(rep, summand)

@@ -5,10 +5,12 @@ it scans the subrepresentations of a small representation (subspace
 tuples closed under the edge maps) that contain the current stage, which
 are those of the quotient, takes the unique maximal destabilizer as the
 next stage, and returns explicit filtration bases in the input
-coordinates.  It works on any acyclic quiver but is guarded against
-combinatorial blow-up.  ``hn_from_barcode`` is the fast route for
-equioriented type-A representations under the Euler weights: one step
-per interval family [0, j] plus a final slope-0 step for everything else.
+coordinates.  It works on any acyclic quiver but raises GuardError past
+fixed limits: total dimension ``ORACLE_MAX_TOTAL_DIM[p]`` (below) and
+the enumerator limits ``ENUM_MAX_DIM``, ``ENUM_MAX_P`` (in ``linalg``).
+``hn_from_barcode`` is the fast route for equioriented type-A
+representations under the Euler weights: one step per interval family
+[0, j] plus a final slope-0 step for everything else.
 
 Reports carry (slope, quotient dimension vector) steps with strictly
 decreasing exact rational slopes; only the oracle fills in witness bases.
@@ -20,9 +22,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .config import DEFAULT_GUARD, GuardConfig
 from .errors import GuardError, InternalCheckError, ShapeError, ValidationError
 from .linalg import (
+    ENUM_MAX_P,
     Matrix,
     PrimeField,
     QQ,
@@ -97,13 +99,18 @@ class HNReport:
         return tuple(out)
 
 
-def _check_oracle_guard(v: Representation, guard: GuardConfig) -> None:
+# The oracle's cap on the total dimension of its input, per characteristic;
+# the subrepresentation scan multiplies subspace counts across vertices.
+ORACLE_MAX_TOTAL_DIM = {2: 8, 3: 6}
+
+
+def _check_oracle_guard(v: Representation) -> None:
     if not isinstance(v.field, PrimeField):
         raise GuardError("the brute-force oracle runs over prime fields only")
     p = v.field.p
-    if p > guard.max_enum_p:
-        raise GuardError(f"oracle guard exceeded: p={p} > {guard.max_enum_p}")
-    cap = guard.total_cap(p)
+    if p > ENUM_MAX_P:
+        raise GuardError(f"oracle guard exceeded: p={p} > {ENUM_MAX_P}")
+    cap = ORACLE_MAX_TOTAL_DIM[p]
     if v.total_dim() > cap:
         raise GuardError(
             f"oracle guard exceeded: total dimension {v.total_dim()} > {cap} over GF({p})"
@@ -111,9 +118,7 @@ def _check_oracle_guard(v: Representation, guard: GuardConfig) -> None:
 
 
 def subrepresentations(
-    v: Representation,
-    guard: GuardConfig = DEFAULT_GUARD,
-    above: Sequence[Matrix] | None = None,
+    v: Representation, above: Sequence[Matrix] | None = None
 ) -> Iterator[tuple[Matrix, ...]]:
     """Subrepresentations of v containing ``above``, as canonical bases.
 
@@ -142,7 +147,7 @@ def subrepresentations(
         images = [v.mats[e] @ chosen[v.quiver.edges[e][0]] for e in in_edges[x]]
         if images:
             floor = column_echelon(hstack([floor] + images))
-        for u in superspace_enumerator(floor, guard):
+        for u in superspace_enumerator(floor):
             chosen[x] = u
             yield from walk(i + 1)
         chosen.pop(x, None)
@@ -150,16 +155,14 @@ def subrepresentations(
     return walk(0)
 
 
-def is_semistable(
-    v: Representation, alpha: StabilityCondition, guard: GuardConfig = DEFAULT_GUARD
-) -> bool:
+def is_semistable(v: Representation, alpha: StabilityCondition) -> bool:
     """True iff no nonzero subrepresentation has a strictly larger slope."""
-    _check_oracle_guard(v, guard)
+    _check_oracle_guard(v)
     check_weights(v.quiver, alpha)
     if v.is_zero():
         raise ValidationError("semistability of the zero representation is undefined")
     bound = slope_of_dims(v.dims, alpha)
-    for bases in subrepresentations(v, guard):
+    for bases in subrepresentations(v):
         dims = [b.cols for b in bases]
         if sum(dims) == 0:
             continue
@@ -169,7 +172,7 @@ def is_semistable(
 
 
 def _hn_stages(
-    v: Representation, alpha: StabilityCondition, guard: GuardConfig
+    v: Representation, alpha: StabilityCondition
 ) -> list[tuple[Fraction, tuple[int, ...], tuple[Matrix, ...]]]:
     """(slope, quotient dims, stage bases) per HN stage; none for v = 0.
 
@@ -182,7 +185,7 @@ def _hn_stages(
     while sum(done) < v.total_dim():
         best: tuple[Fraction, int] | None = None
         ties: list[tuple[Matrix, ...]] = []
-        for bases in subrepresentations(v, guard, above=stage):
+        for bases in subrepresentations(v, above=stage):
             dims = [b.cols - d for b, d in zip(bases, done)]
             total = sum(dims)
             if total == 0:
@@ -203,9 +206,7 @@ def _hn_stages(
     return stages
 
 
-def hn_bruteforce(
-    v: Representation, alpha: StabilityCondition, guard: GuardConfig = DEFAULT_GUARD
-) -> HNReport:
+def hn_bruteforce(v: Representation, alpha: StabilityCondition) -> HNReport:
     """HN filtration by exhaustive search, with explicit stage bases.
 
     Repeatedly extracts the subrepresentation of maximal slope and, among
@@ -214,9 +215,9 @@ def hn_bruteforce(
     InternalCheckError.  Output is independent of enumeration order; the
     zero representation gets the empty report.
     """
-    _check_oracle_guard(v, guard)
+    _check_oracle_guard(v)
     check_weights(v.quiver, alpha)
-    stages = _hn_stages(v, alpha, guard)
+    stages = _hn_stages(v, alpha)
     steps = tuple((sl, dims) for sl, dims, _ in stages)
     witness = tuple(stage for _, _, stage in stages)
     report = HNReport(v.quiver, steps, witness)

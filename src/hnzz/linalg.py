@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations, product
 from typing import Iterable, Iterator, Sequence
 
-from .config import DEFAULT_GUARD, GuardConfig
-from .errors import GuardError, ValidationError
+from .errors import GuardError, ValidationError, shown
 
 
 def _is_prime(n: int) -> bool:
@@ -51,17 +51,17 @@ class RationalField:
     def coerce(self, value) -> Fraction:
         """``value`` as a Fraction: ints, rationals, and strings "a/b" or decimals.
 
-        Floats and booleans are refused, and so are strings with an
-        exponent: ``Fraction("1e10000000")`` takes seconds to build.
+        Floats and booleans are refused, and so are strings and Decimals
+        with an exponent: ``Fraction("1e10000000")`` takes seconds to build.
         """
         if isinstance(value, (bool, float)):
             raise ValidationError(f"QQ entry must be exact, not {type(value).__name__}")
-        if isinstance(value, str) and ("e" in value or "E" in value):
-            raise ValidationError(f"QQ entry {value!r} has an exponent; write a/b or a decimal")
+        if isinstance(value, (str, Decimal)) and "e" in str(value).lower():
+            raise ValidationError(f"QQ entry {shown(value)} has an exponent; write a/b or a decimal")
         try:
             return Fraction(value)
-        except (TypeError, ValueError, ZeroDivisionError) as exc:
-            raise ValidationError(f"QQ entry {value!r} is not a rational") from exc
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+            raise ValidationError(f"QQ entry {shown(value)} is not a rational") from exc
 
     def sub(self, a, b):
         return a - b
@@ -97,7 +97,7 @@ class PrimeField:
     def __post_init__(self) -> None:
         # bound first: trial division of a huge modulus would not finish
         if self.p > 2**31:
-            raise ValidationError(f"modulus {self.p} exceeds 2**31")
+            raise ValidationError(f"modulus {shown(self.p)} exceeds 2**31")
         if not _is_prime(self.p):
             raise ValidationError(f"modulus {self.p} is not prime")
 
@@ -452,21 +452,33 @@ def pivot_rows(space: Matrix) -> list[int]:
     return out
 
 
-def subspace_enumerator(dim: int, p: int, guard: GuardConfig = DEFAULT_GUARD) -> Iterator[Matrix]:
+# Subspace enumeration over GF(p) grows like p^(dim^2/4); these limits keep
+# the oracle's scans in the "finishes in seconds" regime.
+ENUM_MAX_DIM = 6
+ENUM_MAX_P = 3
+
+
+def _check_enum_guard(dim: int, p: int) -> PrimeField:
+    """GF(p), once GF(p)^dim is known to be small enough to walk."""
+    field = GF(p)
+    if dim < 0:
+        raise ValidationError("negative dimension")
+    if dim > ENUM_MAX_DIM or p > ENUM_MAX_P:
+        raise GuardError(
+            f"subspace enumeration guard exceeded (dim={dim}, p={p}; "
+            f"limits dim<={ENUM_MAX_DIM}, p<={ENUM_MAX_P})"
+        )
+    return field
+
+
+def subspace_enumerator(dim: int, p: int) -> Iterator[Matrix]:
     """All subspaces of GF(p)^dim, one canonical echelon basis each.
 
     Walks dimension classes in increasing order (the zero subspace first,
     the full space last); the total count is the Gaussian-binomial sum.
-    Raises GuardError up front when p^dim is too large to walk.
+    Raises GuardError up front beyond ``ENUM_MAX_DIM`` or ``ENUM_MAX_P``.
     """
-    field = GF(p)
-    if dim < 0:
-        raise ValidationError("negative dimension")
-    if dim > guard.max_enum_dim or p > guard.max_enum_p:
-        raise GuardError(
-            f"subspace enumeration guard exceeded (dim={dim}, p={p}; "
-            f"limits dim<={guard.max_enum_dim}, p<={guard.max_enum_p})"
-        )
+    field = _check_enum_guard(dim, p)
 
     def generate() -> Iterator[Matrix]:
         for k in range(dim + 1):
@@ -491,7 +503,7 @@ def subspace_enumerator(dim: int, p: int, guard: GuardConfig = DEFAULT_GUARD) ->
     return generate()
 
 
-def superspace_enumerator(floor: Matrix, guard: GuardConfig = DEFAULT_GUARD) -> Iterator[Matrix]:
+def superspace_enumerator(floor: Matrix) -> Iterator[Matrix]:
     """All subspaces of K^d containing span(floor), for K a prime field.
 
     Enumerates subspaces of the quotient K^d / span(floor) through the
@@ -505,14 +517,13 @@ def superspace_enumerator(floor: Matrix, guard: GuardConfig = DEFAULT_GUARD) -> 
     taken = set(pivot_rows(floor))
     free_rows = [r for r in range(d) if r not in taken]
     q = len(free_rows)
+    _check_enum_guard(q, field.p)
 
     def generate() -> Iterator[Matrix]:
-        for small in subspace_enumerator(q, field.p, guard):
+        for small in subspace_enumerator(q, field.p):
             rows = [(0,) * small.cols] * d
             for i, r in enumerate(free_rows):
                 rows[r] = small.data[i]
             yield column_echelon(hstack([floor, Matrix._canonical(field, rows, small.cols)]))
 
-    # trigger guard checks eagerly
-    subspace_enumerator(q, field.p, guard).close()
     return generate()

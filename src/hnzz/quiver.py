@@ -32,10 +32,17 @@ class Quiver:
                 raise ValidationError(f"edge ({src},{dst}) out of vertex range")
 
     def in_degree(self, x: int) -> int:
-        return sum(1 for _, dst in self.edges if dst == x)
+        return _degrees(self)[0][x]
 
-    def out_edges(self, x: int) -> list[int]:
-        return [i for i, (src, _) in enumerate(self.edges) if src == x]
+
+def _degrees(q: Quiver) -> tuple[list[int], list[list[int]]]:
+    """In-degree and successor list of every vertex, in one pass over the edges."""
+    indeg = [0] * q.vertex_count
+    succ: list[list[int]] = [[] for _ in range(q.vertex_count)]
+    for src, dst in q.edges:
+        indeg[dst] += 1
+        succ[src].append(dst)
+    return indeg, succ
 
 
 def is_acyclic(q: Quiver) -> bool:
@@ -44,15 +51,13 @@ def is_acyclic(q: Quiver) -> bool:
 
 
 def topological_order(q: Quiver) -> list[int] | None:
-    indeg = [0] * q.vertex_count
-    for _, dst in q.edges:
-        indeg[dst] += 1
+    indeg, succ = _degrees(q)
     ready = deque(x for x in range(q.vertex_count) if indeg[x] == 0)
     order = []
     while ready:
         x = ready.popleft()
         order.append(x)
-        for _, dst in (q.edges[i] for i in q.out_edges(x)):
+        for dst in succ[x]:
             indeg[dst] -= 1
             if indeg[dst] == 0:
                 ready.append(dst)
@@ -184,19 +189,19 @@ def slope_of_dims(dims: Sequence[int], alpha: StabilityCondition) -> Fraction:
     return num / total
 
 
+def _euler_weights(q: Quiver) -> list[int]:
+    """1 - in_degree(x) at each vertex x."""
+    return [1 - d for d in _degrees(q)[0]]
+
+
 def euler_stability(q: Quiver) -> StabilityCondition:
     """Weight 1 - in_degree(x) at each vertex; defined for acyclic quivers."""
     if not is_acyclic(q):
         raise ShapeError("Euler stability requires an acyclic quiver")
-    indeg = [0] * q.vertex_count
-    for _, dst in q.edges:
-        indeg[dst] += 1
-    return StabilityCondition(tuple(Fraction(1 - d) for d in indeg))
+    return StabilityCondition(tuple(Fraction(w) for w in _euler_weights(q)))
 
 
 def sheaf_euler_characteristic(v: Representation) -> int:
     """Sum of (1 - in_degree(x)) * dim_x; the Euler-slope numerator."""
-    indeg = [0] * v.quiver.vertex_count
-    for _, dst in v.quiver.edges:
-        indeg[dst] += 1
-    return sum((1 - indeg[x]) * v.dims[x] for x in range(v.quiver.vertex_count))
+    weights = _euler_weights(v.quiver)
+    return sum(weights[x] * v.dims[x] for x in range(v.quiver.vertex_count))

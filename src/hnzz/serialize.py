@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 
 from .affine import AffineQuiver, NClass, TClass, to_quiver
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, shown
 from .hn import HNReport
 from .linalg import Field, GF, Matrix, PrimeField, QQ
 from .quiver import Quiver, Representation, StabilityCondition, validate
@@ -57,7 +57,7 @@ def field_from_json(obj) -> Field:
             return GF(p)
         except ValidationError as exc:
             raise ParseError(str(exc)) from exc
-    raise ParseError(f"field: unknown kind {kind!r}")
+    raise ParseError(f"field: unknown kind {shown(kind)}")
 
 
 def _entry_to_json(fld: Field, value):

@@ -27,7 +27,7 @@ from hnzz.affine import (
 )
 from hnzz import campaign, linalg
 from hnzz.generators import gen_affine, random_orientation
-from hnzz.hn import is_semistable, recover_barcode_via_truncations
+from hnzz.hn import ORACLE_MAX_TOTAL_DIM, is_semistable, recover_barcode_via_truncations
 from hnzz.linalg import GF, Matrix, random_invertible_rng
 from hnzz.quiver import conjugate, direct_sum, euler_stability, slope
 from hnzz.serialize import instance_to_json, load_json
@@ -139,7 +139,7 @@ def test_criterion_5_lift_multiplicity_suite():
         n = rng.randint(2, 6)
         fld = GF(rng.choice((2, 3, 5)))
         aq, rep, truth_n, truth_t = gen_affine(
-            n, fld, 3, rng, min_summands=1, max_len=3 * n - 1, max_w=2
+            n, fld, 3, rng, min_summands=1, max_len=3 * n - 1
         )
         if rep.is_zero():
             continue
@@ -171,7 +171,7 @@ def test_criterion_7_semistability_of_indecomposables():
             eps = euler_stability(to_quiver(aq))
             for p in (2, 3):
                 fld = GF(p)
-                cap = 8 if p == 2 else 6
+                cap = ORACLE_MAX_TOTAL_DIM[p]
                 for u in range(n):
                     for length in range(cap):
                         if length + 1 > cap:

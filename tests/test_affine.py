@@ -7,7 +7,7 @@ from hnzz.errors import ShapeError, ValidationError
 from hnzz.linalg import GF, QQ, Matrix
 from hnzz.quiver import conjugate, direct_sum, euler_stability, slope, zero_representation
 from hnzz.zigzag import Interval, barcode
-from hnzz.hn import hn_bruteforce, is_semistable
+from hnzz.hn import ORACLE_MAX_TOTAL_DIM, hn_bruteforce, is_semistable
 from hnzz.affine import (
     CCW,
     CW,
@@ -291,7 +291,7 @@ class TestEtaFromLift:
         rng = make_rng(34)
         for _ in range(15):
             p = rng.choice((2, 3))
-            cap = 8 if p == 2 else 6
+            cap = ORACLE_MAX_TOTAL_DIM[p]
             aq, rep, _, _ = gen_affine(
                 rng.randint(2, 4), GF(p), 3, rng,
                 min_summands=1, total_cap=cap, vertex_cap=6, max_len=2 * aq_len(rng),
@@ -323,7 +323,7 @@ class TestSemistability:
             q = to_quiver(aq)
             eps = euler_stability(q)
             p = rng.choice((2, 3))
-            cap = 8 if p == 2 else 6
+            cap = ORACLE_MAX_TOTAL_DIM[p]
             fld = GF(p)
             if rng.random() < 0.5:
                 u = rng.randrange(n)

@@ -401,6 +401,27 @@ class TestMalformedInput:
         assert code == 2
         assert "Traceback" not in err
 
+    def test_long_value_short_error_line(self, tmp_path):
+        # the offending value is echoed, but cut short
+        inp = tmp_path / "inst.json"
+        write_json(str(inp), _small_instance())
+        wfile = tmp_path / "w.json"
+        wfile.write_text(json.dumps(["1/" + "7" * 5000, "0", "0"]))
+        doc = _small_instance()
+        doc["field"] = {"kind": "x" * 5000}
+        kind = tmp_path / "kind.json"
+        write_json(str(kind), doc)
+        doc["field"] = {"kind": "prime", "p": 10**4000}
+        modulus = tmp_path / "modulus.json"
+        write_json(str(modulus), doc)
+        for args in (["hn", inp, "--stability", wfile, "--oracle"], ["barcode", kind],
+                     ["barcode", modulus], ["gen", "--kind", "affine", "--n", 3, "--field", "7" * 5000,
+                                            "--out", tmp_path / "g.json"]):
+            code, err = run_process(args)
+            assert code == 2
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert len(err) < 200
+
     def test_gen_huge_field_exit_2(self, tmp_path):
         code, err = run_process(["gen", "--kind", "affine", "--n", 3,
                                  "--field", 2305843009213693951, "--out", tmp_path / "g.json"])

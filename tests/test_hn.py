@@ -19,6 +19,7 @@ from hnzz.quiver import (
 )
 from hnzz.zigzag import Barcode, Interval, barcode, interval_module
 from hnzz.hn import (
+    ORACLE_MAX_TOTAL_DIM,
     HNReport,
     hn_bruteforce,
     hn_direct_sum_merge,
@@ -222,8 +223,8 @@ class TestBruteforce:
         baseline = hn_bruteforce(v, EPS3)
         original = hn_module.superspace_enumerator
 
-        def reversed_enum(floor, guard=None):
-            return iter(list(original(floor, guard))[::-1])
+        def reversed_enum(floor):
+            return iter(list(original(floor))[::-1])
 
         monkeypatch.setattr(hn_module, "superspace_enumerator", reversed_enum)
         flipped = hn_bruteforce(v, EPS3)
@@ -298,7 +299,7 @@ class TestFromBarcode:
         rng = make_rng(24)
         for _ in range(25):
             p = rng.choice((2, 3))
-            cap = 8 if p == 2 else 6
+            cap = ORACLE_MAX_TOTAL_DIM[p]
             v, _ = gen_persistence(
                 rng.randint(1, 4), GF(p), 4, rng, min_summands=1, total_cap=cap, vertex_cap=4
             )

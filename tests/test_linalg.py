@@ -1,12 +1,12 @@
 import random
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hnzz.config import GuardConfig
 from hnzz.errors import GuardError, ValidationError
 from hnzz.linalg import (
     GF,
@@ -82,16 +82,26 @@ class TestConstructor:
             (QQ, "1e5"),  # Fraction() takes seconds on "1e10000000"
             (QQ, "2.5E-3"),
             (QQ, "7" * 5000),  # past Python's digit limit for int()
+            (QQ, Decimal("1e200000")),  # Fraction() would expand a 664,386-bit numerator
+            (QQ, Decimal("1E+5")),
+            (QQ, Decimal("Infinity")),
+            (QQ, Decimal("NaN")),
         ],
     )
     def test_foreign_entry_rejected(self, fld, entry):
         with pytest.raises(ValidationError):
             Matrix(fld, [[entry]])
 
+    @pytest.mark.parametrize("entry", ["1/" + "7" * 5000, "9" * 3000 + "e5", Decimal("1e200000")])
+    def test_error_message_is_short(self, entry):
+        with pytest.raises(ValidationError) as info:
+            QQ.coerce(entry)
+        assert len(str(info.value)) < 200
+
     def test_public_path_coerces(self):
         assert Matrix(GF(3), [[-1, 7]]).data == ((2, 1),)
-        m = Matrix(QQ, [[1, "2/4", "0.5", " -3 "]])
-        assert m.data == ((Fraction(1), Fraction(1, 2), Fraction(1, 2), Fraction(-3)),)
+        m = Matrix(QQ, [[1, "2/4", "0.5", " -3 ", Decimal("0.5")]])
+        assert m.data == ((Fraction(1), Fraction(1, 2), Fraction(1, 2), Fraction(-3), Fraction(1, 2)),)
         assert all(type(x) is Fraction for x in m.data[0])
 
     def test_public_path_checks_shape(self):
@@ -123,9 +133,6 @@ def assert_canonical(m: Matrix) -> None:
     assert m == Matrix(m.field, m.data, m.cols)
 
 
-RELAXED = GuardConfig(max_enum_dim=7, max_enum_p=5, max_total_dim={2: 8})
-
-
 class TestTrustedConstructor:
     @given(st.data())
     @settings(max_examples=120, deadline=None)
@@ -153,10 +160,10 @@ class TestTrustedConstructor:
             Matrix.identity(fld, c),
             zero_space(fld, r),
         ]
-        if fld is not QQ:
+        if fld in (GF(2), GF(3)):  # the enumerators stop at p = 3
             floor = column_echelon(data.draw(matrix_of(fld, 2, 1)))
-            out += subspace_enumerator(2, fld.p, RELAXED)
-            out += superspace_enumerator(floor, RELAXED)
+            out += subspace_enumerator(2, fld.p)
+            out += superspace_enumerator(floor)
         for result in out:
             assert_canonical(result)
 
@@ -260,10 +267,6 @@ class TestSubspaceEnumerator:
     def test_guard_p(self):
         with pytest.raises(GuardError):
             subspace_enumerator(2, 5)
-
-    def test_guard_override(self):
-        relaxed = GuardConfig(max_enum_dim=7, max_enum_p=5, max_total_dim={2: 8})
-        assert len(list(subspace_enumerator(2, 5, relaxed))) == subspace_total(2, 5)
 
     def test_nonprime_rejected(self):
         with pytest.raises(ValidationError):

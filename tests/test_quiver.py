@@ -15,6 +15,7 @@ from hnzz.quiver import (
     restrict,
     sheaf_euler_characteristic,
     slope,
+    topological_order,
     validate,
     zero_representation,
 )
@@ -40,6 +41,14 @@ class TestAcyclicity:
 
     def test_self_loop(self):
         assert not is_acyclic(Quiver(1, ((0, 0),)))
+
+    def test_order_follows_every_edge(self):
+        # parallel edges and a vertex with two successors
+        q = Quiver(4, ((2, 0), (2, 0), (0, 1), (3, 1), (2, 3)))
+        order = topological_order(q)
+        assert sorted(order) == [0, 1, 2, 3]
+        assert all(order.index(src) < order.index(dst) for src, dst in q.edges)
+        assert [q.in_degree(x) for x in range(4)] == [2, 2, 0, 1]
 
 
 class TestValidate:
@@ -222,6 +231,15 @@ class TestSheafEuler:
 
     def test_zero(self):
         assert sheaf_euler_characteristic(zero_representation(A3, QQ)) == 0
+
+    def test_cyclic_quiver_accepted(self):
+        # in-degrees (1, 1, 2): weights (0, 0, -1), unlike euler_stability
+        q = Quiver(3, ((0, 1), (1, 2), (2, 0), (0, 2)))
+        dims = (1, 2, 3)
+        mats = tuple(Matrix.zeros(QQ, dims[dst], dims[src]) for src, dst in q.edges)
+        assert sheaf_euler_characteristic(Representation(q, QQ, dims, mats)) == -3
+        with pytest.raises(ShapeError):
+            euler_stability(q)
 
     def test_additive(self):
         rng = make_rng(5)
