@@ -237,3 +237,22 @@ def test_criterion_8_scaling_smoke(monkeypatch):
     assert eliminations[50] > 0
     assert count_ratio <= 2.5, f"doubling n scaled eliminations by {count_ratio:.2f} (> 2.5)"
     report(8, "doubling the cycle length stays within the 2.5x envelope", start, 300.0)
+
+
+def test_criterion_8_eliminations_per_window_position(monkeypatch):
+    # the barcode sweep keeps each nested chain as one flag: at most one
+    # elimination per chain per edge, plus a rank per nonzero pair of members
+    rep = _scaling_instance(100, 1)
+    positions = default_window(rep).D + 1
+    kernel = linalg._gauss_jordan
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "_gauss_jordan", counting)
+    eta_from_lift(rep)
+    per_position = len(calls) / positions
+    print(f"  {len(calls)} eliminations over {positions} window positions ({per_position:.2f} each)")
+    assert per_position <= 3, f"{per_position:.2f} eliminations per window position (> 3)"

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -13,7 +14,7 @@ from hnzz.cli import main
 from hnzz.generators import equioriented_quiver
 from hnzz.linalg import GF, QQ, Matrix
 from hnzz.quiver import Quiver, Representation, direct_sum
-from hnzz.serialize import instance_to_json, load_json, write_json
+from hnzz.serialize import instance_from_json, instance_to_json, load_json, write_json
 from hnzz.zigzag import Interval, interval_module
 
 EX = AffineQuiver(6, (CW, CW, CW, CCW, CW, CW))
@@ -401,6 +402,48 @@ class TestMalformedInput:
         assert code == 2
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "make, rows, code, err",
+        [
+            (_rational_instance, [["1"], ["1", "0"]], 3,
+             "invariant violation: ragged rows in matrix data\n"),
+            (_small_instance, [[1], [1, 0]], 3,
+             "invariant violation: ragged rows in matrix data\n"),
+            (_rational_instance, [[0.5]], 2,
+             "error: matrix 0: QQ entry must be exact, not float\n"),
+            (_rational_instance, [[True]], 2,
+             "error: matrix 0: QQ entry must be exact, not bool\n"),
+            (_rational_instance, [["1e5"]], 2,
+             "error: matrix 0: QQ entry '1e5' has an exponent; write a/b or a decimal\n"),
+            (_rational_instance, [["1", "0"]], 3,
+             "invariant violation: edge 0: matrix is 1x2, expected 1x1\n"),
+        ],
+        ids=["ragged-qq", "ragged-gf2", "float", "bool", "exponent", "wide"],
+    )
+    def test_bad_entry_message(self, tmp_path, make, rows, code, err):
+        # pins the whole stderr line: entry errors come from the reader
+        # (exit 2), shape errors from the matrix and the representation (exit 3)
+        doc = make()
+        doc["matrices"][0]["rows"] = rows
+        inp = tmp_path / "inst.json"
+        write_json(str(inp), doc)
+        assert run_process(["barcode", inp]) == (code, err)
+
+    def test_entries_read_canonically(self, tmp_path, capsys):
+        # out-of-range residues are reduced, rational strings normalised
+        doc = _small_instance()
+        doc["matrices"][0]["rows"] = [[3]]
+        doc["matrices"][1]["rows"] = [[-1]]
+        inp = tmp_path / "inst.json"
+        write_json(str(inp), doc)
+        inst = instance_from_json(load_json(str(inp)))
+        assert [m.data for m in inst.rep.mats] == [((1,),), ((1,),)]
+        doc = _rational_instance()
+        doc["matrices"][0]["rows"] = [["2/4"]]
+        write_json(str(inp), doc)
+        (entry,), = instance_from_json(load_json(str(inp))).rep.mats[0].data
+        assert entry == Fraction(1, 2) and type(entry) is Fraction
+
     def test_long_value_short_error_line(self, tmp_path):
         # the offending value is echoed, but cut short
         inp = tmp_path / "inst.json"
@@ -472,6 +515,21 @@ class TestMalformedInput:
         code, err = run_process(["barcode", inp, "--out", missing])
         assert code == 2
         assert "Traceback" not in err
+
+
+class TestModuleEntryPoint:
+    def test_python_m_hnzz(self):
+        # ``python -m hnzz`` runs the same CLI from a checkout, without an install
+        args = ["verify", "--theorem", "a", "--cases", 3, "--seed", 0]
+        outs = []
+        for module in ("hnzz", "hnzz.cli"):
+            spec = cli_process(args)
+            spec["args"][1:3] = ["-m", module]
+            proc = subprocess.run(stdout=subprocess.PIPE, timeout=60, **spec)
+            assert (proc.returncode, proc.stderr) == (0, "")
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]
+        assert outs[0].startswith("theorem a: 3 passed, 0 failed of 3")
 
 
 class TestClosedStdout:

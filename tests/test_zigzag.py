@@ -208,3 +208,48 @@ class TestBarcode:
                     if d:
                         expect[(a, b)] = d
             assert bars(v) == expect
+
+
+def sparse_zigzag_rep(rng, max_n=9, max_dim=4):
+    """Random-orientation path with dims 0..max_dim and rank-deficient maps.
+
+    About one edge in five carries the zero map; the other entries are zero
+    half the time, so ranks drop below full and long bars cross many edges.
+    """
+    n = rng.randint(1, max_n)
+    p = rng.choice((0, 2, 3, 5))
+    fld = GF(p) if p else QQ
+    q = random_path_quiver(n, rng)
+    dims = tuple(rng.randint(0, max_dim) for _ in range(n))
+    mats = []
+    for src, dst in q.edges:
+        zero_map = rng.random() < 0.2
+        rows = [
+            [0 if zero_map or rng.random() < 0.5 else rng.randint(1, 4) for _ in range(dims[src])]
+            for _ in range(dims[dst])
+        ]
+        mats.append(Matrix(fld, rows, dims[src]))
+    return Representation(q, fld, dims, tuple(mats))
+
+
+def inclusion_exclusion_bars(v) -> dict:
+    """The barcode from one generalized rank per interval, no sweep."""
+    n = v.quiver.vertex_count
+    r = {(a, b): generalized_rank(v, Interval(a, b)) for a in range(n) for b in range(a, n)}
+    out = {}
+    for a, b in r:
+        d = r[(a, b)] - r.get((a - 1, b), 0) - r.get((a, b + 1), 0) + r.get((a - 1, b + 1), 0)
+        if d:
+            out[(a, b)] = d
+    return out
+
+
+def test_agrees_with_generalized_rank_long_paths():
+    # long chains: n up to 9, dims up to 4 (0 included), QQ and GF(2/3/5)
+    rng = make_rng(17)
+    seen = set()
+    for _ in range(150):
+        v = sparse_zigzag_rep(rng)
+        seen.add((v.field, v.quiver.vertex_count >= 7, 0 in v.dims))
+        assert bars(v) == inclusion_exclusion_bars(v)
+    assert {(fld, True, True) for fld in (QQ, GF(2), GF(3), GF(5))} <= seen
