@@ -6,8 +6,9 @@ dense, row-major, and carry their field descriptor so that mixed-field
 arithmetic is a detectable error rather than silent nonsense.
 
 Outside input enters through ``Matrix(field, data, cols)``, which checks
-the shape and coerces every entry, refusing floats; results computed here
-are canonical already and skip that pass via the private ``Matrix._canonical``.
+the shape and coerces every entry, refusing floats; results computed here,
+and instance files whose reader coerces each entry itself, are canonical
+already and skip that pass via the private ``Matrix._canonical``.
 
 Everything here is pure and deterministic: echelon forms are the unique
 reduced ones, so equality of spans reduces to equality of basis matrices.
@@ -16,6 +17,7 @@ reduced ones, so equality of spans reduces to equality of basis matrices.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -164,7 +166,8 @@ class Matrix:
     coerces every entry into the field (``ValidationError`` for entries
     the field refuses), so a Matrix is always in canonical form: reduced
     fractions / residues in [0, p).  ``Matrix._canonical`` trusts rows
-    that are canonical already; it is for results computed here.
+    that are canonical already; it is for results computed here and for
+    the entries that ``serialize.instance_from_json`` has coerced.
     """
 
     __slots__ = ("field", "rows", "cols", "data")
@@ -409,22 +412,6 @@ def zero_space(field: Field, dim: int) -> Matrix:
     return Matrix._canonical(field, [()] * dim, 0)
 
 
-def image(m: Matrix, space: Matrix) -> Matrix:
-    """Canonical basis of m(span(space))."""
-    return column_echelon(m @ space)
-
-
-def preimage(m: Matrix, space: Matrix) -> Matrix:
-    """Canonical basis of {x : m @ x in span(space)}.
-
-    Solved as the x-part of the kernel of [m | space]: m(x) = space(y)
-    for some y exactly when (x; -y) lies in that kernel.
-    """
-    ker = kernel_basis(hstack([m, space]) if space.cols else m)
-    head = Matrix._canonical(m.field, ker.data[: m.cols], ker.cols)
-    return column_echelon(head)
-
-
 def subspace_contains(space: Matrix, vectors: Matrix) -> bool:
     """True iff every column of ``vectors`` lies in span(space)."""
     if vectors.cols == 0:
@@ -432,13 +419,89 @@ def subspace_contains(space: Matrix, vectors: Matrix) -> bool:
     return rank(hstack([space, vectors])) == space.cols
 
 
-def subspace_dim_sum(a: Matrix, b: Matrix) -> int:
-    """dim(span(a) + span(b)) without materialising the basis."""
-    if a.cols == 0:
-        return b.cols
-    if b.cols == 0:
-        return a.cols
-    return rank(hstack([a, b]))
+# ---------------------------------------------------------------------------
+# flags
+#
+# A flag is a chain of nested subspaces of K^d held in one adapted basis:
+# a d x k Matrix of full column rank whose first ``dims[i]`` columns span
+# member i.  Nested members are equal exactly when their dimensions are,
+# so no member needs a canonical basis of its own, and each operation
+# below moves the whole chain with at most one elimination.
+# ---------------------------------------------------------------------------
+
+
+def flag_image(m: Matrix, basis: Matrix, dims: Sequence[int]) -> tuple[Matrix, list[int]]:
+    """The flag of images m(member i), with one elimination of ``m @ basis``.
+
+    A column of ``m @ basis`` outside the span of the columns before it is
+    a pivot column of its echelon form, so the pivot columns are an adapted
+    basis of the image flag, and member i keeps the pivots among its first
+    ``dims[i]`` columns.
+    """
+    if basis.cols == 0 or m.rows == 0:
+        return zero_space(m.field, m.rows), [0] * len(dims)
+    moved = m @ basis
+    pivots = _gauss_jordan(m.field, [list(row) for row in moved.data], reduced=False)
+    kept = Matrix._canonical(m.field, ([row[j] for j in pivots] for row in moved.data), len(pivots))
+    return kept, [bisect_left(pivots, d) for d in dims]
+
+
+def flag_preimage(m: Matrix, basis: Matrix, dims: Sequence[int]) -> tuple[Matrix, list[int]]:
+    """The flag of preimages {x : m @ x in member i}, with one RREF of [m | basis].
+
+    m(x) lies in member i exactly when (x; y) is in the kernel of
+    [m | first dims[i] columns of basis] for some y.  With the x columns
+    first, the kernel vector of each free column is zero past that column,
+    so the kernel of that truncation is spanned by the vectors of the free
+    columns among its first ``m.cols + dims[i]``.  Their x-parts are an
+    adapted basis of the preimage flag: projecting to x is injective on
+    the kernel, because ``basis`` has full column rank.
+    """
+    field = m.field
+    if m.cols == 0 or m.rows == 0:
+        return full_space(field, m.cols), [m.cols] * len(dims)
+    work = [list(row) + list(brow) for row, brow in zip(m.data, basis.data)]
+    pivots = _gauss_jordan(field, work)
+    taken = set(pivots)
+    free = [c for c in range(m.cols + basis.cols) if c not in taken]
+    head = [(i, pc) for i, pc in enumerate(pivots) if pc < m.cols]
+    zero, one, neg = field.zero, field.one, field.neg
+    columns = []
+    for f in free:
+        vec = [zero] * m.cols
+        if f < m.cols:
+            vec[f] = one
+        for i, pc in head:
+            vec[pc] = neg(work[i][f])
+        columns.append(vec)
+    pre = Matrix._canonical(field, zip(*columns) if columns else [()] * m.cols, len(columns))
+    return pre, [bisect_left(free, m.cols + d) for d in dims]
+
+
+def flag_completed(basis: Matrix) -> Matrix:
+    """``basis`` followed by the unit vectors that extend it to all of K^d.
+
+    The unit vectors are those of the rows that are not pivots of the
+    echelon form of ``basis`` transposed, found with one elimination.
+    """
+    field, d = basis.field, basis.rows
+    if basis.cols == d:
+        return basis
+    if basis.cols == 0:
+        return full_space(field, d)
+    taken = set(_gauss_jordan(field, [list(col) for col in zip(*basis.data)], reduced=False))
+    extra = [r for r in range(d) if r not in taken]
+    zero, one = field.zero, field.one
+    rows = [row + tuple(one if r == e else zero for e in extra) for r, row in enumerate(basis.data)]
+    return Matrix._canonical(field, rows, d)
+
+
+def prefix_sum_dim(a: Matrix, i: int, b: Matrix, j: int) -> int:
+    """dim(span of the first i columns of a + span of the first j of b)."""
+    if i == 0 or j == 0:
+        return i + j
+    work = [list(ra[:i]) + list(rb[:j]) for ra, rb in zip(a.data, b.data)]
+    return len(_gauss_jordan(a.field, work, reduced=False))
 
 
 def pivot_rows(space: Matrix) -> list[int]:

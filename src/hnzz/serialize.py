@@ -70,7 +70,7 @@ def _entry_from_json(fld: Field, raw, where: str):
     if isinstance(fld, PrimeField):
         if not _is_int(raw):
             raise ParseError(f"{where}: prime-field entries must be ints")
-        return raw
+        return raw % fld.p
     try:
         return QQ.coerce(raw)
     except ValidationError as exc:
@@ -139,11 +139,15 @@ def instance_from_json(doc) -> Instance:
         rows = _need(mobj, "rows", list, f"matrix {e}")
         if not all(isinstance(row, list) for row in rows):
             raise ParseError(f"matrix {e}: rows must be arrays")
-        src, dst = quiver.edges[e]
+        # each entry is coerced once, here, so the matrix is built without
+        # the second pass of the public constructor
         parsed = [
             [_entry_from_json(fld, x, f"matrix {e}") for x in row] for row in rows
         ]
-        slots[e] = Matrix(fld, parsed, cols=dims[src] if not parsed else None)
+        width = len(parsed[0]) if parsed else dims[quiver.edges[e][0]]
+        if any(len(row) != width for row in parsed):
+            raise ValidationError("ragged rows in matrix data")
+        slots[e] = Matrix._canonical(fld, parsed, width)
     if len(slots) != len(quiver.edges):
         missing = sorted(set(range(len(quiver.edges))) - set(slots))
         raise ParseError(f"missing matrices for edges {missing}")

@@ -19,12 +19,35 @@ subspaces
     A[a] = image at k of (limit over [a, k])          -- grows with a
     R[a] = kernel at k of (V_k -> colimit over [a, k]) -- shrinks with a
 
-form nested chains with at most dim V_k + 1 distinct members, and both
-chains step through an edge by the same image (edge points right) or
-preimage (edge points left) operation.  Then r[a,k] equals
-dim A[a] - dim(A[a] ∩ R[a]), so one sweep prices every left endpoint at
-once.  This keeps the total cost linear in the path length for bounded
-vertex dimensions, which the long lift windows rely on.
+form nested chains with at most dim V_k + 1 distinct members, and
+r[a,k] = dim(A[a] + R[a]) - dim R[a], so one sweep prices every left
+endpoint at once.
+
+Each chain is kept as one flag: an adapted basis of V_k (a list of
+columns) plus marks (a, dim), where the member starting at a spans the
+first dim columns.  Nested members are equal exactly when their
+dimensions are, so a mark whose dimension repeats the one before it is
+dropped, and no member needs a canonical basis of its own.  Both chains
+cross an edge by the same flag operation of ``linalg``, one elimination
+per chain:
+
+* an edge pointing right maps the basis; the pivot columns of
+  ``m @ basis`` are the new basis, and a member keeps the pivots among
+  its first dim columns;
+* an edge pointing left needs, for every member, the x-part of the
+  kernel of [m | member].  One RREF of [m | basis], x columns first,
+  gives them all: the kernel vector of a free column is zero past that
+  column, so each member's preimage is spanned by the x-parts of the
+  free columns among its first ``m.cols + dim`` columns.
+
+Then the start k joins both chains: in A as V_k (unless its top member
+is V_k already; the basis is extended by unit vectors, one elimination),
+in R as the zero space (a mark of dimension 0, no elimination).  A rank
+is taken only where both members of a start are nonzero.  A flag whose members are
+all 0 or the whole space is rebased on the identity: over QQ, the basis
+it carries would otherwise grow with the product of every map crossed.
+The cost stays linear in the path length for bounded vertex dimensions,
+which the long lift windows rely on.
 """
 
 from __future__ import annotations
@@ -35,13 +58,14 @@ from .errors import InternalCheckError, ShapeError, ValidationError
 from .linalg import (
     Field,
     Matrix,
+    flag_completed,
+    flag_image,
+    flag_preimage,
     full_space,
     hstack,
-    image,
     kernel_basis,
-    preimage,
+    prefix_sum_dim,
     rank,
-    subspace_dim_sum,
     zero_space,
 )
 from .quiver import Quiver, Representation
@@ -226,8 +250,9 @@ def barcode(v: Representation) -> Barcode:
     fld = v.field
     dims = v.dims
 
-    a_chain: list[tuple[int, Matrix]] = [(0, full_space(fld, dims[0]))]
-    r_chain: list[tuple[int, Matrix]] = [(0, zero_space(fld, dims[0]))]
+    # each chain is one flag: an adapted basis and (start a, dim) marks
+    a_basis, a_marks = full_space(fld, dims[0]), [(0, dims[0])]
+    r_basis, r_marks = zero_space(fld, dims[0]), [(0, 0)]
     found: dict[tuple[int, int], int] = {}
     prev_g: dict[int, int] | None = None
 
@@ -235,14 +260,15 @@ def barcode(v: Representation) -> Barcode:
         if k > 0:
             eidx, forward = steps[k - 1]
             m = v.mats[eidx]
-            op = image if forward else preimage
-            a_chain = _dedup([(a, op(m, s)) for a, s in a_chain])
-            r_chain = _dedup([(a, op(m, s)) for a, s in r_chain])
-            if a_chain[-1][1].cols < dims[k]:
-                a_chain.append((k, full_space(fld, dims[k])))
-            if r_chain[-1][1].cols > 0:
-                r_chain.append((k, zero_space(fld, dims[k])))
-        g = _rank_jumps(a_chain, r_chain)
+            op = flag_image if forward else flag_preimage
+            a_basis, a_marks = _pushed(op, m, a_basis, a_marks)
+            r_basis, r_marks = _pushed(op, m, r_basis, r_marks)
+            if a_marks[-1][1] < dims[k]:
+                a_basis = flag_completed(a_basis)
+                a_marks.append((k, dims[k]))
+            if r_marks[-1][1] > 0:
+                r_marks.append((k, 0))
+        g = _rank_jumps(a_basis, a_marks, r_basis, r_marks)
         if prev_g is not None:
             b = k - 1
             for a in set(prev_g) | set(g):
@@ -271,28 +297,41 @@ def barcode(v: Representation) -> Barcode:
     return Barcode.from_dict({Interval(a, b): d for (a, b), d in found.items()})
 
 
-def _dedup(chain: list[tuple[int, Matrix]]) -> list[tuple[int, Matrix]]:
-    out = [chain[0]]
-    for a, s in chain[1:]:
-        if s != out[-1][1]:
-            out.append((a, s))
-    return out
+def _pushed(op, m: Matrix, basis: Matrix, marks: list[tuple[int, int]]):
+    """The flag (basis, marks) moved through the edge map m by ``op``.
+
+    Of consecutive marks that land on one dimension only the first (the
+    smallest start) is kept: nested members of equal dimension are equal.
+    """
+    basis, moved = op(m, basis, [d for _, d in marks])
+    out = [(marks[0][0], moved[0])]
+    for (a, _), d in zip(marks[1:], moved[1:]):
+        if d != out[-1][1]:
+            out.append((a, d))
+    if basis.cols == basis.rows and all(d in (0, basis.cols) for _, d in out):
+        # every member is 0 or the whole space, which the identity spans;
+        # the carried basis would only grow in height over QQ
+        basis = full_space(basis.field, basis.rows)
+    return basis, out
 
 
-def _rank_jumps(a_chain, r_chain) -> dict[int, int]:
-    """Sparse derivative a -> r[a,k] - r[a-1,k] of the current rank row."""
-    starts = sorted({a for a, _ in a_chain} | {a for a, _ in r_chain})
+def _rank_jumps(a_basis, a_marks, r_basis, r_marks) -> dict[int, int]:
+    """Sparse derivative a -> r[a,k] - r[a-1,k] of the current rank row.
+
+    r[a,k] = dim(A[a] + R[a]) - dim R[a]; it needs a rank only when both
+    members are nonzero.
+    """
+    starts = sorted({a for a, _ in a_marks} | {a for a, _ in r_marks})
     ai = ri = 0
     jumps: dict[int, int] = {}
     prev_val = 0
     for pos, s in enumerate(starts):
-        while ai + 1 < len(a_chain) and a_chain[ai + 1][0] <= s:
+        while ai + 1 < len(a_marks) and a_marks[ai + 1][0] <= s:
             ai += 1
-        while ri + 1 < len(r_chain) and r_chain[ri + 1][0] <= s:
+        while ri + 1 < len(r_marks) and r_marks[ri + 1][0] <= s:
             ri += 1
-        aspace = a_chain[ai][1]
-        rspace = r_chain[ri][1]
-        val = subspace_dim_sum(aspace, rspace) - rspace.cols
+        adim, rdim = a_marks[ai][1], r_marks[ri][1]
+        val = prefix_sum_dim(a_basis, adim, r_basis, rdim) - rdim
         if pos == 0:
             if val:
                 jumps[s] = val

@@ -14,17 +14,18 @@ from hnzz.linalg import (
     Matrix,
     block_diag,
     column_echelon,
+    flag_completed,
+    flag_image,
+    flag_preimage,
     hstack,
-    image,
     inverse,
     kernel_basis,
     pivot_rows,
-    preimage,
+    prefix_sum_dim,
     random_invertible_rng,
     rank,
     rref,
     subspace_contains,
-    subspace_dim_sum,
     subspace_enumerator,
     superspace_enumerator,
     zero_space,
@@ -144,13 +145,15 @@ class TestTrustedConstructor:
         right = data.draw(matrix_of(fld, c, k))
         target = data.draw(matrix_of(fld, r, k))
         space = column_echelon(target)
+        flag = column_echelon(right)
         seed = data.draw(st.integers(0, 1000))
         out = [
             rref(m)[0],
             kernel_basis(m),
             column_echelon(m),
-            image(m, column_echelon(right)),
-            preimage(m, space),
+            flag_image(m, flag, [0, flag.cols])[0],
+            flag_preimage(m, space, [0, space.cols])[0],
+            flag_completed(space),
             inverse(random_invertible_rng(c, fld, random.Random(seed))),
             m @ right,
             m - same_shape,
@@ -279,15 +282,69 @@ class TestSubspaceEnumerator:
         assert time.perf_counter() - start < 1.0
 
 
-class TestSubspaceOps:
-    def test_image_is_span(self):
+def reference_image(m: Matrix, space: Matrix) -> Matrix:
+    """Canonical basis of m(span(space)), member by member."""
+    return column_echelon(m @ space)
+
+
+def reference_preimage(m: Matrix, space: Matrix) -> Matrix:
+    """Canonical basis of {x : m @ x in span(space)}: the x-part of ker [m | space]."""
+    ker = kernel_basis(hstack([m, space]))
+    return column_echelon(Matrix(m.field, ker.data[: m.cols], ker.cols))
+
+
+def columns(m: Matrix, k: int) -> Matrix:
+    """The first k columns of m."""
+    return Matrix(m.field, [row[:k] for row in m.data], k)
+
+
+def random_flag(fld, d: int, rnd: random.Random, members: int):
+    """A full-rank d x k basis (k <= d) and ``members`` nested dims in [0, k].
+
+    The dims come in no particular order and may repeat, as chains do; one
+    member spans the whole basis.
+    """
+    k = rnd.randint(0, d)
+    basis = columns(random_invertible_rng(d, fld, rnd), k)
+    dims = [rnd.randint(0, k) for _ in range(members - 1)]
+    dims.insert(rnd.randint(0, members - 1), k)
+    return basis, dims
+
+
+def random_map(fld, rows: int, cols: int, rnd: random.Random) -> Matrix:
+    """A random rows x cols matrix, often rank-deficient."""
+    def entry():
+        return 0 if rnd.random() < 0.5 else rnd.randint(1, 4)
+    return Matrix(fld, [[entry() for _ in range(cols)] for _ in range(rows)], cols)
+
+
+class TestFlags:
+    @pytest.mark.parametrize("op, reference", [(flag_image, reference_image),
+                                               (flag_preimage, reference_preimage)],
+                             ids=["image", "preimage"])
+    def test_member_by_member(self, op, reference):
+        # every member of a 3-6 member flag moves like the canonical subspace op
+        rnd = random.Random(21)
+        for _ in range(300):
+            fld = rnd.choice(FIELDS)
+            src, dst = rnd.randint(0, 4), rnd.randint(0, 4)
+            m = random_map(fld, dst, src, rnd)
+            basis, dims = random_flag(fld, dst if op is flag_preimage else src, rnd,
+                                      rnd.randint(3, 6))
+            moved, new_dims = op(m, basis, dims)
+            assert rank(moved) == moved.cols  # still an adapted basis
+            assert max(new_dims) == moved.cols
+            for d, nd in zip(dims, new_dims):
+                assert column_echelon(columns(moved, nd)) == reference(m, column_echelon(columns(basis, d)))
+
+    def test_one_member(self):
         m = Matrix(GF(3), [[1, 2], [0, 1]])
         s = Matrix(GF(3), [[1], [1]])
-        img = image(m, s)
+        img, (dim,) = flag_image(m, s, [1])
+        assert dim == 1 and column_echelon(img) == reference_image(m, s)
         assert subspace_contains(img, m @ s)
-        assert img.cols == 1
 
-    def test_preimage(self):
+    def test_preimage_is_maximal(self):
         rnd = random.Random(5)
         for _ in range(40):
             p = rnd.choice([2, 3])
@@ -296,7 +353,8 @@ class TestSubspaceOps:
             m = Matrix(fld, [[rnd.randrange(p) for _ in range(cols)] for _ in range(rows)], cols)
             spaces = list(subspace_enumerator(rows, p))
             s = rnd.choice(spaces)
-            pre = preimage(m, s)
+            pre, (dim,) = flag_preimage(m, s, [s.cols])
+            assert dim == pre.cols
             assert subspace_contains(s, m @ pre)
             # maximality: every vector outside pre maps outside s
             for extra in subspace_enumerator(cols, p):
@@ -305,16 +363,48 @@ class TestSubspaceOps:
                 grown = column_echelon(hstack([pre, extra]))
                 assert not subspace_contains(s, m @ grown)
 
+    def test_preimage_of_a_chain_through_a_kernel(self):
+        # m kills e0; members 0 < <e0'> < <e0', e1'> < K^2 of the target
+        fld = QQ
+        m = Matrix(fld, [[0, 1, 0], [0, 0, 1]])
+        basis = Matrix(fld, [[1, 1], [0, 1]])
+        pre, dims = flag_preimage(m, basis, [0, 1, 2, 1])
+        assert dims == [1, 2, 3, 2]
+        assert pre.cols == 3 and rank(pre) == 3
+        assert column_echelon(columns(pre, 1)) == Matrix(fld, [[1], [0], [0]])
+
+    def test_completed(self):
+        rnd = random.Random(22)
+        for _ in range(200):
+            fld = rnd.choice(FIELDS)
+            d = rnd.randint(0, 5)
+            basis, _ = random_flag(fld, d, rnd, 1)
+            full = flag_completed(basis)
+            assert full.cols == d and rank(full) == d
+            assert columns(full, basis.cols) == basis
+
+    def test_prefix_sum_dim(self):
+        rnd = random.Random(23)
+        for _ in range(200):
+            fld = rnd.choice(FIELDS)
+            d = rnd.randint(0, 5)
+            (a, (i,)), (b, (j,)) = random_flag(fld, d, rnd, 1), random_flag(fld, d, rnd, 1)
+            expect = column_echelon(hstack([columns(a, i), columns(b, j)])).cols
+            assert prefix_sum_dim(a, i, b, j) == expect
+
     def test_intersection_and_sum(self):
         fld = GF(2)
         a = Matrix(fld, [[1, 0], [0, 1], [0, 0]])
         b = Matrix(fld, [[0, 0], [1, 0], [0, 1]])
         common = Matrix(fld, [[0], [1], [0]])
         assert subspace_contains(a, common) and subspace_contains(b, common)
-        assert column_echelon(hstack([a, b])).cols == subspace_dim_sum(a, b) == 3
+        assert column_echelon(hstack([a, b])).cols == prefix_sum_dim(a, 2, b, 2) == 3
         # dim(a + b) = dim a + dim b - dim(a ∩ b), so the intersection is a line
-        assert a.cols + b.cols - subspace_dim_sum(a, b) == 1
+        assert a.cols + b.cols - prefix_sum_dim(a, 2, b, 2) == 1
+        assert prefix_sum_dim(a, 1, b, 1) == 2 and prefix_sum_dim(a, 0, b, 2) == 2
 
+
+class TestSubspaceOps:
     def test_superspaces(self):
         floor = Matrix(GF(2), [[1], [0], [0]])
         sup = list(superspace_enumerator(floor))

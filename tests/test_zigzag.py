@@ -1,7 +1,8 @@
 import pytest
 
+from hnzz import zigzag
 from hnzz.errors import ShapeError, ValidationError
-from hnzz.linalg import GF, QQ, Matrix, rank
+from hnzz.linalg import GF, QQ, Matrix, random_invertible_rng, rank
 from hnzz.quiver import Quiver, Representation, conjugate, direct_sum, zero_representation
 from hnzz.zigzag import Barcode, Interval, barcode, generalized_rank, interval_module, path_steps
 
@@ -253,3 +254,23 @@ def test_agrees_with_generalized_rank_long_paths():
         seen.add((v.field, v.quiver.vertex_count >= 7, 0 in v.dims))
         assert bars(v) == inclusion_exclusion_bars(v)
     assert {(fld, True, True) for fld in (QQ, GF(2), GF(3), GF(5))} <= seen
+
+
+def test_whole_space_flag_keeps_small_entries(monkeypatch):
+    # random invertible QQ maps: every chain member is 0 or the whole space,
+    # and the sweep must not carry the product of all maps as its basis
+    rng = make_rng(18)
+    n = 150
+    q = random_path_quiver(n, rng)
+    v = Representation(q, QQ, (3,) * n, tuple(random_invertible_rng(3, QQ, rng) for _ in q.edges))
+    bits = []
+    for name in ("flag_image", "flag_preimage"):
+        op = getattr(zigzag, name)
+
+        def recording(m, basis, dims, op=op):
+            bits.extend(max(abs(x.numerator), x.denominator).bit_length() for row in basis.data for x in row)
+            return op(m, basis, dims)
+
+        monkeypatch.setattr(zigzag, name, recording)
+    assert bars(v) == {(0, n - 1): 3}
+    assert max(bits) <= 8
