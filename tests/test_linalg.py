@@ -337,32 +337,6 @@ class TestFlags:
             for d, nd in zip(dims, new_dims):
                 assert column_echelon(columns(moved, nd)) == reference(m, column_echelon(columns(basis, d)))
 
-    def test_one_member(self):
-        m = Matrix(GF(3), [[1, 2], [0, 1]])
-        s = Matrix(GF(3), [[1], [1]])
-        img, (dim,) = flag_image(m, s, [1])
-        assert dim == 1 and column_echelon(img) == reference_image(m, s)
-        assert subspace_contains(img, m @ s)
-
-    def test_preimage_is_maximal(self):
-        rnd = random.Random(5)
-        for _ in range(40):
-            p = rnd.choice([2, 3])
-            fld = GF(p)
-            rows, cols = rnd.randint(0, 3), rnd.randint(0, 3)
-            m = Matrix(fld, [[rnd.randrange(p) for _ in range(cols)] for _ in range(rows)], cols)
-            spaces = list(subspace_enumerator(rows, p))
-            s = rnd.choice(spaces)
-            pre, (dim,) = flag_preimage(m, s, [s.cols])
-            assert dim == pre.cols
-            assert subspace_contains(s, m @ pre)
-            # maximality: every vector outside pre maps outside s
-            for extra in subspace_enumerator(cols, p):
-                if subspace_contains(pre, extra):
-                    continue
-                grown = column_echelon(hstack([pre, extra]))
-                assert not subspace_contains(s, m @ grown)
-
     def test_preimage_of_a_chain_through_a_kernel(self):
         # m kills e0; members 0 < <e0'> < <e0', e1'> < K^2 of the target
         fld = QQ
@@ -392,6 +366,35 @@ class TestFlags:
             expect = column_echelon(hstack([columns(a, i), columns(b, j)])).cols
             assert prefix_sum_dim(a, i, b, j) == expect
 
+
+class TestSubspaceOps:
+    def test_image_is_span(self):
+        # a one-member flag, canonicalised, is the canonical image
+        m = Matrix(GF(3), [[1, 2], [0, 1]])
+        s = Matrix(GF(3), [[1], [1]])
+        img, (dim,) = flag_image(m, s, [1])
+        assert dim == 1 and column_echelon(img) == reference_image(m, s)
+        assert subspace_contains(img, m @ s)
+
+    def test_preimage(self):
+        rnd = random.Random(5)
+        for _ in range(40):
+            p = rnd.choice([2, 3])
+            fld = GF(p)
+            rows, cols = rnd.randint(0, 3), rnd.randint(0, 3)
+            m = Matrix(fld, [[rnd.randrange(p) for _ in range(cols)] for _ in range(rows)], cols)
+            spaces = list(subspace_enumerator(rows, p))
+            s = rnd.choice(spaces)
+            pre, (dim,) = flag_preimage(m, s, [s.cols])
+            assert dim == pre.cols and column_echelon(pre) == reference_preimage(m, s)
+            assert subspace_contains(s, m @ pre)
+            # maximality: every vector outside pre maps outside s
+            for extra in subspace_enumerator(cols, p):
+                if subspace_contains(pre, extra):
+                    continue
+                grown = column_echelon(hstack([pre, extra]))
+                assert not subspace_contains(s, m @ grown)
+
     def test_intersection_and_sum(self):
         fld = GF(2)
         a = Matrix(fld, [[1, 0], [0, 1], [0, 0]])
@@ -403,8 +406,6 @@ class TestFlags:
         assert a.cols + b.cols - prefix_sum_dim(a, 2, b, 2) == 1
         assert prefix_sum_dim(a, 1, b, 1) == 2 and prefix_sum_dim(a, 0, b, 2) == 2
 
-
-class TestSubspaceOps:
     def test_superspaces(self):
         floor = Matrix(GF(2), [[1], [0], [0]])
         sup = list(superspace_enumerator(floor))
