@@ -43,11 +43,11 @@ per chain:
 Then the start k joins both chains: in A as V_k (unless its top member
 is V_k already; the basis is extended by unit vectors, one elimination),
 in R as the zero space (a mark of dimension 0, no elimination).  A rank
-is taken only where both members of a start are nonzero.  A flag whose members are
-all 0 or the whole space is rebased on the identity: over QQ, the basis
-it carries would otherwise grow with the product of every map crossed.
-The cost stays linear in the path length for bounded vertex dimensions,
-which the long lift windows rely on.
+is taken only where both members of a start are nonzero.  A flag whose
+members are all 0 or the whole space is rebased on the identity: over
+QQ, the basis it carries would otherwise grow with the product of every
+map crossed.  The cost stays linear in the path length for bounded
+vertex dimensions, which the long lift windows rely on.
 """
 
 from __future__ import annotations

@@ -254,5 +254,6 @@ def test_criterion_8_eliminations_per_window_position(monkeypatch):
     monkeypatch.setattr(linalg, "_gauss_jordan", counting)
     eta_from_lift(rep)
     per_position = len(calls) / positions
-    print(f"  {len(calls)} eliminations over {positions} window positions ({per_position:.2f} each)")
+    print(f"  {len(calls)} eliminations over {positions} window positions "
+          f"({per_position:.2f} each)")
     assert per_position <= 3, f"{per_position:.2f} eliminations per window position (> 3)"

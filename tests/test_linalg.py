@@ -335,7 +335,8 @@ class TestFlags:
             assert rank(moved) == moved.cols  # still an adapted basis
             assert max(new_dims) == moved.cols
             for d, nd in zip(dims, new_dims):
-                assert column_echelon(columns(moved, nd)) == reference(m, column_echelon(columns(basis, d)))
+                member = column_echelon(columns(basis, d))
+                assert column_echelon(columns(moved, nd)) == reference(m, member)
 
     def test_preimage_of_a_chain_through_a_kernel(self):
         # m kills e0; members 0 < <e0'> < <e0', e1'> < K^2 of the target

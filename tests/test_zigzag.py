@@ -268,7 +268,8 @@ def test_whole_space_flag_keeps_small_entries(monkeypatch):
         op = getattr(zigzag, name)
 
         def recording(m, basis, dims, op=op):
-            bits.extend(max(abs(x.numerator), x.denominator).bit_length() for row in basis.data for x in row)
+            bits.extend(max(abs(x.numerator), x.denominator).bit_length()
+                        for row in basis.data for x in row)
             return op(m, basis, dims)
 
         monkeypatch.setattr(zigzag, name, recording)
