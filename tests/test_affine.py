@@ -1,7 +1,14 @@
+import hashlib
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
+
+import hnzz
 
 from hnzz.errors import ShapeError, ValidationError
 from hnzz.linalg import GF, QQ, Matrix
@@ -385,3 +392,29 @@ class TestRecoverMultiplicities:
                     if p_value(aq, u, v) == 1 or NClass(u, v) in truth_n:
                         continue
                     assert recover_N_multiplicities(aq, report, u, v) == 0
+
+
+TESTS = Path(__file__).resolve().parent
+
+
+def test_example_script_writes_golden_files(tmp_path):
+    # the example script runs classify_lift and eta_from_lift on the 6-cycle
+    # example: its instances are the golden files, its reports are pinned
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(os.path.abspath(hnzz.__file__)))
+    script = TESTS.parent / "scripts" / "make_example_instances.py"
+    subprocess.run([sys.executable, str(script), "--dir", str(tmp_path)],
+                   env=env, check=True, stdout=subprocess.PIPE, timeout=120)
+    for name, golden in (("wrapped_interval_1_9", "affine6_wrapped_interval"),
+                         ("jordan_cell_2_3", "affine6_jordan_cell")):
+        assert (tmp_path / f"{name}.json").read_bytes() == (
+            TESTS / "golden" / f"{golden}.json"
+        ).read_bytes()
+    digests = {
+        name: hashlib.sha256((tmp_path / f"{name}.report.json").read_bytes()).hexdigest()
+        for name in ("wrapped_interval_1_9", "jordan_cell_2_3")
+    }
+    assert digests == {
+        "wrapped_interval_1_9": "7a8cdb275f76d9e3d8d4054d177f0df41ba65f554bed8bfc285bd1f0c51ef84c",
+        "jordan_cell_2_3": "2a0a90a2ec1c7928a7c01d98c5cdc0c6ac4c0af367e3f74ec395ad6b33c8c6fc",
+    }

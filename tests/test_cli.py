@@ -429,6 +429,24 @@ class TestMalformedInput:
         write_json(str(inp), doc)
         assert run_process(["barcode", inp]) == (code, err)
 
+    @pytest.mark.parametrize(
+        "affine, err",
+        [
+            ({"n": 1, "orientation": [0]},
+             "invariant violation: affine quivers need at least two vertices\n"),
+            ({"n": 3, "orientation": [0, 1]},
+             "invariant violation: orientation must have one bit per edge\n"),
+        ],
+        ids=["one-vertex", "short-orientation"],
+    )
+    def test_bad_affine_quiver_exit_3(self, tmp_path, capsys, affine, err):
+        doc = _affine_instance()
+        doc["quiver"]["affine"] = affine
+        inp = tmp_path / "inst.json"
+        write_json(str(inp), doc)
+        assert run(["lift", inp]) == 3
+        assert capsys.readouterr().err == err
+
     def test_entries_read_canonically(self, tmp_path, capsys):
         # out-of-range residues are reduced, rational strings normalised
         doc = _small_instance()

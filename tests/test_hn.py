@@ -6,9 +6,10 @@ import pytest
 
 import hnzz.hn as hn_module
 from hnzz import campaign
-from hnzz.errors import GuardError, ValidationError
+from hnzz.errors import GuardError, ShapeError, ValidationError
 from hnzz.linalg import GF, QQ, Matrix, subspace_contains, zero_space
 from hnzz.quiver import (
+    Quiver,
     Representation,
     StabilityCondition,
     conjugate,
@@ -294,6 +295,14 @@ class TestFromBarcode:
 
     def test_empty(self):
         assert hn_from_barcode(Barcode(()), A3).steps == ()
+
+    def test_non_equioriented_refused(self):
+        with pytest.raises(ShapeError):
+            hn_from_barcode(Barcode(()), Quiver(3, ((0, 1), (2, 1))))
+
+    def test_bar_past_last_vertex_refused(self):
+        with pytest.raises(ValidationError):
+            hn_from_barcode(Barcode.from_dict({Interval(1, 3): 1}), A3)
 
     def test_matches_oracle_small(self):
         rng = make_rng(24)

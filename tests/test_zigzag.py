@@ -118,6 +118,14 @@ class TestBarcode:
     def test_zero_rep(self):
         assert barcode(zero_representation(A3, QQ)) == Barcode(())
 
+    def test_empty_path(self):
+        assert barcode(zero_representation(Quiver(0, ()), QQ)) == Barcode(())
+
+    @pytest.mark.parametrize("dim", [0, 3])
+    def test_one_vertex(self, dim):
+        v = Representation(Quiver(1, ()), GF(3), (dim,), ())
+        assert bars(v) == ({(0, 0): dim} if dim else {})
+
     def test_non_path(self):
         tri = Quiver(3, ((0, 1), (1, 2), (2, 0)))
         with pytest.raises(ShapeError):
