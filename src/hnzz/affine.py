@@ -73,14 +73,6 @@ class TClass:
 
 
 @dataclass(frozen=True)
-class InfinityBar:
-    """The two-sided infinite interval; Jordan cells unwind to copies of it."""
-
-
-AffineClass = NClass | TClass | InfinityBar
-
-
-@dataclass(frozen=True)
 class LiftWindow:
     """Truncation window 0..D of the unwinding; D a multiple of n, D >= 2n."""
 
@@ -228,29 +220,6 @@ def lift_truncated(v: Representation, window: LiftWindow) -> Representation:
     return Representation(Quiver(D + 1, tuple(edges)), v.field, dims, tuple(mats))
 
 
-def _classify(lo: int, hi: int, window: LiftWindow, clip_bound: int) -> AffineClass | None:
-    """Sort a window-barcode interval into the class it witnesses.
-
-    Full-window bars witness Jordan cells; bars starting in [1, n] and
-    ending before D are the canonical unclipped translates of wrapped
-    intervals; everything else (boundary-clipped or repeated translates)
-    is discarded.  A bar touching a window boundary that is too long to
-    be a clipped translate cannot occur and trips an internal error.
-    """
-    n, D = window.n, window.D
-    if lo == 0 and hi == D:
-        return InfinityBar()
-    if hi - lo >= clip_bound:
-        raise InternalCheckError(
-            f"bar [{lo},{hi}] is too long to be a wrapped-interval translate"
-        )
-    if lo == 0 or hi == D:
-        return None
-    if 1 <= lo <= n:
-        return NClass(lo % n, lo % n + (hi - lo))
-    return None
-
-
 def _checked_window(v: Representation, window: LiftWindow | None) -> LiftWindow:
     """``window``, or the default one, once it is known to be long enough.
 
@@ -276,22 +245,33 @@ def classify_lift(
 
     Lifts v to the window (the default one if none is given), computes
     the barcode of the truncated unwinding once and classifies its bars:
-    d_inf counts full-window bars (one per Jordan-cell dimension) and
+    d_inf counts full-window bars (Jordan cells unwind to copies of the
+    two-sided infinite interval, one per Jordan-cell dimension) and
     classes maps (u, length) to the multiplicity of the wrapped interval
-    starting at residue u.  Raises ShapeError for a window shorter than
+    starting at residue u.  Each wrapped interval is counted once, by its
+    unclipped translate starting in [1, n] and ending before D; a bar
+    touching a window boundary is a clipped translate and a bar starting
+    past n a repeated one, and both are dropped.  Any other bar of length
+    (dim at x_0 + 1) * n or more is no translate at all and raises
+    InternalCheckError.  Raises ShapeError for a window shorter than
     ``default_window(v)``.
     """
     window = _checked_window(v, window)
+    n, D = window.n, window.D
     bar = barcode(lift_truncated(v, window))
-    clip_bound = (v.dims[0] + 1) * window.n
+    clip_bound = (v.dims[0] + 1) * n
     d_inf = 0
     classes: dict[tuple[int, int], int] = {}
     for iv, mult in bar:
-        cls = _classify(iv.lo, iv.hi, window, clip_bound)
-        if isinstance(cls, InfinityBar):
+        lo, hi = iv.lo, iv.hi
+        if lo == 0 and hi == D:
             d_inf += mult
-        elif isinstance(cls, NClass):
-            key = (cls.u, cls.v - cls.u)
+        elif hi - lo >= clip_bound:
+            raise InternalCheckError(
+                f"bar [{lo},{hi}] is too long to be a wrapped-interval translate"
+            )
+        elif 1 <= lo <= n and hi < D:
+            key = (lo % n, hi - lo)
             classes[key] = classes.get(key, 0) + mult
     return d_inf, classes, bar
 

@@ -283,7 +283,8 @@ def _gauss_jordan(field: Field, work: list[list], reduced: bool = True) -> list[
     Returns the pivot columns; row i holds the pivot of column
     ``pivots[i]`` and every row past the last pivot is zero.  This is the
     one elimination loop of the package: ``rref``, ``rank``,
-    ``kernel_basis`` and ``column_echelon`` all run through it.  With
+    ``kernel_basis``, ``column_echelon``, ``prefix_sum_dim`` and the
+    ``flag_*`` operations all run through it.  With
     ``reduced=False`` only the rows below each pivot are cleared: the
     pivots are the same, at about half the row operations, which is all
     ``rank`` needs.

@@ -24,12 +24,12 @@ r[a,k] = dim(A[a] + R[a]) - dim R[a], so one sweep prices every left
 endpoint at once.
 
 Each chain is kept as one flag: an adapted basis of V_k (a list of
-columns) plus marks (a, dim), where the member starting at a spans the
-first dim columns.  Nested members are equal exactly when their
-dimensions are, so a mark whose dimension repeats the one before it is
-dropped, and no member needs a canonical basis of its own.  Both chains
-cross an edge by the same flag operation of ``linalg``, one elimination
-per chain:
+columns) whose first dim columns span a member.  One list of marks
+(a, dim A[a], dim R[a]) serves both flags.  Nested members are equal
+exactly when their dimensions are, so a mark whose pair of dims equals
+its predecessor's is dropped, and no member needs a canonical basis of
+its own.  Both chains cross an edge by the same flag operation of
+``linalg``, one elimination per chain at most:
 
 * an edge pointing right maps the basis; the pivot columns of
   ``m @ basis`` are the new basis, and a member keeps the pivots among
@@ -40,14 +40,14 @@ per chain:
   column, so each member's preimage is spanned by the x-parts of the
   free columns among its first ``m.cols + dim`` columns.
 
-Then the start k joins both chains: in A as V_k (unless its top member
-is V_k already; the basis is extended by unit vectors, one elimination),
-in R as the zero space (a mark of dimension 0, no elimination).  A rank
-is taken only where both members of a start are nonzero.  A flag whose
-members are all 0 or the whole space is rebased on the identity: over
-QQ, the basis it carries would otherwise grow with the product of every
-map crossed.  The cost stays linear in the path length for bounded
-vertex dimensions, which the long lift windows rely on.
+Then the start k joins as the mark (k, dim V_k, 0): A[k] is V_k (the
+image basis is extended by unit vectors, one elimination, unless it
+spans V_k already) and R[k] is the zero space.  A rank is taken only
+where both members of a start are nonzero.  A flag whose members are
+all 0 or the whole space is rebased on the identity: over QQ, the basis
+it carries would otherwise grow with the product of every map crossed.
+The cost stays linear in the path length for bounded vertex dimensions,
+which the long lift windows rely on.
 """
 
 from __future__ import annotations
@@ -250,41 +250,38 @@ def barcode(v: Representation) -> Barcode:
     fld = v.field
     dims = v.dims
 
-    # each chain is one flag: an adapted basis and (start a, dim) marks
-    a_basis, a_marks = full_space(fld, dims[0]), [(0, dims[0])]
-    r_basis, r_marks = zero_space(fld, dims[0]), [(0, 0)]
+    # both chains are flags over one list of marks (start a, dim A[a], dim R[a])
+    a_basis, r_basis = full_space(fld, dims[0]), zero_space(fld, dims[0])
+    marks = [(0, dims[0], 0)]
     found: dict[tuple[int, int], int] = {}
-    prev_g: dict[int, int] | None = None
+    prev_g: dict[int, int] = {}
 
     for k in range(n):
         if k > 0:
             eidx, forward = steps[k - 1]
             m = v.mats[eidx]
             op = flag_image if forward else flag_preimage
-            a_basis, a_marks = _pushed(op, m, a_basis, a_marks)
-            r_basis, r_marks = _pushed(op, m, r_basis, r_marks)
-            if a_marks[-1][1] < dims[k]:
-                a_basis = flag_completed(a_basis)
-                a_marks.append((k, dims[k]))
-            if r_marks[-1][1] > 0:
-                r_marks.append((k, 0))
-        g = _rank_jumps(a_basis, a_marks, r_basis, r_marks)
-        if prev_g is not None:
-            b = k - 1
-            for a in set(prev_g) | set(g):
-                if a > b:
-                    continue
-                d = prev_g.get(a, 0) - g.get(a, 0)
-                if d < 0:
-                    raise InternalCheckError(f"negative multiplicity {d} for [{a},{b}]")
-                if d:
-                    found[(a, b)] = d
+            starts, a_dims, r_dims = zip(*marks)
+            a_basis, a_dims = op(m, a_basis, a_dims)
+            r_basis, r_dims = op(m, r_basis, r_dims)
+            a_basis = flag_completed(_rebased(a_basis, a_dims))
+            r_basis = _rebased(r_basis, r_dims)
+            # nested members of equal dimension are equal: keep the first start
+            marks = []
+            for mark in [*zip(starts, a_dims, r_dims), (k, dims[k], 0)]:
+                if not marks or mark[1:] != marks[-1][1:]:
+                    marks.append(mark)
+        g = _rank_jumps(a_basis, r_basis, marks)
+        for a in (set(prev_g) | set(g)) - {k}:
+            d = prev_g.get(a, 0) - g.get(a, 0)
+            if d < 0:
+                raise InternalCheckError(f"negative multiplicity {d} for [{a},{k - 1}]")
+            if d:
+                found[(a, k - 1)] = d
         prev_g = g
 
-    assert prev_g is not None
     for a, d in prev_g.items():
-        if d:
-            found[(a, n - 1)] = d
+        found[(a, n - 1)] = d
 
     mass = [0] * n
     for (a, b), d in found.items():
@@ -297,49 +294,30 @@ def barcode(v: Representation) -> Barcode:
     return Barcode.from_dict({Interval(a, b): d for (a, b), d in found.items()})
 
 
-def _pushed(op, m: Matrix, basis: Matrix, marks: list[tuple[int, int]]):
-    """The flag (basis, marks) moved through the edge map m by ``op``.
+def _rebased(basis: Matrix, dims: list[int]) -> Matrix:
+    """``basis``, or the identity if every member is 0 or the whole space.
 
-    Of consecutive marks that land on one dimension only the first (the
-    smallest start) is kept: nested members of equal dimension are equal.
+    The identity spans the same members; over QQ the carried basis would
+    otherwise grow in height with the product of every map crossed.
     """
-    basis, moved = op(m, basis, [d for _, d in marks])
-    out = [(marks[0][0], moved[0])]
-    for (a, _), d in zip(marks[1:], moved[1:]):
-        if d != out[-1][1]:
-            out.append((a, d))
-    if basis.cols == basis.rows and all(d in (0, basis.cols) for _, d in out):
-        # every member is 0 or the whole space, which the identity spans;
-        # the carried basis would only grow in height over QQ
-        basis = full_space(basis.field, basis.rows)
-    return basis, out
+    if basis.cols == basis.rows and all(d in (0, basis.cols) for d in dims):
+        return full_space(basis.field, basis.rows)
+    return basis
 
 
-def _rank_jumps(a_basis, a_marks, r_basis, r_marks) -> dict[int, int]:
+def _rank_jumps(a_basis: Matrix, r_basis: Matrix, marks: list[tuple]) -> dict[int, int]:
     """Sparse derivative a -> r[a,k] - r[a-1,k] of the current rank row.
 
     r[a,k] = dim(A[a] + R[a]) - dim R[a]; it needs a rank only when both
     members are nonzero.
     """
-    starts = sorted({a for a, _ in a_marks} | {a for a, _ in r_marks})
-    ai = ri = 0
     jumps: dict[int, int] = {}
     prev_val = 0
-    for pos, s in enumerate(starts):
-        while ai + 1 < len(a_marks) and a_marks[ai + 1][0] <= s:
-            ai += 1
-        while ri + 1 < len(r_marks) and r_marks[ri + 1][0] <= s:
-            ri += 1
-        adim, rdim = a_marks[ai][1], r_marks[ri][1]
+    for a, adim, rdim in marks:
         val = prefix_sum_dim(a_basis, adim, r_basis, rdim) - rdim
-        if pos == 0:
-            if val:
-                jumps[s] = val
-        else:
-            jump = val - prev_val
-            if jump < 0:
-                raise InternalCheckError("rank row decreased in the left endpoint")
-            if jump:
-                jumps[s] = jump
+        if val < prev_val:
+            raise InternalCheckError("rank row decreased in the left endpoint")
+        if val > prev_val:
+            jumps[a] = val - prev_val
         prev_val = val
     return jumps

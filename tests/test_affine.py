@@ -38,6 +38,7 @@ from hnzz.generators import gen_affine
 
 from conftest import conjugating_bases, make_rng
 
+TESTS = Path(__file__).resolve().parent
 # the running 6-cycle example: only e_3 is counterclockwise
 EX = AffineQuiver(6, (CW, CW, CW, CCW, CW, CW))
 
@@ -392,9 +393,6 @@ class TestRecoverMultiplicities:
                     if p_value(aq, u, v) == 1 or NClass(u, v) in truth_n:
                         continue
                     assert recover_N_multiplicities(aq, report, u, v) == 0
-
-
-TESTS = Path(__file__).resolve().parent
 
 
 def test_example_script_writes_golden_files(tmp_path):
