@@ -8,6 +8,10 @@ next stage, and returns explicit filtration bases in the input
 coordinates.  It works on any acyclic quiver but raises GuardError past
 fixed limits: total dimension ``ORACLE_MAX_TOTAL_DIM[p]`` (below) and
 the enumerator limits ``ENUM_MAX_DIM``, ``ENUM_MAX_P`` (in ``linalg``).
+A scan enumerates the superspaces of each (vertex, floor) pair at most
+twice, streaming them on the first visit and keeping them from the
+second, and each pass prices one slope per quotient dimension vector;
+both memos are freed when their scan or pass ends.
 ``hn_from_barcode`` is the fast route for equioriented type-A
 representations under the Euler weights: one step per interval family
 [0, j] plus a final slope-0 step for everything else.
@@ -127,6 +131,11 @@ def subrepresentations(
     each vertex only the subspaces containing ``above`` and the images of
     the already-chosen subspaces along in-edges are enumerated, so every
     yielded tuple is closed under the edge maps and appears exactly once.
+
+    The superspaces of one floor at one vertex are the same on every
+    visit.  The first visit of a (vertex, floor) key streams them; the
+    second keeps them as a tuple that later visits reuse.  So a key
+    visited once holds nothing, and the memo lives as long as the scan.
     """
     if above is None:
         above = [zero_space(v.field, d) for d in v.dims]
@@ -137,6 +146,8 @@ def subrepresentations(
     for e, (_, dst) in enumerate(v.quiver.edges):
         in_edges[dst].append(e)
     chosen: dict[int, Matrix] = {}
+    # (vertex, floor) -> None after one visit, the superspaces after two
+    memo: dict[tuple[int, Matrix], tuple[Matrix, ...] | None] = {}
 
     def walk(i: int) -> Iterator[tuple[Matrix, ...]]:
         if i == len(order):
@@ -147,7 +158,15 @@ def subrepresentations(
         images = [v.mats[e] @ chosen[v.quiver.edges[e][0]] for e in in_edges[x]]
         if images:
             floor = column_echelon(hstack([floor] + images))
-        for u in superspace_enumerator(floor):
+        key = (x, floor)
+        supers = memo.get(key)
+        if supers is None:
+            if key in memo:
+                supers = memo[key] = tuple(superspace_enumerator(floor))
+            else:
+                memo[key] = None
+                supers = superspace_enumerator(floor)
+        for u in supers:
             chosen[x] = u
             yield from walk(i + 1)
         chosen.pop(x, None)
@@ -177,32 +196,37 @@ def _hn_stages(
     """(slope, quotient dims, stage bases) per HN stage; none for v = 0.
 
     The subrepresentations of v containing a stage are those of v / stage,
-    so each pass keys them by their dimensions beyond the stage.
+    so each pass keys them by their dimensions beyond the stage.  A pass
+    keeps, per quotient dimension vector, the first bases seen and a
+    count, and prices each distinct vector once by (slope, total
+    dimension); the counts of every vector with the best key must sum to
+    one.
     """
     stage = None
     done = (0,) * v.quiver.vertex_count
     stages = []
     while sum(done) < v.total_dim():
-        best: tuple[Fraction, int] | None = None
-        ties: list[tuple[Matrix, ...]] = []
+        seen: dict[tuple[int, ...], list] = {}  # quotient dims -> [first bases, count]
         for bases in subrepresentations(v, above=stage):
-            dims = [b.cols - d for b, d in zip(bases, done)]
-            total = sum(dims)
-            if total == 0:
-                continue
-            key = (slope_of_dims(dims, alpha), total)
-            if best is None or key > best:
-                best, ties = key, [bases]
-            elif key == best:
-                ties.append(bases)
-        if len(ties) != 1:
+            dims = tuple(b.cols - d for b, d in zip(bases, done))
+            entry = seen.get(dims)
+            if entry is None:
+                seen[dims] = [bases, 1]
+            else:
+                entry[1] += 1
+        keys = {
+            dims: (slope_of_dims(dims, alpha), sum(dims)) for dims in seen if any(dims)
+        }
+        best = max(keys.values())
+        winners = [dims for dims, key in keys.items() if key == best]
+        count = sum(seen[dims][1] for dims in winners)
+        if count != 1:
             raise InternalCheckError(
-                f"maximal destabilizer is not unique ({len(ties)} candidates)"
+                f"maximal destabilizer is not unique ({count} candidates)"
             )
-        stage = ties[0]
-        top_dims = tuple(b.cols for b in stage)
-        stages.append((best[0], tuple(t - d for t, d in zip(top_dims, done)), stage))
-        done = top_dims
+        stage = seen[winners[0]][0]
+        stages.append((best[0], winners[0], stage))
+        done = tuple(b.cols for b in stage)
     return stages
 
 

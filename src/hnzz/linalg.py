@@ -572,12 +572,15 @@ def superspace_enumerator(floor: Matrix) -> Iterator[Matrix]:
 
     Enumerates subspaces of the quotient K^d / span(floor) through the
     complement-row coordinates of the echelon basis ``floor`` and lifts
-    them back, so each superspace is produced exactly once.
+    them back, so each superspace is produced exactly once.  A zero floor
+    yields ``subspace_enumerator(d, p)`` as it is, canonical already.
     """
     field = floor.field
     if not isinstance(field, PrimeField):
         raise ValidationError("superspace enumeration needs a prime field")
     d = floor.rows
+    if floor.cols == 0:
+        return subspace_enumerator(d, field.p)
     taken = set(pivot_rows(floor))
     free_rows = [r for r in range(d) if r not in taken]
     q = len(free_rows)

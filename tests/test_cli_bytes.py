@@ -1,9 +1,10 @@
 """Byte pins of CLI stdout on seeded generated instances.
 
-Each case generates an instance with ``hnzz gen`` and runs one command
-on it; the sha256 of everything the command prints must match the digest
-recorded here.  The elimination kernel, the lift classification and the
-oracle may be rewritten freely, but not one output byte may move.
+Each case generates an instance with ``hnzz gen`` (the guard-edge cases
+write a zero-map path instead) and runs one command on it; the sha256 of
+everything the command prints must match the digest recorded here.  The
+elimination kernel, the lift classification and the oracle may be
+rewritten freely, but not one output byte may move.
 """
 
 import hashlib
@@ -12,6 +13,10 @@ import json
 import pytest
 
 from hnzz.cli import main
+from hnzz.generators import equioriented_quiver
+from hnzz.linalg import GF, Matrix
+from hnzz.quiver import Representation
+from hnzz.serialize import instance_to_json
 
 # id -> (gen arguments, command with {inst} for the instance path, digest)
 CASES = {
@@ -129,6 +134,32 @@ def test_custom_weights_stdout_bytes_pinned(case, tmp_path, capsys):
     wfile = tmp_path / "weights.json"
     wfile.write_text(json.dumps(weights))
     assert main(["hn", inst, "--stability", str(wfile), "--oracle"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# id -> (vertex dimensions of a zero-map GF(2) path, digest of ``hn
+# --oracle``); the heaviest scans the default oracle guard admits
+GUARD_EDGE_CASES = {
+    "hn-oracle-guard-edge-62": (
+        (6, 2),
+        "3bd1f408c0b5823c871e429967697a7d5227216373ef94827d1ee26f9c3f1963",
+    ),
+    "hn-oracle-guard-edge-611": (
+        (6, 1, 1),
+        "2f77c8c2c8754ce01a5b7cc69803afa9782bfd1c013103d0127f07fe44ba2681",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GUARD_EDGE_CASES))
+def test_guard_edge_stdout_bytes_pinned(case, tmp_path, capsys):
+    dims, digest = GUARD_EDGE_CASES[case]
+    q = equioriented_quiver(len(dims))
+    mats = tuple(Matrix.zeros(GF(2), dims[dst], dims[src]) for src, dst in q.edges)
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(instance_to_json(Representation(q, GF(2), dims, mats))))
+    assert main(["hn", str(inst), "--oracle"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 

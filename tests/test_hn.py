@@ -1,12 +1,13 @@
 import hashlib
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 import hnzz.hn as hn_module
 from hnzz import campaign
-from hnzz.errors import GuardError, ShapeError, ValidationError
+from hnzz.errors import GuardError, InternalCheckError, ShapeError, ValidationError
 from hnzz.linalg import GF, QQ, Matrix, subspace_contains, zero_space
 from hnzz.quiver import (
     Quiver,
@@ -231,6 +232,64 @@ class TestBruteforce:
         flipped = hn_bruteforce(v, EPS3)
         assert flipped.steps == baseline.steps
         assert flipped.witness == baseline.witness
+
+    def test_duplicate_destabilizer_detected(self, monkeypatch):
+        # a pass groups subrepresentations by quotient dimensions; the
+        # candidates of the best key must still be counted one by one
+        original = hn_module.subrepresentations
+
+        def twice(v, above=None):
+            for bases in original(v, above=above):
+                yield bases
+                yield bases
+
+        monkeypatch.setattr(hn_module, "subrepresentations", twice)
+        with pytest.raises(
+            InternalCheckError, match=r"^maximal destabilizer is not unique \(2 candidates\)$"
+        ):
+            hn_bruteforce(three_step_module(), EPS3)
+
+
+def zero_map_path(dims, fld=GF(2)):
+    """The equioriented path with vertex dimensions ``dims`` and zero maps."""
+    q = equioriented_quiver(len(dims))
+    mats = tuple(Matrix.zeros(fld, dims[dst], dims[src]) for src, dst in q.edges)
+    return Representation(q, fld, tuple(dims), mats)
+
+
+class TestScanWork:
+    """The oracle enumerates each floor at most twice per scan and holds
+    one candidate per quotient dimension vector per pass."""
+
+    @pytest.mark.parametrize("dims", [(6, 2), (6, 1, 1)])
+    def test_enumerations_per_guard_edge_scan(self, dims, monkeypatch):
+        original = hn_module.superspace_enumerator
+        calls = []
+
+        def counting(floor):
+            calls.append(floor)
+            return original(floor)
+
+        monkeypatch.setattr(hn_module, "superspace_enumerator", counting)
+        v = zero_map_path(dims)
+        report = hn_bruteforce(v, euler_stability(v.quiver))
+        assert report.total_dims() == dims
+        # one enumeration per (vertex, floor) visited once, two otherwise;
+        # without the memo these scans made 2,828 and 8,480 calls
+        assert len(calls) <= 10
+
+    def test_peak_memory_of_single_vertex_scan(self):
+        # the k-dimensional subspaces of GF(2)^6 share one key until the
+        # scan reaches dimension k + 1; listing them all as tied
+        # candidates peaked at about 1 MiB
+        v = zero_map_path((0, 6))
+        tracemalloc.start()
+        try:
+            hn_bruteforce(v, euler_stability(v.quiver))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.6 * 2**20
 
 
 # draw, seed, sha256 of the steps and witness bases of the oracle runs

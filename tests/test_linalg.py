@@ -414,6 +414,12 @@ class TestSubspaceOps:
         assert all(subspace_contains(u, floor) for u in sup)
         assert len({(u.cols, u.data) for u in sup}) == len(sup)
 
+    @pytest.mark.parametrize("dim,p", [(d, 2) for d in range(5)] + [(d, 3) for d in range(4)])
+    def test_superspaces_of_zero_floor(self, dim, p):
+        # the zero floor hands back the subspace enumeration as it is
+        got = list(superspace_enumerator(zero_space(GF(p), dim)))
+        assert got == list(subspace_enumerator(dim, p))
+
     def test_inverse_roundtrip(self):
         m = random_invertible_rng(3, GF(7), random.Random(11))
         assert m @ inverse(m) == Matrix.identity(GF(7), 3)
