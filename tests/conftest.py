@@ -15,6 +15,13 @@ def make_rng(seed: int) -> random.Random:
     return random.Random(seed)
 
 
+def zero_map_path(dims, fld=GF(2)) -> Representation:
+    """The equioriented path with vertex dimensions ``dims`` and zero maps."""
+    q = Quiver(len(dims), tuple((k, k + 1) for k in range(len(dims) - 1)))
+    mats = tuple(Matrix.zeros(fld, dims[dst], dims[src]) for src, dst in q.edges)
+    return Representation(q, fld, tuple(dims), mats)
+
+
 def random_path_quiver(n: int, rng: random.Random) -> Quiver:
     """Path on 0..n-1 with random edge orientations."""
     edges = []

@@ -13,10 +13,9 @@ import json
 import pytest
 
 from hnzz.cli import main
-from hnzz.generators import equioriented_quiver
-from hnzz.linalg import GF, Matrix
-from hnzz.quiver import Representation
 from hnzz.serialize import instance_to_json
+
+from conftest import zero_map_path
 
 # id -> (gen arguments, command with {inst} for the instance path, digest)
 CASES = {
@@ -155,10 +154,8 @@ GUARD_EDGE_CASES = {
 @pytest.mark.parametrize("case", sorted(GUARD_EDGE_CASES))
 def test_guard_edge_stdout_bytes_pinned(case, tmp_path, capsys):
     dims, digest = GUARD_EDGE_CASES[case]
-    q = equioriented_quiver(len(dims))
-    mats = tuple(Matrix.zeros(GF(2), dims[dst], dims[src]) for src, dst in q.edges)
     inst = tmp_path / "inst.json"
-    inst.write_text(json.dumps(instance_to_json(Representation(q, GF(2), dims, mats))))
+    inst.write_text(json.dumps(instance_to_json(zero_map_path(dims))))
     assert main(["hn", str(inst), "--oracle"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

@@ -33,7 +33,7 @@ from hnzz.hn import (
 )
 from hnzz.generators import equioriented_quiver, gen_persistence
 
-from conftest import conjugating_bases, make_rng
+from conftest import conjugating_bases, make_rng, zero_map_path
 
 A2 = equioriented_quiver(2)
 A3 = equioriented_quiver(3)
@@ -248,13 +248,6 @@ class TestBruteforce:
             InternalCheckError, match=r"^maximal destabilizer is not unique \(2 candidates\)$"
         ):
             hn_bruteforce(three_step_module(), EPS3)
-
-
-def zero_map_path(dims, fld=GF(2)):
-    """The equioriented path with vertex dimensions ``dims`` and zero maps."""
-    q = equioriented_quiver(len(dims))
-    mats = tuple(Matrix.zeros(fld, dims[dst], dims[src]) for src, dst in q.edges)
-    return Representation(q, fld, tuple(dims), mats)
 
 
 class TestScanWork:
