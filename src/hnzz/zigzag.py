@@ -38,9 +38,7 @@ its own.  Both chains cross an edge by the same flag operation of
   kernel of [m | member].  One RREF of [m | basis], x columns first,
   gives them all: the kernel vector of a free column is zero past that
   column, so each member's preimage is spanned by the x-parts of the
-  free columns among its first ``m.cols + dim`` columns.  An empty R
-  flag pulls back to the kernel of m, found once per sweep for each
-  distinct edge matrix: a lift window repeats each one every n positions.
+  free columns among its first ``m.cols + dim`` columns.
 
 Then the start k joins as the mark (k, dim V_k, 0): A[k] is V_k (the
 image basis is extended by unit vectors, one elimination, unless it
@@ -257,8 +255,6 @@ def barcode(v: Representation) -> Barcode:
     marks = [(0, dims[0], 0)]
     found: dict[tuple[int, int], int] = {}
     prev_g: dict[int, int] = {}
-    # edge matrix -> its kernel, the preimage of an empty R flag
-    kernels: dict[Matrix, Matrix] = {}
 
     for k in range(n):
         if k > 0:
@@ -267,13 +263,7 @@ def barcode(v: Representation) -> Barcode:
             op = flag_image if forward else flag_preimage
             starts, a_dims, r_dims = zip(*marks)
             a_basis, a_dims = op(m, a_basis, a_dims)
-            if forward or r_basis.cols:
-                r_basis, r_dims = op(m, r_basis, r_dims)
-            else:
-                ker = kernels.get(m)
-                if ker is None:
-                    ker = kernels[m] = flag_preimage(m, r_basis, ())[0]
-                r_basis, r_dims = ker, [ker.cols] * len(starts)
+            r_basis, r_dims = op(m, r_basis, r_dims)
             a_basis = flag_completed(_rebased(a_basis, a_dims))
             r_basis = _rebased(r_basis, r_dims)
             # nested members of equal dimension are equal: keep the first start
