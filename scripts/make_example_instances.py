@@ -50,7 +50,7 @@ def main() -> None:
             "hn": hn_to_json(eta_from_lift(rep)),
         }
         write_json(os.path.join(args.dir, f"{name}.report.json"), report)
-        print(f"{name}: dims={list(rep.dims)} d_inf={d_inf} classes={classes}")
+        print(f"{name}: dims={list(rep.dims)} d_inf={d_inf} classes={classes_to_json(classes)}")
 
 
 if __name__ == "__main__":

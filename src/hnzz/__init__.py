@@ -15,7 +15,7 @@ from .linalg import GF, QQ, Matrix
 from .quiver import Quiver, Representation, StabilityCondition
 from .zigzag import Barcode, Interval
 from .hn import HNReport
-from .affine import AffineQuiver, LiftWindow
+from .affine import AffineQuiver
 
 __all__ = [
     "GF",
@@ -28,7 +28,6 @@ __all__ = [
     "Interval",
     "HNReport",
     "AffineQuiver",
-    "LiftWindow",
 ]
 
 __version__ = "0.1.0"

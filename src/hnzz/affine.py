@@ -20,6 +20,11 @@ of diagonal tracks, one per integer translate of [u, v].
 The Jordan-cell indecomposable T[lambda; w] has dimension w everywhere,
 identity maps except on e_0, and the w x w upper Jordan block with
 eigenvalue lambda on e_0.
+
+A lift window is the plain length D of the truncated unwinding 0..D;
+``classify_lift`` alone checks it (a multiple of n, at least
+``default_window``) and keys each wrapped interval it recovers by its
+``NClass(u, v)``, the same key the generators and serializers use.
 """
 
 from __future__ import annotations
@@ -56,7 +61,7 @@ class AffineQuiver:
             raise ShapeError("a consistent orientation gives a directed cycle")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class NClass:
     """Wrapped-interval class: u normalised into [0, n-1], v >= u."""
 
@@ -70,20 +75,6 @@ class TClass:
 
     lam: object
     w: int
-
-
-@dataclass(frozen=True)
-class LiftWindow:
-    """Truncation window 0..D of the unwinding; D a multiple of n, D >= 2n."""
-
-    n: int
-    D: int
-
-    def __post_init__(self):
-        if self.D % self.n != 0 or self.D < 2 * self.n:
-            raise ShapeError(
-                f"window length {self.D} must be a multiple of n={self.n} and at least {2 * self.n}"
-            )
 
 
 def to_quiver(aq: AffineQuiver) -> Quiver:
@@ -187,19 +178,18 @@ def euler_slope_N(aq: AffineQuiver, u: int, v: int) -> Fraction:
     return Fraction(1 - p_value(aq, u, v), v - u + 1)
 
 
-def default_window(v: Representation) -> LiftWindow:
-    """Window long enough that every wrapped interval has an unclipped copy.
+def default_window(v: Representation) -> int:
+    """Window length D at which every wrapped interval has an unclipped copy.
 
     D = (dim at x_0 + 2) * n: any wrapped interval crosses x_0 at most
     dim-at-x_0 times, so its length is under (dim + 1) * n and the
-    translate starting in [1, n] fits strictly inside the window.
+    translate starting in [1, n] fits strictly inside the window 0..D.
     """
-    aq = affine_of_quiver(v.quiver)
-    return LiftWindow(aq.n, (v.dims[0] + 2) * aq.n)
+    return (v.dims[0] + 2) * affine_of_quiver(v.quiver).n
 
 
-def lift_truncated(v: Representation, window: LiftWindow) -> Representation:
-    """The unwinding of v restricted to positions 0..D of the window.
+def lift_truncated(v: Representation, D: int) -> Representation:
+    """The unwinding of v restricted to positions 0..D.
 
     Position i carries the space at vertex i mod n; the edge between
     i-1 and i carries the matrix of e_{i mod n} and points right exactly
@@ -207,9 +197,6 @@ def lift_truncated(v: Representation, window: LiftWindow) -> Representation:
     """
     aq = affine_of_quiver(v.quiver)
     n = aq.n
-    if window.n != n:
-        raise ShapeError("window was built for a different cycle length")
-    D = window.D
     dims = tuple(v.dims[i % n] for i in range(D + 1))
     edges = []
     mats = []
@@ -220,48 +207,43 @@ def lift_truncated(v: Representation, window: LiftWindow) -> Representation:
     return Representation(Quiver(D + 1, tuple(edges)), v.field, dims, tuple(mats))
 
 
-def _checked_window(v: Representation, window: LiftWindow | None) -> LiftWindow:
-    """``window``, or the default one, once it is known to be long enough.
-
-    A window shorter than ``default_window(v)`` can clip every translate
-    of a wrapped interval and silently report wrong classes, so it is
-    refused before anything is lifted.
-    """
-    bound = default_window(v)
-    if window is None:
-        return bound
-    if window.D < bound.D:
-        raise ShapeError(
-            f"window length {window.D} is below {bound.D} = (dim at x_0 + 2) * n, "
-            "the shortest window that certifies every summand"
-        )
-    return window
-
-
 def classify_lift(
-    v: Representation, window: LiftWindow | None = None
-) -> tuple[int, dict[tuple[int, int], int], Barcode]:
+    v: Representation, window: int | None = None
+) -> tuple[int, dict[NClass, int], Barcode]:
     """Summand multiplicities of v and the window barcode they come from.
 
-    Lifts v to the window (the default one if none is given), computes
-    the barcode of the truncated unwinding once and classifies its bars:
-    d_inf counts full-window bars (Jordan cells unwind to copies of the
-    two-sided infinite interval, one per Jordan-cell dimension) and
-    classes maps (u, length) to the multiplicity of the wrapped interval
-    starting at residue u.  Each wrapped interval is counted once, by its
-    unclipped translate starting in [1, n] and ending before D; a bar
-    touching a window boundary is a clipped translate and a bar starting
-    past n a repeated one, and both are dropped.  Any other bar of length
-    (dim at x_0 + 1) * n or more is no translate at all and raises
-    InternalCheckError.  Raises ShapeError for a window shorter than
-    ``default_window(v)``.
+    Lifts v to the window 0..D (D = ``default_window(v)`` if ``window`` is
+    None), computes the barcode of the truncated unwinding once and
+    classifies its bars: d_inf counts full-window bars (Jordan cells
+    unwind to copies of the two-sided infinite interval, one per
+    Jordan-cell dimension) and classes maps the ``NClass`` of each
+    wrapped interval to its multiplicity.  Each wrapped interval is
+    counted once, by its unclipped translate starting in [1, n] and
+    ending before D; a bar touching a window boundary is a clipped
+    translate and a bar starting past n a repeated one, and both are
+    dropped.  Any other bar of length (dim at x_0 + 1) * n or more is no
+    translate at all and raises InternalCheckError.
+
+    This is the one place a window length is checked: it must be a
+    multiple of n and at least ``default_window(v)``, since a shorter
+    window can clip every translate of a wrapped interval and silently
+    report wrong classes.  Either failure raises ShapeError before
+    anything is lifted.
     """
-    window = _checked_window(v, window)
-    n, D = window.n, window.D
-    bar = barcode(lift_truncated(v, window))
+    bound = default_window(v)
+    n = v.quiver.vertex_count
+    D = bound if window is None else window
+    if D % n != 0:
+        raise ShapeError(f"window length {D} must be a multiple of n={n}")
+    if D < bound:
+        raise ShapeError(
+            f"window length {D} is below {bound} = (dim at x_0 + 2) * n, "
+            "the shortest window that certifies every summand"
+        )
+    bar = barcode(lift_truncated(v, D))
     clip_bound = (v.dims[0] + 1) * n
     d_inf = 0
-    classes: dict[tuple[int, int], int] = {}
+    classes: dict[NClass, int] = {}
     for iv, mult in bar:
         lo, hi = iv.lo, iv.hi
         if lo == 0 and hi == D:
@@ -271,14 +253,15 @@ def classify_lift(
                 f"bar [{lo},{hi}] is too long to be a wrapped-interval translate"
             )
         elif 1 <= lo <= n and hi < D:
-            key = (lo % n, hi - lo)
+            u = lo % n
+            key = NClass(u, u + hi - lo)
             classes[key] = classes.get(key, 0) + mult
     return d_inf, classes, bar
 
 
 def lifted_multiplicities(
-    v: Representation, window: LiftWindow | None = None
-) -> tuple[int, dict[tuple[int, int], int]]:
+    v: Representation, window: int | None = None
+) -> tuple[int, dict[NClass, int]]:
     """(d_inf, classes) of ``classify_lift``, without the window barcode."""
     d_inf, classes, _ = classify_lift(v, window)
     return d_inf, classes
@@ -298,8 +281,8 @@ def eta_from_lift(v: Representation) -> HNReport:
     n = aq.n
     d_inf, classes = lifted_multiplicities(v)
     parts = [
-        (euler_slope_N(aq, u, u + length), tuple(mult * d for d in wrap_counts(n, u, u + length)))
-        for (u, length), mult in classes.items()
+        (euler_slope_N(aq, c.u, c.v), tuple(mult * d for d in wrap_counts(n, c.u, c.v)))
+        for c, mult in classes.items()
     ]
     if d_inf:
         parts.append((Fraction(0), (d_inf,) * n))

@@ -76,7 +76,7 @@ def check_b(case: Case) -> str | None:
     # every summand class and every other class shorter than 2n; slope-0
     # (p = 1) classes blend together and are not recoverable
     classes = set(truth_n) | {NClass(u, u + k) for u in range(aq.n) for k in range(2 * aq.n)}
-    for cls in sorted(classes, key=lambda c: (c.u, c.v)):
+    for cls in sorted(classes):
         if p_value(aq, cls.u, cls.v) == 1:
             continue
         got = recover_N_multiplicities(aq, fast, cls.u, cls.v)

@@ -14,7 +14,7 @@ import random
 import sys
 
 from . import campaign
-from .affine import LiftWindow, classify_lift, eta_from_lift
+from .affine import classify_lift, eta_from_lift
 from .errors import (
     GuardError,
     InternalCheckError,
@@ -87,8 +87,7 @@ def _cmd_lift(args) -> int:
     inst = instance_from_json(load_json(args.input))
     if inst.affine is None:
         raise ShapeError("lift requires an affine instance")
-    window = LiftWindow(inst.affine.n, args.window) if args.window is not None else None
-    d_inf, classes, bar = classify_lift(inst.rep, window)
+    d_inf, classes, bar = classify_lift(inst.rep, args.window)
     doc = {
         "d_inf": d_inf,
         "classes": classes_to_json(classes),

@@ -175,19 +175,14 @@ def subrepresentations(
 
 
 def is_semistable(v: Representation, alpha: StabilityCondition) -> bool:
-    """True iff no nonzero subrepresentation has a strictly larger slope."""
-    _check_oracle_guard(v)
-    check_weights(v.quiver, alpha)
-    if v.is_zero():
+    """True iff no nonzero subrepresentation has a strictly larger slope.
+
+    One oracle pass: v is semistable iff its HN filtration has one step.
+    """
+    steps = hn_bruteforce(v, alpha).steps
+    if not steps:
         raise ValidationError("semistability of the zero representation is undefined")
-    bound = slope_of_dims(v.dims, alpha)
-    for bases in subrepresentations(v):
-        dims = [b.cols for b in bases]
-        if sum(dims) == 0:
-            continue
-        if slope_of_dims(dims, alpha) > bound:
-            return False
-    return True
+    return len(steps) == 1
 
 
 def _hn_stages(

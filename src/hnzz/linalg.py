@@ -65,9 +65,6 @@ class RationalField:
         except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
             raise ValidationError(f"QQ entry {shown(value)} is not a rational") from exc
 
-    def sub(self, a, b):
-        return a - b
-
     def neg(self, a):
         return -a
 
@@ -82,9 +79,6 @@ class RationalField:
     def sub_scaled_row(self, row: list, f, prow: list) -> list:
         """``row - f * prow`` entrywise, in one pass over the row."""
         return [x - f * y for x, y in zip(row, prow)]
-
-    def contains(self, value) -> bool:
-        return isinstance(value, Fraction)
 
     def __repr__(self) -> str:
         return "QQ"
@@ -116,9 +110,6 @@ class PrimeField:
             raise ValidationError(f"GF({self.p}) entry must be an int, not {type(value).__name__}")
         return value % self.p
 
-    def sub(self, a, b):
-        return (a - b) % self.p
-
     def neg(self, a):
         return (-a) % self.p
 
@@ -133,9 +124,6 @@ class PrimeField:
         """``row - f * prow`` entrywise, reduced once per entry."""
         p = self.p
         return [(x - f * y) % p for x, y in zip(row, prow)]
-
-    def contains(self, value) -> bool:
-        return isinstance(value, int) and 0 <= value < self.p
 
     def __repr__(self) -> str:
         return f"GF({self.p})"
@@ -242,16 +230,6 @@ class Matrix:
                     acc = sub_scaled(acc, neg(a), orow)  # acc + a * orow
             out.append(acc)
         return Matrix._canonical(field, out, other.cols)
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        if self.field != other.field or self.rows != other.rows or self.cols != other.cols:
-            raise ValidationError("subtraction shape/field mismatch")
-        sub = self.field.sub
-        data = [
-            [sub(a, b) for a, b in zip(ra, rb)]
-            for ra, rb in zip(self.data, other.data)
-        ]
-        return Matrix._canonical(self.field, data, self.cols)
 
 
 def hstack(mats: Iterable[Matrix]) -> Matrix:

@@ -26,6 +26,8 @@ class Quiver:
     edges: tuple[Edge, ...]
 
     def __post_init__(self):
+        if self.vertex_count < 0:
+            raise ValidationError(f"vertex count {self.vertex_count} is negative")
         object.__setattr__(self, "edges", tuple((int(s), int(d)) for s, d in self.edges))
         for src, dst in self.edges:
             if not (0 <= src < self.vertex_count and 0 <= dst < self.vertex_count):

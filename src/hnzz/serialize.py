@@ -168,11 +168,8 @@ def hn_to_json(report: HNReport) -> list[dict]:
     ]
 
 
-def classes_to_json(classes: dict[tuple[int, int], int]) -> list[dict]:
-    return [
-        {"u": u, "len": length, "mult": classes[(u, length)]}
-        for u, length in sorted(classes)
-    ]
+def classes_to_json(classes: dict[NClass, int]) -> list[dict]:
+    return [{"u": c.u, "len": c.v - c.u, "mult": classes[c]} for c in sorted(classes)]
 
 
 def weights_from_json(items) -> StabilityCondition:
@@ -194,7 +191,7 @@ def truth_to_json(
         ]
     if n_classes is not None or t_classes is not None:
         summands = []
-        for cls in sorted(n_classes or {}, key=lambda c: (c.u, c.v)):
+        for cls in sorted(n_classes or {}):
             summands.append({"type": "N", "u": cls.u, "v": cls.v, "mult": n_classes[cls]})
         for cls in sorted(t_classes or {}, key=lambda c: (str(c.lam), c.w)):
             summands.append(

@@ -202,7 +202,7 @@ def generalized_rank(v: Representation, iv: Interval) -> int:
             row = [zero] * total
             for j in range(dims[src]):
                 row[offset[src] + j] = m.data[i][j]
-            row[offset[dst] + i] = fld.sub(row[offset[dst] + i], fld.one)
+            row[offset[dst] + i] = fld.neg(fld.one)
             comp_rows.append(row)
     if comp_rows:
         limit = kernel_basis(Matrix(fld, comp_rows, total))
@@ -216,7 +216,7 @@ def generalized_rank(v: Representation, iv: Interval) -> int:
             col = [zero] * total
             for i in range(dims[dst]):
                 col[offset[dst] + i] = m.data[i][j]
-            col[offset[src] + j] = fld.sub(col[offset[src] + j], fld.one)
+            col[offset[src] + j] = fld.neg(fld.one)
             glue_cols.append(col)
     if glue_cols:
         glue = Matrix(fld, list(zip(*glue_cols)), len(glue_cols))

@@ -19,9 +19,9 @@ from hnzz.affine import (
     CCW,
     CW,
     AffineQuiver,
-    LiftWindow,
     NClass,
     affine_of_quiver,
+    classify_lift,
     default_window,
     eta_from_lift,
     euler_slope_N,
@@ -71,10 +71,14 @@ class TestQuiverConstruction:
                 assert affine_of_quiver(to_quiver(aq)) == aq
 
     def test_window_validation(self):
-        with pytest.raises(ShapeError):
-            LiftWindow(3, 7)
-        with pytest.raises(ShapeError):
-            LiftWindow(3, 3)
+        v = indec_N(AffineQuiver(3, (CW, CW, CCW)), 0, 2, GF(2))  # dim 1 at x_0
+        assert default_window(v) == 9
+        for window in (7, 10):
+            with pytest.raises(ShapeError, match="multiple of n=3"):
+                classify_lift(v, window)
+        for window in (3, 6):
+            with pytest.raises(ShapeError, match="below 9"):
+                classify_lift(v, window)
 
 
 class TestIndecN:
@@ -188,12 +192,12 @@ class TestPValue:
 class TestWindow:
     def test_default_examples(self):
         v = indec_N(EX, 1, 9, GF(5))  # dim 1 at x_0
-        assert default_window(v).D == 18
+        assert default_window(v) == 18
         z = zero_representation(to_quiver(AffineQuiver(3, (CW, CW, CCW))), QQ)
-        assert default_window(z).D == 6
+        assert default_window(z) == 6
         aq2 = AffineQuiver(2, (CW, CCW))
         t = indec_T(aq2, 1, 2, GF(3))
-        assert default_window(t).D == 8
+        assert default_window(t) == 8
 
 
 class TestLift:
@@ -201,15 +205,15 @@ class TestLift:
         v = indec_T(EX, 1, 1, GF(3))
         w = default_window(v)
         lifted = lift_truncated(v, w)
-        assert lifted.dims == (1,) * (w.D + 1)
+        assert lifted.dims == (1,) * (w + 1)
         assert all(m == Matrix.identity(GF(3), 1) for m in lifted.mats)
-        assert barcode(lifted).as_dict() == {Interval(0, w.D): 1}
+        assert barcode(lifted).as_dict() == {Interval(0, w): 1}
 
     def test_dims_periodic(self):
         v = indec_N(EX, 1, 9, GF(2))
         w = default_window(v)
         lifted = lift_truncated(v, w)
-        for i in range(w.D + 1):
+        for i in range(w + 1):
             assert lifted.dims[i] == v.dims[i % 6]
 
     def test_translates_of_wrapped_interval(self):
@@ -227,9 +231,9 @@ class TestLift:
             w = default_window(rep)
             expected = {}
             c = -(v // n) - 2
-            while u + c * n <= w.D:
+            while u + c * n <= w:
                 lo, hi = u + c * n, v + c * n
-                lo2, hi2 = max(lo, 0), min(hi, w.D)
+                lo2, hi2 = max(lo, 0), min(hi, w)
                 if lo2 <= hi2:
                     expected[Interval(lo2, hi2)] = expected.get(Interval(lo2, hi2), 0) + 1
                 c += 1
@@ -239,7 +243,12 @@ class TestLift:
         for w_size in (1, 2, 3):
             v = indec_T(EX, 2, w_size, GF(5))
             win = default_window(v)
-            assert barcode(lift_truncated(v, win)).as_dict() == {Interval(0, win.D): w_size}
+            assert barcode(lift_truncated(v, win)).as_dict() == {Interval(0, win): w_size}
+
+    def test_negative_window_refused(self):
+        # D = -3 would build a quiver on -2 vertices
+        with pytest.raises(ValidationError):
+            lift_truncated(indec_N(EX, 1, 9, GF(5)), -3)
 
     def test_example_contains_interval(self):
         v = indec_N(EX, 1, 9, GF(5))
@@ -254,7 +263,7 @@ class TestLiftedMultiplicities:
 
     def test_wrapped(self):
         d_inf, classes = lifted_multiplicities(indec_N(EX, 1, 9, GF(5)))
-        assert d_inf == 0 and classes == {(1, 8): 1}
+        assert d_inf == 0 and classes == {NClass(1, 9): 1}
 
     def test_mixtures_match_construction(self):
         rng = make_rng(32)
@@ -265,21 +274,20 @@ class TestLiftedMultiplicities:
                 n, fld, 3, rng, min_summands=1, max_len=3 * n - 1
             )
             d_inf, classes = lifted_multiplicities(rep)
-            assert classes == {(c.u, c.v - c.u): m for c, m in truth_n.items()}
+            assert classes == truth_n
             assert d_inf == sum(c.w * m for c, m in truth_t.items())
 
     def test_window_robustness(self):
         rng = make_rng(33)
         aq, rep, _, _ = gen_affine(4, GF(3), 3, rng, min_summands=1)
         base = default_window(rep)
-        bigger = LiftWindow(base.n, base.D + base.n)
-        assert lifted_multiplicities(rep, bigger) == lifted_multiplicities(rep, base)
+        assert lifted_multiplicities(rep, base + aq.n) == lifted_multiplicities(rep, base)
 
     def test_short_window_rejected(self):
         rep = indec_N(EX, 1, 9, GF(5))
         base = default_window(rep)
         with pytest.raises(ShapeError):
-            lifted_multiplicities(rep, LiftWindow(base.n, base.D - base.n))
+            lifted_multiplicities(rep, base - EX.n)
 
 
 class TestEtaFromLift:

@@ -29,6 +29,12 @@ A3 = Quiver(3, ((0, 1), (1, 2)))
 EX6 = Quiver(6, ((5, 0), (0, 1), (1, 2), (3, 2), (3, 4), (4, 5)))
 
 
+class TestQuiverConstruction:
+    def test_negative_vertex_count_refused(self):
+        with pytest.raises(ValidationError, match="negative"):
+            Quiver(-3, ())
+
+
 class TestAcyclicity:
     def test_path(self):
         assert is_acyclic(A3)

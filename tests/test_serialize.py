@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from hnzz.errors import ParseError, ValidationError
-from hnzz.affine import AffineQuiver, CCW, CW, indec_N
+from hnzz.affine import AffineQuiver, CCW, CW, NClass, indec_N
 from hnzz.generators import gen_affine, gen_persistence
 from hnzz.hn import hn_bruteforce
 from hnzz.linalg import GF, QQ
@@ -99,7 +99,7 @@ class TestReportCodecs:
         assert back == report.steps
 
     def test_classes_sorted(self):
-        doc = classes_to_json({(2, 1): 1, (0, 5): 2, (0, 1): 3})
+        doc = classes_to_json({NClass(2, 3): 1, NClass(0, 5): 2, NClass(0, 1): 3})
         assert [(c["u"], c["len"]) for c in doc] == [(0, 1), (0, 5), (2, 1)]
 
     def test_weights(self):
