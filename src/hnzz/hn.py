@@ -8,10 +8,12 @@ next stage, and returns explicit filtration bases in the input
 coordinates.  It works on any acyclic quiver but raises GuardError past
 fixed limits: total dimension ``ORACLE_MAX_TOTAL_DIM[p]`` (below) and
 the enumerator limits ``ENUM_MAX_DIM``, ``ENUM_MAX_P`` (in ``linalg``).
-A scan enumerates the superspaces of each (vertex, floor) pair at most
-twice, streaming them on the first visit and keeping them from the
-second, and each pass prices one slope per quotient dimension vector;
-both memos are freed when their scan or pass ends.
+A pass needs only a count and one witness per quotient dimension vector,
+so it does not walk the subrepresentations one by one: a suffix DP over
+the topological order builds one table per tuple of partial floors
+(``_quotient_table``), and the pass prices one slope per vector.  The
+tables are freed when the pass ends.  ``subrepresentations`` is the
+plain walk, kept as the reference the DP is tested against.
 ``hn_from_barcode`` is the fast route for equioriented type-A
 representations under the Euler weights: one step per interval family
 [0, j] plus a final slope-0 step for everything else.
@@ -131,11 +133,8 @@ def subrepresentations(
     each vertex only the subspaces containing ``above`` and the images of
     the already-chosen subspaces along in-edges are enumerated, so every
     yielded tuple is closed under the edge maps and appears exactly once.
-
-    The superspaces of one floor at one vertex are the same on every
-    visit.  The first visit of a (vertex, floor) key streams them; the
-    second keeps them as a tuple that later visits reuse.  So a key
-    visited once holds nothing, and the memo lives as long as the scan.
+    The oracle's suffix DP (``_quotient_table``) is tested against this
+    plain walk.
     """
     if above is None:
         above = [zero_space(v.field, d) for d in v.dims]
@@ -146,8 +145,6 @@ def subrepresentations(
     for e, (_, dst) in enumerate(v.quiver.edges):
         in_edges[dst].append(e)
     chosen: dict[int, Matrix] = {}
-    # (vertex, floor) -> None after one visit, the superspaces after two
-    memo: dict[tuple[int, Matrix], tuple[Matrix, ...] | None] = {}
 
     def walk(i: int) -> Iterator[tuple[Matrix, ...]]:
         if i == len(order):
@@ -158,15 +155,7 @@ def subrepresentations(
         images = [v.mats[e] @ chosen[v.quiver.edges[e][0]] for e in in_edges[x]]
         if images:
             floor = column_echelon(hstack([floor] + images))
-        key = (x, floor)
-        supers = memo.get(key)
-        if supers is None:
-            if key in memo:
-                supers = memo[key] = tuple(superspace_enumerator(floor))
-            else:
-                memo[key] = None
-                supers = superspace_enumerator(floor)
-        for u in supers:
+        for u in superspace_enumerator(floor):
             chosen[x] = u
             yield from walk(i + 1)
         chosen.pop(x, None)
@@ -185,30 +174,84 @@ def is_semistable(v: Representation, alpha: StabilityCondition) -> bool:
     return len(steps) == 1
 
 
+def _quotient_table(
+    v: Representation, above: Sequence[Matrix], done: Sequence[int]
+) -> dict[tuple[int, ...], list]:
+    """Quotient dims -> [first bases, count] over the subreps containing ``above``.
+
+    ``done`` is the dimension vector of ``above``; the first bases are the
+    first subrepresentation of ``subrepresentations(v, above)`` with those
+    quotient dims, and the count is how many it yields.  A suffix DP over
+    the topological order: the subrepresentations on ``order[i:]`` depend
+    on the choices before i only through the partial floors of those
+    vertices (``above`` plus the images of the chosen in-neighbours), so
+    one table per tuple of partial floors is built once and shared.  A
+    vertex of dimension 0 has one subspace and pushes nothing, so the
+    order skips it and the recursion is no deeper than the total dimension.
+    """
+    order = topological_order(v.quiver)
+    if order is None:
+        raise ShapeError("subrepresentation scan requires an acyclic quiver")
+    order = [x for x in order if v.dims[x]]
+    n = len(order)
+    pos = {x: i for i, x in enumerate(order)}
+    out_edges: dict[int, list[tuple[Matrix, int]]] = {x: [] for x in order}
+    for m, (src, dst) in zip(v.mats, v.quiver.edges):
+        if src in pos and dst in pos:
+            out_edges[src].append((m, dst))
+    # partial floors of order[i:] -> suffix dims (in that order) -> [bases, count]
+    memo: dict[tuple[Matrix, ...], dict[tuple[int, ...], list]] = {(): {(): [(), 1]}}
+
+    def table(floors: tuple[Matrix, ...]) -> dict[tuple[int, ...], list]:
+        got = memo.get(floors)
+        if got is not None:
+            return got
+        i = n - len(floors)
+        x = order[i]
+        out: dict[tuple[int, ...], list] = {}
+        for u in superspace_enumerator(floors[0]):
+            rest = list(floors[1:])
+            for m, y in out_edges[x]:
+                j = pos[y] - i - 1
+                rest[j] = column_echelon(hstack([rest[j], m @ u]))
+            d = u.cols - done[x]
+            for dims, (bases, count) in table(tuple(rest)).items():
+                dims = (d,) + dims
+                entry = out.get(dims)
+                if entry is None:
+                    out[dims] = [(u,) + bases, count]
+                else:
+                    entry[1] += count
+        memo[floors] = out
+        return out
+
+    empty = zero_space(v.field, 0)
+    seen = {}
+    for dims, (bases, count) in table(tuple(above[x] for x in order)).items():
+        by_vertex = [0] * len(v.dims)
+        stage = [empty] * len(v.dims)
+        for x, d, u in zip(order, dims, bases):
+            by_vertex[x], stage[x] = d, u
+        seen[tuple(by_vertex)] = [tuple(stage), count]
+    return seen
+
+
 def _hn_stages(
     v: Representation, alpha: StabilityCondition
 ) -> list[tuple[Fraction, tuple[int, ...], tuple[Matrix, ...]]]:
     """(slope, quotient dims, stage bases) per HN stage; none for v = 0.
 
     The subrepresentations of v containing a stage are those of v / stage,
-    so each pass keys them by their dimensions beyond the stage.  A pass
-    keeps, per quotient dimension vector, the first bases seen and a
-    count, and prices each distinct vector once by (slope, total
-    dimension); the counts of every vector with the best key must sum to
-    one.
+    so each pass asks ``_quotient_table`` for their count and first bases
+    per dimension vector beyond the stage, and prices each vector once by
+    (slope, total dimension).  The counts of every vector with the best
+    key must sum to one; that one subrepresentation is the next stage.
     """
-    stage = None
+    stage = tuple(zero_space(v.field, d) for d in v.dims)
     done = (0,) * v.quiver.vertex_count
     stages = []
     while sum(done) < v.total_dim():
-        seen: dict[tuple[int, ...], list] = {}  # quotient dims -> [first bases, count]
-        for bases in subrepresentations(v, above=stage):
-            dims = tuple(b.cols - d for b, d in zip(bases, done))
-            entry = seen.get(dims)
-            if entry is None:
-                seen[dims] = [bases, 1]
-            else:
-                entry[1] += 1
+        seen = _quotient_table(v, stage, done)
         keys = {
             dims: (slope_of_dims(dims, alpha), sum(dims)) for dims in seen if any(dims)
         }

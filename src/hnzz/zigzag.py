@@ -11,10 +11,8 @@ of generalized ranks (out-of-range terms are zero), where r[x,y] is the
 rank of the canonical map from the limit to the colimit of the
 restriction to [x, y].
 
-``generalized_rank`` evaluates a single r[x,y] from the block
-compatibility and gluing matrices.  ``barcode`` evaluates the whole grid
-in one left-to-right sweep: with the right endpoint at position k, the
-subspaces
+``barcode`` evaluates the whole grid in one left-to-right sweep: with
+the right endpoint at position k, the subspaces
 
     A[a] = image at k of (limit over [a, k])          -- grows with a
     R[a] = kernel at k of (V_k -> colimit over [a, k]) -- shrinks with a
@@ -62,10 +60,7 @@ from .linalg import (
     flag_image,
     flag_preimage,
     full_space,
-    hstack,
-    kernel_basis,
     prefix_sum_dim,
-    rank,
     zero_space,
 )
 from .quiver import Quiver, Representation
@@ -164,75 +159,6 @@ def interval_module(q: Quiver, iv: Interval, fld: Field) -> Representation:
         else:
             mats.append(Matrix.zeros(fld, dims[dst], dims[src]))
     return Representation(q, fld, dims, tuple(mats))
-
-
-def generalized_rank(v: Representation, iv: Interval) -> int:
-    """Rank of the canonical limit-to-colimit map of v restricted to iv.
-
-    Built directly from block matrices: the limit is the kernel of the
-    compatibility matrix, the colimit the cokernel of the gluing matrix,
-    and the rank of the induced map is read off in cokernel coordinates.
-    Independent of (and cross-checked against) the sweep in ``barcode``.
-    """
-    steps = path_steps(v.quiver)
-    n = v.quiver.vertex_count
-    if not (0 <= iv.lo and iv.hi <= n - 1):
-        raise ValidationError(f"interval [{iv.lo},{iv.hi}] out of range for {n} vertices")
-    fld = v.field
-    dims = v.dims
-    span = list(range(iv.lo, iv.hi + 1))
-    offset = {}
-    total = 0
-    for x in span:
-        offset[x] = total
-        total += dims[x]
-
-    edges = []  # (matrix, src vertex, dst vertex) inside the interval
-    for k in range(iv.lo + 1, iv.hi + 1):
-        eidx, forward = steps[k - 1]
-        m = v.mats[eidx]
-        src, dst = (k - 1, k) if forward else (k, k - 1)
-        edges.append((m, src, dst))
-
-    zero = fld.zero
-    # limit: kernel of the compatibility matrix (one row block per edge)
-    comp_rows: list[list] = []
-    for m, src, dst in edges:
-        for i in range(dims[dst]):
-            row = [zero] * total
-            for j in range(dims[src]):
-                row[offset[src] + j] = m.data[i][j]
-            row[offset[dst] + i] = fld.neg(fld.one)
-            comp_rows.append(row)
-    if comp_rows:
-        limit = kernel_basis(Matrix(fld, comp_rows, total))
-    else:
-        limit = Matrix.identity(fld, total)
-
-    # colimit: cokernel of the gluing matrix (one column block per edge)
-    glue_cols: list[list] = []
-    for m, src, dst in edges:
-        for j in range(dims[src]):
-            col = [zero] * total
-            for i in range(dims[dst]):
-                col[offset[dst] + i] = m.data[i][j]
-            col[offset[src] + j] = fld.neg(fld.one)
-            glue_cols.append(col)
-    if glue_cols:
-        glue = Matrix(fld, list(zip(*glue_cols)), len(glue_cols))
-    else:
-        glue = Matrix(fld, [[] for _ in range(total)], 0)
-
-    # canonical map, evaluated through the leftmost vertex of the interval:
-    # project the limit basis to that vertex (its block starts at offset 0)
-    # and inject the result into cokernel coordinates.
-    lo_dim = dims[iv.lo]
-    canon_rows = [list(limit.data[i]) for i in range(lo_dim)]
-    canon_rows += [[zero] * limit.cols for _ in range(total - lo_dim)]
-    canon_m = Matrix(fld, canon_rows, limit.cols)
-    if glue.cols == 0:
-        return rank(canon_m)
-    return rank(hstack([glue, canon_m])) - rank(glue)
 
 
 def barcode(v: Representation) -> Barcode:

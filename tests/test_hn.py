@@ -1,6 +1,7 @@
 import hashlib
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -111,7 +112,7 @@ class TestIsSemistable:
 
     def test_weight_count_mismatch(self, monkeypatch):
         # checked on entry, before any subrepresentation is scanned
-        monkeypatch.setattr(hn_module, "subrepresentations", None)
+        monkeypatch.setattr(hn_module, "_quotient_table", None)
         with pytest.raises(ValidationError):
             is_semistable(split_three_vertex_module(), StabilityCondition((1, 0)))
 
@@ -215,10 +216,18 @@ class TestBruteforce:
 
     def test_weight_count_mismatch(self, monkeypatch):
         # used to return a report as if the third weight were 0
-        monkeypatch.setattr(hn_module, "subrepresentations", None)
+        monkeypatch.setattr(hn_module, "_quotient_table", None)
         for weights in ((1, 0), (1, 0, 0, 0)):
             with pytest.raises(ValidationError):
                 hn_bruteforce(split_three_vertex_module(), StabilityCondition(weights))
+
+    def test_long_path_of_zero_spaces(self):
+        # the scan skips vertices of dimension 0, so its recursion depth is
+        # bounded by the total dimension, not by the number of vertices
+        dims = (0,) * 1999 + (1,)
+        v = zero_map_path(dims)
+        report = hn_bruteforce(v, euler_stability(v.quiver))
+        assert report.steps == ((Fraction(0), dims),)
 
     def test_order_independence(self, monkeypatch):
         v = conjugate(three_step_module(), conjugating_bases(three_step_module(), make_rng(23)))
@@ -235,41 +244,75 @@ class TestBruteforce:
 
     def test_duplicate_destabilizer_detected(self, monkeypatch):
         # a pass groups subrepresentations by quotient dimensions; the
-        # candidates of the best key must still be counted one by one
-        original = hn_module.subrepresentations
+        # counts of the best key must still add up.  The first enumeration
+        # of the first pass (its first vertex) yields each superspace
+        # twice, which doubles every count of that pass
+        original = hn_module.superspace_enumerator
+        calls = []
 
-        def twice(v, above=None):
-            for bases in original(v, above=above):
-                yield bases
-                yield bases
+        def first_doubled(floor):
+            copies = 1 if calls else 2
+            calls.append(floor)
+            return (u for u in original(floor) for _ in range(copies))
 
-        monkeypatch.setattr(hn_module, "subrepresentations", twice)
+        monkeypatch.setattr(hn_module, "superspace_enumerator", first_doubled)
         with pytest.raises(
             InternalCheckError, match=r"^maximal destabilizer is not unique \(2 candidates\)$"
         ):
             hn_bruteforce(three_step_module(), EPS3)
 
 
+class TestQuotientTable:
+    def test_agrees_with_the_plain_walk(self):
+        # at every stage of every pass, the suffix DP's counts and first
+        # bases are those of walking subrepresentations(v, above=stage)
+        rng = make_rng(29)
+        stages_checked = 0
+        for draw in (campaign.draw_a, campaign.draw_b) * 10:
+            v = draw(rng).rep
+            if v.is_zero():
+                continue
+            report = hn_bruteforce(v, random_weights(v.quiver, rng))
+            zeros = tuple(zero_space(v.field, d) for d in v.dims)
+            for stage in (zeros,) + report.witness:
+                done = tuple(b.cols for b in stage)
+                counts: Counter = Counter()
+                first = {}
+                for bases in subrepresentations(v, above=stage):
+                    dims = tuple(b.cols - d for b, d in zip(bases, done))
+                    counts[dims] += 1
+                    first.setdefault(dims, bases)
+                table = hn_module._quotient_table(v, stage, done)
+                assert {dims: c for dims, (_, c) in table.items()} == counts
+                assert {dims: b for dims, (b, _) in table.items()} == first
+                stages_checked += 1
+        assert stages_checked >= 40
+
+
 class TestScanWork:
-    """The oracle enumerates each floor at most twice per scan and holds
-    one candidate per quotient dimension vector per pass."""
+    """A pass builds one suffix table per tuple of partial floors, with
+    one enumeration each and one entry per quotient dimension vector; the
+    counts pinned here do not vary between runs."""
 
     @pytest.mark.parametrize("dims", [(6, 2), (6, 1, 1)])
     def test_enumerations_per_guard_edge_scan(self, dims, monkeypatch):
-        original = hn_module.superspace_enumerator
-        calls = []
+        calls: Counter = Counter()
+        for name in ("superspace_enumerator", "column_echelon"):
+            def counting(m, name=name, original=getattr(hn_module, name)):
+                calls[name] += 1
+                return original(m)
 
-        def counting(floor):
-            calls.append(floor)
-            return original(floor)
-
-        monkeypatch.setattr(hn_module, "superspace_enumerator", counting)
+            monkeypatch.setattr(hn_module, name, counting)
         v = zero_map_path(dims)
         report = hn_bruteforce(v, euler_stability(v.quiver))
         assert report.total_dims() == dims
-        # one enumeration per (vertex, floor) visited once, two otherwise;
-        # without the memo these scans made 2,828 and 8,480 calls
-        assert len(calls) <= 10
+        # one enumeration per suffix table: 4 and 6 calls; the walk without
+        # a memo made 2,828 and 8,480
+        assert calls["superspace_enumerator"] <= 10
+        # one floor update per superspace and out-edge: 2,826 and 2,830
+        # calls; the memoised walk recomputed every floor on every visit,
+        # 8,478 times on (6, 1, 1)
+        assert calls["column_echelon"] <= 3000
 
     def test_peak_memory_of_single_vertex_scan(self):
         # the k-dimensional subspaces of GF(2)^6 share one key until the
