@@ -298,15 +298,12 @@ def recover_N_multiplicities(aq: AffineQuiver, rep: HNReport, u: int, v: int) ->
     At the step whose slope matches the class, consecutive residues of
     the quotient dimension vector differ exactly by the multiplicity;
     slope-0 classes (p = 1) are blended together and cannot be separated
-    this way.
+    this way.  ``u`` must lie in [0, n-1], as ``p_value`` checks.
     """
-    n = aq.n
-    shift = u - (u % n)
-    u, v = u - shift, v - shift
     if p_value(aq, u, v) == 1:
         raise ValidationError("p = 1 classes have slope 0 and are not recoverable")
     target = euler_slope_N(aq, u, v)
     for sl, dims in rep.steps:
         if sl == target:
-            return dims[u % n] - dims[(u - 1) % n]
+            return dims[u] - dims[u - 1]
     return 0

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from .affine import AffineQuiver, NClass, eta_from_lift, p_value, recover_N_multiplicities
 from .generators import gen_affine, gen_persistence
 from .hn import ORACLE_MAX_TOTAL_DIM, hn_bruteforce, hn_from_barcode
-from .linalg import GF
+from .linalg import ENUM_MAX_DIM, GF
 from .quiver import Representation, euler_stability
 from .serialize import instance_to_json
 from .zigzag import barcode
@@ -40,7 +40,7 @@ def _field_and_cap(rng: random.Random):
 def draw_a(rng: random.Random) -> Case:
     fld, cap = _field_and_cap(rng)
     n = rng.randint(1, 5)
-    rep, _ = gen_persistence(n, fld, 4, rng, min_summands=1, total_cap=cap, vertex_cap=6)
+    rep, _ = gen_persistence(n, fld, 4, rng, min_summands=1, total_cap=cap, vertex_cap=ENUM_MAX_DIM)
     return Case(rep)
 
 
@@ -48,7 +48,7 @@ def draw_b(rng: random.Random) -> Case:
     fld, cap = _field_and_cap(rng)
     n = rng.randint(2, 5)
     aq, rep, truth_n, _ = gen_affine(
-        n, fld, 3, rng, min_summands=1, total_cap=cap, vertex_cap=6, max_len=2 * n
+        n, fld, 3, rng, min_summands=1, total_cap=cap, vertex_cap=ENUM_MAX_DIM, max_len=2 * n
     )
     return Case(rep, aq, truth_n)
 

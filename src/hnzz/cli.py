@@ -55,6 +55,13 @@ def _cmd_barcode(args) -> int:
     return 0
 
 
+def _equioriented_path(q) -> bool:
+    try:
+        return all(fwd for _, fwd in path_steps(q))
+    except ShapeError:  # not a path at all: no fast route either
+        return False
+
+
 def _cmd_hn(args) -> int:
     inst = instance_from_json(load_json(args.input))
     rep = inst.rep
@@ -63,18 +70,16 @@ def _cmd_hn(args) -> int:
         alpha = euler_stability(rep.quiver)
         if inst.affine is not None:
             fast = eta_from_lift(rep)
-        elif all(fwd for _, fwd in path_steps(rep.quiver)):
+        elif _equioriented_path(rep.quiver):
             fast = hn_from_barcode(barcode(rep), rep.quiver)
-        else:
-            raise ShapeError("fast path requires an equioriented path or an affine cycle")
     else:
         alpha = weights_from_json(load_json(args.stability))
         check_weights(rep.quiver, alpha)
-        if not args.oracle:
-            raise ShapeError(
-                "the barcode-driven fast path supports the Euler weights only; "
-                "pass --oracle for custom weights"
-            )
+    if fast is None and not args.oracle:
+        raise ShapeError(
+            "the fast route needs the Euler weights on an equioriented path "
+            "or an affine cycle; pass --oracle for any other input"
+        )
     oracle = hn_bruteforce(rep, alpha) if args.oracle else None
     doc: dict = {"hn": hn_to_json(fast if fast is not None else oracle)}
     if fast is not None and oracle is not None:
@@ -98,7 +103,7 @@ def _cmd_lift(args) -> int:
 
 
 def _parse_field(raw: str):
-    if raw in ("rational", "q", "QQ"):
+    if raw == "rational":
         return QQ
     try:
         return GF(int(raw))

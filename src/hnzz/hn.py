@@ -8,12 +8,12 @@ next stage, and returns explicit filtration bases in the input
 coordinates.  It works on any acyclic quiver but raises GuardError past
 fixed limits: total dimension ``ORACLE_MAX_TOTAL_DIM[p]`` (below) and
 the enumerator limits ``ENUM_MAX_DIM``, ``ENUM_MAX_P`` (in ``linalg``).
-A pass needs only a count and one witness per quotient dimension vector,
-so it does not walk the subrepresentations one by one: a suffix DP over
-the topological order builds one table per tuple of partial floors
-(``_quotient_table``), and the pass prices one slope per vector.  The
-tables are freed when the pass ends.  ``subrepresentations`` is the
-plain walk, kept as the reference the DP is tested against.
+Each pass of ``hn_bruteforce`` needs only a count and one witness per
+quotient dimension vector, so a suffix DP over the topological order
+builds one table per tuple of partial floors (``_quotient_table``) and
+the pass prices one slope per vector; the tables are freed when the pass
+ends.  ``subrepresentations`` is the plain walk, kept as the reference
+the DP is tested against.  Both skip the vertices of dimension 0.
 ``hn_from_barcode`` is the fast route for equioriented type-A
 representations under the Euler weights: one step per interval family
 [0, j] plus a final slope-0 step for everything else.
@@ -133,18 +133,20 @@ def subrepresentations(
     each vertex only the subspaces containing ``above`` and the images of
     the already-chosen subspaces along in-edges are enumerated, so every
     yielded tuple is closed under the edge maps and appears exactly once.
-    The oracle's suffix DP (``_quotient_table``) is tested against this
-    plain walk.
+    A vertex of dimension 0 keeps its one subspace ``above[x]`` and is
+    skipped, so the recursion is no deeper than the total dimension.  The
+    suffix DP (``_quotient_table``) is tested against this plain walk.
     """
     if above is None:
         above = [zero_space(v.field, d) for d in v.dims]
     order = topological_order(v.quiver)
     if order is None:
         raise ShapeError("subrepresentation scan requires an acyclic quiver")
+    order = [x for x in order if v.dims[x]]
     in_edges: list[list[int]] = [[] for _ in range(v.quiver.vertex_count)]
     for e, (_, dst) in enumerate(v.quiver.edges):
         in_edges[dst].append(e)
-    chosen: dict[int, Matrix] = {}
+    chosen = {x: above[x] for x, d in enumerate(v.dims) if not d}
 
     def walk(i: int) -> Iterator[tuple[Matrix, ...]]:
         if i == len(order):
@@ -158,7 +160,6 @@ def subrepresentations(
         for u in superspace_enumerator(floor):
             chosen[x] = u
             yield from walk(i + 1)
-        chosen.pop(x, None)
 
     return walk(0)
 
@@ -175,14 +176,14 @@ def is_semistable(v: Representation, alpha: StabilityCondition) -> bool:
 
 
 def _quotient_table(
-    v: Representation, above: Sequence[Matrix], done: Sequence[int]
+    v: Representation, above: Sequence[Matrix]
 ) -> dict[tuple[int, ...], list]:
     """Quotient dims -> [first bases, count] over the subreps containing ``above``.
 
-    ``done`` is the dimension vector of ``above``; the first bases are the
-    first subrepresentation of ``subrepresentations(v, above)`` with those
-    quotient dims, and the count is how many it yields.  A suffix DP over
-    the topological order: the subrepresentations on ``order[i:]`` depend
+    The quotient dims are taken beyond those of ``above``; the first bases
+    are the first subrepresentation of ``subrepresentations(v, above)``
+    with those quotient dims, and the count is how many it yields.  A
+    suffix DP over the topological order: the subreps on ``order[i:]`` depend
     on the choices before i only through the partial floors of those
     vertices (``above`` plus the images of the chosen in-neighbours), so
     one table per tuple of partial floors is built once and shared.  A
@@ -194,6 +195,7 @@ def _quotient_table(
         raise ShapeError("subrepresentation scan requires an acyclic quiver")
     order = [x for x in order if v.dims[x]]
     n = len(order)
+    done = [b.cols for b in above]
     pos = {x: i for i, x in enumerate(order)}
     out_edges: dict[int, list[tuple[Matrix, int]]] = {x: [] for x in order}
     for m, (src, dst) in zip(v.mats, v.quiver.edges):
@@ -225,33 +227,35 @@ def _quotient_table(
         memo[floors] = out
         return out
 
-    empty = zero_space(v.field, 0)
     seen = {}
     for dims, (bases, count) in table(tuple(above[x] for x in order)).items():
         by_vertex = [0] * len(v.dims)
-        stage = [empty] * len(v.dims)
+        stage = list(above)
         for x, d, u in zip(order, dims, bases):
             by_vertex[x], stage[x] = d, u
         seen[tuple(by_vertex)] = [tuple(stage), count]
     return seen
 
 
-def _hn_stages(
-    v: Representation, alpha: StabilityCondition
-) -> list[tuple[Fraction, tuple[int, ...], tuple[Matrix, ...]]]:
-    """(slope, quotient dims, stage bases) per HN stage; none for v = 0.
+def hn_bruteforce(v: Representation, alpha: StabilityCondition) -> HNReport:
+    """HN filtration by exhaustive search, with explicit stage bases.
 
-    The subrepresentations of v containing a stage are those of v / stage,
-    so each pass asks ``_quotient_table`` for their count and first bases
-    per dimension vector beyond the stage, and prices each vector once by
-    (slope, total dimension).  The counts of every vector with the best
-    key must sum to one; that one subrepresentation is the next stage.
+    Repeatedly extracts the subrepresentation of maximal slope and, among
+    those, maximal total dimension.  The subrepresentations of v
+    containing a stage are those of v / stage, so each pass asks
+    ``_quotient_table`` for their count and first bases per dimension
+    vector beyond the stage, and prices each vector once by (slope, total
+    dimension).  The counts of every vector with the best key must sum to
+    one: non-uniqueness cannot happen for a genuine stability condition
+    and raises InternalCheckError.  Output is independent of enumeration
+    order; the zero representation gets the empty report.
     """
+    _check_oracle_guard(v)
+    check_weights(v.quiver, alpha)
     stage = tuple(zero_space(v.field, d) for d in v.dims)
-    done = (0,) * v.quiver.vertex_count
-    stages = []
-    while sum(done) < v.total_dim():
-        seen = _quotient_table(v, stage, done)
+    steps, witness = [], []
+    while sum(b.cols for b in stage) < v.total_dim():
+        seen = _quotient_table(v, stage)
         keys = {
             dims: (slope_of_dims(dims, alpha), sum(dims)) for dims in seen if any(dims)
         }
@@ -263,26 +267,9 @@ def _hn_stages(
                 f"maximal destabilizer is not unique ({count} candidates)"
             )
         stage = seen[winners[0]][0]
-        stages.append((best[0], winners[0], stage))
-        done = tuple(b.cols for b in stage)
-    return stages
-
-
-def hn_bruteforce(v: Representation, alpha: StabilityCondition) -> HNReport:
-    """HN filtration by exhaustive search, with explicit stage bases.
-
-    Repeatedly extracts the subrepresentation of maximal slope and, among
-    those, maximal total dimension; non-uniqueness of that choice cannot
-    happen for a genuine stability condition and raises
-    InternalCheckError.  Output is independent of enumeration order; the
-    zero representation gets the empty report.
-    """
-    _check_oracle_guard(v)
-    check_weights(v.quiver, alpha)
-    stages = _hn_stages(v, alpha)
-    steps = tuple((sl, dims) for sl, dims, _ in stages)
-    witness = tuple(stage for _, _, stage in stages)
-    report = HNReport(v.quiver, steps, witness)
+        steps.append((best[0], winners[0]))
+        witness.append(stage)
+    report = HNReport(v.quiver, tuple(steps), tuple(witness))
     if report.total_dims() != v.dims:
         raise InternalCheckError("HN quotient dimensions do not sum to the input")
     return report

@@ -5,10 +5,10 @@ residues (plain ints in ``[0, p)``) over GF(p).  Matrices are immutable,
 dense, row-major, and carry their field descriptor so that mixed-field
 arithmetic is a detectable error rather than silent nonsense.
 
-Outside input enters through ``Matrix(field, data, cols)``, which checks
-the shape and coerces every entry, refusing floats; results computed here,
-and instance files whose reader coerces each entry itself, are canonical
-already and skip that pass via the private ``Matrix._canonical``.
+Outside input, instance files included, enters through the public
+``Matrix(field, data, cols)``, which checks the shape and coerces every
+entry, refusing floats; only results computed here skip that pass, via
+the private ``Matrix._canonical``.
 
 Everything here is pure and deterministic: echelon forms are the unique
 reduced ones, so equality of spans reduces to equality of basis matrices.
@@ -154,8 +154,8 @@ class Matrix:
     coerces every entry into the field (``ValidationError`` for entries
     the field refuses), so a Matrix is always in canonical form: reduced
     fractions / residues in [0, p).  ``Matrix._canonical`` trusts rows
-    that are canonical already; it is for results computed here and for
-    the entries that ``serialize.instance_from_json`` has coerced.
+    that are canonical already; it is only for results computed in this
+    module.
     """
 
     __slots__ = ("field", "rows", "cols", "data")

@@ -1,10 +1,12 @@
 """JSON wire formats for instances, reports, and ground-truth sidecars.
 
-Rational entries travel as strings ("a/b" or "a") to avoid float loss,
-and are read by ``QQ.coerce`` (which also takes decimals, not exponents);
+Rational entries travel as strings ("a/b" or "a") to avoid float loss;
 prime-field entries are plain ints with the modulus stated once in the
-field descriptor.  All writers emit canonically ordered, newline
-terminated documents so repeated runs are byte-identical.
+field descriptor.  The reader builds matrices with the public ``Matrix``
+and weights with ``StabilityCondition``, so the field coerces each entry
+once; an entry it refuses is malformed input (``ParseError``).  All
+writers emit canonically ordered, newline terminated documents so
+repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -64,17 +66,6 @@ def _entry_to_json(fld: Field, value):
     if isinstance(fld, PrimeField):
         return value
     return str(value)
-
-
-def _entry_from_json(fld: Field, raw, where: str):
-    if isinstance(fld, PrimeField):
-        if not _is_int(raw):
-            raise ParseError(f"{where}: prime-field entries must be ints")
-        return raw % fld.p
-    try:
-        return QQ.coerce(raw)
-    except ValidationError as exc:
-        raise ParseError(f"{where}: {exc}") from exc
 
 
 def instance_to_json(rep: Representation, affine: AffineQuiver | None = None) -> dict:
@@ -139,15 +130,13 @@ def instance_from_json(doc) -> Instance:
         rows = _need(mobj, "rows", list, f"matrix {e}")
         if not all(isinstance(row, list) for row in rows):
             raise ParseError(f"matrix {e}: rows must be arrays")
-        # each entry is coerced once, here, so the matrix is built without
-        # the second pass of the public constructor
-        parsed = [
-            [_entry_from_json(fld, x, f"matrix {e}") for x in row] for row in rows
-        ]
-        width = len(parsed[0]) if parsed else dims[quiver.edges[e][0]]
-        if any(len(row) != width for row in parsed):
+        width = len(rows[0]) if rows else dims[quiver.edges[e][0]]
+        if any(len(row) != width for row in rows):
             raise ValidationError("ragged rows in matrix data")
-        slots[e] = Matrix._canonical(fld, parsed, width)
+        try:
+            slots[e] = Matrix(fld, rows, width)
+        except ValidationError as exc:
+            raise ParseError(f"matrix {e}: {exc}") from exc
     if len(slots) != len(quiver.edges):
         missing = sorted(set(range(len(quiver.edges))) - set(slots))
         raise ParseError(f"missing matrices for edges {missing}")
@@ -175,7 +164,10 @@ def classes_to_json(classes: dict[NClass, int]) -> list[dict]:
 def weights_from_json(items) -> StabilityCondition:
     if not isinstance(items, list):
         raise ParseError("weights file must hold a JSON array")
-    return StabilityCondition(tuple(_entry_from_json(QQ, w, "weights") for w in items))
+    try:
+        return StabilityCondition(items)
+    except ValidationError as exc:
+        raise ParseError(f"weights: {exc}") from exc
 
 
 def truth_to_json(

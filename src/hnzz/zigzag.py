@@ -209,15 +209,13 @@ def barcode(v: Representation) -> Barcode:
     for a, d in prev_g.items():
         found[(a, n - 1)] = d
 
-    mass = [0] * n
-    for (a, b), d in found.items():
-        for x in range(a, b + 1):
-            mass[x] += d
-    if mass != list(dims):
+    bar = Barcode.from_dict({Interval(a, b): d for (a, b), d in found.items()})
+    mass = bar.dims_vector(n)
+    if mass != dims:
         raise InternalCheckError(
-            f"barcode does not conserve dimensions: {mass} vs {list(dims)}"
+            f"barcode does not conserve dimensions: {list(mass)} vs {list(dims)}"
         )
-    return Barcode.from_dict({Interval(a, b): d for (a, b), d in found.items()})
+    return bar
 
 
 def _rebased(basis: Matrix, dims: list[int]) -> Matrix:

@@ -384,6 +384,14 @@ class TestRecoverMultiplicities:
         with pytest.raises(ValidationError):
             recover_N_multiplicities(aq, rep, *bad)
 
+    @pytest.mark.parametrize("u, v", [(-1, 0), (3, 4), (4, 6)])
+    def test_out_of_range_u_refused(self, u, v):
+        # a left endpoint outside [0, n-1] is refused, not moved by a multiple of n
+        aq = AffineQuiver(3, (CW, CW, CCW))
+        rep = eta_from_lift(indec_N(aq, 0, 1, GF(2)))
+        with pytest.raises(ValidationError, match=r"^left endpoint"):
+            recover_N_multiplicities(aq, rep, u, v)
+
     def test_generator_property(self):
         rng = make_rng(37)
         for _ in range(10):

@@ -12,9 +12,16 @@ from hnzz import campaign
 from hnzz.affine import AffineQuiver, CCW, CW, indec_N, indec_T
 from hnzz.cli import main
 from hnzz.generators import equioriented_quiver
+from hnzz.hn import hn_bruteforce
 from hnzz.linalg import GF, QQ, Matrix
-from hnzz.quiver import Quiver, Representation, direct_sum
-from hnzz.serialize import instance_from_json, instance_to_json, load_json, write_json
+from hnzz.quiver import Quiver, Representation, direct_sum, euler_stability
+from hnzz.serialize import (
+    hn_to_json,
+    instance_from_json,
+    instance_to_json,
+    load_json,
+    write_json,
+)
 from hnzz.zigzag import Interval, interval_module
 
 EX = AffineQuiver(6, (CW, CW, CW, CCW, CW, CW))
@@ -140,6 +147,25 @@ class TestHnCommand:
         rep = Representation(q, GF(2), (1, 1), (Matrix.identity(GF(2), 1),))
         inp = write_instance(tmp_path, rep)
         assert run(["hn", inp]) == 4
+
+    @pytest.mark.parametrize(
+        "edges, dims, rows",
+        [
+            (((1, 0), (1, 2)), (1, 1, 1), [[[1]], [[1]]]),
+            (((1, 0), (2, 0), (3, 0)), (2, 1, 1, 1), [[[1], [0]], [[0], [1]], [[1], [1]]]),
+        ],
+        ids=["zigzag", "d4-star"],
+    )
+    def test_no_fast_route_oracle_alone(self, tmp_path, capsys, edges, dims, rows):
+        # under the Euler weights a zigzag or a D4 star has no fast route:
+        # --oracle prints the oracle's report alone, without it the input exits 4
+        q = Quiver(len(dims), edges)
+        rep = Representation(q, GF(2), dims, tuple(Matrix(GF(2), r) for r in rows))
+        inp = write_instance(tmp_path, rep)
+        assert run(["hn", inp]) == 4
+        assert run(["hn", inp, "--oracle"]) == 0
+        expected = {"hn": hn_to_json(hn_bruteforce(rep, euler_stability(q)))}
+        assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
 
     def test_custom_weights_need_oracle(self, tmp_path, capsys):
         rep = interval_module(equioriented_quiver(2), Interval(0, 1), GF(2))
@@ -417,8 +443,10 @@ class TestMalformedInput:
              "error: matrix 0: QQ entry '1e5' has an exponent; write a/b or a decimal\n"),
             (_rational_instance, [["1", "0"]], 3,
              "invariant violation: edge 0: matrix is 1x2, expected 1x1\n"),
+            (_small_instance, [["1"]], 2,
+             "error: matrix 0: GF(2) entry must be an int, not str\n"),
         ],
-        ids=["ragged-qq", "ragged-gf2", "float", "bool", "exponent", "wide"],
+        ids=["ragged-qq", "ragged-gf2", "float", "bool", "exponent", "wide", "gf2-str"],
     )
     def test_bad_entry_message(self, tmp_path, make, rows, code, err):
         # pins the whole stderr line: entry errors come from the reader
@@ -513,8 +541,10 @@ class TestMalformedInput:
             ["gen", "--kind", "affine", "--n", 1],
             ["gen", "--kind", "persistence", "--n", 3, "--max-summands", -1],
             ["verify", "--theorem", "a", "--cases", -3],
+            ["gen", "--kind", "persistence", "--n", 3, "--field", "q"],
         ],
-        ids=["persistence-n0", "affine-n1", "negative-summands", "negative-cases"],
+        ids=["persistence-n0", "affine-n1", "negative-summands", "negative-cases",
+             "field-q"],
     )
     def test_bad_argument_exit_2(self, tmp_path, args):
         if args[0] == "gen":

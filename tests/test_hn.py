@@ -157,6 +157,12 @@ class TestSubrepresentations:
                 stages_checked += 1
         assert stages_checked >= 10
 
+    def test_long_path_of_zero_spaces(self):
+        # the walk skips vertices of dimension 0, so its recursion depth is
+        # bounded by the total dimension, not by the number of vertices
+        v = zero_map_path((0,) * 1999 + (1,))
+        assert sum(1 for _ in subrepresentations(v)) == 2
+
     def test_closed_under_maps(self):
         rng = make_rng(21)
         v, _ = gen_persistence(3, GF(2), 3, rng, min_summands=1, total_cap=6)
@@ -275,14 +281,13 @@ class TestQuotientTable:
             report = hn_bruteforce(v, random_weights(v.quiver, rng))
             zeros = tuple(zero_space(v.field, d) for d in v.dims)
             for stage in (zeros,) + report.witness:
-                done = tuple(b.cols for b in stage)
                 counts: Counter = Counter()
                 first = {}
                 for bases in subrepresentations(v, above=stage):
-                    dims = tuple(b.cols - d for b, d in zip(bases, done))
+                    dims = tuple(b.cols - a.cols for b, a in zip(bases, stage))
                     counts[dims] += 1
                     first.setdefault(dims, bases)
-                table = hn_module._quotient_table(v, stage, done)
+                table = hn_module._quotient_table(v, stage)
                 assert {dims: c for dims, (_, c) in table.items()} == counts
                 assert {dims: b for dims, (b, _) in table.items()} == first
                 stages_checked += 1

@@ -2,11 +2,13 @@ import random
 import time
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hnzz
 from hnzz.errors import GuardError, ValidationError
 from hnzz.linalg import (
     GF,
@@ -206,6 +208,14 @@ class TestRank:
         scaled = [list(r) for r in m.data]
         scaled[0] = [c * x for x in scaled[0]]
         assert rank(Matrix(QQ, scaled, m.cols)) == rank(m)
+
+
+def test_canonical_constructor_private_to_linalg():
+    # Matrix._canonical skips the coercion of entries; every matrix built
+    # from outside input must go through the public constructor
+    src = Path(hnzz.__file__).parent
+    callers = sorted(p.name for p in src.glob("*.py") if "._canonical(" in p.read_text())
+    assert callers == ["linalg.py"]
 
 
 class TestKernel:
