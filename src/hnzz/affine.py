@@ -111,13 +111,18 @@ def wrap_counts(n: int, u: int, v: int) -> tuple[int, ...]:
     return tuple(dims)
 
 
-def indec_N(aq: AffineQuiver, u: int, v: int, fld: Field) -> Representation:
-    """The wrapped-interval indecomposable for [u, v]."""
-    n = aq.n
+def _check_wrapped(n: int, u: int, v: int) -> None:
+    """Refuse [u, v] unless u lies in [0, n-1] and v >= u, as ``NClass`` keys do."""
     if not 0 <= u <= n - 1:
         raise ValidationError(f"left endpoint {u} must lie in [0, {n - 1}]")
     if v < u:
         raise ValidationError(f"empty interval [{u},{v}]")
+
+
+def indec_N(aq: AffineQuiver, u: int, v: int, fld: Field) -> Representation:
+    """The wrapped-interval indecomposable for [u, v]."""
+    n = aq.n
+    _check_wrapped(n, u, v)
     support = [[i for i in range(u, v + 1) if i % n == j] for j in range(n)]
     q = to_quiver(aq)
     z, o = fld.zero, fld.one
@@ -163,13 +168,9 @@ def p_value(aq: AffineQuiver, u: int, v: int) -> int:
     slope of the wrapped-interval indecomposable.
     """
     n = aq.n
-    if not 0 <= u <= n - 1:
-        raise ValidationError(f"left endpoint {u} must lie in [0, {n - 1}]")
-    if v < u:
-        raise ValidationError(f"empty interval [{u},{v}]")
-    u_, v_ = u % n, v % n
-    into_left = aq.orientation[u_] == CW
-    into_right = aq.orientation[(v_ + 1) % n] == CCW
+    _check_wrapped(n, u, v)
+    into_left = aq.orientation[u] == CW
+    into_right = aq.orientation[(v + 1) % n] == CCW
     return int(into_left) + int(into_right)
 
 
@@ -184,8 +185,9 @@ def default_window(v: Representation) -> int:
     D = (dim at x_0 + 2) * n: any wrapped interval crosses x_0 at most
     dim-at-x_0 times, so its length is under (dim + 1) * n and the
     translate starting in [1, n] fits strictly inside the window 0..D.
+    The shape is checked first: a quiver with no vertex has no x_0.
     """
-    return (v.dims[0] + 2) * affine_of_quiver(v.quiver).n
+    return affine_of_quiver(v.quiver).n * (v.dims[0] + 2)
 
 
 def lift_truncated(v: Representation, D: int) -> Representation:

@@ -1,5 +1,8 @@
 """Command-line interface: barcode, hn, lift, gen, verify.
 
+The quiver alone decides an instance's shape, however the file spells
+it; ``lift`` leaves the shape check to ``classify_lift``.
+
 Exit codes are stable: 0 success, 1 check failure, internal error or
 closed stdout, 2 malformed input, 3 invariant violation, 4 unsupported
 quiver shape or window, 5 enumeration guard exceeded.
@@ -14,7 +17,7 @@ import random
 import sys
 
 from . import campaign
-from .affine import classify_lift, eta_from_lift
+from .affine import affine_of_quiver, classify_lift, eta_from_lift
 from .errors import (
     GuardError,
     InternalCheckError,
@@ -38,7 +41,7 @@ from .serialize import (
     weights_from_json,
     write_json,
 )
-from .zigzag import barcode, path_steps
+from .zigzag import barcode, is_equioriented
 
 
 def _emit(doc: dict, out: str | None) -> None:
@@ -49,29 +52,23 @@ def _emit(doc: dict, out: str | None) -> None:
 
 
 def _cmd_barcode(args) -> int:
-    inst = instance_from_json(load_json(args.input))
-    bar = barcode(inst.rep)
+    bar = barcode(instance_from_json(load_json(args.input)))
     _emit({"barcode": barcode_to_json(bar)}, args.out)
     return 0
 
 
-def _equioriented_path(q) -> bool:
-    try:
-        return all(fwd for _, fwd in path_steps(q))
-    except ShapeError:  # not a path at all: no fast route either
-        return False
-
-
 def _cmd_hn(args) -> int:
-    inst = instance_from_json(load_json(args.input))
-    rep = inst.rep
+    rep = instance_from_json(load_json(args.input))
     fast = None
     if args.stability == "euler":
         alpha = euler_stability(rep.quiver)
-        if inst.affine is not None:
+        try:
+            affine_of_quiver(rep.quiver)
+        except ShapeError:  # not an affine cycle: the barcode route, if a path
+            if is_equioriented(rep.quiver):
+                fast = hn_from_barcode(barcode(rep), rep.quiver)
+        else:
             fast = eta_from_lift(rep)
-        elif _equioriented_path(rep.quiver):
-            fast = hn_from_barcode(barcode(rep), rep.quiver)
     else:
         alpha = weights_from_json(load_json(args.stability))
         check_weights(rep.quiver, alpha)
@@ -89,10 +86,7 @@ def _cmd_hn(args) -> int:
 
 
 def _cmd_lift(args) -> int:
-    inst = instance_from_json(load_json(args.input))
-    if inst.affine is None:
-        raise ShapeError("lift requires an affine instance")
-    d_inf, classes, bar = classify_lift(inst.rep, args.window)
+    d_inf, classes, bar = classify_lift(instance_from_json(load_json(args.input)), args.window)
     doc = {
         "d_inf": d_inf,
         "classes": classes_to_json(classes),
@@ -163,7 +157,11 @@ def _parser() -> argparse.ArgumentParser:
         default="euler",
         help="'euler' (default) or a path to a JSON array of rational weights",
     )
-    p.add_argument("--oracle", action="store_true", help="also run the brute-force oracle")
+    p.add_argument(
+        "--oracle",
+        action="store_true",
+        help="also run the brute-force oracle, or alone when no fast route applies",
+    )
     p.add_argument("--out")
     p.set_defaults(func=_cmd_hn)
 

@@ -16,7 +16,8 @@ ends.  ``subrepresentations`` is the plain walk, kept as the reference
 the DP is tested against.  Both skip the vertices of dimension 0.
 ``hn_from_barcode`` is the fast route for equioriented type-A
 representations under the Euler weights: one step per interval family
-[0, j] plus a final slope-0 step for everything else.
+[0, j] plus a final slope-0 step for everything else, on a quiver that
+``zigzag.is_equioriented`` accepts.
 
 Reports carry (slope, quotient dimension vector) steps with strictly
 decreasing exact rational slopes; only the oracle fills in witness bases.
@@ -48,7 +49,7 @@ from .quiver import (
     slope_of_dims,
     topological_order,
 )
-from .zigzag import Barcode, Interval, barcode, path_steps
+from .zigzag import Barcode, Interval, barcode, is_equioriented
 
 
 @dataclass(frozen=True)
@@ -123,6 +124,14 @@ def _check_oracle_guard(v: Representation) -> None:
         )
 
 
+def _scan_order(v: Representation) -> list[int]:
+    """Vertices of nonzero dimension in topological order: the other ones have one subspace."""
+    order = topological_order(v.quiver)
+    if order is None:
+        raise ShapeError("subrepresentation scan requires an acyclic quiver")
+    return [x for x in order if v.dims[x]]
+
+
 def subrepresentations(
     v: Representation, above: Sequence[Matrix] | None = None
 ) -> Iterator[tuple[Matrix, ...]]:
@@ -139,10 +148,7 @@ def subrepresentations(
     """
     if above is None:
         above = [zero_space(v.field, d) for d in v.dims]
-    order = topological_order(v.quiver)
-    if order is None:
-        raise ShapeError("subrepresentation scan requires an acyclic quiver")
-    order = [x for x in order if v.dims[x]]
+    order = _scan_order(v)
     in_edges: list[list[int]] = [[] for _ in range(v.quiver.vertex_count)]
     for e, (_, dst) in enumerate(v.quiver.edges):
         in_edges[dst].append(e)
@@ -186,14 +192,11 @@ def _quotient_table(
     suffix DP over the topological order: the subreps on ``order[i:]`` depend
     on the choices before i only through the partial floors of those
     vertices (``above`` plus the images of the chosen in-neighbours), so
-    one table per tuple of partial floors is built once and shared.  A
-    vertex of dimension 0 has one subspace and pushes nothing, so the
-    order skips it and the recursion is no deeper than the total dimension.
+    one table per tuple of partial floors is built once and shared.
+    ``_scan_order`` skips the vertices of dimension 0, so the recursion
+    is no deeper than the total dimension.
     """
-    order = topological_order(v.quiver)
-    if order is None:
-        raise ShapeError("subrepresentation scan requires an acyclic quiver")
-    order = [x for x in order if v.dims[x]]
+    order = _scan_order(v)
     n = len(order)
     done = [b.cols for b in above]
     pos = {x: i for i, x in enumerate(order)}
@@ -282,7 +285,7 @@ def hn_from_barcode(bar: Barcode, q: Quiver) -> HNReport:
     decreasing slope, plus a final slope-0 step collecting every interval
     with nonzero left endpoint (present only when such intervals exist).
     """
-    if not all(fwd for _, fwd in path_steps(q)):
+    if not is_equioriented(q):
         raise ShapeError("barcode-driven HN data requires an equioriented path")
     n = q.vertex_count
     parts = []
@@ -325,8 +328,7 @@ def recover_barcode_via_truncations(v: Representation) -> Barcode:
     subtracting the already-known intervals that reach past the cut
     recovers the multiplicity of [k, v] for every right endpoint v.
     """
-    steps = path_steps(v.quiver)
-    if not all(fwd for _, fwd in steps):
+    if not is_equioriented(v.quiver):
         raise ShapeError("truncation recovery requires an equioriented path")
     n = v.quiver.vertex_count
     recovered: dict[tuple[int, int], int] = {}

@@ -261,8 +261,8 @@ def _gauss_jordan(field: Field, work: list[list], reduced: bool = True) -> list[
     Returns the pivot columns; row i holds the pivot of column
     ``pivots[i]`` and every row past the last pivot is zero.  This is the
     one elimination loop of the package: ``rref``, ``rank``,
-    ``kernel_basis``, ``column_echelon``, ``prefix_sum_dim`` and the
-    ``flag_*`` operations all run through it.  With
+    ``column_echelon``, ``prefix_sum_dim`` and the ``flag_*`` operations
+    all run through it, and ``kernel_basis`` through ``flag_preimage``.  With
     ``reduced=False`` only the rows below each pivot are cleared: the
     pivots are the same, at about half the row operations, which is all
     ``rank`` needs.
@@ -295,16 +295,6 @@ def _gauss_jordan(field: Field, work: list[list], reduced: bool = True) -> list[
     return pivots
 
 
-def _echelon_of_columns(field: Field, columns: list[list], dim: int) -> Matrix:
-    """Canonical column-echelon basis of the span of ``columns``.
-
-    ``columns`` holds vectors of length ``dim`` as lists and is consumed:
-    reducing it as rows leaves the basis in its leading rows.
-    """
-    kept = columns[: len(_gauss_jordan(field, columns))]
-    return Matrix._canonical(field, zip(*kept) if kept else [()] * dim, len(kept))
-
-
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row-echelon form and its pivot columns."""
     work = [list(row) for row in m.data]
@@ -320,24 +310,11 @@ def rank(m: Matrix) -> int:
 def kernel_basis(m: Matrix) -> Matrix:
     """Basis of the right null space, as a reduced column-echelon matrix.
 
+    The kernel is the preimage of the zero subspace (``flag_preimage``).
     The column count always equals ``cols - rank`` and the basis is the
     canonical one, so repeated runs (and golden tests) are bit-stable.
     """
-    field = m.field
-    reduced = [list(row) for row in m.data]
-    pivots = _gauss_jordan(field, reduced)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
-    z, o = field.zero, field.one
-    neg = field.neg
-    columns = []
-    for f in free:
-        vec = [z] * m.cols
-        vec[f] = o
-        for i, pc in enumerate(pivots):
-            vec[pc] = neg(reduced[i][f])
-        columns.append(vec)
-    return _echelon_of_columns(field, columns, m.cols)
+    return column_echelon(flag_preimage(m, zero_space(m.field, m.rows), ())[0])
 
 
 def column_echelon(m: Matrix) -> Matrix:
@@ -345,8 +322,11 @@ def column_echelon(m: Matrix) -> Matrix:
 
     Zero columns are dropped, so the result always has full column rank
     and two matrices span the same subspace iff the results are equal.
+    Reducing the columns as rows leaves the basis in the leading rows.
     """
-    return _echelon_of_columns(m.field, [list(col) for col in zip(*m.data)], m.rows)
+    columns = [list(col) for col in zip(*m.data)]
+    kept = columns[: len(_gauss_jordan(m.field, columns))]
+    return Matrix._canonical(m.field, zip(*kept) if kept else [()] * m.rows, len(kept))
 
 
 def inverse(m: Matrix) -> Matrix:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import ShapeError, ValidationError
-from .linalg import QQ, Field, Matrix, inverse
+from .linalg import QQ, Field, Matrix, block_diag, inverse
 
 Edge = tuple[int, int]
 
@@ -116,8 +116,6 @@ def direct_sum(a: Representation, b: Representation) -> Representation:
         raise ValidationError("direct sum across different quivers")
     if a.field != b.field:
         raise ValidationError("direct sum across different fields")
-    from .linalg import block_diag
-
     dims = tuple(x + y for x, y in zip(a.dims, b.dims))
     mats = tuple(block_diag(ma, mb) for ma, mb in zip(a.mats, b.mats))
     return Representation(a.quiver, a.field, dims, mats)

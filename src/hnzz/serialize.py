@@ -4,15 +4,16 @@ Rational entries travel as strings ("a/b" or "a") to avoid float loss;
 prime-field entries are plain ints with the modulus stated once in the
 field descriptor.  The reader builds matrices with the public ``Matrix``
 and weights with ``StabilityCondition``, so the field coerces each entry
-once; an entry it refuses is malformed input (``ParseError``).  All
-writers emit canonically ordered, newline terminated documents so
-repeated runs are byte-identical.
+once; an entry it refuses is malformed input (``ParseError``).  It
+returns the ``Representation`` alone: an ``affine`` quiver is checked by
+``AffineQuiver`` and read as ``to_quiver`` builds it.  All writers emit
+canonically ordered, newline terminated documents so repeated runs are
+byte-identical.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .affine import AffineQuiver, NClass, TClass, to_quiver
 from .errors import ParseError, ValidationError, shown
@@ -20,12 +21,6 @@ from .hn import HNReport
 from .linalg import Field, GF, Matrix, PrimeField, QQ
 from .quiver import Quiver, Representation, StabilityCondition, validate
 from .zigzag import Barcode, Interval
-
-
-@dataclass(frozen=True)
-class Instance:
-    rep: Representation
-    affine: AffineQuiver | None
 
 
 def _is_int(value) -> bool:
@@ -90,20 +85,18 @@ def instance_to_json(rep: Representation, affine: AffineQuiver | None = None) ->
     }
 
 
-def instance_from_json(doc) -> Instance:
+def instance_from_json(doc) -> Representation:
     if not isinstance(doc, dict):
         raise ParseError("instance: top level must be an object")
     fld = field_from_json(_need(doc, "field", dict, "instance"))
     qobj = _need(doc, "quiver", dict, "instance")
-    affine = None
     if "affine" in qobj:
         aobj = _need(qobj, "affine", dict, "quiver")
         n = _need(aobj, "n", int, "quiver.affine")
         orientation = _need(aobj, "orientation", list, "quiver.affine")
         if not all(_is_int(o) and o in (0, 1) for o in orientation):
             raise ParseError("quiver.affine: orientation must be a 0/1 array")
-        affine = AffineQuiver(n, tuple(orientation))
-        quiver = to_quiver(affine)
+        quiver = to_quiver(AffineQuiver(n, tuple(orientation)))
     else:
         vertices = _need(qobj, "vertices", int, "quiver")
         edges = []
@@ -144,7 +137,7 @@ def instance_from_json(doc) -> Instance:
     problems = validate(rep)
     if problems:
         raise ValidationError("; ".join(problems))
-    return Instance(rep, affine)
+    return rep
 
 
 def barcode_to_json(bar: Barcode) -> list[dict]:
@@ -178,9 +171,7 @@ def truth_to_json(
 ) -> dict:
     doc: dict = {}
     if intervals is not None:
-        doc["intervals"] = [
-            {"lo": iv.lo, "hi": iv.hi, "mult": m} for iv, m in sorted(intervals.items())
-        ]
+        doc["intervals"] = barcode_to_json(Barcode.from_dict(intervals))
     if n_classes is not None or t_classes is not None:
         summands = []
         for cls in sorted(n_classes or {}):

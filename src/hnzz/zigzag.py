@@ -145,6 +145,14 @@ def path_steps(q: Quiver) -> list[tuple[int, bool]]:
     return [slots[k] for k in range(n - 1)]
 
 
+def is_equioriented(q: Quiver) -> bool:
+    """True iff q is a path 0 -> 1 -> ... -> n-1; False for any other quiver."""
+    try:
+        return all(fwd for _, fwd in path_steps(q))
+    except ShapeError:
+        return False
+
+
 def interval_module(q: Quiver, iv: Interval, fld: Field) -> Representation:
     """The indecomposable supported on [lo, hi] with identity internal maps."""
     path_steps(q)

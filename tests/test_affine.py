@@ -12,7 +12,15 @@ import hnzz
 
 from hnzz.errors import ShapeError, ValidationError
 from hnzz.linalg import GF, QQ, Matrix
-from hnzz.quiver import conjugate, direct_sum, euler_stability, slope, zero_representation
+from hnzz.quiver import (
+    Quiver,
+    Representation,
+    conjugate,
+    direct_sum,
+    euler_stability,
+    slope,
+    zero_representation,
+)
 from hnzz.zigzag import Interval, barcode
 from hnzz.hn import ORACLE_MAX_TOTAL_DIM, hn_bruteforce, is_semistable
 from hnzz.affine import (
@@ -79,6 +87,12 @@ class TestQuiverConstruction:
         for window in (3, 6):
             with pytest.raises(ShapeError, match="below 9"):
                 classify_lift(v, window)
+
+    def test_no_vertices_refused(self):
+        # the shape is checked before the dimension at x_0 is read
+        v = Representation(Quiver(0, ()), GF(2), (), ())
+        with pytest.raises(ShapeError, match="not an affine cycle quiver"):
+            classify_lift(v)
 
 
 class TestIndecN:

@@ -9,7 +9,7 @@ import pytest
 
 import hnzz
 from hnzz import campaign
-from hnzz.affine import AffineQuiver, CCW, CW, indec_N, indec_T
+from hnzz.affine import AffineQuiver, CCW, CW, indec_N, indec_T, to_quiver
 from hnzz.cli import main
 from hnzz.generators import equioriented_quiver
 from hnzz.hn import hn_bruteforce
@@ -214,6 +214,18 @@ class TestLiftCommand:
         inp = write_instance(tmp_path, rep)
         assert run(["lift", inp]) == 4
 
+    def test_path_refused_by_classify_lift(self, tmp_path, capsys):
+        rep = interval_module(equioriented_quiver(3), Interval(0, 1), GF(2))
+        inp = write_instance(tmp_path, rep)
+        assert run(["lift", inp]) == 4
+        assert capsys.readouterr().err == "unsupported shape: not an affine cycle quiver\n"
+
+    def test_no_vertices_exit_4(self, tmp_path):
+        rep = Representation(Quiver(0, ()), GF(2), (), ())
+        code, err = run_process(["lift", write_instance(tmp_path, rep)])
+        assert code == 4
+        assert err == "unsupported shape: not an affine cycle quiver\n"
+
     @pytest.mark.parametrize("window", [6, 9])
     def test_short_window_exit_4(self, tmp_path, window):
         inp = gen_short_window_instance(tmp_path)
@@ -230,6 +242,41 @@ class TestLiftCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["d_inf"] == 3
         assert doc["classes"] == [{"u": 0, "len": 6, "mult": 1}]
+
+
+def edge_spelled(tmp_path, path):
+    """A copy of the affine instance at ``path`` whose quiver is written as vertices and edges."""
+    doc = load_json(str(path))
+    spec = doc["quiver"]["affine"]
+    q = to_quiver(AffineQuiver(spec["n"], tuple(spec["orientation"])))
+    doc["quiver"] = {
+        "vertices": q.vertex_count,
+        "edges": [{"src": s, "dst": d} for s, d in q.edges],
+    }
+    out = tmp_path / "edges.json"
+    write_json(str(out), doc)
+    return out
+
+
+class TestShapeFromQuiver:
+    """The quiver alone decides the route, however the file spells it."""
+
+    @pytest.mark.parametrize(
+        "command", [["hn"], ["hn", "--oracle"], ["lift"]], ids=["hn", "hn-oracle", "lift"]
+    )
+    def test_edge_spelled_cycle_same_bytes(self, tmp_path, capsys, command):
+        # N(2,3) + T(1;2) on a 3-cycle over GF(2), dims (3,2,3): inside the oracle guard
+        inp = tmp_path / "aff.json"
+        assert run(["gen", "--kind", "affine", "--n", 3, "--seed", 3, "--field", 2,
+                    "--max-summands", 2, "--out", inp]) == 0
+        edges = edge_spelled(tmp_path, inp)
+        assert load_json(str(edges))["quiver"]["vertices"] == 3
+        assert run([command[0], inp, *command[1:]]) == 0
+        expected = capsys.readouterr().out
+        assert run([command[0], edges, *command[1:]]) == 0
+        assert capsys.readouterr().out == expected
+        if command == ["hn", "--oracle"]:
+            assert json.loads(expected)["oracle_agrees"] is True
 
 
 class TestGenCommand:
@@ -482,12 +529,12 @@ class TestMalformedInput:
         doc["matrices"][1]["rows"] = [[-1]]
         inp = tmp_path / "inst.json"
         write_json(str(inp), doc)
-        inst = instance_from_json(load_json(str(inp)))
-        assert [m.data for m in inst.rep.mats] == [((1,),), ((1,),)]
+        rep = instance_from_json(load_json(str(inp)))
+        assert [m.data for m in rep.mats] == [((1,),), ((1,),)]
         doc = _rational_instance()
         doc["matrices"][0]["rows"] = [["2/4"]]
         write_json(str(inp), doc)
-        (entry,), = instance_from_json(load_json(str(inp))).rep.mats[0].data
+        (entry,), = instance_from_json(load_json(str(inp))).mats[0].data
         assert entry == Fraction(1, 2) and type(entry) is Fraction
 
     def test_long_value_short_error_line(self, tmp_path):

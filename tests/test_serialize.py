@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from hnzz.errors import ParseError, ValidationError
-from hnzz.affine import AffineQuiver, CCW, CW, NClass, indec_N
+from hnzz.errors import ParseError, ShapeError, ValidationError
+from hnzz.affine import AffineQuiver, CCW, CW, NClass, affine_of_quiver, indec_N
 from hnzz.generators import gen_affine, gen_persistence
 from hnzz.hn import hn_bruteforce
 from hnzz.linalg import GF, QQ
@@ -44,14 +44,16 @@ class TestInstanceRoundTrip:
     def test_persistence_rational(self):
         rng = make_rng(41)
         rep, _ = gen_persistence(4, QQ, 3, rng, min_summands=1)
-        inst = instance_from_json(instance_to_json(rep))
-        assert inst.rep == rep and inst.affine is None
+        back = instance_from_json(instance_to_json(rep))
+        assert back == rep
+        with pytest.raises(ShapeError):
+            affine_of_quiver(back.quiver)
 
     def test_affine_prime(self):
         rng = make_rng(42)
         aq, rep, _, _ = gen_affine(5, GF(3), 3, rng, min_summands=1)
-        inst = instance_from_json(instance_to_json(rep, aq))
-        assert inst.rep == rep and inst.affine == aq
+        back = instance_from_json(instance_to_json(rep, aq))
+        assert back == rep and affine_of_quiver(back.quiver) == aq
 
     def test_byte_stable(self):
         rng = make_rng(43)

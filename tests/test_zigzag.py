@@ -4,7 +4,14 @@ from hnzz import zigzag
 from hnzz.errors import ShapeError, ValidationError
 from hnzz.linalg import GF, QQ, Matrix, hstack, kernel_basis, random_invertible_rng, rank
 from hnzz.quiver import Quiver, Representation, conjugate, direct_sum, zero_representation
-from hnzz.zigzag import Barcode, Interval, barcode, interval_module, path_steps
+from hnzz.zigzag import (
+    Barcode,
+    Interval,
+    barcode,
+    interval_module,
+    is_equioriented,
+    path_steps,
+)
 
 from conftest import conjugating_bases, make_rng, random_path_quiver, random_zigzag_rep
 
@@ -138,6 +145,11 @@ class TestIntervalModule:
     def test_path_steps_mixed(self):
         q = Quiver(3, ((1, 0), (1, 2)))
         assert path_steps(q) == [(0, False), (1, True)]
+
+    def test_is_equioriented(self):
+        assert is_equioriented(A3) and is_equioriented(Quiver(1, ()))
+        assert not is_equioriented(Quiver(3, ((1, 0), (1, 2))))  # a zigzag
+        assert not is_equioriented(Quiver(3, ((0, 1), (1, 2), (2, 0))))  # not a path
 
 
 class TestGeneralizedRank:
