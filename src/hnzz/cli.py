@@ -1,7 +1,8 @@
 """Command-line interface: barcode, hn, lift, gen, verify.
 
-The quiver alone decides an instance's shape, however the file spells
-it; ``lift`` leaves the shape check to ``classify_lift``.
+The quiver alone decides an instance's shape: an affine cycle written as
+``vertices``/``edges`` in ``to_quiver`` order is the same instance as its
+``affine`` spelling.  ``lift`` leaves the shape check to ``classify_lift``.
 
 Exit codes are stable: 0 success, 1 check failure, internal error or
 closed stdout, 2 malformed input, 3 invariant violation, 4 unsupported

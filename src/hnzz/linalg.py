@@ -262,10 +262,10 @@ def _gauss_jordan(field: Field, work: list[list], reduced: bool = True) -> list[
     ``pivots[i]`` and every row past the last pivot is zero.  This is the
     one elimination loop of the package: ``rref``, ``rank``,
     ``column_echelon``, ``prefix_sum_dim`` and the ``flag_*`` operations
-    all run through it, and ``kernel_basis`` through ``flag_preimage``.  With
-    ``reduced=False`` only the rows below each pivot are cleared: the
-    pivots are the same, at about half the row operations, which is all
-    ``rank`` needs.
+    all run through it (a kernel is the ``flag_preimage`` of the zero
+    subspace).  With ``reduced=False`` only the rows below each pivot are
+    cleared: the pivots are the same, at about half the row operations,
+    which is all ``rank`` needs.
     """
     scale, sub_scaled, one = field.scale_row, field.sub_scaled_row, field.one
     nr = len(work)
@@ -305,16 +305,6 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
 def rank(m: Matrix) -> int:
     """Rank as the pivot count of the echelon form; 0 for empty matrices."""
     return len(_gauss_jordan(m.field, [list(row) for row in m.data], reduced=False))
-
-
-def kernel_basis(m: Matrix) -> Matrix:
-    """Basis of the right null space, as a reduced column-echelon matrix.
-
-    The kernel is the preimage of the zero subspace (``flag_preimage``).
-    The column count always equals ``cols - rank`` and the basis is the
-    canonical one, so repeated runs (and golden tests) are bit-stable.
-    """
-    return column_echelon(flag_preimage(m, zero_space(m.field, m.rows), ())[0])
 
 
 def column_echelon(m: Matrix) -> Matrix:

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from hnzz.linalg import GF, QQ, Matrix, random_invertible_rng
+from hnzz.linalg import GF, QQ, Matrix, column_echelon, random_invertible_rng, rref
 from hnzz.quiver import Quiver, Representation
 
 
@@ -13,6 +13,29 @@ def rng():
 
 def make_rng(seed: int) -> random.Random:
     return random.Random(seed)
+
+
+def reference_kernel(m: Matrix) -> Matrix:
+    """Canonical basis of the right null space of ``m``, built directly.
+
+    One vector per free column of ``rref(m)``: 1 at the free column and
+    minus that column's entries at the pivot columns.  The package takes a
+    kernel as ``flag_preimage`` of the zero subspace; this reference does
+    not go through the flag operations, so the tests can check them.
+    """
+    fld = m.field
+    reduced, pivots = rref(m)
+    vectors = []
+    for f in range(m.cols):
+        if f in pivots:
+            continue
+        vec = [fld.zero] * m.cols
+        vec[f] = fld.one
+        for i, pc in enumerate(pivots):
+            vec[pc] = fld.neg(reduced.data[i][f])
+        vectors.append(vec)
+    rows = list(zip(*vectors)) if vectors else [[] for _ in range(m.cols)]
+    return column_echelon(Matrix(fld, rows, len(vectors)))
 
 
 def zero_map_path(dims, fld=GF(2)) -> Representation:

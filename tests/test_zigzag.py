@@ -2,7 +2,7 @@ import pytest
 
 from hnzz import zigzag
 from hnzz.errors import ShapeError, ValidationError
-from hnzz.linalg import GF, QQ, Matrix, hstack, kernel_basis, random_invertible_rng, rank
+from hnzz.linalg import GF, QQ, Matrix, hstack, random_invertible_rng, rank
 from hnzz.quiver import Quiver, Representation, conjugate, direct_sum, zero_representation
 from hnzz.zigzag import (
     Barcode,
@@ -13,7 +13,13 @@ from hnzz.zigzag import (
     path_steps,
 )
 
-from conftest import conjugating_bases, make_rng, random_path_quiver, random_zigzag_rep
+from conftest import (
+    conjugating_bases,
+    make_rng,
+    random_path_quiver,
+    random_zigzag_rep,
+    reference_kernel,
+)
 
 A2 = Quiver(2, ((0, 1),))
 A3 = Quiver(3, ((0, 1), (1, 2)))
@@ -60,7 +66,7 @@ def generalized_rank(v: Representation, iv: Interval) -> int:
             row[offset[dst] + i] = fld.neg(fld.one)
             comp_rows.append(row)
     if comp_rows:
-        limit = kernel_basis(Matrix(fld, comp_rows, total))
+        limit = reference_kernel(Matrix(fld, comp_rows, total))
     else:
         limit = Matrix.identity(fld, total)
 
