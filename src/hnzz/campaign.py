@@ -1,34 +1,64 @@
-"""The dual-path verification campaign: fast route against the oracle.
+"""The fast HN route and the dual-path campaign that certifies it.
 
-Theorem A reads the HN filtration of an equioriented path off its
-barcode (``hn_from_barcode``), Theorem B that of an affine cycle off the
-barcode of its unwinding (``eta_from_lift``).  Each theorem has one
-instance draw and one check, shared by ``hnzz verify`` and the
-acceptance suite; a check returns None or a one-line description of the
-first disagreement with ``hn_bruteforce``.
+``fast_report`` is the one place that decides the fast route, from the
+quiver and the weights' values: under the Euler weights, Theorem A reads
+the HN filtration of an equioriented path off its barcode
+(``hn_from_barcode``) and Theorem B that of an affine cycle off the
+barcode of its unwinding (``eta_from_lift``).  ``hnzz hn`` and both
+checks call it.  Each theorem has one instance draw and one check,
+shared by ``hnzz verify`` and the acceptance suite; a check returns None
+or a one-line description of the first disagreement with
+``hn_bruteforce``.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .affine import AffineQuiver, NClass, eta_from_lift, p_value, recover_N_multiplicities
+from .affine import (
+    AffineQuiver,
+    NClass,
+    affine_of_quiver,
+    eta_from_lift,
+    p_value,
+    recover_N_multiplicities,
+)
+from .errors import ShapeError
 from .generators import gen_affine, gen_persistence
-from .hn import ORACLE_MAX_TOTAL_DIM, hn_bruteforce, hn_from_barcode
+from .hn import ORACLE_MAX_TOTAL_DIM, HNReport, hn_bruteforce, hn_from_barcode
 from .linalg import ENUM_MAX_DIM, GF
-from .quiver import Representation, euler_stability
+from .quiver import Representation, StabilityCondition, euler_stability
 from .serialize import instance_to_json
-from .zigzag import barcode
+from .zigzag import Interval, barcode, is_equioriented
+
+
+def fast_report(rep: Representation, alpha: StabilityCondition) -> HNReport | None:
+    """HN report of ``rep`` under ``alpha`` by the fast route; None if none applies.
+
+    The shape is resolved before the weights are compared, since
+    ``euler_stability`` refuses cyclic quivers.
+    """
+    q = rep.quiver
+    try:
+        affine_of_quiver(q)
+        cycle = True
+    except ShapeError:
+        if not is_equioriented(q):
+            return None
+        cycle = False
+    if alpha != euler_stability(q):
+        return None
+    return eta_from_lift(rep) if cycle else hn_from_barcode(barcode(rep), q)
 
 
 @dataclass(frozen=True)
 class Case:
-    """One drawn instance; ``truth_n`` holds its wrapped-interval summands."""
+    """One drawn instance and its summands: intervals (A) or wrapped intervals (B)."""
 
     rep: Representation
+    summands: dict[Interval, int] | dict[NClass, int]
     affine: AffineQuiver | None = None
-    truth_n: dict[NClass, int] = field(default_factory=dict)
 
 
 def _field_and_cap(rng: random.Random):
@@ -40,8 +70,10 @@ def _field_and_cap(rng: random.Random):
 def draw_a(rng: random.Random) -> Case:
     fld, cap = _field_and_cap(rng)
     n = rng.randint(1, 5)
-    rep, _ = gen_persistence(n, fld, 4, rng, min_summands=1, total_cap=cap, vertex_cap=ENUM_MAX_DIM)
-    return Case(rep)
+    rep, truth = gen_persistence(
+        n, fld, 4, rng, min_summands=1, total_cap=cap, vertex_cap=ENUM_MAX_DIM
+    )
+    return Case(rep, truth)
 
 
 def draw_b(rng: random.Random) -> Case:
@@ -50,28 +82,34 @@ def draw_b(rng: random.Random) -> Case:
     aq, rep, truth_n, _ = gen_affine(
         n, fld, 3, rng, min_summands=1, total_cap=cap, vertex_cap=ENUM_MAX_DIM, max_len=2 * n
     )
-    return Case(rep, aq, truth_n)
+    return Case(rep, truth_n, aq)
+
+
+def _euler_oracle(rep: Representation) -> HNReport | None:
+    """The oracle's Euler report, or None when ``fast_report`` gives another."""
+    alpha = euler_stability(rep.quiver)
+    oracle = hn_bruteforce(rep, alpha)
+    return oracle if fast_report(rep, alpha) == oracle else None
 
 
 def check_a(case: Case) -> str | None:
-    rep = case.rep
-    bar = barcode(rep)
-    oracle = hn_bruteforce(rep, euler_stability(rep.quiver))
-    if hn_from_barcode(bar, rep.quiver).steps != oracle.steps:
+    oracle = _euler_oracle(case.rep)
+    if oracle is None:
         return "hn_from_barcode differs from the oracle"
-    # length formula: 1 + #J, with the degenerate all-left-anchored case
-    # collapsing to #J (the final quotient would otherwise be zero)
-    j_count = sum(1 for iv, _ in bar if iv.lo == 0)
-    expected = j_count + 1 if any(iv.lo != 0 for iv, _ in bar) else j_count
+    # length formula on the drawn intervals: 1 + #J, with the degenerate
+    # all-left-anchored case collapsing to #J (the final quotient would
+    # otherwise be zero)
+    j_count = sum(1 for iv in case.summands if iv.lo == 0)
+    expected = j_count + 1 if any(iv.lo != 0 for iv in case.summands) else j_count
     if len(oracle.steps) != expected:
         return f"{len(oracle.steps)} HN steps, the length formula gives {expected}"
     return None
 
 
 def check_b(case: Case) -> str | None:
-    rep, aq, truth_n = case.rep, case.affine, case.truth_n
-    fast = eta_from_lift(rep)
-    if fast.steps != hn_bruteforce(rep, euler_stability(rep.quiver)).steps:
+    aq, truth_n = case.affine, case.summands
+    report = _euler_oracle(case.rep)
+    if report is None:
         return "eta_from_lift differs from the oracle"
     # every summand class and every other class shorter than 2n; slope-0
     # (p = 1) classes blend together and are not recoverable
@@ -79,7 +117,7 @@ def check_b(case: Case) -> str | None:
     for cls in sorted(classes):
         if p_value(aq, cls.u, cls.v) == 1:
             continue
-        got = recover_N_multiplicities(aq, fast, cls.u, cls.v)
+        got = recover_N_multiplicities(aq, report, cls.u, cls.v)
         if got != truth_n.get(cls, 0):
             return f"N({cls.u},{cls.v}) recovered {got} times, built {truth_n.get(cls, 0)}"
     return None

@@ -3,6 +3,9 @@
 The quiver alone decides an instance's shape: an affine cycle written as
 ``vertices``/``edges`` in ``to_quiver`` order is the same instance as its
 ``affine`` spelling.  ``lift`` leaves the shape check to ``classify_lift``.
+``hn`` reads the weights (the word ``euler`` or a weights file) and asks
+``campaign.fast_report`` for the fast route, which goes by their values:
+a file holding the Euler weights gets the same report as the default.
 
 Exit codes are stable: 0 success, 1 check failure, internal error or
 closed stdout, 2 malformed input, 3 invariant violation, 4 unsupported
@@ -18,7 +21,7 @@ import random
 import sys
 
 from . import campaign
-from .affine import affine_of_quiver, classify_lift, eta_from_lift
+from .affine import classify_lift
 from .errors import (
     GuardError,
     InternalCheckError,
@@ -28,7 +31,7 @@ from .errors import (
     shown,
 )
 from .generators import gen_affine, gen_persistence
-from .hn import hn_bruteforce, hn_from_barcode
+from .hn import hn_bruteforce
 from .linalg import GF, QQ
 from .quiver import check_weights, euler_stability
 from .serialize import (
@@ -42,7 +45,7 @@ from .serialize import (
     weights_from_json,
     write_json,
 )
-from .zigzag import barcode, is_equioriented
+from .zigzag import barcode
 
 
 def _emit(doc: dict, out: str | None) -> None:
@@ -60,19 +63,12 @@ def _cmd_barcode(args) -> int:
 
 def _cmd_hn(args) -> int:
     rep = instance_from_json(load_json(args.input))
-    fast = None
     if args.stability == "euler":
         alpha = euler_stability(rep.quiver)
-        try:
-            affine_of_quiver(rep.quiver)
-        except ShapeError:  # not an affine cycle: the barcode route, if a path
-            if is_equioriented(rep.quiver):
-                fast = hn_from_barcode(barcode(rep), rep.quiver)
-        else:
-            fast = eta_from_lift(rep)
     else:
         alpha = weights_from_json(load_json(args.stability))
         check_weights(rep.quiver, alpha)
+    fast = campaign.fast_report(rep, alpha)
     if fast is None and not args.oracle:
         raise ShapeError(
             "the fast route needs the Euler weights on an equioriented path "

@@ -10,6 +10,7 @@ caller's ``random.Random``, making outputs reproducible per seed.
 from __future__ import annotations
 
 import random
+from typing import Hashable, Iterable
 
 from .affine import AffineQuiver, CCW, CW, NClass, TClass, indec_N, indec_T, to_quiver
 from .errors import ValidationError
@@ -32,9 +33,32 @@ def random_orientation(n: int, rng: random.Random) -> tuple[int, ...]:
             return bits
 
 
-def _conjugated(rep: Representation, rng: random.Random) -> Representation:
-    bases = [random_invertible_rng(d, rep.field, rng) for d in rep.dims]
-    return conjugate(rep, bases)
+def _capped_sum(
+    q: Quiver,
+    fld: Field,
+    summands: Iterable[tuple[Hashable, Representation]],
+    rng: random.Random,
+    total_cap: int | None,
+    vertex_cap: int | None,
+) -> tuple[Representation, dict]:
+    """Conjugated direct sum of the (key, module) summands, with each kept key's count.
+
+    A summand whose addition would push the total (or some vertex) past
+    its cap is skipped, which keeps instances inside oracle guards.  The
+    summands are drawn in turn, then the conjugating bases.
+    """
+    rep = zero_representation(q, fld)
+    kept: dict = {}
+    for key, summand in summands:
+        cand = direct_sum(rep, summand)
+        if total_cap is not None and cand.total_dim() > total_cap:
+            continue
+        if vertex_cap is not None and max(cand.dims) > vertex_cap:
+            continue
+        rep = cand
+        kept[key] = kept.get(key, 0) + 1
+    bases = [random_invertible_rng(d, fld, rng) for d in rep.dims]
+    return conjugate(rep, bases), kept
 
 
 def gen_persistence(
@@ -47,27 +71,17 @@ def gen_persistence(
     total_cap: int | None = None,
     vertex_cap: int | None = None,
 ) -> tuple[Representation, dict[Interval, int]]:
-    """Conjugated random interval sum on the equioriented path of length n.
-
-    Summands whose addition would push the total (or some vertex) past
-    the caps are skipped, which keeps instances inside oracle guards.
-    """
+    """Conjugated random interval sum on the equioriented path of length n,
+    capped as ``_capped_sum`` says."""
     q = equioriented_quiver(n)
-    rep = zero_representation(q, fld)
-    truth: dict[Interval, int] = {}
-    count = rng.randint(min_summands, max_summands)
-    for _ in range(count):
+
+    def draw() -> tuple[Interval, Representation]:
         lo = rng.randrange(n)
-        hi = rng.randint(lo, n - 1)
-        iv = Interval(lo, hi)
-        cand = direct_sum(rep, interval_module(q, iv, fld))
-        if total_cap is not None and cand.total_dim() > total_cap:
-            continue
-        if vertex_cap is not None and max(cand.dims) > vertex_cap:
-            continue
-        rep = cand
-        truth[iv] = truth.get(iv, 0) + 1
-    return _conjugated(rep, rng), truth
+        iv = Interval(lo, rng.randint(lo, n - 1))
+        return iv, interval_module(q, iv, fld)
+
+    count = rng.randint(min_summands, max_summands)
+    return _capped_sum(q, fld, (draw() for _ in range(count)), rng, total_cap, vertex_cap)
 
 
 def gen_affine(
@@ -89,32 +103,23 @@ def gen_affine(
     """
     aq = AffineQuiver(n, random_orientation(n, rng))
     q = to_quiver(aq)
-    rep = zero_representation(q, fld)
-    truth_n: dict[NClass, int] = {}
-    truth_t: dict[TClass, int] = {}
     if max_len is None:
         max_len = 3 * n - 1
-    count = rng.randint(min_summands, max_summands)
-    for _ in range(count):
+
+    def draw() -> tuple[NClass | TClass, Representation]:
         if rng.random() < 0.6:
             u = rng.randrange(n)
             v = u + rng.randint(0, max_len)
-            summand = indec_N(aq, u, v, fld)
-            key: NClass | TClass = NClass(u, v)
+            return NClass(u, v), indec_N(aq, u, v, fld)
+        if isinstance(fld, PrimeField):
+            lam = fld.coerce(rng.randint(1, fld.p - 1))
         else:
-            if isinstance(fld, PrimeField):
-                lam = fld.coerce(rng.randint(1, fld.p - 1))
-            else:
-                lam = fld.coerce(rng.choice([x for x in range(-9, 10) if x]))
-            w = rng.randint(1, 2)
-            summand = indec_T(aq, lam, w, fld)
-            key = TClass(lam, w)
-        cand = direct_sum(rep, summand)
-        if total_cap is not None and cand.total_dim() > total_cap:
-            continue
-        if vertex_cap is not None and max(cand.dims) > vertex_cap:
-            continue
-        rep = cand
-        bucket = truth_n if isinstance(key, NClass) else truth_t
-        bucket[key] = bucket.get(key, 0) + 1
-    return aq, _conjugated(rep, rng), truth_n, truth_t
+            lam = fld.coerce(rng.choice([x for x in range(-9, 10) if x]))
+        w = rng.randint(1, 2)
+        return TClass(lam, w), indec_T(aq, lam, w, fld)
+
+    count = rng.randint(min_summands, max_summands)
+    rep, kept = _capped_sum(q, fld, (draw() for _ in range(count)), rng, total_cap, vertex_cap)
+    truth_n = {key: m for key, m in kept.items() if isinstance(key, NClass)}
+    truth_t = {key: m for key, m in kept.items() if isinstance(key, TClass)}
+    return aq, rep, truth_n, truth_t

@@ -12,12 +12,11 @@ Each pass of ``hn_bruteforce`` needs only a count and one witness per
 quotient dimension vector, so a suffix DP over the topological order
 builds one table per tuple of partial floors (``_quotient_table``) and
 the pass prices one slope per vector; the tables are freed when the pass
-ends.  ``subrepresentations`` is the plain walk, kept as the reference
-the DP is tested against.  Both skip the vertices of dimension 0.
+ends.  The scan skips the vertices of dimension 0.
 ``hn_from_barcode`` is the fast route for equioriented type-A
 representations under the Euler weights: one step per interval family
-[0, j] plus a final slope-0 step for everything else, on a quiver that
-``zigzag.is_equioriented`` accepts.
+[0, j] plus a final slope-0 step for everything else.
+``campaign.fast_report`` decides when it applies.
 
 Reports carry (slope, quotient dimension vector) steps with strictly
 decreasing exact rational slopes; only the oracle fills in witness bases.
@@ -27,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import GuardError, InternalCheckError, ShapeError, ValidationError
 from .linalg import (
@@ -132,44 +131,6 @@ def _scan_order(v: Representation) -> list[int]:
     return [x for x in order if v.dims[x]]
 
 
-def subrepresentations(
-    v: Representation, above: Sequence[Matrix] | None = None
-) -> Iterator[tuple[Matrix, ...]]:
-    """Subrepresentations of v containing ``above``, as canonical bases.
-
-    ``above`` is a subrepresentation in canonical bases, as yielded here;
-    None is the zero one.  Walks the vertices in topological order; at
-    each vertex only the subspaces containing ``above`` and the images of
-    the already-chosen subspaces along in-edges are enumerated, so every
-    yielded tuple is closed under the edge maps and appears exactly once.
-    A vertex of dimension 0 keeps its one subspace ``above[x]`` and is
-    skipped, so the recursion is no deeper than the total dimension.  The
-    suffix DP (``_quotient_table``) is tested against this plain walk.
-    """
-    if above is None:
-        above = [zero_space(v.field, d) for d in v.dims]
-    order = _scan_order(v)
-    in_edges: list[list[int]] = [[] for _ in range(v.quiver.vertex_count)]
-    for e, (_, dst) in enumerate(v.quiver.edges):
-        in_edges[dst].append(e)
-    chosen = {x: above[x] for x, d in enumerate(v.dims) if not d}
-
-    def walk(i: int) -> Iterator[tuple[Matrix, ...]]:
-        if i == len(order):
-            yield tuple(chosen[x] for x in range(v.quiver.vertex_count))
-            return
-        x = order[i]
-        floor = above[x]
-        images = [v.mats[e] @ chosen[v.quiver.edges[e][0]] for e in in_edges[x]]
-        if images:
-            floor = column_echelon(hstack([floor] + images))
-        for u in superspace_enumerator(floor):
-            chosen[x] = u
-            yield from walk(i + 1)
-
-    return walk(0)
-
-
 def is_semistable(v: Representation, alpha: StabilityCondition) -> bool:
     """True iff no nonzero subrepresentation has a strictly larger slope.
 
@@ -187,8 +148,9 @@ def _quotient_table(
     """Quotient dims -> [first bases, count] over the subreps containing ``above``.
 
     The quotient dims are taken beyond those of ``above``; the first bases
-    are the first subrepresentation of ``subrepresentations(v, above)``
-    with those quotient dims, and the count is how many it yields.  A
+    are the first subrepresentation with those quotient dims in the order
+    that picks each vertex's subspace in turn along ``_scan_order`` (each
+    from ``superspace_enumerator``), and the count is how many there are.  A
     suffix DP over the topological order: the subreps on ``order[i:]`` depend
     on the choices before i only through the partial floors of those
     vertices (``above`` plus the images of the chosen in-neighbours), so

@@ -4,7 +4,7 @@ A quiver is a finite directed multigraph on the vertex set
 ``0 .. vertex_count-1``; edges are (src, dst) pairs and the position of
 an edge in the edge list is its id.  A representation attaches one exact
 matrix per edge, with shape ``dims[dst] x dims[src]``, so matrices act on
-column vectors.
+column vectors; it checks that structure when it is built.
 """
 
 from __future__ import annotations
@@ -68,14 +68,36 @@ def topological_order(q: Quiver) -> list[int] | None:
 
 @dataclass(frozen=True)
 class Representation:
+    """One matrix per edge; construction raises ValidationError on any mismatch."""
+
     quiver: Quiver
     field: Field
     dims: tuple[int, ...]
     mats: tuple[Matrix, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        object.__setattr__(self, "mats", tuple(self.mats))
+        dims = tuple(int(d) for d in self.dims)
+        mats = tuple(self.mats)
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "mats", mats)
+        q = self.quiver
+        if len(dims) != q.vertex_count:
+            raise ValidationError(f"dims has {len(dims)} entries for {q.vertex_count} vertices")
+        problems = ["negative dimension"] if any(d < 0 for d in dims) else []
+        if len(mats) != len(q.edges):
+            problems.append(f"{len(mats)} matrices for {len(q.edges)} edges")
+            raise ValidationError("; ".join(problems))
+        for e, ((src, dst), m) in enumerate(zip(q.edges, mats)):
+            if m.field != self.field:
+                problems.append(
+                    f"edge {e}: matrix field {m.field!r} != representation field {self.field!r}"
+                )
+            if m.rows != dims[dst] or m.cols != dims[src]:
+                problems.append(
+                    f"edge {e}: matrix is {m.rows}x{m.cols}, expected {dims[dst]}x{dims[src]}"
+                )
+        if problems:
+            raise ValidationError("; ".join(problems))
 
     def total_dim(self) -> int:
         return sum(self.dims)
@@ -88,27 +110,6 @@ def zero_representation(q: Quiver, fld: Field) -> Representation:
     dims = (0,) * q.vertex_count
     mats = tuple(Matrix.zeros(fld, 0, 0) for _ in q.edges)
     return Representation(q, fld, dims, mats)
-
-
-def validate(v: Representation) -> list[str]:
-    """Structural violations, empty iff the representation is well formed."""
-    problems = []
-    if len(v.dims) != v.quiver.vertex_count:
-        problems.append(f"dims has {len(v.dims)} entries for {v.quiver.vertex_count} vertices")
-        return problems
-    if any(d < 0 for d in v.dims):
-        problems.append("negative dimension")
-    if len(v.mats) != len(v.quiver.edges):
-        problems.append(f"{len(v.mats)} matrices for {len(v.quiver.edges)} edges")
-        return problems
-    for e, ((src, dst), m) in enumerate(zip(v.quiver.edges, v.mats)):
-        if m.field != v.field:
-            problems.append(f"edge {e}: matrix field {m.field!r} != representation field {v.field!r}")
-        if m.rows != v.dims[dst] or m.cols != v.dims[src]:
-            problems.append(
-                f"edge {e}: matrix is {m.rows}x{m.cols}, expected {v.dims[dst]}x{v.dims[src]}"
-            )
-    return problems
 
 
 def direct_sum(a: Representation, b: Representation) -> Representation:

@@ -5,10 +5,10 @@ prime-field entries are plain ints with the modulus stated once in the
 field descriptor.  The reader builds matrices with the public ``Matrix``
 and weights with ``StabilityCondition``, so the field coerces each entry
 once; an entry it refuses is malformed input (``ParseError``).  It
-returns the ``Representation`` alone: an ``affine`` quiver is checked by
-``AffineQuiver`` and read as ``to_quiver`` builds it.  All writers emit
-canonically ordered, newline terminated documents so repeated runs are
-byte-identical.
+returns the ``Representation`` alone, which checks its matrix shapes
+itself; an ``affine`` quiver is checked by ``AffineQuiver`` and read as
+``to_quiver`` builds it.  All writers emit canonically ordered, newline
+terminated documents so repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .affine import AffineQuiver, NClass, TClass, to_quiver
 from .errors import ParseError, ValidationError, shown
 from .hn import HNReport
 from .linalg import Field, GF, Matrix, PrimeField, QQ
-from .quiver import Quiver, Representation, StabilityCondition, validate
+from .quiver import Quiver, Representation, StabilityCondition
 from .zigzag import Barcode, Interval
 
 
@@ -133,11 +133,7 @@ def instance_from_json(doc) -> Representation:
     if len(slots) != len(quiver.edges):
         missing = sorted(set(range(len(quiver.edges))) - set(slots))
         raise ParseError(f"missing matrices for edges {missing}")
-    rep = Representation(quiver, fld, tuple(dims), tuple(slots[e] for e in range(len(quiver.edges))))
-    problems = validate(rep)
-    if problems:
-        raise ValidationError("; ".join(problems))
-    return rep
+    return Representation(quiver, fld, tuple(dims), tuple(slots[e] for e in range(len(quiver.edges))))
 
 
 def barcode_to_json(bar: Barcode) -> list[dict]:

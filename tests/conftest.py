@@ -2,8 +2,18 @@ import random
 
 import pytest
 
-from hnzz.linalg import GF, QQ, Matrix, column_echelon, random_invertible_rng, rref
-from hnzz.quiver import Quiver, Representation
+from hnzz.linalg import (
+    GF,
+    QQ,
+    Matrix,
+    column_echelon,
+    hstack,
+    random_invertible_rng,
+    rref,
+    superspace_enumerator,
+    zero_space,
+)
+from hnzz.quiver import Quiver, Representation, topological_order
 
 
 @pytest.fixture
@@ -36,6 +46,37 @@ def reference_kernel(m: Matrix) -> Matrix:
         vectors.append(vec)
     rows = list(zip(*vectors)) if vectors else [[] for _ in range(m.cols)]
     return column_echelon(Matrix(fld, rows, len(vectors)))
+
+
+def subrepresentations(v: Representation, above=None):
+    """Subrepresentations of v containing ``above``, as canonical bases.
+
+    The plain walk that the oracle's suffix DP (``hn._quotient_table``)
+    is tested against.  ``above`` is a subrepresentation in canonical
+    bases, as yielded here; None is the zero one.  The walk takes the
+    vertices in ``topological_order`` (its own order, not the DP's); at
+    each vertex it enumerates only the subspaces containing ``above`` and
+    the images of the already-chosen subspaces along in-edges, so every
+    yielded tuple is closed under the edge maps and appears exactly once.
+    A vertex of dimension 0 keeps its one subspace and is skipped, so the
+    recursion is no deeper than the total dimension.
+    """
+    if above is None:
+        above = [zero_space(v.field, d) for d in v.dims]
+    order = [x for x in topological_order(v.quiver) if v.dims[x]]
+    chosen = dict(enumerate(above))
+
+    def walk(i):
+        if i == len(order):
+            yield tuple(chosen[x] for x in range(v.quiver.vertex_count))
+            return
+        x = order[i]
+        images = [m @ chosen[src] for (src, dst), m in zip(v.quiver.edges, v.mats) if dst == x]
+        for u in superspace_enumerator(column_echelon(hstack([above[x]] + images))):
+            chosen[x] = u
+            yield from walk(i + 1)
+
+    return walk(0)
 
 
 def zero_map_path(dims, fld=GF(2)) -> Representation:

@@ -12,7 +12,7 @@ from hnzz import campaign
 from hnzz.affine import AffineQuiver, CCW, CW, indec_N, indec_T, to_quiver
 from hnzz.cli import main
 from hnzz.generators import equioriented_quiver
-from hnzz.hn import hn_bruteforce
+from hnzz.hn import HNReport, hn_bruteforce
 from hnzz.linalg import GF, QQ, Matrix
 from hnzz.quiver import Quiver, Representation, direct_sum, euler_stability
 from hnzz.serialize import (
@@ -168,14 +168,60 @@ class TestHnCommand:
         assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
 
     def test_custom_weights_need_oracle(self, tmp_path, capsys):
+        # the Euler weights of this 2-path are (1, 0); these are not
         rep = interval_module(equioriented_quiver(2), Interval(0, 1), GF(2))
         inp = write_instance(tmp_path, rep)
         weights = tmp_path / "w.json"
-        weights.write_text('["1", "0"]\n')
+        weights.write_text('["0", "1"]\n')
         assert run(["hn", inp, "--stability", weights]) == 4
         assert run(["hn", inp, "--stability", weights, "--oracle"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert "hn" in doc and "oracle_agrees" not in doc
+
+    @pytest.mark.parametrize("kind, n, seed", [("persistence", 4, 5), ("affine", 3, 3)])
+    def test_euler_weights_file_same_bytes(self, tmp_path, capsys, kind, n, seed):
+        # the route goes by the weights' values, not their spelling: a file
+        # holding the Euler weights prints the default's bytes, with and
+        # without --oracle
+        inp = tmp_path / "inst.json"
+        assert run(["gen", "--kind", kind, "--n", n, "--seed", seed, "--field", 2,
+                    "--max-summands", 2, "--out", inp]) == 0
+        q = instance_from_json(load_json(str(inp))).quiver
+        weights = tmp_path / "w.json"
+        weights.write_text(json.dumps([str(w) for w in euler_stability(q).weights]))
+        for extra in ([], ["--oracle"]):
+            assert run(["hn", inp, *extra]) == 0
+            default = capsys.readouterr().out
+            assert run(["hn", inp, "--stability", weights, *extra]) == 0
+            assert capsys.readouterr().out == default
+        doc = json.loads(default)
+        assert doc["oracle_agrees"] is True and len(doc["hn"]) > 1
+
+    def test_one_route_rule_for_hn_and_verify(self, tmp_path, capsys, monkeypatch):
+        # hn and both campaign checks take the fast report from
+        # campaign.fast_report: a wrong report there shows in all three
+        rng = random.Random(5)
+        cases = {}
+        for theorem, (draw, check) in campaign.THEOREMS.items():
+            case = draw(rng)
+            while case.rep.is_zero():
+                case = draw(rng)
+            assert check(case) is None
+            cases[theorem] = case
+        inp = write_instance(tmp_path, cases["a"].rep)
+        assert run(["hn", inp]) == 0
+        right = capsys.readouterr().out
+
+        def wrong(rep, alpha):
+            return HNReport(rep.quiver, ((Fraction(7), rep.dims),))
+
+        monkeypatch.setattr(campaign, "fast_report", wrong)
+        assert run(["hn", inp]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "hn": hn_to_json(wrong(cases["a"].rep, None))
+        } != json.loads(right)
+        assert campaign.check_a(cases["a"]) == "hn_from_barcode differs from the oracle"
+        assert campaign.check_b(cases["b"]) == "eta_from_lift differs from the oracle"
 
 
 class TestLiftCommand:

@@ -16,10 +16,10 @@ from hnzz.quiver import (
     sheaf_euler_characteristic,
     slope,
     topological_order,
-    validate,
     zero_representation,
 )
-from hnzz.zigzag import Interval, interval_module
+from hnzz.hn import hn_bruteforce
+from hnzz.zigzag import Interval, barcode, interval_module
 
 from conftest import conjugating_bases, make_rng, random_zigzag_rep
 
@@ -58,18 +58,43 @@ class TestAcyclicity:
 
 
 class TestValidate:
+    """A Representation checks its own structure when it is built."""
+
     def test_interval_module_ok(self):
-        assert validate(interval_module(A2, Interval(0, 1), GF(2))) == []
+        v = interval_module(A2, Interval(0, 1), GF(2))
+        assert Representation(v.quiver, v.field, v.dims, v.mats) == v
 
     def test_wrong_shape(self):
-        v = Representation(A2, GF(2), (1, 1), (Matrix.zeros(GF(2), 2, 1),))
-        problems = validate(v)
-        assert len(problems) == 1 and "edge 0" in problems[0]
+        with pytest.raises(ValidationError, match=r"^edge 0: matrix is 2x1, expected 1x1$"):
+            Representation(A2, GF(2), (1, 1), (Matrix.zeros(GF(2), 2, 1),))
 
     def test_field_mismatch(self):
-        v = Representation(A2, GF(3), (1, 1), (Matrix.identity(GF(2), 1),))
-        problems = validate(v)
-        assert len(problems) == 1 and "field" in problems[0]
+        with pytest.raises(ValidationError, match=r"^edge 0: matrix field .* != representation field"):
+            Representation(A2, GF(3), (1, 1), (Matrix.identity(GF(2), 1),))
+
+    def test_problems_joined(self):
+        with pytest.raises(ValidationError) as info:
+            Representation(A2, GF(3), (1, -1), (Matrix.identity(GF(2), 1),))
+        problems = str(info.value).split("; ")
+        assert problems[0] == "negative dimension" and len(problems) == 3
+
+    def test_wrong_dims_length_stops_early(self):
+        with pytest.raises(ValidationError, match=r"^dims has 3 entries for 2 vertices$"):
+            Representation(A2, GF(2), (1, 1, -1), (Matrix.zeros(GF(2), 2, 2),))
+
+    def test_wrong_matrix_count_stops_early(self):
+        with pytest.raises(ValidationError, match=r"^negative dimension; 0 matrices for 1 edges$"):
+            Representation(A2, GF(2), (1, -1), ())
+
+    def test_bad_dims_refused_before_barcode(self):
+        # used to give the bars [0,1] and [1,1] of no representation
+        with pytest.raises(ValidationError, match=r"^edge 0: matrix is 1x1, expected 2x1$"):
+            barcode(Representation(A2, GF(2), (1, 2), (Matrix(GF(2), [[1]]),)))
+
+    def test_missing_matrices_refused_before_oracle(self):
+        # used to give a two-step oracle report
+        with pytest.raises(ValidationError, match=r"^0 matrices for 1 edges$"):
+            hn_bruteforce(Representation(A2, GF(2), (1, 1), ()), euler_stability(A2))
 
 
 class TestDirectSum:
