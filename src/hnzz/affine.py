@@ -34,7 +34,7 @@ from fractions import Fraction
 
 from .errors import InternalCheckError, ShapeError, ValidationError
 from .linalg import Field, Matrix
-from .quiver import Quiver, Representation
+from .quiver import Quiver, Representation, check_ints
 from .zigzag import Barcode, barcode
 from .hn import HNReport
 
@@ -50,9 +50,11 @@ class AffineQuiver:
     orientation: tuple[int, ...]
 
     def __post_init__(self):
+        check_ints((self.n,), "cycle length")
         if self.n < 2:
             raise ValidationError("affine quivers need at least two vertices")
-        object.__setattr__(self, "orientation", tuple(int(o) for o in self.orientation))
+        object.__setattr__(self, "orientation", tuple(self.orientation))
+        check_ints(self.orientation, "orientation bits")
         if len(self.orientation) != self.n:
             raise ValidationError("orientation must have one bit per edge")
         if any(o not in (CW, CCW) for o in self.orientation):

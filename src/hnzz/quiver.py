@@ -12,12 +12,26 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Sequence
 
-from .errors import ShapeError, ValidationError
+from .errors import ShapeError, ValidationError, shown
 from .linalg import QQ, Field, Matrix, block_diag, inverse
 
 Edge = tuple[int, int]
+
+
+def is_int(value) -> bool:
+    """True for an int proper: ``True`` and ``False`` are ints to Python, not counts."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def check_ints(values: Iterable, what: str) -> None:
+    """ValidationError unless every value is an int proper; nothing is truncated."""
+    for value in values:
+        # is_int, inlined: this runs on every edge of a lift window
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValidationError(f"{what}: {shown(value)} is not an int")
 
 
 @dataclass(frozen=True)
@@ -26,9 +40,11 @@ class Quiver:
     edges: tuple[Edge, ...]
 
     def __post_init__(self):
+        check_ints((self.vertex_count,), "vertex count")
         if self.vertex_count < 0:
             raise ValidationError(f"vertex count {self.vertex_count} is negative")
-        object.__setattr__(self, "edges", tuple((int(s), int(d)) for s, d in self.edges))
+        object.__setattr__(self, "edges", tuple((s, d) for s, d in self.edges))
+        check_ints(chain.from_iterable(self.edges), "edge endpoints")
         for src, dst in self.edges:
             if not (0 <= src < self.vertex_count and 0 <= dst < self.vertex_count):
                 raise ValidationError(f"edge ({src},{dst}) out of vertex range")
@@ -76,7 +92,8 @@ class Representation:
     mats: tuple[Matrix, ...]
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
+        dims = tuple(self.dims)
+        check_ints(dims, "dims")
         mats = tuple(self.mats)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "mats", mats)

@@ -19,20 +19,15 @@ from .affine import AffineQuiver, NClass, TClass, to_quiver
 from .errors import ParseError, ValidationError, shown
 from .hn import HNReport
 from .linalg import Field, GF, Matrix, PrimeField, QQ
-from .quiver import Quiver, Representation, StabilityCondition
+from .quiver import Quiver, Representation, StabilityCondition, is_int
 from .zigzag import Barcode, Interval
-
-
-def _is_int(value) -> bool:
-    """JSON integers only: ``true``/``false`` load as bools, which are ints too."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _need(obj, key, kind, where):
     if not isinstance(obj, dict) or key not in obj:
         raise ParseError(f"{where}: missing key {key!r}")
     value = obj[key]
-    ok = _is_int(value) if kind is int else kind is None or isinstance(value, kind)
+    ok = is_int(value) if kind is int else kind is None or isinstance(value, kind)
     if not ok:
         raise ParseError(f"{where}: key {key!r} has the wrong type")
     return value
@@ -94,7 +89,7 @@ def instance_from_json(doc) -> Representation:
         aobj = _need(qobj, "affine", dict, "quiver")
         n = _need(aobj, "n", int, "quiver.affine")
         orientation = _need(aobj, "orientation", list, "quiver.affine")
-        if not all(_is_int(o) and o in (0, 1) for o in orientation):
+        if not all(is_int(o) and o in (0, 1) for o in orientation):
             raise ParseError("quiver.affine: orientation must be a 0/1 array")
         quiver = to_quiver(AffineQuiver(n, tuple(orientation)))
     else:
@@ -106,7 +101,7 @@ def instance_from_json(doc) -> Representation:
             )
         quiver = Quiver(vertices, tuple(edges))
     dims = _need(doc, "dims", list, "instance")
-    if not all(_is_int(d) and d >= 0 for d in dims):
+    if not all(is_int(d) and d >= 0 for d in dims):
         raise ParseError("dims must be non-negative ints")
     if len(dims) != quiver.vertex_count:
         raise ValidationError(

@@ -72,6 +72,12 @@ class TestQuiverConstruction:
         with pytest.raises(ShapeError):
             AffineQuiver(3, (CCW, CCW, CCW))
 
+    @pytest.mark.parametrize("n, bits", [(3, (CW, CCW, 1.0)), (3, (CW, True, CCW)), (3.0, (CW, CCW, CCW))])
+    def test_non_int_refused(self, n, bits):
+        # orientation bits used to pass through int(), so 1.0 and True read as CCW
+        with pytest.raises(ValidationError, match="is not an int$"):
+            AffineQuiver(n, bits)
+
     def test_roundtrip(self):
         for n in (2, 3, 4):
             for bits in mixed_orientations(n):

@@ -96,6 +96,20 @@ class TestValidate:
         with pytest.raises(ValidationError, match=r"^0 matrices for 1 edges$"):
             hn_bruteforce(Representation(A2, GF(2), (1, 1), ()), euler_stability(A2))
 
+    def test_non_int_entries_refused_not_truncated(self):
+        # used to build the path 0 -> 1 with dims (1, 1)
+        with pytest.raises(ValidationError, match=r"^edge endpoints: 0\.9 is not an int$"):
+            Representation(Quiver(2, ((0.9, 1),)), GF(2), (1.9, True), (Matrix.identity(GF(2), 1),))
+        with pytest.raises(ValidationError, match=r"^dims: 1\.9 is not an int$"):
+            Representation(A2, GF(2), (1.9, 1), (Matrix.identity(GF(2), 1),))
+        with pytest.raises(ValidationError, match=r"^dims: True is not an int$"):
+            Representation(A2, GF(2), (1, True), (Matrix.identity(GF(2), 1),))
+
+    @pytest.mark.parametrize("count, edges", [(True, ()), (2.0, ()), (2, ((0, True),)), (2, (("0", 1),))])
+    def test_quiver_refuses_non_int(self, count, edges):
+        with pytest.raises(ValidationError, match="is not an int$"):
+            Quiver(count, edges)
+
 
 class TestDirectSum:
     def test_with_zero(self):

@@ -1,8 +1,18 @@
 import pytest
 
-from hnzz import zigzag
+from hnzz import linalg, zigzag
 from hnzz.errors import ShapeError, ValidationError
-from hnzz.linalg import GF, QQ, Matrix, hstack, random_invertible_rng, rank
+from hnzz.affine import default_window, lift_truncated
+from hnzz.generators import gen_affine
+from hnzz.linalg import (
+    GF,
+    QQ,
+    Matrix,
+    RationalField,
+    hstack,
+    random_invertible_rng,
+    rank,
+)
 from hnzz.quiver import Quiver, Representation, conjugate, direct_sum, zero_representation
 from hnzz.zigzag import (
     Barcode,
@@ -371,3 +381,125 @@ def test_whole_space_flag_keeps_small_entries(monkeypatch):
         monkeypatch.setattr(zigzag, name, recording)
     assert bars(v) == {(0, n - 1): 3}
     assert max(bits) <= 8
+
+
+def shared_matrix_rep(rng, fld, dims):
+    """Random-orientation path on ``dims`` whose edges share Matrix objects.
+
+    Each shape gets a pool of two sparse random matrices, and every edge
+    takes one of its shape's pool, so an object sits on several edges, in
+    either direction when it is square.
+    """
+    q = random_path_quiver(len(dims), rng)
+    pool: dict[tuple[int, int], list[Matrix]] = {}
+    mats = []
+    for src, dst in q.edges:
+        shape = (dims[dst], dims[src])
+        if shape not in pool:
+            pool[shape] = [
+                Matrix(fld, [[rng.choice((0, 0, 1, 2)) for _ in range(shape[1])]
+                             for _ in range(shape[0])], shape[1])
+                for _ in range(2)
+            ]
+        mats.append(rng.choice(pool[shape]))
+    return Representation(q, fld, tuple(dims), tuple(mats))
+
+
+def unshared(v: Representation) -> Representation:
+    """v with a Matrix object of its own on every edge."""
+    mats = tuple(Matrix(m.field, m.data, m.cols) for m in v.mats)
+    return Representation(v.quiver, v.field, v.dims, mats)
+
+
+class TestSharedMatrices:
+    """``barcode`` steps a trivial flag once per recurring Matrix object.
+
+    Every path here reuses objects.  The reference prices each interval
+    on its own, so a reused step that moved the wrong members shows, and
+    the same path with unshared matrices must need more eliminations.
+    """
+
+    @pytest.fixture
+    def check(self, monkeypatch):
+        kernel = linalg._gauss_jordan
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, "_gauss_jordan", counting)
+        eliminations = {"shared": 0, "unshared": 0}
+
+        def check(v):
+            start = len(calls)
+            got = bars(v)
+            middle = len(calls)
+            assert bars(unshared(v)) == got
+            eliminations["shared"] += middle - start
+            eliminations["unshared"] += len(calls) - middle
+            assert got == inclusion_exclusion_bars(v)
+            return eliminations
+
+        return check
+
+    @pytest.mark.parametrize("fld", [GF(2), GF(3), QQ], ids=repr)
+    def test_lift_windows(self, fld, check):
+        rng = make_rng(61)
+        for _ in range(8):
+            _, v, _, _ = gen_affine(
+                rng.randint(2, 3), fld, 3, rng, min_summands=1, total_cap=5, vertex_cap=2
+            )
+            window = default_window(v)
+            for D in (window, window + v.quiver.vertex_count):
+                eliminations = check(lift_truncated(v, D))
+        assert eliminations["shared"] < eliminations["unshared"]
+
+    @pytest.mark.parametrize("fld", [GF(2), GF(3), QQ], ids=repr)
+    def test_square_matrix_both_directions(self, fld, check):
+        rng = make_rng(62)
+        for _ in range(10):
+            d = rng.randint(1, 3)
+            m = Matrix(fld, [[rng.choice((0, 1, 2)) for _ in range(d)] for _ in range(d)], d)
+            q = Quiver(1, ())
+            while {fwd for _, fwd in path_steps(q)} != {True, False}:
+                q = random_path_quiver(rng.randint(4, 8), rng)
+            eliminations = check(Representation(q, fld, (d,) * q.vertex_count, (m,) * len(q.edges)))
+        assert eliminations["shared"] < eliminations["unshared"]
+
+    @pytest.mark.parametrize("fld", [GF(2), GF(3), QQ], ids=repr)
+    def test_dimension_zero_vertices(self, fld, check):
+        rng = make_rng(63)
+        for _ in range(25):
+            dims = [rng.choice((0, 0, 1, 2)) for _ in range(rng.randint(4, 9))]
+            eliminations = check(shared_matrix_rep(rng, fld, dims))
+        assert eliminations["shared"] < eliminations["unshared"]
+
+
+def test_distinct_matrices_run_every_step(monkeypatch):
+    # no Matrix object recurs, so no flag step is shared: the sweep does
+    # exactly the work it did before sharing existed (counts recorded then)
+    rng = make_rng(68)
+    q = random_path_quiver(40, rng)
+    dims = tuple(rng.randint(0, 4) for _ in range(40))
+    mats = tuple(
+        Matrix(QQ, [[rng.choice((0, 0, 1, -1, 2)) for _ in range(dims[src])]
+                    for _ in range(dims[dst])], dims[src])
+        for src, dst in q.edges
+    )
+    v = Representation(q, QQ, dims, mats)
+    counts = {"eliminations": 0, "row updates": 0}
+    kernel, update = linalg._gauss_jordan, RationalField.sub_scaled_row
+
+    def eliminating(*args, **kwargs):
+        counts["eliminations"] += 1
+        return kernel(*args, **kwargs)
+
+    def updating(self, *args):
+        counts["row updates"] += 1
+        return update(self, *args)
+
+    monkeypatch.setattr(linalg, "_gauss_jordan", eliminating)
+    monkeypatch.setattr(RationalField, "sub_scaled_row", updating)
+    barcode(v)
+    assert counts == {"eliminations": 97, "row updates": 179}
