@@ -4,6 +4,8 @@ The CLI maps these onto stable exit codes, so new failure modes should
 reuse one of the classes below rather than raising bare ValueErrors.
 """
 
+SHOWN_LIMIT = 60  # characters of a repr that an error message shows
+
 
 class ParseError(ValueError):
     """Input file is not valid JSON or is missing/mistyping required keys."""
@@ -25,12 +27,12 @@ class InternalCheckError(RuntimeError):
     """A mathematically impossible state was reached; indicates a bug."""
 
 
-def shown(value, limit: int = 60) -> str:
-    """``repr(value)`` for an error message, cut to ``limit`` characters."""
+def shown(value) -> str:
+    """``repr(value)`` for an error message, cut to ``SHOWN_LIMIT`` characters."""
     try:
         text = repr(value)
     except ValueError:  # an int past Python's digit limit for str()
         return f"<{type(value).__name__} too long to show>"
-    if len(text) <= limit:
+    if len(text) <= SHOWN_LIMIT:
         return text
-    return f"{text[:limit]}... ({len(text)} characters)"
+    return f"{text[:SHOWN_LIMIT]}... ({len(text)} characters)"

@@ -93,9 +93,6 @@ class HNReport:
                 acc[x] += dims[x]
         return cls(quiver, tuple((sl, tuple(groups[sl])) for sl in sorted(groups, reverse=True)))
 
-    def slopes(self) -> tuple[Fraction, ...]:
-        return tuple(sl for sl, _ in self.steps)
-
     def total_dims(self) -> tuple[int, ...]:
         n = self.quiver.vertex_count
         out = [0] * n

@@ -42,13 +42,8 @@ def _is_prime(n: int) -> bool:
 class RationalField:
     """The field of arbitrary-precision rationals."""
 
-    @property
-    def zero(self) -> Fraction:
-        return Fraction(0)
-
-    @property
-    def one(self) -> Fraction:
-        return Fraction(1)
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def coerce(self, value) -> Fraction:
         """``value`` as a Fraction: ints, rationals, and strings "a/b" or decimals.
@@ -97,13 +92,8 @@ class PrimeField:
         if not _is_prime(self.p):
             raise ValidationError(f"modulus {self.p} is not prime")
 
-    @property
-    def zero(self) -> int:
-        return 0
-
-    @property
-    def one(self) -> int:
-        return 1
+    zero = 0
+    one = 1
 
     def coerce(self, value) -> int:
         if isinstance(value, bool) or not isinstance(value, int):

@@ -29,8 +29,7 @@ def is_int(value) -> bool:
 def check_ints(values: Iterable, what: str) -> None:
     """ValidationError unless every value is an int proper; nothing is truncated."""
     for value in values:
-        # is_int, inlined: this runs on every edge of a lift window
-        if not isinstance(value, int) or isinstance(value, bool):
+        if not is_int(value):
             raise ValidationError(f"{what}: {shown(value)} is not an int")
 
 
@@ -43,14 +42,14 @@ class Quiver:
         check_ints((self.vertex_count,), "vertex count")
         if self.vertex_count < 0:
             raise ValidationError(f"vertex count {self.vertex_count} is negative")
-        object.__setattr__(self, "edges", tuple((s, d) for s, d in self.edges))
+        try:
+            object.__setattr__(self, "edges", tuple((s, d) for s, d in self.edges))
+        except (TypeError, ValueError):
+            raise ValidationError(f"edges: {shown(self.edges)} is not a sequence of pairs") from None
         check_ints(chain.from_iterable(self.edges), "edge endpoints")
         for src, dst in self.edges:
             if not (0 <= src < self.vertex_count and 0 <= dst < self.vertex_count):
                 raise ValidationError(f"edge ({src},{dst}) out of vertex range")
-
-    def in_degree(self, x: int) -> int:
-        return _degrees(self)[0][x]
 
 
 def _degrees(q: Quiver) -> tuple[list[int], list[list[int]]]:
@@ -92,9 +91,11 @@ class Representation:
     mats: tuple[Matrix, ...]
 
     def __post_init__(self):
-        dims = tuple(self.dims)
+        try:
+            dims, mats = tuple(self.dims), tuple(self.mats)
+        except TypeError:
+            raise ValidationError("dims and matrices must be sequences") from None
         check_ints(dims, "dims")
-        mats = tuple(self.mats)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "mats", mats)
         q = self.quiver
@@ -118,9 +119,6 @@ class Representation:
 
     def total_dim(self) -> int:
         return sum(self.dims)
-
-    def is_zero(self) -> bool:
-        return self.total_dim() == 0
 
 
 def zero_representation(q: Quiver, fld: Field) -> Representation:

@@ -86,9 +86,6 @@ class Interval:
         if self.lo > self.hi:
             raise ValidationError(f"interval [{self.lo},{self.hi}] is empty")
 
-    def __len__(self) -> int:
-        return self.hi - self.lo + 1
-
     def contains(self, x: int) -> bool:
         return self.lo <= x <= self.hi
 
@@ -112,12 +109,6 @@ class Barcode:
     def from_dict(d: dict[Interval, int]) -> "Barcode":
         return Barcode(tuple(sorted((iv, m) for iv, m in d.items() if m)))
 
-    def as_dict(self) -> dict[Interval, int]:
-        return dict(self.entries)
-
-    def multiplicity(self, iv: Interval) -> int:
-        return self.as_dict().get(iv, 0)
-
     def dims_vector(self, n: int) -> tuple[int, ...]:
         dims = [0] * n
         for iv, mult in self.entries:
@@ -127,9 +118,6 @@ class Barcode:
 
     def __iter__(self):
         return iter(self.entries)
-
-    def __len__(self):
-        return len(self.entries)
 
 
 def path_steps(q: Quiver) -> list[tuple[int, bool]]:

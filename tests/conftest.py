@@ -21,6 +21,30 @@ def rng():
     return random.Random(0xC0FFEE)
 
 
+@pytest.fixture
+def count_calls(monkeypatch):
+    """``count_calls(owner, name)`` counts the calls of ``owner.name`` for one test.
+
+    It wraps the attribute through ``monkeypatch`` and returns a list
+    that gains one entry per call; ``len`` reads the count and ``clear``
+    restarts it.  A method counts through its class, with ``self`` among
+    the arguments.
+    """
+
+    def count(owner, name: str) -> list:
+        original = getattr(owner, name)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+        return calls
+
+    return count
+
+
 def make_rng(seed: int) -> random.Random:
     return random.Random(seed)
 

@@ -81,7 +81,7 @@ def nonzero_cases(draw, seed, count):
     out = []
     while len(out) < count:
         case = draw(rng)
-        if not case.rep.is_zero():
+        if case.rep.total_dim():
             out.append(case)
     return out
 
@@ -140,7 +140,7 @@ def test_criterion_5_lift_multiplicity_suite():
         aq, rep, truth_n, truth_t = gen_affine(
             n, fld, 3, rng, min_summands=1, max_len=3 * n - 1
         )
-        if rep.is_zero():
+        if rep.total_dim() == 0:
             continue
         d_inf, classes = lifted_multiplicities(rep)
         assert classes == truth_n
@@ -197,7 +197,7 @@ def _scaling_instance(n: int, seed: int):
     return conjugate(rep, bases)
 
 
-def test_criterion_8_scaling_smoke(monkeypatch):
+def test_criterion_8_scaling_smoke(count_calls):
     start = time.perf_counter()
     sizes = (50, 100)
     reps = {n: [_scaling_instance(n, seed) for seed in (1, 2)] for n in sizes}
@@ -213,14 +213,7 @@ def test_criterion_8_scaling_smoke(monkeypatch):
             timings[n] = min(timings[n], time.perf_counter() - t0)
     ratio = timings[100] / timings[50]
     # the same envelope on a count that does not drift: eliminations run
-    kernel = linalg._gauss_jordan
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(None)
-        return kernel(*args, **kwargs)
-
-    monkeypatch.setattr(linalg, "_gauss_jordan", counting)
+    calls = count_calls(linalg, "_gauss_jordan")
     eliminations = {}
     for n in sizes:
         calls.clear()
@@ -238,34 +231,14 @@ def test_criterion_8_scaling_smoke(monkeypatch):
     report(8, "doubling the cycle length stays within the 2.5x envelope", start, 300.0)
 
 
-def _eliminations_per_window_position(monkeypatch) -> float:
-    """``_gauss_jordan`` calls of one ``eta_from_lift`` per window position."""
+def test_lift_window_shares_trivial_steps(count_calls):
+    # the barcode sweep keeps each nested chain as one flag, and the window
+    # repeats each of the cycle's matrices: a trivial flag crosses each one
+    # once per sweep, so 761 eliminations run over 701 window positions
     rep = _scaling_instance(100, 1)
     positions = default_window(rep) + 1
-    kernel = linalg._gauss_jordan
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(None)
-        return kernel(*args, **kwargs)
-
-    monkeypatch.setattr(linalg, "_gauss_jordan", counting)
+    calls = count_calls(linalg, "_gauss_jordan")
     eta_from_lift(rep)
-    print(f"  {len(calls)} eliminations over {positions} window positions "
-          f"({len(calls) / positions:.2f} each)")
-    return len(calls) / positions
-
-
-def test_criterion_8_eliminations_per_window_position(monkeypatch):
-    # the barcode sweep keeps each nested chain as one flag: at most one
-    # elimination per chain per edge, plus a rank per nonzero pair of members
-    per_position = _eliminations_per_window_position(monkeypatch)
-    assert per_position <= 3, f"{per_position:.2f} eliminations per window position (> 3)"
-
-
-def test_lift_window_shares_trivial_steps(monkeypatch):
-    # the window repeats each of the cycle's matrices, and a trivial flag
-    # crosses each one once per sweep: 1.09 per position, 1.55 when every
-    # copy was stepped anew
-    per_position = _eliminations_per_window_position(monkeypatch)
+    per_position = len(calls) / positions
+    print(f"  {len(calls)} eliminations over {positions} window positions ({per_position:.2f} each)")
     assert per_position <= 1.25, f"{per_position:.2f} eliminations per window position (> 1.25)"

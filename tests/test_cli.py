@@ -101,6 +101,15 @@ class TestBarcodeCommand:
         inp = write_instance(tmp_path, rep, EX)
         assert run(["barcode", inp]) == 4
 
+    def test_disconnected_path_exit_4(self, tmp_path, capsys):
+        # vertex 2 joins no edge: every edge is a step, but the path stops at 1
+        q = Quiver(3, ((0, 1),))
+        rep = Representation(q, GF(2), (1, 1, 1), (Matrix.identity(GF(2), 1),))
+        inp = write_instance(tmp_path, rep)
+        assert run(["barcode", inp]) == 4
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "unsupported shape: quiver is not a connected path on 0..n-1\n")
+
 
 class TestHnCommand:
     def test_three_step_slopes(self, tmp_path, capsys):
@@ -204,7 +213,7 @@ class TestHnCommand:
         cases = {}
         for theorem, (draw, check) in campaign.THEOREMS.items():
             case = draw(rng)
-            while case.rep.is_zero():
+            while case.rep.total_dim() == 0:
                 case = draw(rng)
             assert check(case) is None
             cases[theorem] = case

@@ -54,7 +54,8 @@ class TestAcyclicity:
         order = topological_order(q)
         assert sorted(order) == [0, 1, 2, 3]
         assert all(order.index(src) < order.index(dst) for src, dst in q.edges)
-        assert [q.in_degree(x) for x in range(4)] == [2, 2, 0, 1]
+        # Euler weights, 1 - in-degree: in-degrees 2, 2, 0, 1
+        assert euler_stability(q).weights == (-1, -1, 1, 0)
 
 
 class TestValidate:
@@ -109,6 +110,17 @@ class TestValidate:
     def test_quiver_refuses_non_int(self, count, edges):
         with pytest.raises(ValidationError, match="is not an int$"):
             Quiver(count, edges)
+
+    @pytest.mark.parametrize("edges", [((0, 1, 2),), ((0,),), 5])
+    def test_quiver_refuses_non_pairs(self, edges):
+        # used to escape as a bare ValueError or TypeError from unpacking
+        with pytest.raises(ValidationError, match="is not a sequence of pairs$"):
+            Quiver(2, edges)
+
+    def test_non_sequence_dims_refused(self):
+        # used to escape as a bare TypeError from tuple(5)
+        with pytest.raises(ValidationError, match="^dims and matrices must be sequences$"):
+            Representation(Quiver(1, ()), GF(2), 5, ())
 
 
 class TestDirectSum:
@@ -209,7 +221,7 @@ class TestSlope:
             b = random_zigzag_rep(rng, max_n=3)
             if a.quiver != b.quiver or a.field != b.field:
                 continue
-            if a.is_zero() or b.is_zero():
+            if a.total_dim() == 0 or b.total_dim() == 0:
                 continue
             alpha = StabilityCondition(
                 tuple(Fraction(rng.randint(-3, 3)) for _ in range(a.quiver.vertex_count))
@@ -223,7 +235,7 @@ class TestSlope:
         rng = make_rng(3)
         for _ in range(30):
             v = random_zigzag_rep(rng)
-            if v.is_zero():
+            if v.total_dim() == 0:
                 continue
             alpha = StabilityCondition(
                 tuple(Fraction(rng.randint(-2, 4)) for _ in range(v.quiver.vertex_count))
@@ -301,7 +313,7 @@ class TestSheafEuler:
         rng = make_rng(6)
         for _ in range(20):
             v = random_zigzag_rep(rng)
-            if v.is_zero():
+            if v.total_dim() == 0:
                 continue
             eps = euler_stability(v.quiver)
             assert sheaf_euler_characteristic(v) == slope(v, eps) * v.total_dim()

@@ -132,6 +132,10 @@ class TestIntervalType:
         with pytest.raises(ValidationError):
             Barcode(((Interval(0, 1), 0),))
 
+    def test_barcode_rejects_unsorted(self):
+        with pytest.raises(ValidationError, match="^barcode entries must be strictly sorted$"):
+            Barcode(((Interval(1, 2), 1), (Interval(0, 1), 1)))
+
 
 class TestIntervalModule:
     def test_full(self):
@@ -420,15 +424,8 @@ class TestSharedMatrices:
     """
 
     @pytest.fixture
-    def check(self, monkeypatch):
-        kernel = linalg._gauss_jordan
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(None)
-            return kernel(*args, **kwargs)
-
-        monkeypatch.setattr(linalg, "_gauss_jordan", counting)
+    def check(self, count_calls):
+        calls = count_calls(linalg, "_gauss_jordan")
         eliminations = {"shared": 0, "unshared": 0}
 
         def check(v):
@@ -476,7 +473,7 @@ class TestSharedMatrices:
         assert eliminations["shared"] < eliminations["unshared"]
 
 
-def test_distinct_matrices_run_every_step(monkeypatch):
+def test_distinct_matrices_run_every_step(count_calls):
     # no Matrix object recurs, so no flag step is shared: the sweep does
     # exactly the work it did before sharing existed (counts recorded then)
     rng = make_rng(68)
@@ -488,18 +485,7 @@ def test_distinct_matrices_run_every_step(monkeypatch):
         for src, dst in q.edges
     )
     v = Representation(q, QQ, dims, mats)
-    counts = {"eliminations": 0, "row updates": 0}
-    kernel, update = linalg._gauss_jordan, RationalField.sub_scaled_row
-
-    def eliminating(*args, **kwargs):
-        counts["eliminations"] += 1
-        return kernel(*args, **kwargs)
-
-    def updating(self, *args):
-        counts["row updates"] += 1
-        return update(self, *args)
-
-    monkeypatch.setattr(linalg, "_gauss_jordan", eliminating)
-    monkeypatch.setattr(RationalField, "sub_scaled_row", updating)
+    eliminations = count_calls(linalg, "_gauss_jordan")
+    row_updates = count_calls(RationalField, "sub_scaled_row")
     barcode(v)
-    assert counts == {"eliminations": 97, "row updates": 179}
+    assert (len(eliminations), len(row_updates)) == (97, 179)
