@@ -296,14 +296,17 @@ def eta_from_lift(v: Representation) -> HNReport:
     return report
 
 
-def recover_N_multiplicities(aq: AffineQuiver, rep: HNReport, u: int, v: int) -> int:
+def recover_N_multiplicities(rep: HNReport, u: int, v: int) -> int:
     """Multiplicity of the wrapped interval [u, v] from HN data, p != 1 only.
 
-    At the step whose slope matches the class, consecutive residues of
-    the quotient dimension vector differ exactly by the multiplicity;
-    slope-0 classes (p = 1) are blended together and cannot be separated
-    this way.  ``u`` must lie in [0, n-1], as ``p_value`` checks.
+    The cycle is read off the report's quiver, so it cannot disagree with
+    the data.  At the step whose slope matches the class, consecutive
+    residues of the quotient dimension vector differ exactly by the
+    multiplicity; slope-0 classes (p = 1) are blended together and cannot
+    be separated this way.  ``u`` must lie in [0, n-1], as ``p_value``
+    checks.
     """
+    aq = affine_of_quiver(rep.quiver)
     if p_value(aq, u, v) == 1:
         raise ValidationError("p = 1 classes have slope 0 and are not recoverable")
     target = euler_slope_N(aq, u, v)

@@ -117,7 +117,7 @@ def check_b(case: Case) -> str | None:
     for cls in sorted(classes):
         if p_value(aq, cls.u, cls.v) == 1:
             continue
-        got = recover_N_multiplicities(aq, report, cls.u, cls.v)
+        got = recover_N_multiplicities(report, cls.u, cls.v)
         if got != truth_n.get(cls, 0):
             return f"N({cls.u},{cls.v}) recovered {got} times, built {truth_n.get(cls, 0)}"
     return None

@@ -178,7 +178,7 @@ def _parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("verify", help="dual-path checks on generated instances")
-    p.add_argument("--theorem", choices=("a", "b"), required=True)
+    p.add_argument("--theorem", choices=tuple(campaign.THEOREMS), required=True)
     p.add_argument("--cases", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_verify)

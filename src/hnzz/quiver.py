@@ -91,6 +91,9 @@ class Representation:
     mats: tuple[Matrix, ...]
 
     def __post_init__(self):
+        q = self.quiver
+        if not isinstance(q, Quiver):
+            raise ValidationError(f"quiver: {shown(q)} is not a Quiver")
         try:
             dims, mats = tuple(self.dims), tuple(self.mats)
         except TypeError:
@@ -98,7 +101,6 @@ class Representation:
         check_ints(dims, "dims")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "mats", mats)
-        q = self.quiver
         if len(dims) != q.vertex_count:
             raise ValidationError(f"dims has {len(dims)} entries for {q.vertex_count} vertices")
         problems = ["negative dimension"] if any(d < 0 for d in dims) else []
@@ -106,6 +108,8 @@ class Representation:
             problems.append(f"{len(mats)} matrices for {len(q.edges)} edges")
             raise ValidationError("; ".join(problems))
         for e, ((src, dst), m) in enumerate(zip(q.edges, mats)):
+            if not isinstance(m, Matrix):
+                raise ValidationError(f"edge {e}: {shown(m)} is not a Matrix")
             if m.field != self.field:
                 problems.append(
                     f"edge {e}: matrix field {m.field!r} != representation field {self.field!r}"
@@ -181,7 +185,11 @@ class StabilityCondition:
     weights: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(QQ.coerce(w) for w in self.weights))
+        try:
+            weights = tuple(self.weights)
+        except TypeError:
+            raise ValidationError(f"weights: {shown(self.weights)} is not a sequence") from None
+        object.__setattr__(self, "weights", tuple(QQ.coerce(w) for w in weights))
 
 
 def check_weights(q: Quiver, alpha: StabilityCondition) -> None:
@@ -190,14 +198,12 @@ def check_weights(q: Quiver, alpha: StabilityCondition) -> None:
         raise ValidationError("stability condition does not match the quiver")
 
 
-def slope(v: Representation, alpha: StabilityCondition) -> Fraction:
-    """Weighted dimension over total dimension, as an exact rational."""
-    check_weights(v.quiver, alpha)
-    return slope_of_dims(v.dims, alpha)
-
-
 def slope_of_dims(dims: Sequence[int], alpha: StabilityCondition) -> Fraction:
-    """Slope of a dimension vector; callers check the weights once (``check_weights``)."""
+    """Weighted dimension over total dimension, as an exact rational.
+
+    The weight count is not checked here, since ``zip`` stops at the
+    shorter sequence: callers check it once with ``check_weights``.
+    """
     total = sum(dims)
     if total == 0:
         raise ValidationError("slope of the zero dimension vector is undefined")

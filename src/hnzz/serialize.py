@@ -7,8 +7,10 @@ and weights with ``StabilityCondition``, so the field coerces each entry
 once; an entry it refuses is malformed input (``ParseError``).  It
 returns the ``Representation`` alone, which checks its matrix shapes
 itself; an ``affine`` quiver is checked by ``AffineQuiver`` and read as
-``to_quiver`` builds it.  All writers emit canonically ordered, newline
-terminated documents so repeated runs are byte-identical.
+``to_quiver`` builds it, and the writer refuses an ``affine`` spelling
+that is not the representation's quiver (``ValidationError``).  All
+writers emit canonically ordered, newline terminated documents so
+repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ def _need(obj, key, kind, where):
     if not isinstance(obj, dict) or key not in obj:
         raise ParseError(f"{where}: missing key {key!r}")
     value = obj[key]
-    ok = is_int(value) if kind is int else kind is None or isinstance(value, kind)
+    ok = is_int(value) if kind is int else isinstance(value, kind)
     if not ok:
         raise ParseError(f"{where}: key {key!r} has the wrong type")
     return value
@@ -60,6 +62,8 @@ def _entry_to_json(fld: Field, value):
 
 def instance_to_json(rep: Representation, affine: AffineQuiver | None = None) -> dict:
     if affine is not None:
+        if to_quiver(affine) != rep.quiver:
+            raise ValidationError("the affine quiver is not the representation's quiver")
         quiver_doc = {"affine": {"n": affine.n, "orientation": list(affine.orientation)}}
     else:
         quiver_doc = {

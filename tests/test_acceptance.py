@@ -28,7 +28,7 @@ from hnzz import campaign, linalg
 from hnzz.generators import gen_affine, random_orientation
 from hnzz.hn import ORACLE_MAX_TOTAL_DIM, is_semistable, recover_barcode_via_truncations
 from hnzz.linalg import GF, Matrix, random_invertible_rng
-from hnzz.quiver import conjugate, direct_sum, euler_stability, slope
+from hnzz.quiver import conjugate, direct_sum, euler_stability, slope_of_dims
 from hnzz.serialize import instance_to_json, load_json
 from hnzz.zigzag import barcode
 
@@ -70,8 +70,8 @@ def test_criterion_1_running_example_golden():
 
     eps = euler_stability(to_quiver(EX6))
     assert euler_slope_N(EX6, 1, 9) == 0
-    assert slope(wrapped, eps) == 0
-    assert slope(jordan, eps) == 0
+    assert slope_of_dims(wrapped.dims, eps) == 0
+    assert slope_of_dims(jordan.dims, eps) == 0
     report(1, "running-example constructions are bit-exact", start, 1.0)
 
 
@@ -119,7 +119,7 @@ def test_criterion_4_slope_formula_exhaustive():
             for u in range(n):
                 for length in range(3 * n):
                     v = u + length
-                    direct = slope(indec_N(aq, u, v, fld), eps)
+                    direct = slope_of_dims(indec_N(aq, u, v, fld).dims, eps)
                     formula = euler_slope_N(aq, u, v)
                     assert formula == direct
                     p = p_value(aq, u, v)

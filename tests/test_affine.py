@@ -18,11 +18,11 @@ from hnzz.quiver import (
     conjugate,
     direct_sum,
     euler_stability,
-    slope,
+    slope_of_dims,
     zero_representation,
 )
 from hnzz.zigzag import Interval, barcode
-from hnzz.hn import ORACLE_MAX_TOTAL_DIM, hn_bruteforce, is_semistable
+from hnzz.hn import ORACLE_MAX_TOTAL_DIM, HNReport, hn_bruteforce, is_semistable
 from hnzz.affine import (
     CCW,
     CW,
@@ -156,7 +156,7 @@ class TestIndecT:
 
     def test_slope_zero(self):
         q = to_quiver(EX)
-        assert slope(indec_T(EX, 2, 3, GF(5)), euler_stability(q)) == 0
+        assert slope_of_dims(indec_T(EX, 2, 3, GF(5)).dims, euler_stability(q)) == 0
         assert euler_slope_N(EX, 1, 9) == 0
 
     def test_sheaf_euler_characteristic_vanishes(self):
@@ -207,7 +207,8 @@ class TestPValue:
                 eps = euler_stability(q)
                 for u in range(n):
                     for v in range(u, u + 2 * n):
-                        assert euler_slope_N(aq, u, v) == slope(indec_N(aq, u, v, GF(2)), eps)
+                        direct = slope_of_dims(indec_N(aq, u, v, GF(2)).dims, eps)
+                        assert euler_slope_N(aq, u, v) == direct
 
 
 class TestWindow:
@@ -380,7 +381,7 @@ class TestRecoverMultiplicities:
                 if p_value(aq, u, v) == 1:
                     continue
                 rep = eta_from_lift(indec_N(aq, u, v, GF(2)))
-                assert recover_N_multiplicities(aq, rep, u, v) == 1
+                assert recover_N_multiplicities(rep, u, v) == 1
                 found = True
         assert found
 
@@ -390,7 +391,7 @@ class TestRecoverMultiplicities:
         for u in range(3):
             for v in range(u, u + 4):
                 if p_value(aq, u, v) != 1:
-                    assert recover_N_multiplicities(aq, rep, u, v) == 0
+                    assert recover_N_multiplicities(rep, u, v) == 0
 
     def test_p1_rejected(self):
         aq = AffineQuiver(3, (CW, CW, CCW))
@@ -403,7 +404,7 @@ class TestRecoverMultiplicities:
                     break
         assert bad is not None
         with pytest.raises(ValidationError):
-            recover_N_multiplicities(aq, rep, *bad)
+            recover_N_multiplicities(rep, *bad)
 
     @pytest.mark.parametrize("u, v", [(-1, 0), (3, 4), (4, 6)])
     def test_out_of_range_u_refused(self, u, v):
@@ -411,7 +412,16 @@ class TestRecoverMultiplicities:
         aq = AffineQuiver(3, (CW, CW, CCW))
         rep = eta_from_lift(indec_N(aq, 0, 1, GF(2)))
         with pytest.raises(ValidationError, match=r"^left endpoint"):
-            recover_N_multiplicities(aq, rep, u, v)
+            recover_N_multiplicities(rep, u, v)
+
+    def test_cycle_read_from_the_report(self):
+        # the report's quiver is the one cycle the class is read against
+        rep = eta_from_lift(indec_N(AffineQuiver(3, (CW, CW, CCW)), 0, 1, GF(2)))
+        assert recover_N_multiplicities(rep, 0, 1) == 1
+        assert recover_N_multiplicities(rep, 2, 3) == 0
+        path = HNReport(Quiver(3, ((0, 1), (1, 2))), rep.steps)
+        with pytest.raises(ShapeError):
+            recover_N_multiplicities(path, 0, 1)
 
     def test_generator_property(self):
         rng = make_rng(37)
@@ -423,13 +433,13 @@ class TestRecoverMultiplicities:
             report = eta_from_lift(rep)
             for cls, mult in truth_n.items():
                 if p_value(aq, cls.u, cls.v) != 1:
-                    assert recover_N_multiplicities(aq, report, cls.u, cls.v) == mult
+                    assert recover_N_multiplicities(report, cls.u, cls.v) == mult
             # an absent class with p != 1
             for u in range(n):
                 for v in range(u, u + 2 * n):
                     if p_value(aq, u, v) == 1 or NClass(u, v) in truth_n:
                         continue
-                    assert recover_N_multiplicities(aq, report, u, v) == 0
+                    assert recover_N_multiplicities(report, u, v) == 0
 
 
 def test_example_script_writes_golden_files(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import random
@@ -9,7 +10,7 @@ import pytest
 
 import hnzz
 from hnzz import campaign
-from hnzz.affine import AffineQuiver, CCW, CW, indec_N, indec_T, to_quiver
+from hnzz.affine import AffineQuiver, CCW, CW, NClass, indec_N, indec_T, to_quiver
 from hnzz.cli import main
 from hnzz.generators import equioriented_quiver
 from hnzz.hn import HNReport, hn_bruteforce
@@ -464,6 +465,24 @@ class TestVerifyCommand:
         assert out.startswith(head)
         assert json.loads(out[len(head):]) == instance_to_json(draw(random.Random(5)).rep)
         assert "first disagreement: forced" in err
+
+    def test_theorem_choices_come_from_the_campaign(self, monkeypatch, capsys):
+        draw, _ = campaign.THEOREMS["a"]
+        monkeypatch.setitem(campaign.THEOREMS, "z", (draw, lambda case: None))
+        assert run(["verify", "--theorem", "z", "--cases", 2]) == 0
+        assert capsys.readouterr().out == "theorem z: 2 passed, 0 failed of 2\n"
+
+    def test_check_reasons_name_the_summands(self):
+        # a case whose recorded summands disagree with its instance fails
+        # with the length formula (A) or the recovered multiplicity (B)
+        rng = random.Random(5)
+        a, b = campaign.draw_a(rng), campaign.draw_b(rng)
+        assert a.summands == {Interval(1, 1): 1} and b.summands == {NClass(0, 4): 1}
+        assert campaign.check_a(a) is None and campaign.check_b(b) is None
+        extra_j = dataclasses.replace(a, summands={Interval(0, 0): 1, Interval(1, 1): 1})
+        assert campaign.check_a(extra_j) == "1 HN steps, the length formula gives 2"
+        doubled = dataclasses.replace(b, summands={NClass(0, 4): 2})
+        assert campaign.check_b(doubled) == "N(0,4) recovered 1 times, built 2"
 
 
 def _small_instance():

@@ -8,13 +8,14 @@ from hnzz.quiver import (
     Quiver,
     Representation,
     StabilityCondition,
+    check_weights,
     conjugate,
     direct_sum,
     euler_stability,
     is_acyclic,
     restrict,
     sheaf_euler_characteristic,
-    slope,
+    slope_of_dims,
     topological_order,
     zero_representation,
 )
@@ -122,6 +123,20 @@ class TestValidate:
         with pytest.raises(ValidationError, match="^dims and matrices must be sequences$"):
             Representation(Quiver(1, ()), GF(2), 5, ())
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: Representation(A2, GF(2), (1, 1), (5,)), r"^edge 0: 5 is not a Matrix$"),
+            (lambda: Representation(5, GF(2), (), ()), r"^quiver: 5 is not a Quiver$"),
+            (lambda: StabilityCondition(5), r"^weights: 5 is not a sequence$"),
+        ],
+        ids=["matrix", "quiver", "weights"],
+    )
+    def test_wrong_types_refused(self, build, message):
+        # used to escape as a bare AttributeError or TypeError
+        with pytest.raises(ValidationError, match=message):
+            build()
+
 
 class TestDirectSum:
     def test_with_zero(self):
@@ -196,22 +211,22 @@ class TestRestrict:
 class TestSlope:
     def test_euler_examples(self):
         eps = euler_stability(A3)
-        assert slope(interval_module(A3, Interval(0, 2), QQ), eps) == Fraction(1, 3)
-        assert slope(interval_module(A3, Interval(1, 2), QQ), eps) == 0
+        assert slope_of_dims(interval_module(A3, Interval(0, 2), QQ).dims, eps) == Fraction(1, 3)
+        assert slope_of_dims(interval_module(A3, Interval(1, 2), QQ).dims, eps) == 0
 
     def test_zero_weights(self):
         v = interval_module(A3, Interval(0, 1), GF(2))
-        assert slope(v, StabilityCondition((0, 0, 0))) == 0
+        assert slope_of_dims(v.dims, StabilityCondition((0, 0, 0))) == 0
 
     def test_zero_rep_error(self):
         with pytest.raises(ValidationError):
-            slope(zero_representation(A3, QQ), euler_stability(A3))
+            slope_of_dims(zero_representation(A3, QQ).dims, euler_stability(A3))
 
     def test_weight_count_mismatch(self):
         v = interval_module(A3, Interval(0, 1), QQ)
         for weights in ((1, 0), (1, 0, 0, 0)):
             with pytest.raises(ValidationError):
-                slope(v, StabilityCondition(weights))
+                check_weights(v.quiver, StabilityCondition(weights))
 
     def test_direct_sum_between(self):
         rng = make_rng(2)
@@ -226,9 +241,9 @@ class TestSlope:
             alpha = StabilityCondition(
                 tuple(Fraction(rng.randint(-3, 3)) for _ in range(a.quiver.vertex_count))
             )
-            lo = min(slope(a, alpha), slope(b, alpha))
-            hi = max(slope(a, alpha), slope(b, alpha))
-            s = slope(direct_sum(a, b), alpha)
+            lo = min(slope_of_dims(a.dims, alpha), slope_of_dims(b.dims, alpha))
+            hi = max(slope_of_dims(a.dims, alpha), slope_of_dims(b.dims, alpha))
+            s = slope_of_dims(direct_sum(a, b).dims, alpha)
             assert lo <= s <= hi
 
     def test_conjugation_invariance(self):
@@ -241,7 +256,7 @@ class TestSlope:
                 tuple(Fraction(rng.randint(-2, 4)) for _ in range(v.quiver.vertex_count))
             )
             w = conjugate(v, conjugating_bases(v, rng))
-            assert slope(w, alpha) == slope(v, alpha)
+            assert slope_of_dims(w.dims, alpha) == slope_of_dims(v.dims, alpha)
 
 
 class TestStabilityCondition:
@@ -316,4 +331,4 @@ class TestSheafEuler:
             if v.total_dim() == 0:
                 continue
             eps = euler_stability(v.quiver)
-            assert sheaf_euler_characteristic(v) == slope(v, eps) * v.total_dim()
+            assert sheaf_euler_characteristic(v) == slope_of_dims(v.dims, eps) * v.total_dim()

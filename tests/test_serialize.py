@@ -4,11 +4,11 @@ from fractions import Fraction
 import pytest
 
 from hnzz.errors import ParseError, ShapeError, ValidationError
-from hnzz.affine import AffineQuiver, CCW, CW, NClass, affine_of_quiver, indec_N
+from hnzz.affine import AffineQuiver, CCW, CW, NClass, affine_of_quiver, eta_from_lift, indec_N
 from hnzz.generators import gen_affine, gen_persistence
 from hnzz.hn import hn_bruteforce
 from hnzz.linalg import GF, QQ
-from hnzz.quiver import euler_stability
+from hnzz.quiver import direct_sum, euler_stability
 from hnzz.serialize import (
     barcode_to_json,
     classes_to_json,
@@ -60,6 +60,19 @@ class TestInstanceRoundTrip:
         aq, rep, _, _ = gen_affine(4, GF(5), 2, rng, min_summands=1)
         doc = instance_to_json(rep, aq)
         assert json.dumps(doc) == json.dumps(instance_to_json(rep, aq))
+
+    def test_mismatched_cycle_refused(self):
+        # spelled as another cycle, this sum would read back as a module
+        # whose unwinding shows one full-window bar, not these two classes
+        aq = AffineQuiver(4, (CW, CW, CCW, CCW))
+        rep = direct_sum(indec_N(aq, 0, 2, GF(3)), indec_N(aq, 3, 3, GF(3)))
+        assert eta_from_lift(rep).steps == (
+            (Fraction(1), (0, 0, 0, 1)),
+            (Fraction(-1, 3), (1, 1, 1, 0)),
+        )
+        with pytest.raises(ValidationError, match="not the representation's quiver"):
+            instance_to_json(rep, AffineQuiver(4, (CW, CW, CCW, CW)))
+        assert instance_from_json(instance_to_json(rep, aq)) == rep
 
     def test_shape_violation_detected(self):
         rep = indec_N(AffineQuiver(3, (CW, CW, CCW)), 0, 2, GF(2))
