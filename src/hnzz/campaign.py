@@ -28,9 +28,17 @@ from .errors import ShapeError
 from .generators import gen_affine, gen_persistence
 from .hn import ORACLE_MAX_TOTAL_DIM, HNReport, hn_bruteforce, hn_from_barcode
 from .linalg import ENUM_MAX_DIM, GF
-from .quiver import Representation, StabilityCondition, euler_stability
+from .quiver import Quiver, Representation, StabilityCondition, euler_stability
 from .serialize import instance_to_json
 from .zigzag import Interval, barcode, is_equioriented
+
+
+def _cycle(q: Quiver) -> AffineQuiver | None:
+    """The affine cycle that ``q`` is, or None if it is none."""
+    try:
+        return affine_of_quiver(q)
+    except ShapeError:
+        return None
 
 
 def fast_report(rep: Representation, alpha: StabilityCondition) -> HNReport | None:
@@ -40,16 +48,12 @@ def fast_report(rep: Representation, alpha: StabilityCondition) -> HNReport | No
     ``euler_stability`` refuses cyclic quivers.
     """
     q = rep.quiver
-    try:
-        affine_of_quiver(q)
-        cycle = True
-    except ShapeError:
-        if not is_equioriented(q):
-            return None
-        cycle = False
+    cycle = _cycle(q)
+    if cycle is None and not is_equioriented(q):
+        return None
     if alpha != euler_stability(q):
         return None
-    return eta_from_lift(rep) if cycle else hn_from_barcode(barcode(rep), q)
+    return eta_from_lift(rep) if cycle is not None else hn_from_barcode(barcode(rep), q)
 
 
 @dataclass(frozen=True)
@@ -58,12 +62,11 @@ class Case:
 
     rep: Representation
     summands: dict[Interval, int] | dict[NClass, int]
-    affine: AffineQuiver | None = None
 
 
 def _field_and_cap(rng: random.Random):
     """GF(2) or GF(3), with the oracle's total-dimension guard for it."""
-    p = rng.choice((2, 3))
+    p = rng.choice(tuple(ORACLE_MAX_TOTAL_DIM))
     return GF(p), ORACLE_MAX_TOTAL_DIM[p]
 
 
@@ -79,10 +82,10 @@ def draw_a(rng: random.Random) -> Case:
 def draw_b(rng: random.Random) -> Case:
     fld, cap = _field_and_cap(rng)
     n = rng.randint(2, 5)
-    aq, rep, truth_n, _ = gen_affine(
+    _, rep, truth_n, _ = gen_affine(
         n, fld, 3, rng, min_summands=1, total_cap=cap, vertex_cap=ENUM_MAX_DIM, max_len=2 * n
     )
-    return Case(rep, truth_n, aq)
+    return Case(rep, truth_n)
 
 
 def _euler_oracle(rep: Representation) -> HNReport | None:
@@ -107,7 +110,7 @@ def check_a(case: Case) -> str | None:
 
 
 def check_b(case: Case) -> str | None:
-    aq, truth_n = case.affine, case.summands
+    aq, truth_n = affine_of_quiver(case.rep.quiver), case.summands
     report = _euler_oracle(case.rep)
     if report is None:
         return "eta_from_lift differs from the oracle"
@@ -147,6 +150,6 @@ def run(theorem: str, cases: int, seed: int) -> Tally:
             continue
         tally.failed += 1
         if tally.first_bad is None:
-            tally.first_bad = instance_to_json(case.rep, case.affine)
+            tally.first_bad = instance_to_json(case.rep, _cycle(case.rep.quiver))
             tally.first_reason = reason
     return tally

@@ -185,11 +185,9 @@ class StabilityCondition:
     weights: tuple[Fraction, ...]
 
     def __post_init__(self):
-        try:
-            weights = tuple(self.weights)
-        except TypeError:
-            raise ValidationError(f"weights: {shown(self.weights)} is not a sequence") from None
-        object.__setattr__(self, "weights", tuple(QQ.coerce(w) for w in weights))
+        if not isinstance(self.weights, (list, tuple)):
+            raise ValidationError(f"weights: {shown(self.weights)} is not a sequence")
+        object.__setattr__(self, "weights", tuple(QQ.coerce(w) for w in self.weights))
 
 
 def check_weights(q: Quiver, alpha: StabilityCondition) -> None:

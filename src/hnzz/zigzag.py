@@ -41,24 +41,24 @@ its own.  Both chains cross an edge by the same flag operation of
 Then the start k joins as the mark (k, dim V_k, 0): A[k] is V_k (the
 image basis is extended by unit vectors, one elimination, unless it
 spans V_k already) and R[k] is the zero space.  A rank is taken only
-where both members of a start are nonzero.  A flag whose members are
-all 0 or the whole space is rebased on the identity: over QQ, the basis
-it carries would otherwise grow with the product of every map crossed.
+where both members of a start are nonzero.
 
-Such a trivial flag steps to the same members whatever basis it
-carries: the zero member goes to 0 (image) or ker m (preimage), the
-full one to im m (image) or all of V_k (preimage).  So the trivial steps
-of an edge matrix that recurs in the path -- a lift window repeats each
-of the cycle's n matrix objects at every n-th position -- run once per
-sweep, and every later copy reuses the basis and the two new dims.  A
-path whose matrices are distinct objects runs every step.  The cost
-stays linear in the path length for bounded vertex dimensions, which
-the long lift windows rely on.
+A flag whose members are all 0 or the whole space (a trivial flag) steps
+to the same members whatever basis it carries: the zero member goes to
+0 (image) or ker m (preimage), the full one to im m (image) or all of
+V_k (preimage).  So every trivial step is taken once per (matrix,
+direction, chain, has a full member) and shared by every later crossing
+of that edge matrix; a lift window repeats each of the cycle's n matrix
+objects at every n-th position.  After each step, a flag whose kept
+members are all 0 or the whole space is rebased on the identity: the
+identity spans the same members, and over QQ the basis it carries would
+otherwise grow with the product of every map crossed.  The cost stays
+linear in the path length for bounded vertex dimensions, which the long
+lift windows rely on.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from .errors import InternalCheckError, ShapeError, ValidationError
@@ -186,8 +186,7 @@ def barcode(v: Representation) -> Barcode:
     marks = [(0, dims[0], 0)]
     found: dict[tuple[int, int], int] = {}
     prev_g: dict[int, int] = {}
-    # trivial steps through the matrices that recur in v.mats; see _crossed
-    uses = Counter(map(id, v.mats))
+    # trivial flag steps, one per (matrix, direction, chain, has a full member)
     trivial_steps: dict[tuple, tuple[Matrix, list[int]]] = {}
 
     for k in range(n):
@@ -196,9 +195,8 @@ def barcode(v: Representation) -> Barcode:
             m = v.mats[eidx]
             op = flag_image if forward else flag_preimage
             starts, a_dims, r_dims = zip(*marks)
-            memo = trivial_steps if uses[id(m)] > 1 else None
-            a_basis, a_dims = _crossed(m, op, a_basis, a_dims, True, memo)
-            r_basis, r_dims = _crossed(m, op, r_basis, r_dims, False, memo)
+            a_basis, a_dims = _crossed(m, op, a_basis, a_dims, True, trivial_steps)
+            r_basis, r_dims = _crossed(m, op, r_basis, r_dims, False, trivial_steps)
             # nested members of equal dimension are equal: keep the first start
             marks = []
             for mark in [*zip(starts, a_dims, r_dims), (k, dims[k], 0)]:
@@ -225,38 +223,33 @@ def barcode(v: Representation) -> Barcode:
     return bar
 
 
-def _rebased(basis: Matrix, dims: list[int]) -> Matrix:
-    """``basis``, or the identity if every member is 0 or the whole space.
+def _crossed(m: Matrix, op, basis: Matrix, dims, completed: bool, memo: dict):
+    """The flag (basis, dims) stepped through ``m`` by ``op``, completed if asked, then rebased.
 
-    The identity spans the same members; over QQ the carried basis would
-    otherwise grow in height with the product of every map crossed.
-    """
-    if basis.cols == basis.rows and all(d in (0, basis.cols) for d in dims):
-        return full_space(basis.field, basis.rows)
-    return basis
-
-
-def _crossed(m: Matrix, op, basis: Matrix, dims, completed: bool, memo: dict | None):
-    """The flag (basis, dims) stepped through ``m`` by ``op``, rebased, and completed if asked.
-
-    ``memo`` is None unless ``m`` recurs in the path.  A trivial flag,
-    whose members are all 0 or all of the space, then steps to members
-    that do not depend on the basis it carries, so its step is taken once
-    per (matrix, direction, chain, has a full member), on the plainest
-    basis: the zero space, or the identity with members 0 and everything.
+    A trivial flag (module docstring) steps once per (matrix, direction,
+    chain, has a full member), on the plainest basis: the zero space, or
+    the identity with members 0 and everything.  ``memo`` keeps that step,
+    and each member takes the new dim of the zero or the full member.
+    Then a flag whose members are all 0 or the whole space is rebased on
+    the identity, which spans the same members.
     """
     d = basis.rows
-    if memo is not None and set(dims) <= {0, d}:
+    if set(dims) <= {0, d}:
         full = any(dims)
         key = (id(m), op, completed, full)
         if key not in memo:
             plain = (full_space(m.field, d), (0, d)) if full else (zero_space(m.field, d), (0,))
-            memo[key] = _crossed(m, op, *plain, completed, None)
-        moved, new = memo[key]
-        return moved, [new[-1] if x else new[0] for x in dims]
-    basis, dims = op(m, basis, dims)
-    basis = _rebased(basis, dims)
-    return (flag_completed(basis) if completed else basis), dims
+            moved, new = op(m, *plain)
+            memo[key] = (flag_completed(moved) if completed else moved), new
+        basis, new = memo[key]
+        dims = [new[-1] if x else new[0] for x in dims]
+    else:
+        basis, dims = op(m, basis, dims)
+        if completed:
+            basis = flag_completed(basis)
+    if basis.cols == basis.rows and all(x in (0, basis.cols) for x in dims):
+        basis = full_space(basis.field, basis.rows)
+    return basis, dims
 
 
 def _rank_jumps(a_basis: Matrix, r_basis: Matrix, marks: list[tuple]) -> dict[int, int]:

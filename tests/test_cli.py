@@ -12,7 +12,7 @@ import hnzz
 from hnzz import campaign
 from hnzz.affine import AffineQuiver, CCW, CW, NClass, indec_N, indec_T, to_quiver
 from hnzz.cli import main
-from hnzz.generators import equioriented_quiver
+from hnzz.generators import equioriented_quiver, gen_affine
 from hnzz.hn import HNReport, hn_bruteforce
 from hnzz.linalg import GF, QQ, Matrix
 from hnzz.quiver import Quiver, Representation, direct_sum, euler_stability
@@ -457,14 +457,26 @@ class TestVerifyCommand:
         assert "8 passed, 0 failed" in capsys.readouterr().out
 
     def test_failure_reports_first_counterexample(self, monkeypatch, capsys):
-        draw, _ = campaign.THEOREMS["a"]
-        monkeypatch.setitem(campaign.THEOREMS, "a", (draw, lambda case: "forced"))
-        assert run(["verify", "--theorem", "a", "--cases", 3, "--seed", 5]) == 1
-        out, err = capsys.readouterr()
-        head = "theorem a: 0 passed, 3 failed of 3\nfirst counterexample instance:\n"
-        assert out.startswith(head)
-        assert json.loads(out[len(head):]) == instance_to_json(draw(random.Random(5)).rep)
-        assert "first disagreement: forced" in err
+        # theorem b spells the cycle that gen_affine drew, which the campaign
+        # derives from the quiver
+        cycles = []
+
+        def recording(*args, **kwargs):
+            drawn = gen_affine(*args, **kwargs)
+            cycles.append(drawn[0])
+            return drawn
+
+        monkeypatch.setattr(campaign, "gen_affine", recording)
+        for theorem in ("a", "b"):
+            draw, _ = campaign.THEOREMS[theorem]
+            monkeypatch.setitem(campaign.THEOREMS, theorem, (draw, lambda case: "forced"))
+            assert run(["verify", "--theorem", theorem, "--cases", 3, "--seed", 5]) == 1
+            out, err = capsys.readouterr()
+            head = f"theorem {theorem}: 0 passed, 3 failed of 3\nfirst counterexample instance:\n"
+            assert out.startswith(head)
+            aq = cycles[0] if theorem == "b" else None
+            assert json.loads(out[len(head):]) == instance_to_json(draw(random.Random(5)).rep, aq)
+            assert "first disagreement: forced" in err
 
     def test_theorem_choices_come_from_the_campaign(self, monkeypatch, capsys):
         draw, _ = campaign.THEOREMS["a"]

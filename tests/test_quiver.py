@@ -129,8 +129,12 @@ class TestValidate:
             (lambda: Representation(A2, GF(2), (1, 1), (5,)), r"^edge 0: 5 is not a Matrix$"),
             (lambda: Representation(5, GF(2), (), ()), r"^quiver: 5 is not a Quiver$"),
             (lambda: StabilityCondition(5), r"^weights: 5 is not a sequence$"),
+            # a string and a dict used to give weights (1, 2) and (3, 4); a generator was used up
+            (lambda: StabilityCondition("12"), r"^weights: '12' is not a sequence$"),
+            (lambda: StabilityCondition({3: 1, 4: 2}), r"^weights: \{3: 1, 4: 2\} is not a sequence$"),
+            (lambda: StabilityCondition(w for w in (1, 2)), r"^weights: <generator .* is not a sequence$"),
         ],
-        ids=["matrix", "quiver", "weights"],
+        ids=["matrix", "quiver", "weights", "weights-str", "weights-dict", "weights-generator"],
     )
     def test_wrong_types_refused(self, build, message):
         # used to escape as a bare AttributeError or TypeError

@@ -416,17 +416,30 @@ def unshared(v: Representation) -> Representation:
 
 
 class TestSharedMatrices:
-    """``barcode`` steps a trivial flag once per recurring Matrix object.
+    """``barcode`` steps a trivial flag once per Matrix object it crosses.
 
     Every path here reuses objects.  The reference prices each interval
     on its own, so a reused step that moved the wrong members shows, and
     the same path with unshared matrices must need more eliminations.
+    Every rank row also checks that a trivial flag, whose members are all
+    0 or the whole space, carries the zero space or the identity.
     """
 
     @pytest.fixture
-    def check(self, count_calls):
+    def check(self, count_calls, monkeypatch):
         calls = count_calls(linalg, "_gauss_jordan")
         eliminations = {"shared": 0, "unshared": 0}
+        rank_jumps = zigzag._rank_jumps
+
+        def rebased_rank_jumps(a_basis, r_basis, marks):
+            _, a_dims, r_dims = zip(*marks)
+            for basis, dims in ((a_basis, a_dims), (r_basis, r_dims)):
+                d, fld = basis.rows, basis.field
+                if set(dims) <= {0, d}:
+                    assert basis in (Matrix.identity(fld, d), Matrix.zeros(fld, d, 0))
+            return rank_jumps(a_basis, r_basis, marks)
+
+        monkeypatch.setattr(zigzag, "_rank_jumps", rebased_rank_jumps)
 
         def check(v):
             start = len(calls)
