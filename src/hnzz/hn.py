@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import GuardError, InternalCheckError, ShapeError, ValidationError
+from .errors import GuardError, InternalCheckError, ShapeError, ValidationError, shown
 from .linalg import (
     ENUM_MAX_P,
     Matrix,
@@ -65,8 +65,15 @@ class HNReport:
     witness: tuple[tuple[Matrix, ...], ...] | None = field(default=None, compare=False)
 
     def __post_init__(self):
+        try:
+            steps = tuple((sl, dims) for sl, dims in self.steps)
+        except (TypeError, ValueError):
+            raise ValidationError(
+                f"HN steps: {shown(self.steps)} are not (slope, dims) pairs"
+            ) from None
+        object.__setattr__(self, "steps", steps)
         prev = None
-        for sl, dims in self.steps:
+        for sl, dims in steps:
             if len(dims) != self.quiver.vertex_count:
                 raise ValidationError("quotient dimension vector has wrong length")
             if all(d == 0 for d in dims):

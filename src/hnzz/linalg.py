@@ -86,6 +86,8 @@ class PrimeField:
     p: int
 
     def __post_init__(self) -> None:
+        if isinstance(self.p, bool) or not isinstance(self.p, int):
+            raise ValidationError(f"modulus {shown(self.p)} is not an int")
         # bound first: trial division of a huge modulus would not finish
         if self.p > 2**31:
             raise ValidationError(f"modulus {shown(self.p)} exceeds 2**31")
@@ -436,9 +438,14 @@ def flag_completed(basis: Matrix) -> Matrix:
 
 
 def prefix_sum_dim(a: Matrix, i: int, b: Matrix, j: int) -> int:
-    """dim(span of the first i columns of a + span of the first j of b)."""
-    if i == 0 or j == 0:
-        return i + j
+    """dim(span of the first i columns of a + span of the first j of b).
+
+    ``a`` and ``b`` have full column rank, so a prefix of 0 or all
+    ``rows`` columns is the zero or the whole space, and the sum is read
+    off the counts with no elimination.
+    """
+    if i in (0, a.rows) or j in (0, b.rows):
+        return min(i + j, a.rows)
     work = [list(ra[:i]) + list(rb[:j]) for ra, rb in zip(a.data, b.data)]
     return len(_gauss_jordan(a.field, work, reduced=False))
 

@@ -40,19 +40,18 @@ its own.  Both chains cross an edge by the same flag operation of
 
 Then the start k joins as the mark (k, dim V_k, 0): A[k] is V_k (the
 image basis is extended by unit vectors, one elimination, unless it
-spans V_k already) and R[k] is the zero space.  A rank is taken only
-where both members of a start are nonzero.
+spans V_k already) and R[k] is the zero space.
 
 A flag whose members are all 0 or the whole space (a trivial flag) steps
 to the same members whatever basis it carries: the zero member goes to
 0 (image) or ker m (preimage), the full one to im m (image) or all of
-V_k (preimage).  So every trivial step is taken once per (matrix,
-direction, chain, has a full member) and shared by every later crossing
-of that edge matrix; a lift window repeats each of the cycle's n matrix
-objects at every n-th position.  After each step, a flag whose kept
-members are all 0 or the whole space is rebased on the identity: the
-identity spans the same members, and over QQ the basis it carries would
-otherwise grow with the product of every map crossed.  The cost stays
+V_k (preimage).  So a trivial flag steps from a plain basis (the zero
+space, or the identity), once per (matrix, direction, chain, has a full
+member), and that step is shared by every later crossing of that edge
+matrix; a lift window repeats each of the cycle's n matrix objects at
+every n-th position.  A rank is taken only where both members of a
+start are partial, that is neither 0 nor all of V_k: a zero or a whole
+member fixes dim(A[a] + R[a]) by its dimension alone.  The cost stays
 linear in the path length for bounded vertex dimensions, which the long
 lift windows rely on.
 """
@@ -61,7 +60,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InternalCheckError, ShapeError, ValidationError
+from .errors import InternalCheckError, ShapeError, ValidationError, shown
 from .linalg import (
     Field,
     Matrix,
@@ -72,7 +71,7 @@ from .linalg import (
     prefix_sum_dim,
     zero_space,
 )
-from .quiver import Quiver, Representation
+from .quiver import Quiver, Representation, check_ints
 
 
 @dataclass(frozen=True, order=True)
@@ -83,6 +82,7 @@ class Interval:
     hi: int
 
     def __post_init__(self):
+        check_ints((self.lo, self.hi), "interval endpoints")
         if self.lo > self.hi:
             raise ValidationError(f"interval [{self.lo},{self.hi}] is empty")
 
@@ -97,8 +97,18 @@ class Barcode:
     entries: tuple[tuple[Interval, int], ...]
 
     def __post_init__(self):
+        try:
+            entries = tuple((iv, mult) for iv, mult in self.entries)
+        except (TypeError, ValueError):
+            raise ValidationError(
+                f"barcode entries: {shown(self.entries)} are not pairs"
+            ) from None
+        object.__setattr__(self, "entries", entries)
         prev = None
-        for iv, mult in self.entries:
+        for iv, mult in entries:
+            if not isinstance(iv, Interval):
+                raise ValidationError(f"barcode entry {shown(iv)} is not an Interval")
+            check_ints((mult,), "multiplicity")
             if mult < 1:
                 raise ValidationError(f"multiplicity {mult} of {iv} is not positive")
             if prev is not None and not (prev < iv):
@@ -152,6 +162,8 @@ def is_equioriented(q: Quiver) -> bool:
 
 def interval_module(q: Quiver, iv: Interval, fld: Field) -> Representation:
     """The indecomposable supported on [lo, hi] with identity internal maps."""
+    if not isinstance(fld, Field):
+        raise ValidationError(f"field: {shown(fld)} is not QQ or a GF(p)")
     path_steps(q)
     n = q.vertex_count
     if not (0 <= iv.lo and iv.hi <= n - 1):
@@ -224,14 +236,15 @@ def barcode(v: Representation) -> Barcode:
 
 
 def _crossed(m: Matrix, op, basis: Matrix, dims, completed: bool, memo: dict):
-    """The flag (basis, dims) stepped through ``m`` by ``op``, completed if asked, then rebased.
+    """The flag (basis, dims) stepped through ``m`` by ``op``, completed if asked.
 
     A trivial flag (module docstring) steps once per (matrix, direction,
-    chain, has a full member), on the plainest basis: the zero space, or
-    the identity with members 0 and everything.  ``memo`` keeps that step,
+    chain, has a full member), from a plain basis: the zero space, or the
+    identity with members 0 and everything.  ``memo`` keeps that step,
     and each member takes the new dim of the zero or the full member.
-    Then a flag whose members are all 0 or the whole space is rebased on
-    the identity, which spans the same members.
+    The basis a trivial flag carries is never read: its next step starts
+    from the plain basis again, and ``_rank_jumps`` prices its members by
+    their dims.
     """
     d = basis.rows
     if set(dims) <= {0, d}:
@@ -247,8 +260,6 @@ def _crossed(m: Matrix, op, basis: Matrix, dims, completed: bool, memo: dict):
         basis, dims = op(m, basis, dims)
         if completed:
             basis = flag_completed(basis)
-    if basis.cols == basis.rows and all(x in (0, basis.cols) for x in dims):
-        basis = full_space(basis.field, basis.rows)
     return basis, dims
 
 
@@ -256,7 +267,7 @@ def _rank_jumps(a_basis: Matrix, r_basis: Matrix, marks: list[tuple]) -> dict[in
     """Sparse derivative a -> r[a,k] - r[a-1,k] of the current rank row.
 
     r[a,k] = dim(A[a] + R[a]) - dim R[a]; it needs a rank only when both
-    members are nonzero.
+    members are partial, neither 0 nor all of V_k.
     """
     jumps: dict[int, int] = {}
     prev_val = 0

@@ -4,6 +4,11 @@
 failed check as incorrect.  Running one round here catches the same
 failure at test time: an output the checks refuse, or a name or signature
 of ``hnzz`` that the bench calls and a change broke.
+
+It also pins the work of that round, in counts that do not vary between
+runs: eliminations (``_gauss_jordan`` calls) and row updates
+(``sub_scaled_row`` calls, over both field classes), counted over the
+requests and not the set-up.  A change that moves one re-pins it here.
 """
 
 import sys
@@ -16,12 +21,26 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 import harness  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
+from hnzz import linalg  # noqa: E402
+from hnzz.linalg import PrimeField, RationalField  # noqa: E402
+
+# (eliminations, row updates) of one seed-1 round's requests
+ROUND_WORK = {
+    "lift-long": (5394, 114484),
+    "zigzag-rational": (1490, 32432),
+    "oracle-certify": (11198, 4628),
+}
+
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
-def test_workload_round_passes_its_checks(name, tmp_path):
+def test_workload_round_passes_its_checks(name, tmp_path, count_calls):
     work = tmp_path / name
     work.mkdir()
     requests = WORKLOADS[name].setup(1, work)
     assert requests
+    eliminations = count_calls(linalg, "_gauss_jordan")
+    row_updates = [count_calls(cls, "sub_scaled_row") for cls in (RationalField, PrimeField)]
     problems = [problem for _, problem, _ in map(harness.run_request, requests) if problem]
     assert problems == []
+    work_done = (len(eliminations), sum(map(len, row_updates)))
+    assert work_done == ROUND_WORK[name]

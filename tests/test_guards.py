@@ -1,18 +1,21 @@
-"""The oracle's guard limits, pinned through public behaviour.
+"""The guard limits, pinned through public behaviour.
 
 ``hn_bruteforce`` scans every subrepresentation, so it refuses (GuardError,
 exit code 5) beyond fixed limits: subspaces of GF(p)^dim are enumerated
 for dim <= 6 and p <= 3 only, and the total dimension of the input is
-capped at 8 over GF(2) and 6 over GF(3).
+capped at 8 over GF(2) and 6 over GF(3).  The size inputs of ``gen`` and
+``lift`` are capped too; each cap is tested only by a refusal that
+allocates nothing.
 """
 
 import json
 
 import pytest
 
+from hnzz.affine import LIFT_MAX_WINDOW, AffineQuiver, classify_lift, indec_T
 from hnzz.cli import main
-from hnzz.errors import GuardError
-from hnzz.generators import equioriented_quiver
+from hnzz.errors import GuardError, ShapeError
+from hnzz.generators import GEN_MAX_N, GEN_MAX_SUMMANDS, equioriented_quiver
 from hnzz.linalg import GF, subspace_enumerator
 from hnzz.quiver import direct_sum, zero_representation
 from hnzz.serialize import instance_to_json, write_json
@@ -73,3 +76,43 @@ def test_enumerator_limits():
         with pytest.raises(GuardError) as info:
             subspace_enumerator(dim, p)
         assert str(info.value) == ENUM_REFUSAL.format(dim=dim, p=p)
+
+
+def cycle_instance(tmp_path):
+    """Instance file of a Jordan cell on a 3-cycle (default window 9)."""
+    aq = AffineQuiver(3, (0, 0, 1))
+    rep = indec_T(aq, 1, 1, GF(3))
+    path = tmp_path / "cycle.json"
+    write_json(str(path), instance_to_json(rep, aq))
+    return rep, str(path)
+
+
+def test_lift_window_cap(tmp_path, capsys):
+    rep, inp = cycle_instance(tmp_path)
+    # a multiple of n = 3 past the cap: refused before anything is lifted
+    assert main(["lift", inp, "--window", "3000000000000"]) == 4
+    assert capsys.readouterr().err == (
+        "unsupported shape: window length 3000000000000 exceeds "
+        f"LIFT_MAX_WINDOW = {LIFT_MAX_WINDOW}\n"
+    )
+    with pytest.raises(ShapeError, match="exceeds LIFT_MAX_WINDOW"):
+        classify_lift(rep, 10**30)
+
+
+@pytest.mark.parametrize(
+    "args,n,summands",
+    [
+        (["--kind", "persistence", "--n", "1000000000"], 1000000000, 3),
+        (["--kind", "affine", "--n", "1000000000"], 1000000000, 3),
+        (["--kind", "persistence", "--n", "5", "--max-summands", "1000000000000"], 5, 10**12),
+        (["--kind", "affine", "--n", "5", "--max-summands", "1000000000000"], 5, 10**12),
+    ],
+)
+def test_gen_size_caps(tmp_path, capsys, args, n, summands):
+    out = tmp_path / "inst.json"
+    assert main(["gen", *args, "--out", str(out)]) == 5
+    assert capsys.readouterr().err == (
+        f"guard exceeded: generator guard exceeded (n={n}, max_summands={summands}; "
+        f"limits n<={GEN_MAX_N}, max_summands<={GEN_MAX_SUMMANDS})\n"
+    )
+    assert not out.exists()

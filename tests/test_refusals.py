@@ -1,0 +1,51 @@
+"""Library inputs of the wrong type are refused with ValidationError.
+
+Each public constructor below once let such an input escape as a bare
+TypeError, ValueError or AttributeError, or, for a fractional interval
+endpoint, took it without a word.
+"""
+
+import pytest
+
+from hnzz.affine import AffineQuiver
+from hnzz.errors import ValidationError
+from hnzz.hn import HNReport
+from hnzz.linalg import GF
+from hnzz.quiver import Quiver
+from hnzz.zigzag import Barcode, Interval, interval_module
+
+A2 = Quiver(2, ((0, 1),))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: GF(None),
+        lambda: GF("3"),
+        lambda: Interval(None, 1),
+        lambda: Interval(0.5, 1),
+        lambda: Barcode("1"),
+        lambda: Barcode(None),
+        lambda: Barcode((("0", 1),)),
+        lambda: Barcode(((Interval(0, 1), 1.0),)),
+        lambda: HNReport(A2, None),
+        lambda: interval_module(A2, Interval(0, 1), None),
+        lambda: AffineQuiver(2, None),
+    ],
+    ids=[
+        "GF(None)",
+        "GF('3')",
+        "Interval(None, 1)",
+        "Interval(0.5, 1)",
+        "Barcode('1')",
+        "Barcode(None)",
+        "Barcode(non-interval)",
+        "Barcode(float multiplicity)",
+        "HNReport(q, None)",
+        "interval_module(field None)",
+        "AffineQuiver(2, None)",
+    ],
+)
+def test_wrong_type_refused(build):
+    with pytest.raises(ValidationError):
+        build()
