@@ -126,6 +126,7 @@ def wrap_counts(n: int, u: int, v: int) -> tuple[int, ...]:
 
 def _check_wrapped(n: int, u: int, v: int) -> None:
     """Refuse [u, v] unless u lies in [0, n-1] and v >= u, as ``NClass`` keys do."""
+    check_ints((u, v), "interval endpoints")
     if not 0 <= u <= n - 1:
         raise ValidationError(f"left endpoint {u} must lie in [0, {n - 1}]")
     if v < u:
@@ -157,6 +158,7 @@ def indec_N(aq: AffineQuiver, u: int, v: int, fld: Field) -> Representation:
 def indec_T(aq: AffineQuiver, lam, w: int, fld: Field) -> Representation:
     """The Jordan-cell indecomposable with eigenvalue lam and size w."""
     lam = fld.coerce(lam)
+    check_ints((w,), "Jordan-cell size")
     if lam == 0:
         raise ValidationError("Jordan-cell eigenvalue must be nonzero")
     if w < 1:

@@ -12,6 +12,10 @@ the private ``Matrix._canonical``.
 
 Everything here is pure and deterministic: echelon forms are the unique
 reduced ones, so equality of spans reduces to equality of basis matrices.
+
+Over QQ, elimination and products run on integer rows: each row is
+scaled by the lcm of its denominators, the arithmetic is on ints, and
+each result entry is built once as a canonical ``Fraction``.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations, product
+from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
 from .errors import GuardError, ValidationError, shown
@@ -62,18 +67,6 @@ class RationalField:
 
     def neg(self, a):
         return -a
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return 1 / Fraction(a)
-
-    def scale_row(self, f, row: list) -> list:
-        return [f * x for x in row]
-
-    def sub_scaled_row(self, row: list, f, prow: list) -> list:
-        """``row - f * prow`` entrywise, in one pass over the row."""
-        return [x - f * y for x, y in zip(row, prow)]
 
     def __repr__(self) -> str:
         return "QQ"
@@ -212,9 +205,24 @@ class Matrix:
                 f"matmul shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
             )
         field = self.field
-        sub_scaled, neg, zero = field.sub_scaled_row, field.neg, field.zero
+        zero = field.zero
         odata = other.data
         out = []
+        if isinstance(field, RationalField):
+            # integer rows: other times the lcm of all its denominators,
+            # each left row times its own; one Fraction per output entry
+            den = lcm(*[x.denominator for orow in odata for x in orow])
+            odata = [_scaled(orow, den) for orow in odata]
+            for lrow in self.data:
+                lden = lcm(*[x.denominator for x in lrow])
+                acc = [0] * other.cols
+                for a, orow in zip(_scaled(lrow, lden), odata):
+                    if a:
+                        acc = [s + a * y for s, y in zip(acc, orow)]
+                lden *= den
+                out.append([Fraction(s, lden) if s else zero for s in acc])
+            return Matrix._canonical(field, out, other.cols)
+        sub_scaled, neg = field.sub_scaled_row, field.neg
         for lrow in self.data:
             acc = [zero] * other.cols
             for a, orow in zip(lrow, odata):
@@ -247,6 +255,20 @@ def block_diag(a: Matrix, b: Matrix) -> Matrix:
     return Matrix._canonical(field, data, a.cols + b.cols)
 
 
+def _scaled(row: Sequence[Fraction], m: int) -> list[int]:
+    """``m * row`` as ints, for ``m`` a multiple of every denominator in ``row``."""
+    return [x.numerator * (m // x.denominator) for x in row]
+
+
+def _int_row_update(row: list[int], a: int, b: int, prow: list[int]) -> list[int]:
+    """``a * row - b * prow`` divided by the gcd of its entries: the QQ row step."""
+    new = [a * x - b * y for x, y in zip(row, prow)]
+    g = gcd(*new)
+    if g > 1:
+        new = [x // g for x in new]
+    return new
+
+
 def _gauss_jordan(field: Field, work: list[list], reduced: bool = True) -> list[int]:
     """Reduce the row lists ``work`` in place to reduced row-echelon form.
 
@@ -258,8 +280,23 @@ def _gauss_jordan(field: Field, work: list[list], reduced: bool = True) -> list[
     subspace).  With ``reduced=False`` only the rows below each pivot are
     cleared: the pivots are the same, at about half the row operations,
     which is all ``rank`` needs.
+
+    Over QQ the rows are eliminated on integers, fraction-free as in
+    Bareiss (1968) but kept small by a gcd rather than by his exact
+    division: each row is cleared of its denominators, a row update is
+    ``a*row - b*prow`` (``_int_row_update``) with ``a`` the pivot and
+    ``b`` the row's entry under it, divided by the gcd of its entries, and
+    each pivot row is written back as Fractions divided by its pivot at
+    the end.  Each integer row is a nonzero multiple of the row that
+    Fraction elimination holds at the same step, so the pivots and the
+    row updates are the same, and the rows written back are the canonical
+    ones.
     """
-    scale, sub_scaled, one = field.scale_row, field.sub_scaled_row, field.one
+    qq = isinstance(field, RationalField)
+    if qq:
+        work[:] = [_scaled(row, lcm(*[x.denominator for x in row])) for row in work]
+    else:
+        scale, sub_scaled = field.scale_row, field.sub_scaled_row
     nr = len(work)
     nc = len(work[0]) if work else 0
     pivots = []
@@ -276,14 +313,23 @@ def _gauss_jordan(field: Field, work: list[list], reduced: bool = True) -> list[
             continue
         work[r], work[pr] = work[pr], work[r]
         pv = work[r][c]
-        if pv != one:
+        if not qq and pv != 1:
             work[r] = scale(field.inv(pv), work[r])
         prow = work[r]
         for i in range(0 if reduced else r + 1, nr):
             if i != r and work[i][c] != 0:
-                work[i] = sub_scaled(work[i], work[i][c], prow)
+                if qq:
+                    work[i] = _int_row_update(work[i], pv, work[i][c], prow)
+                else:
+                    work[i] = sub_scaled(work[i], work[i][c], prow)
         pivots.append(c)
         r += 1
+    if qq:
+        zero = field.zero
+        for i, c in enumerate(pivots):
+            pv = work[i][c]
+            work[i] = [Fraction(x, pv) if x else zero for x in work[i]]
+        work[r:] = [[zero] * nc for _ in range(r, nr)]
     return pivots
 
 

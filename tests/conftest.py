@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -9,7 +10,6 @@ from hnzz.linalg import (
     column_echelon,
     hstack,
     random_invertible_rng,
-    rref,
     superspace_enumerator,
     zero_space,
 )
@@ -45,20 +45,81 @@ def count_calls(monkeypatch):
     return count
 
 
+# The Fraction operators, for ``count_calls(Fraction, name)``.  They are
+# wrapped whole: each binds ``Fraction._add`` and its kin when the class is
+# built, so wrapping ``_sub`` or ``_mul`` would count nothing.
+FRACTION_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                       "__truediv__", "__rtruediv__")
+
+
 def make_rng(seed: int) -> random.Random:
     return random.Random(seed)
+
+
+def _field_ops(fld):
+    """Reduction and inverse of the field in plain Python arithmetic."""
+    if fld == QQ:
+        return (lambda x: x), (lambda x: 1 / Fraction(x))
+    p = fld.p
+    return (lambda x: x % p), (lambda x: pow(x, -1, p))
+
+
+def reference_rref(m: Matrix) -> tuple[list[list], list[int]]:
+    """Textbook Gauss-Jordan of ``m``: its reduced rows and pivot columns.
+
+    Each pivot row is scaled to a leading 1, and its column is cleared
+    from every other row, in ``Fraction`` arithmetic over QQ and residues
+    over GF(p).  It shares no code with ``linalg``, so the tests can check
+    the package's elimination, which runs on integer rows over QQ.
+    """
+    reduce, inv = _field_ops(m.field)
+    rows = [list(row) for row in m.data]
+    pivots = []
+    for c in range(m.cols):
+        r = len(pivots)
+        found = [i for i in range(r, len(rows)) if rows[i][c] != 0]
+        if not found:
+            continue
+        rows[r], rows[found[0]] = rows[found[0]], rows[r]
+        f = inv(rows[r][c])
+        rows[r] = [reduce(f * x) for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                g = rows[i][c]
+                rows[i] = [reduce(x - g * y) for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows, pivots
+
+
+def reference_matmul(a: Matrix, b: Matrix) -> list[list]:
+    """``a @ b`` entry by entry, as sums of products in the field."""
+    reduce, _ = _field_ops(a.field)
+    return [
+        [reduce(sum((row[k] * b.data[k][j] for k in range(a.cols)), a.field.zero))
+         for j in range(b.cols)]
+        for row in a.data
+    ]
+
+
+def reference_column_echelon(m: Matrix) -> Matrix:
+    """Canonical basis of the column span: ``reference_rref`` of the columns as rows."""
+    columns = [[row[j] for row in m.data] for j in range(m.cols)]
+    reduced, pivots = reference_rref(Matrix(m.field, columns, m.rows))
+    kept = reduced[: len(pivots)]
+    return Matrix(m.field, list(zip(*kept)) if kept else [()] * m.rows, len(kept))
 
 
 def reference_kernel(m: Matrix) -> Matrix:
     """Canonical basis of the right null space of ``m``, built directly.
 
-    One vector per free column of ``rref(m)``: 1 at the free column and
-    minus that column's entries at the pivot columns.  The package takes a
-    kernel as ``flag_preimage`` of the zero subspace; this reference does
-    not go through the flag operations, so the tests can check them.
+    One vector per free column of ``reference_rref(m)``: 1 at the free
+    column and minus that column's entries at the pivot columns.  The
+    package takes a kernel as ``flag_preimage`` of the zero subspace; this
+    reference goes through neither the flag operations nor the package's
+    elimination, so the tests can check both.
     """
     fld = m.field
-    reduced, pivots = rref(m)
+    reduced, pivots = reference_rref(m)
     vectors = []
     for f in range(m.cols):
         if f in pivots:
@@ -66,10 +127,10 @@ def reference_kernel(m: Matrix) -> Matrix:
         vec = [fld.zero] * m.cols
         vec[f] = fld.one
         for i, pc in enumerate(pivots):
-            vec[pc] = fld.neg(reduced.data[i][f])
+            vec[pc] = fld.neg(reduced[i][f])
         vectors.append(vec)
     rows = list(zip(*vectors)) if vectors else [[] for _ in range(m.cols)]
-    return column_echelon(Matrix(fld, rows, len(vectors)))
+    return reference_column_echelon(Matrix(fld, rows, len(vectors)))
 
 
 def subrepresentations(v: Representation, above=None):

@@ -14,6 +14,7 @@ from hnzz.linalg import (
     GF,
     QQ,
     Matrix,
+    RationalField,
     block_diag,
     column_echelon,
     flag_completed,
@@ -32,7 +33,13 @@ from hnzz.linalg import (
     zero_space,
 )
 
-from conftest import reference_kernel
+from conftest import (
+    FRACTION_ARITHMETIC,
+    reference_column_echelon,
+    reference_kernel,
+    reference_matmul,
+    reference_rref,
+)
 
 FIELDS = [QQ, GF(2), GF(3), GF(5)]
 
@@ -132,7 +139,7 @@ class TestConstructor:
 
 
 def assert_canonical(m: Matrix) -> None:
-    kind = Fraction if m.field is QQ else int
+    kind = Fraction if isinstance(m.field, RationalField) else int
     assert len(m.data) == m.rows
     for row in m.data:
         assert type(row) is tuple and len(row) == m.cols
@@ -383,6 +390,94 @@ class TestFlags:
             (a, (i,)), (b, (j,)) = random_flag(fld, d, rnd, 1), random_flag(fld, d, rnd, 1)
             expect = column_echelon(hstack([columns(a, i), columns(b, j)])).cols
             assert prefix_sum_dim(a, i, b, j) == expect
+
+
+# Over QQ the package eliminates and multiplies on integer rows; these
+# entries stress what that changes: signs, zero rows and denominators far
+# past a machine word, on QQ and on a freshly built RationalField.
+RATIONAL_ENTRY = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-3, 3)),
+    st.builds(Fraction, st.integers(-(2**70), 2**70), st.integers(1, 2**70)),
+)
+
+
+@st.composite
+def rational_matrix(draw, rows, cols, fld):
+    row = st.one_of(
+        st.just([Fraction(0)] * cols),
+        st.lists(RATIONAL_ENTRY, min_size=cols, max_size=cols),
+    )
+    return Matrix(fld, draw(st.lists(row, min_size=rows, max_size=rows)), cols)
+
+
+def independent_columns(m: Matrix) -> Matrix:
+    """The columns of m at the pivots of its textbook RREF: a full-rank basis."""
+    _, pivots = reference_rref(m)
+    return Matrix(m.field, [[row[j] for j in pivots] for row in m.data], len(pivots))
+
+
+def check_rational_ops(m: Matrix, right: Matrix, square: Matrix, source: Matrix,
+                       target: Matrix, dims: list[int]) -> None:
+    """Every QQ operation on m equals the textbook Fraction reference."""
+    fld = m.field
+    reduced, pivots = rref(m)
+    want_rows, want_pivots = reference_rref(m)
+    assert pivots == tuple(want_pivots) and reduced == Matrix(fld, want_rows, m.cols)
+    assert rank(m) == len(want_pivots)
+    assert column_echelon(m) == reference_column_echelon(m)
+    assert m @ right == Matrix(fld, reference_matmul(m, right), right.cols)
+    n = square.rows
+    augmented, aug_pivots = reference_rref(hstack([square, Matrix.identity(fld, n)]))
+    if aug_pivots[:n] == list(range(n)):
+        assert inverse(square) == Matrix(fld, [row[n:] for row in augmented], n)
+    else:
+        with pytest.raises(ValidationError):
+            inverse(square)
+    for op, basis in ((flag_image, source), (flag_preimage, target)):
+        moved, new_dims = op(m, basis, dims)
+        assert len(reference_rref(moved)[1]) == moved.cols  # an adapted basis
+        for d, nd in zip(dims, new_dims):
+            member = columns(basis, d)
+            if op is flag_image:
+                want = Matrix(fld, reference_matmul(m, member), d)
+            else:
+                ker = reference_kernel(hstack([m, member]))
+                want = Matrix(fld, ker.data[: m.cols], ker.cols)
+            assert reference_column_echelon(columns(moved, nd)) == reference_column_echelon(want)
+    for result in (reduced, column_echelon(m), m @ right, moved):
+        assert_canonical(result)
+
+
+class TestRationalKernel:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_textbook_fractions(self, data):
+        fld = data.draw(st.sampled_from([QQ, RationalField()]))
+        r, c, k, n = data.draw(st.tuples(*[st.integers(0, 5)] * 4))
+        m = data.draw(rational_matrix(r, c, fld))
+        right = data.draw(rational_matrix(c, k, QQ))
+        square = data.draw(rational_matrix(n, n, fld))
+        source = independent_columns(data.draw(rational_matrix(c, k, fld)))
+        target = independent_columns(data.draw(rational_matrix(r, k, fld)))
+        top = min(source.cols, target.cols)
+        dims = data.draw(st.lists(st.integers(0, top), min_size=1, max_size=4))
+        check_rational_ops(m, right, square, source, target, dims)
+
+    @pytest.mark.parametrize("r, c", [(0, 0), (0, 3), (3, 0), (3, 3)])
+    def test_empty_and_zero(self, r, c):
+        fld = RationalField()
+        zero = Matrix.zeros(fld, r, c)
+        check_rational_ops(zero, Matrix.zeros(QQ, c, 2), Matrix.zeros(fld, r, r),
+                           Matrix.identity(fld, c), Matrix.identity(fld, r), [0, min(r, c)])
+
+    def test_fresh_field_skips_fraction_arithmetic(self, count_calls):
+        # a RationalField built apart from QQ takes the integer rows too
+        fld = RationalField()
+        m = Matrix(fld, [[Fraction(1, 3), Fraction(-2, 2**70)], [5, Fraction(7, 9)]])
+        calls = [count_calls(Fraction, name) for name in FRACTION_ARITHMETIC]
+        rref(m), rank(m), inverse(m), m @ m
+        assert sum(map(len, calls)) == 0
 
 
 class TestSubspaceOps:

@@ -7,14 +7,15 @@ endpoint, took it without a word.
 
 import pytest
 
-from hnzz.affine import AffineQuiver
+from hnzz.affine import AffineQuiver, indec_N, indec_T
 from hnzz.errors import ValidationError
 from hnzz.hn import HNReport
-from hnzz.linalg import GF
+from hnzz.linalg import GF, QQ
 from hnzz.quiver import Quiver
 from hnzz.zigzag import Barcode, Interval, interval_module
 
 A2 = Quiver(2, ((0, 1),))
+AQ = AffineQuiver(2, (0, 1))
 
 
 @pytest.mark.parametrize(
@@ -31,6 +32,12 @@ A2 = Quiver(2, ((0, 1),))
         lambda: HNReport(A2, None),
         lambda: interval_module(A2, Interval(0, 1), None),
         lambda: AffineQuiver(2, None),
+        lambda: indec_T(AQ, 1, 2.5, QQ),
+        lambda: indec_T(AQ, 1, "2", QQ),
+        lambda: indec_T(AQ, 1, None, QQ),
+        lambda: indec_N(AQ, 0, 2.5, QQ),
+        lambda: indec_N(AQ, None, 1, QQ),
+        lambda: indec_N(AQ, False, 1, QQ),
     ],
     ids=[
         "GF(None)",
@@ -44,6 +51,12 @@ A2 = Quiver(2, ((0, 1),))
         "HNReport(q, None)",
         "interval_module(field None)",
         "AffineQuiver(2, None)",
+        "indec_T(size 2.5)",
+        "indec_T(size '2')",
+        "indec_T(size None)",
+        "indec_N(endpoint 2.5)",
+        "indec_N(endpoint None)",
+        "indec_N(endpoint False)",
     ],
 )
 def test_wrong_type_refused(build):

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from hnzz import linalg, zigzag
@@ -8,7 +10,6 @@ from hnzz.linalg import (
     GF,
     QQ,
     Matrix,
-    RationalField,
     hstack,
     random_invertible_rng,
     rank,
@@ -24,6 +25,7 @@ from hnzz.zigzag import (
 )
 
 from conftest import (
+    FRACTION_ARITHMETIC,
     conjugating_bases,
     make_rng,
     random_path_quiver,
@@ -487,7 +489,8 @@ class TestSharedMatrices:
 
 def test_distinct_matrices_run_every_step(count_calls):
     # no Matrix object recurs, so no flag step is shared: every step runs
-    # its elimination, and only ranks of two partial members run one more
+    # its elimination, and only ranks of two partial members run one more;
+    # the row updates are the eliminations' (QQ products make none)
     rng = make_rng(68)
     q = random_path_quiver(40, rng)
     dims = tuple(rng.randint(0, 4) for _ in range(40))
@@ -498,6 +501,27 @@ def test_distinct_matrices_run_every_step(count_calls):
     )
     v = Representation(q, QQ, dims, mats)
     eliminations = count_calls(linalg, "_gauss_jordan")
-    row_updates = count_calls(RationalField, "sub_scaled_row")
+    row_updates = count_calls(linalg, "_int_row_update")
     barcode(v)
-    assert (len(eliminations), len(row_updates)) == (51, 167)
+    assert (len(eliminations), len(row_updates)) == (51, 100)
+
+
+def test_rational_sweep_makes_no_fraction_arithmetic(count_calls):
+    # over QQ every elimination and product runs on integer rows, so a
+    # sweep with proper fractions in its maps adds or multiplies no Fraction
+    rng = make_rng(69)
+    q = random_path_quiver(12, rng)
+    dims = tuple(rng.randint(1, 3) for _ in range(12))
+    entries = (0, 0, 1, -1, Fraction(1, 3), Fraction(-5, 2**40))
+    mats = tuple(
+        Matrix(QQ, [[rng.choice(entries) for _ in range(dims[src])]
+                    for _ in range(dims[dst])], dims[src])
+        for src, dst in q.edges
+    )
+    v = Representation(q, QQ, dims, mats)
+    eliminations = count_calls(linalg, "_gauss_jordan")
+    products = count_calls(Matrix, "__matmul__")
+    arithmetic = [count_calls(Fraction, name) for name in FRACTION_ARITHMETIC]
+    barcode(v)
+    assert eliminations and products
+    assert sum(map(len, arithmetic)) == 0
