@@ -9,10 +9,16 @@ coordinates.  It works on any acyclic quiver but raises GuardError past
 fixed limits: total dimension ``ORACLE_MAX_TOTAL_DIM[p]`` (below) and
 the enumerator limits ``ENUM_MAX_DIM``, ``ENUM_MAX_P`` (in ``linalg``).
 Each pass of ``hn_bruteforce`` needs only a count and one witness per
-quotient dimension vector, so a suffix DP over the topological order
-builds one table per tuple of partial floors (``_quotient_table``) and
-the pass prices one slope per vector; the tables are freed when the pass
-ends.  The scan skips the vertices of dimension 0.
+quotient dimension vector of the best (slope, total) key, so a suffix DP
+over the topological order builds one table per tuple of partial floors
+(``_quotient_table``); the tables are freed when the pass ends.  A slope
+bound prices each dimension class of each vertex before any of its
+superspaces is enumerated: the best key of any vector in that class, the
+other vertices ranging freely.  A threshold T, the best key of a
+subrepresentation priced so far (at first the whole quotient), only
+rises, and a class whose bound is below T is never walked, so the
+destabilizer and its count are those of the full scan.  The scan skips
+the vertices of dimension 0.
 ``hn_from_barcode`` is the fast route for equioriented type-A
 representations under the Euler weights: one step per interval family
 [0, j] plus a final slope-0 step for everything else.
@@ -26,6 +32,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
+from math import lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import GuardError, InternalCheckError, ShapeError, ValidationError, shown
@@ -34,6 +43,7 @@ from .linalg import (
     Matrix,
     PrimeField,
     QQ,
+    check_enum_guard,
     column_echelon,
     hstack,
     superspace_enumerator,
@@ -147,24 +157,69 @@ def is_semistable(v: Representation, alpha: StabilityCondition) -> bool:
 
 
 def _quotient_table(
-    v: Representation, above: Sequence[Matrix]
+    v: Representation, above: Sequence[Matrix], alpha: StabilityCondition
 ) -> dict[tuple[int, ...], list]:
-    """Quotient dims -> [first bases, count] over the subreps containing ``above``.
+    """Quotient dims -> [key, first bases, count] over the subreps containing ``above``.
 
-    The quotient dims are taken beyond those of ``above``; the first bases
-    are the first subrepresentation with those quotient dims in the order
-    that picks each vertex's subspace in turn along ``_scan_order`` (each
-    from ``superspace_enumerator``), and the count is how many there are.  A
-    suffix DP over the topological order: the subreps on ``order[i:]`` depend
-    on the choices before i only through the partial floors of those
-    vertices (``above`` plus the images of the chosen in-neighbours), so
-    one table per tuple of partial floors is built once and shared.
+    The quotient dims are taken beyond those of ``above``; the key ranks
+    them as the pass does, by (slope, total dimension), in integers; the
+    first bases are the first subrepresentation with those quotient dims
+    in the order that picks each vertex's subspace in turn along
+    ``_scan_order`` (each from ``superspace_enumerator``, one dimension
+    class at a time), and the count is how many there are.
+
+    A suffix DP over the topological order: the subreps on ``order[i:]``
+    depend on the choices before i only through the partial floors of
+    those vertices (``above`` plus the images of the chosen in-neighbours),
+    so one table per tuple of partial floors is built once and shared.
     ``_scan_order`` skips the vertices of dimension 0, so the recursion
     is no deeper than the total dimension.
+
+    The table is pruned by a slope bound.  Fixing the quotient class d at
+    one vertex and letting every other vertex range over its whole
+    quotient dimension, the best key of that box comes from adding
+    vertices in decreasing-weight order and keeping the best prefix (the
+    box is a linear-fractional program).  The bound holds whatever is
+    chosen at the other vertices, so the suffix tables stay shareable.
+    A threshold T starts at the key of the whole quotient and rises with
+    each top-level dims priced; T is always the key of a subrepresentation
+    and so never exceeds the best key.  Each table walks its vertex's
+    classes in decreasing-bound order and stops at the first bound below
+    T.  So the table holds every dims of the best key, with its exact
+    count and first bases; the other entries may be missing or short.
+    The enumeration guard is checked up front for every vertex's whole
+    quotient, so a refusal does not depend on what the bound skips.
     """
     order = _scan_order(v)
     n = len(order)
     done = [b.cols for b in above]
+    free = [v.dims[x] - done[x] for x in order]
+    for q in free:
+        check_enum_guard(q, v.field.p)
+    # integer weights and slopes: every total is at most sum(free), so
+    # num / total over the lcm of 1..sum(free) is an integer
+    scale = lcm(*(alpha.weights[x].denominator for x in order))
+    weights = [alpha.weights[x].numerator * (scale // alpha.weights[x].denominator) for x in order]
+    unit = lcm(*range(1, sum(free) + 1))
+
+    def key(num: int, total: int) -> tuple[int, int]:
+        return num * (unit // total), total
+
+    def grow(acc: tuple[int, int], vertex: tuple[int, int]) -> tuple[int, int]:
+        return acc[0] + vertex[0] * vertex[1], acc[1] + vertex[1]
+
+    # per scan position: (bound, class) from the best bound down; the zero
+    # vector has no slope and bounds nothing
+    ranked = []
+    for i in range(n):
+        others = sorted(((weights[j], free[j]) for j in range(n) if j != i), reverse=True)
+        classes = []
+        for d in range(free[i] + 1):
+            prefixes = accumulate(others, grow, initial=(weights[i] * d, d))
+            priced = [key(num, total) for num, total in prefixes if total]
+            if priced:
+                classes.append((max(priced), d))
+        ranked.append(sorted(classes, reverse=True))
     pos = {x: i for i, x in enumerate(order)}
     out_edges: dict[int, list[tuple[Matrix, int]]] = {x: [] for x in order}
     for m, (src, dst) in zip(v.mats, v.quiver.edges):
@@ -172,37 +227,50 @@ def _quotient_table(
             out_edges[src].append((m, dst))
     # partial floors of order[i:] -> suffix dims (in that order) -> [bases, count]
     memo: dict[tuple[Matrix, ...], dict[tuple[int, ...], list]] = {(): {(): [(), 1]}}
+    keys: dict[tuple[int, ...], tuple[int, int]] = {}
+    threshold = key(sum(map(mul, weights, free)), sum(free))
 
     def table(floors: tuple[Matrix, ...]) -> dict[tuple[int, ...], list]:
+        nonlocal threshold
         got = memo.get(floors)
         if got is not None:
             return got
         i = n - len(floors)
         x = order[i]
+        low = floors[0].cols - done[x]
         out: dict[tuple[int, ...], list] = {}
-        for u in superspace_enumerator(floors[0]):
-            rest = list(floors[1:])
-            for m, y in out_edges[x]:
-                j = pos[y] - i - 1
-                rest[j] = column_echelon(hstack([rest[j], m @ u]))
-            d = u.cols - done[x]
-            for dims, (bases, count) in table(tuple(rest)).items():
-                dims = (d,) + dims
-                entry = out.get(dims)
-                if entry is None:
-                    out[dims] = [(u,) + bases, count]
-                else:
-                    entry[1] += count
+        for bound, d in ranked[i]:
+            if d < low:
+                continue
+            if bound < threshold:
+                break
+            for u in superspace_enumerator(floors[0], d - low):
+                rest = list(floors[1:])
+                for m, y in out_edges[x]:
+                    j = pos[y] - i - 1
+                    rest[j] = column_echelon(hstack([rest[j], m @ u]))
+                for dims, (bases, count) in table(tuple(rest)).items():
+                    dims = (d,) + dims
+                    entry = out.get(dims)
+                    if entry is None:
+                        out[dims] = [(u,) + bases, count]
+                        if i == 0 and any(dims):
+                            keys[dims] = key(sum(map(mul, weights, dims)), sum(dims))
+                            threshold = max(threshold, keys[dims])
+                    else:
+                        entry[1] += count
         memo[floors] = out
         return out
 
     seen = {}
     for dims, (bases, count) in table(tuple(above[x] for x in order)).items():
+        if dims not in keys:  # the zero quotient
+            continue
         by_vertex = [0] * len(v.dims)
         stage = list(above)
         for x, d, u in zip(order, dims, bases):
             by_vertex[x], stage[x] = d, u
-        seen[tuple(by_vertex)] = [tuple(stage), count]
+        seen[tuple(by_vertex)] = [keys[dims], tuple(stage), count]
     return seen
 
 
@@ -212,31 +280,29 @@ def hn_bruteforce(v: Representation, alpha: StabilityCondition) -> HNReport:
     Repeatedly extracts the subrepresentation of maximal slope and, among
     those, maximal total dimension.  The subrepresentations of v
     containing a stage are those of v / stage, so each pass asks
-    ``_quotient_table`` for their count and first bases per dimension
-    vector beyond the stage, and prices each vector once by (slope, total
-    dimension).  The counts of every vector with the best key must sum to
-    one: non-uniqueness cannot happen for a genuine stability condition
-    and raises InternalCheckError.  Output is independent of enumeration
-    order; the zero representation gets the empty report.
+    ``_quotient_table`` for the key, count and first bases per dimension
+    vector beyond the stage; the slope bound lets it leave out vectors
+    that cannot have the best key.  The counts of every vector with the
+    best key must sum to one: non-uniqueness cannot happen for a genuine
+    stability condition and raises InternalCheckError.  Output is
+    independent of enumeration order; the zero representation gets the
+    empty report.
     """
     _check_oracle_guard(v)
     check_weights(v.quiver, alpha)
     stage = tuple(zero_space(v.field, d) for d in v.dims)
     steps, witness = [], []
     while sum(b.cols for b in stage) < v.total_dim():
-        seen = _quotient_table(v, stage)
-        keys = {
-            dims: (slope_of_dims(dims, alpha), sum(dims)) for dims in seen if any(dims)
-        }
-        best = max(keys.values())
-        winners = [dims for dims, key in keys.items() if key == best]
-        count = sum(seen[dims][1] for dims in winners)
+        seen = _quotient_table(v, stage, alpha)
+        best = max(key for key, _, _ in seen.values())
+        winners = [dims for dims, (key, _, _) in seen.items() if key == best]
+        count = sum(seen[dims][2] for dims in winners)
         if count != 1:
             raise InternalCheckError(
                 f"maximal destabilizer is not unique ({count} candidates)"
             )
-        stage = seen[winners[0]][0]
-        steps.append((best[0], winners[0]))
+        stage = seen[winners[0]][1]
+        steps.append((slope_of_dims(winners[0], alpha), winners[0]))
         witness.append(stage)
     report = HNReport(v.quiver, tuple(steps), tuple(witness))
     if report.total_dims() != v.dims:

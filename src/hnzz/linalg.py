@@ -279,18 +279,20 @@ def _gauss_jordan(field: Field, work: list[list], reduced: bool = True) -> list[
     all run through it (a kernel is the ``flag_preimage`` of the zero
     subspace).  With ``reduced=False`` only the rows below each pivot are
     cleared: the pivots are the same, at about half the row operations,
-    which is all ``rank`` needs.
+    which is all ``rank`` needs.  The rows are then unspecified, and its
+    callers (``rank``, ``flag_image``, ``flag_completed``,
+    ``prefix_sum_dim``) read only the pivots.
 
     Over QQ the rows are eliminated on integers, fraction-free as in
     Bareiss (1968) but kept small by a gcd rather than by his exact
     division: each row is cleared of its denominators, a row update is
     ``a*row - b*prow`` (``_int_row_update``) with ``a`` the pivot and
     ``b`` the row's entry under it, divided by the gcd of its entries, and
-    each pivot row is written back as Fractions divided by its pivot at
-    the end.  Each integer row is a nonzero multiple of the row that
-    Fraction elimination holds at the same step, so the pivots and the
-    row updates are the same, and the rows written back are the canonical
-    ones.
+    each pivot row of a full reduction is written back as Fractions
+    divided by its pivot at the end.  Each integer row is a nonzero
+    multiple of the row that Fraction elimination holds at the same step,
+    so the pivots and the row updates are the same, and the rows written
+    back are the canonical ones.
     """
     qq = isinstance(field, RationalField)
     if qq:
@@ -324,7 +326,7 @@ def _gauss_jordan(field: Field, work: list[list], reduced: bool = True) -> list[
                     work[i] = sub_scaled(work[i], work[i][c], prow)
         pivots.append(c)
         r += 1
-    if qq:
+    if qq and reduced:
         zero = field.zero
         for i, c in enumerate(pivots):
             pv = work[i][c]
@@ -513,7 +515,7 @@ ENUM_MAX_DIM = 6
 ENUM_MAX_P = 3
 
 
-def _check_enum_guard(dim: int, p: int) -> PrimeField:
+def check_enum_guard(dim: int, p: int) -> PrimeField:
     """GF(p), once GF(p)^dim is known to be small enough to walk."""
     field = GF(p)
     if dim < 0:
@@ -526,59 +528,59 @@ def _check_enum_guard(dim: int, p: int) -> PrimeField:
     return field
 
 
-def subspace_enumerator(dim: int, p: int) -> Iterator[Matrix]:
-    """All subspaces of GF(p)^dim, one canonical echelon basis each.
+def subspace_enumerator(dim: int, p: int, k: int) -> Iterator[Matrix]:
+    """The k-dimensional subspaces of GF(p)^dim, one canonical echelon basis each.
 
-    Walks dimension classes in increasing order (the zero subspace first,
-    the full space last); the total count is the Gaussian-binomial sum.
-    Raises GuardError up front beyond ``ENUM_MAX_DIM`` or ``ENUM_MAX_P``.
+    Their count is the Gaussian binomial [dim, k]_p; the classes k = 0..dim
+    together hold every subspace once.  Raises GuardError up front, before
+    anything is yielded, beyond ``ENUM_MAX_DIM`` or ``ENUM_MAX_P``.
     """
-    field = _check_enum_guard(dim, p)
+    field = check_enum_guard(dim, p)
 
     def generate() -> Iterator[Matrix]:
-        for k in range(dim + 1):
-            for pivots in combinations(range(dim), k):
-                pivot_set = set(pivots)
-                free_slots = [
-                    (r, j)
-                    for j in range(k)
-                    for r in range(dim)
-                    if r > pivots[j] and r not in pivot_set
-                ]
-                for values in product(range(p), repeat=len(free_slots)):
-                    cols = []
-                    for j in range(k):
-                        vec = [0] * dim
-                        vec[pivots[j]] = 1
-                        cols.append(vec)
-                    for (r, j), v in zip(free_slots, values):
-                        cols[j][r] = v
-                    yield Matrix._canonical(field, zip(*cols) if cols else [()] * dim, k)
+        for pivots in combinations(range(dim), k):
+            pivot_set = set(pivots)
+            free_slots = [
+                (r, j)
+                for j in range(k)
+                for r in range(dim)
+                if r > pivots[j] and r not in pivot_set
+            ]
+            for values in product(range(p), repeat=len(free_slots)):
+                cols = []
+                for j in range(k):
+                    vec = [0] * dim
+                    vec[pivots[j]] = 1
+                    cols.append(vec)
+                for (r, j), v in zip(free_slots, values):
+                    cols[j][r] = v
+                yield Matrix._canonical(field, zip(*cols) if cols else [()] * dim, k)
 
     return generate()
 
 
-def superspace_enumerator(floor: Matrix) -> Iterator[Matrix]:
-    """All subspaces of K^d containing span(floor), for K a prime field.
+def superspace_enumerator(floor: Matrix, k: int) -> Iterator[Matrix]:
+    """The subspaces of K^d containing span(floor) with k more dimensions, K a prime field.
 
-    Enumerates subspaces of the quotient K^d / span(floor) through the
-    complement-row coordinates of the echelon basis ``floor`` and lifts
-    them back, so each superspace is produced exactly once.  A zero floor
-    yields ``subspace_enumerator(d, p)`` as it is, canonical already.
+    Enumerates the k-dimensional subspaces of the quotient K^d / span(floor)
+    through the complement-row coordinates of the echelon basis ``floor``
+    and lifts them back, so each superspace is produced exactly once.  A
+    zero floor yields ``subspace_enumerator(d, p, k)`` as it is, canonical
+    already.  The guard of the quotient's dimension is checked up front.
     """
     field = floor.field
     if not isinstance(field, PrimeField):
         raise ValidationError("superspace enumeration needs a prime field")
     d = floor.rows
     if floor.cols == 0:
-        return subspace_enumerator(d, field.p)
+        return subspace_enumerator(d, field.p, k)
     taken = set(pivot_rows(floor))
     free_rows = [r for r in range(d) if r not in taken]
     q = len(free_rows)
-    _check_enum_guard(q, field.p)
+    check_enum_guard(q, field.p)
 
     def generate() -> Iterator[Matrix]:
-        for small in subspace_enumerator(q, field.p):
+        for small in subspace_enumerator(q, field.p, k):
             rows = [(0,) * small.cols] * d
             for i, r in enumerate(free_rows):
                 rows[r] = small.data[i]

@@ -10,6 +10,7 @@ from hnzz.linalg import (
     column_echelon,
     hstack,
     random_invertible_rng,
+    subspace_enumerator,
     superspace_enumerator,
     zero_space,
 )
@@ -133,6 +134,16 @@ def reference_kernel(m: Matrix) -> Matrix:
     return reference_column_echelon(Matrix(fld, rows, len(vectors)))
 
 
+def every_superspace(floor: Matrix) -> list[Matrix]:
+    """All subspaces containing span(floor), class by class from the smallest."""
+    return [u for k in range(floor.rows - floor.cols + 1) for u in superspace_enumerator(floor, k)]
+
+
+def every_subspace(dim: int, p: int) -> list[Matrix]:
+    """All subspaces of GF(p)^dim, class by class from the zero subspace."""
+    return [u for k in range(dim + 1) for u in subspace_enumerator(dim, p, k)]
+
+
 def subrepresentations(v: Representation, above=None):
     """Subrepresentations of v containing ``above``, as canonical bases.
 
@@ -157,7 +168,7 @@ def subrepresentations(v: Representation, above=None):
             return
         x = order[i]
         images = [m @ chosen[src] for (src, dst), m in zip(v.quiver.edges, v.mats) if dst == x]
-        for u in superspace_enumerator(column_echelon(hstack([above[x]] + images))):
+        for u in every_superspace(column_echelon(hstack([above[x]] + images))):
             chosen[x] = u
             yield from walk(i + 1)
 

@@ -30,7 +30,7 @@ from hnzz.linalg import PrimeField  # noqa: E402
 ROUND_WORK = {
     "lift-long": (5394, 114484),
     "zigzag-rational": (1490, 22764),
-    "oracle-certify": (11198, 4628),
+    "oracle-certify": (1966, 3258),
 }
 
 

@@ -62,6 +62,12 @@ def test_oracle_runs_at_the_caps(tmp_path, capsys, p, bars, dims):
         (5, {(0, 1): 1}, "oracle guard exceeded: p=5 > 3"),
         (5, {(1, 1): 1}, "oracle guard exceeded: p=5 > 3"),
         (2, {(0, 0): 7, (1, 1): 1}, ENUM_REFUSAL.format(dim=7, p=2)),
+        # the big vertex second, with zero and with injective maps.  With
+        # the injective map the slope bound skips the zero subspace of the
+        # first vertex, so no table enumerates all of the second one; the
+        # oracle refuses all the same
+        (2, {(0, 0): 1, (1, 1): 7}, ENUM_REFUSAL.format(dim=7, p=2)),
+        (2, {(0, 1): 1, (1, 1): 6}, ENUM_REFUSAL.format(dim=7, p=2)),
     ],
 )
 def test_oracle_refuses_past_the_caps(tmp_path, capsys, p, bars, message):
@@ -71,10 +77,10 @@ def test_oracle_refuses_past_the_caps(tmp_path, capsys, p, bars, message):
 
 
 def test_enumerator_limits():
-    assert sum(1 for _ in subspace_enumerator(6, 2)) == 2825
+    assert sum(1 for k in range(7) for _ in subspace_enumerator(6, 2, k)) == 2825
     for dim, p in ((7, 2), (2, 5)):
         with pytest.raises(GuardError) as info:
-            subspace_enumerator(dim, p)
+            subspace_enumerator(dim, p, 0)
         assert str(info.value) == ENUM_REFUSAL.format(dim=dim, p=p)
 
 

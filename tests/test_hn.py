@@ -33,7 +33,13 @@ from hnzz.hn import (
 )
 from hnzz.generators import equioriented_quiver, gen_persistence
 
-from conftest import conjugating_bases, make_rng, subrepresentations, zero_map_path
+from conftest import (
+    conjugating_bases,
+    make_rng,
+    random_zigzag_rep,
+    subrepresentations,
+    zero_map_path,
+)
 
 A2 = equioriented_quiver(2)
 A3 = equioriented_quiver(3)
@@ -236,8 +242,8 @@ class TestBruteforce:
         baseline = hn_bruteforce(v, EPS3)
         original = hn_module.superspace_enumerator
 
-        def reversed_enum(floor):
-            return iter(list(original(floor))[::-1])
+        def reversed_enum(floor, k):
+            return iter(list(original(floor, k))[::-1])
 
         monkeypatch.setattr(hn_module, "superspace_enumerator", reversed_enum)
         flipped = hn_bruteforce(v, EPS3)
@@ -247,68 +253,118 @@ class TestBruteforce:
     def test_duplicate_destabilizer_detected(self, monkeypatch):
         # a pass groups subrepresentations by quotient dimensions; the
         # counts of the best key must still add up.  The first enumeration
-        # of the first pass (its first vertex) yields each superspace
-        # twice, which doubles every count of that pass
+        # of the first pass is the first vertex's class of the best bound,
+        # which here holds the destabilizer [0, 1]; it yields each
+        # superspace twice, which doubles the destabilizer's count
         original = hn_module.superspace_enumerator
         calls = []
 
-        def first_doubled(floor):
+        def first_doubled(floor, k):
             copies = 1 if calls else 2
             calls.append(floor)
-            return (u for u in original(floor) for _ in range(copies))
+            return (u for u in original(floor, k) for _ in range(copies))
 
         monkeypatch.setattr(hn_module, "superspace_enumerator", first_doubled)
         with pytest.raises(
             InternalCheckError, match=r"^maximal destabilizer is not unique \(2 candidates\)$"
         ):
-            hn_bruteforce(three_step_module(), EPS3)
+            hn_bruteforce(split_three_vertex_module(), EPS3)
+
+
+def small_zigzag(rng):
+    """A random GF(2) or GF(3) zigzag within the oracle's total-dimension cap."""
+    while True:
+        v = random_zigzag_rep(rng, max_dim=2, fields=(2, 3))
+        if 0 < v.total_dim() <= ORACLE_MAX_TOTAL_DIM[v.field.p]:
+            return v
 
 
 class TestQuotientTable:
     def test_agrees_with_the_plain_walk(self):
-        # at every stage of every pass, the suffix DP's counts and first
-        # bases are those of walking subrepresentations(v, above=stage)
+        # at every stage of every pass, walking subrepresentations(v,
+        # above=stage): the pruned table ranks its entries as the walk's
+        # (slope, total) keys do, its top entries are the dims of the
+        # walk's best key, each with the walk's count and first bases, and
+        # every other entry is a dims of the walk with at most its count
         rng = make_rng(29)
-        stages_checked = 0
-        for draw in (campaign.draw_a, campaign.draw_b) * 10:
+        runs = []
+        for draw in (campaign.draw_a, campaign.draw_b) * 25:
             v = draw(rng).rep
-            if v.total_dim() == 0:
-                continue
-            report = hn_bruteforce(v, random_weights(v.quiver, rng))
+            if v.total_dim():
+                runs += [(v, euler_stability(v.quiver)), (v, random_weights(v.quiver, rng))]
+        for _ in range(100):
+            v = small_zigzag(rng)
+            zero = StabilityCondition((0,) * v.quiver.vertex_count)
+            runs += [(v, random_weights(v.quiver, rng)), (v, zero)]
+        stages_checked = 0
+        for v, alpha in runs:
+            report = hn_bruteforce(v, alpha)
             zeros = tuple(zero_space(v.field, d) for d in v.dims)
-            for stage in (zeros,) + report.witness:
+            for stage in ((zeros,) + report.witness)[:-1]:
                 counts: Counter = Counter()
                 first = {}
                 for bases in subrepresentations(v, above=stage):
                     dims = tuple(b.cols - a.cols for b, a in zip(bases, stage))
-                    counts[dims] += 1
-                    first.setdefault(dims, bases)
-                table = hn_module._quotient_table(v, stage)
-                assert {dims: c for dims, (_, c) in table.items()} == counts
-                assert {dims: b for dims, (b, _) in table.items()} == first
+                    if any(dims):
+                        counts[dims] += 1
+                        first.setdefault(dims, bases)
+                keys = {dims: (slope_of_dims(dims, alpha), sum(dims)) for dims in counts}
+                best = max(keys.values())
+                table = hn_module._quotient_table(v, stage, alpha)
+                ranked = sorted(table, key=lambda dims: table[dims][0])
+                assert [keys[dims] for dims in ranked] == sorted(keys[dims] for dims in table)
+                pairs = {(table[dims][0], keys[dims]) for dims in table}
+                assert len(pairs) == len({t for t, _ in pairs}) == len({k for _, k in pairs})
+                top = table[ranked[-1]][0]
+                winners = {dims for dims, key in keys.items() if key == best}
+                assert {dims for dims in table if table[dims][0] == top} == winners
+                for dims in winners:
+                    assert table[dims][1:] == [first[dims], counts[dims]]
+                for dims, (_, _, count) in table.items():
+                    assert 0 < count <= counts[dims]
                 stages_checked += 1
-        assert stages_checked >= 40
+        assert stages_checked >= 400
+
+
+# (enumerations, superspaces, floor updates) of the oracle on zero-map
+# GF(2) paths at the guard edge, one vertex at the enumerator limit
+SCAN_WORK = {
+    # the whole first vertex is the destabilizer, and every smaller class
+    # of it is bounded below the threshold.  Without the bound the scans
+    # took 2,836 and 2,834 superspaces and 2,826 and 2,830 floor updates
+    (6, 2): (6, 8, 2),
+    (6, 1, 1): (8, 8, 5),
+    # a small vertex first: its best class sets the threshold only after
+    # the big vertex's table is built whole, so these only halve, from
+    # 5,656 and 5,657 superspaces without the bound
+    (2, 6): (10, 2828, 2),
+    (1, 6, 1): (13, 2831, 2828),
+}
 
 
 class TestScanWork:
-    """A pass builds one suffix table per tuple of partial floors, with
-    one enumeration each and one entry per quotient dimension vector; the
+    """A pass builds one suffix table per tuple of partial floors, walking
+    its vertex's dimension classes (one enumeration each) down to the
+    slope bound, with one floor update per superspace and out-edge; the
     counts pinned here do not vary between runs."""
 
-    @pytest.mark.parametrize("dims", [(6, 2), (6, 1, 1)])
-    def test_enumerations_per_guard_edge_scan(self, dims, count_calls):
-        enumerations = count_calls(hn_module, "superspace_enumerator")
-        echelons = count_calls(hn_module, "column_echelon")
+    @pytest.mark.parametrize("dims", list(SCAN_WORK))
+    def test_enumerations_per_guard_edge_scan(self, dims, monkeypatch, count_calls):
+        original = hn_module.superspace_enumerator
+        calls, yielded = [], []
+
+        def counting(floor, k):
+            calls.append(k)
+            for u in original(floor, k):
+                yielded.append(k)
+                yield u
+
+        monkeypatch.setattr(hn_module, "superspace_enumerator", counting)
+        floor_updates = count_calls(hn_module, "column_echelon")
         v = zero_map_path(dims)
         report = hn_bruteforce(v, euler_stability(v.quiver))
         assert report.total_dims() == dims
-        # one enumeration per suffix table: 4 and 6 calls; the walk without
-        # a memo made 2,828 and 8,480
-        assert len(enumerations) <= 10
-        # one floor update per superspace and out-edge: 2,826 and 2,830
-        # calls; the memoised walk recomputed every floor on every visit,
-        # 8,478 times on (6, 1, 1)
-        assert len(echelons) <= 3000
+        assert (len(calls), len(yielded), len(floor_updates)) == SCAN_WORK[dims]
 
     def test_peak_memory_of_single_vertex_scan(self):
         # the k-dimensional subspaces of GF(2)^6 share one key until the

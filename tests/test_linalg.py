@@ -35,6 +35,8 @@ from hnzz.linalg import (
 
 from conftest import (
     FRACTION_ARITHMETIC,
+    every_subspace,
+    every_superspace,
     reference_column_echelon,
     reference_kernel,
     reference_matmul,
@@ -181,8 +183,8 @@ class TestTrustedConstructor:
         ]
         if fld in (GF(2), GF(3)):  # the enumerators stop at p = 3
             floor = column_echelon(data.draw(matrix_of(fld, 2, 1)))
-            out += subspace_enumerator(2, fld.p)
-            out += superspace_enumerator(floor)
+            out += every_subspace(2, fld.p)
+            out += every_superspace(floor)
         for result in out:
             assert_canonical(result)
 
@@ -271,7 +273,7 @@ class TestSubspaceEnumerator:
         [(0, 2), (1, 2), (2, 2), (3, 2), (4, 2), (0, 3), (1, 3), (2, 3), (3, 3)],
     )
     def test_count_matches_gaussian_binomial(self, dim, p):
-        got = list(subspace_enumerator(dim, p))
+        got = every_subspace(dim, p)
         assert len(got) == subspace_total(dim, p)
         # pairwise distinct canonical forms
         assert len({(b.cols, b.data) for b in got}) == len(got)
@@ -281,28 +283,33 @@ class TestSubspaceEnumerator:
         # 0-dimensional and full subspaces included
         assert any(b.cols == 0 for b in got)
         assert any(b.cols == dim for b in got)
+        # class k holds exactly the k-dimensional ones
+        for k in range(dim + 1):
+            cls = list(subspace_enumerator(dim, p, k))
+            assert len(cls) == gaussian_binomial(dim, k, p)
+            assert all(b.cols == k for b in cls)
 
     def test_small_cases(self):
-        assert len(list(subspace_enumerator(1, 2))) == 2
-        assert len(list(subspace_enumerator(2, 2))) == 5
-        assert len(list(subspace_enumerator(3, 2))) == 16
+        assert len(every_subspace(1, 2)) == 2
+        assert len(every_subspace(2, 2)) == 5
+        assert len(every_subspace(3, 2)) == 16
 
     def test_guard_dim(self):
         with pytest.raises(GuardError):
-            subspace_enumerator(7, 2)
+            subspace_enumerator(7, 2, 0)
 
     def test_guard_p(self):
         with pytest.raises(GuardError):
-            subspace_enumerator(2, 5)
+            subspace_enumerator(2, 5, 0)
 
     def test_nonprime_rejected(self):
         with pytest.raises(ValidationError):
-            subspace_enumerator(2, 4)
+            subspace_enumerator(2, 4, 0)
 
     def test_huge_modulus_rejected_at_once(self):
         start = time.perf_counter()
         with pytest.raises(ValidationError):
-            subspace_enumerator(1, 2305843009213693951)
+            subspace_enumerator(1, 2305843009213693951, 0)
         assert time.perf_counter() - start < 1.0
 
 
@@ -496,13 +503,13 @@ class TestSubspaceOps:
             fld = GF(p)
             rows, cols = rnd.randint(0, 3), rnd.randint(0, 3)
             m = Matrix(fld, [[rnd.randrange(p) for _ in range(cols)] for _ in range(rows)], cols)
-            spaces = list(subspace_enumerator(rows, p))
+            spaces = every_subspace(rows, p)
             s = rnd.choice(spaces)
             pre, (dim,) = flag_preimage(m, s, [s.cols])
             assert dim == pre.cols and column_echelon(pre) == reference_preimage(m, s)
             assert subspace_contains(s, m @ pre)
             # maximality: every vector outside pre maps outside s
-            for extra in subspace_enumerator(cols, p):
+            for extra in every_subspace(cols, p):
                 if subspace_contains(pre, extra):
                     continue
                 grown = column_echelon(hstack([pre, extra]))
@@ -521,16 +528,19 @@ class TestSubspaceOps:
 
     def test_superspaces(self):
         floor = Matrix(GF(2), [[1], [0], [0]])
-        sup = list(superspace_enumerator(floor))
+        sup = every_superspace(floor)
         assert len(sup) == subspace_total(2, 2)
+        for k in range(3):
+            assert all(u.cols == 1 + k for u in superspace_enumerator(floor, k))
         assert all(subspace_contains(u, floor) for u in sup)
         assert len({(u.cols, u.data) for u in sup}) == len(sup)
 
     @pytest.mark.parametrize("dim,p", [(d, 2) for d in range(5)] + [(d, 3) for d in range(4)])
     def test_superspaces_of_zero_floor(self, dim, p):
         # the zero floor hands back the subspace enumeration as it is
-        got = list(superspace_enumerator(zero_space(GF(p), dim)))
-        assert got == list(subspace_enumerator(dim, p))
+        for k in range(dim + 1):
+            got = list(superspace_enumerator(zero_space(GF(p), dim), k))
+            assert got == list(subspace_enumerator(dim, p, k))
 
     def test_inverse_roundtrip(self):
         m = random_invertible_rng(3, GF(7), random.Random(11))
