@@ -44,7 +44,7 @@ CCW = 1
 
 # The unwinding holds one position per window step.  On a 2-core Xeon VM a
 # 50,000-position window of a GF(3) 40-cycle of dimension 8 lifted and
-# classified in 7 s.
+# classified in 0.3 s: the barcode sweep stops at its first repeat.
 LIFT_MAX_WINDOW = 50_000
 
 

@@ -54,10 +54,33 @@ start are partial, that is neither 0 nor all of V_k: a zero or a whole
 member fixes dim(A[a] + R[a]) by its dimension alone.  The cost stays
 linear in the path length for bounded vertex dimensions, which the long
 lift windows rely on.
+
+A lift window repeats its cycle's steps, and the sweep stops once it
+repeats itself.  Let p be the least period of the step sequence
+(points right, edge matrix), matrices compared by value; on an
+aperiodic path p is the whole length and the sweep runs to the end.
+Shift a position's marks by p: a start a > 0 becomes a + p, start 0
+stays 0.  The sweep stops at the first position k whose marks are the
+shifted marks of k - p, and this is exact:
+
+* A[0] at k is contained in A[p] at k, and R[p] at k in R[0] at k;
+* A[p] and R[p] at k are the translates of A[0] and R[0] at k - p,
+  since the edges of [p, k] are those of [0, k - p];
+* so equal dims make the members of start 0 at k those of start 0 at
+  k - p, translated, and the members of a start a > 0 are translates of
+  those of a - p anyway.
+
+The rest of the sweep depends only on these members and the later
+edges, which repeat.  So from k on every rank row is the row p
+positions earlier with its starts shifted, and the remaining bars close
+by translation, with no elimination and no rank test.  Only the last p
+positions' marks and rows are kept.
 """
 
 from __future__ import annotations
 
+from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import InternalCheckError, ShapeError, ValidationError, shown
@@ -190,32 +213,11 @@ def barcode(v: Representation) -> Barcode:
     n = v.quiver.vertex_count
     if n == 0:
         return Barcode(())
-    fld = v.field
-    dims = v.dims
-
-    # both chains are flags over one list of marks (start a, dim A[a], dim R[a])
-    a_basis, r_basis = full_space(fld, dims[0]), zero_space(fld, dims[0])
-    marks = [(0, dims[0], 0)]
     found: dict[tuple[int, int], int] = {}
     prev_g: dict[int, int] = {}
-    # trivial flag steps, one per (matrix, direction, chain, has a full member)
-    trivial_steps: dict[tuple, tuple[Matrix, list[int]]] = {}
-
-    for k in range(n):
-        if k > 0:
-            eidx, forward = steps[k - 1]
-            m = v.mats[eidx]
-            op = flag_image if forward else flag_preimage
-            starts, a_dims, r_dims = zip(*marks)
-            a_basis, a_dims = _crossed(m, op, a_basis, a_dims, True, trivial_steps)
-            r_basis, r_dims = _crossed(m, op, r_basis, r_dims, False, trivial_steps)
-            # nested members of equal dimension are equal: keep the first start
-            marks = []
-            for mark in [*zip(starts, a_dims, r_dims), (k, dims[k], 0)]:
-                if not marks or mark[1:] != marks[-1][1:]:
-                    marks.append(mark)
-        g = _rank_jumps(a_basis, r_basis, marks)
-        for a in (set(prev_g) | set(g)) - {k}:
+    # d[a, k-1] = g_{k-1}(a) - g_k(a), with g_k(a) = r[a,k] - r[a-1,k]
+    for k, g in enumerate(_rank_rows(v, steps)):
+        for a in (prev_g.keys() | g.keys()) - {k}:
             d = prev_g.get(a, 0) - g.get(a, 0)
             if d < 0:
                 raise InternalCheckError(f"negative multiplicity {d} for [{a},{k - 1}]")
@@ -228,11 +230,80 @@ def barcode(v: Representation) -> Barcode:
 
     bar = Barcode.from_dict({Interval(a, b): d for (a, b), d in found.items()})
     mass = bar.dims_vector(n)
-    if mass != dims:
+    if mass != v.dims:
         raise InternalCheckError(
-            f"barcode does not conserve dimensions: {list(mass)} vs {list(dims)}"
+            f"barcode does not conserve dimensions: {list(mass)} vs {list(v.dims)}"
         )
     return bar
+
+
+def _rank_rows(v: Representation, steps: list[tuple[int, bool]]) -> Iterator[dict[int, int]]:
+    """The jumps of each rank row r[., k], k = 0 .. n-1, in order.
+
+    Sweeps the flags until a position repeats the one ``period`` earlier
+    (module docstring); every later row is the row ``period`` positions
+    before it with its starts shifted, so it is replayed, not swept.
+    """
+    fld = v.field
+    dims = v.dims
+    # matrices compare by value; the same object passes the tuple's identity test
+    period = _least_period([(forward, v.mats[eidx]) for eidx, forward in steps])
+    if period == len(steps):
+        period = 0  # aperiodic: no position repeats one before it
+    # the marks and rows of the last `period` positions
+    past_marks: deque[list[tuple]] = deque(maxlen=period)
+    past_rows: deque[dict[int, int]] = deque(maxlen=period)
+
+    # both chains are flags over one list of marks (start a, dim A[a], dim R[a])
+    a_basis, r_basis = full_space(fld, dims[0]), zero_space(fld, dims[0])
+    marks = [(0, dims[0], 0)]
+    # trivial flag steps, one per (matrix, direction, chain, has a full member)
+    trivial_steps: dict[tuple, tuple[Matrix, list[int]]] = {}
+
+    for k in range(len(dims)):
+        if k > 0:
+            eidx, forward = steps[k - 1]
+            m = v.mats[eidx]
+            op = flag_image if forward else flag_preimage
+            starts, a_dims, r_dims = zip(*marks)
+            a_basis, a_dims = _crossed(m, op, a_basis, a_dims, True, trivial_steps)
+            r_basis, r_dims = _crossed(m, op, r_basis, r_dims, False, trivial_steps)
+            # nested members of equal dimension are equal: keep the first start
+            marks = []
+            for mark in [*zip(starts, a_dims, r_dims), (k, dims[k], 0)]:
+                if not marks or mark[1:] != marks[-1][1:]:
+                    marks.append(mark)
+        if period and len(past_marks) == period and marks == _shifted(past_marks[0], period):
+            # k repeats k - period, and so does every later position
+            for _ in range(k, len(dims)):
+                g = {a + period if a else 0: d for a, d in past_rows[0].items()}
+                past_rows.append(g)
+                yield g
+            return
+        g = _rank_jumps(a_basis, r_basis, marks)
+        past_marks.append(marks)
+        past_rows.append(g)
+        yield g
+
+
+def _least_period(seq) -> int:
+    """Least p > 0 with seq[i] == seq[i + p] wherever both exist (0 if seq is empty).
+
+    One prefix-function pass: the longest proper prefix of seq that is
+    also a suffix has length len(seq) - p.
+    """
+    border = [0] * len(seq)
+    for i in range(1, len(seq)):
+        j = border[i - 1]
+        while j and seq[i] != seq[j]:
+            j = border[j - 1]
+        border[i] = j + (seq[i] == seq[j])
+    return len(seq) - border[-1] if seq else 0
+
+
+def _shifted(marks: list[tuple], period: int) -> list[tuple]:
+    """Marks of a position moved ``period`` positions right: start 0 stays 0."""
+    return [(a + period if a else 0, adim, rdim) for a, adim, rdim in marks]
 
 
 def _crossed(m: Matrix, op, basis: Matrix, dims, completed: bool, memo: dict):

@@ -28,9 +28,9 @@ from hnzz.linalg import PrimeField  # noqa: E402
 # (eliminations, row updates) of one seed-1 round's requests; QQ products
 # accumulate in ints and make no row updates
 ROUND_WORK = {
-    "lift-long": (5394, 114484),
+    "lift-long": (2416, 47728),
     "zigzag-rational": (1490, 22764),
-    "oracle-certify": (1966, 3258),
+    "oracle-certify": (1923, 3201),
 }
 
 

@@ -525,3 +525,76 @@ def test_rational_sweep_makes_no_fraction_arithmetic(count_calls):
     barcode(v)
     assert eliminations and products
     assert sum(map(len, arithmetic)) == 0
+
+
+def sparse_matrix(rng, fld, rows: int, cols: int) -> Matrix:
+    return Matrix(fld, [[rng.choice((0, 0, 1, 2)) for _ in range(cols)] for _ in range(rows)], cols)
+
+
+def rep_of_steps(fld, steps) -> Representation:
+    """The path whose k-th edge is the k-th (points right, matrix) step."""
+    edges = [(k, k + 1) if forward else (k + 1, k) for k, (forward, _) in enumerate(steps)]
+    forward, first = steps[0]
+    dims = [first.cols if forward else first.rows]
+    dims += [m.rows if forward else m.cols for forward, m in steps]
+    return Representation(Quiver(len(dims), tuple(edges)), fld, tuple(dims), tuple(m for _, m in steps))
+
+
+def periodic_pair(rng, fld) -> tuple[Representation, Representation]:
+    """A random block of 1-4 steps repeated 2-5 times, and a copy with its last matrix fresh.
+
+    The block's vertices take dims 0-3.  A repeat reuses the block's Matrix
+    objects or copies them, so a period is found by value.  The copy's
+    last matrix equals no other step's, so the copy has no period shorter
+    than its length; where its shape admits no fresh value, its end vertex
+    takes dim 4, which no other vertex has.
+    """
+    size = rng.randint(1, 4)
+    dims = [rng.choice((0, 0, 1, 2, 3)) for _ in range(size)]
+    block = []
+    for i in range(size):
+        left, right = dims[i], dims[(i + 1) % size]
+        forward = rng.random() < 0.5
+        block.append((forward, sparse_matrix(rng, fld, *((right, left) if forward else (left, right)))))
+    steps = [
+        (forward, m if rng.random() < 0.5 else Matrix(fld, m.data, m.cols))
+        for _ in range(rng.randint(2, 5))
+        for forward, m in block
+    ]
+    forward, last = steps[-1]
+    taken = {m for fwd, m in steps if fwd == forward}
+    for _ in range(20):
+        fresh = sparse_matrix(rng, fld, last.rows, last.cols)
+        if fresh not in taken:
+            break
+    else:
+        fresh = sparse_matrix(rng, fld, *((4, last.cols) if forward else (last.rows, 4)))
+    return rep_of_steps(fld, steps), rep_of_steps(fld, [*steps[:-1], (forward, fresh)])
+
+
+@pytest.mark.parametrize("fld", [GF(2), GF(3), GF(5), QQ], ids=repr)
+def test_periodic_paths_replay_their_repeats(fld, count_calls):
+    # the sweep stops at a position whose marks repeat those one period
+    # earlier and replays the later rank rows; a path with no shorter
+    # period than its length sweeps, and prices, every position
+    rng = make_rng(70)
+    swept = count_calls(zigzag, "_rank_jumps")
+    replays = {"periodic": 0, "broken": 0}
+    zero_dims = 0
+    for _ in range(30):
+        for kind, v in zip(replays, periodic_pair(rng, fld)):
+            swept.clear()
+            assert bars(v) == inclusion_exclusion_bars(v)
+            replays[kind] += len(swept) < v.quiver.vertex_count
+            zero_dims += 0 in v.dims
+    print(f"  replays {replays}, {zero_dims} draws with a zero-dim vertex")
+    assert replays["periodic"] >= 25
+    assert replays["broken"] == 0
+    assert zero_dims
+
+
+@pytest.mark.parametrize(
+    "seq, period", [("", 0), ("a", 1), ("abab", 2), ("aaab", 4), ("aaaa", 1), ("abcab", 3)]
+)
+def test_least_period(seq, period):
+    assert zigzag._least_period(seq) == period
