@@ -15,6 +15,7 @@ quiver shape or window, 5 enumeration guard exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -135,7 +136,9 @@ def _cmd_verify(args) -> int:
     return 0 if tally.failed == 0 else 1
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: ``main`` only reads it."""
     parser = argparse.ArgumentParser(
         prog="hnzz",
         description="Barcodes and Harder-Narasimhan filtrations for type-A and affine quivers",
@@ -178,7 +181,9 @@ def _parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("verify", help="dual-path checks on generated instances")
-    p.add_argument("--theorem", choices=tuple(campaign.THEOREMS), required=True)
+    # the live mapping: argparse tests membership when it parses, so a
+    # theorem added after the parser was built is still a choice
+    p.add_argument("--theorem", choices=campaign.THEOREMS, required=True)
     p.add_argument("--cases", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_verify)

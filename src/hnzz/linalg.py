@@ -13,9 +13,13 @@ the private ``Matrix._canonical``.
 Everything here is pure and deterministic: echelon forms are the unique
 reduced ones, so equality of spans reduces to equality of basis matrices.
 
-Over QQ, elimination and products run on integer rows: each row is
-scaled by the lcm of its denominators, the arithmetic is on ints, and
-each result entry is built once as a canonical ``Fraction``.
+Over QQ, elimination and products run on integer rows.  ``rref``,
+``rank``, ``column_echelon`` and ``@`` scale each row by the lcm of its
+denominators, do the arithmetic on ints, and build each result entry
+once as a canonical ``Fraction``.  The flag operations go further: they
+also take and return an ``IntMatrix``, integer rows that stand for a
+rational matrix up to nonzero scalars, so the barcode sweep clears each
+edge matrix of its denominators once and then builds no ``Fraction``.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, lcm
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import GuardError, ValidationError, shown
 
@@ -55,7 +59,10 @@ class RationalField:
 
         Floats and booleans are refused, and so are strings and Decimals
         with an exponent: ``Fraction("1e10000000")`` takes seconds to build.
+        A Fraction is canonical and immutable already, so it is kept as it is.
         """
+        if type(value) is Fraction:
+            return value
         if isinstance(value, (bool, float)):
             raise ValidationError(f"QQ entry must be exact, not {type(value).__name__}")
         if isinstance(value, (str, Decimal)) and "e" in str(value).lower():
@@ -205,31 +212,57 @@ class Matrix:
                 f"matmul shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
             )
         field = self.field
-        zero = field.zero
-        odata = other.data
-        out = []
         if isinstance(field, RationalField):
             # integer rows: other times the lcm of all its denominators,
             # each left row times its own; one Fraction per output entry
-            den = lcm(*[x.denominator for orow in odata for x in orow])
-            odata = [_scaled(orow, den) for orow in odata]
-            for lrow in self.data:
-                lden = lcm(*[x.denominator for x in lrow])
-                acc = [0] * other.cols
-                for a, orow in zip(_scaled(lrow, lden), odata):
-                    if a:
-                        acc = [s + a * y for s, y in zip(acc, orow)]
-                lden *= den
-                out.append([Fraction(s, lden) if s else zero for s in acc])
+            den = lcm(*[x.denominator for orow in other.data for x in orow])
+            right = [_scaled(orow, den) for orow in other.data]
+            lcms = [lcm(*[x.denominator for x in lrow]) for lrow in self.data]
+            left = [_scaled(lrow, lden) for lrow, lden in zip(self.data, lcms)]
+            zero = field.zero
+            out = [
+                [Fraction(s, lden * den) if s else zero for s in acc]
+                for acc, lden in zip(_product(field, left, right, other.cols), lcms)
+            ]
             return Matrix._canonical(field, out, other.cols)
-        sub_scaled, neg = field.sub_scaled_row, field.neg
-        for lrow in self.data:
-            acc = [zero] * other.cols
-            for a, orow in zip(lrow, odata):
-                if a != 0:
-                    acc = sub_scaled(acc, neg(a), orow)  # acc + a * orow
-            out.append(acc)
+        out = _product(field, self.data, other.data, other.cols)
         return Matrix._canonical(field, out, other.cols)
+
+
+class IntMatrix(NamedTuple):
+    """A matrix on rows of Python ints, which the flag operations move as they are.
+
+    Over GF(p) the rows are the residues of a Matrix.  Over QQ they stand
+    for a rational matrix up to nonzero scalars: ``IntMatrix.of`` clears a
+    Matrix of its denominators by multiplying it by their lcm, and a flag
+    basis may carry each column scaled by its own nonzero rational.  No
+    such scaling moves a flag member, a pivot set or a rank, and those are
+    all that the flag operations read.
+    """
+
+    field: Field
+    rows: int
+    cols: int
+    data: tuple[tuple[int, ...], ...]
+
+    @staticmethod
+    def of(m: Matrix | IntMatrix) -> IntMatrix:
+        """``m`` on int rows; an IntMatrix is integral already and comes back as it is."""
+        if isinstance(m, IntMatrix):
+            return m
+        data = m.data
+        if isinstance(m.field, RationalField):
+            den = lcm(*[x.denominator for row in data for x in row])
+            data = tuple(tuple(_scaled(row, den)) for row in data)
+        return IntMatrix(m.field, m.rows, m.cols, data)
+
+    @staticmethod
+    def identity(field: Field, n: int) -> IntMatrix:
+        return IntMatrix(field, n, n, _unit_rows(n))
+
+    @staticmethod
+    def zero_space(field: Field, dim: int) -> IntMatrix:
+        return IntMatrix(field, dim, 0, ((),) * dim)
 
 
 def hstack(mats: Iterable[Matrix]) -> Matrix:
@@ -260,6 +293,36 @@ def _scaled(row: Sequence[Fraction], m: int) -> list[int]:
     return [x.numerator * (m // x.denominator) for x in row]
 
 
+def _unit_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    """The rows of the n x n identity, as ints."""
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def _product(field: Field, left: Sequence[Sequence], right: Sequence[Sequence],
+             cols: int) -> list[list]:
+    """The rows of ``left @ right``, for int rows over QQ and residue rows over GF(p).
+
+    Over QQ the sums are accumulated on ints and make no row update.
+    """
+    out = []
+    if isinstance(field, RationalField):
+        for lrow in left:
+            acc = [0] * cols
+            for a, orow in zip(lrow, right):
+                if a:
+                    acc = [s + a * y for s, y in zip(acc, orow)]
+            out.append(acc)
+        return out
+    sub_scaled, neg = field.sub_scaled_row, field.neg
+    for lrow in left:
+        acc = [0] * cols
+        for a, orow in zip(lrow, right):
+            if a != 0:
+                acc = sub_scaled(acc, neg(a), orow)  # acc + a * orow
+        out.append(acc)
+    return out
+
+
 def _int_row_update(row: list[int], a: int, b: int, prow: list[int]) -> list[int]:
     """``a * row - b * prow`` divided by the gcd of its entries: the QQ row step."""
     new = [a * x - b * y for x, y in zip(row, prow)]
@@ -270,7 +333,7 @@ def _int_row_update(row: list[int], a: int, b: int, prow: list[int]) -> list[int
 
 
 def _gauss_jordan(field: Field, work: list[list], reduced: bool = True) -> list[int]:
-    """Reduce the row lists ``work`` in place to reduced row-echelon form.
+    """Reduce the row lists ``work`` in place to row-echelon form.
 
     Returns the pivot columns; row i holds the pivot of column
     ``pivots[i]`` and every row past the last pivot is zero.  This is the
@@ -283,21 +346,21 @@ def _gauss_jordan(field: Field, work: list[list], reduced: bool = True) -> list[
     callers (``rank``, ``flag_image``, ``flag_completed``,
     ``prefix_sum_dim``) read only the pivots.
 
-    Over QQ the rows are eliminated on integers, fraction-free as in
-    Bareiss (1968) but kept small by a gcd rather than by his exact
-    division: each row is cleared of its denominators, a row update is
-    ``a*row - b*prow`` (``_int_row_update``) with ``a`` the pivot and
-    ``b`` the row's entry under it, divided by the gcd of its entries, and
-    each pivot row of a full reduction is written back as Fractions
-    divided by its pivot at the end.  Each integer row is a nonzero
-    multiple of the row that Fraction elimination holds at the same step,
-    so the pivots and the row updates are the same, and the rows written
-    back are the canonical ones.
+    Over GF(p) the rows are residues and each pivot row is scaled to a
+    leading 1, so a full reduction leaves the reduced rows.  Over QQ the
+    rows must be integer rows, with no denominator left to clear, and are
+    eliminated fraction-free as in Bareiss (1968), kept small by a gcd
+    rather than by his exact division: a row update is ``a*row - b*prow``
+    (``_int_row_update``) with ``a`` the pivot and ``b`` the row's entry
+    under it, divided by the gcd of its entries.  Each integer row is a
+    nonzero multiple of the row that Fraction elimination holds at the
+    same step, so the pivots and the row updates are the same, and a full
+    reduction leaves pivot row i as its pivot times the reduced row.
+    ``flag_preimage`` reads those rows as they are; the callers that hold
+    Fractions clear them first and write them back (``_echelon``).
     """
     qq = isinstance(field, RationalField)
-    if qq:
-        work[:] = [_scaled(row, lcm(*[x.denominator for x in row])) for row in work]
-    else:
+    if not qq:
         scale, sub_scaled = field.scale_row, field.sub_scaled_row
     nr = len(work)
     nc = len(work[0]) if work else 0
@@ -326,25 +389,42 @@ def _gauss_jordan(field: Field, work: list[list], reduced: bool = True) -> list[
                     work[i] = sub_scaled(work[i], work[i][c], prow)
         pivots.append(c)
         r += 1
-    if qq and reduced:
-        zero = field.zero
-        for i, c in enumerate(pivots):
-            pv = work[i][c]
-            work[i] = [Fraction(x, pv) if x else zero for x in work[i]]
-        work[r:] = [[zero] * nc for _ in range(r, nr)]
     return pivots
+
+
+def _work_rows(field: Field, rows: Iterable[Sequence]) -> list[list]:
+    """Fresh row lists for ``_gauss_jordan``: over QQ each row times the lcm of its denominators."""
+    if isinstance(field, RationalField):
+        return [_scaled(row, lcm(*[x.denominator for x in row])) for row in rows]
+    return [list(row) for row in rows]
+
+
+def _echelon(field: Field, rows: Iterable[Sequence], cols: int) -> tuple[list[list], list[int]]:
+    """The reduced row-echelon rows of ``rows`` in canonical entries, and the pivots.
+
+    Over QQ the integer rows that ``_gauss_jordan`` leaves are written
+    back: each pivot row divided by its pivot, one Fraction per nonzero
+    entry.
+    """
+    work = _work_rows(field, rows)
+    pivots = _gauss_jordan(field, work)
+    if isinstance(field, RationalField):
+        zero = field.zero
+        out = [[Fraction(x, work[i][c]) if x else zero for x in work[i]]
+               for i, c in enumerate(pivots)]
+        work = out + [[zero] * cols for _ in range(len(pivots), len(work))]
+    return work, pivots
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row-echelon form and its pivot columns."""
-    work = [list(row) for row in m.data]
-    pivots = _gauss_jordan(m.field, work)
-    return Matrix._canonical(m.field, work, m.cols), tuple(pivots)
+    reduced, pivots = _echelon(m.field, m.data, m.cols)
+    return Matrix._canonical(m.field, reduced, m.cols), tuple(pivots)
 
 
 def rank(m: Matrix) -> int:
     """Rank as the pivot count of the echelon form; 0 for empty matrices."""
-    return len(_gauss_jordan(m.field, [list(row) for row in m.data], reduced=False))
+    return len(_gauss_jordan(m.field, _work_rows(m.field, m.data), reduced=False))
 
 
 def column_echelon(m: Matrix) -> Matrix:
@@ -354,8 +434,8 @@ def column_echelon(m: Matrix) -> Matrix:
     and two matrices span the same subspace iff the results are equal.
     Reducing the columns as rows leaves the basis in the leading rows.
     """
-    columns = [list(col) for col in zip(*m.data)]
-    kept = columns[: len(_gauss_jordan(m.field, columns))]
+    columns, pivots = _echelon(m.field, zip(*m.data), m.rows)
+    kept = columns[: len(pivots)]
     return Matrix._canonical(m.field, zip(*kept) if kept else [()] * m.rows, len(kept))
 
 
@@ -393,10 +473,6 @@ def random_invertible_rng(dim: int, field: Field, rng: random.Random) -> Matrix:
 # ---------------------------------------------------------------------------
 
 
-def full_space(field: Field, dim: int) -> Matrix:
-    return Matrix.identity(field, dim)
-
-
 def zero_space(field: Field, dim: int) -> Matrix:
     return Matrix._canonical(field, [()] * dim, 0)
 
@@ -412,30 +488,47 @@ def subspace_contains(space: Matrix, vectors: Matrix) -> bool:
 # flags
 #
 # A flag is a chain of nested subspaces of K^d held in one adapted basis:
-# a d x k Matrix of full column rank whose first ``dims[i]`` columns span
+# a d x k matrix of full column rank whose first ``dims[i]`` columns span
 # member i.  Nested members are equal exactly when their dimensions are,
 # so no member needs a canonical basis of its own, and each operation
-# below moves the whole chain with at most one elimination.
+# below moves the whole chain with at most one elimination.  A member is
+# the span of its columns, so each column may be scaled freely: over QQ
+# the operations run on integer rows, and the barcode sweep hands them
+# IntMatrix bases and edge matrices, which they return as they are.  A
+# Matrix basis is cleared on the way in and its result coerced back.
 # ---------------------------------------------------------------------------
 
 
-def flag_image(m: Matrix, basis: Matrix, dims: Sequence[int]) -> tuple[Matrix, list[int]]:
+AnyMatrix = Matrix | IntMatrix
+
+
+def _like(basis: AnyMatrix, rows: Sequence[Sequence], cols: int) -> AnyMatrix:
+    """``rows`` as a matrix of the kind of ``basis``: an IntMatrix, or a Matrix (coerced)."""
+    if isinstance(basis, IntMatrix):
+        return IntMatrix(basis.field, len(rows), cols, tuple(map(tuple, rows)))
+    return Matrix(basis.field, rows, cols)
+
+
+def flag_image(m: AnyMatrix, basis: AnyMatrix, dims: Sequence[int]
+               ) -> tuple[AnyMatrix, list[int]]:
     """The flag of images m(member i), with one elimination of ``m @ basis``.
 
     A column of ``m @ basis`` outside the span of the columns before it is
     a pivot column of its echelon form, so the pivot columns are an adapted
     basis of the image flag, and member i keeps the pivots among its first
-    ``dims[i]`` columns.
+    ``dims[i]`` columns.  ``m`` and ``basis`` are Matrices or IntMatrices;
+    the new basis is of the kind of ``basis``.
     """
     if basis.cols == 0 or m.rows == 0:
-        return zero_space(m.field, m.rows), [0] * len(dims)
-    moved = m @ basis
-    pivots = _gauss_jordan(m.field, [list(row) for row in moved.data], reduced=False)
-    kept = Matrix._canonical(m.field, ([row[j] for j in pivots] for row in moved.data), len(pivots))
-    return kept, [bisect_left(pivots, d) for d in dims]
+        return _like(basis, [()] * m.rows, 0), [0] * len(dims)
+    moved = _product(m.field, IntMatrix.of(m).data, IntMatrix.of(basis).data, basis.cols)
+    pivots = _gauss_jordan(m.field, [list(row) for row in moved], reduced=False)
+    kept = [[row[j] for j in pivots] for row in moved]
+    return _like(basis, kept, len(pivots)), [bisect_left(pivots, d) for d in dims]
 
 
-def flag_preimage(m: Matrix, basis: Matrix, dims: Sequence[int]) -> tuple[Matrix, list[int]]:
+def flag_preimage(m: AnyMatrix, basis: AnyMatrix, dims: Sequence[int]
+                  ) -> tuple[AnyMatrix, list[int]]:
     """The flag of preimages {x : m @ x in member i}, with one RREF of [m | basis].
 
     m(x) lies in member i exactly when (x; y) is in the kernel of
@@ -444,57 +537,71 @@ def flag_preimage(m: Matrix, basis: Matrix, dims: Sequence[int]) -> tuple[Matrix
     so the kernel of that truncation is spanned by the vectors of the free
     columns among its first ``m.cols + dims[i]``.  Their x-parts are an
     adapted basis of the preimage flag: projecting to x is injective on
-    the kernel, because ``basis`` has full column rank.
+    the kernel, because ``basis`` has full column rank.  ``m`` and
+    ``basis`` are Matrices or IntMatrices; the new basis is of the kind of
+    ``basis``.
+
+    Over QQ the reduced rows hold each pivot unscaled, so each kernel
+    vector is built on ints: times the lcm of the pivots (every pivot is 1
+    over GF(p)), then divided by the gcd of its x-part.
     """
     field = m.field
     if m.cols == 0 or m.rows == 0:
-        return full_space(field, m.cols), [m.cols] * len(dims)
-    work = [list(row) + list(brow) for row, brow in zip(m.data, basis.data)]
+        return _like(basis, _unit_rows(m.cols), m.cols), [m.cols] * len(dims)
+    mdata, bdata = IntMatrix.of(m).data, IntMatrix.of(basis).data
+    work = [list(row) + list(brow) for row, brow in zip(mdata, bdata)]
     pivots = _gauss_jordan(field, work)
     taken = set(pivots)
     free = [c for c in range(m.cols + basis.cols) if c not in taken]
-    head = [(i, pc) for i, pc in enumerate(pivots) if pc < m.cols]
-    zero, one, neg = field.zero, field.one, field.neg
+    leading = [(work[i], pc) for i, pc in enumerate(pivots) if pc < m.cols]
+    den = lcm(*[row[pc] for row, pc in leading])
+    head = [(row, pc, den // row[pc]) for row, pc in leading]
+    neg = field.neg
     columns = []
     for f in free:
-        vec = [zero] * m.cols
+        vec = [0] * m.cols
         if f < m.cols:
-            vec[f] = one
-        for i, pc in head:
-            vec[pc] = neg(work[i][f])
+            vec[f] = den
+        for row, pc, scale in head:
+            vec[pc] = neg(row[f] * scale)
+        g = gcd(*vec)
+        if g > 1:
+            vec = [x // g for x in vec]
         columns.append(vec)
-    pre = Matrix._canonical(field, zip(*columns) if columns else [()] * m.cols, len(columns))
+    pre = _like(basis, list(zip(*columns)) if columns else [()] * m.cols, len(columns))
     return pre, [bisect_left(free, m.cols + d) for d in dims]
 
 
-def flag_completed(basis: Matrix) -> Matrix:
+def flag_completed(basis: AnyMatrix) -> AnyMatrix:
     """``basis`` followed by the unit vectors that extend it to all of K^d.
 
     The unit vectors are those of the rows that are not pivots of the
-    echelon form of ``basis`` transposed, found with one elimination.
+    echelon form of ``basis`` transposed, found with one elimination.  A
+    Matrix or an IntMatrix ``basis`` gives a result of its own kind.
     """
-    field, d = basis.field, basis.rows
+    d = basis.rows
     if basis.cols == d:
         return basis
     if basis.cols == 0:
-        return full_space(field, d)
-    taken = set(_gauss_jordan(field, [list(col) for col in zip(*basis.data)], reduced=False))
+        return _like(basis, _unit_rows(d), d)
+    columns = [list(col) for col in zip(*IntMatrix.of(basis).data)]
+    taken = set(_gauss_jordan(basis.field, columns, reduced=False))
     extra = [r for r in range(d) if r not in taken]
-    zero, one = field.zero, field.one
-    rows = [row + tuple(one if r == e else zero for e in extra) for r, row in enumerate(basis.data)]
-    return Matrix._canonical(field, rows, d)
+    rows = [row + tuple(int(r == e) for e in extra) for r, row in enumerate(basis.data)]
+    return _like(basis, rows, d)
 
 
-def prefix_sum_dim(a: Matrix, i: int, b: Matrix, j: int) -> int:
+def prefix_sum_dim(a: AnyMatrix, i: int, b: AnyMatrix, j: int) -> int:
     """dim(span of the first i columns of a + span of the first j of b).
 
-    ``a`` and ``b`` have full column rank, so a prefix of 0 or all
-    ``rows`` columns is the zero or the whole space, and the sum is read
-    off the counts with no elimination.
+    ``a`` and ``b`` (Matrices or IntMatrices) have full column rank, so a
+    prefix of 0 or all ``rows`` columns is the zero or the whole space,
+    and the sum is read off the counts with no elimination.
     """
     if i in (0, a.rows) or j in (0, b.rows):
         return min(i + j, a.rows)
-    work = [list(ra[:i]) + list(rb[:j]) for ra, rb in zip(a.data, b.data)]
+    adata, bdata = IntMatrix.of(a).data, IntMatrix.of(b).data
+    work = [list(ra[:i]) + list(rb[:j]) for ra, rb in zip(adata, bdata)]
     return len(_gauss_jordan(a.field, work, reduced=False))
 
 

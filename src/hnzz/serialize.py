@@ -4,9 +4,11 @@ Rational entries travel as strings ("a/b" or "a") to avoid float loss;
 prime-field entries are plain ints with the modulus stated once in the
 field descriptor.  The reader builds matrices with the public ``Matrix``
 and weights with ``StabilityCondition``, so the field coerces each entry
-once; an entry it refuses is malformed input (``ParseError``).  It
-returns the ``Representation`` alone, which checks its matrix shapes
-itself; an ``affine`` quiver is checked by ``AffineQuiver`` and read as
+once; an entry it refuses is malformed input (``ParseError``).  Over QQ
+the reader coerces each distinct entry string once per document, and
+``Matrix`` keeps the Fractions it is handed.  It returns the
+``Representation`` alone, which checks its matrix shapes itself; an
+``affine`` quiver is checked by ``AffineQuiver`` and read as
 ``to_quiver`` builds it, and the writer refuses an ``affine`` spelling
 that is not the representation's quiver (``ValidationError``).  All
 writers emit canonically ordered, newline terminated documents so
@@ -20,7 +22,7 @@ import json
 from .affine import AffineQuiver, NClass, TClass, to_quiver
 from .errors import ParseError, ValidationError, shown
 from .hn import HNReport
-from .linalg import Field, GF, Matrix, PrimeField, QQ
+from .linalg import Field, GF, Matrix, PrimeField, QQ, RationalField
 from .quiver import Quiver, Representation, StabilityCondition, is_int
 from .zigzag import Barcode, Interval
 
@@ -58,6 +60,27 @@ def _entry_to_json(fld: Field, value):
     if isinstance(fld, PrimeField):
         return value
     return str(value)
+
+
+def _rational_reader(fld: RationalField):
+    """``fld.coerce`` that converts each distinct string once.
+
+    Only strings are kept: ``True == 1`` and they hash alike, so a JSON
+    ``true`` keyed with the rest would borrow the Fraction of ``1``.  A
+    refused string is not kept, and raises again wherever it occurs.
+    """
+    seen: dict[str, object] = {}
+    coerce = fld.coerce
+
+    def read(value):
+        if type(value) is not str:
+            return coerce(value)
+        got = seen.get(value)
+        if got is None:
+            got = seen[value] = coerce(value)
+        return got
+
+    return read
 
 
 def instance_to_json(rep: Representation, affine: AffineQuiver | None = None) -> dict:
@@ -113,6 +136,8 @@ def instance_from_json(doc) -> Representation:
         )
     mat_docs = _need(doc, "matrices", list, "instance")
     slots: dict[int, Matrix] = {}
+    # QQ entry strings repeat across a document: each is read once
+    read = _rational_reader(fld) if isinstance(fld, RationalField) else None
     for mobj in mat_docs:
         e = _need(mobj, "edge", int, "matrix")
         if e < 0 or e >= len(quiver.edges):
@@ -126,6 +151,8 @@ def instance_from_json(doc) -> Representation:
         if any(len(row) != width for row in rows):
             raise ValidationError("ragged rows in matrix data")
         try:
+            if read is not None:
+                rows = [list(map(read, row)) for row in rows]
             slots[e] = Matrix(fld, rows, width)
         except ValidationError as exc:
             raise ParseError(f"matrix {e}: {exc}") from exc

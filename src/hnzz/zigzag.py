@@ -75,6 +75,17 @@ edges, which repeat.  So from k on every rank row is the row p
 positions earlier with its starts shifted, and the remaining bars close
 by translation, with no elimination and no rank test.  Only the last p
 positions' marks and rows are kept.
+
+Over QQ the sweep runs on integer rows.  Each edge matrix object is
+cleared of its denominators once (``IntMatrix.of``: times the lcm of all
+of them) and kept by its identity, so a shared matrix stays shared for
+the trivial-step memo.  From then on both flags carry integer bases: an
+image basis is pivot columns of an integer product, a preimage basis is
+integer kernel vectors divided by their gcds.  Scaling an edge matrix,
+or any basis column, by a nonzero rational moves no member, pivot or
+rank, so the bars are those of Fraction arithmetic, and no Fraction is
+built after the parse.  The period test still compares the original
+matrices.  Over GF(p) the same code runs on the residues.
 """
 
 from __future__ import annotations
@@ -86,13 +97,12 @@ from dataclasses import dataclass
 from .errors import InternalCheckError, ShapeError, ValidationError, shown
 from .linalg import (
     Field,
+    IntMatrix,
     Matrix,
     flag_completed,
     flag_image,
     flag_preimage,
-    full_space,
     prefix_sum_dim,
-    zero_space,
 )
 from .quiver import Quiver, Representation, check_ints
 
@@ -255,15 +265,20 @@ def _rank_rows(v: Representation, steps: list[tuple[int, bool]]) -> Iterator[dic
     past_rows: deque[dict[int, int]] = deque(maxlen=period)
 
     # both chains are flags over one list of marks (start a, dim A[a], dim R[a])
-    a_basis, r_basis = full_space(fld, dims[0]), zero_space(fld, dims[0])
+    a_basis, r_basis = IntMatrix.identity(fld, dims[0]), IntMatrix.zero_space(fld, dims[0])
     marks = [(0, dims[0], 0)]
+    # each edge matrix object on int rows, cleared once
+    cleared: dict[int, IntMatrix] = {}
     # trivial flag steps, one per (matrix, direction, chain, has a full member)
-    trivial_steps: dict[tuple, tuple[Matrix, list[int]]] = {}
+    trivial_steps: dict[tuple, tuple[IntMatrix, list[int]]] = {}
 
     for k in range(len(dims)):
         if k > 0:
             eidx, forward = steps[k - 1]
             m = v.mats[eidx]
+            if id(m) not in cleared:
+                cleared[id(m)] = IntMatrix.of(m)
+            m = cleared[id(m)]
             op = flag_image if forward else flag_preimage
             starts, a_dims, r_dims = zip(*marks)
             a_basis, a_dims = _crossed(m, op, a_basis, a_dims, True, trivial_steps)
@@ -306,7 +321,7 @@ def _shifted(marks: list[tuple], period: int) -> list[tuple]:
     return [(a + period if a else 0, adim, rdim) for a, adim, rdim in marks]
 
 
-def _crossed(m: Matrix, op, basis: Matrix, dims, completed: bool, memo: dict):
+def _crossed(m: IntMatrix, op, basis: IntMatrix, dims, completed: bool, memo: dict):
     """The flag (basis, dims) stepped through ``m`` by ``op``, completed if asked.
 
     A trivial flag (module docstring) steps once per (matrix, direction,
@@ -322,7 +337,10 @@ def _crossed(m: Matrix, op, basis: Matrix, dims, completed: bool, memo: dict):
         full = any(dims)
         key = (id(m), op, completed, full)
         if key not in memo:
-            plain = (full_space(m.field, d), (0, d)) if full else (zero_space(m.field, d), (0,))
+            if full:
+                plain = IntMatrix.identity(m.field, d), (0, d)
+            else:
+                plain = IntMatrix.zero_space(m.field, d), (0,)
             moved, new = op(m, *plain)
             memo[key] = (flag_completed(moved) if completed else moved), new
         basis, new = memo[key]
@@ -334,7 +352,7 @@ def _crossed(m: Matrix, op, basis: Matrix, dims, completed: bool, memo: dict):
     return basis, dims
 
 
-def _rank_jumps(a_basis: Matrix, r_basis: Matrix, marks: list[tuple]) -> dict[int, int]:
+def _rank_jumps(a_basis: IntMatrix, r_basis: IntMatrix, marks: list[tuple]) -> dict[int, int]:
     """Sparse derivative a -> r[a,k] - r[a-1,k] of the current rank row.
 
     r[a,k] = dim(A[a] + R[a]) - dim R[a]; it needs a rank only when both

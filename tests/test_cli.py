@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 import hnzz
-from hnzz import campaign
+from hnzz import campaign, cli
 from hnzz.affine import AffineQuiver, CCW, CW, NClass, indec_N, indec_T, to_quiver
 from hnzz.cli import main
 from hnzz.generators import equioriented_quiver, gen_affine
@@ -484,6 +484,13 @@ class TestVerifyCommand:
         assert run(["verify", "--theorem", "z", "--cases", 2]) == 0
         assert capsys.readouterr().out == "theorem z: 2 passed, 0 failed of 2\n"
 
+    def test_parser_built_once(self, capsys):
+        # main reuses one parser per process; a second request parses alike
+        assert cli._parser() is cli._parser()
+        for _ in range(2):
+            assert run(["verify", "--theorem", "a", "--cases", 2]) == 0
+            assert capsys.readouterr().out == "theorem a: 2 passed, 0 failed of 2\n"
+
     def test_check_reasons_name_the_summands(self):
         # a case whose recorded summands disagree with its instance fails
         # with the length formula (A) or the recovered multiplicity (B)
@@ -622,6 +629,45 @@ class TestMalformedInput:
         write_json(str(inp), doc)
         (entry,), = instance_from_json(load_json(str(inp))).mats[0].data
         assert entry == Fraction(1, 2) and type(entry) is Fraction
+
+    @pytest.mark.parametrize(
+        "rows, err",
+        [
+            ([[1, True]], "error: matrix 0: QQ entry must be exact, not bool\n"),
+            ([["1", True]], "error: matrix 0: QQ entry must be exact, not bool\n"),
+            ([["1", "1/0", "1/0"]], "error: matrix 0: QQ entry '1/0' is not a rational\n"),
+        ],
+        ids=["int-then-true", "string-then-true", "repeated-bad-string"],
+    )
+    def test_entry_memo_refuses_as_before(self, tmp_path, capsys, rows, err):
+        # the reader keeps only strings it took, so a JSON true never
+        # borrows the Fraction of "1" or 1, and a refused string is refused
+        doc = _rational_instance()
+        doc["matrices"][0]["rows"] = rows
+        inp = tmp_path / "inst.json"
+        write_json(str(inp), doc)
+        assert run(["barcode", inp]) == 2
+        assert capsys.readouterr().err == err
+
+    def test_repeated_entry_strings_read_once(self, tmp_path, count_calls):
+        # one Fraction per distinct string of the document, shared by its
+        # occurrences in every matrix; ints are read as before
+        q = Quiver(3, ((0, 1), (2, 1)))
+        doc = instance_to_json(Representation(q, QQ, (2, 2, 1), (Matrix.zeros(QQ, 2, 2),
+                                                                  Matrix.zeros(QQ, 2, 1))))
+        doc["matrices"][0]["rows"] = [["2/4", "-3"], ["2/4", "2/4"]]
+        doc["matrices"][1]["rows"] = [["-3"], [7]]
+        inp = tmp_path / "inst.json"
+        write_json(str(inp), doc)
+        raw = load_json(str(inp))
+        built = count_calls(Fraction, "__new__")
+        first, second = instance_from_json(raw).mats
+        assert len(built) == 3  # "2/4", "-3" and the int 7
+        assert first.data == ((Fraction(1, 2), -3), (Fraction(1, 2), Fraction(1, 2)))
+        assert second.data == ((-3,), (7,))
+        assert first.data[0][0] is first.data[1][1] and first.data[0][1] is second.data[0][0]
+        for row in first.data + second.data:
+            assert all(type(x) is Fraction for x in row)
 
     def test_long_value_short_error_line(self, tmp_path):
         # the offending value is echoed, but cut short

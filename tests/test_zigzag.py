@@ -507,8 +507,9 @@ def test_distinct_matrices_run_every_step(count_calls):
 
 
 def test_rational_sweep_makes_no_fraction_arithmetic(count_calls):
-    # over QQ every elimination and product runs on integer rows, so a
-    # sweep with proper fractions in its maps adds or multiplies no Fraction
+    # over QQ each edge matrix is cleared once and the flags carry integer
+    # bases, so a sweep with proper fractions in its maps adds, multiplies
+    # or builds no Fraction
     rng = make_rng(69)
     q = random_path_quiver(12, rng)
     dims = tuple(rng.randint(1, 3) for _ in range(12))
@@ -520,11 +521,13 @@ def test_rational_sweep_makes_no_fraction_arithmetic(count_calls):
     )
     v = Representation(q, QQ, dims, mats)
     eliminations = count_calls(linalg, "_gauss_jordan")
-    products = count_calls(Matrix, "__matmul__")
+    products = count_calls(linalg, "_product")
     arithmetic = [count_calls(Fraction, name) for name in FRACTION_ARITHMETIC]
+    built = count_calls(Fraction, "__new__")
     barcode(v)
     assert eliminations and products
     assert sum(map(len, arithmetic)) == 0
+    assert len(built) == 0
 
 
 def sparse_matrix(rng, fld, rows: int, cols: int) -> Matrix:
@@ -598,3 +601,59 @@ def test_periodic_paths_replay_their_repeats(fld, count_calls):
 )
 def test_least_period(seq, period):
     assert zigzag._least_period(seq) == period
+
+
+# signs, small integers and proper fractions, one with a denominator past
+# a machine word's half; zero most often, so ranks drop
+RATIONAL_MIX = (0, 0, 0, 1, -1, 2, Fraction(1, 3), Fraction(-5, 7), Fraction(7, 2**30))
+
+
+def mixed_rational_rep(rng) -> Representation:
+    """A QQ path of a block of 1-3 steps repeated 1-3 times, on RATIONAL_MIX entries.
+
+    Vertices take dims 0-3.  Each shape draws from a pool of two Matrix
+    objects, so objects recur within the block, and a repeat reuses the
+    block's objects or copies them, so a path is periodic by value.
+    """
+    size = rng.randint(1, 3)
+    dims = [rng.choice((0, 1, 2, 2, 3)) for _ in range(size)]
+    pool: dict[tuple[int, int], list[Matrix]] = {}
+
+    def draw(rows, cols):
+        if (rows, cols) not in pool:
+            pool[rows, cols] = [
+                Matrix(QQ, [[rng.choice(RATIONAL_MIX) for _ in range(cols)]
+                            for _ in range(rows)], cols)
+                for _ in range(2)
+            ]
+        return rng.choice(pool[rows, cols])
+
+    block = []
+    for i in range(size):
+        left, right = dims[i], dims[(i + 1) % size]
+        forward = rng.random() < 0.5
+        block.append((forward, draw(*((right, left) if forward else (left, right)))))
+    steps = [
+        (forward, m if rng.random() < 0.5 else Matrix(QQ, m.data, m.cols))
+        for _ in range(rng.randint(1, 3))
+        for forward, m in block
+    ]
+    return rep_of_steps(QQ, steps)
+
+
+def test_rational_paths_agree_with_inclusion_exclusion():
+    # the integer sweep against one generalized rank per interval, on 240
+    # QQ paths with fractional entries, recurring Matrix objects, periods
+    # and zero-dim vertices
+    rng = make_rng(71)
+    seen = {"shared": 0, "periodic": 0, "zero-dim": 0, "fraction": 0}
+    for _ in range(240):
+        v = mixed_rational_rep(rng)
+        assert bars(v) == inclusion_exclusion_bars(v)
+        seen["shared"] += len({id(m) for m in v.mats}) < len(v.mats)
+        period = zigzag._least_period([(fwd, v.mats[e]) for e, fwd in path_steps(v.quiver)])
+        seen["periodic"] += period < len(v.mats)
+        seen["zero-dim"] += 0 in v.dims
+        seen["fraction"] += any(x.denominator > 1 for m in v.mats for row in m.data for x in row)
+    print(f"  {seen}")
+    assert min(seen.values()) >= 40
