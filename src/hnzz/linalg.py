@@ -13,13 +13,16 @@ the private ``Matrix._canonical``.
 Everything here is pure and deterministic: echelon forms are the unique
 reduced ones, so equality of spans reduces to equality of basis matrices.
 
-Over QQ, elimination and products run on integer rows.  ``rref``,
-``rank``, ``column_echelon`` and ``@`` scale each row by the lcm of its
-denominators, do the arithmetic on ints, and build each result entry
-once as a canonical ``Fraction``.  The flag operations go further: they
-also take and return an ``IntMatrix``, integer rows that stand for a
-rational matrix up to nonzero scalars, so the barcode sweep clears each
-edge matrix of its denominators once and then builds no ``Fraction``.
+Elimination and products run on integer rows for every field, through
+one kernel.  ``_cleared`` turns a matrix into integer rows: over QQ it
+multiplies them by the lcm of all the denominators, and GF(p) residues
+are integer rows already.  The field supplies the rest: its row update
+(fraction-free with a gcd over QQ, in residues over GF(p)), the reduction
+of an integer row to canonical entries, and the write-back of a row
+divided by its pivot.  The flag operations take and return an
+``IntMatrix``, integer rows that stand for a matrix up to nonzero
+scalars, so the barcode sweep clears each edge matrix once and then
+builds no ``Fraction``.
 """
 
 from __future__ import annotations
@@ -72,8 +75,22 @@ class RationalField:
         except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
             raise ValidationError(f"QQ entry {shown(value)} is not a rational") from exc
 
-    def neg(self, a):
-        return -a
+    def row_update(self, row: Sequence[int], a: int, b: int, prow: Sequence[int]) -> list[int]:
+        """``a * row - b * prow`` divided by the gcd of its entries: the fraction-free step."""
+        new = [a * x - b * y for x, y in zip(row, prow)]
+        g = gcd(*new)
+        if g > 1:
+            new = [x // g for x in new]
+        return new
+
+    def reduce(self, row: list[int]) -> list[int]:
+        """An integer row in canonical entries: over QQ, the row as it is."""
+        return row
+
+    def write_back(self, row: Sequence[int], d: int) -> list[Fraction]:
+        """``row / d`` in canonical entries, one Fraction per nonzero entry."""
+        zero = self.zero
+        return [Fraction(x, d) if x else zero for x in row]
 
     def __repr__(self) -> str:
         return "QQ"
@@ -102,20 +119,23 @@ class PrimeField:
             raise ValidationError(f"GF({self.p}) entry must be an int, not {type(value).__name__}")
         return value % self.p
 
-    def neg(self, a):
-        return (-a) % self.p
-
-    def inv(self, a):
-        return pow(a, -1, self.p)
-
-    def scale_row(self, f, row: list) -> list:
+    def row_update(self, row: Sequence[int], a: int, b: int, prow: Sequence[int]) -> list[int]:
+        """``a * row - b * prow`` in residues."""
         p = self.p
-        return [f * x % p for x in row]
+        return [(a * x - b * y) % p for x, y in zip(row, prow)]
 
-    def sub_scaled_row(self, row: list, f, prow: list) -> list:
-        """``row - f * prow`` entrywise, reduced once per entry."""
+    def reduce(self, row: list[int]) -> list[int]:
+        """An integer row in residues."""
         p = self.p
-        return [(x - f * y) % p for x, y in zip(row, prow)]
+        return [x % p for x in row]
+
+    def write_back(self, row: Sequence[int], d: int) -> Sequence[int]:
+        """``row / d`` in residues, for ``row`` in residues: as it is when d is 1."""
+        if d == 1:
+            return row
+        p = self.p
+        f = pow(d, -1, p)
+        return [x * f % p for x in row]
 
     def __repr__(self) -> str:
         return f"GF({self.p})"
@@ -142,17 +162,22 @@ def _store(m: "Matrix", field: Field, cols: int, data: tuple) -> "Matrix":
 class Matrix:
     """Immutable dense matrix; ``data`` is a tuple of row tuples.
 
-    The public constructor checks that the rows have one length and
-    coerces every entry into the field (``ValidationError`` for entries
-    the field refuses), so a Matrix is always in canonical form: reduced
-    fractions / residues in [0, p).  ``Matrix._canonical`` trusts rows
-    that are canonical already; it is only for results computed in this
-    module.
+    The public constructor checks the field, that the rows are lists or
+    tuples of one length, and coerces every entry into the field
+    (``ValidationError`` for each refusal), so a Matrix is always in
+    canonical form: reduced fractions / residues in [0, p).
+    ``Matrix._canonical`` trusts rows that are canonical already; it is
+    only for results computed in this module.
     """
 
     __slots__ = ("field", "rows", "cols", "data")
 
     def __init__(self, field: Field, data: Sequence[Sequence], cols: int | None = None):
+        if not isinstance(field, Field):
+            raise ValidationError(f"matrix field {shown(field)} is not QQ or GF(p)")
+        rowlike = (list, tuple)
+        if not isinstance(data, rowlike) or data and not isinstance(data[0], rowlike):
+            raise ValidationError("matrix data must be a list of rows")
         if data:
             width = len(data[0])
             if cols is not None and cols != width:
@@ -163,7 +188,7 @@ class Matrix:
         coerce = field.coerce
         packed = []
         for row in data:
-            if len(row) != cols:
+            if not isinstance(row, rowlike) or len(row) != cols:
                 raise ValidationError("ragged rows in matrix data")
             packed.append(tuple(map(coerce, row)))
         _store(self, field, cols, tuple(packed))
@@ -212,20 +237,10 @@ class Matrix:
                 f"matmul shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
             )
         field = self.field
-        if isinstance(field, RationalField):
-            # integer rows: other times the lcm of all its denominators,
-            # each left row times its own; one Fraction per output entry
-            den = lcm(*[x.denominator for orow in other.data for x in orow])
-            right = [_scaled(orow, den) for orow in other.data]
-            lcms = [lcm(*[x.denominator for x in lrow]) for lrow in self.data]
-            left = [_scaled(lrow, lden) for lrow, lden in zip(self.data, lcms)]
-            zero = field.zero
-            out = [
-                [Fraction(s, lden * den) if s else zero for s in acc]
-                for acc, lden in zip(_product(field, left, right, other.cols), lcms)
-            ]
-            return Matrix._canonical(field, out, other.cols)
-        out = _product(field, self.data, other.data, other.cols)
+        left, lden = _cleared(field, self.data)
+        right, rden = _cleared(field, other.data)
+        write_back, den = field.write_back, lden * rden
+        out = [write_back(row, den) for row in _product(field, left, right, other.cols)]
         return Matrix._canonical(field, out, other.cols)
 
 
@@ -246,19 +261,14 @@ class IntMatrix(NamedTuple):
     data: tuple[tuple[int, ...], ...]
 
     @staticmethod
-    def of(m: Matrix | IntMatrix) -> IntMatrix:
-        """``m`` on int rows; an IntMatrix is integral already and comes back as it is."""
-        if isinstance(m, IntMatrix):
-            return m
-        data = m.data
-        if isinstance(m.field, RationalField):
-            den = lcm(*[x.denominator for row in data for x in row])
-            data = tuple(tuple(_scaled(row, den)) for row in data)
-        return IntMatrix(m.field, m.rows, m.cols, data)
+    def of(m: Matrix) -> IntMatrix:
+        """``m`` on int rows: over QQ, times the lcm of all its denominators."""
+        rows, _ = _cleared(m.field, m.data)
+        return IntMatrix(m.field, m.rows, m.cols, tuple(map(tuple, rows)))
 
     @staticmethod
     def identity(field: Field, n: int) -> IntMatrix:
-        return IntMatrix(field, n, n, _unit_rows(n))
+        return IntMatrix(field, n, n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
     @staticmethod
     def zero_space(field: Field, dim: int) -> IntMatrix:
@@ -288,52 +298,36 @@ def block_diag(a: Matrix, b: Matrix) -> Matrix:
     return Matrix._canonical(field, data, a.cols + b.cols)
 
 
-def _scaled(row: Sequence[Fraction], m: int) -> list[int]:
-    """``m * row`` as ints, for ``m`` a multiple of every denominator in ``row``."""
-    return [x.numerator * (m // x.denominator) for x in row]
+def _cleared(field: Field, rows: Iterable[Sequence]) -> tuple[list[Sequence[int]], int]:
+    """``rows`` as integer rows in a fresh list, and the scalar they were multiplied by.
 
-
-def _unit_rows(n: int) -> tuple[tuple[int, ...], ...]:
-    """The rows of the n x n identity, as ints."""
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-
-
-def _product(field: Field, left: Sequence[Sequence], right: Sequence[Sequence],
-             cols: int) -> list[list]:
-    """The rows of ``left @ right``, for int rows over QQ and residue rows over GF(p).
-
-    Over QQ the sums are accumulated on ints and make no row update.
+    Over QQ that scalar is the lcm of all the denominators, so the rows
+    stand for the matrix up to one nonzero scalar.  GF(p) residues are
+    integer rows already: they come back as they are, times 1.
     """
+    if isinstance(field, PrimeField):
+        return list(rows), 1
+    rows = list(rows)
+    den = lcm(*[x.denominator for row in rows for x in row])
+    return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
+
+
+def _product(field: Field, left: Sequence[Sequence[int]], right: Sequence[Sequence[int]],
+             cols: int) -> list[list[int]]:
+    """The integer rows of ``left @ right``, each summed on ints and then reduced."""
+    reduce = field.reduce
     out = []
-    if isinstance(field, RationalField):
-        for lrow in left:
-            acc = [0] * cols
-            for a, orow in zip(lrow, right):
-                if a:
-                    acc = [s + a * y for s, y in zip(acc, orow)]
-            out.append(acc)
-        return out
-    sub_scaled, neg = field.sub_scaled_row, field.neg
     for lrow in left:
         acc = [0] * cols
         for a, orow in zip(lrow, right):
-            if a != 0:
-                acc = sub_scaled(acc, neg(a), orow)  # acc + a * orow
-        out.append(acc)
+            if a:
+                acc = [s + a * y for s, y in zip(acc, orow)]
+        out.append(reduce(acc))
     return out
 
 
-def _int_row_update(row: list[int], a: int, b: int, prow: list[int]) -> list[int]:
-    """``a * row - b * prow`` divided by the gcd of its entries: the QQ row step."""
-    new = [a * x - b * y for x, y in zip(row, prow)]
-    g = gcd(*new)
-    if g > 1:
-        new = [x // g for x in new]
-    return new
-
-
-def _gauss_jordan(field: Field, work: list[list], reduced: bool = True) -> list[int]:
-    """Reduce the row lists ``work`` in place to row-echelon form.
+def _gauss_jordan(field: Field, work: list[Sequence[int]], reduced: bool = True) -> list[int]:
+    """Reduce the integer rows ``work`` in place to row-echelon form.
 
     Returns the pivot columns; row i holds the pivot of column
     ``pivots[i]`` and every row past the last pivot is zero.  This is the
@@ -346,22 +340,19 @@ def _gauss_jordan(field: Field, work: list[list], reduced: bool = True) -> list[
     callers (``rank``, ``flag_image``, ``flag_completed``,
     ``prefix_sum_dim``) read only the pivots.
 
-    Over GF(p) the rows are residues and each pivot row is scaled to a
-    leading 1, so a full reduction leaves the reduced rows.  Over QQ the
-    rows must be integer rows, with no denominator left to clear, and are
-    eliminated fraction-free as in Bareiss (1968), kept small by a gcd
-    rather than by his exact division: a row update is ``a*row - b*prow``
-    (``_int_row_update``) with ``a`` the pivot and ``b`` the row's entry
-    under it, divided by the gcd of its entries.  Each integer row is a
-    nonzero multiple of the row that Fraction elimination holds at the
-    same step, so the pivots and the row updates are the same, and a full
-    reduction leaves pivot row i as its pivot times the reduced row.
-    ``flag_preimage`` reads those rows as they are; the callers that hold
-    Fractions clear them first and write them back (``_echelon``).
+    The rows are canonical integer rows of ``field`` (``_cleared``), and
+    only the list is changed: a row is swapped or replaced, never written
+    to.  A row update is ``field.row_update(row, a, b, prow)``,
+    ``a*row - b*prow`` with ``a`` the pivot and ``b`` the row's entry under
+    it: over QQ divided by the gcd of its entries, which keeps the rows
+    small as Bareiss's (1968) exact division would, and over GF(p) in
+    residues.  Pivot rows are not scaled, so each row is a nonzero
+    multiple of the row that textbook elimination holds at the same step,
+    the pivots and row updates are the same, and a full reduction leaves
+    pivot row i as its pivot times the reduced row.  ``flag_preimage``
+    reads those rows as they are; ``_echelon`` writes them back.
     """
-    qq = isinstance(field, RationalField)
-    if not qq:
-        scale, sub_scaled = field.scale_row, field.sub_scaled_row
+    update = field.row_update
     nr = len(work)
     nc = len(work[0]) if work else 0
     pivots = []
@@ -377,54 +368,38 @@ def _gauss_jordan(field: Field, work: list[list], reduced: bool = True) -> list[
         if pr is None:
             continue
         work[r], work[pr] = work[pr], work[r]
-        pv = work[r][c]
-        if not qq and pv != 1:
-            work[r] = scale(field.inv(pv), work[r])
         prow = work[r]
+        pv = prow[c]
         for i in range(0 if reduced else r + 1, nr):
             if i != r and work[i][c] != 0:
-                if qq:
-                    work[i] = _int_row_update(work[i], pv, work[i][c], prow)
-                else:
-                    work[i] = sub_scaled(work[i], work[i][c], prow)
+                work[i] = update(work[i], pv, work[i][c], prow)
         pivots.append(c)
         r += 1
     return pivots
 
 
-def _work_rows(field: Field, rows: Iterable[Sequence]) -> list[list]:
-    """Fresh row lists for ``_gauss_jordan``: over QQ each row times the lcm of its denominators."""
-    if isinstance(field, RationalField):
-        return [_scaled(row, lcm(*[x.denominator for x in row])) for row in rows]
-    return [list(row) for row in rows]
+def _echelon(field: Field, rows: Iterable[Sequence]) -> tuple[list[Sequence], list[int]]:
+    """The nonzero reduced row-echelon rows of ``rows`` in canonical entries, and the pivots.
 
-
-def _echelon(field: Field, rows: Iterable[Sequence], cols: int) -> tuple[list[list], list[int]]:
-    """The reduced row-echelon rows of ``rows`` in canonical entries, and the pivots.
-
-    Over QQ the integer rows that ``_gauss_jordan`` leaves are written
-    back: each pivot row divided by its pivot, one Fraction per nonzero
-    entry.
+    Each pivot row that ``_gauss_jordan`` leaves is written back divided by
+    its pivot.
     """
-    work = _work_rows(field, rows)
+    work, _ = _cleared(field, rows)
     pivots = _gauss_jordan(field, work)
-    if isinstance(field, RationalField):
-        zero = field.zero
-        out = [[Fraction(x, work[i][c]) if x else zero for x in work[i]]
-               for i, c in enumerate(pivots)]
-        work = out + [[zero] * cols for _ in range(len(pivots), len(work))]
-    return work, pivots
+    write_back = field.write_back
+    return [write_back(work[i], work[i][c]) for i, c in enumerate(pivots)], pivots
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row-echelon form and its pivot columns."""
-    reduced, pivots = _echelon(m.field, m.data, m.cols)
+    reduced, pivots = _echelon(m.field, m.data)
+    reduced += [(m.field.zero,) * m.cols] * (m.rows - len(pivots))
     return Matrix._canonical(m.field, reduced, m.cols), tuple(pivots)
 
 
 def rank(m: Matrix) -> int:
     """Rank as the pivot count of the echelon form; 0 for empty matrices."""
-    return len(_gauss_jordan(m.field, _work_rows(m.field, m.data), reduced=False))
+    return len(_gauss_jordan(m.field, _cleared(m.field, m.data)[0], reduced=False))
 
 
 def column_echelon(m: Matrix) -> Matrix:
@@ -432,10 +407,9 @@ def column_echelon(m: Matrix) -> Matrix:
 
     Zero columns are dropped, so the result always has full column rank
     and two matrices span the same subspace iff the results are equal.
-    Reducing the columns as rows leaves the basis in the leading rows.
+    Reducing the columns as rows leaves the basis in the nonzero rows.
     """
-    columns, pivots = _echelon(m.field, zip(*m.data), m.rows)
-    kept = columns[: len(pivots)]
+    kept, _ = _echelon(m.field, zip(*m.data))
     return Matrix._canonical(m.field, zip(*kept) if kept else [()] * m.rows, len(kept))
 
 
@@ -492,43 +466,30 @@ def subspace_contains(space: Matrix, vectors: Matrix) -> bool:
 # member i.  Nested members are equal exactly when their dimensions are,
 # so no member needs a canonical basis of its own, and each operation
 # below moves the whole chain with at most one elimination.  A member is
-# the span of its columns, so each column may be scaled freely: over QQ
-# the operations run on integer rows, and the barcode sweep hands them
-# IntMatrix bases and edge matrices, which they return as they are.  A
-# Matrix basis is cleared on the way in and its result coerced back.
+# the span of its columns, so each column may be scaled freely: the
+# operations take and return IntMatrix bases and edge matrices.
 # ---------------------------------------------------------------------------
 
 
-AnyMatrix = Matrix | IntMatrix
-
-
-def _like(basis: AnyMatrix, rows: Sequence[Sequence], cols: int) -> AnyMatrix:
-    """``rows`` as a matrix of the kind of ``basis``: an IntMatrix, or a Matrix (coerced)."""
-    if isinstance(basis, IntMatrix):
-        return IntMatrix(basis.field, len(rows), cols, tuple(map(tuple, rows)))
-    return Matrix(basis.field, rows, cols)
-
-
-def flag_image(m: AnyMatrix, basis: AnyMatrix, dims: Sequence[int]
-               ) -> tuple[AnyMatrix, list[int]]:
+def flag_image(m: IntMatrix, basis: IntMatrix, dims: Sequence[int]
+               ) -> tuple[IntMatrix, list[int]]:
     """The flag of images m(member i), with one elimination of ``m @ basis``.
 
     A column of ``m @ basis`` outside the span of the columns before it is
     a pivot column of its echelon form, so the pivot columns are an adapted
     basis of the image flag, and member i keeps the pivots among its first
-    ``dims[i]`` columns.  ``m`` and ``basis`` are Matrices or IntMatrices;
-    the new basis is of the kind of ``basis``.
+    ``dims[i]`` columns.
     """
     if basis.cols == 0 or m.rows == 0:
-        return _like(basis, [()] * m.rows, 0), [0] * len(dims)
-    moved = _product(m.field, IntMatrix.of(m).data, IntMatrix.of(basis).data, basis.cols)
-    pivots = _gauss_jordan(m.field, [list(row) for row in moved], reduced=False)
-    kept = [[row[j] for j in pivots] for row in moved]
-    return _like(basis, kept, len(pivots)), [bisect_left(pivots, d) for d in dims]
+        return IntMatrix.zero_space(m.field, m.rows), [0] * len(dims)
+    moved = _product(m.field, m.data, basis.data, basis.cols)
+    pivots = _gauss_jordan(m.field, list(moved), reduced=False)
+    kept = tuple(tuple(row[j] for j in pivots) for row in moved)
+    return IntMatrix(m.field, m.rows, len(pivots), kept), [bisect_left(pivots, d) for d in dims]
 
 
-def flag_preimage(m: AnyMatrix, basis: AnyMatrix, dims: Sequence[int]
-                  ) -> tuple[AnyMatrix, list[int]]:
+def flag_preimage(m: IntMatrix, basis: IntMatrix, dims: Sequence[int]
+                  ) -> tuple[IntMatrix, list[int]]:
     """The flag of preimages {x : m @ x in member i}, with one RREF of [m | basis].
 
     m(x) lies in member i exactly when (x; y) is in the kernel of
@@ -537,71 +498,67 @@ def flag_preimage(m: AnyMatrix, basis: AnyMatrix, dims: Sequence[int]
     so the kernel of that truncation is spanned by the vectors of the free
     columns among its first ``m.cols + dims[i]``.  Their x-parts are an
     adapted basis of the preimage flag: projecting to x is injective on
-    the kernel, because ``basis`` has full column rank.  ``m`` and
-    ``basis`` are Matrices or IntMatrices; the new basis is of the kind of
-    ``basis``.
+    the kernel, because ``basis`` has full column rank.
 
-    Over QQ the reduced rows hold each pivot unscaled, so each kernel
-    vector is built on ints: times the lcm of the pivots (every pivot is 1
-    over GF(p)), then divided by the gcd of its x-part.
+    The reduced rows hold each pivot unscaled, so each kernel vector is
+    built on ints: times the lcm of the pivots, reduced, then divided by
+    the gcd of its x-part.
     """
     field = m.field
     if m.cols == 0 or m.rows == 0:
-        return _like(basis, _unit_rows(m.cols), m.cols), [m.cols] * len(dims)
-    mdata, bdata = IntMatrix.of(m).data, IntMatrix.of(basis).data
-    work = [list(row) + list(brow) for row, brow in zip(mdata, bdata)]
+        return IntMatrix.identity(field, m.cols), [m.cols] * len(dims)
+    work = [row + brow for row, brow in zip(m.data, basis.data)]
     pivots = _gauss_jordan(field, work)
     taken = set(pivots)
     free = [c for c in range(m.cols + basis.cols) if c not in taken]
     leading = [(work[i], pc) for i, pc in enumerate(pivots) if pc < m.cols]
     den = lcm(*[row[pc] for row, pc in leading])
     head = [(row, pc, den // row[pc]) for row, pc in leading]
-    neg = field.neg
+    reduce = field.reduce
     columns = []
     for f in free:
         vec = [0] * m.cols
         if f < m.cols:
             vec[f] = den
         for row, pc, scale in head:
-            vec[pc] = neg(row[f] * scale)
+            vec[pc] = -row[f] * scale
+        vec = reduce(vec)
         g = gcd(*vec)
         if g > 1:
             vec = [x // g for x in vec]
         columns.append(vec)
-    pre = _like(basis, list(zip(*columns)) if columns else [()] * m.cols, len(columns))
-    return pre, [bisect_left(free, m.cols + d) for d in dims]
+    data = tuple(zip(*columns)) if columns else ((),) * m.cols
+    new_dims = [bisect_left(free, m.cols + d) for d in dims]
+    return IntMatrix(field, m.cols, len(columns), data), new_dims
 
 
-def flag_completed(basis: AnyMatrix) -> AnyMatrix:
+def flag_completed(basis: IntMatrix) -> IntMatrix:
     """``basis`` followed by the unit vectors that extend it to all of K^d.
 
     The unit vectors are those of the rows that are not pivots of the
-    echelon form of ``basis`` transposed, found with one elimination.  A
-    Matrix or an IntMatrix ``basis`` gives a result of its own kind.
+    echelon form of ``basis`` transposed, found with one elimination.
     """
     d = basis.rows
     if basis.cols == d:
         return basis
     if basis.cols == 0:
-        return _like(basis, _unit_rows(d), d)
-    columns = [list(col) for col in zip(*IntMatrix.of(basis).data)]
-    taken = set(_gauss_jordan(basis.field, columns, reduced=False))
+        return IntMatrix.identity(basis.field, d)
+    taken = set(_gauss_jordan(basis.field, list(zip(*basis.data)), reduced=False))
     extra = [r for r in range(d) if r not in taken]
-    rows = [row + tuple(int(r == e) for e in extra) for r, row in enumerate(basis.data)]
-    return _like(basis, rows, d)
+    rows = tuple(row + tuple(int(r == e) for e in extra) for r, row in enumerate(basis.data))
+    return IntMatrix(basis.field, d, d, rows)
 
 
-def prefix_sum_dim(a: AnyMatrix, i: int, b: AnyMatrix, j: int) -> int:
+def prefix_sum_dim(a: IntMatrix, i: int, b: IntMatrix, j: int) -> int:
     """dim(span of the first i columns of a + span of the first j of b).
 
-    ``a`` and ``b`` (Matrices or IntMatrices) have full column rank, so a
-    prefix of 0 or all ``rows`` columns is the zero or the whole space,
-    and the sum is read off the counts with no elimination.
+    ``a`` and ``b`` have full column rank, so a prefix of 0 or all
+    ``rows`` columns is the zero or the whole space, and the sum is read
+    off the counts with no elimination.
     """
     if i in (0, a.rows) or j in (0, b.rows):
         return min(i + j, a.rows)
-    adata, bdata = IntMatrix.of(a).data, IntMatrix.of(b).data
-    work = [list(ra[:i]) + list(rb[:j]) for ra, rb in zip(adata, bdata)]
+    work = [ra[:i] + rb[:j] for ra, rb in zip(a.data, b.data)]
     return len(_gauss_jordan(a.field, work, reduced=False))
 
 

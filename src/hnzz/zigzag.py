@@ -150,6 +150,8 @@ class Barcode:
 
     @staticmethod
     def from_dict(d: dict[Interval, int]) -> "Barcode":
+        if not isinstance(d, dict):
+            raise ValidationError(f"barcode mapping {shown(d)} is not a dict")
         return Barcode(tuple(sorted((iv, m) for iv, m in d.items() if m)))
 
     def dims_vector(self, n: int) -> tuple[int, ...]:

@@ -6,6 +6,7 @@ import pytest
 from hnzz.linalg import (
     GF,
     QQ,
+    IntMatrix,
     Matrix,
     column_echelon,
     hstack,
@@ -102,6 +103,22 @@ def reference_matmul(a: Matrix, b: Matrix) -> list[list]:
     ]
 
 
+def flag_op(op, *args):
+    """The flag operation ``op`` on Matrix arguments, on the rows the sweep hands it.
+
+    Each Matrix argument is passed as ``IntMatrix.of(argument)``, and a
+    basis that comes back is read as a Matrix of its field, so the tests
+    compare it with Matrix references.
+    """
+    out = op(*[IntMatrix.of(a) if isinstance(a, Matrix) else a for a in args])
+    if isinstance(out, IntMatrix):
+        return Matrix(out.field, out.data, out.cols)
+    if isinstance(out, tuple):
+        basis, dims = out
+        return Matrix(basis.field, basis.data, basis.cols), dims
+    return out
+
+
 def reference_column_echelon(m: Matrix) -> Matrix:
     """Canonical basis of the column span: ``reference_rref`` of the columns as rows."""
     columns = [[row[j] for row in m.data] for j in range(m.cols)]
@@ -128,7 +145,7 @@ def reference_kernel(m: Matrix) -> Matrix:
         vec = [fld.zero] * m.cols
         vec[f] = fld.one
         for i, pc in enumerate(pivots):
-            vec[pc] = fld.neg(reduced[i][f])
+            vec[pc] = fld.coerce(-reduced[i][f])
         vectors.append(vec)
     rows = list(zip(*vectors)) if vectors else [[] for _ in range(m.cols)]
     return reference_column_echelon(Matrix(fld, rows, len(vectors)))

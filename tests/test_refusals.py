@@ -10,7 +10,7 @@ import pytest
 from hnzz.affine import AffineQuiver, indec_N, indec_T
 from hnzz.errors import ValidationError
 from hnzz.hn import HNReport
-from hnzz.linalg import GF, QQ
+from hnzz.linalg import GF, QQ, Matrix
 from hnzz.quiver import Quiver
 from hnzz.zigzag import Barcode, Interval, interval_module
 
@@ -23,12 +23,16 @@ AQ = AffineQuiver(2, (0, 1))
     [
         lambda: GF(None),
         lambda: GF("3"),
+        lambda: Matrix(GF(2), None),
+        lambda: Matrix(GF(2), [1, 2]),
+        lambda: Matrix(None, [[1]]),
         lambda: Interval(None, 1),
         lambda: Interval(0.5, 1),
         lambda: Barcode("1"),
         lambda: Barcode(None),
         lambda: Barcode((("0", 1),)),
         lambda: Barcode(((Interval(0, 1), 1.0),)),
+        lambda: Barcode.from_dict("1"),
         lambda: HNReport(A2, None),
         lambda: interval_module(A2, Interval(0, 1), None),
         lambda: AffineQuiver(2, None),
@@ -42,12 +46,16 @@ AQ = AffineQuiver(2, (0, 1))
     ids=[
         "GF(None)",
         "GF('3')",
+        "Matrix(data None)",
+        "Matrix(rows not lists)",
+        "Matrix(field None)",
         "Interval(None, 1)",
         "Interval(0.5, 1)",
         "Barcode('1')",
         "Barcode(None)",
         "Barcode(non-interval)",
         "Barcode(float multiplicity)",
+        "Barcode.from_dict('1')",
         "HNReport(q, None)",
         "interval_module(field None)",
         "AffineQuiver(2, None)",

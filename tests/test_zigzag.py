@@ -9,6 +9,7 @@ from hnzz.generators import gen_affine
 from hnzz.linalg import (
     GF,
     QQ,
+    IntMatrix,
     Matrix,
     hstack,
     random_invertible_rng,
@@ -75,7 +76,7 @@ def generalized_rank(v: Representation, iv: Interval) -> int:
             row = [zero] * total
             for j in range(dims[src]):
                 row[offset[src] + j] = m.data[i][j]
-            row[offset[dst] + i] = fld.neg(fld.one)
+            row[offset[dst] + i] = fld.coerce(-1)
             comp_rows.append(row)
     if comp_rows:
         limit = reference_kernel(Matrix(fld, comp_rows, total))
@@ -89,7 +90,7 @@ def generalized_rank(v: Representation, iv: Interval) -> int:
             col = [zero] * total
             for i in range(dims[dst]):
                 col[offset[dst] + i] = m.data[i][j]
-            col[offset[src] + j] = fld.neg(fld.one)
+            col[offset[src] + j] = fld.coerce(-1)
             glue_cols.append(col)
     if glue_cols:
         glue = Matrix(fld, list(zip(*glue_cols)), len(glue_cols))
@@ -501,7 +502,7 @@ def test_distinct_matrices_run_every_step(count_calls):
     )
     v = Representation(q, QQ, dims, mats)
     eliminations = count_calls(linalg, "_gauss_jordan")
-    row_updates = count_calls(linalg, "_int_row_update")
+    row_updates = count_calls(linalg.RationalField, "row_update")
     barcode(v)
     assert (len(eliminations), len(row_updates)) == (51, 100)
 
@@ -657,3 +658,19 @@ def test_rational_paths_agree_with_inclusion_exclusion():
         seen["fraction"] += any(x.denominator > 1 for m in v.mats for row in m.data for x in row)
     print(f"  {seen}")
     assert min(seen.values()) >= 40
+
+
+def test_rational_paths_agree_mod_a_large_prime():
+    # the QQ and GF(p) row steps of the one kernel on the same integer rows:
+    # each edge matrix, cleared of its denominators and reduced mod
+    # 2**31 - 1, keeps its rank, and the path keeps its barcode
+    fld = GF(2**31 - 1)
+    rng = make_rng(72)
+    for _ in range(200):
+        v = mixed_rational_rep(rng)
+        reduced = []
+        for m in v.mats:
+            cleared = IntMatrix.of(m).data
+            reduced.append(Matrix(fld, cleared, m.cols))
+            assert rank(Matrix(QQ, cleared, m.cols)) == rank(reduced[-1]) == rank(m)
+        assert bars(Representation(v.quiver, fld, v.dims, tuple(reduced))) == bars(v)
