@@ -18,7 +18,10 @@ other vertices ranging freely.  A threshold T, the best key of a
 subrepresentation priced so far (at first the whole quotient), only
 rises, and a class whose bound is below T is never walked, so the
 destabilizer and its count are those of the full scan.  The scan skips
-the vertices of dimension 0.
+the vertices of dimension 0.  Inside it a subspace, floors included, is
+the tuple of its canonical basis vectors (``linalg.superspaces``); a
+``Matrix`` appears only at its boundary, for the stage that comes in and
+the bases that go out.
 ``hn_from_barcode`` is the fast route for equioriented type-A
 representations under the Euler weights: one step per interval family
 [0, j] plus a final slope-0 step for everything else.
@@ -44,9 +47,10 @@ from .linalg import (
     PrimeField,
     QQ,
     check_enum_guard,
-    column_echelon,
-    hstack,
-    superspace_enumerator,
+    columns,
+    from_columns,
+    span_with_image,
+    superspaces,
     zero_space,
 )
 from .quiver import (
@@ -125,6 +129,8 @@ ORACLE_MAX_TOTAL_DIM = {2: 8, 3: 6}
 
 
 def _check_oracle_guard(v: Representation) -> None:
+    if not isinstance(v, Representation):
+        raise ValidationError(f"oracle input {shown(v)} is not a Representation")
     if not isinstance(v.field, PrimeField):
         raise GuardError("the brute-force oracle runs over prime fields only")
     p = v.field.p
@@ -165,13 +171,17 @@ def _quotient_table(
     them as the pass does, by (slope, total dimension), in integers; the
     first bases are the first subrepresentation with those quotient dims
     in the order that picks each vertex's subspace in turn along
-    ``_scan_order`` (each from ``superspace_enumerator``, one dimension
-    class at a time), and the count is how many there are.
+    ``_scan_order`` (each from ``superspaces``, one dimension class at a
+    time), as column-echelon Matrix values, and the count is how many
+    there are.
 
     A suffix DP over the topological order: the subreps on ``order[i:]``
     depend on the choices before i only through the partial floors of
     those vertices (``above`` plus the images of the chosen in-neighbours),
     so one table per tuple of partial floors is built once and shared.
+    A floor is a tuple of canonical basis vectors, so equal floors are
+    equal keys; each image grows it by one ``span_with_image``, against
+    the edge matrix transposed once per pass.
     ``_scan_order`` skips the vertices of dimension 0, so the recursion
     is no deeper than the total dimension.
 
@@ -192,10 +202,11 @@ def _quotient_table(
     """
     order = _scan_order(v)
     n = len(order)
+    field = v.field
     done = [b.cols for b in above]
     free = [v.dims[x] - done[x] for x in order]
     for q in free:
-        check_enum_guard(q, v.field.p)
+        check_enum_guard(q, field)
     # integer weights and slopes: every total is at most sum(free), so
     # num / total over the lcm of 1..sum(free) is an integer
     scale = lcm(*(alpha.weights[x].denominator for x in order))
@@ -221,34 +232,35 @@ def _quotient_table(
                 classes.append((max(priced), d))
         ranked.append(sorted(classes, reverse=True))
     pos = {x: i for i, x in enumerate(order)}
-    out_edges: dict[int, list[tuple[Matrix, int]]] = {x: [] for x in order}
+    # each edge matrix transposed, so that images are products of basis rows
+    out_edges: dict[int, list[tuple[tuple, int]]] = {x: [] for x in order}
     for m, (src, dst) in zip(v.mats, v.quiver.edges):
         if src in pos and dst in pos:
-            out_edges[src].append((m, dst))
+            out_edges[src].append((columns(m), dst))
     # partial floors of order[i:] -> suffix dims (in that order) -> [bases, count]
-    memo: dict[tuple[Matrix, ...], dict[tuple[int, ...], list]] = {(): {(): [(), 1]}}
+    memo: dict[tuple, dict[tuple[int, ...], list]] = {(): {(): [(), 1]}}
     keys: dict[tuple[int, ...], tuple[int, int]] = {}
     threshold = key(sum(map(mul, weights, free)), sum(free))
 
-    def table(floors: tuple[Matrix, ...]) -> dict[tuple[int, ...], list]:
+    def table(floors: tuple) -> dict[tuple[int, ...], list]:
         nonlocal threshold
         got = memo.get(floors)
         if got is not None:
             return got
         i = n - len(floors)
         x = order[i]
-        low = floors[0].cols - done[x]
+        low = len(floors[0]) - done[x]
         out: dict[tuple[int, ...], list] = {}
         for bound, d in ranked[i]:
             if d < low:
                 continue
             if bound < threshold:
                 break
-            for u in superspace_enumerator(floors[0], d - low):
+            for u in superspaces(field, floors[0], v.dims[x], d - low):
                 rest = list(floors[1:])
-                for m, y in out_edges[x]:
+                for transposed, y in out_edges[x]:
                     j = pos[y] - i - 1
-                    rest[j] = column_echelon(hstack([rest[j], m @ u]))
+                    rest[j] = span_with_image(field, rest[j], u, transposed)
                 for dims, (bases, count) in table(tuple(rest)).items():
                     dims = (d,) + dims
                     entry = out.get(dims)
@@ -263,13 +275,13 @@ def _quotient_table(
         return out
 
     seen = {}
-    for dims, (bases, count) in table(tuple(above[x] for x in order)).items():
+    for dims, (bases, count) in table(tuple(columns(above[x]) for x in order)).items():
         if dims not in keys:  # the zero quotient
             continue
         by_vertex = [0] * len(v.dims)
         stage = list(above)
         for x, d, u in zip(order, dims, bases):
-            by_vertex[x], stage[x] = d, u
+            by_vertex[x], stage[x] = d, from_columns(field, u, v.dims[x])
         seen[tuple(by_vertex)] = [keys[dims], tuple(stage), count]
     return seen
 

@@ -332,7 +332,7 @@ def _gauss_jordan(field: Field, work: list[Sequence[int]], reduced: bool = True)
     Returns the pivot columns; row i holds the pivot of column
     ``pivots[i]`` and every row past the last pivot is zero.  This is the
     one elimination loop of the package: ``rref``, ``rank``,
-    ``column_echelon``, ``prefix_sum_dim`` and the ``flag_*`` operations
+    ``span_with_image``, ``prefix_sum_dim`` and the ``flag_*`` operations
     all run through it (a kernel is the ``flag_preimage`` of the zero
     subspace).  With ``reduced=False`` only the rows below each pivot are
     cleared: the pivots are the same, at about half the row operations,
@@ -402,17 +402,6 @@ def rank(m: Matrix) -> int:
     return len(_gauss_jordan(m.field, _cleared(m.field, m.data)[0], reduced=False))
 
 
-def column_echelon(m: Matrix) -> Matrix:
-    """Canonical reduced column-echelon basis of the column span.
-
-    Zero columns are dropped, so the result always has full column rank
-    and two matrices span the same subspace iff the results are equal.
-    Reducing the columns as rows leaves the basis in the nonzero rows.
-    """
-    kept, _ = _echelon(m.field, zip(*m.data))
-    return Matrix._canonical(m.field, zip(*kept) if kept else [()] * m.rows, len(kept))
-
-
 def inverse(m: Matrix) -> Matrix:
     if m.rows != m.cols:
         raise ValidationError("inverse of a non-square matrix")
@@ -443,7 +432,10 @@ def random_invertible_rng(dim: int, field: Field, rng: random.Random) -> Matrix:
 # subspace arithmetic
 #
 # A subspace of K^d is represented by its canonical reduced column-echelon
-# basis (a d x k Matrix), so subspace equality is matrix equality.
+# basis (a d x k Matrix), so subspace equality is matrix equality.  The
+# oracle's scan holds one as the tuple of its basis vectors, the rows that
+# ``_echelon`` returns, and converts only at its boundary (``columns``,
+# ``from_columns``).
 # ---------------------------------------------------------------------------
 
 
@@ -456,6 +448,92 @@ def subspace_contains(space: Matrix, vectors: Matrix) -> bool:
     if vectors.cols == 0:
         return True
     return rank(hstack([space, vectors])) == space.cols
+
+
+# Subspace enumeration over GF(p) grows like p^(dim^2/4); these limits keep
+# the oracle's scans in the "finishes in seconds" regime.
+ENUM_MAX_DIM = 6
+ENUM_MAX_P = 3
+
+
+def check_enum_guard(dim: int, field: PrimeField) -> None:
+    """Refuse unless GF(p)^dim is small enough to walk."""
+    if dim < 0:
+        raise ValidationError("negative dimension")
+    if dim > ENUM_MAX_DIM or field.p > ENUM_MAX_P:
+        raise GuardError(
+            f"subspace enumeration guard exceeded (dim={dim}, p={field.p}; "
+            f"limits dim<={ENUM_MAX_DIM}, p<={ENUM_MAX_P})"
+        )
+
+
+def columns(m: Matrix) -> tuple[tuple, ...]:
+    """The columns of ``m`` as tuples: the basis vectors of a column-echelon basis."""
+    return tuple(zip(*m.data))
+
+
+def from_columns(field: Field, vectors: Sequence[Sequence], dim: int) -> Matrix:
+    """The dim x k Matrix whose columns are the k canonical ``vectors``."""
+    return Matrix._canonical(field, zip(*vectors) if vectors else [()] * dim, len(vectors))
+
+
+def span_with_image(field: Field, floor: tuple[tuple, ...], basis: Sequence[Sequence[int]],
+                    transposed: Sequence[Sequence[int]]) -> tuple[tuple, ...]:
+    """Basis vectors of span(floor) + m(span(basis)), from the rows of m transposed.
+
+    The images are the nonzero rows of ``basis @ transposed``; with none,
+    the floor is the answer, and otherwise one ``_echelon`` of them and the
+    floor vectors gives the canonical basis.
+    """
+    images = [row for row in _product(field, basis, transposed, len(transposed[0])) if any(row)]
+    if not images:
+        return floor
+    return tuple(map(tuple, _echelon(field, [*floor, *images])[0]))
+
+
+def superspaces(field: Field, floor: Sequence[tuple[int, ...]], dim: int, k: int
+                ) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """The subspaces of GF(p)^dim containing span(floor) with k more dimensions.
+
+    ``floor`` and each subspace yielded are canonical basis-vector tuples.
+    The k-dimensional subspaces of the quotient are walked on the floor's
+    free coordinates, those that lead no floor vector: for each k of them
+    as pivots, in lexicographic order, every filling of the entries past
+    each pivot at the other free coordinates, in ``product`` order.  The
+    new vectors vanish at the floor's pivots and at each other's, so
+    clearing the floor vectors at the new pivots and merging the two parts
+    by pivot gives the reduced echelon basis with no elimination.  The
+    refusals, the quotient's guard among them, come before any yield.
+    """
+    if not isinstance(field, PrimeField):
+        raise ValidationError("superspace enumeration needs a prime field")
+    if k < 0:
+        raise ValidationError(f"subspace dimension {shown(k)} is negative")
+    taken = {vec.index(1) for vec in floor}
+    free = [r for r in range(dim) if r not in taken]
+    check_enum_guard(len(free), field)
+    p = field.p
+
+    def generate() -> Iterator[tuple[tuple[int, ...], ...]]:
+        for pivots in combinations(free, k):
+            slots = [(j, r) for j, c in enumerate(pivots) for r in free if r > c and r not in pivots]
+            # each floor vector with its nonzero entries at the new pivots
+            clear = [(vec, [(j, vec[c]) for j, c in enumerate(pivots) if vec[c]]) for vec in floor]
+            for values in product(range(p), repeat=len(slots)):
+                new = [[0] * dim for _ in pivots]
+                for j, c in enumerate(pivots):
+                    new[j][c] = 1
+                for (j, r), x in zip(slots, values):
+                    new[j][r] = x
+                rows = [tuple(row) for row in new]
+                for vec, hits in clear:
+                    for j, a in hits:
+                        vec = [(x - a * y) % p for x, y in zip(vec, new[j])]
+                    rows.append(tuple(vec))
+                # reduced echelon rows fall in lexicographic order as their pivots rise
+                yield tuple(sorted(rows, reverse=True))
+
+    return generate()
 
 
 # ---------------------------------------------------------------------------
@@ -560,94 +638,3 @@ def prefix_sum_dim(a: IntMatrix, i: int, b: IntMatrix, j: int) -> int:
         return min(i + j, a.rows)
     work = [ra[:i] + rb[:j] for ra, rb in zip(a.data, b.data)]
     return len(_gauss_jordan(a.field, work, reduced=False))
-
-
-def pivot_rows(space: Matrix) -> list[int]:
-    """Leading-entry row of each column of a column-echelon basis."""
-    out = []
-    for j in range(space.cols):
-        for i in range(space.rows):
-            if space.data[i][j] != 0:
-                out.append(i)
-                break
-    return out
-
-
-# Subspace enumeration over GF(p) grows like p^(dim^2/4); these limits keep
-# the oracle's scans in the "finishes in seconds" regime.
-ENUM_MAX_DIM = 6
-ENUM_MAX_P = 3
-
-
-def check_enum_guard(dim: int, p: int) -> PrimeField:
-    """GF(p), once GF(p)^dim is known to be small enough to walk."""
-    field = GF(p)
-    if dim < 0:
-        raise ValidationError("negative dimension")
-    if dim > ENUM_MAX_DIM or p > ENUM_MAX_P:
-        raise GuardError(
-            f"subspace enumeration guard exceeded (dim={dim}, p={p}; "
-            f"limits dim<={ENUM_MAX_DIM}, p<={ENUM_MAX_P})"
-        )
-    return field
-
-
-def subspace_enumerator(dim: int, p: int, k: int) -> Iterator[Matrix]:
-    """The k-dimensional subspaces of GF(p)^dim, one canonical echelon basis each.
-
-    Their count is the Gaussian binomial [dim, k]_p; the classes k = 0..dim
-    together hold every subspace once.  Raises GuardError up front, before
-    anything is yielded, beyond ``ENUM_MAX_DIM`` or ``ENUM_MAX_P``.
-    """
-    field = check_enum_guard(dim, p)
-
-    def generate() -> Iterator[Matrix]:
-        for pivots in combinations(range(dim), k):
-            pivot_set = set(pivots)
-            free_slots = [
-                (r, j)
-                for j in range(k)
-                for r in range(dim)
-                if r > pivots[j] and r not in pivot_set
-            ]
-            for values in product(range(p), repeat=len(free_slots)):
-                cols = []
-                for j in range(k):
-                    vec = [0] * dim
-                    vec[pivots[j]] = 1
-                    cols.append(vec)
-                for (r, j), v in zip(free_slots, values):
-                    cols[j][r] = v
-                yield Matrix._canonical(field, zip(*cols) if cols else [()] * dim, k)
-
-    return generate()
-
-
-def superspace_enumerator(floor: Matrix, k: int) -> Iterator[Matrix]:
-    """The subspaces of K^d containing span(floor) with k more dimensions, K a prime field.
-
-    Enumerates the k-dimensional subspaces of the quotient K^d / span(floor)
-    through the complement-row coordinates of the echelon basis ``floor``
-    and lifts them back, so each superspace is produced exactly once.  A
-    zero floor yields ``subspace_enumerator(d, p, k)`` as it is, canonical
-    already.  The guard of the quotient's dimension is checked up front.
-    """
-    field = floor.field
-    if not isinstance(field, PrimeField):
-        raise ValidationError("superspace enumeration needs a prime field")
-    d = floor.rows
-    if floor.cols == 0:
-        return subspace_enumerator(d, field.p, k)
-    taken = set(pivot_rows(floor))
-    free_rows = [r for r in range(d) if r not in taken]
-    q = len(free_rows)
-    check_enum_guard(q, field.p)
-
-    def generate() -> Iterator[Matrix]:
-        for small in subspace_enumerator(q, field.p, k):
-            rows = [(0,) * small.cols] * d
-            for i, r in enumerate(free_rows):
-                rows[r] = small.data[i]
-            yield column_echelon(hstack([floor, Matrix._canonical(field, rows, small.cols)]))
-
-    return generate()

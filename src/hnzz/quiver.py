@@ -191,7 +191,9 @@ class StabilityCondition:
 
 
 def check_weights(q: Quiver, alpha: StabilityCondition) -> None:
-    """ValidationError unless alpha has exactly one weight per vertex of q."""
+    """ValidationError unless alpha is a StabilityCondition with one weight per vertex of q."""
+    if not isinstance(alpha, StabilityCondition):
+        raise ValidationError(f"stability condition {shown(alpha)} is not a StabilityCondition")
     if len(alpha.weights) != q.vertex_count:
         raise ValidationError("stability condition does not match the quiver")
 

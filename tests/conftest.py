@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
@@ -8,11 +9,7 @@ from hnzz.linalg import (
     QQ,
     IntMatrix,
     Matrix,
-    column_echelon,
-    hstack,
     random_invertible_rng,
-    subspace_enumerator,
-    superspace_enumerator,
     zero_space,
 )
 from hnzz.quiver import Quiver, Representation, topological_order
@@ -151,28 +148,65 @@ def reference_kernel(m: Matrix) -> Matrix:
     return reference_column_echelon(Matrix(fld, rows, len(vectors)))
 
 
+def pivot_rows(space: Matrix) -> list[int]:
+    """Leading-entry row of each column of a column-echelon basis."""
+    out = []
+    for j in range(space.cols):
+        for i in range(space.rows):
+            if space.data[i][j] != 0:
+                out.append(i)
+                break
+    return out
+
+
+def reference_superspaces(floor: Matrix, k: int) -> list[Matrix]:
+    """The subspaces containing span(floor) with k more dimensions, in the scan's order.
+
+    The order that ``linalg.superspaces`` documents, built on its own: for
+    each k of the floor's free rows (those that lead no column) as pivots,
+    in lexicographic order, each filling of the entries below each pivot at
+    the other free rows, in ``product`` order; the floor's columns and
+    those k are put in canonical form by ``reference_column_echelon``.
+    """
+    fld, d = floor.field, floor.rows
+    taken = pivot_rows(floor)
+    free = [r for r in range(d) if r not in taken]
+    out = []
+    for pivots in combinations(free, k):
+        slots = [(r, j) for j in range(k) for r in free if r > pivots[j] and r not in pivots]
+        for values in product(range(fld.p), repeat=len(slots)):
+            cols = [[int(r == c) for r in range(d)] for c in pivots]
+            for (r, j), x in zip(slots, values):
+                cols[j][r] = x
+            rows = [list(row) + [col[i] for col in cols] for i, row in enumerate(floor.data)]
+            out.append(reference_column_echelon(Matrix(fld, rows, floor.cols + k)))
+    return out
+
+
 def every_superspace(floor: Matrix) -> list[Matrix]:
     """All subspaces containing span(floor), class by class from the smallest."""
-    return [u for k in range(floor.rows - floor.cols + 1) for u in superspace_enumerator(floor, k)]
+    return [u for k in range(floor.rows - floor.cols + 1) for u in reference_superspaces(floor, k)]
 
 
 def every_subspace(dim: int, p: int) -> list[Matrix]:
     """All subspaces of GF(p)^dim, class by class from the zero subspace."""
-    return [u for k in range(dim + 1) for u in subspace_enumerator(dim, p, k)]
+    return every_superspace(zero_space(GF(p), dim))
 
 
 def subrepresentations(v: Representation, above=None):
     """Subrepresentations of v containing ``above``, as canonical bases.
 
     The plain walk that the oracle's suffix DP (``hn._quotient_table``)
-    is tested against.  ``above`` is a subrepresentation in canonical
-    bases, as yielded here; None is the zero one.  The walk takes the
-    vertices in ``topological_order`` (its own order, not the DP's); at
-    each vertex it enumerates only the subspaces containing ``above`` and
-    the images of the already-chosen subspaces along in-edges, so every
-    yielded tuple is closed under the edge maps and appears exactly once.
-    A vertex of dimension 0 keeps its one subspace and is skipped, so the
-    recursion is no deeper than the total dimension.
+    is tested against; its subspaces, images and spans come from the
+    reference code here, not from the package.  ``above`` is a
+    subrepresentation in canonical bases, as yielded here; None is the
+    zero one.  The walk takes the vertices in ``topological_order`` (its
+    own order, not the DP's); at each vertex it enumerates only the
+    subspaces containing ``above`` and the images of the already-chosen
+    subspaces along in-edges, so every yielded tuple is closed under the
+    edge maps and appears exactly once.  A vertex of dimension 0 keeps its
+    one subspace and is skipped, so the recursion is no deeper than the
+    total dimension.
     """
     if above is None:
         above = [zero_space(v.field, d) for d in v.dims]
@@ -184,8 +218,13 @@ def subrepresentations(v: Representation, above=None):
             yield tuple(chosen[x] for x in range(v.quiver.vertex_count))
             return
         x = order[i]
-        images = [m @ chosen[src] for (src, dst), m in zip(v.quiver.edges, v.mats) if dst == x]
-        for u in every_superspace(column_echelon(hstack([above[x]] + images))):
+        spanning = [list(row) for row in above[x].data]
+        for (src, dst), m in zip(v.quiver.edges, v.mats):
+            if dst == x:
+                for row, image in zip(spanning, reference_matmul(m, chosen[src])):
+                    row += image
+        floor = reference_column_echelon(Matrix(v.field, spanning, len(spanning[0])))
+        for u in every_superspace(floor):
             chosen[x] = u
             yield from walk(i + 1)
 

@@ -10,6 +10,11 @@ runs: eliminations (``_gauss_jordan`` calls) and row updates (calls of
 the fields' row step, ``RationalField.row_update`` and
 ``PrimeField.row_update``), counted over the requests and not the set-up.
 A change that moves one re-pins it here.
+
+The oracle's walk is pinned beside them: ``hn._quotient_table`` passes,
+enumerations (calls of ``hn.superspaces``) and the superspaces they
+yield.  Making the walk's steps cheaper moves the work pins and leaves
+these alone.
 """
 
 import sys
@@ -22,7 +27,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 import harness  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
-from hnzz import linalg  # noqa: E402
+from hnzz import hn, linalg  # noqa: E402
 from hnzz.linalg import PrimeField, RationalField  # noqa: E402
 
 # (eliminations, row updates) of one seed-1 round's requests; products
@@ -30,19 +35,36 @@ from hnzz.linalg import PrimeField, RationalField  # noqa: E402
 ROUND_WORK = {
     "lift-long": (2416, 27760),
     "zigzag-rational": (1490, 22764),
-    "oracle-certify": (1923, 801),
+    "oracle-certify": (1350, 730),
+}
+
+# (passes, enumerations, superspaces) of the oracle over the same round
+ORACLE_WALK = {
+    "lift-long": (0, 0, 0),
+    "zigzag-rational": (0, 0, 0),
+    "oracle-certify": (83, 676, 877),
 }
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
-def test_workload_round_passes_its_checks(name, tmp_path, count_calls):
+def test_workload_round_passes_its_checks(name, tmp_path, count_calls, monkeypatch):
     work = tmp_path / name
     work.mkdir()
     requests = WORKLOADS[name].setup(1, work)
     assert requests
+    superspaces, enumerate_superspaces = [], hn.superspaces
+
+    def counting(*args):
+        for u in enumerate_superspaces(*args):
+            superspaces.append(None)
+            yield u
+
+    monkeypatch.setattr(hn, "superspaces", counting)
+    walk = [count_calls(hn, step) for step in ("_quotient_table", "superspaces")]
     eliminations = count_calls(linalg, "_gauss_jordan")
     row_updates = [count_calls(field, "row_update") for field in (RationalField, PrimeField)]
     problems = [problem for _, problem, _ in map(harness.run_request, requests) if problem]
     assert problems == []
     work_done = (len(eliminations), sum(map(len, row_updates)))
     assert work_done == ROUND_WORK[name]
+    assert (*map(len, walk), len(superspaces)) == ORACLE_WALK[name]

@@ -18,7 +18,7 @@ ALLOWED = {
     ("linalg", "PrimeField"),
     ("linalg", "_cleared"),  # QQ rows times the lcm of their denominators
     ("linalg", "random_matrix"),
-    ("linalg", "superspace_enumerator"),  # enumeration runs over prime fields only
+    ("linalg", "superspaces"),  # enumeration runs over prime fields only
     ("serialize", "field_to_json"),  # the instance format writes each field its own way
     ("serialize", "_entry_to_json"),
     ("serialize", "instance_from_json"),

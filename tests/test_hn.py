@@ -240,12 +240,12 @@ class TestBruteforce:
     def test_order_independence(self, monkeypatch):
         v = conjugate(three_step_module(), conjugating_bases(three_step_module(), make_rng(23)))
         baseline = hn_bruteforce(v, EPS3)
-        original = hn_module.superspace_enumerator
+        original = hn_module.superspaces
 
-        def reversed_enum(floor, k):
-            return iter(list(original(floor, k))[::-1])
+        def reversed_enum(field, floor, dim, k):
+            return iter(list(original(field, floor, dim, k))[::-1])
 
-        monkeypatch.setattr(hn_module, "superspace_enumerator", reversed_enum)
+        monkeypatch.setattr(hn_module, "superspaces", reversed_enum)
         flipped = hn_bruteforce(v, EPS3)
         assert flipped.steps == baseline.steps
         assert flipped.witness == baseline.witness
@@ -256,15 +256,15 @@ class TestBruteforce:
         # of the first pass is the first vertex's class of the best bound,
         # which here holds the destabilizer [0, 1]; it yields each
         # superspace twice, which doubles the destabilizer's count
-        original = hn_module.superspace_enumerator
+        original = hn_module.superspaces
         calls = []
 
-        def first_doubled(floor, k):
+        def first_doubled(field, floor, dim, k):
             copies = 1 if calls else 2
             calls.append(floor)
-            return (u for u in original(floor, k) for _ in range(copies))
+            return (u for u in original(field, floor, dim, k) for _ in range(copies))
 
-        monkeypatch.setattr(hn_module, "superspace_enumerator", first_doubled)
+        monkeypatch.setattr(hn_module, "superspaces", first_doubled)
         with pytest.raises(
             InternalCheckError, match=r"^maximal destabilizer is not unique \(2 candidates\)$"
         ):
@@ -350,17 +350,17 @@ class TestScanWork:
 
     @pytest.mark.parametrize("dims", list(SCAN_WORK))
     def test_enumerations_per_guard_edge_scan(self, dims, monkeypatch, count_calls):
-        original = hn_module.superspace_enumerator
+        original = hn_module.superspaces
         calls, yielded = [], []
 
-        def counting(floor, k):
+        def counting(field, floor, dim, k):
             calls.append(k)
-            for u in original(floor, k):
+            for u in original(field, floor, dim, k):
                 yielded.append(k)
                 yield u
 
-        monkeypatch.setattr(hn_module, "superspace_enumerator", counting)
-        floor_updates = count_calls(hn_module, "column_echelon")
+        monkeypatch.setattr(hn_module, "superspaces", counting)
+        floor_updates = count_calls(hn_module, "span_with_image")
         v = zero_map_path(dims)
         report = hn_bruteforce(v, euler_stability(v.quiver))
         assert report.total_dims() == dims

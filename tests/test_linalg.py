@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hnzz
+from hnzz import linalg
 from hnzz.errors import GuardError, ValidationError
 from hnzz.linalg import (
     GF,
@@ -18,20 +19,19 @@ from hnzz.linalg import (
     PrimeField,
     RationalField,
     block_diag,
-    column_echelon,
     flag_completed,
     flag_image,
     flag_preimage,
+    from_columns,
     hstack,
     inverse,
-    pivot_rows,
     prefix_sum_dim,
     random_invertible_rng,
     rank,
     rref,
+    span_with_image,
     subspace_contains,
-    subspace_enumerator,
-    superspace_enumerator,
+    superspaces,
     zero_space,
 )
 
@@ -40,10 +40,12 @@ from conftest import (
     every_subspace,
     every_superspace,
     flag_op,
+    pivot_rows,
     reference_column_echelon,
     reference_kernel,
     reference_matmul,
     reference_rref,
+    reference_superspaces,
 )
 
 FIELDS = [QQ, GF(2), GF(3), GF(5)]
@@ -60,6 +62,27 @@ def gaussian_binomial(n: int, k: int, p: int) -> int:
 
 def subspace_total(n: int, p: int) -> int:
     return sum(gaussian_binomial(n, k, p) for k in range(n + 1))
+
+
+def column_echelon(m: Matrix) -> Matrix:
+    """The package's canonical basis of the column span: ``_echelon`` of the columns.
+
+    Zero columns are dropped, so two matrices span the same subspace iff
+    the results are equal.
+    """
+    return from_columns(m.field, linalg._echelon(m.field, linalg.columns(m))[0], m.rows)
+
+
+def package_superspaces(floor: Matrix, k: int) -> list[Matrix]:
+    """``linalg.superspaces`` of span(floor), each read back as a basis Matrix."""
+    vectors = linalg.columns(floor)
+    return [from_columns(floor.field, u, floor.rows)
+            for u in superspaces(floor.field, vectors, floor.rows, k)]
+
+
+def package_subspaces(dim: int, p: int) -> list[Matrix]:
+    """Every subspace of GF(p)^dim from ``linalg.superspaces``, class by class."""
+    return [u for k in range(dim + 1) for u in package_superspaces(zero_space(GF(p), dim), k)]
 
 
 def kernel(m: Matrix) -> Matrix:
@@ -199,10 +222,10 @@ class TestTrustedConstructor:
             Matrix.identity(fld, c),
             zero_space(fld, r),
         ]
-        if fld in (GF(2), GF(3)):  # the enumerators stop at p = 3
+        if fld in (GF(2), GF(3)):  # the enumerator stops at p = 3
             floor = column_echelon(data.draw(matrix_of(fld, 2, 1)))
-            out += every_subspace(2, fld.p)
-            out += every_superspace(floor)
+            out += package_subspaces(2, fld.p)
+            out += [u for k in range(3) for u in package_superspaces(floor, k)]
         for result in out:
             assert_canonical(result)
 
@@ -291,43 +314,45 @@ class TestSubspaceEnumerator:
         [(0, 2), (1, 2), (2, 2), (3, 2), (4, 2), (0, 3), (1, 3), (2, 3), (3, 3)],
     )
     def test_count_matches_gaussian_binomial(self, dim, p):
-        got = every_subspace(dim, p)
+        got = package_subspaces(dim, p)
         assert len(got) == subspace_total(dim, p)
         # pairwise distinct canonical forms
         assert len({(b.cols, b.data) for b in got}) == len(got)
         # each is its own canonical echelon form
         for b in got:
-            assert column_echelon(b) == b
+            assert reference_column_echelon(b) == b
         # 0-dimensional and full subspaces included
         assert any(b.cols == 0 for b in got)
         assert any(b.cols == dim for b in got)
         # class k holds exactly the k-dimensional ones
         for k in range(dim + 1):
-            cls = list(subspace_enumerator(dim, p, k))
+            cls = list(superspaces(GF(p), (), dim, k))
             assert len(cls) == gaussian_binomial(dim, k, p)
-            assert all(b.cols == k for b in cls)
+            assert all(len(u) == k for u in cls)
 
     def test_small_cases(self):
-        assert len(every_subspace(1, 2)) == 2
-        assert len(every_subspace(2, 2)) == 5
-        assert len(every_subspace(3, 2)) == 16
+        assert len(package_subspaces(1, 2)) == 2
+        assert len(package_subspaces(2, 2)) == 5
+        assert len(package_subspaces(3, 2)) == 16
 
     def test_guard_dim(self):
         with pytest.raises(GuardError):
-            subspace_enumerator(7, 2, 0)
+            superspaces(GF(2), (), 7, 0)
 
     def test_guard_p(self):
         with pytest.raises(GuardError):
-            subspace_enumerator(2, 5, 0)
+            superspaces(GF(5), (), 2, 0)
 
     def test_nonprime_rejected(self):
         with pytest.raises(ValidationError):
-            subspace_enumerator(2, 4, 0)
+            superspaces(QQ, (), 2, 0)
+        with pytest.raises(ValidationError):
+            superspaces(GF(4), (), 2, 0)
 
     def test_huge_modulus_rejected_at_once(self):
         start = time.perf_counter()
         with pytest.raises(ValidationError):
-            subspace_enumerator(1, 2305843009213693951, 0)
+            superspaces(GF(2305843009213693951), (), 1, 0)
         assert time.perf_counter() - start < 1.0
 
 
@@ -547,19 +572,37 @@ class TestSubspaceOps:
 
     def test_superspaces(self):
         floor = Matrix(GF(2), [[1], [0], [0]])
-        sup = every_superspace(floor)
+        sup = [u for k in range(3) for u in package_superspaces(floor, k)]
         assert len(sup) == subspace_total(2, 2)
         for k in range(3):
-            assert all(u.cols == 1 + k for u in superspace_enumerator(floor, k))
+            assert all(u.cols == 1 + k for u in package_superspaces(floor, k))
         assert all(subspace_contains(u, floor) for u in sup)
         assert len({(u.cols, u.data) for u in sup}) == len(sup)
 
     @pytest.mark.parametrize("dim,p", [(d, 2) for d in range(5)] + [(d, 3) for d in range(4)])
     def test_superspaces_of_zero_floor(self, dim, p):
-        # the zero floor hands back the subspace enumeration as it is
+        # the zero floor yields the subspaces in the reference's order
         for k in range(dim + 1):
-            got = list(superspace_enumerator(zero_space(GF(p), dim), k))
-            assert got == list(subspace_enumerator(dim, p, k))
+            got = package_superspaces(zero_space(GF(p), dim), k)
+            assert got == reference_superspaces(zero_space(GF(p), dim), k)
+
+    @pytest.mark.parametrize("dim,p", [(3, 2), (4, 2), (3, 3)])
+    def test_superspaces_of_every_floor(self, dim, p):
+        # lifted onto the free coordinates and merged with the cleared
+        # floor, each superspace is the reference's, in the reference's order
+        for floor in every_subspace(dim, p):
+            for k in range(dim - floor.cols + 1):
+                assert package_superspaces(floor, k) == reference_superspaces(floor, k)
+
+    def test_span_with_image(self):
+        fld = GF(3)
+        m = Matrix(fld, [[1, 2], [0, 0], [2, 1]])
+        floor = Matrix(fld, [[0], [1], [0]])
+        for basis in every_subspace(2, 3):
+            got = span_with_image(fld, linalg.columns(floor), linalg.columns(basis),
+                                  linalg.columns(m))
+            want = reference_column_echelon(hstack([floor, m @ basis]))
+            assert from_columns(fld, got, 3) == want
 
     def test_inverse_roundtrip(self):
         m = random_invertible_rng(3, GF(7), random.Random(11))

@@ -9,13 +9,14 @@ import pytest
 
 from hnzz.affine import AffineQuiver, indec_N, indec_T
 from hnzz.errors import ValidationError
-from hnzz.hn import HNReport
-from hnzz.linalg import GF, QQ, Matrix
-from hnzz.quiver import Quiver
+from hnzz.hn import HNReport, hn_bruteforce
+from hnzz.linalg import GF, QQ, Matrix, superspaces
+from hnzz.quiver import Quiver, euler_stability
 from hnzz.zigzag import Barcode, Interval, interval_module
 
 A2 = Quiver(2, ((0, 1),))
 AQ = AffineQuiver(2, (0, 1))
+V2 = interval_module(A2, Interval(0, 1), GF(2))
 
 
 @pytest.mark.parametrize(
@@ -42,6 +43,11 @@ AQ = AffineQuiver(2, (0, 1))
         lambda: indec_N(AQ, 0, 2.5, QQ),
         lambda: indec_N(AQ, None, 1, QQ),
         lambda: indec_N(AQ, False, 1, QQ),
+        lambda: hn_bruteforce(None, euler_stability(A2)),
+        lambda: hn_bruteforce("x", euler_stability(A2)),
+        lambda: hn_bruteforce(V2, None),
+        lambda: hn_bruteforce(V2, "ab"),
+        lambda: superspaces(GF(2), (), 2, -1),
     ],
     ids=[
         "GF(None)",
@@ -65,6 +71,11 @@ AQ = AffineQuiver(2, (0, 1))
         "indec_N(endpoint 2.5)",
         "indec_N(endpoint None)",
         "indec_N(endpoint False)",
+        "hn_bruteforce(None, alpha)",
+        "hn_bruteforce('x', alpha)",
+        "hn_bruteforce(v, None)",
+        "hn_bruteforce(v, 'ab')",
+        "superspaces(k -1)",
     ],
 )
 def test_wrong_type_refused(build):
