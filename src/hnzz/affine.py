@@ -205,13 +205,25 @@ def default_window(v: Representation) -> int:
     return affine_of_quiver(v.quiver).n * (v.dims[0] + 2)
 
 
+def _check_window_cap(D) -> None:
+    """ValidationError unless D is an int proper, ShapeError past ``LIFT_MAX_WINDOW``."""
+    check_ints((D,), "window length")
+    if D > LIFT_MAX_WINDOW:
+        raise ShapeError(f"window length {shown(D)} exceeds LIFT_MAX_WINDOW = {LIFT_MAX_WINDOW}")
+
+
 def lift_truncated(v: Representation, D: int) -> Representation:
     """The unwinding of v restricted to positions 0..D.
 
     Position i carries the space at vertex i mod n; the edge between
     i-1 and i carries the matrix of e_{i mod n} and points right exactly
-    when that edge is CW.
+    when that edge is CW.  D must be an int from 0 to ``LIFT_MAX_WINDOW``:
+    a wrong type or a negative D raises ValidationError, a longer window
+    ShapeError, before anything is built.
     """
+    _check_window_cap(D)
+    if D < 0:
+        raise ValidationError(f"window length {D} is negative")
     aq = affine_of_quiver(v.quiver)
     n = aq.n
     dims = tuple(v.dims[i % n] for i in range(D + 1))
@@ -245,13 +257,13 @@ def classify_lift(
     multiple of n and at least ``default_window(v)``, since a shorter
     window can clip every translate of a wrapped interval and silently
     report wrong classes, and at most ``LIFT_MAX_WINDOW``.  Each failure
-    raises ShapeError before anything is lifted.
+    raises ShapeError before anything is lifted; a window that is not an
+    int (a bool included) raises ValidationError.
     """
     bound = default_window(v)
     n = v.quiver.vertex_count
     D = bound if window is None else window
-    if D > LIFT_MAX_WINDOW:
-        raise ShapeError(f"window length {shown(D)} exceeds LIFT_MAX_WINDOW = {LIFT_MAX_WINDOW}")
+    _check_window_cap(D)
     if D % n != 0:
         raise ShapeError(f"window length {D} must be a multiple of n={n}")
     if D < bound:

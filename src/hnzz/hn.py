@@ -172,8 +172,8 @@ def _quotient_table(
     first bases are the first subrepresentation with those quotient dims
     in the order that picks each vertex's subspace in turn along
     ``_scan_order`` (each from ``superspaces``, one dimension class at a
-    time), as column-echelon Matrix values, and the count is how many
-    there are.
+    time), as one tuple of canonical basis vectors per vertex (``_stage``
+    turns them into Matrix values), and the count is how many there are.
 
     A suffix DP over the topological order: the subreps on ``order[i:]``
     depend on the choices before i only through the partial floors of
@@ -279,11 +279,16 @@ def _quotient_table(
         if dims not in keys:  # the zero quotient
             continue
         by_vertex = [0] * len(v.dims)
-        stage = list(above)
+        vectors: list[tuple] = [()] * len(v.dims)
         for x, d, u in zip(order, dims, bases):
-            by_vertex[x], stage[x] = d, from_columns(field, u, v.dims[x])
-        seen[tuple(by_vertex)] = [keys[dims], tuple(stage), count]
+            by_vertex[x], vectors[x] = d, u
+        seen[tuple(by_vertex)] = [keys[dims], tuple(vectors), count]
     return seen
+
+
+def _stage(v: Representation, vectors: Sequence[tuple]) -> tuple[Matrix, ...]:
+    """The column-echelon Matrix bases of a table entry's basis-vector tuples."""
+    return tuple(from_columns(v.field, u, d) for u, d in zip(vectors, v.dims))
 
 
 def hn_bruteforce(v: Representation, alpha: StabilityCondition) -> HNReport:
@@ -313,7 +318,7 @@ def hn_bruteforce(v: Representation, alpha: StabilityCondition) -> HNReport:
             raise InternalCheckError(
                 f"maximal destabilizer is not unique ({count} candidates)"
             )
-        stage = seen[winners[0]][1]
+        stage = _stage(v, seen[winners[0]][1])
         steps.append((slope_of_dims(winners[0], alpha), winners[0]))
         witness.append(stage)
     report = HNReport(v.quiver, tuple(steps), tuple(witness))

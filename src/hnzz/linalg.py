@@ -543,9 +543,14 @@ def superspaces(field: Field, floor: Sequence[tuple[int, ...]], dim: int, k: int
 # a d x k matrix of full column rank whose first ``dims[i]`` columns span
 # member i.  Nested members are equal exactly when their dimensions are,
 # so no member needs a canonical basis of its own, and each operation
-# below moves the whole chain with at most one elimination.  A member is
-# the span of its columns, so each column may be scaled freely: the
-# operations take and return IntMatrix bases and edge matrices.
+# below moves the whole chain with at most one elimination.  An injective
+# map moves it with none: the images of the columns stay independent, so
+# ``flag_moved`` is one product with the dims unchanged, and the preimage
+# flag through an invertible map is the flag moved by its inverse
+# (``scaled_inverse``, once per map).  A member is the span of its
+# columns, so each column may be scaled freely, and a map by a nonzero
+# scalar: the operations take and return IntMatrix bases and edge
+# matrices.
 # ---------------------------------------------------------------------------
 
 
@@ -608,6 +613,45 @@ def flag_preimage(m: IntMatrix, basis: IntMatrix, dims: Sequence[int]
     data = tuple(zip(*columns)) if columns else ((),) * m.cols
     new_dims = [bisect_left(free, m.cols + d) for d in dims]
     return IntMatrix(field, m.cols, len(columns), data), new_dims
+
+
+def flag_moved(m: IntMatrix, basis: IntMatrix, dims: Sequence[int]
+               ) -> tuple[IntMatrix, list[int]]:
+    """The flag of images m(member i) for an injective m, with one product and no elimination.
+
+    An injective m keeps the columns of ``m @ basis`` independent, so they
+    are an adapted basis of the image flag with the same dims.  The
+    preimage flag through an invertible edge matrix is this flag moved by
+    ``scaled_inverse`` of it.  Each column is divided by the gcd of its
+    entries, as ``flag_preimage`` divides its kernel vectors, so over QQ a
+    basis carried across many products keeps small entries.
+    """
+    moved = _product(m.field, m.data, basis.data, basis.cols)
+    scales = [gcd(*col) for col in zip(*moved)]
+    if any(g > 1 for g in scales):
+        moved = [[x // g for x, g in zip(row, scales)] for row in moved]
+    return IntMatrix(m.field, m.rows, basis.cols, tuple(map(tuple, moved))), list(dims)
+
+
+def scaled_inverse(m: IntMatrix) -> IntMatrix | None:
+    """m's inverse times one nonzero scalar, from one RREF of [m | I]; None unless m is invertible.
+
+    Full reduction leaves row i as its pivot times the reduced row, so the
+    right half of row i, times the lcm of the pivots over that pivot, is
+    row i of the inverse times that lcm, as ``flag_preimage`` builds its
+    kernel vectors.  A non-square m is refused with no elimination.
+    """
+    n = m.rows
+    if m.cols != n:
+        return None
+    work = [row + tuple(int(i == j) for j in range(n)) for i, row in enumerate(m.data)]
+    pivots = _gauss_jordan(m.field, work)
+    if pivots and pivots[-1] >= n:
+        return None
+    den = lcm(*[work[i][i] for i in range(n)])
+    reduce = m.field.reduce
+    scaled = [reduce([x * (den // row[i]) for x in row[n:]]) for i, row in enumerate(work)]
+    return IntMatrix(m.field, n, n, tuple(map(tuple, scaled)))
 
 
 def flag_completed(basis: IntMatrix) -> IntMatrix:

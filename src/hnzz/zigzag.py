@@ -76,16 +76,34 @@ positions earlier with its starts shifted, and the remaining bars close
 by translation, with no elimination and no rank test.  Only the last p
 positions' marks and rows are kept.
 
+On a periodic path every edge matrix object recurs, so the sweep works
+out once per object and direction whether crossing it needs an
+elimination at all (``_crossing``).  A bijection between consecutive
+spaces maps each flag member onto a member of the same dimension
+(Carlsson and de Silva, "Zigzag persistence", 2010), and so does an
+injective edge pointing right onto its image.  So an edge pointing right
+whose matrix has full column rank (one rank), or an edge pointing left
+whose square matrix inverts (one RREF of [m | I]), moves both flags by a
+product with that matrix or with its inverse, ``flag_moved``, dims
+unchanged.  The inverse is m's inverse times the lcm of the pivots, a
+global scalar that no column span sees.  A trivial flag keeps its dims
+across a bijection, which maps 0 to 0 and the whole space to the whole
+space, and its basis, which is never read (``_crossed``).  Every other
+edge, and every edge of an aperiodic path, takes ``flag_image`` or
+``flag_preimage``.
+
 Over QQ the sweep runs on integer rows.  Each edge matrix object is
-cleared of its denominators once (``IntMatrix.of``: times the lcm of all
-of them) and kept by its identity, so a shared matrix stays shared for
-the trivial-step memo.  From then on both flags carry integer bases: an
-image basis is pivot columns of an integer product, a preimage basis is
-integer kernel vectors divided by their gcds.  Scaling an edge matrix,
-or any basis column, by a nonzero rational moves no member, pivot or
-rank, so the bars are those of Fraction arithmetic, and no Fraction is
-built after the parse.  The period test still compares the original
-matrices.  Over GF(p) the same code runs on the residues.
+cleared of its denominators once per direction (``IntMatrix.of``: times
+the lcm of all of them) and kept by its identity, so a shared matrix
+stays shared for the trivial-step memo.  From then on both flags carry
+integer bases: an image basis is pivot columns of an integer product, a
+preimage basis is integer kernel vectors divided by their gcds, and a
+moved basis is an integer product with each column divided by its gcd.
+Scaling an edge matrix, or any basis column, by a nonzero rational moves
+no member, pivot or rank, so the bars are those of Fraction arithmetic,
+and no Fraction is built after the parse.  The period test still
+compares the original matrices.  Over GF(p) the same code runs on the
+residues.
 """
 
 from __future__ import annotations
@@ -101,8 +119,11 @@ from .linalg import (
     Matrix,
     flag_completed,
     flag_image,
+    flag_moved,
     flag_preimage,
     prefix_sum_dim,
+    rank,
+    scaled_inverse,
 )
 from .quiver import Quiver, Representation, check_ints
 
@@ -269,8 +290,8 @@ def _rank_rows(v: Representation, steps: list[tuple[int, bool]]) -> Iterator[dic
     # both chains are flags over one list of marks (start a, dim A[a], dim R[a])
     a_basis, r_basis = IntMatrix.identity(fld, dims[0]), IntMatrix.zero_space(fld, dims[0])
     marks = [(0, dims[0], 0)]
-    # each edge matrix object on int rows, cleared once
-    cleared: dict[int, IntMatrix] = {}
+    # per (edge matrix object, points right): its flag step, found once
+    cleared: dict[tuple[int, bool], tuple] = {}
     # trivial flag steps, one per (matrix, direction, chain, has a full member)
     trivial_steps: dict[tuple, tuple[IntMatrix, list[int]]] = {}
 
@@ -278,10 +299,9 @@ def _rank_rows(v: Representation, steps: list[tuple[int, bool]]) -> Iterator[dic
         if k > 0:
             eidx, forward = steps[k - 1]
             m = v.mats[eidx]
-            if id(m) not in cleared:
-                cleared[id(m)] = IntMatrix.of(m)
-            m = cleared[id(m)]
-            op = flag_image if forward else flag_preimage
+            if (id(m), forward) not in cleared:
+                cleared[id(m), forward] = _crossing(m, forward, period > 0)
+            op, m = cleared[id(m), forward]
             starts, a_dims, r_dims = zip(*marks)
             a_basis, a_dims = _crossed(m, op, a_basis, a_dims, True, trivial_steps)
             r_basis, r_dims = _crossed(m, op, r_basis, r_dims, False, trivial_steps)
@@ -301,6 +321,28 @@ def _rank_rows(v: Representation, steps: list[tuple[int, bool]]) -> Iterator[dic
         past_marks.append(marks)
         past_rows.append(g)
         yield g
+
+
+def _crossing(mat: Matrix, forward: bool, periodic: bool) -> tuple:
+    """The flag operation across the edge matrix ``mat`` and the int rows it applies.
+
+    On a periodic path each matrix object recurs, so whether the crossing
+    is a bijection's product is found once per object and direction
+    (module docstring): an injective m moves the image flag, and an
+    invertible m's ``scaled_inverse`` moves the preimage flag, by
+    ``flag_moved``.  Anything else, and every edge of an aperiodic path,
+    takes ``flag_image`` or ``flag_preimage``.
+    """
+    m = IntMatrix.of(mat)
+    if periodic:
+        if forward:
+            if rank(mat) == m.cols:
+                return flag_moved, m
+        else:
+            inverse = scaled_inverse(m)
+            if inverse is not None:
+                return flag_moved, inverse
+    return (flag_image if forward else flag_preimage), m
 
 
 def _least_period(seq) -> int:
@@ -332,10 +374,13 @@ def _crossed(m: IntMatrix, op, basis: IntMatrix, dims, completed: bool, memo: di
     and each member takes the new dim of the zero or the full member.
     The basis a trivial flag carries is never read: its next step starts
     from the plain basis again, and ``_rank_jumps`` prices its members by
-    their dims.
+    their dims.  So a trivial flag crosses a bijection (``flag_moved`` by
+    a square matrix) as it is.
     """
     d = basis.rows
     if set(dims) <= {0, d}:
+        if op is flag_moved and m.rows == d:
+            return basis, dims
         full = any(dims)
         key = (id(m), op, completed, full)
         if key not in memo:

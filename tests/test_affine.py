@@ -10,6 +10,7 @@ import pytest
 
 import hnzz
 
+from hnzz import linalg, zigzag
 from hnzz.errors import ShapeError, ValidationError
 from hnzz.linalg import GF, QQ, Matrix
 from hnzz.quiver import (
@@ -42,7 +43,7 @@ from hnzz.affine import (
     to_quiver,
     wrap_counts,
 )
-from hnzz.generators import gen_affine
+from hnzz.generators import gen_affine, random_orientation
 
 from conftest import conjugating_bases, make_rng
 
@@ -310,6 +311,55 @@ class TestLiftedMultiplicities:
         base = default_window(rep)
         with pytest.raises(ShapeError):
             lifted_multiplicities(rep, base - EX.n)
+
+
+class TestBijectiveCrossings:
+    """A lift window crosses a bijective edge matrix by one product, found once per matrix."""
+
+    def test_all_bijective_cycle_work(self, count_calls):
+        # Jordan cells only, conjugated: every edge matrix of the cycle is
+        # bijective, and lift_truncated repeats its n objects with period
+        # n.  A bijection moves the zero member to 0 and the whole space to
+        # the whole space, so both flags stay trivial, each position keeps
+        # the one mark (0, dim, 0), no rank is taken, and the sweep stops
+        # at position n, whose marks repeat those of position 0.  So each
+        # of the n crossings is the first of its matrix: one rank (pointing
+        # right) or one [m | I] reduction (pointing left) decides that it
+        # is a product, and neither flag needs one.  No completion runs:
+        # the image flag keeps all of V_k.  The elimination route ran
+        # n + (left-pointing edges) here, a kernel more per such edge
+        rng = make_rng(34)
+        eliminations = count_calls(linalg, "_gauss_jordan")
+        for n in (2, 7, 12):
+            aq = AffineQuiver(n, random_orientation(n, rng))
+            rep = direct_sum(indec_T(aq, 1, 2, GF(3)), indec_T(aq, 2, 1, GF(3)))
+            rep = conjugate(rep, conjugating_bases(rep, rng))
+            eliminations.clear()
+            d_inf, classes, _ = classify_lift(rep)
+            assert (d_inf, classes) == (3, {})
+            assert len(eliminations) == n
+
+    @pytest.mark.parametrize("n", [50, 100])
+    def test_rational_cycle_exact_with_small_entries(self, n, monkeypatch):
+        # a wrapped interval winding three times plus a size-2 cell over QQ,
+        # conjugated: the product route carries partial flags across
+        # hundreds of bijective edges, each product's columns divided by
+        # their gcds, so the entries stay small and the summands exact
+        rng = make_rng(35)
+        aq = AffineQuiver(n, random_orientation(n, rng))
+        rep = direct_sum(indec_N(aq, 1, 1 + 3 * n + 2, QQ), indec_T(aq, 1, 2, QQ))
+        rep = conjugate(rep, conjugating_bases(rep, rng))
+        bits = []
+
+        def recording(m, basis, dims, moved=zigzag.flag_moved):
+            out = moved(m, basis, dims)
+            bits.extend(abs(x).bit_length() for row in out[0].data for x in row)
+            return out
+
+        monkeypatch.setattr(zigzag, "flag_moved", recording)
+        d_inf, classes, _ = classify_lift(rep)
+        assert (d_inf, classes) == (2, {NClass(1, 1 + 3 * n + 2): 1})
+        assert bits and max(bits) <= 64
 
 
 class TestEtaFromLift:

@@ -33,9 +33,9 @@ from hnzz.linalg import PrimeField, RationalField  # noqa: E402
 # (eliminations, row updates) of one seed-1 round's requests; products
 # accumulate in ints and make no row updates
 ROUND_WORK = {
-    "lift-long": (2416, 27760),
+    "lift-long": (726, 8430),
     "zigzag-rational": (1490, 22764),
-    "oracle-certify": (1350, 730),
+    "oracle-certify": (1321, 712),
 }
 
 # (passes, enumerations, superspaces) of the oracle over the same round

@@ -284,7 +284,8 @@ class TestQuotientTable:
         # at every stage of every pass, walking subrepresentations(v,
         # above=stage): the pruned table ranks its entries as the walk's
         # (slope, total) keys do, its top entries are the dims of the
-        # walk's best key, each with the walk's count and first bases, and
+        # walk's best key, each with the walk's count and first bases (the
+        # table's basis-vector tuples read as Matrix values), and
         # every other entry is a dims of the walk with at most its count
         rng = make_rng(29)
         runs = []
@@ -319,7 +320,8 @@ class TestQuotientTable:
                 winners = {dims for dims, key in keys.items() if key == best}
                 assert {dims for dims in table if table[dims][0] == top} == winners
                 for dims in winners:
-                    assert table[dims][1:] == [first[dims], counts[dims]]
+                    _, vectors, count = table[dims]
+                    assert (hn_module._stage(v, vectors), count) == (first[dims], counts[dims])
                 for dims, (_, _, count) in table.items():
                     assert 0 < count <= counts[dims]
                 stages_checked += 1

@@ -2,13 +2,15 @@
 
 Each public constructor below once let such an input escape as a bare
 TypeError, ValueError or AttributeError, or, for a fractional interval
-endpoint, took it without a word.
+endpoint or a bool window, took it without a word.  A lift window out of
+range is refused too: a negative one once gave the empty unwinding, and
+one past ``LIFT_MAX_WINDOW`` ran until killed.
 """
 
 import pytest
 
-from hnzz.affine import AffineQuiver, indec_N, indec_T
-from hnzz.errors import ValidationError
+from hnzz.affine import AffineQuiver, classify_lift, indec_N, indec_T, lift_truncated
+from hnzz.errors import ShapeError, ValidationError
 from hnzz.hn import HNReport, hn_bruteforce
 from hnzz.linalg import GF, QQ, Matrix, superspaces
 from hnzz.quiver import Quiver, euler_stability
@@ -17,6 +19,7 @@ from hnzz.zigzag import Barcode, Interval, interval_module
 A2 = Quiver(2, ((0, 1),))
 AQ = AffineQuiver(2, (0, 1))
 V2 = interval_module(A2, Interval(0, 1), GF(2))
+CELL = indec_T(AQ, 1, 1, GF(2))  # default window 6
 
 
 @pytest.mark.parametrize(
@@ -48,6 +51,10 @@ V2 = interval_module(A2, Interval(0, 1), GF(2))
         lambda: hn_bruteforce(V2, None),
         lambda: hn_bruteforce(V2, "ab"),
         lambda: superspaces(GF(2), (), 2, -1),
+        lambda: classify_lift(CELL, "6"),
+        lambda: classify_lift(CELL, 6.0),
+        lambda: classify_lift(CELL, True),
+        lambda: lift_truncated(CELL, 6.0),
     ],
     ids=[
         "GF(None)",
@@ -76,8 +83,22 @@ V2 = interval_module(A2, Interval(0, 1), GF(2))
         "hn_bruteforce(v, None)",
         "hn_bruteforce(v, 'ab')",
         "superspaces(k -1)",
+        "classify_lift(window '6')",
+        "classify_lift(window 6.0)",
+        "classify_lift(window True)",
+        "lift_truncated(window 6.0)",
     ],
 )
 def test_wrong_type_refused(build):
     with pytest.raises(ValidationError):
         build()
+
+
+@pytest.mark.parametrize(
+    "window, error",
+    [(-1, ValidationError), (10**30, ShapeError)],
+    ids=["lift_truncated(window -1)", "lift_truncated(window 10**30)"],
+)
+def test_lift_window_out_of_range_refused(window, error):
+    with pytest.raises(error, match="window length"):
+        lift_truncated(CELL, window)

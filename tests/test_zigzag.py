@@ -597,6 +597,44 @@ def test_periodic_paths_replay_their_repeats(fld, count_calls):
     assert zero_dims
 
 
+def edge_kind(forward: bool, m: Matrix) -> str:
+    """m as the sweep sees it: "bijective", "singular" (square), "injective" or "other".
+
+    "injective" is a non-square m of full column rank on an edge pointing right.
+    """
+    full = rank(m) == m.cols
+    if m.rows == m.cols:
+        return "bijective" if full else "singular"
+    return "injective" if forward and full else "other"
+
+
+@pytest.mark.parametrize("fld", [GF(2), GF(3), QQ], ids=repr)
+def test_product_route_agrees_with_elimination(fld, count_calls):
+    # on a periodic path a bijective edge moves both flags by one product
+    # (an injective one pointing right moves the image flag), with the
+    # same members as elimination would find: periodic paths and lift
+    # windows, priced against one generalized rank per interval
+    rng = make_rng(73)
+    moved = count_calls(zigzag, "flag_moved")
+    kinds = set()
+    with_products = 0
+    draws = [periodic_pair(rng, fld)[0] for _ in range(40)]
+    for _ in range(4):
+        _, v, _, _ = gen_affine(rng.randint(2, 3), fld, 3, rng, min_summands=1, total_cap=5,
+                                vertex_cap=2)
+        draws.append(lift_truncated(v, default_window(v)))
+    for v in draws:
+        start = len(moved)
+        assert bars(v) == inclusion_exclusion_bars(v)
+        steps = [(forward, v.mats[eidx]) for eidx, forward in path_steps(v.quiver)]
+        kinds |= {(forward, edge_kind(forward, m)) for forward, m in steps}
+        with_products += len(moved) > start
+    print(f"  {sorted(kinds)}; {len(moved)} products in {with_products} of {len(draws)} sweeps")
+    assert with_products >= 10
+    assert {(True, "bijective"), (False, "bijective"), (True, "injective"),
+            (True, "singular"), (False, "singular")} <= kinds
+
+
 @pytest.mark.parametrize(
     "seq, period", [("", 0), ("a", 1), ("abab", 2), ("aaab", 4), ("aaaa", 1), ("abcab", 3)]
 )
