@@ -290,11 +290,9 @@ def classify_lift(
     return d_inf, classes, bar
 
 
-def lifted_multiplicities(
-    v: Representation, window: int | None = None
-) -> tuple[int, dict[NClass, int]]:
-    """(d_inf, classes) of ``classify_lift``, without the window barcode."""
-    d_inf, classes, _ = classify_lift(v, window)
+def lifted_multiplicities(v: Representation) -> tuple[int, dict[NClass, int]]:
+    """(d_inf, classes) of ``classify_lift`` on the default window, without its barcode."""
+    d_inf, classes, _ = classify_lift(v)
     return d_inf, classes
 
 

@@ -8,20 +8,21 @@ next stage, and returns explicit filtration bases in the input
 coordinates.  It works on any acyclic quiver but raises GuardError past
 fixed limits: total dimension ``ORACLE_MAX_TOTAL_DIM[p]`` (below) and
 the enumerator limits ``ENUM_MAX_DIM``, ``ENUM_MAX_P`` (in ``linalg``).
-Each pass of ``hn_bruteforce`` needs only a count and one witness per
-quotient dimension vector of the best (slope, total) key, so a suffix DP
-over the topological order builds one table per tuple of partial floors
-(``_quotient_table``); the tables are freed when the pass ends.  A slope
-bound prices each dimension class of each vertex before any of its
-superspaces is enumerated: the best key of any vector in that class, the
-other vertices ranging freely.  A threshold T, the best key of a
+Each pass of ``hn_bruteforce`` returns the one destabilizer of the
+quotient (``_destabilizer``): its dims, its basis vectors and how many
+subrepresentations share its (slope, total) key.  A suffix DP over the
+topological order builds one table per tuple of partial floors; the
+tables are freed when the pass ends, and none leaves it.  A slope bound
+prices each dimension class of each vertex before any of its superspaces
+is enumerated: the best key of any vector in that class, the other
+vertices ranging freely.  A threshold T, the best key of a
 subrepresentation priced so far (at first the whole quotient), only
 rises, and a class whose bound is below T is never walked, so the
 destabilizer and its count are those of the full scan.  The scan skips
 the vertices of dimension 0.  Inside it a subspace, floors included, is
-the tuple of its canonical basis vectors (``linalg.superspaces``); a
-``Matrix`` appears only at its boundary, for the stage that comes in and
-the bases that go out.
+the tuple of its canonical basis vectors (``linalg.superspaces``), and
+so is the stage that one pass hands the next; a ``Matrix`` appears only
+in the witness.
 ``hn_from_barcode`` is the fast route for equioriented type-A
 representations under the Euler weights: one step per interval family
 [0, j] plus a final slope-0 step for everything else.
@@ -51,12 +52,12 @@ from .linalg import (
     from_columns,
     span_with_image,
     superspaces,
-    zero_space,
 )
 from .quiver import (
     Quiver,
     Representation,
     StabilityCondition,
+    check_ints,
     check_weights,
     restrict,
     slope_of_dims,
@@ -79,17 +80,23 @@ class HNReport:
     witness: tuple[tuple[Matrix, ...], ...] | None = field(default=None, compare=False)
 
     def __post_init__(self):
+        if not isinstance(self.quiver, Quiver):
+            raise ValidationError(f"HN report quiver {shown(self.quiver)} is not a Quiver")
         try:
-            steps = tuple((sl, dims) for sl, dims in self.steps)
+            steps = tuple((sl, tuple(dims)) for sl, dims in self.steps)
         except (TypeError, ValueError):
             raise ValidationError(
                 f"HN steps: {shown(self.steps)} are not (slope, dims) pairs"
             ) from None
+        steps = tuple((QQ.coerce(sl), dims) for sl, dims in steps)
         object.__setattr__(self, "steps", steps)
         prev = None
         for sl, dims in steps:
             if len(dims) != self.quiver.vertex_count:
                 raise ValidationError("quotient dimension vector has wrong length")
+            check_ints(dims, "quotient dimension")
+            if any(d < 0 for d in dims):
+                raise ValidationError(f"quotient dimensions {shown(dims)} have a negative entry")
             if all(d == 0 for d in dims):
                 raise ValidationError("zero quotient in HN report")
             if prev is not None and not (sl < prev):
@@ -162,31 +169,32 @@ def is_semistable(v: Representation, alpha: StabilityCondition) -> bool:
     return len(steps) == 1
 
 
-def _quotient_table(
-    v: Representation, above: Sequence[Matrix], alpha: StabilityCondition
-) -> dict[tuple[int, ...], list]:
-    """Quotient dims -> [key, first bases, count] over the subreps containing ``above``.
+def _destabilizer(
+    v: Representation, stage: Sequence[tuple], alpha: StabilityCondition
+) -> tuple[tuple[int, ...], tuple[tuple, ...], int]:
+    """(dims, vectors, count) of the maximal destabilizer above ``stage``.
 
-    The quotient dims are taken beyond those of ``above``; the key ranks
-    them as the pass does, by (slope, total dimension), in integers; the
-    first bases are the first subrepresentation with those quotient dims
-    in the order that picks each vertex's subspace in turn along
-    ``_scan_order`` (each from ``superspaces``, one dimension class at a
-    time), as one tuple of canonical basis vectors per vertex (``_stage``
-    turns them into Matrix values), and the count is how many there are.
+    ``stage`` and ``vectors`` hold one tuple of canonical basis vectors
+    per vertex (``_stage`` turns them into Matrix values).  The subreps
+    containing the stage are ranked by their quotient dims beyond it, by
+    (slope, total dimension), in integers; ``dims`` and ``vectors``, in
+    vertex order, are the first subrep of the best key, and ``count`` is
+    how many have that key, over all its dims.  "First" is the order that
+    picks each vertex's subspace in turn along ``_scan_order`` (each from
+    ``superspaces``, one dimension class at a time).
 
     A suffix DP over the topological order: the subreps on ``order[i:]``
     depend on the choices before i only through the partial floors of
-    those vertices (``above`` plus the images of the chosen in-neighbours),
-    so one table per tuple of partial floors is built once and shared.
-    A floor is a tuple of canonical basis vectors, so equal floors are
-    equal keys; each image grows it by one ``span_with_image``, against
-    the edge matrix transposed once per pass.
+    those vertices (``stage`` plus the images of the chosen in-neighbours),
+    so one table (suffix dims -> first bases, count) per tuple of partial
+    floors is built once and shared.  Equal floors are equal keys; each
+    image grows a floor by one ``span_with_image``, against the edge
+    matrix transposed once per pass.
     ``_scan_order`` skips the vertices of dimension 0, so the recursion
     is no deeper than the total dimension.
 
-    The table is pruned by a slope bound.  Fixing the quotient class d at
-    one vertex and letting every other vertex range over its whole
+    The tables are pruned by a slope bound.  Fixing the quotient class d
+    at one vertex and letting every other vertex range over its whole
     quotient dimension, the best key of that box comes from adding
     vertices in decreasing-weight order and keeping the best prefix (the
     box is a linear-fractional program).  The bound holds whatever is
@@ -195,15 +203,15 @@ def _quotient_table(
     each top-level dims priced; T is always the key of a subrepresentation
     and so never exceeds the best key.  Each table walks its vertex's
     classes in decreasing-bound order and stops at the first bound below
-    T.  So the table holds every dims of the best key, with its exact
-    count and first bases; the other entries may be missing or short.
+    T, so every dims of the best key keeps its exact count and first
+    bases; the other entries may be missing or short and are dropped.
     The enumeration guard is checked up front for every vertex's whole
     quotient, so a refusal does not depend on what the bound skips.
     """
     order = _scan_order(v)
     n = len(order)
     field = v.field
-    done = [b.cols for b in above]
+    done = [len(u) for u in stage]
     free = [v.dims[x] - done[x] for x in order]
     for q in free:
         check_enum_guard(q, field)
@@ -274,20 +282,17 @@ def _quotient_table(
         memo[floors] = out
         return out
 
-    seen = {}
-    for dims, (bases, count) in table(tuple(columns(above[x]) for x in order)).items():
-        if dims not in keys:  # the zero quotient
-            continue
-        by_vertex = [0] * len(v.dims)
-        vectors: list[tuple] = [()] * len(v.dims)
-        for x, d, u in zip(order, dims, bases):
-            by_vertex[x], vectors[x] = d, u
-        seen[tuple(by_vertex)] = [keys[dims], tuple(vectors), count]
-    return seen
+    top = table(tuple(stage[x] for x in order))
+    # T ends at the best key: every dims of that key was priced
+    winners = [dims for dims, k in keys.items() if k == threshold]
+    dims, vectors = [0] * len(v.dims), list(stage)
+    for x, d, u in zip(order, winners[0], top[winners[0]][0]):
+        dims[x], vectors[x] = d, u
+    return tuple(dims), tuple(vectors), sum(top[w][1] for w in winners)
 
 
 def _stage(v: Representation, vectors: Sequence[tuple]) -> tuple[Matrix, ...]:
-    """The column-echelon Matrix bases of a table entry's basis-vector tuples."""
+    """The column-echelon Matrix bases of a stage's basis-vector tuples."""
     return tuple(from_columns(v.field, u, d) for u, d in zip(vectors, v.dims))
 
 
@@ -297,30 +302,26 @@ def hn_bruteforce(v: Representation, alpha: StabilityCondition) -> HNReport:
     Repeatedly extracts the subrepresentation of maximal slope and, among
     those, maximal total dimension.  The subrepresentations of v
     containing a stage are those of v / stage, so each pass asks
-    ``_quotient_table`` for the key, count and first bases per dimension
-    vector beyond the stage; the slope bound lets it leave out vectors
-    that cannot have the best key.  The counts of every vector with the
-    best key must sum to one: non-uniqueness cannot happen for a genuine
-    stability condition and raises InternalCheckError.  Output is
-    independent of enumeration order; the zero representation gets the
-    empty report.
+    ``_destabilizer`` for the one destabilizer beyond the stage, as
+    basis-vector tuples, and for the count of its key; the slope bound
+    lets the pass leave out vectors that cannot have the best key.  The
+    count must be one: non-uniqueness cannot happen for a genuine
+    stability condition and raises InternalCheckError.  Only the witness
+    is built as Matrix bases.  Output is independent of enumeration
+    order; the zero representation gets the empty report.
     """
     _check_oracle_guard(v)
     check_weights(v.quiver, alpha)
-    stage = tuple(zero_space(v.field, d) for d in v.dims)
+    stage = ((),) * len(v.dims)
     steps, witness = [], []
-    while sum(b.cols for b in stage) < v.total_dim():
-        seen = _quotient_table(v, stage, alpha)
-        best = max(key for key, _, _ in seen.values())
-        winners = [dims for dims, (key, _, _) in seen.items() if key == best]
-        count = sum(seen[dims][2] for dims in winners)
+    while sum(map(len, stage)) < v.total_dim():
+        dims, stage, count = _destabilizer(v, stage, alpha)
         if count != 1:
             raise InternalCheckError(
                 f"maximal destabilizer is not unique ({count} candidates)"
             )
-        stage = _stage(v, seen[winners[0]][1])
-        steps.append((slope_of_dims(winners[0], alpha), winners[0]))
-        witness.append(stage)
+        steps.append((slope_of_dims(dims, alpha), dims))
+        witness.append(_stage(v, stage))
     report = HNReport(v.quiver, tuple(steps), tuple(witness))
     if report.total_dims() != v.dims:
         raise InternalCheckError("HN quotient dimensions do not sum to the input")

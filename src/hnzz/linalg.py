@@ -34,6 +34,7 @@ from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import GuardError, ValidationError, shown
@@ -316,14 +317,8 @@ def _product(field: Field, left: Sequence[Sequence[int]], right: Sequence[Sequen
              cols: int) -> list[list[int]]:
     """The integer rows of ``left @ right``, each summed on ints and then reduced."""
     reduce = field.reduce
-    out = []
-    for lrow in left:
-        acc = [0] * cols
-        for a, orow in zip(lrow, right):
-            if a:
-                acc = [s + a * y for s, y in zip(acc, orow)]
-        out.append(reduce(acc))
-    return out
+    right_cols = list(zip(*right)) if right else [()] * cols
+    return [reduce([sum(map(mul, lrow, col)) for col in right_cols]) for lrow in left]
 
 
 def _gauss_jordan(field: Field, work: list[Sequence[int]], reduced: bool = True) -> list[int]:
@@ -437,10 +432,6 @@ def random_invertible_rng(dim: int, field: Field, rng: random.Random) -> Matrix:
 # ``_echelon`` returns, and converts only at its boundary (``columns``,
 # ``from_columns``).
 # ---------------------------------------------------------------------------
-
-
-def zero_space(field: Field, dim: int) -> Matrix:
-    return Matrix._canonical(field, [()] * dim, 0)
 
 
 def subspace_contains(space: Matrix, vectors: Matrix) -> bool:

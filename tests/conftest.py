@@ -10,7 +10,6 @@ from hnzz.linalg import (
     IntMatrix,
     Matrix,
     random_invertible_rng,
-    zero_space,
 )
 from hnzz.quiver import Quiver, Representation, topological_order
 
@@ -190,13 +189,13 @@ def every_superspace(floor: Matrix) -> list[Matrix]:
 
 def every_subspace(dim: int, p: int) -> list[Matrix]:
     """All subspaces of GF(p)^dim, class by class from the zero subspace."""
-    return every_superspace(zero_space(GF(p), dim))
+    return every_superspace(Matrix.zeros(GF(p), dim, 0))
 
 
 def subrepresentations(v: Representation, above=None):
     """Subrepresentations of v containing ``above``, as canonical bases.
 
-    The plain walk that the oracle's suffix DP (``hn._quotient_table``)
+    The plain walk that the oracle's suffix DP (``hn._destabilizer``)
     is tested against; its subspaces, images and spans come from the
     reference code here, not from the package.  ``above`` is a
     subrepresentation in canonical bases, as yielded here; None is the
@@ -209,7 +208,7 @@ def subrepresentations(v: Representation, above=None):
     total dimension.
     """
     if above is None:
-        above = [zero_space(v.field, d) for d in v.dims]
+        above = [Matrix.zeros(v.field, d, 0) for d in v.dims]
     order = [x for x in topological_order(v.quiver) if v.dims[x]]
     chosen = dict(enumerate(above))
 

@@ -11,7 +11,7 @@ the fields' row step, ``RationalField.row_update`` and
 ``PrimeField.row_update``), counted over the requests and not the set-up.
 A change that moves one re-pins it here.
 
-The oracle's walk is pinned beside them: ``hn._quotient_table`` passes,
+The oracle's walk is pinned beside them: ``hn._destabilizer`` passes,
 enumerations (calls of ``hn.superspaces``) and the superspaces they
 yield.  Making the walk's steps cheaper moves the work pins and leaves
 these alone.
@@ -60,7 +60,7 @@ def test_workload_round_passes_its_checks(name, tmp_path, count_calls, monkeypat
             yield u
 
     monkeypatch.setattr(hn, "superspaces", counting)
-    walk = [count_calls(hn, step) for step in ("_quotient_table", "superspaces")]
+    walk = [count_calls(hn, step) for step in ("_destabilizer", "superspaces")]
     eliminations = count_calls(linalg, "_gauss_jordan")
     row_updates = [count_calls(field, "row_update") for field in (RationalField, PrimeField)]
     problems = [problem for _, problem, _ in map(harness.run_request, requests) if problem]

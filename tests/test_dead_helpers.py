@@ -5,8 +5,11 @@ private ones included, counts as used when its name appears outside its
 own definition as an AST name or attribute in the Python files of
 ``src/hnzz``, ``bench/`` or ``scripts/``.  Strings, docstrings and
 comments do not count, so a JSON key or a sentence that happens to spell
-a helper's name keeps nothing alive.  Tests do not count either: a
-helper that only the tests call belongs in the tests.
+a helper's name keeps nothing alive.  An attribute ``C.name`` on a class
+``C`` defined in ``src/hnzz`` counts only for the method ``C.name``, so
+``IntMatrix.zero_space(...)`` keeps no module-level ``zero_space`` alive.
+Tests do not count either: a helper that only the tests call belongs in
+the tests.
 """
 
 import ast
@@ -48,25 +51,38 @@ def _definitions(tree: ast.Module):
                     yield target.id, target.id, node
 
 
-def _names(node: ast.AST) -> Counter:
-    """How often each name or attribute occurs under ``node``."""
-    return Counter(
-        sub.id if isinstance(sub, ast.Name) else sub.attr
-        for sub in ast.walk(node)
-        if isinstance(sub, (ast.Name, ast.Attribute))
-    )
+def _names(node: ast.AST, classes: set[str]) -> Counter:
+    """How often each name or attribute occurs under ``node``; an attribute
+    of one of ``classes`` counts under its qualified name ``C.name``."""
+    out: Counter = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            base = sub.value
+            on_class = isinstance(base, ast.Name) and base.id in classes
+            out[f"{base.id}.{sub.attr}" if on_class else sub.attr] += 1
+    return out
 
 
 def test_every_helper_has_a_caller():
     trees = {path.stem: ast.parse(path.read_text()) for path in (ROOT / "src" / "hnzz").glob("*.py")}
-    used = sum((_names(tree) for tree in trees.values()), Counter())
+    classes = {
+        node.name for tree in trees.values() for node in tree.body if isinstance(node, ast.ClassDef)
+    }
+    used = sum((_names(tree, classes) for tree in trees.values()), Counter())
     for folder in ("bench", "scripts"):
         for path in (ROOT / folder).rglob("*.py"):
-            used += _names(ast.parse(path.read_text()))
+            used += _names(ast.parse(path.read_text()), classes)
+
+    def unread(qualified: str, name: str, node: ast.AST) -> bool:
+        own = _names(node, classes)
+        return all(used[key] == own[key] for key in {qualified, name})
+
     dead = sorted(
         f"{module}.{qualified}"
         for module, tree in trees.items()
         for qualified, name, node in _definitions(tree)
-        if name not in KEEP and used[name] == _names(node)[name]
+        if name not in KEEP and unread(qualified, name, node)
     )
     assert dead == [], f"names that nothing in src/hnzz, bench/ or scripts/ reads: {dead}"

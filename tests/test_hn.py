@@ -9,7 +9,7 @@ import pytest
 import hnzz.hn as hn_module
 from hnzz import campaign
 from hnzz.errors import GuardError, InternalCheckError, ShapeError, ValidationError
-from hnzz.linalg import GF, QQ, Matrix, subspace_contains, zero_space
+from hnzz.linalg import GF, QQ, Matrix, columns, subspace_contains
 from hnzz.quiver import (
     Quiver,
     Representation,
@@ -117,7 +117,7 @@ class TestIsSemistable:
 
     def test_weight_count_mismatch(self, monkeypatch):
         # checked on entry, before any subrepresentation is scanned
-        monkeypatch.setattr(hn_module, "_quotient_table", None)
+        monkeypatch.setattr(hn_module, "_destabilizer", None)
         with pytest.raises(ValidationError):
             is_semistable(split_three_vertex_module(), StabilityCondition((1, 0)))
 
@@ -149,7 +149,7 @@ class TestSubrepresentations:
         for _ in range(12):
             v = campaign.draw_a(rng).rep
             full = list(subrepresentations(v))
-            zeros = tuple(zero_space(v.field, d) for d in v.dims)
+            zeros = tuple(Matrix.zeros(v.field, d, 0) for d in v.dims)
             assert list(subrepresentations(v, above=zeros)) == full
             report = hn_bruteforce(v, random_weights(v.quiver, rng))
             for stage in report.witness:
@@ -203,7 +203,7 @@ class TestBruteforce:
             )
             rep = hn_bruteforce(v, EPS3)
             assert rep.witness is not None
-            prev = tuple(zero_space(GF(2), d) for d in v.dims)
+            prev = tuple(Matrix.zeros(GF(2), d, 0) for d in v.dims)
             for (sl, qdims), stage in zip(rep.steps, rep.witness):
                 for (src, dst), m in zip(v.quiver.edges, v.mats):
                     assert subspace_contains(stage[dst], m @ stage[src])
@@ -224,7 +224,7 @@ class TestBruteforce:
 
     def test_weight_count_mismatch(self, monkeypatch):
         # used to return a report as if the third weight were 0
-        monkeypatch.setattr(hn_module, "_quotient_table", None)
+        monkeypatch.setattr(hn_module, "_destabilizer", None)
         for weights in ((1, 0), (1, 0, 0, 0)):
             with pytest.raises(ValidationError):
                 hn_bruteforce(split_three_vertex_module(), StabilityCondition(weights))
@@ -279,14 +279,13 @@ def small_zigzag(rng):
             return v
 
 
-class TestQuotientTable:
+class TestDestabilizer:
     def test_agrees_with_the_plain_walk(self):
         # at every stage of every pass, walking subrepresentations(v,
-        # above=stage): the pruned table ranks its entries as the walk's
-        # (slope, total) keys do, its top entries are the dims of the
-        # walk's best key, each with the walk's count and first bases (the
-        # table's basis-vector tuples read as Matrix values), and
-        # every other entry is a dims of the walk with at most its count
+        # above=stage): the pass's dims are among the dims of the walk's
+        # best (slope, total) key, its basis-vector tuples read as Matrix
+        # values are the walk's first bases with those dims, and its count
+        # is the walk's total over the best key
         rng = make_rng(29)
         runs = []
         for draw in (campaign.draw_a, campaign.draw_b) * 25:
@@ -300,7 +299,7 @@ class TestQuotientTable:
         stages_checked = 0
         for v, alpha in runs:
             report = hn_bruteforce(v, alpha)
-            zeros = tuple(zero_space(v.field, d) for d in v.dims)
+            zeros = tuple(Matrix.zeros(v.field, d, 0) for d in v.dims)
             for stage in ((zeros,) + report.witness)[:-1]:
                 counts: Counter = Counter()
                 first = {}
@@ -311,19 +310,12 @@ class TestQuotientTable:
                         first.setdefault(dims, bases)
                 keys = {dims: (slope_of_dims(dims, alpha), sum(dims)) for dims in counts}
                 best = max(keys.values())
-                table = hn_module._quotient_table(v, stage, alpha)
-                ranked = sorted(table, key=lambda dims: table[dims][0])
-                assert [keys[dims] for dims in ranked] == sorted(keys[dims] for dims in table)
-                pairs = {(table[dims][0], keys[dims]) for dims in table}
-                assert len(pairs) == len({t for t, _ in pairs}) == len({k for _, k in pairs})
-                top = table[ranked[-1]][0]
                 winners = {dims for dims, key in keys.items() if key == best}
-                assert {dims for dims in table if table[dims][0] == top} == winners
-                for dims in winners:
-                    _, vectors, count = table[dims]
-                    assert (hn_module._stage(v, vectors), count) == (first[dims], counts[dims])
-                for dims, (_, _, count) in table.items():
-                    assert 0 < count <= counts[dims]
+                above = tuple(map(columns, stage))
+                dims, vectors, count = hn_module._destabilizer(v, above, alpha)
+                assert dims in winners
+                assert hn_module._stage(v, vectors) == first[dims]
+                assert count == sum(counts[w] for w in winners)
                 stages_checked += 1
         assert stages_checked >= 400
 

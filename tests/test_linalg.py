@@ -32,7 +32,6 @@ from hnzz.linalg import (
     span_with_image,
     subspace_contains,
     superspaces,
-    zero_space,
 )
 
 from conftest import (
@@ -82,12 +81,12 @@ def package_superspaces(floor: Matrix, k: int) -> list[Matrix]:
 
 def package_subspaces(dim: int, p: int) -> list[Matrix]:
     """Every subspace of GF(p)^dim from ``linalg.superspaces``, class by class."""
-    return [u for k in range(dim + 1) for u in package_superspaces(zero_space(GF(p), dim), k)]
+    return [u for k in range(dim + 1) for u in package_superspaces(Matrix.zeros(GF(p), dim, 0), k)]
 
 
 def kernel(m: Matrix) -> Matrix:
     """The package's kernel, the preimage of the zero subspace, in canonical form."""
-    return column_echelon(flag_op(flag_preimage, m, zero_space(m.field, m.rows), ())[0])
+    return column_echelon(flag_op(flag_preimage, m, Matrix.zeros(m.field, m.rows, 0), ())[0])
 
 
 @st.composite
@@ -205,7 +204,7 @@ class TestTrustedConstructor:
         seed = data.draw(st.integers(0, 1000))
         ints = IntMatrix.of
         for result in (
-            flag_preimage(ints(m), ints(zero_space(fld, r)), ())[0],
+            flag_preimage(ints(m), ints(Matrix.zeros(fld, r, 0)), ())[0],
             flag_image(ints(m), ints(flag), [0, flag.cols])[0],
             flag_preimage(ints(m), ints(space), [0, space.cols])[0],
             flag_completed(ints(space)),
@@ -220,7 +219,7 @@ class TestTrustedConstructor:
             block_diag(m, right),
             Matrix.zeros(fld, r, c),
             Matrix.identity(fld, c),
-            zero_space(fld, r),
+            Matrix.zeros(fld, r, 0),
         ]
         if fld in (GF(2), GF(3)):  # the enumerator stops at p = 3
             floor = column_echelon(data.draw(matrix_of(fld, 2, 1)))
@@ -583,8 +582,8 @@ class TestSubspaceOps:
     def test_superspaces_of_zero_floor(self, dim, p):
         # the zero floor yields the subspaces in the reference's order
         for k in range(dim + 1):
-            got = package_superspaces(zero_space(GF(p), dim), k)
-            assert got == reference_superspaces(zero_space(GF(p), dim), k)
+            got = package_superspaces(Matrix.zeros(GF(p), dim, 0), k)
+            assert got == reference_superspaces(Matrix.zeros(GF(p), dim, 0), k)
 
     @pytest.mark.parametrize("dim,p", [(3, 2), (4, 2), (3, 3)])
     def test_superspaces_of_every_floor(self, dim, p):
@@ -613,4 +612,4 @@ class TestSubspaceOps:
     def test_pivot_rows(self):
         u = Matrix(GF(2), [[1, 0], [0, 0], [0, 1]])
         assert pivot_rows(u) == [0, 2]
-        assert pivot_rows(zero_space(GF(2), 4)) == []
+        assert pivot_rows(Matrix.zeros(GF(2), 4, 0)) == []

@@ -38,6 +38,12 @@ CELL = indec_T(AQ, 1, 1, GF(2))  # default window 6
         lambda: Barcode(((Interval(0, 1), 1.0),)),
         lambda: Barcode.from_dict("1"),
         lambda: HNReport(A2, None),
+        lambda: HNReport(A2, ((1.5, (1, 0)),)),
+        lambda: HNReport(A2, ((True, (1, 0)),)),
+        lambda: HNReport(A2, (("a", (1, 0)),)),
+        lambda: HNReport(A2, ((1, (1, -1)),)),
+        lambda: HNReport(A2, ((1, (1, 0.5)),)),
+        lambda: HNReport(None, ()),
         lambda: interval_module(A2, Interval(0, 1), None),
         lambda: AffineQuiver(2, None),
         lambda: indec_T(AQ, 1, 2.5, QQ),
@@ -70,6 +76,12 @@ CELL = indec_T(AQ, 1, 1, GF(2))  # default window 6
         "Barcode(float multiplicity)",
         "Barcode.from_dict('1')",
         "HNReport(q, None)",
+        "HNReport(slope 1.5)",
+        "HNReport(slope True)",
+        "HNReport(slope 'a')",
+        "HNReport(dims (1, -1))",
+        "HNReport(dims (1, 0.5))",
+        "HNReport(quiver None)",
         "interval_module(field None)",
         "AffineQuiver(2, None)",
         "indec_T(size 2.5)",
