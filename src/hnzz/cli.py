@@ -72,8 +72,8 @@ def _cmd_hn(args) -> int:
     fast = campaign.fast_report(rep, alpha)
     if fast is None and not args.oracle:
         raise ShapeError(
-            "the fast route needs the Euler weights on an equioriented path "
-            "or an affine cycle; pass --oracle for any other input"
+            "the fast route needs the Euler weights on a path or an affine cycle; "
+            "pass --oracle for any other input"
         )
     oracle = hn_bruteforce(rep, alpha) if args.oracle else None
     doc: dict = {"hn": hn_to_json(fast if fast is not None else oracle)}

@@ -81,15 +81,17 @@ def gen_persistence(
     max_summands: int,
     rng: random.Random,
     *,
+    quiver: Quiver | None = None,
     min_summands: int = 0,
     total_cap: int | None = None,
     vertex_cap: int | None = None,
 ) -> tuple[Representation, dict[Interval, int]]:
-    """Conjugated random interval sum on the equioriented path of length n,
-    capped as ``_capped_sum`` says.  ``n`` and ``max_summands`` are
-    refused past ``GEN_MAX_N`` and ``GEN_MAX_SUMMANDS``."""
+    """Conjugated random interval sum on ``quiver``, a path on n vertices
+    (by default the equioriented one), capped as ``_capped_sum`` says.
+    ``n`` and ``max_summands`` are refused past ``GEN_MAX_N`` and
+    ``GEN_MAX_SUMMANDS``."""
     _check_gen_size(n, max_summands)
-    q = equioriented_quiver(n)
+    q = equioriented_quiver(n) if quiver is None else quiver
 
     def draw() -> tuple[Interval, Representation]:
         lo = rng.randrange(n)

@@ -23,10 +23,12 @@ the vertices of dimension 0.  Inside it a subspace, floors included, is
 the tuple of its canonical basis vectors (``linalg.superspaces``), and
 so is the stage that one pass hands the next; a ``Matrix`` appears only
 in the witness.
-``hn_from_barcode`` is the fast route for equioriented type-A
-representations under the Euler weights: one step per interval family
-[0, j] plus a final slope-0 step for everything else.
-``campaign.fast_report`` decides when it applies.
+``hn_from_barcode`` is the fast route for a path of any orientation
+under the Euler weights: every interval module is semistable there, of
+slope (1 - e)/|I| with e the number of edges that point into I from
+outside (Theorem A, proved for every orientation in the README), so the
+report groups the bars by that slope.  ``campaign.fast_report`` decides
+when it applies.
 
 Reports carry (slope, quotient dimension vector) steps with strictly
 decreasing exact rational slopes; only the oracle fills in witness bases.
@@ -38,7 +40,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 from math import lcm
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Sequence
 
 from .errors import GuardError, InternalCheckError, ShapeError, ValidationError, shown
@@ -63,7 +65,7 @@ from .quiver import (
     slope_of_dims,
     topological_order,
 )
-from .zigzag import Barcode, Interval, barcode, is_equioriented
+from .zigzag import Barcode, Interval, barcode, path_steps
 
 
 @dataclass(frozen=True)
@@ -72,7 +74,9 @@ class HNReport:
 
     ``witness[j]`` (oracle only) holds one basis matrix per vertex whose
     columns span the j-th filtration stage inside the input coordinates;
-    stages are cumulative and the last one is the full space.
+    stages are cumulative and the last one is the full space, so at each
+    vertex the j-th matrix has the total dimension as rows and the sum of
+    the first j + 1 steps' dims as columns.
     """
 
     quiver: Quiver
@@ -80,28 +84,22 @@ class HNReport:
     witness: tuple[tuple[Matrix, ...], ...] | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        if not isinstance(self.quiver, Quiver):
-            raise ValidationError(f"HN report quiver {shown(self.quiver)} is not a Quiver")
-        try:
-            steps = tuple((sl, tuple(dims)) for sl, dims in self.steps)
-        except (TypeError, ValueError):
-            raise ValidationError(
-                f"HN steps: {shown(self.steps)} are not (slope, dims) pairs"
-            ) from None
-        steps = tuple((QQ.coerce(sl), dims) for sl, dims in steps)
+        steps = _checked_steps(self.quiver, self.steps)
         object.__setattr__(self, "steps", steps)
-        prev = None
-        for sl, dims in steps:
-            if len(dims) != self.quiver.vertex_count:
-                raise ValidationError("quotient dimension vector has wrong length")
-            check_ints(dims, "quotient dimension")
-            if any(d < 0 for d in dims):
-                raise ValidationError(f"quotient dimensions {shown(dims)} have a negative entry")
-            if all(d == 0 for d in dims):
-                raise ValidationError("zero quotient in HN report")
-            if prev is not None and not (sl < prev):
-                raise ValidationError("HN slopes must strictly decrease")
-            prev = sl
+        if not all(map(any, (dims for _, dims in steps))):
+            raise ValidationError("zero quotient in HN report")
+        if any(a <= b for (a, _), (b, _) in zip(steps, steps[1:])):
+            raise ValidationError("HN slopes must strictly decrease")
+        if self.witness is None:
+            return
+        sums = list(accumulate((dims for _, dims in steps), lambda a, b: tuple(map(add, a, b))))
+        try:
+            shapes = [[(m.rows, m.cols) if isinstance(m, Matrix) else None for m in stage]
+                      for stage in self.witness]
+        except TypeError:
+            shapes = None
+        if shapes != [list(zip(sums[-1], cols)) for cols in sums]:
+            raise ValidationError(f"HN witness {shown(self.witness)} does not fit the steps")
 
     @classmethod
     def merged(
@@ -110,24 +108,34 @@ class HNReport:
         """HN report of a direct sum, from its summands' (slope, dims) steps.
 
         Steps of equal slope are summed; slopes come out strictly decreasing.
+        The parts are checked as the steps of a report are, before any sum.
         """
-        n = quiver.vertex_count
-        groups: dict[Fraction, list[int]] = {}
-        for sl, dims in parts:
-            if len(dims) != n:
-                raise ValidationError("quotient dimension vector has wrong length")
-            acc = groups.setdefault(sl, [0] * n)
-            for x in range(n):
-                acc[x] += dims[x]
-        return cls(quiver, tuple((sl, tuple(groups[sl])) for sl in sorted(groups, reverse=True)))
+        groups: dict[Fraction, tuple[int, ...]] = {}
+        for sl, dims in _checked_steps(quiver, parts):
+            groups[sl] = tuple(map(add, groups[sl], dims)) if sl in groups else dims
+        return cls(quiver, tuple((sl, groups[sl]) for sl in sorted(groups, reverse=True)))
 
     def total_dims(self) -> tuple[int, ...]:
-        n = self.quiver.vertex_count
-        out = [0] * n
-        for _, dims in self.steps:
-            for x in range(n):
-                out[x] += dims[x]
-        return tuple(out)
+        return tuple(map(sum, zip((0,) * self.quiver.vertex_count, *(d for _, d in self.steps))))
+
+
+def _checked_steps(quiver: Quiver, steps) -> tuple[tuple[Fraction, tuple[int, ...]], ...]:
+    """``steps`` as (exact slope, dims) pairs over ``quiver``; ValidationError
+    unless each is a pair of a rational and n non-negative ints."""
+    if not isinstance(quiver, Quiver):
+        raise ValidationError(f"HN report quiver {shown(quiver)} is not a Quiver")
+    try:
+        steps = tuple((sl, tuple(dims)) for sl, dims in steps)
+    except (TypeError, ValueError):
+        raise ValidationError(f"HN steps: {shown(steps)} are not (slope, dims) pairs") from None
+    steps = tuple((QQ.coerce(sl), dims) for sl, dims in steps)
+    for _, dims in steps:
+        if len(dims) != quiver.vertex_count:
+            raise ValidationError("quotient dimension vector has wrong length")
+        check_ints(dims, "quotient dimension")
+        if any(d < 0 for d in dims):
+            raise ValidationError(f"quotient dimensions {shown(dims)} have a negative entry")
+    return steps
 
 
 # The oracle's cap on the total dimension of its input, per characteristic;
@@ -329,21 +337,26 @@ def hn_bruteforce(v: Representation, alpha: StabilityCondition) -> HNReport:
 
 
 def hn_from_barcode(bar: Barcode, q: Quiver) -> HNReport:
-    """Euler HN report of an equioriented type-A module, from its barcode.
+    """Euler HN report of a module on the path ``q``, any orientation, from its barcode.
 
-    One step of slope 1/(j+1) per interval [0, j] present, ordered by
-    decreasing slope, plus a final slope-0 step collecting every interval
-    with nonzero left endpoint (present only when such intervals exist).
+    Each bar I is semistable of slope (1 - into)/|I|, where ``into``
+    counts the left boundary edge if it points right and the right
+    boundary edge if it points left; the bars are grouped by slope, in
+    decreasing order.  On an equioriented path that is 1/(j+1) for [0, j]
+    and 0 for every bar with nonzero left endpoint.  ``path_steps``
+    refuses a quiver that is no path.
     """
-    if not is_equioriented(q):
-        raise ShapeError("barcode-driven HN data requires an equioriented path")
+    if not isinstance(bar, Barcode) or not isinstance(q, Quiver):
+        raise ValidationError(f"need a Barcode and a Quiver, not {shown(bar)} and {shown(q)}")
+    steps = path_steps(q)
     n = q.vertex_count
     parts = []
     for iv, mult in bar:
         if iv.hi > n - 1 or iv.lo < 0:
             raise ValidationError(f"interval [{iv.lo},{iv.hi}] outside the quiver")
-        sl = Fraction(1, iv.hi + 1) if iv.lo == 0 else Fraction(0)
-        parts.append((sl, tuple(mult if iv.lo <= x <= iv.hi else 0 for x in range(n))))
+        into = (iv.lo > 0 and steps[iv.lo - 1][1]) + (iv.hi < n - 1 and not steps[iv.hi][1])
+        parts.append((Fraction(1 - into, iv.hi - iv.lo + 1),
+                      tuple(mult if iv.lo <= x <= iv.hi else 0 for x in range(n))))
     return HNReport.merged(q, parts)
 
 
@@ -378,7 +391,9 @@ def recover_barcode_via_truncations(v: Representation) -> Barcode:
     subtracting the already-known intervals that reach past the cut
     recovers the multiplicity of [k, v] for every right endpoint v.
     """
-    if not is_equioriented(v.quiver):
+    if not isinstance(v, Representation):
+        raise ValidationError(f"truncation recovery input {shown(v)} is not a Representation")
+    if not all(fwd for _, fwd in path_steps(v.quiver)):
         raise ShapeError("truncation recovery requires an equioriented path")
     n = v.quiver.vertex_count
     recovered: dict[tuple[int, int], int] = {}
@@ -388,15 +403,12 @@ def recover_barcode_via_truncations(v: Representation) -> Barcode:
         for sl, dims in report.steps:
             if sl == 0:
                 continue
-            length = Fraction(1) / sl
-            if length.denominator != 1:
+            if sl.numerator != 1:
                 raise InternalCheckError(f"unexpected Euler slope {sl}")
-            right = k + int(length) - 1
+            right = k + sl.denominator - 1
             mult = dims[0] - sum(recovered.get((u, right), 0) for u in range(k))
             if mult < 0:
-                raise InternalCheckError(
-                    f"negative recovered multiplicity for [{k},{right}]"
-                )
+                raise InternalCheckError(f"negative recovered multiplicity for [{k},{right}]")
             if mult:
                 recovered[(k, right)] = mult
     return Barcode.from_dict({Interval(u, w): m for (u, w), m in recovered.items()})

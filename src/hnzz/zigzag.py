@@ -208,12 +208,13 @@ def path_steps(q: Quiver) -> list[tuple[int, bool]]:
     return [slots[k] for k in range(n - 1)]
 
 
-def is_equioriented(q: Quiver) -> bool:
-    """True iff q is a path 0 -> 1 -> ... -> n-1; False for any other quiver."""
+def is_path(q: Quiver) -> bool:
+    """True iff ``path_steps`` takes q: a path on 0..n-1, edges pointing either way."""
     try:
-        return all(fwd for _, fwd in path_steps(q))
+        path_steps(q)
     except ShapeError:
         return False
+    return True
 
 
 def interval_module(q: Quiver, iv: Interval, fld: Field) -> Representation:

@@ -27,7 +27,7 @@ from hnzz.affine import (
     to_quiver,
 )
 from hnzz import campaign, linalg
-from hnzz.generators import gen_affine, random_orientation
+from hnzz.generators import gen_affine, gen_persistence, random_orientation
 from hnzz.hn import ORACLE_MAX_TOTAL_DIM, is_semistable, recover_barcode_via_truncations
 from hnzz.linalg import GF, Matrix, random_invertible_rng
 from hnzz.quiver import conjugate, direct_sum, euler_stability, slope_of_dims
@@ -90,14 +90,28 @@ def nonzero_cases(draw, seed, count):
 
 @functools.lru_cache(maxsize=1)
 def theorem_a_cases():
-    """200 seeded equioriented modules within the oracle guard, conjugated."""
+    """200 seeded path modules within the oracle guard, conjugated; each
+    edge points either way."""
     return nonzero_cases(campaign.draw_a, 20_240_001, 200)
+
+
+def draw_equioriented(rng):
+    """``campaign.draw_a`` on the equioriented path only: truncation
+    recovery reads Theorem A's slopes 1/(j+1) off the left end."""
+    p = rng.choice(tuple(ORACLE_MAX_TOTAL_DIM))
+    rep, truth = gen_persistence(
+        rng.randint(1, 5), GF(p), 4, rng, min_summands=1, total_cap=ORACLE_MAX_TOTAL_DIM[p],
+        vertex_cap=linalg.ENUM_MAX_DIM,
+    )
+    return campaign.Case(rep, truth)
 
 
 def test_criterion_2_theorem_a_suite():
     start = time.perf_counter()
     cases = theorem_a_cases()
     assert len(cases) == 200
+    # most draws are zigzags: some edge points left
+    assert sum(any(s > t for s, t in case.rep.quiver.edges) for case in cases) > 100
     for case in cases:
         assert campaign.check_a(case) is None
     report(2, "barcode fast path matches the oracle on 200 modules", start, 60.0)
@@ -105,7 +119,8 @@ def test_criterion_2_theorem_a_suite():
 
 def test_criterion_3_truncation_recovery():
     start = time.perf_counter()
-    for case in theorem_a_cases():
+    cases = nonzero_cases(draw_equioriented, 20_240_001, 200)
+    for case in cases:
         assert recover_barcode_via_truncations(case.rep) == barcode(case.rep)
     report(3, "truncation recursion rebuilds 200 barcodes", start, 60.0)
 

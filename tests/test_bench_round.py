@@ -35,14 +35,14 @@ from hnzz.linalg import PrimeField, RationalField  # noqa: E402
 ROUND_WORK = {
     "lift-long": (726, 8430),
     "zigzag-rational": (1490, 22764),
-    "oracle-certify": (1321, 712),
+    "oracle-certify": (1388, 717),
 }
 
 # (passes, enumerations, superspaces) of the oracle over the same round
 ORACLE_WALK = {
     "lift-long": (0, 0, 0),
     "zigzag-rational": (0, 0, 0),
-    "oracle-certify": (83, 676, 877),
+    "oracle-certify": (89, 767, 1048),
 }
 
 

@@ -15,7 +15,13 @@ from hnzz.cli import main
 from hnzz.generators import equioriented_quiver, gen_affine
 from hnzz.hn import HNReport, hn_bruteforce
 from hnzz.linalg import GF, QQ, Matrix
-from hnzz.quiver import Quiver, Representation, direct_sum, euler_stability
+from hnzz.quiver import (
+    Quiver,
+    Representation,
+    StabilityCondition,
+    direct_sum,
+    euler_stability,
+)
 from hnzz.serialize import (
     hn_to_json,
     instance_from_json,
@@ -152,29 +158,53 @@ class TestHnCommand:
         inp = write_instance(tmp_path, rep, EX)
         assert run(["hn", inp, "--oracle"]) == 5
 
+    def test_zigzag_fast_route_agrees_with_oracle(self, tmp_path, capsys):
+        # the zigzag 0 <- 1 -> 2 with bars [0,1] (slope 1/2) and [2,2]
+        # (slope 0) takes the closed form; --oracle adds its agreement
+        q = Quiver(3, ((1, 0), (1, 2)))
+        rep = Representation(q, GF(2), (1, 1, 1), (Matrix(GF(2), [[1]]), Matrix(GF(2), [[0]])))
+        inp = write_instance(tmp_path, rep)
+        assert run(["hn", inp]) == 0
+        fast = json.loads(capsys.readouterr().out)
+        assert fast == {"hn": hn_to_json(hn_bruteforce(rep, euler_stability(q)))}
+        assert [step["slope"] for step in fast["hn"]] == ["1/2", "0"]
+        assert run(["hn", inp, "--oracle"]) == 0
+        assert json.loads(capsys.readouterr().out) == {**fast, "oracle_agrees": True}
+
     def test_zigzag_fast_path_unavailable_exit_4(self, tmp_path):
+        # the fast route of the 2-path 0 <- 1 holds for its Euler weights
+        # (0, 1) alone: under other weights the input exits 4
         q = Quiver(2, ((1, 0),))
         rep = Representation(q, GF(2), (1, 1), (Matrix.identity(GF(2), 1),))
         inp = write_instance(tmp_path, rep)
-        assert run(["hn", inp]) == 4
+        weights = tmp_path / "w.json"
+        weights.write_text('["1", "0"]\n')
+        assert run(["hn", inp]) == 0
+        assert run(["hn", inp, "--stability", weights]) == 4
 
     @pytest.mark.parametrize(
-        "edges, dims, rows",
+        "edges, dims, rows, weights",
         [
-            (((1, 0), (1, 2)), (1, 1, 1), [[[1]], [[1]]]),
-            (((1, 0), (2, 0), (3, 0)), (2, 1, 1, 1), [[[1], [0]], [[0], [1]], [[1], [1]]]),
+            (((1, 0), (1, 2)), (1, 1, 1), [[[1]], [[1]]], ("1", "0", "1")),
+            (((1, 0), (2, 0), (3, 0)), (2, 1, 1, 1), [[[1], [0]], [[0], [1]], [[1], [1]]], None),
         ],
         ids=["zigzag", "d4-star"],
     )
-    def test_no_fast_route_oracle_alone(self, tmp_path, capsys, edges, dims, rows):
-        # under the Euler weights a zigzag or a D4 star has no fast route:
-        # --oracle prints the oracle's report alone, without it the input exits 4
+    def test_no_fast_route_oracle_alone(self, tmp_path, capsys, edges, dims, rows, weights):
+        # a zigzag under weights other than its Euler weights (0, 1, 0), or a
+        # D4 star under its Euler weights, has no fast route: --oracle prints
+        # the oracle's report alone, without it the input exits 4
         q = Quiver(len(dims), edges)
         rep = Representation(q, GF(2), dims, tuple(Matrix(GF(2), r) for r in rows))
         inp = write_instance(tmp_path, rep)
-        assert run(["hn", inp]) == 4
-        assert run(["hn", inp, "--oracle"]) == 0
-        expected = {"hn": hn_to_json(hn_bruteforce(rep, euler_stability(q)))}
+        extra, alpha = [], euler_stability(q)
+        if weights is not None:
+            path = tmp_path / "w.json"
+            path.write_text(json.dumps(list(weights)))
+            extra, alpha = ["--stability", path], StabilityCondition(weights)
+        assert run(["hn", inp, *extra]) == 4
+        assert run(["hn", inp, *extra, "--oracle"]) == 0
+        expected = {"hn": hn_to_json(hn_bruteforce(rep, alpha))}
         assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
 
     def test_custom_weights_need_oracle(self, tmp_path, capsys):
@@ -493,13 +523,15 @@ class TestVerifyCommand:
 
     def test_check_reasons_name_the_summands(self):
         # a case whose recorded summands disagree with its instance fails
-        # with the length formula (A) or the recovered multiplicity (B)
+        # with the closed form (A) or the recovered multiplicity (B)
         rng = random.Random(5)
         a, b = campaign.draw_a(rng), campaign.draw_b(rng)
         assert a.summands == {Interval(1, 1): 1} and b.summands == {NClass(0, 4): 1}
         assert campaign.check_a(a) is None and campaign.check_b(b) is None
         extra_j = dataclasses.replace(a, summands={Interval(0, 0): 1, Interval(1, 1): 1})
-        assert campaign.check_a(extra_j) == "1 HN steps, the length formula gives 2"
+        assert campaign.check_a(extra_j) == (
+            "the closed form of the drawn summands differs from the oracle"
+        )
         doubled = dataclasses.replace(b, summands={NClass(0, 4): 2})
         assert campaign.check_b(doubled) == "N(0,4) recovered 1 times, built 2"
 

@@ -1,7 +1,8 @@
 """Byte pins of CLI stdout on seeded generated instances.
 
 Each case generates an instance with ``hnzz gen`` (the guard-edge cases
-write a zero-map path instead) and runs one command on it; the sha256 of
+write a zero-map path instead, and the zigzag cases one fixed instance)
+and runs one command on it; the sha256 of
 everything the command prints must match the digest recorded here.  The
 elimination kernel, the lift classification and the oracle may be
 rewritten freely, but not one output byte may move.
@@ -157,6 +158,41 @@ def test_guard_edge_stdout_bytes_pinned(case, tmp_path, capsys):
     inst = tmp_path / "inst.json"
     inst.write_text(json.dumps(instance_to_json(zero_map_path(dims))))
     assert main(["hn", str(inst), "--oracle"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# A conjugated GF(2) sum of the bars [0,3], [2,2], [3,3] and [3,4] on the
+# zigzag 0 <- 1 -> 2 <- 3 -> 4, written out so that no generator change
+# moves it; its Euler slopes are 1, 1/2, 1/4 and -1
+ZIGZAG_INSTANCE = {
+    "field": {"kind": "prime", "p": 2},
+    "quiver": {"vertices": 5, "edges": [{"src": 1, "dst": 0}, {"src": 1, "dst": 2},
+                                        {"src": 3, "dst": 2}, {"src": 3, "dst": 4}]},
+    "dims": [1, 1, 2, 3, 1],
+    "matrices": [{"edge": 0, "rows": [[1]]}, {"edge": 1, "rows": [[0], [1]]},
+                 {"edge": 2, "rows": [[0, 0, 0], [1, 0, 0]]}, {"edge": 3, "rows": [[1, 0, 1]]}],
+}
+
+# id -> (hn options, digest of ``hn`` on the zigzag instance)
+ZIGZAG_CASES = {
+    "hn-zigzag-gf2": (
+        [],
+        "6ee2810eeafc4ba95250dac6d061fda7eda699a2159095cdd1ef3afb3cf3a6fe",
+    ),
+    "hn-oracle-zigzag-gf2": (
+        ["--oracle"],
+        "e15fbd938cc625e331fc971890021361204dffedb55edcea29293c37c4ec7897",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ZIGZAG_CASES))
+def test_zigzag_stdout_bytes_pinned(case, tmp_path, capsys):
+    options, digest = ZIGZAG_CASES[case]
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(ZIGZAG_INSTANCE))
+    assert main(["hn", str(inst), *options]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 

@@ -3,6 +3,7 @@ import random
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -36,6 +37,7 @@ from hnzz.generators import equioriented_quiver, gen_persistence
 from conftest import (
     conjugating_bases,
     make_rng,
+    random_path_quiver,
     random_zigzag_rep,
     subrepresentations,
     zero_map_path,
@@ -378,7 +380,7 @@ class TestScanWork:
 WITNESS_DIGESTS = {
     "draw_a": (
         campaign.draw_a, 31,
-        "749bd21b29d26038ace579659ed1aecdd9f308986c036ee4a6deec3a219fafa9",
+        "7f54b76aba89919fb05744530556ee3dd6b344bdba5ba338ca379e53c5765bab",
     ),
     "draw_b": (
         campaign.draw_b, 32,
@@ -437,9 +439,46 @@ class TestFromBarcode:
     def test_empty(self):
         assert hn_from_barcode(Barcode(()), A3).steps == ()
 
-    def test_non_equioriented_refused(self):
+    def test_zigzag_slopes(self):
+        # 0 -> 1 <- 2: [1,1] has both boundary edges pointing in, [0,0] and
+        # [2,2] none, [0,1] and [1,2] one
+        q = Quiver(3, ((0, 1), (2, 1)))
+        bar = Barcode.from_dict({Interval(0, 0): 1, Interval(1, 1): 2, Interval(1, 2): 1})
+        assert hn_from_barcode(bar, q).steps == (
+            (Fraction(1), (1, 0, 0)),
+            (Fraction(0), (0, 1, 1)),
+            (Fraction(-1), (0, 2, 0)),
+        )
+
+    def test_every_bar_semistable_up_to_8_vertices(self):
+        # Theorem A on every orientation, with no oracle: on each path of
+        # at most 8 vertices each interval module has the closed-form slope
+        # (1 - into)/|I| and no closed vertex subset, the subrepresentations
+        # of a thin module, has a larger one
+        bars = subsets = 0
+        for n in range(1, 9):
+            for word in product((True, False), repeat=n - 1):
+                q = Quiver(n, tuple((k, k + 1) if right else (k + 1, k)
+                                    for k, right in enumerate(word)))
+                alpha = euler_stability(q)
+                for lo, hi in ((lo, hi) for lo in range(n) for hi in range(lo, n)):
+                    dims = tuple(int(lo <= x <= hi) for x in range(n))
+                    bar = Barcode.from_dict({Interval(lo, hi): 1})
+                    ((slope, got),) = hn_from_barcode(bar, q).steps
+                    assert got == dims and slope == slope_of_dims(dims, alpha)
+                    inner = [(s, t) for s, t in q.edges if lo <= min(s, t) and max(s, t) <= hi]
+                    for mask in range(1, 2 ** (hi - lo + 1) - 1):
+                        sub = {lo + i for i in range(hi - lo + 1) if mask >> i & 1}
+                        if any(s in sub and t not in sub for s, t in inner):
+                            continue
+                        assert sum(alpha.weights[x] for x in sub) / len(sub) <= slope
+                        subsets += 1
+                    bars += 1
+        assert (bars, subsets) == (7423, 33962)
+
+    def test_non_path_refused(self):
         with pytest.raises(ShapeError):
-            hn_from_barcode(Barcode(()), Quiver(3, ((0, 1), (2, 1))))
+            hn_from_barcode(Barcode(()), Quiver(3, ((0, 1), (1, 2), (2, 0))))
 
     def test_bar_past_last_vertex_refused(self):
         with pytest.raises(ValidationError):
@@ -450,8 +489,10 @@ class TestFromBarcode:
         for _ in range(25):
             p = rng.choice((2, 3))
             cap = ORACLE_MAX_TOTAL_DIM[p]
+            n = rng.randint(1, 4)
             v, _ = gen_persistence(
-                rng.randint(1, 4), GF(p), 4, rng, min_summands=1, total_cap=cap, vertex_cap=4
+                n, GF(p), 4, rng, quiver=random_path_quiver(n, rng), min_summands=1,
+                total_cap=cap, vertex_cap=4,
             )
             fast = hn_from_barcode(barcode(v), v.quiver)
             oracle = hn_bruteforce(v, euler_stability(v.quiver))

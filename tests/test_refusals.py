@@ -11,7 +11,7 @@ import pytest
 
 from hnzz.affine import AffineQuiver, classify_lift, indec_N, indec_T, lift_truncated
 from hnzz.errors import ShapeError, ValidationError
-from hnzz.hn import HNReport, hn_bruteforce
+from hnzz.hn import HNReport, hn_bruteforce, hn_from_barcode, recover_barcode_via_truncations
 from hnzz.linalg import GF, QQ, Matrix, superspaces
 from hnzz.quiver import Quiver, euler_stability
 from hnzz.zigzag import Barcode, Interval, interval_module
@@ -44,6 +44,14 @@ CELL = indec_T(AQ, 1, 1, GF(2))  # default window 6
         lambda: HNReport(A2, ((1, (1, -1)),)),
         lambda: HNReport(A2, ((1, (1, 0.5)),)),
         lambda: HNReport(None, ()),
+        lambda: HNReport(A2, ((1, (1, 0)),), witness="x"),
+        lambda: HNReport(A2, ((1, (1, 0)),), witness=((),)),
+        lambda: HNReport.merged(None, []),
+        lambda: HNReport.merged(A2, [(1, (1, "a"))]),
+        lambda: hn_from_barcode(None, A2),
+        lambda: hn_from_barcode("x", A2),
+        lambda: hn_from_barcode(Barcode(()), None),
+        lambda: recover_barcode_via_truncations(None),
         lambda: interval_module(A2, Interval(0, 1), None),
         lambda: AffineQuiver(2, None),
         lambda: indec_T(AQ, 1, 2.5, QQ),
@@ -82,6 +90,14 @@ CELL = indec_T(AQ, 1, 1, GF(2))  # default window 6
         "HNReport(dims (1, -1))",
         "HNReport(dims (1, 0.5))",
         "HNReport(quiver None)",
+        "HNReport(witness 'x')",
+        "HNReport(witness one empty stage)",
+        "HNReport.merged(quiver None)",
+        "HNReport.merged(dims (1, 'a'))",
+        "hn_from_barcode(None, q)",
+        "hn_from_barcode('x', q)",
+        "hn_from_barcode(bar, None)",
+        "recover_barcode_via_truncations(None)",
         "interval_module(field None)",
         "AffineQuiver(2, None)",
         "indec_T(size 2.5)",

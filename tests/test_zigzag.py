@@ -21,7 +21,7 @@ from hnzz.zigzag import (
     Interval,
     barcode,
     interval_module,
-    is_equioriented,
+    is_path,
     path_steps,
 )
 
@@ -169,10 +169,11 @@ class TestIntervalModule:
         q = Quiver(3, ((1, 0), (1, 2)))
         assert path_steps(q) == [(0, False), (1, True)]
 
-    def test_is_equioriented(self):
-        assert is_equioriented(A3) and is_equioriented(Quiver(1, ()))
-        assert not is_equioriented(Quiver(3, ((1, 0), (1, 2))))  # a zigzag
-        assert not is_equioriented(Quiver(3, ((0, 1), (1, 2), (2, 0))))  # not a path
+    def test_is_path(self):
+        assert is_path(A3) and is_path(Quiver(1, ())) and is_path(Quiver(0, ()))
+        assert is_path(Quiver(3, ((1, 0), (1, 2))))  # a zigzag
+        assert not is_path(Quiver(3, ((0, 1), (1, 2), (2, 0))))  # a cycle
+        assert not is_path(Quiver(3, ((0, 2), (2, 1))))  # vertices out of order
 
 
 class TestGeneralizedRank:
