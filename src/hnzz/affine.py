@@ -36,7 +36,7 @@ from fractions import Fraction
 from .errors import InternalCheckError, ShapeError, ValidationError, shown
 from .linalg import Field, Matrix
 from .quiver import Quiver, Representation, check_ints
-from .zigzag import Barcode, barcode
+from .zigzag import Barcode, _bars
 from .hn import HNReport
 
 CW = 0
@@ -134,9 +134,10 @@ def _check_wrapped(n: int, u: int, v: int) -> None:
 
 
 def indec_N(aq: AffineQuiver, u: int, v: int, fld: Field) -> Representation:
-    """The wrapped-interval indecomposable for [u, v]."""
+    """The wrapped-interval indecomposable for [u, v], of length at most ``LIFT_MAX_WINDOW``."""
     n = aq.n
     _check_wrapped(n, u, v)
+    _check_window_cap(v - u + 1)
     support = [[i for i in range(u, v + 1) if i % n == j] for j in range(n)]
     q = to_quiver(aq)
     z, o = fld.zero, fld.one
@@ -156,7 +157,7 @@ def indec_N(aq: AffineQuiver, u: int, v: int, fld: Field) -> Representation:
 
 
 def indec_T(aq: AffineQuiver, lam, w: int, fld: Field) -> Representation:
-    """The Jordan-cell indecomposable with eigenvalue lam and size w."""
+    """The Jordan-cell indecomposable of eigenvalue lam and size w, w * n <= ``LIFT_MAX_WINDOW``."""
     lam = fld.coerce(lam)
     check_ints((w,), "Jordan-cell size")
     if lam == 0:
@@ -164,6 +165,7 @@ def indec_T(aq: AffineQuiver, lam, w: int, fld: Field) -> Representation:
     if w < 1:
         raise ValidationError("Jordan-cell size must be at least 1")
     n = aq.n
+    _check_window_cap(w * n)
     q = to_quiver(aq)
     z, o = fld.zero, fld.one
     jordan = [
@@ -200,8 +202,10 @@ def default_window(v: Representation) -> int:
     D = (dim at x_0 + 2) * n: any wrapped interval crosses x_0 at most
     dim-at-x_0 times, so its length is under (dim + 1) * n and the
     translate starting in [1, n] fits strictly inside the window 0..D.
-    The shape is checked first: a quiver with no vertex has no x_0.
+    The input is checked first: a quiver with no vertex has no x_0.
     """
+    if not isinstance(v, Representation):
+        raise ValidationError(f"lift input {shown(v)} is not a Representation")
     return affine_of_quiver(v.quiver).n * (v.dims[0] + 2)
 
 
@@ -241,10 +245,11 @@ def classify_lift(
 ) -> tuple[int, dict[NClass, int], Barcode]:
     """Summand multiplicities of v and the window barcode they come from.
 
-    Lifts v to the window 0..D (D = ``default_window(v)`` if ``window`` is
-    None), computes the barcode of the truncated unwinding once and
-    classifies its bars: d_inf counts full-window bars (Jordan cells
-    unwind to copies of the two-sided infinite interval, one per
+    Sweeps the window 0..D of the unwinding (D = ``default_window(v)`` if
+    ``window`` is None) once, straight from the cycle's n crossings, and
+    classifies the bars, those of ``barcode(lift_truncated(v, D))``; no
+    window ``Representation`` is built.  d_inf counts full-window bars (Jordan
+    cells unwind to copies of the two-sided infinite interval, one per
     Jordan-cell dimension) and classes maps the ``NClass`` of each
     wrapped interval to its multiplicity.  Each wrapped interval is
     counted once, by its unclipped translate starting in [1, n] and
@@ -258,7 +263,8 @@ def classify_lift(
     window can clip every translate of a wrapped interval and silently
     report wrong classes, and at most ``LIFT_MAX_WINDOW``.  Each failure
     raises ShapeError before anything is lifted; a window that is not an
-    int (a bool included) raises ValidationError.
+    int (a bool included), or a v that is not a Representation, raises
+    ValidationError.
     """
     bound = default_window(v)
     n = v.quiver.vertex_count
@@ -271,7 +277,10 @@ def classify_lift(
             f"window length {D} is below {bound} = (dim at x_0 + 2) * n, "
             "the shortest window that certifies every summand"
         )
-    bar = barcode(lift_truncated(v, D))
+    orientation = affine_of_quiver(v.quiver).orientation
+    # the edge joining positions i-1 and i is e_{i mod n}: one turn from e_1
+    turn = [(v.mats[j], orientation[j] == CW) for j in (*range(1, n), 0)]
+    bar = _bars(v.field, v.dims * (D // n) + v.dims[:1], turn * (D // n))
     clip_bound = (v.dims[0] + 1) * n
     d_inf = 0
     classes: dict[NClass, int] = {}
@@ -306,9 +315,9 @@ def eta_from_lift(v: Representation) -> HNReport:
     constant dimension vector).  The zero representation has no classes
     and gets the empty report.
     """
+    d_inf, classes = lifted_multiplicities(v)
     aq = affine_of_quiver(v.quiver)
     n = aq.n
-    d_inf, classes = lifted_multiplicities(v)
     parts = [
         (euler_slope_N(aq, c.u, c.v), tuple(mult * d for d in wrap_counts(n, c.u, c.v)))
         for c, mult in classes.items()

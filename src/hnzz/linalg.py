@@ -17,9 +17,11 @@ Elimination and products run on integer rows for every field, through
 one kernel.  ``_cleared`` turns a matrix into integer rows: over QQ it
 multiplies them by the lcm of all the denominators, and GF(p) residues
 are integer rows already.  The field supplies the rest: its row update
-(fraction-free with a gcd over QQ, in residues over GF(p)), the reduction
-of an integer row to canonical entries, and the write-back of a row
-divided by its pivot.  The flag operations take and return an
+(fraction-free with a gcd over QQ, in residues over GF(p)), its product
+(packed rows over a small GF(p), as in M4RI: Albrecht, Bard and Hart,
+ACM TOMS 2010), the reduction of an integer row to canonical entries,
+the gcd division of a basis's columns (QQ only), and the write-back of a
+row divided by its pivot.  The flag operations take and return an
 ``IntMatrix``, integer rows that stand for a matrix up to nonzero
 scalars, so the barcode sweep clears each edge matrix once and then
 builds no ``Fraction``.
@@ -88,6 +90,19 @@ class RationalField:
         """An integer row in canonical entries: over QQ, the row as it is."""
         return row
 
+    def product(self, left: Sequence[Sequence[int]], right: Sequence[Sequence[int]],
+                cols: int) -> list[list[int]]:
+        """The integer rows of ``left @ right``, one sum of products per entry."""
+        right_cols = list(zip(*right)) if right else [()] * cols
+        return [[sum(map(mul, lrow, col)) for col in right_cols] for lrow in left]
+
+    def primitive_columns(self, rows: Sequence[Sequence[int]]) -> Sequence[Sequence[int]]:
+        """``rows`` with each column divided by the gcd of its entries: a smaller basis."""
+        scales = [gcd(*col) for col in zip(*rows)]
+        if any(g > 1 for g in scales):
+            rows = [[x // g for x, g in zip(row, scales)] for row in rows]
+        return rows
+
     def write_back(self, row: Sequence[int], d: int) -> list[Fraction]:
         """``row / d`` in canonical entries, one Fraction per nonzero entry."""
         zero = self.zero
@@ -111,6 +126,7 @@ class PrimeField:
             raise ValidationError(f"modulus {shown(self.p)} exceeds 2**31")
         if not _is_prime(self.p):
             raise ValidationError(f"modulus {self.p} is not prime")
+        object.__setattr__(self, "_residues", bytes(x % self.p for x in range(256)))
 
     zero = 0
     one = 1
@@ -129,6 +145,30 @@ class PrimeField:
         """An integer row in residues."""
         p = self.p
         return [x % p for x in row]
+
+    def product(self, left: Sequence[Sequence[int]], right: Sequence[Sequence[int]],
+                cols: int) -> list[Sequence[int]]:
+        """The rows of ``left @ right`` in residues, for factors in residues.
+
+        Each row of ``right`` is packed into one int, a byte per column, so
+        an output row is one sum of int products, unpacked by ``to_bytes``
+        and reduced through a byte table (as in M4RI).  Exact only while
+        (p - 1)**2 * len(right) < 256, so that no byte carries, and only for
+        canonical residues in both factors; past that bound each entry is
+        one reduced sum of products.
+        """
+        p = self.p
+        if (p - 1) ** 2 * len(right) < 256:
+            packed = [int.from_bytes(bytes(row), "little") for row in right]
+            table = self._residues
+            return [sum(map(mul, lrow, packed)).to_bytes(cols, "little").translate(table)
+                    for lrow in left]
+        right_cols = list(zip(*right)) if right else [()] * cols
+        return [[sum(map(mul, lrow, col)) % p for col in right_cols] for lrow in left]
+
+    def primitive_columns(self, rows: Sequence[Sequence[int]]) -> Sequence[Sequence[int]]:
+        """``rows`` as they are: residues stay below p."""
+        return rows
 
     def write_back(self, row: Sequence[int], d: int) -> Sequence[int]:
         """``row / d`` in residues, for ``row`` in residues: as it is when d is 1."""
@@ -241,7 +281,7 @@ class Matrix:
         left, lden = _cleared(field, self.data)
         right, rden = _cleared(field, other.data)
         write_back, den = field.write_back, lden * rden
-        out = [write_back(row, den) for row in _product(field, left, right, other.cols)]
+        out = [write_back(row, den) for row in field.product(left, right, other.cols)]
         return Matrix._canonical(field, out, other.cols)
 
 
@@ -311,14 +351,6 @@ def _cleared(field: Field, rows: Iterable[Sequence]) -> tuple[list[Sequence[int]
     rows = list(rows)
     den = lcm(*[x.denominator for row in rows for x in row])
     return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
-
-
-def _product(field: Field, left: Sequence[Sequence[int]], right: Sequence[Sequence[int]],
-             cols: int) -> list[list[int]]:
-    """The integer rows of ``left @ right``, each summed on ints and then reduced."""
-    reduce = field.reduce
-    right_cols = list(zip(*right)) if right else [()] * cols
-    return [reduce([sum(map(mul, lrow, col)) for col in right_cols]) for lrow in left]
 
 
 def _gauss_jordan(field: Field, work: list[Sequence[int]], reduced: bool = True) -> list[int]:
@@ -394,10 +426,14 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
 
 def rank(m: Matrix) -> int:
     """Rank as the pivot count of the echelon form; 0 for empty matrices."""
+    if not isinstance(m, Matrix):
+        raise ValidationError(f"rank of {shown(m)}, which is not a Matrix")
     return len(_gauss_jordan(m.field, _cleared(m.field, m.data)[0], reduced=False))
 
 
 def inverse(m: Matrix) -> Matrix:
+    if not isinstance(m, Matrix):
+        raise ValidationError(f"inverse of {shown(m)}, which is not a Matrix")
     if m.rows != m.cols:
         raise ValidationError("inverse of a non-square matrix")
     n = m.rows
@@ -476,7 +512,7 @@ def span_with_image(field: Field, floor: tuple[tuple, ...], basis: Sequence[Sequ
     the floor is the answer, and otherwise one ``_echelon`` of them and the
     floor vectors gives the canonical basis.
     """
-    images = [row for row in _product(field, basis, transposed, len(transposed[0])) if any(row)]
+    images = [row for row in field.product(basis, transposed, len(transposed[0])) if any(row)]
     if not images:
         return floor
     return tuple(map(tuple, _echelon(field, [*floor, *images])[0]))
@@ -556,7 +592,7 @@ def flag_image(m: IntMatrix, basis: IntMatrix, dims: Sequence[int]
     """
     if basis.cols == 0 or m.rows == 0:
         return IntMatrix.zero_space(m.field, m.rows), [0] * len(dims)
-    moved = _product(m.field, m.data, basis.data, basis.cols)
+    moved = m.field.product(m.data, basis.data, basis.cols)
     pivots = _gauss_jordan(m.field, list(moved), reduced=False)
     kept = tuple(tuple(row[j] for j in pivots) for row in moved)
     return IntMatrix(m.field, m.rows, len(pivots), kept), [bisect_left(pivots, d) for d in dims]
@@ -575,8 +611,8 @@ def flag_preimage(m: IntMatrix, basis: IntMatrix, dims: Sequence[int]
     the kernel, because ``basis`` has full column rank.
 
     The reduced rows hold each pivot unscaled, so each kernel vector is
-    built on ints: times the lcm of the pivots, reduced, then divided by
-    the gcd of its x-part.
+    built on ints: times the lcm of the pivots, reduced, then made small
+    by the field's ``primitive_columns``.
     """
     field = m.field
     if m.cols == 0 or m.rows == 0:
@@ -596,12 +632,9 @@ def flag_preimage(m: IntMatrix, basis: IntMatrix, dims: Sequence[int]
             vec[f] = den
         for row, pc, scale in head:
             vec[pc] = -row[f] * scale
-        vec = reduce(vec)
-        g = gcd(*vec)
-        if g > 1:
-            vec = [x // g for x in vec]
-        columns.append(vec)
-    data = tuple(zip(*columns)) if columns else ((),) * m.cols
+        columns.append(reduce(vec))
+    rows = field.primitive_columns(list(zip(*columns))) if columns else ((),) * m.cols
+    data = tuple(map(tuple, rows))
     new_dims = [bisect_left(free, m.cols + d) for d in dims]
     return IntMatrix(field, m.cols, len(columns), data), new_dims
 
@@ -613,15 +646,13 @@ def flag_moved(m: IntMatrix, basis: IntMatrix, dims: Sequence[int]
     An injective m keeps the columns of ``m @ basis`` independent, so they
     are an adapted basis of the image flag with the same dims.  The
     preimage flag through an invertible edge matrix is this flag moved by
-    ``scaled_inverse`` of it.  Each column is divided by the gcd of its
-    entries, as ``flag_preimage`` divides its kernel vectors, so over QQ a
-    basis carried across many products keeps small entries.
+    ``scaled_inverse`` of it.  Over QQ the field's ``primitive_columns``
+    divides each column by its gcd, as for ``flag_preimage``'s kernel
+    vectors, so a basis carried across many products keeps small entries.
     """
-    moved = _product(m.field, m.data, basis.data, basis.cols)
-    scales = [gcd(*col) for col in zip(*moved)]
-    if any(g > 1 for g in scales):
-        moved = [[x // g for x, g in zip(row, scales)] for row in moved]
-    return IntMatrix(m.field, m.rows, basis.cols, tuple(map(tuple, moved))), list(dims)
+    field = m.field
+    moved = field.primitive_columns(field.product(m.data, basis.data, basis.cols))
+    return IntMatrix(field, m.rows, basis.cols, tuple(map(tuple, moved))), list(dims)
 
 
 def scaled_inverse(m: IntMatrix) -> IntMatrix | None:

@@ -11,7 +11,9 @@ of generalized ranks (out-of-range terms are zero), where r[x,y] is the
 rank of the canonical map from the limit to the colimit of the
 restriction to [x, y].
 
-``barcode`` evaluates the whole grid in one left-to-right sweep: with
+``barcode`` evaluates the whole grid in one left-to-right sweep over
+the dims and the crossings, one (edge matrix, points right) per position
+k > 0, which ``affine.classify_lift`` takes straight from a cycle.  With
 the right endpoint at position k, the subspaces
 
     A[a] = image at k of (limit over [a, k])          -- grows with a
@@ -56,8 +58,8 @@ linear in the path length for bounded vertex dimensions, which the long
 lift windows rely on.
 
 A lift window repeats its cycle's steps, and the sweep stops once it
-repeats itself.  Let p be the least period of the step sequence
-(points right, edge matrix), matrices compared by value; on an
+repeats itself.  Let p be the least period of the crossing sequence
+(edge matrix, points right), matrices compared by value; on an
 aperiodic path p is the whole length and the sweep runs to the end.
 Shift a position's marks by p: a start a > 0 becomes a + p, start 0
 stays 0.  The sweep stops at the first position k whose marks are the
@@ -221,6 +223,8 @@ def interval_module(q: Quiver, iv: Interval, fld: Field) -> Representation:
     """The indecomposable supported on [lo, hi] with identity internal maps."""
     if not isinstance(fld, Field):
         raise ValidationError(f"field: {shown(fld)} is not QQ or a GF(p)")
+    if not isinstance(iv, Interval):
+        raise ValidationError(f"interval: {shown(iv)} is not an Interval")
     path_steps(q)
     n = q.vertex_count
     if not (0 <= iv.lo and iv.hi <= n - 1):
@@ -243,14 +247,22 @@ def barcode(v: Representation) -> Barcode:
     multiplicity is mathematically impossible and raises
     InternalCheckError rather than being clamped.
     """
-    steps = path_steps(v.quiver)
-    n = v.quiver.vertex_count
+    if not isinstance(v, Representation):
+        raise ValidationError(f"barcode input {shown(v)} is not a Representation")
+    crossings = [(v.mats[eidx], forward) for eidx, forward in path_steps(v.quiver)]
+    return _bars(v.field, v.dims, crossings)
+
+
+def _bars(fld: Field, dims: tuple[int, ...], crossings: list[tuple[Matrix, bool]]) -> Barcode:
+    """The barcode of the path of vertex dims ``dims`` whose position k > 0
+    is joined to k - 1 by ``crossings[k - 1]``, an (edge matrix, points right)."""
+    n = len(dims)
     if n == 0:
         return Barcode(())
     found: dict[tuple[int, int], int] = {}
     prev_g: dict[int, int] = {}
     # d[a, k-1] = g_{k-1}(a) - g_k(a), with g_k(a) = r[a,k] - r[a-1,k]
-    for k, g in enumerate(_rank_rows(v, steps)):
+    for k, g in enumerate(_rank_rows(fld, dims, crossings)):
         for a in (prev_g.keys() | g.keys()) - {k}:
             d = prev_g.get(a, 0) - g.get(a, 0)
             if d < 0:
@@ -264,25 +276,24 @@ def barcode(v: Representation) -> Barcode:
 
     bar = Barcode.from_dict({Interval(a, b): d for (a, b), d in found.items()})
     mass = bar.dims_vector(n)
-    if mass != v.dims:
+    if mass != dims:
         raise InternalCheckError(
-            f"barcode does not conserve dimensions: {list(mass)} vs {list(v.dims)}"
+            f"barcode does not conserve dimensions: {list(mass)} vs {list(dims)}"
         )
     return bar
 
 
-def _rank_rows(v: Representation, steps: list[tuple[int, bool]]) -> Iterator[dict[int, int]]:
+def _rank_rows(fld: Field, dims: tuple[int, ...], crossings: list[tuple[Matrix, bool]]
+               ) -> Iterator[dict[int, int]]:
     """The jumps of each rank row r[., k], k = 0 .. n-1, in order.
 
     Sweeps the flags until a position repeats the one ``period`` earlier
     (module docstring); every later row is the row ``period`` positions
     before it with its starts shifted, so it is replayed, not swept.
     """
-    fld = v.field
-    dims = v.dims
     # matrices compare by value; the same object passes the tuple's identity test
-    period = _least_period([(forward, v.mats[eidx]) for eidx, forward in steps])
-    if period == len(steps):
+    period = _least_period(crossings)
+    if period == len(crossings):
         period = 0  # aperiodic: no position repeats one before it
     # the marks and rows of the last `period` positions
     past_marks: deque[list[tuple]] = deque(maxlen=period)
@@ -298,8 +309,7 @@ def _rank_rows(v: Representation, steps: list[tuple[int, bool]]) -> Iterator[dic
 
     for k in range(len(dims)):
         if k > 0:
-            eidx, forward = steps[k - 1]
-            m = v.mats[eidx]
+            m, forward = crossings[k - 1]
             if (id(m), forward) not in cleared:
                 cleared[id(m), forward] = _crossing(m, forward, period > 0)
             op, m = cleared[id(m), forward]

@@ -306,6 +306,20 @@ class TestLiftedMultiplicities:
         base = default_window(rep)
         assert classify_lift(rep, base + aq.n)[:2] == lifted_multiplicities(rep)
 
+    @pytest.mark.parametrize("fld", [GF(2), GF(3), GF(5), QQ], ids=repr)
+    def test_window_barcode_is_that_of_the_unwinding(self, fld):
+        # classify_lift sweeps the window's crossings straight from the
+        # cycle, with no window Representation; its barcode is that of the
+        # unwinding lift_truncated builds, at the default window and one
+        # turn past it
+        rng = make_rng(36)
+        for _ in range(8):
+            n = rng.randint(2, 5)
+            aq, rep, _, _ = gen_affine(n, fld, 3, rng, min_summands=1, max_len=3 * n - 1)
+            base = default_window(rep)
+            for window in (base, base + n):
+                assert classify_lift(rep, window)[2] == barcode(lift_truncated(rep, window))
+
     def test_short_window_rejected(self):
         rep = indec_N(EX, 1, 9, GF(5))
         base = default_window(rep)

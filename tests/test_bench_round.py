@@ -9,7 +9,9 @@ It also pins the work of that round, in counts that do not vary between
 runs: eliminations (``_gauss_jordan`` calls) and row updates (calls of
 the fields' row step, ``RationalField.row_update`` and
 ``PrimeField.row_update``), counted over the requests and not the set-up.
-A change that moves one re-pins it here.
+The fields' products (``RationalField.product`` and
+``PrimeField.product``) are pinned beside them.  A change that moves one
+re-pins it here.
 
 The oracle's walk is pinned beside them: ``hn._destabilizer`` passes,
 enumerations (calls of ``hn.superspaces``) and the superspaces they
@@ -38,6 +40,14 @@ ROUND_WORK = {
     "oracle-certify": (1388, 717),
 }
 
+# products over the same round: flag crossings, the oracle's span steps and
+# Matrix products
+ROUND_PRODUCTS = {
+    "lift-long": 1978,
+    "zigzag-rational": 354,
+    "oracle-certify": 1227,
+}
+
 # (passes, enumerations, superspaces) of the oracle over the same round
 ORACLE_WALK = {
     "lift-long": (0, 0, 0),
@@ -63,8 +73,10 @@ def test_workload_round_passes_its_checks(name, tmp_path, count_calls, monkeypat
     walk = [count_calls(hn, step) for step in ("_destabilizer", "superspaces")]
     eliminations = count_calls(linalg, "_gauss_jordan")
     row_updates = [count_calls(field, "row_update") for field in (RationalField, PrimeField)]
+    products = [count_calls(field, "product") for field in (RationalField, PrimeField)]
     problems = [problem for _, problem, _ in map(harness.run_request, requests) if problem]
     assert problems == []
     work_done = (len(eliminations), sum(map(len, row_updates)))
     assert work_done == ROUND_WORK[name]
+    assert sum(map(len, products)) == ROUND_PRODUCTS[name]
     assert (*map(len, walk), len(superspaces)) == ORACLE_WALK[name]

@@ -18,13 +18,15 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# entry points the README documents for library callers, and the tests'
-# independent subspace checker
+# entry points the README documents for library callers (``lift_truncated``
+# is the paper's unwinding, which ``classify_lift`` sweeps without building),
+# and the tests' independent subspace checker
 KEEP = {
     "is_semistable",
     "hn_r_filtration_eval",
     "sheaf_euler_characteristic",
     "recover_barcode_via_truncations",
+    "lift_truncated",
     "subspace_contains",
 }
 

@@ -529,6 +529,51 @@ class TestRationalKernel:
         assert sum(map(len, calls)) == 0
 
 
+def plain_product(fld, left, right, cols) -> list[list[int]]:
+    """``left @ right`` on int rows, entry by entry, reduced mod p over GF(p)."""
+    reduce = (lambda x: x) if fld == QQ else (lambda x: x % fld.p)
+    return [[reduce(sum(lrow[k] * right[k][j] for k in range(len(right)))) for j in range(cols)]
+            for lrow in left]
+
+
+def int_rows(fld, rng: random.Random, rows: int, cols: int) -> list:
+    """Random int rows: residues over GF(p), signed ints of up to 80 bits over QQ."""
+    if fld == QQ:
+        draw = lambda: rng.choice((0, 1, -1, rng.randint(-99, 99), rng.getrandbits(80) - 2**79))
+    else:
+        draw = lambda: rng.randrange(fld.p)
+    return [[draw() for _ in range(cols)] for _ in range(rows)]
+
+
+class TestFieldProduct:
+    """``field.product`` against a plain product; GF(p) packs small residues into ints."""
+
+    @pytest.mark.parametrize("fld", [GF(2), GF(3), GF(5), GF(7), GF(13), GF(2**31 - 1), QQ],
+                             ids=repr)
+    def test_matches_plain_product(self, fld):
+        rng = random.Random(41)
+        shapes = [(0, 0, 0), (0, 3, 2), (2, 0, 3), (3, 2, 0), (1, 1, 1)]
+        shapes += [tuple(rng.randint(0, 9) for _ in range(3)) for _ in range(60)]
+        for rows, inner, cols in shapes:
+            left, right = int_rows(fld, rng, rows, inner), int_rows(fld, rng, inner, cols)
+            got = fld.product(left, right, cols)
+            assert list(map(list, got)) == plain_product(fld, left, right, cols)
+
+    @pytest.mark.parametrize("p, height", [(3, 63), (3, 64), (2, 255), (2, 256)])
+    def test_both_sides_of_the_packing_bound(self, p, height):
+        # (p - 1)**2 * height < 256 packs a byte per entry; the first row of
+        # left and the first column of right hold p - 1, so the first slot
+        # of the packed sum reaches (p - 1)**2 * height, which would carry
+        # into the next slot past the bound
+        fld, rng = GF(p), random.Random(height)
+        for cols in (1, 5, 40):
+            left = [[p - 1] * height, *int_rows(fld, rng, 3, height)]
+            right = [[p - 1, *row] for row in int_rows(fld, rng, height, cols - 1)]
+            got = fld.product(left, right, cols)
+            assert list(map(list, got)) == plain_product(fld, left, right, cols)
+            assert got[0][0] == (p - 1) ** 2 * height % p
+
+
 class TestSubspaceOps:
     def test_image_is_span(self):
         # a one-member flag, canonicalised, is the canonical image

@@ -5,16 +5,29 @@ TypeError, ValueError or AttributeError, or, for a fractional interval
 endpoint or a bool window, took it without a word.  A lift window out of
 range is refused too: a negative one once gave the empty unwinding, and
 one past ``LIFT_MAX_WINDOW`` ran until killed.
+
+A summand constructor refuses a length past ``LIFT_MAX_WINDOW`` before it
+builds anything, as the lift window does: a wrapped interval or a Jordan
+cell of length 10**30 once ran until killed.
 """
+
+import signal
 
 import pytest
 
-from hnzz.affine import AffineQuiver, classify_lift, indec_N, indec_T, lift_truncated
+from hnzz.affine import (
+    AffineQuiver,
+    classify_lift,
+    eta_from_lift,
+    indec_N,
+    indec_T,
+    lift_truncated,
+)
 from hnzz.errors import ShapeError, ValidationError
 from hnzz.hn import HNReport, hn_bruteforce, hn_from_barcode, recover_barcode_via_truncations
-from hnzz.linalg import GF, QQ, Matrix, superspaces
+from hnzz.linalg import GF, QQ, Matrix, inverse, rank, superspaces
 from hnzz.quiver import Quiver, euler_stability
-from hnzz.zigzag import Barcode, Interval, interval_module
+from hnzz.zigzag import Barcode, Interval, barcode, interval_module
 
 A2 = Quiver(2, ((0, 1),))
 AQ = AffineQuiver(2, (0, 1))
@@ -53,6 +66,10 @@ CELL = indec_T(AQ, 1, 1, GF(2))  # default window 6
         lambda: hn_from_barcode(Barcode(()), None),
         lambda: recover_barcode_via_truncations(None),
         lambda: interval_module(A2, Interval(0, 1), None),
+        lambda: interval_module(A2, None, GF(2)),
+        lambda: barcode(None),
+        lambda: rank(None),
+        lambda: inverse(None),
         lambda: AffineQuiver(2, None),
         lambda: indec_T(AQ, 1, 2.5, QQ),
         lambda: indec_T(AQ, 1, "2", QQ),
@@ -69,6 +86,8 @@ CELL = indec_T(AQ, 1, 1, GF(2))  # default window 6
         lambda: classify_lift(CELL, 6.0),
         lambda: classify_lift(CELL, True),
         lambda: lift_truncated(CELL, 6.0),
+        lambda: classify_lift(None),
+        lambda: eta_from_lift(None),
     ],
     ids=[
         "GF(None)",
@@ -99,6 +118,10 @@ CELL = indec_T(AQ, 1, 1, GF(2))  # default window 6
         "hn_from_barcode(bar, None)",
         "recover_barcode_via_truncations(None)",
         "interval_module(field None)",
+        "interval_module(interval None)",
+        "barcode(None)",
+        "rank(None)",
+        "inverse(None)",
         "AffineQuiver(2, None)",
         "indec_T(size 2.5)",
         "indec_T(size '2')",
@@ -115,6 +138,8 @@ CELL = indec_T(AQ, 1, 1, GF(2))  # default window 6
         "classify_lift(window 6.0)",
         "classify_lift(window True)",
         "lift_truncated(window 6.0)",
+        "classify_lift(None)",
+        "eta_from_lift(None)",
     ],
 )
 def test_wrong_type_refused(build):
@@ -130,3 +155,22 @@ def test_wrong_type_refused(build):
 def test_lift_window_out_of_range_refused(window, error):
     with pytest.raises(error, match="window length"):
         lift_truncated(CELL, window)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: indec_N(AQ, 0, 10**30, GF(3)), lambda: indec_T(AQ, 1, 10**30, GF(3))],
+    ids=["indec_N(length 10**30 + 1)", "indec_T(size 10**30)"],
+)
+def test_summand_length_past_the_window_cap_refused_at_once(build):
+    def expired(signum, frame):
+        raise TimeoutError("the summand was not refused within 3 s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(3)
+    try:
+        with pytest.raises(ShapeError, match="LIFT_MAX_WINDOW"):
+            build()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
