@@ -33,8 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InternalCheckError, ShapeError, ValidationError, shown
-from .linalg import Field, Matrix
+from .errors import InternalCheckError, ShapeError, ValidationError, check_type, shown
+from .linalg import Field, Matrix, check_field
 from .quiver import Quiver, Representation, check_ints
 from .zigzag import Barcode, _bars
 from .hn import HNReport
@@ -91,6 +91,7 @@ class TClass:
 
 
 def to_quiver(aq: AffineQuiver) -> Quiver:
+    check_type(aq, AffineQuiver, "cycle")
     edges = []
     for j in range(aq.n):
         a, b = (j - 1) % aq.n, j
@@ -100,6 +101,7 @@ def to_quiver(aq: AffineQuiver) -> Quiver:
 
 def affine_of_quiver(q: Quiver) -> AffineQuiver:
     """Recover the affine structure from a quiver built by ``to_quiver``."""
+    check_type(q, Quiver, "cycle quiver")
     n = q.vertex_count
     if n < 2 or len(q.edges) != n:
         raise ShapeError("not an affine cycle quiver")
@@ -117,6 +119,9 @@ def affine_of_quiver(q: Quiver) -> AffineQuiver:
 
 def wrap_counts(n: int, u: int, v: int) -> tuple[int, ...]:
     """Dimension vector of the wrapped interval: hits of [u, v] per residue."""
+    check_ints((n, u, v), "wrapped interval")
+    if n < 1:
+        raise ValidationError(f"cycle length {n} is not positive")
     base, extra = divmod(v - u + 1, n)
     dims = [base] * n
     for i in range(u, u + extra):
@@ -135,11 +140,12 @@ def _check_wrapped(n: int, u: int, v: int) -> None:
 
 def indec_N(aq: AffineQuiver, u: int, v: int, fld: Field) -> Representation:
     """The wrapped-interval indecomposable for [u, v], of length at most ``LIFT_MAX_WINDOW``."""
+    q = to_quiver(aq)
+    check_field(fld)
     n = aq.n
     _check_wrapped(n, u, v)
     _check_window_cap(v - u + 1)
     support = [[i for i in range(u, v + 1) if i % n == j] for j in range(n)]
-    q = to_quiver(aq)
     z, o = fld.zero, fld.one
     mats = []
     for j in range(n):
@@ -158,6 +164,8 @@ def indec_N(aq: AffineQuiver, u: int, v: int, fld: Field) -> Representation:
 
 def indec_T(aq: AffineQuiver, lam, w: int, fld: Field) -> Representation:
     """The Jordan-cell indecomposable of eigenvalue lam and size w, w * n <= ``LIFT_MAX_WINDOW``."""
+    q = to_quiver(aq)
+    check_field(fld)
     lam = fld.coerce(lam)
     check_ints((w,), "Jordan-cell size")
     if lam == 0:
@@ -166,7 +174,6 @@ def indec_T(aq: AffineQuiver, lam, w: int, fld: Field) -> Representation:
         raise ValidationError("Jordan-cell size must be at least 1")
     n = aq.n
     _check_window_cap(w * n)
-    q = to_quiver(aq)
     z, o = fld.zero, fld.one
     jordan = [
         [lam if i == j else (o if j == i + 1 else z) for j in range(w)]
@@ -184,6 +191,7 @@ def p_value(aq: AffineQuiver, u: int, v: int) -> int:
     x_{v'} (indices mod n); the result 0/1/2 fixes the sign of the Euler
     slope of the wrapped-interval indecomposable.
     """
+    check_type(aq, AffineQuiver, "cycle")
     n = aq.n
     _check_wrapped(n, u, v)
     into_left = aq.orientation[u] == CW
@@ -204,8 +212,7 @@ def default_window(v: Representation) -> int:
     translate starting in [1, n] fits strictly inside the window 0..D.
     The input is checked first: a quiver with no vertex has no x_0.
     """
-    if not isinstance(v, Representation):
-        raise ValidationError(f"lift input {shown(v)} is not a Representation")
+    check_type(v, Representation, "lift input")
     return affine_of_quiver(v.quiver).n * (v.dims[0] + 2)
 
 
@@ -228,6 +235,7 @@ def lift_truncated(v: Representation, D: int) -> Representation:
     _check_window_cap(D)
     if D < 0:
         raise ValidationError(f"window length {D} is negative")
+    check_type(v, Representation, "lift input")
     aq = affine_of_quiver(v.quiver)
     n = aq.n
     dims = tuple(v.dims[i % n] for i in range(D + 1))

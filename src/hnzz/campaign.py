@@ -24,7 +24,7 @@ from .affine import (
     p_value,
     recover_N_multiplicities,
 )
-from .errors import ShapeError
+from .errors import ShapeError, check_type
 from .generators import gen_affine, gen_persistence
 from .hn import ORACLE_MAX_TOTAL_DIM, HNReport, hn_bruteforce, hn_from_barcode
 from .linalg import ENUM_MAX_DIM, GF
@@ -45,8 +45,11 @@ def fast_report(rep: Representation, alpha: StabilityCondition) -> HNReport | No
     """HN report of ``rep`` under ``alpha`` by the fast route; None if none applies.
 
     The shape is resolved before the weights are compared, since
-    ``euler_stability`` refuses cyclic quivers.
+    ``euler_stability`` refuses cyclic quivers.  An input of the wrong type
+    raises ValidationError.
     """
+    check_type(rep, Representation, "HN input")
+    check_type(alpha, StabilityCondition, "stability condition")
     q = rep.quiver
     cycle = _cycle(q)
     if (cycle is None and not is_path(q)) or alpha != euler_stability(q):

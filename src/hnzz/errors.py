@@ -27,6 +27,14 @@ class InternalCheckError(RuntimeError):
     """A mathematically impossible state was reached; indicates a bug."""
 
 
+def check_type(value, kind: type, what: str) -> None:
+    """ValidationError unless ``value`` is a ``kind``, naming it as ``what``."""
+    if not isinstance(value, kind):
+        name = kind.__name__
+        article = "an" if name[0] in "AEIOU" else "a"
+        raise ValidationError(f"{what} {shown(value)} is not {article} {name}")
+
+
 def shown(value) -> str:
     """``repr(value)`` for an error message, cut to ``SHOWN_LIMIT`` characters."""
     try:

@@ -43,7 +43,7 @@ from math import lcm
 from operator import add, mul
 from typing import Iterable, Sequence
 
-from .errors import GuardError, InternalCheckError, ShapeError, ValidationError, shown
+from .errors import GuardError, InternalCheckError, ShapeError, ValidationError, check_type, shown
 from .linalg import (
     ENUM_MAX_P,
     Matrix,
@@ -122,8 +122,7 @@ class HNReport:
 def _checked_steps(quiver: Quiver, steps) -> tuple[tuple[Fraction, tuple[int, ...]], ...]:
     """``steps`` as (exact slope, dims) pairs over ``quiver``; ValidationError
     unless each is a pair of a rational and n non-negative ints."""
-    if not isinstance(quiver, Quiver):
-        raise ValidationError(f"HN report quiver {shown(quiver)} is not a Quiver")
+    check_type(quiver, Quiver, "HN report quiver")
     try:
         steps = tuple((sl, tuple(dims)) for sl, dims in steps)
     except (TypeError, ValueError):
@@ -144,8 +143,7 @@ ORACLE_MAX_TOTAL_DIM = {2: 8, 3: 6}
 
 
 def _check_oracle_guard(v: Representation) -> None:
-    if not isinstance(v, Representation):
-        raise ValidationError(f"oracle input {shown(v)} is not a Representation")
+    check_type(v, Representation, "oracle input")
     if not isinstance(v.field, PrimeField):
         raise GuardError("the brute-force oracle runs over prime fields only")
     p = v.field.p
@@ -391,8 +389,7 @@ def recover_barcode_via_truncations(v: Representation) -> Barcode:
     subtracting the already-known intervals that reach past the cut
     recovers the multiplicity of [k, v] for every right endpoint v.
     """
-    if not isinstance(v, Representation):
-        raise ValidationError(f"truncation recovery input {shown(v)} is not a Representation")
+    check_type(v, Representation, "truncation recovery input")
     if not all(fwd for _, fwd in path_steps(v.quiver)):
         raise ShapeError("truncation recovery requires an equioriented path")
     n = v.quiver.vertex_count

@@ -39,7 +39,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import GuardError, ValidationError, shown
+from .errors import GuardError, ValidationError, check_type, shown
 
 
 def _is_prime(n: int) -> bool:
@@ -191,6 +191,12 @@ def GF(p: int) -> PrimeField:
     return PrimeField(p)
 
 
+def check_field(fld) -> None:
+    """ValidationError unless ``fld`` is QQ or a GF(p)."""
+    if not isinstance(fld, Field):
+        raise ValidationError(f"field: {shown(fld)} is not QQ or a GF(p)")
+
+
 def _store(m: "Matrix", field: Field, cols: int, data: tuple) -> "Matrix":
     """Set the four slots of ``m``, bypassing its immutability guard."""
     object.__setattr__(m, "field", field)
@@ -271,6 +277,7 @@ class Matrix:
         return f"Matrix({self.field!r}, {self.rows}x{self.cols}, {list(map(list, self.data))})"
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
+        check_type(other, Matrix, "matmul factor")
         if self.field != other.field:
             raise ValidationError("matmul across different fields")
         if self.cols != other.rows:
@@ -304,6 +311,7 @@ class IntMatrix(NamedTuple):
     @staticmethod
     def of(m: Matrix) -> IntMatrix:
         """``m`` on int rows: over QQ, times the lcm of all its denominators."""
+        check_type(m, Matrix, "int rows of")
         rows, _ = _cleared(m.field, m.data)
         return IntMatrix(m.field, m.rows, m.cols, tuple(map(tuple, rows)))
 
@@ -320,6 +328,8 @@ def hstack(mats: Iterable[Matrix]) -> Matrix:
     mats = list(mats)
     if not mats:
         raise ValidationError("hstack of nothing")
+    for m in mats:
+        check_type(m, Matrix, "hstack block")
     field, rows = mats[0].field, mats[0].rows
     for m in mats:
         if m.field != field or m.rows != rows:
@@ -359,13 +369,16 @@ def _gauss_jordan(field: Field, work: list[Sequence[int]], reduced: bool = True)
     Returns the pivot columns; row i holds the pivot of column
     ``pivots[i]`` and every row past the last pivot is zero.  This is the
     one elimination loop of the package: ``rref``, ``rank``,
-    ``span_with_image``, ``prefix_sum_dim`` and the ``flag_*`` operations
-    all run through it (a kernel is the ``flag_preimage`` of the zero
-    subspace).  With ``reduced=False`` only the rows below each pivot are
-    cleared: the pivots are the same, at about half the row operations,
-    which is all ``rank`` needs.  The rows are then unspecified, and its
-    callers (``rank``, ``flag_image``, ``flag_completed``,
-    ``prefix_sum_dim``) read only the pivots.
+    ``span_with_image``, ``flag_image``, ``flag_preimage``,
+    ``flag_completed`` and ``scaled_inverse`` run through it (a kernel is
+    the ``flag_preimage`` of the zero subspace).  ``flag_sum_dims`` is no
+    elimination but an age-ordered insertion into a basis keyed by
+    leading coordinate, which gives the dimension of every window of a
+    sequence of columns at once; it takes the same row step.  With
+    ``reduced=False`` only the rows below each pivot are cleared: the
+    pivots are the same, at about half the row operations, which is all
+    ``rank`` needs.  The rows are then unspecified, and its callers
+    (``rank``, ``flag_image``, ``flag_completed``) read only the pivots.
 
     The rows are canonical integer rows of ``field`` (``_cleared``), and
     only the list is changed: a row is swapped or replaced, never written
@@ -419,6 +432,7 @@ def _echelon(field: Field, rows: Iterable[Sequence]) -> tuple[list[Sequence], li
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row-echelon form and its pivot columns."""
+    check_type(m, Matrix, "rref input")
     reduced, pivots = _echelon(m.field, m.data)
     reduced += [(m.field.zero,) * m.cols] * (m.rows - len(pivots))
     return Matrix._canonical(m.field, reduced, m.cols), tuple(pivots)
@@ -426,14 +440,12 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
 
 def rank(m: Matrix) -> int:
     """Rank as the pivot count of the echelon form; 0 for empty matrices."""
-    if not isinstance(m, Matrix):
-        raise ValidationError(f"rank of {shown(m)}, which is not a Matrix")
+    check_type(m, Matrix, "rank input")
     return len(_gauss_jordan(m.field, _cleared(m.field, m.data)[0], reduced=False))
 
 
 def inverse(m: Matrix) -> Matrix:
-    if not isinstance(m, Matrix):
-        raise ValidationError(f"inverse of {shown(m)}, which is not a Matrix")
+    check_type(m, Matrix, "inverse input")
     if m.rows != m.cols:
         raise ValidationError("inverse of a non-square matrix")
     n = m.rows
@@ -574,10 +586,11 @@ def superspaces(field: Field, floor: Sequence[tuple[int, ...]], dim: int, k: int
 # map moves it with none: the images of the columns stay independent, so
 # ``flag_moved`` is one product with the dims unchanged, and the preimage
 # flag through an invertible map is the flag moved by its inverse
-# (``scaled_inverse``, once per map).  A member is the span of its
-# columns, so each column may be scaled freely, and a map by a nonzero
-# scalar: the operations take and return IntMatrix bases and edge
-# matrices.
+# (``scaled_inverse``, once per map).  ``flag_sum_dims`` prices the sums
+# of members of one flag with members of another, every asked pair in
+# one pass and with no elimination.  A member is the span of its columns,
+# so each column may be scaled freely, and a map by a nonzero scalar: the
+# operations take and return IntMatrix bases and edge matrices.
 # ---------------------------------------------------------------------------
 
 
@@ -693,14 +706,55 @@ def flag_completed(basis: IntMatrix) -> IntMatrix:
     return IntMatrix(basis.field, d, d, rows)
 
 
-def prefix_sum_dim(a: IntMatrix, i: int, b: IntMatrix, j: int) -> int:
-    """dim(span of the first i columns of a + span of the first j of b).
+def flag_sum_dims(a: IntMatrix, b: IntMatrix, pairs: Sequence[tuple[int, int]]) -> list[int]:
+    """dim(span of the first i columns of a + span of the first j of b), per (i, j) of ``pairs``.
 
-    ``a`` and ``b`` have full column rank, so a prefix of 0 or all
-    ``rows`` columns is the zero or the whole space, and the sum is read
-    off the counts with no elimination.
+    ``a`` and ``b`` have full column rank, so a prefix of 0 or all ``rows``
+    columns is the zero or the whole space, and such a pair is read off
+    the counts with no row step.  The other pairs are priced in one pass
+    over the sequence b_jmax, ..., b_1, a_1, ..., a_imax of columns (jmax
+    and imax the largest j and i among them), in which the first j columns
+    of b and the first i of a are one window.  Each column is inserted,
+    in sequence order, into a basis keyed by leading coordinate; where
+    its lead is taken the later of the two vectors keeps it, and the
+    earlier one is reduced by it with ``field.row_update`` and carried on
+    to its next lead.  Each kept vector then lies in the span of the
+    window from its own position to the last one inserted, and the kept
+    vectors are independent, so once a_i is in, the window of (i, j) has
+    the dimension of the kept vectors at positions jmax - j and later: the
+    age-ordered reduction of the standard persistence algorithm
+    (Zomorodian and Carlsson, "Computing persistent homology", 2005).
     """
-    if i in (0, a.rows) or j in (0, b.rows):
-        return min(i + j, a.rows)
-    work = [ra[:i] + rb[:j] for ra, rb in zip(a.data, b.data)]
-    return len(_gauss_jordan(a.field, work, reduced=False))
+    d = a.rows
+    # a prefix of no column adds nothing and one of all d spans K^d; -1
+    # marks a pair of two partial prefixes, which the pass prices
+    sums = [i + j if not (i and j) else d if d in (i, j) else -1 for i, j in pairs]
+    if -1 not in sums:
+        return sums
+    # the partial pairs, by the a prefix they need
+    queries = sorted((i, j, n) for n, (i, j) in enumerate(pairs) if sums[n] < 0)
+    jmax = max(j for _, j, _ in queries)
+    seq = [*zip(*b.data)][jmax - 1::-1] + [*zip(*a.data)][:queries[-1][0]]
+    update = a.field.row_update
+    kept: dict[int, tuple[int, Sequence[int]]] = {}  # lead -> (position, vector)
+    q = 0
+    for last, vec in enumerate(seq):
+        pos, lead = last, 0
+        while True:
+            while not vec[lead]:
+                lead += 1
+            if lead not in kept:
+                kept[lead] = pos, vec
+                break
+            if kept[lead][0] < pos:
+                kept[lead], (pos, vec) = (pos, vec), kept[lead]
+            newer = kept[lead][1]
+            vec = update(vec, newer[lead], vec[lead], newer)
+            if not any(vec):
+                break
+            lead += 1
+        while q < len(queries) and jmax + queries[q][0] == last + 1:
+            i, j, n = queries[q]
+            sums[n] = sum(p >= jmax - j for p, _ in kept.values())
+            q += 1
+    return sums

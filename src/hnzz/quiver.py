@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Sequence
 
-from .errors import ShapeError, ValidationError, shown
+from .errors import ShapeError, ValidationError, check_type, shown
 from .linalg import QQ, Field, Matrix, block_diag, inverse
 
 Edge = tuple[int, int]
@@ -92,8 +92,7 @@ class Representation:
 
     def __post_init__(self):
         q = self.quiver
-        if not isinstance(q, Quiver):
-            raise ValidationError(f"quiver: {shown(q)} is not a Quiver")
+        check_type(q, Quiver, "quiver:")
         try:
             dims, mats = tuple(self.dims), tuple(self.mats)
         except TypeError:
@@ -132,6 +131,8 @@ def zero_representation(q: Quiver, fld: Field) -> Representation:
 
 
 def direct_sum(a: Representation, b: Representation) -> Representation:
+    check_type(a, Representation, "direct summand")
+    check_type(b, Representation, "direct summand")
     if a.quiver != b.quiver:
         raise ValidationError("direct sum across different quivers")
     if a.field != b.field:
@@ -218,6 +219,7 @@ def _euler_weights(q: Quiver) -> list[int]:
 
 def euler_stability(q: Quiver) -> StabilityCondition:
     """Weight 1 - in_degree(x) at each vertex; defined for acyclic quivers."""
+    check_type(q, Quiver, "Euler stability of")
     if not is_acyclic(q):
         raise ShapeError("Euler stability requires an acyclic quiver")
     return StabilityCondition(tuple(Fraction(w) for w in _euler_weights(q)))

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 
 from .affine import AffineQuiver, NClass, TClass, to_quiver
-from .errors import ParseError, ValidationError, shown
+from .errors import ParseError, ValidationError, check_type, shown
 from .hn import HNReport
 from .linalg import Field, GF, Matrix, PrimeField, QQ, RationalField
 from .quiver import Quiver, Representation, StabilityCondition, is_int
@@ -84,6 +84,7 @@ def _rational_reader(fld: RationalField):
 
 
 def instance_to_json(rep: Representation, affine: AffineQuiver | None = None) -> dict:
+    check_type(rep, Representation, "instance")
     if affine is not None:
         if to_quiver(affine) != rep.quiver:
             raise ValidationError("the affine quiver is not the representation's quiver")

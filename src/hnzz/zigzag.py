@@ -25,7 +25,8 @@ endpoint at once.
 
 Each chain is kept as one flag: an adapted basis of V_k (a list of
 columns) whose first dim columns span a member.  One list of marks
-(a, dim A[a], dim R[a]) serves both flags.  Nested members are equal
+(a, dim A[a], dim R[a]) serves both flags, held as the list of starts a
+and the list of their pairs of dims.  Nested members are equal
 exactly when their dimensions are, so a mark whose pair of dims equals
 its predecessor's is dropped, and no member needs a canonical basis of
 its own.  Both chains cross an edge by the same flag operation of
@@ -51,11 +52,16 @@ V_k (preimage).  So a trivial flag steps from a plain basis (the zero
 space, or the identity), once per (matrix, direction, chain, has a full
 member), and that step is shared by every later crossing of that edge
 matrix; a lift window repeats each of the cycle's n matrix objects at
-every n-th position.  A rank is taken only where both members of a
-start are partial, that is neither 0 nor all of V_k: a zero or a whole
-member fixes dim(A[a] + R[a]) by its dimension alone.  The cost stays
-linear in the path length for bounded vertex dimensions, which the long
-lift windows rely on.
+every n-th position.  A zero or a whole member fixes dim(A[a] + R[a])
+by its dimension alone, so a rank takes a row step only where both
+members of a start are partial, that is neither 0 nor all of V_k.  All
+those marks of a position are priced in one pass (``flag_sum_dims``):
+with b_1, b_2, ... the columns of the R basis and a_1, a_2, ... those
+of the A basis, each A[a] + R[a] is spanned by one contiguous window of
+the sequence b_jmax, ..., b_1, a_1, ..., a_imax, and one age-ordered
+reduction of that sequence gives the dimension of every window.  The
+cost stays linear in the path length for bounded vertex dimensions,
+which the long lift windows rely on.
 
 A lift window repeats its cycle's steps, and the sweep stops once it
 repeats itself.  Let p be the least period of the crossing sequence
@@ -114,16 +120,17 @@ from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .errors import InternalCheckError, ShapeError, ValidationError, shown
+from .errors import InternalCheckError, ShapeError, ValidationError, check_type, shown
 from .linalg import (
     Field,
     IntMatrix,
     Matrix,
+    check_field,
     flag_completed,
     flag_image,
     flag_moved,
     flag_preimage,
-    prefix_sum_dim,
+    flag_sum_dims,
     rank,
     scaled_inverse,
 )
@@ -192,8 +199,10 @@ def path_steps(q: Quiver) -> list[tuple[int, bool]]:
     """Per position k=1..n-1, the (edge id, points-right) joining k-1 and k.
 
     Raises ShapeError unless the quiver is a path with consecutively
-    numbered vertices (every edge joins some k-1 and k, each exactly once).
+    numbered vertices (every edge joins some k-1 and k, each exactly once),
+    and ValidationError unless q is a Quiver.
     """
+    check_type(q, Quiver, "path")
     n = q.vertex_count
     if n == 0:
         return []
@@ -211,7 +220,10 @@ def path_steps(q: Quiver) -> list[tuple[int, bool]]:
 
 
 def is_path(q: Quiver) -> bool:
-    """True iff ``path_steps`` takes q: a path on 0..n-1, edges pointing either way."""
+    """True iff ``path_steps`` takes q: a path on 0..n-1, edges pointing either way.
+
+    A q that is not a Quiver raises ValidationError, as in ``path_steps``.
+    """
     try:
         path_steps(q)
     except ShapeError:
@@ -221,8 +233,7 @@ def is_path(q: Quiver) -> bool:
 
 def interval_module(q: Quiver, iv: Interval, fld: Field) -> Representation:
     """The indecomposable supported on [lo, hi] with identity internal maps."""
-    if not isinstance(fld, Field):
-        raise ValidationError(f"field: {shown(fld)} is not QQ or a GF(p)")
+    check_field(fld)
     if not isinstance(iv, Interval):
         raise ValidationError(f"interval: {shown(iv)} is not an Interval")
     path_steps(q)
@@ -247,8 +258,7 @@ def barcode(v: Representation) -> Barcode:
     multiplicity is mathematically impossible and raises
     InternalCheckError rather than being clamped.
     """
-    if not isinstance(v, Representation):
-        raise ValidationError(f"barcode input {shown(v)} is not a Representation")
+    check_type(v, Representation, "barcode input")
     crossings = [(v.mats[eidx], forward) for eidx, forward in path_steps(v.quiver)]
     return _bars(v.field, v.dims, crossings)
 
@@ -296,12 +306,13 @@ def _rank_rows(fld: Field, dims: tuple[int, ...], crossings: list[tuple[Matrix, 
     if period == len(crossings):
         period = 0  # aperiodic: no position repeats one before it
     # the marks and rows of the last `period` positions
-    past_marks: deque[list[tuple]] = deque(maxlen=period)
+    past_marks: deque[tuple[list[int], list[tuple]]] = deque(maxlen=period)
     past_rows: deque[dict[int, int]] = deque(maxlen=period)
 
-    # both chains are flags over one list of marks (start a, dim A[a], dim R[a])
+    # both chains are flags over one list of marks: the starts a, and the
+    # pairs (dim A[a], dim R[a]) of their members
     a_basis, r_basis = IntMatrix.identity(fld, dims[0]), IntMatrix.zero_space(fld, dims[0])
-    marks = [(0, dims[0], 0)]
+    starts, pairs = [0], [(dims[0], 0)]
     # per (edge matrix object, points right): its flag step, found once
     cleared: dict[tuple[int, bool], tuple] = {}
     # trivial flag steps, one per (matrix, direction, chain, has a full member)
@@ -313,23 +324,25 @@ def _rank_rows(fld: Field, dims: tuple[int, ...], crossings: list[tuple[Matrix, 
             if (id(m), forward) not in cleared:
                 cleared[id(m), forward] = _crossing(m, forward, period > 0)
             op, m = cleared[id(m), forward]
-            starts, a_dims, r_dims = zip(*marks)
+            a_dims, r_dims = zip(*pairs)
             a_basis, a_dims = _crossed(m, op, a_basis, a_dims, True, trivial_steps)
             r_basis, r_dims = _crossed(m, op, r_basis, r_dims, False, trivial_steps)
             # nested members of equal dimension are equal: keep the first start
-            marks = []
-            for mark in [*zip(starts, a_dims, r_dims), (k, dims[k], 0)]:
-                if not marks or mark[1:] != marks[-1][1:]:
-                    marks.append(mark)
-        if period and len(past_marks) == period and marks == _shifted(past_marks[0], period):
+            previous, starts, pairs = starts, [], []
+            for a, pair in zip([*previous, k], [*zip(a_dims, r_dims), (dims[k], 0)]):
+                if not pairs or pair != pairs[-1]:
+                    starts.append(a)
+                    pairs.append(pair)
+        if (period and len(past_marks) == period and pairs == past_marks[0][1]
+                and starts == _shifted(past_marks[0][0], period)):
             # k repeats k - period, and so does every later position
             for _ in range(k, len(dims)):
                 g = {a + period if a else 0: d for a, d in past_rows[0].items()}
                 past_rows.append(g)
                 yield g
             return
-        g = _rank_jumps(a_basis, r_basis, marks)
-        past_marks.append(marks)
+        g = _rank_jumps(a_basis, r_basis, starts, pairs)
+        past_marks.append((starts, pairs))
         past_rows.append(g)
         yield g
 
@@ -371,9 +384,9 @@ def _least_period(seq) -> int:
     return len(seq) - border[-1] if seq else 0
 
 
-def _shifted(marks: list[tuple], period: int) -> list[tuple]:
-    """Marks of a position moved ``period`` positions right: start 0 stays 0."""
-    return [(a + period if a else 0, adim, rdim) for a, adim, rdim in marks]
+def _shifted(starts: list[int], period: int) -> list[int]:
+    """Starts of a position moved ``period`` positions right: start 0 stays 0."""
+    return [a + period if a else 0 for a in starts]
 
 
 def _crossed(m: IntMatrix, op, basis: IntMatrix, dims, completed: bool, memo: dict):
@@ -410,16 +423,18 @@ def _crossed(m: IntMatrix, op, basis: IntMatrix, dims, completed: bool, memo: di
     return basis, dims
 
 
-def _rank_jumps(a_basis: IntMatrix, r_basis: IntMatrix, marks: list[tuple]) -> dict[int, int]:
+def _rank_jumps(a_basis: IntMatrix, r_basis: IntMatrix, starts: list[int],
+                pairs: list[tuple[int, int]]) -> dict[int, int]:
     """Sparse derivative a -> r[a,k] - r[a-1,k] of the current rank row.
 
-    r[a,k] = dim(A[a] + R[a]) - dim R[a]; it needs a rank only when both
-    members are partial, neither 0 nor all of V_k.
+    r[a,k] = dim(A[a] + R[a]) - dim R[a]; one ``flag_sum_dims`` pass
+    prices every mark at once, with a row step only for the marks whose
+    members are both partial, neither 0 nor all of V_k.
     """
     jumps: dict[int, int] = {}
     prev_val = 0
-    for a, adim, rdim in marks:
-        val = prefix_sum_dim(a_basis, adim, r_basis, rdim) - rdim
+    for a, (_, rdim), total in zip(starts, pairs, flag_sum_dims(a_basis, r_basis, pairs)):
+        val = total - rdim
         if val < prev_val:
             raise InternalCheckError("rank row decreased in the left endpoint")
         if val > prev_val:

@@ -15,19 +15,25 @@ import signal
 
 import pytest
 
+from hnzz import campaign
 from hnzz.affine import (
     AffineQuiver,
+    affine_of_quiver,
     classify_lift,
     eta_from_lift,
     indec_N,
     indec_T,
     lift_truncated,
+    p_value,
+    to_quiver,
+    wrap_counts,
 )
 from hnzz.errors import ShapeError, ValidationError
 from hnzz.hn import HNReport, hn_bruteforce, hn_from_barcode, recover_barcode_via_truncations
-from hnzz.linalg import GF, QQ, Matrix, inverse, rank, superspaces
-from hnzz.quiver import Quiver, euler_stability
-from hnzz.zigzag import Barcode, Interval, barcode, interval_module
+from hnzz.linalg import GF, QQ, IntMatrix, Matrix, hstack, inverse, rank, rref, superspaces
+from hnzz.quiver import Quiver, direct_sum, euler_stability
+from hnzz.serialize import instance_to_json
+from hnzz.zigzag import Barcode, Interval, barcode, interval_module, is_path, path_steps
 
 A2 = Quiver(2, ((0, 1),))
 AQ = AffineQuiver(2, (0, 1))
@@ -88,6 +94,23 @@ CELL = indec_T(AQ, 1, 1, GF(2))  # default window 6
         lambda: lift_truncated(CELL, 6.0),
         lambda: classify_lift(None),
         lambda: eta_from_lift(None),
+        lambda: path_steps(None),
+        lambda: is_path(None),
+        lambda: rref(None),
+        lambda: hstack([None]),
+        lambda: Matrix.identity(GF(2), 1) @ None,
+        lambda: IntMatrix.of(None),
+        lambda: direct_sum(None, None),
+        lambda: euler_stability(None),
+        lambda: lift_truncated(None, 6),
+        lambda: affine_of_quiver(None),
+        lambda: to_quiver(None),
+        lambda: p_value(None, 0, 1),
+        lambda: wrap_counts(2, 0, None),
+        lambda: campaign.fast_report(None, None),
+        lambda: instance_to_json(None),
+        lambda: indec_N(AQ, 0, 1, None),
+        lambda: indec_T(AQ, 1, 1, None),
     ],
     ids=[
         "GF(None)",
@@ -140,6 +163,23 @@ CELL = indec_T(AQ, 1, 1, GF(2))  # default window 6
         "lift_truncated(window 6.0)",
         "classify_lift(None)",
         "eta_from_lift(None)",
+        "path_steps(None)",
+        "is_path(None)",
+        "rref(None)",
+        "hstack([None])",
+        "Matrix @ None",
+        "IntMatrix.of(None)",
+        "direct_sum(None, None)",
+        "euler_stability(None)",
+        "lift_truncated(None, 6)",
+        "affine_of_quiver(None)",
+        "to_quiver(None)",
+        "p_value(None, 0, 1)",
+        "wrap_counts(2, 0, None)",
+        "fast_report(None, None)",
+        "instance_to_json(None)",
+        "indec_N(field None)",
+        "indec_T(field None)",
     ],
 )
 def test_wrong_type_refused(build):

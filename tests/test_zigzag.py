@@ -425,24 +425,34 @@ class TestSharedMatrices:
     Every path here reuses objects.  The reference prices each interval
     on its own, so a reused step that moved the wrong members shows, and
     the same path with unshared matrices must need more eliminations.
-    Every rank also checks that a pair whose A or R member is 0 or the
-    whole space is priced by its dims, with no elimination.
+    Every rank row also checks that a pair whose A or R member is 0 or
+    the whole space is priced by its dims: the row takes the row steps of
+    its other pairs alone, and no elimination.
     """
 
     @pytest.fixture
     def check(self, count_calls, monkeypatch):
         calls = count_calls(linalg, "_gauss_jordan")
+        steps = [count_calls(field, "row_update")
+                 for field in (linalg.RationalField, linalg.PrimeField)]
         eliminations = {"shared": 0, "unshared": 0}
-        sum_dim = zigzag.prefix_sum_dim
+        sum_dims = zigzag.flag_sum_dims
 
-        def counted_sum_dim(a, i, b, j):
+        def row_steps(a, b, pairs):
+            start = sum(map(len, steps))
+            got = sum_dims(a, b, pairs)
+            return got, sum(map(len, steps)) - start
+
+        def counted_sum_dims(a, b, pairs):
             start = len(calls)
-            got = sum_dim(a, i, b, j)
-            if i in (0, a.rows) or j in (0, b.rows):
-                assert len(calls) == start
+            got, used = row_steps(a, b, pairs)
+            assert len(calls) == start
+            # the pairs with a member 0 or all of V_k add no row step
+            partial = [(i, j) for i, j in pairs if not {0, a.rows} & {i, j}]
+            assert row_steps(a, b, partial)[1] == used
             return got
 
-        monkeypatch.setattr(zigzag, "prefix_sum_dim", counted_sum_dim)
+        monkeypatch.setattr(zigzag, "flag_sum_dims", counted_sum_dims)
 
         def check(v):
             start = len(calls)
@@ -491,8 +501,9 @@ class TestSharedMatrices:
 
 def test_distinct_matrices_run_every_step(count_calls):
     # no Matrix object recurs, so no flag step is shared: every step runs
-    # its elimination, and only ranks of two partial members run one more;
-    # the row updates are the eliminations' (QQ products make none)
+    # its elimination, and the ranks run none (one ``flag_sum_dims`` pass
+    # per position); the row updates are those of the eliminations and the
+    # passes (QQ products make none)
     rng = make_rng(68)
     q = random_path_quiver(40, rng)
     dims = tuple(rng.randint(0, 4) for _ in range(40))
@@ -505,7 +516,42 @@ def test_distinct_matrices_run_every_step(count_calls):
     eliminations = count_calls(linalg, "_gauss_jordan")
     row_updates = count_calls(linalg.RationalField, "row_update")
     barcode(v)
-    assert (len(eliminations), len(row_updates)) == (51, 100)
+    assert (len(eliminations), len(row_updates)) == (48, 100)
+
+
+def test_one_pass_per_position_prices_every_mark(monkeypatch):
+    # each swept position with a pair of partial members makes one pass,
+    # however many of its marks have such a pair
+    rng = make_rng(70)
+    q = random_path_quiver(30, rng)
+    dims = tuple(rng.randint(2, 5) for _ in range(30))
+    mats = tuple(
+        Matrix(QQ, [[rng.choice((0, 0, 1, -1, 2)) for _ in range(dims[src])]
+                    for _ in range(dims[dst])], dims[src])
+        for src, dst in q.edges
+    )
+    v = Representation(q, QQ, dims, mats)
+    positions = []  # per swept position: [partial marks, passes]
+    rank_jumps, sum_dims = zigzag._rank_jumps, zigzag.flag_sum_dims
+
+    def counted_rank_jumps(a_basis, r_basis, starts, pairs):
+        d = a_basis.rows
+        positions.append([sum(0 < i < d and 0 < j < d for i, j in pairs), 0])
+        return rank_jumps(a_basis, r_basis, starts, pairs)
+
+    def counted_sum_dims(a, b, pairs):
+        if any(0 < i < a.rows and 0 < j < a.rows for i, j in pairs):
+            positions[-1][1] += 1
+        return sum_dims(a, b, pairs)
+
+    monkeypatch.setattr(zigzag, "_rank_jumps", counted_rank_jumps)
+    monkeypatch.setattr(zigzag, "flag_sum_dims", counted_sum_dims)
+    barcode(v)
+    assert len(positions) == 30
+    assert all(passes == (partial > 0) for partial, passes in positions)
+    # the rank of each partial pair took an elimination of its own before
+    assert sum(partial for partial, _ in positions) == 16
+    assert sum(partial > 1 for partial, _ in positions) == 4
 
 
 def test_rational_sweep_makes_no_fraction_arithmetic(count_calls):
