@@ -76,10 +76,21 @@ class AffineQuiver:
 
 @dataclass(frozen=True, order=True)
 class NClass:
-    """Wrapped-interval class: u normalised into [0, n-1], v >= u."""
+    """Wrapped-interval class: u normalised into [0, n-1], v >= u.
+
+    The cycle length is not known here, so only u >= 0 is checked;
+    ``_check_wrapped`` checks u against n.
+    """
 
     u: int
     v: int
+
+    def __post_init__(self):
+        check_ints((self.u, self.v), "interval endpoints")
+        if self.u < 0:
+            raise ValidationError(f"left endpoint {self.u} is negative")
+        if self.v < self.u:
+            raise ValidationError(f"empty interval [{self.u},{self.v}]")
 
 
 @dataclass(frozen=True)
@@ -348,6 +359,7 @@ def recover_N_multiplicities(rep: HNReport, u: int, v: int) -> int:
     be separated this way.  ``u`` must lie in [0, n-1], as ``p_value``
     checks.
     """
+    check_type(rep, HNReport, "HN report")
     aq = affine_of_quiver(rep.quiver)
     if p_value(aq, u, v) == 1:
         raise ValidationError("p = 1 classes have slope 0 and are not recoverable")

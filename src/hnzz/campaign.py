@@ -24,11 +24,11 @@ from .affine import (
     p_value,
     recover_N_multiplicities,
 )
-from .errors import ShapeError, check_type
+from .errors import ShapeError, ValidationError, check_type, shown
 from .generators import gen_affine, gen_persistence
 from .hn import ORACLE_MAX_TOTAL_DIM, HNReport, hn_bruteforce, hn_from_barcode
 from .linalg import ENUM_MAX_DIM, GF
-from .quiver import Quiver, Representation, StabilityCondition, euler_stability
+from .quiver import Quiver, Representation, StabilityCondition, check_ints, euler_stability
 from .serialize import instance_to_json
 from .zigzag import Barcode, Interval, barcode, is_path
 
@@ -99,6 +99,7 @@ def _euler_oracle(rep: Representation) -> HNReport | None:
 
 
 def check_a(case: Case) -> str | None:
+    check_type(case, Case, "Theorem A case")
     oracle = _euler_oracle(case.rep)
     if oracle is None:
         return "hn_from_barcode differs from the oracle"
@@ -108,6 +109,7 @@ def check_a(case: Case) -> str | None:
 
 
 def check_b(case: Case) -> str | None:
+    check_type(case, Case, "Theorem B case")
     aq, truth_n = affine_of_quiver(case.rep.quiver), case.summands
     report = _euler_oracle(case.rep)
     if report is None:
@@ -137,6 +139,9 @@ class Tally:
 
 def run(theorem: str, cases: int, seed: int) -> Tally:
     """Draw ``cases`` instances from one ``random.Random(seed)`` and check each."""
+    if theorem not in THEOREMS:
+        raise ValidationError(f"theorem {shown(theorem)} is not one of {sorted(THEOREMS)}")
+    check_ints((cases, seed), "campaign size and seed")
     draw, check = THEOREMS[theorem]
     rng = random.Random(seed)
     tally = Tally()

@@ -15,7 +15,7 @@ from typing import Hashable, Iterable
 from .affine import AffineQuiver, CCW, CW, NClass, TClass, indec_N, indec_T, to_quiver
 from .errors import GuardError, ValidationError, shown
 from .linalg import Field, PrimeField, random_invertible_rng
-from .quiver import Quiver, Representation, conjugate, direct_sum, zero_representation
+from .quiver import Quiver, Representation, check_ints, conjugate, direct_sum, zero_representation
 from .zigzag import Interval, interval_module
 
 # Input caps.  On a 2-core Xeon VM, n = 1,000 with 16 summands built in
@@ -25,7 +25,9 @@ GEN_MAX_SUMMANDS = 64
 
 
 def _check_gen_size(n: int, max_summands: int) -> None:
-    """Refuse with GuardError an ``n`` or ``max_summands`` past its cap."""
+    """Refuse with GuardError an ``n`` or ``max_summands`` past its cap,
+    and with ValidationError one that is not an int."""
+    check_ints((n, max_summands), "generator size")
     if n > GEN_MAX_N or max_summands > GEN_MAX_SUMMANDS:
         raise GuardError(
             f"generator guard exceeded (n={shown(n)}, max_summands={shown(max_summands)}; "
@@ -34,11 +36,13 @@ def _check_gen_size(n: int, max_summands: int) -> None:
 
 
 def equioriented_quiver(n: int) -> Quiver:
+    check_ints((n,), "path length")
     return Quiver(n, tuple((k, k + 1) for k in range(n - 1)))
 
 
 def random_orientation(n: int, rng: random.Random) -> tuple[int, ...]:
     """A uniformly random acyclic orientation of the n-cycle."""
+    check_ints((n,), "cycle length")
     if n < 2:
         raise ValidationError("an acyclic orientation needs a cycle of at least two vertices")
     while True:

@@ -364,6 +364,7 @@ def hn_r_filtration_eval(rep: HNReport, t) -> tuple[int, ...]:
     The stage at t collects every quotient whose slope is >= t, so the
     result is a right-continuous step function of t, non-increasing in t.
     """
+    check_type(rep, HNReport, "HN report")
     t = QQ.coerce(t)
     n = rep.quiver.vertex_count
     out = [0] * n
@@ -376,6 +377,8 @@ def hn_r_filtration_eval(rep: HNReport, t) -> tuple[int, ...]:
 
 def hn_direct_sum_merge(a: HNReport, b: HNReport) -> HNReport:
     """HN report of a direct sum: merge steps, adding dims at equal slopes."""
+    check_type(a, HNReport, "HN report")
+    check_type(b, HNReport, "HN report")
     if a.quiver != b.quiver:
         raise ValidationError("HN merge across different quivers")
     return HNReport.merged(a.quiver, a.steps + b.steps)

@@ -253,10 +253,12 @@ class Matrix:
 
     @staticmethod
     def zeros(field: Field, rows: int, cols: int) -> "Matrix":
+        check_field(field)
         return Matrix._canonical(field, [(field.zero,) * cols] * rows, cols)
 
     @staticmethod
     def identity(field: Field, n: int) -> "Matrix":
+        check_field(field)
         z, o = field.zero, field.one
         rows = [[o if i == j else z for j in range(n)] for i in range(n)]
         return Matrix._canonical(field, rows, n)
@@ -371,14 +373,12 @@ def _gauss_jordan(field: Field, work: list[Sequence[int]], reduced: bool = True)
     one elimination loop of the package: ``rref``, ``rank``,
     ``span_with_image``, ``flag_image``, ``flag_preimage``,
     ``flag_completed`` and ``scaled_inverse`` run through it (a kernel is
-    the ``flag_preimage`` of the zero subspace).  ``flag_sum_dims`` is no
-    elimination but an age-ordered insertion into a basis keyed by
-    leading coordinate, which gives the dimension of every window of a
-    sequence of columns at once; it takes the same row step.  With
-    ``reduced=False`` only the rows below each pivot are cleared: the
-    pivots are the same, at about half the row operations, which is all
-    ``rank`` needs.  The rows are then unspecified, and its callers
-    (``rank``, ``flag_image``, ``flag_completed``) read only the pivots.
+    the ``flag_preimage`` of the zero subspace), and no other code takes
+    a row step.  With ``reduced=False`` only the rows below each pivot
+    are cleared: the pivots are the same, at about half the row
+    operations, which is all ``rank`` needs.  The rows are then
+    unspecified, and its callers (``rank``, ``flag_image``,
+    ``flag_completed``) read only the pivots.
 
     The rows are canonical integer rows of ``field`` (``_cleared``), and
     only the list is changed: a row is swapped or replaced, never written
@@ -586,9 +586,7 @@ def superspaces(field: Field, floor: Sequence[tuple[int, ...]], dim: int, k: int
 # map moves it with none: the images of the columns stay independent, so
 # ``flag_moved`` is one product with the dims unchanged, and the preimage
 # flag through an invertible map is the flag moved by its inverse
-# (``scaled_inverse``, once per map).  ``flag_sum_dims`` prices the sums
-# of members of one flag with members of another, every asked pair in
-# one pass and with no elimination.  A member is the span of its columns,
+# (``scaled_inverse``, once per map).  A member is the span of its columns,
 # so each column may be scaled freely, and a map by a nonzero scalar: the
 # operations take and return IntMatrix bases and edge matrices.
 # ---------------------------------------------------------------------------
@@ -704,57 +702,3 @@ def flag_completed(basis: IntMatrix) -> IntMatrix:
     extra = [r for r in range(d) if r not in taken]
     rows = tuple(row + tuple(int(r == e) for e in extra) for r, row in enumerate(basis.data))
     return IntMatrix(basis.field, d, d, rows)
-
-
-def flag_sum_dims(a: IntMatrix, b: IntMatrix, pairs: Sequence[tuple[int, int]]) -> list[int]:
-    """dim(span of the first i columns of a + span of the first j of b), per (i, j) of ``pairs``.
-
-    ``a`` and ``b`` have full column rank, so a prefix of 0 or all ``rows``
-    columns is the zero or the whole space, and such a pair is read off
-    the counts with no row step.  The other pairs are priced in one pass
-    over the sequence b_jmax, ..., b_1, a_1, ..., a_imax of columns (jmax
-    and imax the largest j and i among them), in which the first j columns
-    of b and the first i of a are one window.  Each column is inserted,
-    in sequence order, into a basis keyed by leading coordinate; where
-    its lead is taken the later of the two vectors keeps it, and the
-    earlier one is reduced by it with ``field.row_update`` and carried on
-    to its next lead.  Each kept vector then lies in the span of the
-    window from its own position to the last one inserted, and the kept
-    vectors are independent, so once a_i is in, the window of (i, j) has
-    the dimension of the kept vectors at positions jmax - j and later: the
-    age-ordered reduction of the standard persistence algorithm
-    (Zomorodian and Carlsson, "Computing persistent homology", 2005).
-    """
-    d = a.rows
-    # a prefix of no column adds nothing and one of all d spans K^d; -1
-    # marks a pair of two partial prefixes, which the pass prices
-    sums = [i + j if not (i and j) else d if d in (i, j) else -1 for i, j in pairs]
-    if -1 not in sums:
-        return sums
-    # the partial pairs, by the a prefix they need
-    queries = sorted((i, j, n) for n, (i, j) in enumerate(pairs) if sums[n] < 0)
-    jmax = max(j for _, j, _ in queries)
-    seq = [*zip(*b.data)][jmax - 1::-1] + [*zip(*a.data)][:queries[-1][0]]
-    update = a.field.row_update
-    kept: dict[int, tuple[int, Sequence[int]]] = {}  # lead -> (position, vector)
-    q = 0
-    for last, vec in enumerate(seq):
-        pos, lead = last, 0
-        while True:
-            while not vec[lead]:
-                lead += 1
-            if lead not in kept:
-                kept[lead] = pos, vec
-                break
-            if kept[lead][0] < pos:
-                kept[lead], (pos, vec) = (pos, vec), kept[lead]
-            newer = kept[lead][1]
-            vec = update(vec, newer[lead], vec[lead], newer)
-            if not any(vec):
-                break
-            lead += 1
-        while q < len(queries) and jmax + queries[q][0] == last + 1:
-            i, j, n = queries[q]
-            sums[n] = sum(p >= jmax - j for p, _ in kept.values())
-            q += 1
-    return sums

@@ -16,7 +16,7 @@ from itertools import chain
 from typing import Iterable, Sequence
 
 from .errors import ShapeError, ValidationError, check_type, shown
-from .linalg import QQ, Field, Matrix, block_diag, inverse
+from .linalg import QQ, Field, Matrix, block_diag, check_field, inverse
 
 Edge = tuple[int, int]
 
@@ -68,6 +68,7 @@ def is_acyclic(q: Quiver) -> bool:
 
 
 def topological_order(q: Quiver) -> list[int] | None:
+    check_type(q, Quiver, "quiver")
     indeg, succ = _degrees(q)
     ready = deque(x for x in range(q.vertex_count) if indeg[x] == 0)
     order = []
@@ -125,6 +126,8 @@ class Representation:
 
 
 def zero_representation(q: Quiver, fld: Field) -> Representation:
+    check_type(q, Quiver, "quiver")
+    check_field(fld)
     dims = (0,) * q.vertex_count
     mats = tuple(Matrix.zeros(fld, 0, 0) for _ in q.edges)
     return Representation(q, fld, dims, mats)
@@ -144,6 +147,7 @@ def direct_sum(a: Representation, b: Representation) -> Representation:
 
 def conjugate(v: Representation, basis: Sequence[Matrix]) -> Representation:
     """Isomorphic copy of v: edge e gets basis[dst] @ mat @ basis[src]^-1."""
+    check_type(v, Representation, "conjugated representation")
     if len(basis) != v.quiver.vertex_count:
         raise ValidationError("one basis matrix per vertex required")
     inv = []
@@ -164,6 +168,7 @@ def restrict(v: Representation, vertex_subset: Iterable[int]) -> Representation:
     Vertices are reindexed in increasing order; only edges with both ends
     inside the subset survive, in their original relative order.
     """
+    check_type(v, Representation, "restricted representation")
     keep = sorted(set(vertex_subset))
     for x in keep:
         if not (0 <= x < v.quiver.vertex_count):
@@ -205,6 +210,7 @@ def slope_of_dims(dims: Sequence[int], alpha: StabilityCondition) -> Fraction:
     The weight count is not checked here, since ``zip`` stops at the
     shorter sequence: callers check it once with ``check_weights``.
     """
+    check_type(alpha, StabilityCondition, "stability condition")
     total = sum(dims)
     if total == 0:
         raise ValidationError("slope of the zero dimension vector is undefined")
@@ -227,5 +233,6 @@ def euler_stability(q: Quiver) -> StabilityCondition:
 
 def sheaf_euler_characteristic(v: Representation) -> int:
     """Sum of (1 - in_degree(x)) * dim_x; the Euler-slope numerator."""
+    check_type(v, Representation, "Euler characteristic of")
     weights = _euler_weights(v.quiver)
     return sum(weights[x] * v.dims[x] for x in range(v.quiver.vertex_count))

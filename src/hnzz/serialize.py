@@ -22,7 +22,7 @@ import json
 from .affine import AffineQuiver, NClass, TClass, to_quiver
 from .errors import ParseError, ValidationError, check_type, shown
 from .hn import HNReport
-from .linalg import Field, GF, Matrix, PrimeField, QQ, RationalField
+from .linalg import Field, GF, Matrix, PrimeField, QQ, RationalField, check_field
 from .quiver import Quiver, Representation, StabilityCondition, is_int
 from .zigzag import Barcode, Interval
 
@@ -38,6 +38,7 @@ def _need(obj, key, kind, where):
 
 
 def field_to_json(fld: Field) -> dict:
+    check_field(fld)
     if isinstance(fld, PrimeField):
         return {"kind": "prime", "p": fld.p}
     return {"kind": "rational"}
@@ -164,16 +165,19 @@ def instance_from_json(doc) -> Representation:
 
 
 def barcode_to_json(bar: Barcode) -> list[dict]:
+    check_type(bar, Barcode, "barcode")
     return [{"lo": iv.lo, "hi": iv.hi, "mult": m} for iv, m in bar.entries]
 
 
 def hn_to_json(report: HNReport) -> list[dict]:
+    check_type(report, HNReport, "HN report")
     return [
         {"slope": str(sl), "quotient_dims": list(dims)} for sl, dims in report.steps
     ]
 
 
 def classes_to_json(classes: dict[NClass, int]) -> list[dict]:
+    check_type(classes, dict, "class multiplicities")
     return [{"u": c.u, "len": c.v - c.u, "mult": classes[c]} for c in sorted(classes)]
 
 

@@ -19,9 +19,16 @@ the right endpoint at position k, the subspaces
     A[a] = image at k of (limit over [a, k])          -- grows with a
     R[a] = kernel at k of (V_k -> colimit over [a, k]) -- shrinks with a
 
-form nested chains with at most dim V_k + 1 distinct members, and
-r[a,k] = dim(A[a] + R[a]) - dim R[a], so one sweep prices every left
-endpoint at once.
+form nested chains with at most dim V_k + 1 distinct members.  The rank
+r[a,k] is dim(A[a] + R[a]) - dim R[a], and R[a] lies in A[a], so
+r[a,k] = dim A[a] - dim R[a] and one sweep prices every left endpoint
+at once from the dims alone.  The containment holds summand by summand
+(Carlsson and de Silva, "Zigzag persistence", 2010): both subspaces
+split over the interval summands of the restriction to [0, k], and a
+summand with k in it meets [a, k] in some [s, k].  Its part at k lies
+in R[a] exactly when s > a and the edge between s - 1 and s points out
+of the summand, and then it lies in A[a] too, which takes it when
+s = a or that edge points out.
 
 Each chain is kept as one flag: an adapted basis of V_k (a list of
 columns) whose first dim columns span a member.  One list of marks
@@ -52,16 +59,9 @@ V_k (preimage).  So a trivial flag steps from a plain basis (the zero
 space, or the identity), once per (matrix, direction, chain, has a full
 member), and that step is shared by every later crossing of that edge
 matrix; a lift window repeats each of the cycle's n matrix objects at
-every n-th position.  A zero or a whole member fixes dim(A[a] + R[a])
-by its dimension alone, so a rank takes a row step only where both
-members of a start are partial, that is neither 0 nor all of V_k.  All
-those marks of a position are priced in one pass (``flag_sum_dims``):
-with b_1, b_2, ... the columns of the R basis and a_1, a_2, ... those
-of the A basis, each A[a] + R[a] is spanned by one contiguous window of
-the sequence b_jmax, ..., b_1, a_1, ..., a_imax, and one age-ordered
-reduction of that sequence gives the dimension of every window.  The
-cost stays linear in the path length for bounded vertex dimensions,
-which the long lift windows rely on.
+every n-th position.  The ranks take no elimination and no row step,
+so the cost stays linear in the path length for bounded vertex
+dimensions, which the long lift windows rely on.
 
 A lift window repeats its cycle's steps, and the sweep stops once it
 repeats itself.  Let p be the least period of the crossing sequence
@@ -130,7 +130,6 @@ from .linalg import (
     flag_image,
     flag_moved,
     flag_preimage,
-    flag_sum_dims,
     rank,
     scaled_inverse,
 )
@@ -341,7 +340,7 @@ def _rank_rows(fld: Field, dims: tuple[int, ...], crossings: list[tuple[Matrix, 
                 past_rows.append(g)
                 yield g
             return
-        g = _rank_jumps(a_basis, r_basis, starts, pairs)
+        g = _rank_jumps(starts, pairs)
         past_marks.append((starts, pairs))
         past_rows.append(g)
         yield g
@@ -397,9 +396,9 @@ def _crossed(m: IntMatrix, op, basis: IntMatrix, dims, completed: bool, memo: di
     identity with members 0 and everything.  ``memo`` keeps that step,
     and each member takes the new dim of the zero or the full member.
     The basis a trivial flag carries is never read: its next step starts
-    from the plain basis again, and ``_rank_jumps`` prices its members by
-    their dims.  So a trivial flag crosses a bijection (``flag_moved`` by
-    a square matrix) as it is.
+    from the plain basis again, and ``_rank_jumps`` reads only dims.  So a
+    trivial flag crosses a bijection (``flag_moved`` by a square matrix)
+    as it is.
     """
     d = basis.rows
     if set(dims) <= {0, d}:
@@ -423,18 +422,18 @@ def _crossed(m: IntMatrix, op, basis: IntMatrix, dims, completed: bool, memo: di
     return basis, dims
 
 
-def _rank_jumps(a_basis: IntMatrix, r_basis: IntMatrix, starts: list[int],
-                pairs: list[tuple[int, int]]) -> dict[int, int]:
+def _rank_jumps(starts: list[int], pairs: list[tuple[int, int]]) -> dict[int, int]:
     """Sparse derivative a -> r[a,k] - r[a-1,k] of the current rank row.
 
-    r[a,k] = dim(A[a] + R[a]) - dim R[a]; one ``flag_sum_dims`` pass
-    prices every mark at once, with a row step only for the marks whose
-    members are both partial, neither 0 nor all of V_k.
+    R[a] lies in A[a] (module docstring), so r[a,k] = dim A[a] - dim R[a]
+    is read off each mark's pair of dims.  The row never decreases in a,
+    since A[a] grows and R[a] shrinks; a decrease means the flags lost
+    their nesting.
     """
     jumps: dict[int, int] = {}
     prev_val = 0
-    for a, (_, rdim), total in zip(starts, pairs, flag_sum_dims(a_basis, r_basis, pairs)):
-        val = total - rdim
+    for a, (adim, rdim) in zip(starts, pairs):
+        val = adim - rdim
         if val < prev_val:
             raise InternalCheckError("rank row decreased in the left endpoint")
         if val > prev_val:

@@ -36,8 +36,8 @@ from hnzz.linalg import PrimeField, RationalField  # noqa: E402
 # accumulate in ints and make no row updates
 ROUND_WORK = {
     "lift-long": (726, 8430),
-    "zigzag-rational": (686, 15234),
-    "oracle-certify": (1383, 719),
+    "zigzag-rational": (686, 11312),
+    "oracle-certify": (1383, 713),
 }
 
 # products over the same round: flag crossings, the oracle's span steps and

@@ -22,7 +22,6 @@ from hnzz.linalg import (
     flag_completed,
     flag_image,
     flag_preimage,
-    flag_sum_dims,
     from_columns,
     hstack,
     inverse,
@@ -431,68 +430,6 @@ class TestFlags:
             assert full.cols == d and rank(full) == d
             assert columns(full, basis.cols) == basis
 
-    def test_flag_sum_dims(self, count_calls):
-        # one pass prices each pair as rank [first i of a | first j of b];
-        # a pair with a prefix of 0 or d columns is read off the counts
-        steps = [count_calls(field, "row_update") for field in (RationalField, PrimeField)]
-
-        def row_steps(a, b, pairs):
-            start = sum(map(len, steps))
-            got = flag_op(flag_sum_dims, a, b, pairs)
-            return got, sum(map(len, steps)) - start
-
-        rnd = random.Random(23)
-        for fld in FIELDS:
-            for d in range(8):
-                for ka, kb in ((d, d), (rnd.randint(0, d), rnd.randint(0, d))):
-                    a = columns(random_invertible_rng(d, fld, rnd), ka)
-                    b = columns(random_invertible_rng(d, fld, rnd), kb)
-                    check_sum_dims(a, b, row_steps, rnd)
-
-
-def check_sum_dims(a: Matrix, b: Matrix, row_steps, rnd: random.Random) -> None:
-    """``flag_sum_dims`` of the full-rank bases a and b against ``rank`` of each pair.
-
-    ``row_steps(a, b, pairs)`` returns the sums and the row steps they
-    took.  The pairs come as the whole grid in a random order and as mark
-    orders (``staircases`` and sub-lists of them); a pair with a prefix of
-    0 or d columns must add no row step.
-    """
-    d = a.rows
-    grid = [(i, j) for i in range(a.cols + 1) for j in range(b.cols + 1)]
-    want = {(i, j): rank(hstack([columns(a, i), columns(b, j)])) for i, j in grid}
-    counted = [pair for pair in grid if {0, d} & set(pair)]
-    assert row_steps(a, b, counted) == ([want[pair] for pair in counted], 0)
-    rnd.shuffle(grid)
-    assert row_steps(a, b, grid)[0] == [want[pair] for pair in grid]
-    orders = list(staircases(0, b.cols, a.cols))
-    if len(orders) > 300:
-        orders = rnd.sample(orders, 300)
-    for pairs in orders:
-        marks = [pair for pair in pairs if rnd.random() < 0.7]
-        for chosen in (pairs, marks):
-            got, used = row_steps(a, b, chosen)
-            assert got == [want[pair] for pair in chosen]
-            partial = [pair for pair in chosen if not {0, d} & set(pair)]
-            assert row_steps(a, b, partial)[1] == used
-
-
-def staircases(i: int, j: int, ka: int):
-    """Every list of pairs from (i, j) to (ka, 0) that steps i up or j down by one.
-
-    These are the mark orders of the sweep: i never falls and j never
-    rises.  The sweep's mark lists are their sub-lists.
-    """
-    if i == ka and j == 0:
-        yield [(i, j)]
-        return
-    if i < ka:
-        for rest in staircases(i + 1, j, ka):
-            yield [(i, j), *rest]
-    if j > 0:
-        for rest in staircases(i, j - 1, ka):
-            yield [(i, j), *rest]
-
 
 # Over QQ the package eliminates and multiplies on integer rows; these
 # entries stress what that changes: signs, zero rows and denominators far
@@ -661,10 +598,10 @@ class TestSubspaceOps:
         b = Matrix(fld, [[0, 0], [1, 0], [0, 1]])
         common = Matrix(fld, [[0], [1], [0]])
         assert subspace_contains(a, common) and subspace_contains(b, common)
-        sums = flag_op(flag_sum_dims, a, b, [(0, 2), (1, 1), (2, 2)])
-        assert sums == [2, 2, 3] and column_echelon(hstack([a, b])).cols == 3
+        total = rank(hstack([a, b]))
+        assert total == 3 and column_echelon(hstack([a, b])).cols == 3
         # dim(a + b) = dim a + dim b - dim(a ∩ b), so the intersection is a line
-        assert a.cols + b.cols - sums[-1] == 1
+        assert a.cols + b.cols - total == 1
 
     def test_superspaces(self):
         floor = Matrix(GF(2), [[1], [0], [0]])

@@ -1,8 +1,10 @@
 """Library inputs of the wrong type are refused with ValidationError.
 
-Each public constructor below once let such an input escape as a bare
-TypeError, ValueError or AttributeError, or, for a fractional interval
-endpoint or a bool window, took it without a word.  A lift window out of
+Each public entry below once let such an input escape as a bare
+TypeError, ValueError, KeyError or AttributeError, or took it without a
+word: a fractional interval endpoint, a bool window, a wrapped-interval
+class with endpoints that are no ints or no interval, and a field of
+None, which ``field_to_json`` wrote as the rationals.  A lift window out of
 range is refused too: a negative one once gave the empty unwinding, and
 one past ``LIFT_MAX_WINDOW`` ran until killed.
 
@@ -11,6 +13,7 @@ builds anything, as the lift window does: a wrapped interval or a Jordan
 cell of length 10**30 once ran until killed.
 """
 
+import random
 import signal
 
 import pytest
@@ -18,6 +21,7 @@ import pytest
 from hnzz import campaign
 from hnzz.affine import (
     AffineQuiver,
+    NClass,
     affine_of_quiver,
     classify_lift,
     eta_from_lift,
@@ -25,14 +29,40 @@ from hnzz.affine import (
     indec_T,
     lift_truncated,
     p_value,
+    recover_N_multiplicities,
     to_quiver,
     wrap_counts,
 )
 from hnzz.errors import ShapeError, ValidationError
-from hnzz.hn import HNReport, hn_bruteforce, hn_from_barcode, recover_barcode_via_truncations
+from hnzz.generators import equioriented_quiver, gen_persistence, random_orientation
+from hnzz.hn import (
+    HNReport,
+    hn_bruteforce,
+    hn_direct_sum_merge,
+    hn_from_barcode,
+    hn_r_filtration_eval,
+    recover_barcode_via_truncations,
+)
 from hnzz.linalg import GF, QQ, IntMatrix, Matrix, hstack, inverse, rank, rref, superspaces
-from hnzz.quiver import Quiver, direct_sum, euler_stability
-from hnzz.serialize import instance_to_json
+from hnzz.quiver import (
+    Quiver,
+    conjugate,
+    direct_sum,
+    euler_stability,
+    is_acyclic,
+    restrict,
+    sheaf_euler_characteristic,
+    slope_of_dims,
+    topological_order,
+    zero_representation,
+)
+from hnzz.serialize import (
+    barcode_to_json,
+    classes_to_json,
+    field_to_json,
+    hn_to_json,
+    instance_to_json,
+)
 from hnzz.zigzag import Barcode, Interval, barcode, interval_module, is_path, path_steps
 
 A2 = Quiver(2, ((0, 1),))
@@ -111,6 +141,34 @@ CELL = indec_T(AQ, 1, 1, GF(2))  # default window 6
         lambda: instance_to_json(None),
         lambda: indec_N(AQ, 0, 1, None),
         lambda: indec_T(AQ, 1, 1, None),
+        lambda: field_to_json(None),
+        lambda: NClass(None, 1),
+        lambda: NClass("a", 2.5),
+        lambda: NClass(-1, 2),
+        lambda: NClass(2, 1),
+        lambda: is_acyclic(None),
+        lambda: topological_order(None),
+        lambda: zero_representation(None, GF(2)),
+        lambda: zero_representation(A2, None),
+        lambda: conjugate(None, []),
+        lambda: restrict(None, [0]),
+        lambda: slope_of_dims((1,), None),
+        lambda: sheaf_euler_characteristic(None),
+        lambda: hn_r_filtration_eval(None, 0),
+        lambda: hn_direct_sum_merge(None, None),
+        lambda: recover_N_multiplicities(None, 0, 1),
+        lambda: barcode_to_json(None),
+        lambda: hn_to_json(None),
+        lambda: classes_to_json(None),
+        lambda: equioriented_quiver(None),
+        lambda: random_orientation(None, random.Random(0)),
+        lambda: gen_persistence(None, GF(2), 1, random.Random(0)),
+        lambda: campaign.check_a(None),
+        lambda: campaign.check_b(None),
+        lambda: campaign.run("a", None, 0),
+        lambda: campaign.run("c", 1, 0),
+        lambda: Matrix.zeros(None, 1, 1),
+        lambda: Matrix.identity(None, 1),
     ],
     ids=[
         "GF(None)",
@@ -180,6 +238,34 @@ CELL = indec_T(AQ, 1, 1, GF(2))  # default window 6
         "instance_to_json(None)",
         "indec_N(field None)",
         "indec_T(field None)",
+        "field_to_json(None)",
+        "NClass(None, 1)",
+        "NClass('a', 2.5)",
+        "NClass(-1, 2)",
+        "NClass(2, 1)",
+        "is_acyclic(None)",
+        "topological_order(None)",
+        "zero_representation(None, field)",
+        "zero_representation(q, None)",
+        "conjugate(None, [])",
+        "restrict(None, [0])",
+        "slope_of_dims(dims, None)",
+        "sheaf_euler_characteristic(None)",
+        "hn_r_filtration_eval(None, 0)",
+        "hn_direct_sum_merge(None, None)",
+        "recover_N_multiplicities(None, 0, 1)",
+        "barcode_to_json(None)",
+        "hn_to_json(None)",
+        "classes_to_json(None)",
+        "equioriented_quiver(None)",
+        "random_orientation(None, rng)",
+        "gen_persistence(None, ...)",
+        "check_a(None)",
+        "check_b(None)",
+        "campaign.run('a', None, 0)",
+        "campaign.run('c', 1, 0)",
+        "Matrix.zeros(None, 1, 1)",
+        "Matrix.identity(None, 1)",
     ],
 )
 def test_wrong_type_refused(build):

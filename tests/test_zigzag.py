@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from hnzz.linalg import (
     hstack,
     random_invertible_rng,
     rank,
+    subspace_contains,
 )
 from hnzz.quiver import Quiver, Representation, conjugate, direct_sum, zero_representation
 from hnzz.zigzag import (
@@ -31,6 +33,7 @@ from conftest import (
     make_rng,
     random_path_quiver,
     random_zigzag_rep,
+    reference_column_echelon,
     reference_kernel,
 )
 
@@ -39,14 +42,13 @@ A3 = Quiver(3, ((0, 1), (1, 2)))
 A4 = Quiver(4, ((0, 1), (1, 2), (2, 3)))
 
 
-def generalized_rank(v: Representation, iv: Interval) -> int:
-    """Rank of the canonical limit-to-colimit map of v restricted to iv.
+def interval_blocks(v: Representation, iv: Interval) -> tuple[Matrix, Matrix, dict[int, int]]:
+    """The limit basis and the gluing matrix of v restricted to iv.
 
-    Built directly from block matrices: the limit is the kernel of the
-    compatibility matrix, the colimit the cokernel of the gluing matrix,
-    and the rank of the induced map is read off in cokernel coordinates.
-    The reference for the sweep in ``barcode``: one r[x,y] at a time, no
-    flags.
+    Both live in the direct sum of the vertex spaces of iv, vertex x in
+    the rows from ``offset[x]`` (the third value): the limit is the
+    kernel of the compatibility matrix, and the colimit the cokernel of
+    the gluing matrix.
     """
     steps = path_steps(v.quiver)
     n = v.quiver.vertex_count
@@ -96,17 +98,50 @@ def generalized_rank(v: Representation, iv: Interval) -> int:
         glue = Matrix(fld, list(zip(*glue_cols)), len(glue_cols))
     else:
         glue = Matrix(fld, [[] for _ in range(total)], 0)
+    return limit, glue, offset
 
+
+def generalized_rank(v: Representation, iv: Interval) -> int:
+    """Rank of the canonical limit-to-colimit map of v restricted to iv.
+
+    Built directly from block matrices (``interval_blocks``), and the rank
+    of the induced map is read off in cokernel coordinates.  The
+    reference for the sweep in ``barcode``: one r[x,y] at a time, no
+    flags.
+    """
+    limit, glue, _ = interval_blocks(v, iv)
+    fld, total = v.field, limit.rows
+    zero = fld.zero
     # canonical map, evaluated through the leftmost vertex of the interval:
     # project the limit basis to that vertex (its block starts at offset 0)
     # and inject the result into cokernel coordinates.
-    lo_dim = dims[iv.lo]
+    lo_dim = v.dims[iv.lo]
     canon_rows = [list(limit.data[i]) for i in range(lo_dim)]
     canon_rows += [[zero] * limit.cols for _ in range(total - lo_dim)]
     canon_m = Matrix(fld, canon_rows, limit.cols)
     if glue.cols == 0:
         return rank(canon_m)
     return rank(hstack([glue, canon_m])) - rank(glue)
+
+
+def rank_members(v: Representation, a: int, k: int) -> tuple[Matrix, Matrix]:
+    """A[a] and R[a] at k (``zigzag``'s docstring), from the blocks over [a, k].
+
+    A[a] is the image at k of the limit: the span of the limit basis's
+    rows of vertex k.  R[a] holds the x in V_k whose injection at k lies
+    in the span of the gluing matrix: the x-parts of the kernel of
+    [glue | inj_k].  Both come back as canonical bases.
+    """
+    limit, glue, offset = interval_blocks(v, Interval(a, k))
+    fld, d, total = v.field, v.dims[k], limit.rows
+    block = range(offset[k], offset[k] + d)
+    image = reference_column_echelon(Matrix(fld, [limit.data[i] for i in block], limit.cols))
+    inject = [[fld.one if i == offset[k] + j else fld.zero for j in range(d)]
+              for i in range(total)]
+    stacked = Matrix(fld, [[*g, *x] for g, x in zip(glue.data, inject)], glue.cols + d)
+    kernel = reference_kernel(stacked)
+    x_parts = Matrix(fld, kernel.data[glue.cols:], kernel.cols)
+    return image, reference_column_echelon(x_parts)
 
 
 def bars(v) -> dict:
@@ -370,6 +405,43 @@ def test_agrees_with_generalized_rank_long_paths():
     assert {(fld, True, True) for fld in (QQ, GF(2), GF(3), GF(5))} <= seen
 
 
+def test_rank_is_a_difference_of_member_dims():
+    # R[a] lies in A[a] at every position, so r[a,k] = dim A[a] - dim R[a]:
+    # the identity the sweep reads its ranks by, checked on the members'
+    # definitions and not on the sweep
+    rng = make_rng(71)
+    reps = [sparse_zigzag_rep(rng, max_n=8) for _ in range(40)]
+    for fld in (GF(2), GF(3), QQ):
+        _, v, _, _ = gen_affine(2, fld, 3, rng, min_summands=1, total_cap=4, vertex_cap=2)
+        reps.append(lift_truncated(v, default_window(v)))
+    seen = set()
+    for v in reps:
+        n = v.quiver.vertex_count
+        for k in range(n):
+            for a in range(k + 1):
+                image, kernel = rank_members(v, a, k)
+                assert subspace_contains(image, kernel)
+                assert generalized_rank(v, Interval(a, k)) == image.cols - kernel.cols
+                seen.add((v.field, 0 < kernel.cols < image.cols))
+    assert {(fld, True) for fld in (QQ, GF(2), GF(3), GF(5))} <= seen
+
+
+def test_sweep_digest():
+    # the barcodes of 3,000 seeded sparse zigzags, dropped ranks and zero
+    # vertices included, hashed: a change that moves any one bar moves it
+    rng = make_rng(34)
+    digest = hashlib.sha256()
+    seen = set()
+    for _ in range(3000):
+        v = sparse_zigzag_rep(rng, max_n=12, max_dim=5)
+        seen.add(v.field)
+        digest.update(repr(sorted(bars(v).items())).encode() + b"\n")
+    assert seen == {QQ, GF(2), GF(3), GF(5)}
+    assert digest.hexdigest() == (
+        "23919eb3c94753c14b2fe4a626f19c2c79a0e6532b1b4c0996cbf7ab106f39e9"
+    )
+
+
 def test_whole_space_flag_keeps_small_entries(monkeypatch):
     # random invertible QQ maps: every chain member is 0 or the whole space,
     # and the sweep must not carry the product of all maps as its basis
@@ -425,34 +497,31 @@ class TestSharedMatrices:
     Every path here reuses objects.  The reference prices each interval
     on its own, so a reused step that moved the wrong members shows, and
     the same path with unshared matrices must need more eliminations.
-    Every rank row also checks that a pair whose A or R member is 0 or
-    the whole space is priced by its dims: the row takes the row steps of
-    its other pairs alone, and no elimination.
+    Every row update of a sweep must be an elimination's: the ranks are
+    read off the marks' dims and take none.
     """
 
     @pytest.fixture
     def check(self, count_calls, monkeypatch):
         calls = count_calls(linalg, "_gauss_jordan")
-        steps = [count_calls(field, "row_update")
-                 for field in (linalg.RationalField, linalg.PrimeField)]
         eliminations = {"shared": 0, "unshared": 0}
-        sum_dims = zigzag.flag_sum_dims
+        inside = []  # one entry per elimination running
+        gauss_jordan = linalg._gauss_jordan
 
-        def row_steps(a, b, pairs):
-            start = sum(map(len, steps))
-            got = sum_dims(a, b, pairs)
-            return got, sum(map(len, steps)) - start
+        def eliminating(*args, **kwargs):
+            inside.append(None)
+            try:
+                return gauss_jordan(*args, **kwargs)
+            finally:
+                inside.pop()
 
-        def counted_sum_dims(a, b, pairs):
-            start = len(calls)
-            got, used = row_steps(a, b, pairs)
-            assert len(calls) == start
-            # the pairs with a member 0 or all of V_k add no row step
-            partial = [(i, j) for i, j in pairs if not {0, a.rows} & {i, j}]
-            assert row_steps(a, b, partial)[1] == used
-            return got
+        monkeypatch.setattr(linalg, "_gauss_jordan", eliminating)
+        for field in (linalg.RationalField, linalg.PrimeField):
+            def row_update(*args, update=field.row_update):
+                assert inside, "a row update outside _gauss_jordan"
+                return update(*args)
 
-        monkeypatch.setattr(zigzag, "flag_sum_dims", counted_sum_dims)
+            monkeypatch.setattr(field, "row_update", row_update)
 
         def check(v):
             start = len(calls)
@@ -501,9 +570,8 @@ class TestSharedMatrices:
 
 def test_distinct_matrices_run_every_step(count_calls):
     # no Matrix object recurs, so no flag step is shared: every step runs
-    # its elimination, and the ranks run none (one ``flag_sum_dims`` pass
-    # per position); the row updates are those of the eliminations and the
-    # passes (QQ products make none)
+    # its elimination, and the ranks, read off the marks' dims, run none;
+    # the row updates are those of the eliminations (QQ products make none)
     rng = make_rng(68)
     q = random_path_quiver(40, rng)
     dims = tuple(rng.randint(0, 4) for _ in range(40))
@@ -516,42 +584,7 @@ def test_distinct_matrices_run_every_step(count_calls):
     eliminations = count_calls(linalg, "_gauss_jordan")
     row_updates = count_calls(linalg.RationalField, "row_update")
     barcode(v)
-    assert (len(eliminations), len(row_updates)) == (48, 100)
-
-
-def test_one_pass_per_position_prices_every_mark(monkeypatch):
-    # each swept position with a pair of partial members makes one pass,
-    # however many of its marks have such a pair
-    rng = make_rng(70)
-    q = random_path_quiver(30, rng)
-    dims = tuple(rng.randint(2, 5) for _ in range(30))
-    mats = tuple(
-        Matrix(QQ, [[rng.choice((0, 0, 1, -1, 2)) for _ in range(dims[src])]
-                    for _ in range(dims[dst])], dims[src])
-        for src, dst in q.edges
-    )
-    v = Representation(q, QQ, dims, mats)
-    positions = []  # per swept position: [partial marks, passes]
-    rank_jumps, sum_dims = zigzag._rank_jumps, zigzag.flag_sum_dims
-
-    def counted_rank_jumps(a_basis, r_basis, starts, pairs):
-        d = a_basis.rows
-        positions.append([sum(0 < i < d and 0 < j < d for i, j in pairs), 0])
-        return rank_jumps(a_basis, r_basis, starts, pairs)
-
-    def counted_sum_dims(a, b, pairs):
-        if any(0 < i < a.rows and 0 < j < a.rows for i, j in pairs):
-            positions[-1][1] += 1
-        return sum_dims(a, b, pairs)
-
-    monkeypatch.setattr(zigzag, "_rank_jumps", counted_rank_jumps)
-    monkeypatch.setattr(zigzag, "flag_sum_dims", counted_sum_dims)
-    barcode(v)
-    assert len(positions) == 30
-    assert all(passes == (partial > 0) for partial, passes in positions)
-    # the rank of each partial pair took an elimination of its own before
-    assert sum(partial for partial, _ in positions) == 16
-    assert sum(partial > 1 for partial, _ in positions) == 4
+    assert (len(eliminations), len(row_updates)) == (48, 91)
 
 
 def test_rational_sweep_makes_no_fraction_arithmetic(count_calls):
