@@ -30,12 +30,13 @@ generators and serializers use.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InternalCheckError, ShapeError, ValidationError, check_type, shown
+from .errors import InternalCheckError, ShapeError, ValidationError, check_ints, check_type, shown
 from .linalg import Field, Matrix, check_field
-from .quiver import Quiver, Representation, check_ints
+from .quiver import Quiver, Representation
 from .zigzag import Barcode, _bars
 from .hn import HNReport
 
@@ -59,12 +60,8 @@ class AffineQuiver:
         check_ints((self.n,), "cycle length")
         if self.n < 2:
             raise ValidationError("affine quivers need at least two vertices")
-        try:
-            object.__setattr__(self, "orientation", tuple(self.orientation))
-        except TypeError:
-            raise ValidationError(
-                f"orientation: {shown(self.orientation)} is not a sequence"
-            ) from None
+        check_type(self.orientation, Iterable, "orientation")
+        object.__setattr__(self, "orientation", tuple(self.orientation))
         check_ints(self.orientation, "orientation bits")
         if len(self.orientation) != self.n:
             raise ValidationError("orientation must have one bit per edge")
@@ -79,7 +76,7 @@ class NClass:
     """Wrapped-interval class: u normalised into [0, n-1], v >= u.
 
     The cycle length is not known here, so only u >= 0 is checked;
-    ``_check_wrapped`` checks u against n.
+    ``on_cycle`` checks u against n.
     """
 
     u: int
@@ -91,6 +88,14 @@ class NClass:
             raise ValidationError(f"left endpoint {self.u} is negative")
         if self.v < self.u:
             raise ValidationError(f"empty interval [{self.u},{self.v}]")
+
+    def on_cycle(self, n: int) -> None:
+        """ValidationError unless n is a positive int and u lies in [0, n-1]."""
+        check_ints((n,), "cycle length")
+        if n < 1:
+            raise ValidationError(f"cycle length {n} is not positive")
+        if self.u > n - 1:
+            raise ValidationError(f"left endpoint {self.u} must lie in [0, {n - 1}]")
 
 
 @dataclass(frozen=True)
@@ -130,9 +135,7 @@ def affine_of_quiver(q: Quiver) -> AffineQuiver:
 
 def wrap_counts(n: int, u: int, v: int) -> tuple[int, ...]:
     """Dimension vector of the wrapped interval: hits of [u, v] per residue."""
-    check_ints((n, u, v), "wrapped interval")
-    if n < 1:
-        raise ValidationError(f"cycle length {n} is not positive")
+    NClass(u, v).on_cycle(n)
     base, extra = divmod(v - u + 1, n)
     dims = [base] * n
     for i in range(u, u + extra):
@@ -140,21 +143,12 @@ def wrap_counts(n: int, u: int, v: int) -> tuple[int, ...]:
     return tuple(dims)
 
 
-def _check_wrapped(n: int, u: int, v: int) -> None:
-    """Refuse [u, v] unless u lies in [0, n-1] and v >= u, as ``NClass`` keys do."""
-    check_ints((u, v), "interval endpoints")
-    if not 0 <= u <= n - 1:
-        raise ValidationError(f"left endpoint {u} must lie in [0, {n - 1}]")
-    if v < u:
-        raise ValidationError(f"empty interval [{u},{v}]")
-
-
 def indec_N(aq: AffineQuiver, u: int, v: int, fld: Field) -> Representation:
     """The wrapped-interval indecomposable for [u, v], of length at most ``LIFT_MAX_WINDOW``."""
     q = to_quiver(aq)
     check_field(fld)
     n = aq.n
-    _check_wrapped(n, u, v)
+    NClass(u, v).on_cycle(n)
     _check_window_cap(v - u + 1)
     support = [[i for i in range(u, v + 1) if i % n == j] for j in range(n)]
     z, o = fld.zero, fld.one
@@ -204,7 +198,7 @@ def p_value(aq: AffineQuiver, u: int, v: int) -> int:
     """
     check_type(aq, AffineQuiver, "cycle")
     n = aq.n
-    _check_wrapped(n, u, v)
+    NClass(u, v).on_cycle(n)
     into_left = aq.orientation[u] == CW
     into_right = aq.orientation[(v + 1) % n] == CCW
     return int(into_left) + int(into_right)
@@ -318,12 +312,6 @@ def classify_lift(
     return d_inf, classes, bar
 
 
-def lifted_multiplicities(v: Representation) -> tuple[int, dict[NClass, int]]:
-    """(d_inf, classes) of ``classify_lift`` on the default window, without its barcode."""
-    d_inf, classes, _ = classify_lift(v)
-    return d_inf, classes
-
-
 def eta_from_lift(v: Representation) -> HNReport:
     """Euler HN data of an affine representation, via its unwinding.
 
@@ -334,7 +322,7 @@ def eta_from_lift(v: Representation) -> HNReport:
     constant dimension vector).  The zero representation has no classes
     and gets the empty report.
     """
-    d_inf, classes = lifted_multiplicities(v)
+    d_inf, classes, _ = classify_lift(v)
     aq = affine_of_quiver(v.quiver)
     n = aq.n
     parts = [
@@ -361,9 +349,9 @@ def recover_N_multiplicities(rep: HNReport, u: int, v: int) -> int:
     """
     check_type(rep, HNReport, "HN report")
     aq = affine_of_quiver(rep.quiver)
-    if p_value(aq, u, v) == 1:
-        raise ValidationError("p = 1 classes have slope 0 and are not recoverable")
     target = euler_slope_N(aq, u, v)
+    if target == 0:
+        raise ValidationError("p = 1 classes have slope 0 and are not recoverable")
     for sl, dims in rep.steps:
         if sl == target:
             return dims[u] - dims[u - 1]

@@ -24,11 +24,11 @@ from .affine import (
     p_value,
     recover_N_multiplicities,
 )
-from .errors import ShapeError, ValidationError, check_type, shown
+from .errors import ShapeError, ValidationError, check_counts, check_ints, check_type, shown
 from .generators import gen_affine, gen_persistence
 from .hn import ORACLE_MAX_TOTAL_DIM, HNReport, hn_bruteforce, hn_from_barcode
 from .linalg import ENUM_MAX_DIM, GF
-from .quiver import Quiver, Representation, StabilityCondition, check_ints, euler_stability
+from .quiver import Quiver, Representation, StabilityCondition, euler_stability
 from .serialize import instance_to_json
 from .zigzag import Barcode, Interval, barcode, is_path
 
@@ -67,6 +67,7 @@ class Case:
 
 def _field_and_cap(rng: random.Random):
     """GF(2) or GF(3), with the oracle's total-dimension guard for it."""
+    check_type(rng, random.Random, "random source")
     p = rng.choice(tuple(ORACLE_MAX_TOTAL_DIM))
     return GF(p), ORACLE_MAX_TOTAL_DIM[p]
 
@@ -141,7 +142,8 @@ def run(theorem: str, cases: int, seed: int) -> Tally:
     """Draw ``cases`` instances from one ``random.Random(seed)`` and check each."""
     if theorem not in THEOREMS:
         raise ValidationError(f"theorem {shown(theorem)} is not one of {sorted(THEOREMS)}")
-    check_ints((cases, seed), "campaign size and seed")
+    check_counts((cases,), "campaign size")
+    check_ints((seed,), "campaign seed")
     draw, check = THEOREMS[theorem]
     rng = random.Random(seed)
     tally = Tally()

@@ -2,7 +2,10 @@
 
 The CLI maps these onto stable exit codes, so new failure modes should
 reuse one of the classes below rather than raising bare ValueErrors.
+So do the input rules that every module shares.
 """
+
+from collections.abc import Iterable
 
 SHOWN_LIMIT = 60  # characters of a repr that an error message shows
 
@@ -25,6 +28,28 @@ class GuardError(RuntimeError):
 
 class InternalCheckError(RuntimeError):
     """A mathematically impossible state was reached; indicates a bug."""
+
+
+def is_int(value) -> bool:
+    """True for an int proper: ``True`` and ``False`` are ints to Python, not counts."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def check_ints(values: Iterable, what: str) -> None:
+    """ValidationError unless every value is an int proper; nothing is truncated."""
+    for value in values:
+        if type(value) is not int and not is_int(value):  # a plain int skips the call
+            raise ValidationError(f"{what}: {shown(value)} is not an int")
+
+
+def check_counts(values: Iterable, what: str) -> tuple:
+    """``values`` as a tuple; ValidationError unless each is an int proper that is not negative."""
+    values = tuple(values)
+    check_ints(values, what)
+    for value in values:
+        if value < 0:
+            raise ValidationError(f"{what} {value} is negative")
+    return values
 
 
 def check_type(value, kind: type, what: str) -> None:

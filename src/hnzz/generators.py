@@ -13,9 +13,9 @@ import random
 from typing import Hashable, Iterable
 
 from .affine import AffineQuiver, CCW, CW, NClass, TClass, indec_N, indec_T, to_quiver
-from .errors import GuardError, ValidationError, shown
+from .errors import GuardError, ValidationError, check_counts, check_ints, check_type, shown
 from .linalg import Field, PrimeField, random_invertible_rng
-from .quiver import Quiver, Representation, check_ints, conjugate, direct_sum, zero_representation
+from .quiver import Quiver, Representation, conjugate, direct_sum, zero_representation
 from .zigzag import Interval, interval_module
 
 # Input caps.  On a 2-core Xeon VM, n = 1,000 with 16 summands built in
@@ -24,10 +24,13 @@ GEN_MAX_N = 1_000
 GEN_MAX_SUMMANDS = 64
 
 
-def _check_gen_size(n: int, max_summands: int) -> None:
-    """Refuse with GuardError an ``n`` or ``max_summands`` past its cap,
-    and with ValidationError one that is not an int."""
-    check_ints((n, max_summands), "generator size")
+def _check_gen_size(n: int, min_summands: int, max_summands: int, caps: tuple) -> None:
+    """GuardError for an ``n`` or ``max_summands`` past its cap; ValidationError for a
+    negative or non-int size or cap (None is none), or ``min_summands`` > ``max_summands``."""
+    caps = [c for c in caps if c is not None]
+    check_counts((n, min_summands, max_summands, *caps), "generator size")
+    if min_summands > max_summands:
+        raise ValidationError(f"min_summands {min_summands} exceeds max_summands {max_summands}")
     if n > GEN_MAX_N or max_summands > GEN_MAX_SUMMANDS:
         raise GuardError(
             f"generator guard exceeded (n={shown(n)}, max_summands={shown(max_summands)}; "
@@ -43,6 +46,7 @@ def equioriented_quiver(n: int) -> Quiver:
 def random_orientation(n: int, rng: random.Random) -> tuple[int, ...]:
     """A uniformly random acyclic orientation of the n-cycle."""
     check_ints((n,), "cycle length")
+    check_type(rng, random.Random, "random source")
     if n < 2:
         raise ValidationError("an acyclic orientation needs a cycle of at least two vertices")
     while True:
@@ -94,7 +98,8 @@ def gen_persistence(
     (by default the equioriented one), capped as ``_capped_sum`` says.
     ``n`` and ``max_summands`` are refused past ``GEN_MAX_N`` and
     ``GEN_MAX_SUMMANDS``."""
-    _check_gen_size(n, max_summands)
+    _check_gen_size(n, min_summands, max_summands, (total_cap, vertex_cap))
+    check_type(rng, random.Random, "random source")
     q = equioriented_quiver(n) if quiver is None else quiver
 
     def draw() -> tuple[Interval, Representation]:
@@ -125,7 +130,7 @@ def gen_affine(
     and ``max_summands`` are refused past ``GEN_MAX_N`` and
     ``GEN_MAX_SUMMANDS``.
     """
-    _check_gen_size(n, max_summands)
+    _check_gen_size(n, min_summands, max_summands, (total_cap, vertex_cap, max_len))
     aq = AffineQuiver(n, random_orientation(n, rng))
     q = to_quiver(aq)
     if max_len is None:

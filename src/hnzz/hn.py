@@ -59,8 +59,8 @@ from .quiver import (
     Quiver,
     Representation,
     StabilityCondition,
-    check_ints,
     check_weights,
+    checked_dims,
     restrict,
     slope_of_dims,
     topological_order,
@@ -124,17 +124,10 @@ def _checked_steps(quiver: Quiver, steps) -> tuple[tuple[Fraction, tuple[int, ..
     unless each is a pair of a rational and n non-negative ints."""
     check_type(quiver, Quiver, "HN report quiver")
     try:
-        steps = tuple((sl, tuple(dims)) for sl, dims in steps)
+        steps = tuple((sl, dims) for sl, dims in steps)
     except (TypeError, ValueError):
         raise ValidationError(f"HN steps: {shown(steps)} are not (slope, dims) pairs") from None
-    steps = tuple((QQ.coerce(sl), dims) for sl, dims in steps)
-    for _, dims in steps:
-        if len(dims) != quiver.vertex_count:
-            raise ValidationError("quotient dimension vector has wrong length")
-        check_ints(dims, "quotient dimension")
-        if any(d < 0 for d in dims):
-            raise ValidationError(f"quotient dimensions {shown(dims)} have a negative entry")
-    return steps
+    return tuple((QQ.coerce(sl), checked_dims(dims, quiver.vertex_count)) for sl, dims in steps)
 
 
 # The oracle's cap on the total dimension of its input, per characteristic;
@@ -344,14 +337,12 @@ def hn_from_barcode(bar: Barcode, q: Quiver) -> HNReport:
     and 0 for every bar with nonzero left endpoint.  ``path_steps``
     refuses a quiver that is no path.
     """
-    if not isinstance(bar, Barcode) or not isinstance(q, Quiver):
-        raise ValidationError(f"need a Barcode and a Quiver, not {shown(bar)} and {shown(q)}")
+    check_type(bar, Barcode, "HN input")
     steps = path_steps(q)
     n = q.vertex_count
     parts = []
     for iv, mult in bar:
-        if iv.hi > n - 1 or iv.lo < 0:
-            raise ValidationError(f"interval [{iv.lo},{iv.hi}] outside the quiver")
+        iv.check_on_path(n)
         into = (iv.lo > 0 and steps[iv.lo - 1][1]) + (iv.hi < n - 1 and not steps[iv.hi][1])
         parts.append((Fraction(1 - into, iv.hi - iv.lo + 1),
                       tuple(mult if iv.lo <= x <= iv.hi else 0 for x in range(n))))

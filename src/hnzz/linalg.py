@@ -31,15 +31,16 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import NamedTuple
 
-from .errors import GuardError, ValidationError, check_type, shown
+from .errors import GuardError, ValidationError, check_counts, check_ints, check_type, shown
 
 
 def _is_prime(n: int) -> bool:
@@ -119,8 +120,7 @@ class PrimeField:
     p: int
 
     def __post_init__(self) -> None:
-        if isinstance(self.p, bool) or not isinstance(self.p, int):
-            raise ValidationError(f"modulus {shown(self.p)} is not an int")
+        check_ints((self.p,), "modulus")
         # bound first: trial division of a huge modulus would not finish
         if self.p > 2**31:
             raise ValidationError(f"modulus {shown(self.p)} exceeds 2**31")
@@ -220,8 +220,7 @@ class Matrix:
     __slots__ = ("field", "rows", "cols", "data")
 
     def __init__(self, field: Field, data: Sequence[Sequence], cols: int | None = None):
-        if not isinstance(field, Field):
-            raise ValidationError(f"matrix field {shown(field)} is not QQ or GF(p)")
+        check_field(field)
         rowlike = (list, tuple)
         if not isinstance(data, rowlike) or data and not isinstance(data[0], rowlike):
             raise ValidationError("matrix data must be a list of rows")
@@ -254,11 +253,13 @@ class Matrix:
     @staticmethod
     def zeros(field: Field, rows: int, cols: int) -> "Matrix":
         check_field(field)
+        check_counts((rows, cols), "matrix size")
         return Matrix._canonical(field, [(field.zero,) * cols] * rows, cols)
 
     @staticmethod
     def identity(field: Field, n: int) -> "Matrix":
         check_field(field)
+        check_counts((n,), "matrix size")
         z, o = field.zero, field.one
         rows = [[o if i == j else z for j in range(n)] for i in range(n)]
         return Matrix._canonical(field, rows, n)
@@ -327,21 +328,23 @@ class IntMatrix(NamedTuple):
 
 
 def hstack(mats: Iterable[Matrix]) -> Matrix:
+    check_type(mats, Iterable, "hstack blocks")
     mats = list(mats)
     if not mats:
         raise ValidationError("hstack of nothing")
     for m in mats:
         check_type(m, Matrix, "hstack block")
-    field, rows = mats[0].field, mats[0].rows
-    for m in mats:
-        if m.field != field or m.rows != rows:
+        if (m.field, m.rows) != (mats[0].field, mats[0].rows):
             raise ValidationError("hstack shape/field mismatch")
+    field, rows = mats[0].field, mats[0].rows
     cols = sum(m.cols for m in mats)
     data = [sum((m.data[i] for m in mats), ()) for i in range(rows)]
     return Matrix._canonical(field, data, cols)
 
 
 def block_diag(a: Matrix, b: Matrix) -> Matrix:
+    check_type(a, Matrix, "block")
+    check_type(b, Matrix, "block")
     if a.field != b.field:
         raise ValidationError("block_diag across different fields")
     field = a.field
@@ -544,8 +547,7 @@ def superspaces(field: Field, floor: Sequence[tuple[int, ...]], dim: int, k: int
     by pivot gives the reduced echelon basis with no elimination.  The
     refusals, the quotient's guard among them, come before any yield.
     """
-    if not isinstance(field, PrimeField):
-        raise ValidationError("superspace enumeration needs a prime field")
+    check_type(field, PrimeField, "superspace enumeration field")
     if k < 0:
         raise ValidationError(f"subspace dimension {shown(k)} is negative")
     taken = {vec.index(1) for vec in floor}

@@ -10,27 +10,15 @@ column vectors; it checks that structure when it is built.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable, Sequence
 
-from .errors import ShapeError, ValidationError, check_type, shown
+from .errors import ShapeError, ValidationError, check_counts, check_ints, check_type, shown
 from .linalg import QQ, Field, Matrix, block_diag, check_field, inverse
 
 Edge = tuple[int, int]
-
-
-def is_int(value) -> bool:
-    """True for an int proper: ``True`` and ``False`` are ints to Python, not counts."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def check_ints(values: Iterable, what: str) -> None:
-    """ValidationError unless every value is an int proper; nothing is truncated."""
-    for value in values:
-        if not is_int(value):
-            raise ValidationError(f"{what}: {shown(value)} is not an int")
 
 
 @dataclass(frozen=True)
@@ -39,9 +27,7 @@ class Quiver:
     edges: tuple[Edge, ...]
 
     def __post_init__(self):
-        check_ints((self.vertex_count,), "vertex count")
-        if self.vertex_count < 0:
-            raise ValidationError(f"vertex count {self.vertex_count} is negative")
+        check_counts((self.vertex_count,), "vertex count")
         try:
             object.__setattr__(self, "edges", tuple((s, d) for s, d in self.edges))
         except (TypeError, ValueError):
@@ -94,6 +80,7 @@ class Representation:
     def __post_init__(self):
         q = self.quiver
         check_type(q, Quiver, "quiver:")
+        check_field(self.field)
         try:
             dims, mats = tuple(self.dims), tuple(self.mats)
         except TypeError:
@@ -108,8 +95,7 @@ class Representation:
             problems.append(f"{len(mats)} matrices for {len(q.edges)} edges")
             raise ValidationError("; ".join(problems))
         for e, ((src, dst), m) in enumerate(zip(q.edges, mats)):
-            if not isinstance(m, Matrix):
-                raise ValidationError(f"edge {e}: {shown(m)} is not a Matrix")
+            check_type(m, Matrix, f"edge {e}:")
             if m.field != self.field:
                 problems.append(
                     f"edge {e}: matrix field {m.field!r} != representation field {self.field!r}"
@@ -127,7 +113,6 @@ class Representation:
 
 def zero_representation(q: Quiver, fld: Field) -> Representation:
     check_type(q, Quiver, "quiver")
-    check_field(fld)
     dims = (0,) * q.vertex_count
     mats = tuple(Matrix.zeros(fld, 0, 0) for _ in q.edges)
     return Representation(q, fld, dims, mats)
@@ -148,10 +133,12 @@ def direct_sum(a: Representation, b: Representation) -> Representation:
 def conjugate(v: Representation, basis: Sequence[Matrix]) -> Representation:
     """Isomorphic copy of v: edge e gets basis[dst] @ mat @ basis[src]^-1."""
     check_type(v, Representation, "conjugated representation")
+    check_type(basis, Sequence, "conjugating bases")
     if len(basis) != v.quiver.vertex_count:
         raise ValidationError("one basis matrix per vertex required")
     inv = []
     for x, bm in enumerate(basis):
+        check_type(bm, Matrix, f"basis at vertex {x}:")
         if bm.rows != bm.cols or bm.rows != v.dims[x]:
             raise ValidationError(f"basis at vertex {x} is not {v.dims[x]}x{v.dims[x]}")
         inv.append(inverse(bm))
@@ -169,10 +156,10 @@ def restrict(v: Representation, vertex_subset: Iterable[int]) -> Representation:
     inside the subset survive, in their original relative order.
     """
     check_type(v, Representation, "restricted representation")
-    keep = sorted(set(vertex_subset))
-    for x in keep:
-        if not (0 <= x < v.quiver.vertex_count):
-            raise ValidationError(f"vertex {x} out of range")
+    check_type(vertex_subset, Iterable, "vertex subset")
+    keep = sorted(set(check_counts(vertex_subset, "vertex")))
+    if keep and keep[-1] >= v.quiver.vertex_count:
+        raise ValidationError(f"vertex {keep[-1]} out of range")
     renum = {x: i for i, x in enumerate(keep)}
     edges = []
     mats = []
@@ -198,24 +185,29 @@ class StabilityCondition:
 
 def check_weights(q: Quiver, alpha: StabilityCondition) -> None:
     """ValidationError unless alpha is a StabilityCondition with one weight per vertex of q."""
-    if not isinstance(alpha, StabilityCondition):
-        raise ValidationError(f"stability condition {shown(alpha)} is not a StabilityCondition")
+    check_type(q, Quiver, "weighted quiver")
+    check_type(alpha, StabilityCondition, "stability condition")
     if len(alpha.weights) != q.vertex_count:
         raise ValidationError("stability condition does not match the quiver")
 
 
 def slope_of_dims(dims: Sequence[int], alpha: StabilityCondition) -> Fraction:
-    """Weighted dimension over total dimension, as an exact rational.
-
-    The weight count is not checked here, since ``zip`` stops at the
-    shorter sequence: callers check it once with ``check_weights``.
-    """
+    """Weighted dimension over total dimension, as an exact rational; one dimension per weight."""
     check_type(alpha, StabilityCondition, "stability condition")
-    total = sum(dims)
+    total = sum(checked_dims(dims, len(alpha.weights)))
     if total == 0:
         raise ValidationError("slope of the zero dimension vector is undefined")
     num = sum((w * d for w, d in zip(alpha.weights, dims)), Fraction(0))
     return num / total
+
+
+def checked_dims(dims, n: int) -> tuple[int, ...]:
+    """``dims`` as a tuple of n non-negative ints, one per vertex; ValidationError otherwise."""
+    check_type(dims, Iterable, "dimension vector")
+    dims = check_counts(dims, "quotient dimension")
+    if len(dims) != n:
+        raise ValidationError("quotient dimension vector has wrong length")
+    return dims
 
 
 def _euler_weights(q: Quiver) -> list[int]:
@@ -225,7 +217,6 @@ def _euler_weights(q: Quiver) -> list[int]:
 
 def euler_stability(q: Quiver) -> StabilityCondition:
     """Weight 1 - in_degree(x) at each vertex; defined for acyclic quivers."""
-    check_type(q, Quiver, "Euler stability of")
     if not is_acyclic(q):
         raise ShapeError("Euler stability requires an acyclic quiver")
     return StabilityCondition(tuple(Fraction(w) for w in _euler_weights(q)))

@@ -20,11 +20,11 @@ from __future__ import annotations
 import json
 
 from .affine import AffineQuiver, NClass, TClass, to_quiver
-from .errors import ParseError, ValidationError, check_type, shown
+from .errors import ParseError, ValidationError, check_type, is_int, shown
 from .hn import HNReport
 from .linalg import Field, GF, Matrix, PrimeField, QQ, RationalField, check_field
-from .quiver import Quiver, Representation, StabilityCondition, is_int
-from .zigzag import Barcode, Interval
+from .quiver import Quiver, Representation, StabilityCondition
+from .zigzag import Barcode, Interval, check_multiplicities
 
 
 def _need(obj, key, kind, where):
@@ -178,6 +178,7 @@ def hn_to_json(report: HNReport) -> list[dict]:
 
 def classes_to_json(classes: dict[NClass, int]) -> list[dict]:
     check_type(classes, dict, "class multiplicities")
+    check_multiplicities(classes.items(), NClass, "wrapped-interval class")
     return [{"u": c.u, "len": c.v - c.u, "mult": classes[c]} for c in sorted(classes)]
 
 
@@ -196,6 +197,10 @@ def truth_to_json(
     n_classes: dict[NClass, int] | None = None,
     t_classes: dict[TClass, int] | None = None,
 ) -> dict:
+    check_field(fld)
+    for classes, kind in ((n_classes or {}, NClass), (t_classes or {}, TClass)):
+        check_type(classes, dict, "summand multiplicities")
+        check_multiplicities(classes.items(), kind, "summand class")
     doc: dict = {}
     if intervals is not None:
         doc["intervals"] = barcode_to_json(Barcode.from_dict(intervals))
@@ -217,6 +222,7 @@ def truth_to_json(
 
 
 def write_json(path: str, doc) -> None:
+    check_type(path, str, "path")
     try:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=2)
@@ -226,6 +232,7 @@ def write_json(path: str, doc) -> None:
 
 
 def load_json(path: str):
+    check_type(path, str, "path")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)

@@ -117,15 +117,14 @@ residues.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
-from .errors import InternalCheckError, ShapeError, ValidationError, check_type, shown
+from .errors import InternalCheckError, ShapeError, ValidationError, check_ints, check_type, shown
 from .linalg import (
     Field,
     IntMatrix,
     Matrix,
-    check_field,
     flag_completed,
     flag_image,
     flag_moved,
@@ -133,7 +132,7 @@ from .linalg import (
     rank,
     scaled_inverse,
 )
-from .quiver import Quiver, Representation, check_ints
+from .quiver import Quiver, Representation
 
 
 @dataclass(frozen=True, order=True)
@@ -151,6 +150,21 @@ class Interval:
     def contains(self, x: int) -> bool:
         return self.lo <= x <= self.hi
 
+    def check_on_path(self, n: int) -> None:
+        """ValidationError unless [lo, hi] lies on a path of n vertices, 0 .. n-1."""
+        check_ints((n,), "vertex count")
+        if self.lo < 0 or self.hi > n - 1:
+            raise ValidationError(f"interval [{self.lo},{self.hi}] out of range for {n} vertices")
+
+
+def check_multiplicities(pairs: Iterable[tuple], kind: type, what: str) -> None:
+    """ValidationError unless each (key, multiplicity) pair is a ``kind`` and a positive int."""
+    for key, mult in pairs:
+        check_type(key, kind, what)
+        check_ints((mult,), "multiplicity")
+        if mult < 1:
+            raise ValidationError(f"multiplicity {mult} of {key} is not positive")
+
 
 @dataclass(frozen=True)
 class Barcode:
@@ -166,26 +180,20 @@ class Barcode:
                 f"barcode entries: {shown(self.entries)} are not pairs"
             ) from None
         object.__setattr__(self, "entries", entries)
-        prev = None
-        for iv, mult in entries:
-            if not isinstance(iv, Interval):
-                raise ValidationError(f"barcode entry {shown(iv)} is not an Interval")
-            check_ints((mult,), "multiplicity")
-            if mult < 1:
-                raise ValidationError(f"multiplicity {mult} of {iv} is not positive")
-            if prev is not None and not (prev < iv):
-                raise ValidationError("barcode entries must be strictly sorted")
-            prev = iv
+        check_multiplicities(entries, Interval, "barcode entry")
+        if not all(a < b for (a, _), (b, _) in zip(entries, entries[1:])):
+            raise ValidationError("barcode entries must be strictly sorted")
 
     @staticmethod
     def from_dict(d: dict[Interval, int]) -> "Barcode":
-        if not isinstance(d, dict):
-            raise ValidationError(f"barcode mapping {shown(d)} is not a dict")
+        check_type(d, dict, "barcode mapping")
         return Barcode(tuple(sorted((iv, m) for iv, m in d.items() if m)))
 
     def dims_vector(self, n: int) -> tuple[int, ...]:
+        check_ints((n,), "path length")
         dims = [0] * n
         for iv, mult in self.entries:
+            iv.check_on_path(n)
             for x in range(iv.lo, iv.hi + 1):
                 dims[x] += mult
         return tuple(dims)
@@ -232,13 +240,10 @@ def is_path(q: Quiver) -> bool:
 
 def interval_module(q: Quiver, iv: Interval, fld: Field) -> Representation:
     """The indecomposable supported on [lo, hi] with identity internal maps."""
-    check_field(fld)
-    if not isinstance(iv, Interval):
-        raise ValidationError(f"interval: {shown(iv)} is not an Interval")
+    check_type(iv, Interval, "interval:")
     path_steps(q)
     n = q.vertex_count
-    if not (0 <= iv.lo and iv.hi <= n - 1):
-        raise ValidationError(f"interval [{iv.lo},{iv.hi}] out of range for {n} vertices")
+    iv.check_on_path(n)
     dims = tuple(1 if iv.contains(x) else 0 for x in range(n))
     mats = []
     for src, dst in q.edges:

@@ -22,7 +22,6 @@ from hnzz.affine import (
     euler_slope_N,
     indec_N,
     indec_T,
-    lifted_multiplicities,
     p_value,
     to_quiver,
 )
@@ -159,7 +158,7 @@ def test_criterion_5_lift_multiplicity_suite():
         )
         if rep.total_dim() == 0:
             continue
-        d_inf, classes = lifted_multiplicities(rep)
+        d_inf, classes = classify_lift(rep)[:2]
         assert classes == truth_n
         assert d_inf == sum(c.w * m for c, m in truth_t.items())
         bumped = default_window(rep) + aq.n

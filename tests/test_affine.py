@@ -37,7 +37,6 @@ from hnzz.affine import (
     indec_N,
     indec_T,
     lift_truncated,
-    lifted_multiplicities,
     p_value,
     recover_N_multiplicities,
     to_quiver,
@@ -281,11 +280,11 @@ class TestLift:
 
 class TestLiftedMultiplicities:
     def test_jordan(self):
-        d_inf, classes = lifted_multiplicities(indec_T(EX, 2, 3, GF(5)))
+        d_inf, classes = classify_lift(indec_T(EX, 2, 3, GF(5)))[:2]
         assert d_inf == 3 and classes == {}
 
     def test_wrapped(self):
-        d_inf, classes = lifted_multiplicities(indec_N(EX, 1, 9, GF(5)))
+        d_inf, classes = classify_lift(indec_N(EX, 1, 9, GF(5)))[:2]
         assert d_inf == 0 and classes == {NClass(1, 9): 1}
 
     def test_mixtures_match_construction(self):
@@ -296,7 +295,7 @@ class TestLiftedMultiplicities:
             aq, rep, truth_n, truth_t = gen_affine(
                 n, fld, 3, rng, min_summands=1, max_len=3 * n - 1
             )
-            d_inf, classes = lifted_multiplicities(rep)
+            d_inf, classes = classify_lift(rep)[:2]
             assert classes == truth_n
             assert d_inf == sum(c.w * m for c, m in truth_t.items())
 
@@ -304,7 +303,7 @@ class TestLiftedMultiplicities:
         rng = make_rng(33)
         aq, rep, _, _ = gen_affine(4, GF(3), 3, rng, min_summands=1)
         base = default_window(rep)
-        assert classify_lift(rep, base + aq.n)[:2] == lifted_multiplicities(rep)
+        assert classify_lift(rep, base + aq.n)[:2] == classify_lift(rep)[:2]
 
     @pytest.mark.parametrize("fld", [GF(2), GF(3), GF(5), QQ], ids=repr)
     def test_window_barcode_is_that_of_the_unwinding(self, fld):

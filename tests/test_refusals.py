@@ -11,10 +11,16 @@ one past ``LIFT_MAX_WINDOW`` ran until killed.
 A summand constructor refuses a length past ``LIFT_MAX_WINDOW`` before it
 builds anything, as the lift window does: a wrapped interval or a Jordan
 cell of length 10**30 once ran until killed.
+
+Each input rule has one definition, next to the type it describes, and
+the second table reaches each refusal that no other test reaches in
+process, by its message.  ``tests/test_library_fuzz.py`` calls every
+public entry with wrong arguments.
 """
 
 import random
 import signal
+from fractions import Fraction
 
 import pytest
 
@@ -34,7 +40,7 @@ from hnzz.affine import (
     wrap_counts,
 )
 from hnzz.errors import ShapeError, ValidationError
-from hnzz.generators import equioriented_quiver, gen_persistence, random_orientation
+from hnzz.generators import equioriented_quiver, gen_affine, gen_persistence, random_orientation
 from hnzz.hn import (
     HNReport,
     hn_bruteforce,
@@ -43,9 +49,23 @@ from hnzz.hn import (
     hn_r_filtration_eval,
     recover_barcode_via_truncations,
 )
-from hnzz.linalg import GF, QQ, IntMatrix, Matrix, hstack, inverse, rank, rref, superspaces
+from hnzz.linalg import (
+    GF,
+    QQ,
+    IntMatrix,
+    Matrix,
+    block_diag,
+    check_enum_guard,
+    hstack,
+    inverse,
+    rank,
+    rref,
+    superspaces,
+)
 from hnzz.quiver import (
     Quiver,
+    Representation,
+    StabilityCondition,
     conjugate,
     direct_sum,
     euler_stability,
@@ -69,6 +89,8 @@ A2 = Quiver(2, ((0, 1),))
 AQ = AffineQuiver(2, (0, 1))
 V2 = interval_module(A2, Interval(0, 1), GF(2))
 CELL = indec_T(AQ, 1, 1, GF(2))  # default window 6
+V3 = interval_module(equioriented_quiver(3), Interval(0, 2), GF(2))
+ONE = Matrix.identity(GF(2), 1)
 
 
 @pytest.mark.parametrize(
@@ -169,6 +191,23 @@ CELL = indec_T(AQ, 1, 1, GF(2))  # default window 6
         lambda: campaign.run("c", 1, 0),
         lambda: Matrix.zeros(None, 1, 1),
         lambda: Matrix.identity(None, 1),
+        lambda: wrap_counts(3, 0, -5),
+        lambda: slope_of_dims((2, -1), StabilityCondition((1, 0))),
+        lambda: slope_of_dims((1, 1, 1), StabilityCondition((1, 0))),
+        lambda: Matrix.identity(GF(2), -2),
+        lambda: Matrix.zeros(GF(2), 1.5, 1),
+        lambda: restrict(V2, [True]),
+        lambda: Representation(Quiver(1, ()), None, (2,), ()),
+        lambda: Barcode.from_dict({Interval(0, 3): 1}).dims_vector(2),
+        lambda: classes_to_json({1: 2}),
+        lambda: classes_to_json({NClass(0, 1): -2}),
+        lambda: random_orientation(3, None),
+        lambda: gen_persistence(3, GF(2), 2, None),
+        lambda: gen_affine(3, GF(2), 2, None),
+        lambda: campaign.run("a", -1, 0),
+        lambda: conjugate(V3, [None] * 3),
+        lambda: conjugate(V3, 5),
+        lambda: block_diag(None, ONE),
     ],
     ids=[
         "GF(None)",
@@ -266,6 +305,23 @@ CELL = indec_T(AQ, 1, 1, GF(2))  # default window 6
         "campaign.run('c', 1, 0)",
         "Matrix.zeros(None, 1, 1)",
         "Matrix.identity(None, 1)",
+        "wrap_counts(3, 0, -5)",
+        "slope_of_dims((2, -1), alpha)",
+        "slope_of_dims(three dims, two weights)",
+        "Matrix.identity(GF(2), -2)",
+        "Matrix.zeros(GF(2), 1.5, 1)",
+        "restrict(v, [True])",
+        "Representation(field None)",
+        "Barcode.dims_vector(bar past the path)",
+        "classes_to_json({1: 2})",
+        "classes_to_json(multiplicity -2)",
+        "random_orientation(3, None)",
+        "gen_persistence(rng None)",
+        "gen_affine(rng None)",
+        "campaign.run('a', -1, 0)",
+        "conjugate(v, [None] * 3)",
+        "conjugate(v, 5)",
+        "block_diag(None, m)",
     ],
 )
 def test_wrong_type_refused(build):
@@ -300,3 +356,65 @@ def test_summand_length_past_the_window_cap_refused_at_once(build):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: AffineQuiver(2, (0, 2)), ValidationError, "orientation bits must be 0"),
+        (lambda: affine_of_quiver(Quiver(3, ((0, 1), (0, 2), (1, 2)))), ShapeError,
+         "edge 0 does not join x_2 and x_0"),
+        (lambda: wrap_counts(0, 0, 0), ValidationError, "cycle length 0 is not positive"),
+        (lambda: indec_T(AQ, 1, 0, GF(2)), ValidationError, "size must be at least 1"),
+        (lambda: random_orientation(1, random.Random(0)), ValidationError,
+         "needs a cycle of at least two vertices"),
+        (lambda: ONE @ Matrix.identity(GF(3), 1), ValidationError,
+         "matmul across different fields"),
+        (lambda: ONE @ Matrix.identity(GF(2), 2), ValidationError, "matmul shape mismatch"),
+        (lambda: hstack([]), ValidationError, "hstack of nothing"),
+        (lambda: hstack([ONE, Matrix.identity(GF(2), 2)]), ValidationError,
+         "hstack shape/field mismatch"),
+        (lambda: block_diag(ONE, Matrix.identity(GF(3), 1)), ValidationError,
+         "block_diag across different fields"),
+        (lambda: inverse(Matrix.zeros(GF(2), 1, 2)), ValidationError,
+         "inverse of a non-square matrix"),
+        (lambda: check_enum_guard(-1, GF(2)), ValidationError, "negative dimension"),
+        (lambda: Quiver(1, ((0, 1),)), ValidationError, r"edge \(0,1\) out of vertex range"),
+        (lambda: conjugate(V2, [ONE]), ValidationError, "one basis matrix per vertex required"),
+        (lambda: conjugate(V2, [ONE, Matrix.identity(GF(2), 2)]), ValidationError,
+         "basis at vertex 1 is not 1x1"),
+        (lambda: restrict(V2, [5]), ValidationError, "vertex 5 out of range"),
+        (lambda: path_steps(Quiver(2, ((0, 1), (1, 0)))), ShapeError, "parallel edges between"),
+        (lambda: slope_of_dims((1, Fraction(1, 2)), StabilityCondition((1, 0))), ValidationError,
+         "is not an int"),
+        (lambda: gen_persistence(3, GF(2), 2, random.Random(0), min_summands=5), ValidationError,
+         "min_summands 5 exceeds max_summands 2"),
+        (lambda: gen_affine(3, GF(2), 2, random.Random(0), max_len=-1), ValidationError,
+         "generator size -1 is negative"),
+    ],
+    ids=[
+        "AffineQuiver(bit 2)",
+        "affine_of_quiver(edge off the cycle)",
+        "wrap_counts(n 0)",
+        "indec_T(size 0)",
+        "random_orientation(n 1)",
+        "matmul(fields)",
+        "matmul(shapes)",
+        "hstack([])",
+        "hstack(shapes)",
+        "block_diag(fields)",
+        "inverse(1x2)",
+        "check_enum_guard(-1)",
+        "Quiver(edge past the vertices)",
+        "conjugate(one basis short)",
+        "conjugate(basis 2x2)",
+        "restrict(vertex 5)",
+        "path_steps(parallel edges)",
+        "slope_of_dims(dims (1, 1/2))",
+        "gen_persistence(min_summands past max)",
+        "gen_affine(max_len -1)",
+    ],
+)
+def test_refusal_reached(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
