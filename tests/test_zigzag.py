@@ -1,11 +1,12 @@
 import hashlib
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from hnzz import linalg, zigzag
 from hnzz.errors import ShapeError, ValidationError
-from hnzz.affine import default_window, lift_truncated
+from hnzz.affine import classify_lift, default_window, lift_truncated
 from hnzz.generators import gen_affine
 from hnzz.linalg import (
     GF,
@@ -371,6 +372,11 @@ def sparse_zigzag_rep(rng, max_n=9, max_dim=4):
     fld = GF(p) if p else QQ
     q = random_path_quiver(n, rng)
     dims = tuple(rng.randint(0, max_dim) for _ in range(n))
+    return sparse_rep(rng, fld, q, dims)
+
+
+def sparse_rep(rng, fld, q: Quiver, dims) -> Representation:
+    """A representation of q on ``dims`` with ``sparse_zigzag_rep``'s maps."""
     mats = []
     for src, dst in q.edges:
         zero_map = rng.random() < 0.2
@@ -440,6 +446,62 @@ def test_sweep_digest():
     assert digest.hexdigest() == (
         "23919eb3c94753c14b2fe4a626f19c2c79a0e6532b1b4c0996cbf7ab106f39e9"
     )
+
+
+def dual(v: Representation) -> Representation:
+    """v with every edge reversed and every matrix transposed."""
+    q = Quiver(v.quiver.vertex_count, tuple((dst, src) for src, dst in v.quiver.edges))
+    mats = tuple(Matrix(m.field, [[row[j] for row in m.data] for j in range(m.cols)], m.rows)
+                 for m in v.mats)
+    return Representation(q, v.field, v.dims, mats)
+
+
+def mirrored(v: Representation) -> Representation:
+    """v with position i relabelled n - 1 - i."""
+    n = v.quiver.vertex_count
+    q = Quiver(n, tuple((n - 1 - src, n - 1 - dst) for src, dst in v.quiver.edges))
+    return Representation(q, v.field, v.dims[::-1], v.mats)
+
+
+def test_barcode_metamorphic_relations():
+    # relations between the barcodes of different inputs, so no reference
+    # is needed: the dual (every matrix transposed, every edge reversed)
+    # crosses by flag_preimage where v crossed by flag_image, and keeps the
+    # bars; relabelling position i as n - 1 - i mirrors each bar; a direct
+    # sum adds the bars.  Sparse paths over four fields and lift windows;
+    # on a cycle, d_inf and the lift classes add under a direct sum
+    rng = make_rng(22)
+    pairs = []
+    for _ in range(600):
+        v = sparse_zigzag_rep(rng, max_n=10)
+        dims = tuple(rng.randint(0, 4) for _ in v.dims)
+        pairs.append((v, sparse_rep(rng, v.field, v.quiver, dims)))
+    cycles = []
+    for fld in (QQ, GF(2), GF(3), GF(5)):
+        for _ in range(15):
+            _, v, _, _ = gen_affine(rng.randint(2, 4), fld, 3, rng, min_summands=1,
+                                    total_cap=5, vertex_cap=2)
+            dims = tuple(rng.randint(0, 2) for _ in v.dims)
+            w = sparse_rep(rng, fld, v.quiver, dims)
+            cycles.append((v, w))
+            D = default_window(direct_sum(v, w))
+            pairs.append((lift_truncated(v, D), lift_truncated(w, D)))
+    for v, w in pairs:
+        n = v.quiver.vertex_count
+        got = bars(v)
+        assert bars(dual(v)) == got
+        assert bars(mirrored(v)) == {(n - 1 - b, n - 1 - a): m for (a, b), m in got.items()}
+        assert bars(direct_sum(v, w)) == dict(Counter(got) + Counter(bars(w)))
+    seen = set()
+    for v, w in cycles:
+        (d_v, classes_v, _), (d_w, classes_w, _) = classify_lift(v), classify_lift(w)
+        d_sum, classes_sum, _ = classify_lift(direct_sum(v, w))
+        assert d_sum == d_v + d_w
+        assert classes_sum == dict(Counter(classes_v) + Counter(classes_w))
+        seen.add((v.field, "d_inf", d_sum > 0))
+        seen.add((v.field, "classes on both", bool(classes_v and classes_w)))
+    assert {(fld, kind, True) for fld in (QQ, GF(2), GF(3), GF(5))
+            for kind in ("d_inf", "classes on both")} <= seen
 
 
 def test_whole_space_flag_keeps_small_entries(monkeypatch):
