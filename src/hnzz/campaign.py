@@ -140,6 +140,7 @@ class Tally:
 
 def run(theorem: str, cases: int, seed: int) -> Tally:
     """Draw ``cases`` instances from one ``random.Random(seed)`` and check each."""
+    check_type(theorem, str, "theorem")
     if theorem not in THEOREMS:
         raise ValidationError(f"theorem {shown(theorem)} is not one of {sorted(THEOREMS)}")
     check_counts((cases,), "campaign size")

@@ -500,6 +500,8 @@ ENUM_MAX_P = 3
 
 def check_enum_guard(dim: int, field: PrimeField) -> None:
     """Refuse unless GF(p)^dim is small enough to walk."""
+    check_ints((dim,), "enumeration dimension")
+    check_type(field, PrimeField, "enumeration field")
     if dim < 0:
         raise ValidationError("negative dimension")
     if dim > ENUM_MAX_DIM or field.p > ENUM_MAX_P:
@@ -548,9 +550,11 @@ def superspaces(field: Field, floor: Sequence[tuple[int, ...]], dim: int, k: int
     refusals, the quotient's guard among them, come before any yield.
     """
     check_type(field, PrimeField, "superspace enumeration field")
-    if k < 0:
-        raise ValidationError(f"subspace dimension {shown(k)} is negative")
-    taken = {vec.index(1) for vec in floor}
+    check_counts((dim, k), "superspace dimension")
+    try:
+        taken = {vec.index(1) for vec in floor}
+    except (AttributeError, TypeError, ValueError):
+        raise ValidationError(f"superspace floor {shown(floor)} is not a basis-vector tuple") from None
     free = [r for r in range(dim) if r not in taken]
     check_enum_guard(len(free), field)
     p = field.p

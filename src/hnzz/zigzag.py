@@ -19,25 +19,29 @@ the right endpoint at position k, the subspaces
     A[a] = image at k of (limit over [a, k])          -- grows with a
     R[a] = kernel at k of (V_k -> colimit over [a, k]) -- shrinks with a
 
-form nested chains with at most dim V_k + 1 distinct members.  The rank
-r[a,k] is dim(A[a] + R[a]) - dim R[a], and R[a] lies in A[a], so
-r[a,k] = dim A[a] - dim R[a] and one sweep prices every left endpoint
-at once from the dims alone.  The containment holds summand by summand
-(Carlsson and de Silva, "Zigzag persistence", 2010): both subspaces
-split over the interval summands of the restriction to [0, k], and a
-summand with k in it meets [a, k] in some [s, k].  Its part at k lies
-in R[a] exactly when s > a and the edge between s - 1 and s points out
-of the summand, and then it lies in A[a] too, which takes it when
-s = a or that edge points out.
+form nested chains.  The rank r[a,k] is dim(A[a] + R[a]) - dim R[a],
+and R[a] lies in A[a], so r[a,k] = dim A[a] - dim R[a] and one sweep
+prices every left endpoint at once from the dims alone.  The containment
+holds summand by summand (Carlsson and de Silva, "Zigzag persistence",
+2010): both subspaces split over the interval summands of the
+restriction to [0, k], and a summand with k in it meets [a, k] in some
+[s, k].  Its part at k lies in R[a] exactly when s > a and the edge
+between s - 1 and s points out of the summand, and then it lies in A[a]
+too, which takes it when s = a or that edge points out.
 
-Each chain is kept as one flag: an adapted basis of V_k (a list of
-columns) whose first dim columns span a member.  One list of marks
-(a, dim A[a], dim R[a]) serves both flags, held as the list of starts a
-and the list of their pairs of dims.  Nested members are equal
-exactly when their dimensions are, so a mark whose pair of dims equals
-its predecessor's is dropped, and no member needs a canonical basis of
-its own.  Both chains cross an edge by the same flag operation of
-``linalg``, one elimination per chain at most:
+The argument holds for every start, a = 0 included, and R[0] in A[0]
+joins the two chains into one:
+
+    0 = R[k] <= R[k-1] <= ... <= R[0] <= A[0] <= ... <= A[k] = V_k
+
+with at most dim V_k + 1 distinct members.  The sweep keeps it as one
+flag: an adapted basis of V_k (a list of columns) whose first dim
+columns span a member.  Its marks (a, dim A[a], dim R[a]) are held as
+the list of starts a and the list of their pairs of dims.  Nested
+members are equal exactly when their dimensions are, so a mark whose
+pair of dims equals its predecessor's is dropped, and no member needs a
+canonical basis of its own.  The flag crosses an edge by one flag
+operation of ``linalg``, one elimination at most:
 
 * an edge pointing right maps the basis; the pivot columns of
   ``m @ basis`` are the new basis, and a member keeps the pivots among
@@ -49,19 +53,21 @@ its own.  Both chains cross an edge by the same flag operation of
   free columns among its first ``m.cols + dim`` columns.
 
 Then the start k joins as the mark (k, dim V_k, 0): A[k] is V_k (the
-image basis is extended by unit vectors, one elimination, unless it
-spans V_k already) and R[k] is the zero space.
+basis is extended by unit vectors, one elimination, unless it spans V_k
+already) and R[k] is the zero space, spanned by no column.  So every
+flag that crosses an edge has a zero member and a full one.
 
 A flag whose members are all 0 or the whole space (a trivial flag) steps
 to the same members whatever basis it carries: the zero member goes to
 0 (image) or ker m (preimage), the full one to im m (image) or all of
-V_k (preimage).  So a trivial flag steps from a plain basis (the zero
-space, or the identity), once per (matrix, direction, chain, has a full
-member), and that step is shared by every later crossing of that edge
-matrix; a lift window repeats each of the cycle's n matrix objects at
-every n-th position.  The ranks take no elimination and no row step,
-so the cost stays linear in the path length for bounded vertex
-dimensions, which the long lift windows rely on.
+V_k (preimage).  So a trivial flag steps from the identity with members
+0 and everything, once per (matrix, flag operation), and that step is
+shared by every later crossing of that edge matrix; a lift window
+repeats each of the cycle's n matrix objects at every n-th position.
+Its basis is never read: its next step starts from the identity again,
+and ``_rank_jumps`` reads only dims.  The ranks take no elimination and
+no row step, so the cost stays linear in the path length for bounded
+vertex dimensions, which the long lift windows rely on.
 
 A lift window repeats its cycle's steps, and the sweep stops once it
 repeats itself.  Let p be the least period of the crossing sequence
@@ -91,21 +97,21 @@ spaces maps each flag member onto a member of the same dimension
 (Carlsson and de Silva, "Zigzag persistence", 2010), and so does an
 injective edge pointing right onto its image.  So an edge pointing right
 whose matrix has full column rank (one rank), or an edge pointing left
-whose square matrix inverts (one RREF of [m | I]), moves both flags by a
+whose square matrix inverts (one RREF of [m | I]), moves the flag by a
 product with that matrix or with its inverse, ``flag_moved``, dims
 unchanged.  The inverse is m's inverse times the lcm of the pivots, a
 global scalar that no column span sees.  A trivial flag keeps its dims
 across a bijection, which maps 0 to 0 and the whole space to the whole
-space, and its basis, which is never read (``_crossed``).  Every other
-edge, and every edge of an aperiodic path, takes ``flag_image`` or
+space, and its basis, which is never read.  Every other edge, and
+every edge of an aperiodic path, takes ``flag_image`` or
 ``flag_preimage``.
 
 Over QQ the sweep runs on integer rows.  Each edge matrix object is
 cleared of its denominators once per direction (``IntMatrix.of``: times
 the lcm of all of them) and kept by its identity, so a shared matrix
-stays shared for the trivial-step memo.  From then on both flags carry
-integer bases: an image basis is pivot columns of an integer product, a
-preimage basis is integer kernel vectors divided by their gcds, and a
+stays shared for the trivial-step memo.  From then on the flag carries
+an integer basis: an image basis is pivot columns of an integer product,
+a preimage basis is integer kernel vectors divided by their gcds, and a
 moved basis is an integer product with each column divided by its gcd.
 Scaling an edge matrix, or any basis column, by a nonzero rational moves
 no member, pivot or rank, so the bars are those of Fraction arithmetic,
@@ -187,7 +193,8 @@ class Barcode:
     @staticmethod
     def from_dict(d: dict[Interval, int]) -> "Barcode":
         check_type(d, dict, "barcode mapping")
-        return Barcode(tuple(sorted((iv, m) for iv, m in d.items() if m)))
+        check_multiplicities(d.items(), Interval, "barcode entry")
+        return Barcode(tuple(sorted(d.items())))
 
     def dims_vector(self, n: int) -> tuple[int, ...]:
         check_ints((n,), "path length")
@@ -301,7 +308,7 @@ def _rank_rows(fld: Field, dims: tuple[int, ...], crossings: list[tuple[Matrix, 
                ) -> Iterator[dict[int, int]]:
     """The jumps of each rank row r[., k], k = 0 .. n-1, in order.
 
-    Sweeps the flags until a position repeats the one ``period`` earlier
+    Sweeps the flag until a position repeats the one ``period`` earlier
     (module docstring); every later row is the row ``period`` positions
     before it with its starts shifted, so it is replayed, not swept.
     """
@@ -313,13 +320,13 @@ def _rank_rows(fld: Field, dims: tuple[int, ...], crossings: list[tuple[Matrix, 
     past_marks: deque[tuple[list[int], list[tuple]]] = deque(maxlen=period)
     past_rows: deque[dict[int, int]] = deque(maxlen=period)
 
-    # both chains are flags over one list of marks: the starts a, and the
-    # pairs (dim A[a], dim R[a]) of their members
-    a_basis, r_basis = IntMatrix.identity(fld, dims[0]), IntMatrix.zero_space(fld, dims[0])
+    # one flag carries both chains, over one list of marks: the starts a,
+    # and the pairs (dim A[a], dim R[a]) of their members
+    basis = IntMatrix.identity(fld, dims[0])
     starts, pairs = [0], [(dims[0], 0)]
     # per (edge matrix object, points right): its flag step, found once
     cleared: dict[tuple[int, bool], tuple] = {}
-    # trivial flag steps, one per (matrix, direction, chain, has a full member)
+    # trivial flag steps, one per (matrix, flag operation)
     trivial_steps: dict[tuple, tuple[IntMatrix, list[int]]] = {}
 
     for k in range(len(dims)):
@@ -329,8 +336,8 @@ def _rank_rows(fld: Field, dims: tuple[int, ...], crossings: list[tuple[Matrix, 
                 cleared[id(m), forward] = _crossing(m, forward, period > 0)
             op, m = cleared[id(m), forward]
             a_dims, r_dims = zip(*pairs)
-            a_basis, a_dims = _crossed(m, op, a_basis, a_dims, True, trivial_steps)
-            r_basis, r_dims = _crossed(m, op, r_basis, r_dims, False, trivial_steps)
+            basis, new = _crossed(m, op, basis, r_dims + a_dims, trivial_steps)
+            r_dims, a_dims = new[:len(r_dims)], new[len(r_dims):]
             # nested members of equal dimension are equal: keep the first start
             previous, starts, pairs = starts, [], []
             for a, pair in zip([*previous, k], [*zip(a_dims, r_dims), (dims[k], 0)]):
@@ -356,8 +363,8 @@ def _crossing(mat: Matrix, forward: bool, periodic: bool) -> tuple:
 
     On a periodic path each matrix object recurs, so whether the crossing
     is a bijection's product is found once per object and direction
-    (module docstring): an injective m moves the image flag, and an
-    invertible m's ``scaled_inverse`` moves the preimage flag, by
+    (module docstring): an injective m pointing right, or an invertible
+    m's ``scaled_inverse`` pointing left, moves the flag by
     ``flag_moved``.  Anything else, and every edge of an aperiodic path,
     takes ``flag_image`` or ``flag_preimage``.
     """
@@ -393,38 +400,19 @@ def _shifted(starts: list[int], period: int) -> list[int]:
     return [a + period if a else 0 for a in starts]
 
 
-def _crossed(m: IntMatrix, op, basis: IntMatrix, dims, completed: bool, memo: dict):
-    """The flag (basis, dims) stepped through ``m`` by ``op``, completed if asked.
-
-    A trivial flag (module docstring) steps once per (matrix, direction,
-    chain, has a full member), from a plain basis: the zero space, or the
-    identity with members 0 and everything.  ``memo`` keeps that step,
-    and each member takes the new dim of the zero or the full member.
-    The basis a trivial flag carries is never read: its next step starts
-    from the plain basis again, and ``_rank_jumps`` reads only dims.  So a
-    trivial flag crosses a bijection (``flag_moved`` by a square matrix)
-    as it is.
-    """
+def _crossed(m: IntMatrix, op, basis: IntMatrix, dims, memo: dict):
+    """The flag (basis, dims) stepped through ``m`` by ``op`` and completed (module docstring)."""
     d = basis.rows
     if set(dims) <= {0, d}:
         if op is flag_moved and m.rows == d:
             return basis, dims
-        full = any(dims)
-        key = (id(m), op, completed, full)
-        if key not in memo:
-            if full:
-                plain = IntMatrix.identity(m.field, d), (0, d)
-            else:
-                plain = IntMatrix.zero_space(m.field, d), (0,)
-            moved, new = op(m, *plain)
-            memo[key] = (flag_completed(moved) if completed else moved), new
-        basis, new = memo[key]
-        dims = [new[-1] if x else new[0] for x in dims]
-    else:
-        basis, dims = op(m, basis, dims)
-        if completed:
-            basis = flag_completed(basis)
-    return basis, dims
+        if (id(m), op) not in memo:
+            moved, new = op(m, IntMatrix.identity(m.field, d), (0, d))
+            memo[id(m), op] = flag_completed(moved), new
+        basis, new = memo[id(m), op]
+        return basis, [new[-1] if x else new[0] for x in dims]
+    basis, dims = op(m, basis, dims)
+    return flag_completed(basis), dims
 
 
 def _rank_jumps(starts: list[int], pairs: list[tuple[int, int]]) -> dict[int, int]:
@@ -432,8 +420,8 @@ def _rank_jumps(starts: list[int], pairs: list[tuple[int, int]]) -> dict[int, in
 
     R[a] lies in A[a] (module docstring), so r[a,k] = dim A[a] - dim R[a]
     is read off each mark's pair of dims.  The row never decreases in a,
-    since A[a] grows and R[a] shrinks; a decrease means the flags lost
-    their nesting.
+    since A[a] grows and R[a] shrinks; a decrease means the flag lost
+    its nesting.
     """
     jumps: dict[int, int] = {}
     prev_val = 0

@@ -262,13 +262,13 @@ def test_criterion_8_scaling_smoke(count_calls):
 
 
 def test_lift_window_shares_trivial_steps(count_calls):
-    # the barcode sweep keeps each nested chain as one flag, and the window
+    # the barcode sweep keeps both nested chains as one flag, and the window
     # repeats each of the cycle's 100 matrices, 98 of them bijective.  Per
     # matrix, once: a rank (pointing right) or an [m | I] reduction
     # (pointing left, square) decides whether a crossing is a product, 99
-    # eliminations; a bijective edge then moves both flags by products.
-    # The two other edges cost 5 preimages, and 4 completions run.  The
-    # sweep stops once its marks repeat one cycle later, so 108
+    # eliminations; a bijective edge then moves the flag by a product.
+    # The two other edges cost 4 preimages, and 4 completions run.  The
+    # sweep stops once its marks repeat one cycle later, so 107
     # eliminations run over 701 window positions.  A change may lower this
     # pin, never raise it
     rep = _scaling_instance(100, 1)
@@ -276,4 +276,4 @@ def test_lift_window_shares_trivial_steps(count_calls):
     calls = count_calls(linalg, "_gauss_jordan")
     eta_from_lift(rep)
     print(f"  {len(calls)} eliminations over {positions} window positions")
-    assert (len(calls), positions) == (108, 701)
+    assert (len(calls), positions) == (107, 701)

@@ -333,13 +333,13 @@ class TestBijectiveCrossings:
         # Jordan cells only, conjugated: every edge matrix of the cycle is
         # bijective, and lift_truncated repeats its n objects with period
         # n.  A bijection moves the zero member to 0 and the whole space to
-        # the whole space, so both flags stay trivial, each position keeps
+        # the whole space, so the flag stays trivial, each position keeps
         # the one mark (0, dim, 0), no rank is taken, and the sweep stops
         # at position n, whose marks repeat those of position 0.  So each
         # of the n crossings is the first of its matrix: one rank (pointing
         # right) or one [m | I] reduction (pointing left) decides that it
-        # is a product, and neither flag needs one.  No completion runs:
-        # the image flag keeps all of V_k.  The elimination route ran
+        # is a product, and the flag needs none.  No completion runs:
+        # the flag keeps all of V_k.  The elimination route ran
         # n + (left-pointing edges) here, a kernel more per such edge
         rng = make_rng(34)
         eliminations = count_calls(linalg, "_gauss_jordan")
@@ -355,7 +355,7 @@ class TestBijectiveCrossings:
     @pytest.mark.parametrize("n", [50, 100])
     def test_rational_cycle_exact_with_small_entries(self, n, monkeypatch):
         # a wrapped interval winding three times plus a size-2 cell over QQ,
-        # conjugated: the product route carries partial flags across
+        # conjugated: the product route carries a partial flag across
         # hundreds of bijective edges, each product's columns divided by
         # their gcds, so the entries stay small and the summands exact
         rng = make_rng(35)

@@ -35,17 +35,17 @@ from hnzz.linalg import PrimeField, RationalField  # noqa: E402
 # (eliminations, row updates) of one seed-1 round's requests; products
 # accumulate in ints and make no row updates
 ROUND_WORK = {
-    "lift-long": (726, 8430),
-    "zigzag-rational": (686, 11312),
-    "oracle-certify": (1383, 713),
+    "lift-long": (718, 8316),
+    "zigzag-rational": (387, 6094),
+    "oracle-certify": (1348, 710),
 }
 
 # products over the same round: flag crossings, the oracle's span steps and
 # Matrix products
 ROUND_PRODUCTS = {
-    "lift-long": 1978,
-    "zigzag-rational": 354,
-    "oracle-certify": 1227,
+    "lift-long": 1972,
+    "zigzag-rational": 208,
+    "oracle-certify": 1216,
 }
 
 # (passes, enumerations, superspaces) of the oracle over the same round

@@ -39,8 +39,7 @@ SKIPPED = {
     "linalg.RationalField", "linalg.PrimeField", "linalg.IntMatrix",
     "linalg.flag_image", "linalg.flag_preimage", "linalg.flag_moved",
     "linalg.flag_completed", "linalg.scaled_inverse", "linalg.span_with_image",
-    "linalg.superspaces", "linalg.check_enum_guard", "linalg.columns",
-    "linalg.from_columns",
+    "linalg.columns", "linalg.from_columns",
     # helpers of the test suite and of the generators, on checked values
     "linalg.random_matrix", "linalg.random_invertible_rng", "linalg.subspace_contains",
     # plain records that check nothing and compute nothing
@@ -82,6 +81,8 @@ def table() -> dict:
         "linalg.rref": (linalg.rref, (one,)),
         "linalg.rank": (linalg.rank, (one,)),
         "linalg.inverse": (linalg.inverse, (one,)),
+        "linalg.check_enum_guard": (linalg.check_enum_guard, (2, gf2)),
+        "linalg.superspaces": (linalg.superspaces, (gf2, ((1, 0),), 2, 1)),
         "quiver.Quiver": (quiver.Quiver, (2, ((0, 1),))),
         "quiver.is_acyclic": (quiver.is_acyclic, (a2,)),
         "quiver.topological_order": (quiver.topological_order, (a2,)),

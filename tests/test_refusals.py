@@ -208,6 +208,13 @@ ONE = Matrix.identity(GF(2), 1)
         lambda: conjugate(V3, [None] * 3),
         lambda: conjugate(V3, 5),
         lambda: block_diag(None, ONE),
+        lambda: Barcode.from_dict({1: 1, Interval(0, 0): 1}),
+        lambda: Barcode.from_dict({Interval(0, 0): None}),
+        lambda: campaign.run([], 1, 0),
+        lambda: check_enum_guard(None, GF(2)),
+        lambda: check_enum_guard(2, None),
+        lambda: superspaces(GF(2), None, 2, 1),
+        lambda: superspaces(GF(2), ((0, 0),), 2, 1),
     ],
     ids=[
         "GF(None)",
@@ -322,6 +329,13 @@ ONE = Matrix.identity(GF(2), 1)
         "conjugate(v, [None] * 3)",
         "conjugate(v, 5)",
         "block_diag(None, m)",
+        "Barcode.from_dict(key 1)",
+        "Barcode.from_dict(multiplicity None)",
+        "campaign.run([], 1, 0)",
+        "check_enum_guard(None, field)",
+        "check_enum_guard(2, None)",
+        "superspaces(floor None)",
+        "superspaces(floor vector (0, 0))",
     ],
 )
 def test_wrong_type_refused(build):

@@ -646,7 +646,7 @@ def test_distinct_matrices_run_every_step(count_calls):
     eliminations = count_calls(linalg, "_gauss_jordan")
     row_updates = count_calls(linalg.RationalField, "row_update")
     barcode(v)
-    assert (len(eliminations), len(row_updates)) == (48, 91)
+    assert (len(eliminations), len(row_updates)) == (25, 52)
 
 
 def test_rational_sweep_makes_no_fraction_arithmetic(count_calls):
