@@ -5,26 +5,33 @@ residues (plain ints in ``[0, p)``) over GF(p).  Matrices are immutable,
 dense, row-major, and carry their field descriptor so that mixed-field
 arithmetic is a detectable error rather than silent nonsense.
 
+A Matrix holds its entries as integer rows over one denominator:
+``ints`` is a tuple of tuple rows of Python ints and ``den`` a positive
+int, and the entries are ``ints / den``.  Over GF(p) ``ints`` holds the
+residues and ``den`` is 1; over QQ ``den`` is the least positive int
+that clears every entry, so each matrix has exactly one (ints, den)
+pair.  The entries themselves, Fractions over QQ, are built only when
+``data`` is read.
+
 Outside input, instance files included, enters through the public
-``Matrix(field, data, cols)``, which checks the shape and coerces every
-entry, refusing floats; only results computed here skip that pass, via
-the private ``Matrix._canonical``.
+``Matrix(field, data, cols)``, which checks the shape, coerces every
+entry, refusing floats, and clears the rows (the field's ``cleared``);
+only results computed here skip that pass, via the private
+``Matrix._canonical``.
 
 Everything here is pure and deterministic: echelon forms are the unique
 reduced ones, so equality of spans reduces to equality of basis matrices.
 
-Elimination and products run on integer rows for every field, through
-one kernel.  ``_cleared`` turns a matrix into integer rows: over QQ it
-multiplies them by the lcm of all the denominators, and GF(p) residues
-are integer rows already.  The field supplies the rest: its row update
+Elimination and products run on the integer rows for every field,
+through one kernel.  The field supplies the rest: its row update
 (fraction-free with a gcd over QQ, in residues over GF(p)), its product
 (packed rows over a small GF(p), as in M4RI: Albrecht, Bard and Hart,
 ACM TOMS 2010), the reduction of an integer row to canonical entries,
 the gcd division of a basis's columns (QQ only), and the write-back of a
-row divided by its pivot.  The flag operations take and return an
-``IntMatrix``, integer rows that stand for a matrix up to nonzero
-scalars, so the barcode sweep clears each edge matrix once and then
-builds no ``Fraction``.
+row divided by its pivot.  No rank, pivot or span moves when a matrix
+is scaled by a nonzero scalar, so the flag operations read ``ints``
+alone and return bases with ``den`` 1, and the barcode sweep builds no
+``Fraction``.
 """
 
 from __future__ import annotations
@@ -35,10 +42,9 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from math import gcd, lcm
 from operator import mul
-from typing import NamedTuple
 
 from .errors import GuardError, ValidationError, check_counts, check_ints, check_type, shown
 
@@ -78,6 +84,11 @@ class RationalField:
             return Fraction(value)
         except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
             raise ValidationError(f"QQ entry {shown(value)} is not a rational") from exc
+
+    def cleared(self, rows: Sequence[Sequence[Fraction]]) -> tuple[tuple, int]:
+        """Integer rows and the least positive den that make ``rows`` their quotient."""
+        den = lcm(*[x.denominator for row in rows for x in row])
+        return tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in rows), den
 
     def row_update(self, row: Sequence[int], a: int, b: int, prow: Sequence[int]) -> list[int]:
         """``a * row - b * prow`` divided by the gcd of its entries: the fraction-free step."""
@@ -135,6 +146,10 @@ class PrimeField:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ValidationError(f"GF({self.p}) entry must be an int, not {type(value).__name__}")
         return value % self.p
+
+    def cleared(self, rows: Sequence[Sequence[int]]) -> tuple[Sequence, int]:
+        """Residue rows are integer rows already: ``rows`` over 1."""
+        return rows, 1
 
     def row_update(self, row: Sequence[int], a: int, b: int, prow: Sequence[int]) -> list[int]:
         """``a * row - b * prow`` in residues."""
@@ -197,27 +212,31 @@ def check_field(fld) -> None:
         raise ValidationError(f"field: {shown(fld)} is not QQ or a GF(p)")
 
 
-def _store(m: "Matrix", field: Field, cols: int, data: tuple) -> "Matrix":
-    """Set the four slots of ``m``, bypassing its immutability guard."""
-    object.__setattr__(m, "field", field)
-    object.__setattr__(m, "rows", len(data))
-    object.__setattr__(m, "cols", cols)
-    object.__setattr__(m, "data", data)
+def _store(m: "Matrix", field: Field, cols: int, ints: tuple, den: int) -> "Matrix":
+    """Set the five slots of ``m`` through their own setters, bypassing its immutability guard."""
+    set_field, set_rows, set_cols, set_ints, set_den = _SLOT_SETTERS
+    set_field(m, field)
+    set_rows(m, len(ints))
+    set_cols(m, cols)
+    set_ints(m, ints)
+    set_den(m, den)
     return m
 
 
 class Matrix:
-    """Immutable dense matrix; ``data`` is a tuple of row tuples.
+    """Immutable dense matrix: the integer rows ``ints`` over the denominator ``den``.
 
     The public constructor checks the field, that the rows are lists or
     tuples of one length, and coerces every entry into the field
-    (``ValidationError`` for each refusal), so a Matrix is always in
-    canonical form: reduced fractions / residues in [0, p).
-    ``Matrix._canonical`` trusts rows that are canonical already; it is
-    only for results computed in this module.
+    (``ValidationError`` for each refusal); the field then clears the
+    rows, so a Matrix is always in canonical form: ``den`` is 1 over
+    GF(p), and over QQ the gcd of ``den`` and all of ``ints`` is 1.
+    ``Matrix._canonical`` trusts integer rows that are in that form
+    already, and ``Matrix._lowest`` puts them there; both are only for
+    results computed in this module.  ``data`` builds the entries.
     """
 
-    __slots__ = ("field", "rows", "cols", "data")
+    __slots__ = ("field", "rows", "cols", "ints", "den")
 
     def __init__(self, field: Field, data: Sequence[Sequence], cols: int | None = None):
         check_field(field)
@@ -237,12 +256,23 @@ class Matrix:
             if not isinstance(row, rowlike) or len(row) != cols:
                 raise ValidationError("ragged rows in matrix data")
             packed.append(tuple(map(coerce, row)))
-        _store(self, field, cols, tuple(packed))
+        _store(self, field, cols, *field.cleared(tuple(packed)))
 
     @classmethod
-    def _canonical(cls, field: Field, rows: Iterable[Sequence], cols: int) -> "Matrix":
-        """A Matrix of rows already in canonical form: no coercion, no checks."""
-        return _store(object.__new__(cls), field, cols, tuple(map(tuple, rows)))
+    def _canonical(cls, field: Field, rows: Iterable[Sequence[int]], cols: int,
+                   den: int = 1) -> "Matrix":
+        """The Matrix of integer rows over ``den`` already in lowest terms: no checks."""
+        return _store(object.__new__(cls), field, cols, tuple(map(tuple, rows)), den)
+
+    @classmethod
+    def _lowest(cls, field: Field, rows: Sequence[Sequence[int]], cols: int, den: int) -> "Matrix":
+        """The Matrix of integer rows over ``den``, both divided by the gcd of all of them."""
+        if den > 1:
+            g = gcd(den, *chain.from_iterable(rows))
+            if g > 1:
+                den //= g
+                rows = [[x // g for x in row] for row in rows]
+        return cls._canonical(field, rows, cols, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -250,19 +280,23 @@ class Matrix:
     def __delattr__(self, name):
         raise AttributeError("Matrix is immutable")
 
+    @property
+    def data(self) -> tuple[tuple, ...]:
+        """The entries as a tuple of row tuples: Fractions over QQ, residues over GF(p)."""
+        write_back, den = self.field.write_back, self.den
+        return tuple(tuple(write_back(row, den)) for row in self.ints)
+
     @staticmethod
     def zeros(field: Field, rows: int, cols: int) -> "Matrix":
         check_field(field)
         check_counts((rows, cols), "matrix size")
-        return Matrix._canonical(field, [(field.zero,) * cols] * rows, cols)
+        return Matrix._canonical(field, [(0,) * cols] * rows, cols)
 
     @staticmethod
     def identity(field: Field, n: int) -> "Matrix":
         check_field(field)
         check_counts((n,), "matrix size")
-        z, o = field.zero, field.one
-        rows = [[o if i == j else z for j in range(n)] for i in range(n)]
-        return Matrix._canonical(field, rows, n)
+        return Matrix._canonical(field, [[int(i == j) for j in range(n)] for i in range(n)], n)
 
     def __eq__(self, other) -> bool:
         return (
@@ -270,11 +304,12 @@ class Matrix:
             and self.field == other.field
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.data == other.data
+            and self.den == other.den
+            and self.ints == other.ints
         )
 
     def __hash__(self):
-        return hash((self.field, self.rows, self.cols, self.data))
+        return hash((self.field, self.rows, self.cols, self.den, self.ints))
 
     def __repr__(self) -> str:
         return f"Matrix({self.field!r}, {self.rows}x{self.cols}, {list(map(list, self.data))})"
@@ -287,59 +322,13 @@ class Matrix:
             raise ValidationError(
                 f"matmul shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
             )
-        field = self.field
-        left, lden = _cleared(field, self.data)
-        right, rden = _cleared(field, other.data)
-        write_back, den = field.write_back, lden * rden
-        out = [write_back(row, den) for row in field.product(left, right, other.cols)]
-        return Matrix._canonical(field, out, other.cols)
+        field, cols = self.field, other.cols
+        return Matrix._lowest(field, field.product(self.ints, other.ints, cols), cols,
+                              self.den * other.den)
 
 
-class IntMatrix(NamedTuple):
-    """A matrix on rows of Python ints, which the flag operations move as they are.
-
-    Over GF(p) the rows are the residues of a Matrix.  Over QQ they stand
-    for a rational matrix up to nonzero scalars: ``IntMatrix.of`` clears a
-    Matrix of its denominators by multiplying it by their lcm, and a flag
-    basis may carry each column scaled by its own nonzero rational.  No
-    such scaling moves a flag member, a pivot set or a rank, and those are
-    all that the flag operations read.
-    """
-
-    field: Field
-    rows: int
-    cols: int
-    data: tuple[tuple[int, ...], ...]
-
-    @staticmethod
-    def of(m: Matrix) -> IntMatrix:
-        """``m`` on int rows: over QQ, times the lcm of all its denominators."""
-        check_type(m, Matrix, "int rows of")
-        rows, _ = _cleared(m.field, m.data)
-        return IntMatrix(m.field, m.rows, m.cols, tuple(map(tuple, rows)))
-
-    @staticmethod
-    def identity(field: Field, n: int) -> IntMatrix:
-        return IntMatrix(field, n, n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
-
-    @staticmethod
-    def zero_space(field: Field, dim: int) -> IntMatrix:
-        return IntMatrix(field, dim, 0, ((),) * dim)
-
-
-def hstack(mats: Iterable[Matrix]) -> Matrix:
-    check_type(mats, Iterable, "hstack blocks")
-    mats = list(mats)
-    if not mats:
-        raise ValidationError("hstack of nothing")
-    for m in mats:
-        check_type(m, Matrix, "hstack block")
-        if (m.field, m.rows) != (mats[0].field, mats[0].rows):
-            raise ValidationError("hstack shape/field mismatch")
-    field, rows = mats[0].field, mats[0].rows
-    cols = sum(m.cols for m in mats)
-    data = [sum((m.data[i] for m in mats), ()) for i in range(rows)]
-    return Matrix._canonical(field, data, cols)
+# the setters of Matrix's slots, in ``__slots__`` order: faster than object.__setattr__
+_SLOT_SETTERS = tuple(Matrix.__dict__[name].__set__ for name in Matrix.__slots__)
 
 
 def block_diag(a: Matrix, b: Matrix) -> Matrix:
@@ -347,25 +336,12 @@ def block_diag(a: Matrix, b: Matrix) -> Matrix:
     check_type(b, Matrix, "block")
     if a.field != b.field:
         raise ValidationError("block_diag across different fields")
-    field = a.field
-    z = field.zero
-    data = [list(row) + [z] * b.cols for row in a.data]
-    data += [[z] * a.cols + list(row) for row in b.data]
-    return Matrix._canonical(field, data, a.cols + b.cols)
-
-
-def _cleared(field: Field, rows: Iterable[Sequence]) -> tuple[list[Sequence[int]], int]:
-    """``rows`` as integer rows in a fresh list, and the scalar they were multiplied by.
-
-    Over QQ that scalar is the lcm of all the denominators, so the rows
-    stand for the matrix up to one nonzero scalar.  GF(p) residues are
-    integer rows already: they come back as they are, times 1.
-    """
-    if isinstance(field, PrimeField):
-        return list(rows), 1
-    rows = list(rows)
-    den = lcm(*[x.denominator for row in rows for x in row])
-    return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
+    # both blocks over the lcm of their denominators, which leaves no common factor
+    den = lcm(a.den, b.den)
+    sa, sb = den // a.den, den // b.den
+    rows = [[x * sa for x in row] + [0] * b.cols for row in a.ints]
+    rows += [[0] * a.cols + [x * sb for x in row] for row in b.ints]
+    return Matrix._canonical(a.field, rows, a.cols + b.cols, den)
 
 
 def _gauss_jordan(field: Field, work: list[Sequence[int]], reduced: bool = True) -> list[int]:
@@ -373,17 +349,17 @@ def _gauss_jordan(field: Field, work: list[Sequence[int]], reduced: bool = True)
 
     Returns the pivot columns; row i holds the pivot of column
     ``pivots[i]`` and every row past the last pivot is zero.  This is the
-    one elimination loop of the package: ``rref``, ``rank``,
-    ``span_with_image``, ``flag_image``, ``flag_preimage``,
-    ``flag_completed`` and ``scaled_inverse`` run through it (a kernel is
-    the ``flag_preimage`` of the zero subspace), and no other code takes
-    a row step.  With ``reduced=False`` only the rows below each pivot
-    are cleared: the pivots are the same, at about half the row
-    operations, which is all ``rank`` needs.  The rows are then
-    unspecified, and its callers (``rank``, ``flag_image``,
-    ``flag_completed``) read only the pivots.
+    one elimination loop of the package: ``rank``, ``inverse``,
+    ``subspace_contains``, ``span_with_image``, ``flag_image``,
+    ``flag_preimage``, ``flag_completed`` and ``scaled_inverse`` run
+    through it (a kernel is the ``flag_preimage`` of the zero subspace),
+    and no other code takes a row step.  With ``reduced=False`` only the
+    rows below each pivot are cleared: the pivots are the same, at about
+    half the row operations, which is all a rank needs.  The rows are then
+    unspecified, and its callers (``rank``, ``subspace_contains``,
+    ``flag_image``, ``flag_completed``) read only the pivots.
 
-    The rows are canonical integer rows of ``field`` (``_cleared``), and
+    The rows are integer rows of ``field`` (a Matrix's ``ints``), and
     only the list is changed: a row is swapped or replaced, never written
     to.  A row update is ``field.row_update(row, a, b, prow)``,
     ``a*row - b*prow`` with ``a`` the pivot and ``b`` the row's entry under
@@ -393,7 +369,8 @@ def _gauss_jordan(field: Field, work: list[Sequence[int]], reduced: bool = True)
     multiple of the row that textbook elimination holds at the same step,
     the pivots and row updates are the same, and a full reduction leaves
     pivot row i as its pivot times the reduced row.  ``flag_preimage``
-    reads those rows as they are; ``_echelon`` writes them back.
+    and ``scaled_inverse`` read those rows as they are; ``_echelon`` and
+    ``inverse`` write them back.
     """
     update = field.row_update
     nr = len(work)
@@ -421,42 +398,43 @@ def _gauss_jordan(field: Field, work: list[Sequence[int]], reduced: bool = True)
     return pivots
 
 
-def _echelon(field: Field, rows: Iterable[Sequence]) -> tuple[list[Sequence], list[int]]:
-    """The nonzero reduced row-echelon rows of ``rows`` in canonical entries, and the pivots.
+def _echelon(field: Field, rows: Iterable[Sequence[int]]) -> tuple[list[Sequence], list[int]]:
+    """The nonzero reduced row-echelon rows of the integer ``rows``, and the pivots.
 
     Each pivot row that ``_gauss_jordan`` leaves is written back divided by
-    its pivot.
+    its pivot, in canonical entries.
     """
-    work, _ = _cleared(field, rows)
+    work = list(rows)
     pivots = _gauss_jordan(field, work)
     write_back = field.write_back
     return [write_back(work[i], work[i][c]) for i, c in enumerate(pivots)], pivots
 
 
-def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    """Reduced row-echelon form and its pivot columns."""
-    check_type(m, Matrix, "rref input")
-    reduced, pivots = _echelon(m.field, m.data)
-    reduced += [(m.field.zero,) * m.cols] * (m.rows - len(pivots))
-    return Matrix._canonical(m.field, reduced, m.cols), tuple(pivots)
-
-
 def rank(m: Matrix) -> int:
     """Rank as the pivot count of the echelon form; 0 for empty matrices."""
     check_type(m, Matrix, "rank input")
-    return len(_gauss_jordan(m.field, _cleared(m.field, m.data)[0], reduced=False))
+    return len(_gauss_jordan(m.field, list(m.ints), reduced=False))
+
+
+def _with_identity(rows: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The integer rows of [rows | I]."""
+    n = len(rows)
+    return [row + tuple(int(i == j) for j in range(n)) for i, row in enumerate(rows)]
 
 
 def inverse(m: Matrix) -> Matrix:
+    """The inverse of ``m``, from one reduction of [m.ints | I]."""
     check_type(m, Matrix, "inverse input")
     if m.rows != m.cols:
         raise ValidationError("inverse of a non-square matrix")
-    n = m.rows
-    reduced, pivots = rref(hstack([m, Matrix.identity(m.field, n)]))
-    if len(pivots) != n or any(c >= n for c in pivots):
+    field, n = m.field, m.rows
+    work = _with_identity(m.ints)
+    pivots = _gauss_jordan(field, work)
+    if pivots and pivots[-1] >= n:
         raise ValidationError("matrix is not invertible")
-    data = [row[n:] for row in reduced.data]
-    return Matrix._canonical(m.field, data, n)
+    # the right half of row i over its pivot is row i of the inverse of m.ints
+    ints, den = field.cleared([field.write_back(row[n:], row[i]) for i, row in enumerate(work)])
+    return Matrix._lowest(field, [[x * m.den for x in row] for row in ints], n, den)
 
 
 def random_matrix(field: Field, rows: int, cols: int, rng: random.Random) -> Matrix:
@@ -486,10 +464,19 @@ def random_invertible_rng(dim: int, field: Field, rng: random.Random) -> Matrix:
 
 
 def subspace_contains(space: Matrix, vectors: Matrix) -> bool:
-    """True iff every column of ``vectors`` lies in span(space)."""
+    """True iff every column of ``vectors`` lies in span(space), a basis of full column rank.
+
+    Scaling a block moves no rank, so the integer rows of both are ranked
+    side by side, as they are.
+    """
+    check_type(space, Matrix, "subspace")
+    check_type(vectors, Matrix, "vectors")
+    if (space.field, space.rows) != (vectors.field, vectors.rows):
+        raise ValidationError("subspace and vectors differ in field or height")
     if vectors.cols == 0:
         return True
-    return rank(hstack([space, vectors])) == space.cols
+    work = [a + b for a, b in zip(space.ints, vectors.ints)]
+    return len(_gauss_jordan(space.field, work, reduced=False)) == space.cols
 
 
 # Subspace enumeration over GF(p) grows like p^(dim^2/4); these limits keep
@@ -511,14 +498,19 @@ def check_enum_guard(dim: int, field: PrimeField) -> None:
         )
 
 
-def columns(m: Matrix) -> tuple[tuple, ...]:
-    """The columns of ``m`` as tuples: the basis vectors of a column-echelon basis."""
-    return tuple(zip(*m.data))
+def columns(m: Matrix) -> tuple[tuple[int, ...], ...]:
+    """The columns of ``m.ints`` as tuples: the basis vectors of a column-echelon basis.
+
+    They are the columns of ``m`` over GF(p), where ``den`` is 1 and the
+    oracle runs; over QQ they are those columns times ``den``.
+    """
+    return tuple(zip(*m.ints))
 
 
 def from_columns(field: Field, vectors: Sequence[Sequence], dim: int) -> Matrix:
-    """The dim x k Matrix whose columns are the k canonical ``vectors``."""
-    return Matrix._canonical(field, zip(*vectors) if vectors else [()] * dim, len(vectors))
+    """The dim x k Matrix whose columns are the k ``vectors`` of canonical entries."""
+    ints, den = field.cleared(list(zip(*vectors)) if vectors else [()] * dim)
+    return Matrix._canonical(field, ints, len(vectors), den)
 
 
 def span_with_image(field: Field, floor: tuple[tuple, ...], basis: Sequence[Sequence[int]],
@@ -593,13 +585,13 @@ def superspaces(field: Field, floor: Sequence[tuple[int, ...]], dim: int, k: int
 # ``flag_moved`` is one product with the dims unchanged, and the preimage
 # flag through an invertible map is the flag moved by its inverse
 # (``scaled_inverse``, once per map).  A member is the span of its columns,
-# so each column may be scaled freely, and a map by a nonzero scalar: the
-# operations take and return IntMatrix bases and edge matrices.
+# so a flag basis stands for its members up to column scaling, and a map
+# up to a nonzero scalar: the operations read the ``ints`` of their Matrix
+# arguments alone and return bases with ``den`` 1.
 # ---------------------------------------------------------------------------
 
 
-def flag_image(m: IntMatrix, basis: IntMatrix, dims: Sequence[int]
-               ) -> tuple[IntMatrix, list[int]]:
+def flag_image(m: Matrix, basis: Matrix, dims: Sequence[int]) -> tuple[Matrix, list[int]]:
     """The flag of images m(member i), with one elimination of ``m @ basis``.
 
     A column of ``m @ basis`` outside the span of the columns before it is
@@ -608,15 +600,14 @@ def flag_image(m: IntMatrix, basis: IntMatrix, dims: Sequence[int]
     ``dims[i]`` columns.
     """
     if basis.cols == 0 or m.rows == 0:
-        return IntMatrix.zero_space(m.field, m.rows), [0] * len(dims)
-    moved = m.field.product(m.data, basis.data, basis.cols)
+        return Matrix._canonical(m.field, ((),) * m.rows, 0), [0] * len(dims)
+    moved = m.field.product(m.ints, basis.ints, basis.cols)
     pivots = _gauss_jordan(m.field, list(moved), reduced=False)
-    kept = tuple(tuple(row[j] for j in pivots) for row in moved)
-    return IntMatrix(m.field, m.rows, len(pivots), kept), [bisect_left(pivots, d) for d in dims]
+    kept = [[row[j] for j in pivots] for row in moved]
+    return Matrix._canonical(m.field, kept, len(pivots)), [bisect_left(pivots, d) for d in dims]
 
 
-def flag_preimage(m: IntMatrix, basis: IntMatrix, dims: Sequence[int]
-                  ) -> tuple[IntMatrix, list[int]]:
+def flag_preimage(m: Matrix, basis: Matrix, dims: Sequence[int]) -> tuple[Matrix, list[int]]:
     """The flag of preimages {x : m @ x in member i}, with one RREF of [m | basis].
 
     m(x) lies in member i exactly when (x; y) is in the kernel of
@@ -633,8 +624,8 @@ def flag_preimage(m: IntMatrix, basis: IntMatrix, dims: Sequence[int]
     """
     field = m.field
     if m.cols == 0 or m.rows == 0:
-        return IntMatrix.identity(field, m.cols), [m.cols] * len(dims)
-    work = [row + brow for row, brow in zip(m.data, basis.data)]
+        return Matrix.identity(field, m.cols), [m.cols] * len(dims)
+    work = [row + brow for row, brow in zip(m.ints, basis.ints)]
     pivots = _gauss_jordan(field, work)
     taken = set(pivots)
     free = [c for c in range(m.cols + basis.cols) if c not in taken]
@@ -651,13 +642,11 @@ def flag_preimage(m: IntMatrix, basis: IntMatrix, dims: Sequence[int]
             vec[pc] = -row[f] * scale
         columns.append(reduce(vec))
     rows = field.primitive_columns(list(zip(*columns))) if columns else ((),) * m.cols
-    data = tuple(map(tuple, rows))
     new_dims = [bisect_left(free, m.cols + d) for d in dims]
-    return IntMatrix(field, m.cols, len(columns), data), new_dims
+    return Matrix._canonical(field, rows, len(columns)), new_dims
 
 
-def flag_moved(m: IntMatrix, basis: IntMatrix, dims: Sequence[int]
-               ) -> tuple[IntMatrix, list[int]]:
+def flag_moved(m: Matrix, basis: Matrix, dims: Sequence[int]) -> tuple[Matrix, list[int]]:
     """The flag of images m(member i) for an injective m, with one product and no elimination.
 
     An injective m keeps the columns of ``m @ basis`` independent, so they
@@ -668,12 +657,12 @@ def flag_moved(m: IntMatrix, basis: IntMatrix, dims: Sequence[int]
     vectors, so a basis carried across many products keeps small entries.
     """
     field = m.field
-    moved = field.primitive_columns(field.product(m.data, basis.data, basis.cols))
-    return IntMatrix(field, m.rows, basis.cols, tuple(map(tuple, moved))), list(dims)
+    moved = field.primitive_columns(field.product(m.ints, basis.ints, basis.cols))
+    return Matrix._canonical(field, moved, basis.cols), list(dims)
 
 
-def scaled_inverse(m: IntMatrix) -> IntMatrix | None:
-    """m's inverse times one nonzero scalar, from one RREF of [m | I]; None unless m is invertible.
+def scaled_inverse(m: Matrix) -> Matrix | None:
+    """m's inverse times one nonzero scalar, from one RREF of [m.ints | I]; None if singular.
 
     Full reduction leaves row i as its pivot times the reduced row, so the
     right half of row i, times the lcm of the pivots over that pivot, is
@@ -683,17 +672,17 @@ def scaled_inverse(m: IntMatrix) -> IntMatrix | None:
     n = m.rows
     if m.cols != n:
         return None
-    work = [row + tuple(int(i == j) for j in range(n)) for i, row in enumerate(m.data)]
+    work = _with_identity(m.ints)
     pivots = _gauss_jordan(m.field, work)
     if pivots and pivots[-1] >= n:
         return None
     den = lcm(*[work[i][i] for i in range(n)])
     reduce = m.field.reduce
     scaled = [reduce([x * (den // row[i]) for x in row[n:]]) for i, row in enumerate(work)]
-    return IntMatrix(m.field, n, n, tuple(map(tuple, scaled)))
+    return Matrix._canonical(m.field, scaled, n)
 
 
-def flag_completed(basis: IntMatrix) -> IntMatrix:
+def flag_completed(basis: Matrix) -> Matrix:
     """``basis`` followed by the unit vectors that extend it to all of K^d.
 
     The unit vectors are those of the rows that are not pivots of the
@@ -703,8 +692,8 @@ def flag_completed(basis: IntMatrix) -> IntMatrix:
     if basis.cols == d:
         return basis
     if basis.cols == 0:
-        return IntMatrix.identity(basis.field, d)
-    taken = set(_gauss_jordan(basis.field, list(zip(*basis.data)), reduced=False))
+        return Matrix.identity(basis.field, d)
+    taken = set(_gauss_jordan(basis.field, list(zip(*basis.ints)), reduced=False))
     extra = [r for r in range(d) if r not in taken]
-    rows = tuple(row + tuple(int(r == e) for e in extra) for r, row in enumerate(basis.data))
-    return IntMatrix(basis.field, d, d, rows)
+    rows = [row + tuple(int(r == e) for e in extra) for r, row in enumerate(basis.ints)]
+    return Matrix._canonical(basis.field, rows, d)

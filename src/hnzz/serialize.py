@@ -6,12 +6,13 @@ field descriptor.  The reader builds matrices with the public ``Matrix``
 and weights with ``StabilityCondition``, so the field coerces each entry
 once; an entry it refuses is malformed input (``ParseError``).  Over QQ
 the reader coerces each distinct entry string once per document, and
-``Matrix`` keeps the Fractions it is handed.  It returns the
-``Representation`` alone, which checks its matrix shapes itself; an
-``affine`` quiver is checked by ``AffineQuiver`` and read as
-``to_quiver`` builds it, and the writer refuses an ``affine`` spelling
-that is not the representation's quiver (``ValidationError``).  All
-writers emit canonically ordered, newline terminated documents so
+``Matrix`` clears those Fractions into integer rows over one
+denominator; the writer reads the entries back through ``data``.  The
+reader returns the ``Representation`` alone, which checks its matrix
+shapes itself; an ``affine`` quiver is checked by ``AffineQuiver`` and
+read as ``to_quiver`` builds it, and the writer refuses an ``affine``
+spelling that is not the representation's quiver (``ValidationError``).
+All writers emit canonically ordered, newline terminated documents so
 repeated runs are byte-identical.
 """
 

@@ -106,18 +106,15 @@ space, and its basis, which is never read.  Every other edge, and
 every edge of an aperiodic path, takes ``flag_image`` or
 ``flag_preimage``.
 
-Over QQ the sweep runs on integer rows.  Each edge matrix object is
-cleared of its denominators once per direction (``IntMatrix.of``: times
-the lcm of all of them) and kept by its identity, so a shared matrix
-stays shared for the trivial-step memo.  From then on the flag carries
-an integer basis: an image basis is pivot columns of an integer product,
-a preimage basis is integer kernel vectors divided by their gcds, and a
-moved basis is an integer product with each column divided by its gcd.
-Scaling an edge matrix, or any basis column, by a nonzero rational moves
-no member, pivot or rank, so the bars are those of Fraction arithmetic,
-and no Fraction is built after the parse.  The period test still
-compares the original matrices.  Over GF(p) the same code runs on the
-residues.
+The sweep runs on the integer rows that every ``Matrix`` holds: the
+flag operations read an edge matrix's ``ints`` and skip its
+denominator, and the flag carries an integer basis: an image basis is
+pivot columns of an integer product, a preimage basis is integer kernel
+vectors divided by their gcds, and a moved basis is an integer product
+with each column divided by its gcd.  Scaling an edge matrix, or any
+basis column, by a nonzero rational moves no member, pivot or rank, so
+over QQ the bars are those of Fraction arithmetic, and no Fraction is
+built after the parse.  Over GF(p) the integer rows are the residues.
 """
 
 from __future__ import annotations
@@ -129,7 +126,6 @@ from dataclasses import dataclass
 from .errors import InternalCheckError, ShapeError, ValidationError, check_ints, check_type, shown
 from .linalg import (
     Field,
-    IntMatrix,
     Matrix,
     flag_completed,
     flag_image,
@@ -322,19 +318,19 @@ def _rank_rows(fld: Field, dims: tuple[int, ...], crossings: list[tuple[Matrix, 
 
     # one flag carries both chains, over one list of marks: the starts a,
     # and the pairs (dim A[a], dim R[a]) of their members
-    basis = IntMatrix.identity(fld, dims[0])
+    basis = Matrix.identity(fld, dims[0])
     starts, pairs = [0], [(dims[0], 0)]
     # per (edge matrix object, points right): its flag step, found once
-    cleared: dict[tuple[int, bool], tuple] = {}
+    steps: dict[tuple[int, bool], tuple] = {}
     # trivial flag steps, one per (matrix, flag operation)
-    trivial_steps: dict[tuple, tuple[IntMatrix, list[int]]] = {}
+    trivial_steps: dict[tuple, tuple[Matrix, list[int]]] = {}
 
     for k in range(len(dims)):
         if k > 0:
             m, forward = crossings[k - 1]
-            if (id(m), forward) not in cleared:
-                cleared[id(m), forward] = _crossing(m, forward, period > 0)
-            op, m = cleared[id(m), forward]
+            if (id(m), forward) not in steps:
+                steps[id(m), forward] = _crossing(m, forward, period > 0)
+            op, m = steps[id(m), forward]
             a_dims, r_dims = zip(*pairs)
             basis, new = _crossed(m, op, basis, r_dims + a_dims, trivial_steps)
             r_dims, a_dims = new[:len(r_dims)], new[len(r_dims):]
@@ -358,8 +354,8 @@ def _rank_rows(fld: Field, dims: tuple[int, ...], crossings: list[tuple[Matrix, 
         yield g
 
 
-def _crossing(mat: Matrix, forward: bool, periodic: bool) -> tuple:
-    """The flag operation across the edge matrix ``mat`` and the int rows it applies.
+def _crossing(m: Matrix, forward: bool, periodic: bool) -> tuple:
+    """The flag operation across the edge matrix ``m`` and the matrix it applies.
 
     On a periodic path each matrix object recurs, so whether the crossing
     is a bijection's product is found once per object and direction
@@ -368,10 +364,9 @@ def _crossing(mat: Matrix, forward: bool, periodic: bool) -> tuple:
     ``flag_moved``.  Anything else, and every edge of an aperiodic path,
     takes ``flag_image`` or ``flag_preimage``.
     """
-    m = IntMatrix.of(mat)
     if periodic:
         if forward:
-            if rank(mat) == m.cols:
+            if rank(m) == m.cols:
                 return flag_moved, m
         else:
             inverse = scaled_inverse(m)
@@ -400,14 +395,14 @@ def _shifted(starts: list[int], period: int) -> list[int]:
     return [a + period if a else 0 for a in starts]
 
 
-def _crossed(m: IntMatrix, op, basis: IntMatrix, dims, memo: dict):
+def _crossed(m: Matrix, op, basis: Matrix, dims, memo: dict):
     """The flag (basis, dims) stepped through ``m`` by ``op`` and completed (module docstring)."""
     d = basis.rows
     if set(dims) <= {0, d}:
         if op is flag_moved and m.rows == d:
             return basis, dims
         if (id(m), op) not in memo:
-            moved, new = op(m, IntMatrix.identity(m.field, d), (0, d))
+            moved, new = op(m, Matrix.identity(m.field, d), (0, d))
             memo[id(m), op] = flag_completed(moved), new
         basis, new = memo[id(m), op]
         return basis, [new[-1] if x else new[0] for x in dims]

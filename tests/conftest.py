@@ -4,10 +4,10 @@ from itertools import combinations, product
 
 import pytest
 
+from hnzz import linalg
 from hnzz.linalg import (
     GF,
     QQ,
-    IntMatrix,
     Matrix,
     random_invertible_rng,
 )
@@ -99,20 +99,22 @@ def reference_matmul(a: Matrix, b: Matrix) -> list[list]:
     ]
 
 
-def flag_op(op, *args):
-    """The flag operation ``op`` on Matrix arguments, on the rows the sweep hands it.
+def hstack(mats: list[Matrix]) -> Matrix:
+    """The blocks ``mats``, all of one field and height, side by side."""
+    fld, rows = mats[0].field, mats[0].rows
+    assert all((m.field, m.rows) == (fld, rows) for m in mats)
+    data = [[x for m in mats for x in m.data[i]] for i in range(rows)]
+    return Matrix(fld, data, sum(m.cols for m in mats))
 
-    Each Matrix argument is passed as ``IntMatrix.of(argument)``, and a
-    basis that comes back is read as a Matrix of its field, so the tests
-    compare it with Matrix references.
+
+def package_rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
+    """The package's reduced row-echelon form of ``m`` and its pivots, from ``linalg._echelon``.
+
+    Its zero rows are added back below the pivot rows.
     """
-    out = op(*[IntMatrix.of(a) if isinstance(a, Matrix) else a for a in args])
-    if isinstance(out, IntMatrix):
-        return Matrix(out.field, out.data, out.cols)
-    if isinstance(out, tuple):
-        basis, dims = out
-        return Matrix(basis.field, basis.data, basis.cols), dims
-    return out
+    reduced, pivots = linalg._echelon(m.field, m.ints)
+    reduced += [[0] * m.cols] * (m.rows - len(pivots))
+    return Matrix(m.field, reduced, m.cols), tuple(pivots)
 
 
 def reference_column_echelon(m: Matrix) -> Matrix:

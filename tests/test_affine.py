@@ -366,7 +366,7 @@ class TestBijectiveCrossings:
 
         def recording(m, basis, dims, moved=zigzag.flag_moved):
             out = moved(m, basis, dims)
-            bits.extend(abs(x).bit_length() for row in out[0].data for x in row)
+            bits.extend(abs(x).bit_length() for row in out[0].ints for x in row)
             return out
 
         monkeypatch.setattr(zigzag, "flag_moved", recording)

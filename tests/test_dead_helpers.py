@@ -7,7 +7,7 @@ own definition as an AST name or attribute in the Python files of
 comments do not count, so a JSON key or a sentence that happens to spell
 a helper's name keeps nothing alive.  An attribute ``C.name`` on a class
 ``C`` defined in ``src/hnzz`` counts only for the method ``C.name``, so
-``IntMatrix.zero_space(...)`` keeps no module-level ``zero_space`` alive.
+``Matrix.zeros(...)`` keeps no module-level ``zeros`` alive.
 Tests do not count either: a helper that only the tests call belongs in
 the tests.
 """

@@ -2,6 +2,7 @@ import random
 import time
 from decimal import Decimal
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,6 @@ from hnzz.errors import GuardError, ValidationError
 from hnzz.linalg import (
     GF,
     QQ,
-    IntMatrix,
     Matrix,
     PrimeField,
     RationalField,
@@ -23,11 +23,9 @@ from hnzz.linalg import (
     flag_image,
     flag_preimage,
     from_columns,
-    hstack,
     inverse,
     random_invertible_rng,
     rank,
-    rref,
     span_with_image,
     subspace_contains,
     superspaces,
@@ -37,7 +35,8 @@ from conftest import (
     FRACTION_ARITHMETIC,
     every_subspace,
     every_superspace,
-    flag_op,
+    hstack,
+    package_rref,
     pivot_rows,
     reference_column_echelon,
     reference_kernel,
@@ -85,7 +84,7 @@ def package_subspaces(dim: int, p: int) -> list[Matrix]:
 
 def kernel(m: Matrix) -> Matrix:
     """The package's kernel, the preimage of the zero subspace, in canonical form."""
-    return column_echelon(flag_op(flag_preimage, m, Matrix.zeros(m.field, m.rows, 0), ())[0])
+    return column_echelon(flag_preimage(m, Matrix.zeros(m.field, m.rows, 0), ())[0])
 
 
 @st.composite
@@ -152,40 +151,55 @@ class TestConstructor:
         with pytest.raises(ValidationError):
             Matrix(QQ, [[1, 2]], cols=3)
 
-    @pytest.mark.parametrize("attr", ["field", "rows", "cols", "data", "other"])
+    @pytest.mark.parametrize("attr", ["field", "rows", "cols", "ints", "den", "data", "other"])
     def test_attributes_are_read_only(self, attr):
         # one matrix from each constructor: the public one and the trusted one
-        for m in (Matrix(QQ, [[1, 2]]), Matrix.identity(GF(2), 2)):
-            before = (m.field, m.rows, m.cols, m.data)
+        for m in (Matrix(QQ, [[1, "2/3"]]), Matrix.identity(GF(2), 2)):
+            before = (m.field, m.rows, m.cols, m.ints, m.den, m.data)
             with pytest.raises(AttributeError):
                 setattr(m, attr, None)
             with pytest.raises(AttributeError):
                 delattr(m, attr)
-            assert (m.field, m.rows, m.cols, m.data) == before
+            assert (m.field, m.rows, m.cols, m.ints, m.den, m.data) == before
+
+    def test_rows_are_cleared_over_one_denominator(self):
+        m = Matrix(QQ, [["1/2", "-2/3"], [4, 0]])
+        assert (m.ints, m.den) == (((3, -4), (24, 0)), 6)
+        assert m.data == ((Fraction(1, 2), Fraction(-2, 3)), (Fraction(4), Fraction(0)))
+        assert (Matrix(GF(5), [[7, -1]]).ints, Matrix(GF(5), [[7, -1]]).den) == (((2, 4),), 1)
+
+    def test_equality_and_hash_follow_the_entries(self):
+        # the denominator is compared, and equal entries give one (ints, den) pair
+        assert Matrix(QQ, [[1]]) != Matrix(QQ, [["1/2"]])
+        assert Matrix(QQ, [[2]]) != Matrix(QQ, [["1/2"]])
+        half, also_half = Matrix(QQ, [["2/4"]]), Matrix(QQ, [[Fraction(1, 2)]])
+        assert half == also_half and hash(half) == hash(also_half)
+        assert Matrix(QQ, [[6, 4]]) @ Matrix(QQ, [["1/4"], [0]]) == Matrix(QQ, [["3/2"]])
 
 
 def assert_canonical(m: Matrix) -> None:
-    kind = Fraction if isinstance(m.field, RationalField) else int
-    assert len(m.data) == m.rows
-    for row in m.data:
+    """Integer rows over the one denominator of m's entries, and entries of m's field."""
+    prime = isinstance(m.field, PrimeField)
+    assert type(m.den) is int and m.den >= 1
+    assert gcd(m.den, *[x for row in m.ints for x in row]) == 1
+    assert m.den == 1 or not prime
+    assert type(m.ints) is tuple and len(m.ints) == m.rows
+    for row in m.ints:
         assert type(row) is tuple and len(row) == m.cols
         for x in row:
-            assert type(x) is kind
-            if kind is int:
+            assert type(x) is int
+            if prime:
                 assert 0 <= x < m.field.p
+    kind = int if prime else Fraction
+    assert all(type(x) is kind for row in m.data for x in row)
     # coercing again changes nothing
     assert m == Matrix(m.field, m.data, m.cols)
 
 
-def assert_int_rows(m: IntMatrix) -> None:
-    """An IntMatrix as the flag operations hand it on: tuple rows of ints, residues over GF(p)."""
-    assert type(m) is IntMatrix and len(m.data) == m.rows
-    for row in m.data:
-        assert type(row) is tuple and len(row) == m.cols
-        for x in row:
-            assert type(x) is int
-            if isinstance(m.field, PrimeField):
-                assert 0 <= x < m.field.p
+def assert_int_rows(m: Matrix) -> None:
+    """A basis as the flag operations hand it on: a canonical Matrix of integer rows."""
+    assert type(m) is Matrix and m.den == 1
+    assert_canonical(m)
 
 
 class TestTrustedConstructor:
@@ -201,16 +215,15 @@ class TestTrustedConstructor:
         space = column_echelon(target)
         flag = column_echelon(right)
         seed = data.draw(st.integers(0, 1000))
-        ints = IntMatrix.of
         for result in (
-            flag_preimage(ints(m), ints(Matrix.zeros(fld, r, 0)), ())[0],
-            flag_image(ints(m), ints(flag), [0, flag.cols])[0],
-            flag_preimage(ints(m), ints(space), [0, space.cols])[0],
-            flag_completed(ints(space)),
+            flag_preimage(m, Matrix.zeros(fld, r, 0), ())[0],
+            flag_image(m, flag, [0, flag.cols])[0],
+            flag_preimage(m, space, [0, space.cols])[0],
+            flag_completed(space),
         ):
             assert_int_rows(result)
         out = [
-            rref(m)[0],
+            package_rref(m)[0],
             column_echelon(m),
             inverse(random_invertible_rng(c, fld, random.Random(seed))),
             m @ right,
@@ -403,7 +416,7 @@ class TestFlags:
             m = random_map(fld, dst, src, rnd)
             basis, dims = random_flag(fld, dst if op is flag_preimage else src, rnd,
                                       rnd.randint(3, 6))
-            moved, new_dims = flag_op(op, m, basis, dims)
+            moved, new_dims = op(m, basis, dims)
             assert rank(moved) == moved.cols  # still an adapted basis
             assert max(new_dims) == moved.cols
             for d, nd in zip(dims, new_dims):
@@ -415,7 +428,7 @@ class TestFlags:
         fld = QQ
         m = Matrix(fld, [[0, 1, 0], [0, 0, 1]])
         basis = Matrix(fld, [[1, 1], [0, 1]])
-        pre, dims = flag_op(flag_preimage, m, basis, [0, 1, 2, 1])
+        pre, dims = flag_preimage(m, basis, [0, 1, 2, 1])
         assert dims == [1, 2, 3, 2]
         assert pre.cols == 3 and rank(pre) == 3
         assert column_echelon(columns(pre, 1)) == Matrix(fld, [[1], [0], [0]])
@@ -426,7 +439,7 @@ class TestFlags:
             fld = rnd.choice(FIELDS)
             d = rnd.randint(0, 5)
             basis, _ = random_flag(fld, d, rnd, 1)
-            full = flag_op(flag_completed, basis)
+            full = flag_completed(basis)
             assert full.cols == d and rank(full) == d
             assert columns(full, basis.cols) == basis
 
@@ -460,13 +473,17 @@ def check_rational_ops(m: Matrix, right: Matrix, square: Matrix, source: Matrix,
                        target: Matrix, dims: list[int]) -> None:
     """Every QQ operation on m equals the textbook Fraction reference."""
     fld = m.field
-    reduced, pivots = rref(m)
+    reduced, pivots = package_rref(m)
     want_rows, want_pivots = reference_rref(m)
     assert pivots == tuple(want_pivots) and reduced == Matrix(fld, want_rows, m.cols)
     assert rank(m) == len(want_pivots)
     assert column_echelon(m) == reference_column_echelon(m)
     assert m @ right == Matrix(fld, reference_matmul(m, right), right.cols)
     n = square.rows
+    # blocks over different denominators, entry by entry
+    diag = block_diag(m, square)
+    want = [[*row, *[0] * n] for row in m.data] + [[*[0] * m.cols, *row] for row in square.data]
+    assert diag == Matrix(fld, want, m.cols + n)
     augmented, aug_pivots = reference_rref(hstack([square, Matrix.identity(fld, n)]))
     if aug_pivots[:n] == list(range(n)):
         assert inverse(square) == Matrix(fld, [row[n:] for row in augmented], n)
@@ -474,7 +491,7 @@ def check_rational_ops(m: Matrix, right: Matrix, square: Matrix, source: Matrix,
         with pytest.raises(ValidationError):
             inverse(square)
     for op, basis in ((flag_image, source), (flag_preimage, target)):
-        moved, new_dims = flag_op(op, m, basis, dims)
+        moved, new_dims = op(m, basis, dims)
         assert len(reference_rref(moved)[1]) == moved.cols  # an adapted basis
         for d, nd in zip(dims, new_dims):
             member = columns(basis, d)
@@ -484,7 +501,7 @@ def check_rational_ops(m: Matrix, right: Matrix, square: Matrix, source: Matrix,
                 ker = reference_kernel(hstack([m, member]))
                 want = Matrix(fld, ker.data[: m.cols], ker.cols)
             assert reference_column_echelon(columns(moved, nd)) == reference_column_echelon(want)
-    for result in (reduced, column_echelon(m), m @ right):
+    for result in (reduced, column_echelon(m), m @ right, diag):
         assert_canonical(result)
 
 
@@ -515,7 +532,7 @@ class TestRationalKernel:
         fld = RationalField()
         m = Matrix(fld, [[Fraction(1, 3), Fraction(-2, 2**70)], [5, Fraction(7, 9)]])
         calls = [count_calls(Fraction, name) for name in FRACTION_ARITHMETIC]
-        rref(m), rank(m), inverse(m), m @ m
+        package_rref(m), rank(m), inverse(m), m @ m
         assert sum(map(len, calls)) == 0
 
 
@@ -569,7 +586,7 @@ class TestSubspaceOps:
         # a one-member flag, canonicalised, is the canonical image
         m = Matrix(GF(3), [[1, 2], [0, 1]])
         s = Matrix(GF(3), [[1], [1]])
-        img, (dim,) = flag_op(flag_image, m, s, [1])
+        img, (dim,) = flag_image(m, s, [1])
         assert dim == 1 and column_echelon(img) == reference_image(m, s)
         assert subspace_contains(img, m @ s)
 
@@ -582,7 +599,7 @@ class TestSubspaceOps:
             m = Matrix(fld, [[rnd.randrange(p) for _ in range(cols)] for _ in range(rows)], cols)
             spaces = every_subspace(rows, p)
             s = rnd.choice(spaces)
-            pre, (dim,) = flag_op(flag_preimage, m, s, [s.cols])
+            pre, (dim,) = flag_preimage(m, s, [s.cols])
             assert dim == pre.cols and column_echelon(pre) == reference_preimage(m, s)
             assert subspace_contains(s, m @ pre)
             # maximality: every vector outside pre maps outside s

@@ -11,9 +11,7 @@ from hnzz.generators import gen_affine
 from hnzz.linalg import (
     GF,
     QQ,
-    IntMatrix,
     Matrix,
-    hstack,
     random_invertible_rng,
     rank,
     subspace_contains,
@@ -31,6 +29,7 @@ from hnzz.zigzag import (
 from conftest import (
     FRACTION_ARITHMETIC,
     conjugating_bases,
+    hstack,
     make_rng,
     random_path_quiver,
     random_zigzag_rep,
@@ -850,7 +849,7 @@ def test_rational_paths_agree_mod_a_large_prime():
         v = mixed_rational_rep(rng)
         reduced = []
         for m in v.mats:
-            cleared = IntMatrix.of(m).data
+            cleared = m.ints
             reduced.append(Matrix(fld, cleared, m.cols))
             assert rank(Matrix(QQ, cleared, m.cols)) == rank(reduced[-1]) == rank(m)
         assert bars(Representation(v.quiver, fld, v.dims, tuple(reduced))) == bars(v)
