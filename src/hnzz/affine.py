@@ -33,6 +33,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .errors import InternalCheckError, ShapeError, ValidationError, check_ints, check_type, shown
 from .linalg import Field, Matrix, check_field
@@ -47,6 +48,10 @@ CCW = 1
 # 50,000-position window of a GF(3) 40-cycle of dimension 8 lifted and
 # classified in 0.3 s: the barcode sweep stops at its first repeat.
 LIFT_MAX_WINDOW = 50_000
+# The summand caps: indec_N and indec_T refuse a length past LIFT_MAX_WINDOW
+# and more matrix entries, which grow with its square, than this.  The bench's
+# largest has 1,820; a 2-cycle Jordan cell of 1,002,528 built in 0.17 s.
+SUMMAND_MAX_ENTRIES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -144,13 +149,15 @@ def wrap_counts(n: int, u: int, v: int) -> tuple[int, ...]:
 
 
 def indec_N(aq: AffineQuiver, u: int, v: int, fld: Field) -> Representation:
-    """The wrapped-interval indecomposable for [u, v], of length at most ``LIFT_MAX_WINDOW``."""
+    """The wrapped-interval indecomposable for [u, v]; ShapeError past a summand cap."""
     q = to_quiver(aq)
     check_field(fld)
     n = aq.n
     NClass(u, v).on_cycle(n)
     _check_window_cap(v - u + 1)
-    support = [[i for i in range(u, v + 1) if i % n == j] for j in range(n)]
+    support = [range(u + (j - u) % n, v + 1, n) for j in range(n)]
+    dims = tuple(map(len, support))
+    _check_entry_cap(sum(map(mul, dims, dims[-1:] + dims[:-1])))
     z, o = fld.zero, fld.one
     mats = []
     for j in range(n):
@@ -163,12 +170,11 @@ def indec_N(aq: AffineQuiver, u: int, v: int, fld: Field) -> Representation:
         else:
             data = [[o if t == s - 1 else z for s in here] for t in prev]
             mats.append(Matrix(fld, data, len(here)))
-    dims = tuple(len(s) for s in support)
     return Representation(q, fld, dims, tuple(mats))
 
 
 def indec_T(aq: AffineQuiver, lam, w: int, fld: Field) -> Representation:
-    """The Jordan-cell indecomposable of eigenvalue lam and size w, w * n <= ``LIFT_MAX_WINDOW``."""
+    """The Jordan-cell indecomposable of eigenvalue lam, size w; ShapeError past a summand cap."""
     q = to_quiver(aq)
     check_field(fld)
     lam = fld.coerce(lam)
@@ -179,6 +185,7 @@ def indec_T(aq: AffineQuiver, lam, w: int, fld: Field) -> Representation:
         raise ValidationError("Jordan-cell size must be at least 1")
     n = aq.n
     _check_window_cap(w * n)
+    _check_entry_cap(n * w * w)
     z, o = fld.zero, fld.one
     jordan = [
         [lam if i == j else (o if j == i + 1 else z) for j in range(w)]
@@ -226,6 +233,13 @@ def _check_window_cap(D) -> None:
     check_ints((D,), "window length")
     if D > LIFT_MAX_WINDOW:
         raise ShapeError(f"window length {shown(D)} exceeds LIFT_MAX_WINDOW = {LIFT_MAX_WINDOW}")
+
+
+def _check_entry_cap(entries: int) -> None:
+    """ShapeError past ``SUMMAND_MAX_ENTRIES``."""
+    if entries > SUMMAND_MAX_ENTRIES:
+        raise ShapeError(f"summand of {entries} matrix entries exceeds "
+                         f"SUMMAND_MAX_ENTRIES = {SUMMAND_MAX_ENTRIES}")
 
 
 def lift_truncated(v: Representation, D: int) -> Representation:

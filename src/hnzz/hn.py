@@ -20,7 +20,7 @@ subrepresentation priced so far (at first the whole quotient), only
 rises, and a class whose bound is below T is never walked, so the
 destabilizer and its count are those of the full scan.  The scan skips
 the vertices of dimension 0.  Inside it a subspace, floors included, is
-the tuple of its canonical basis vectors (``linalg.superspaces``), and
+the tuple of its canonical basis vectors (``linalg._superspaces``), and
 so is the stage that one pass hands the next; a ``Matrix`` appears only
 in the witness.
 ``hn_from_barcode`` is the fast route for a path of any orientation
@@ -49,21 +49,21 @@ from .linalg import (
     Matrix,
     PrimeField,
     QQ,
-    check_enum_guard,
-    columns,
-    from_columns,
-    span_with_image,
-    superspaces,
+    _check_enum_guard,
+    _columns,
+    _from_columns,
+    _span_with_image,
+    _superspaces,
 )
 from .quiver import (
     Quiver,
     Representation,
     StabilityCondition,
+    _restrict,
+    _topological_order,
     check_weights,
     checked_dims,
-    restrict,
     slope_of_dims,
-    topological_order,
 )
 from .zigzag import Barcode, Interval, barcode, path_steps
 
@@ -151,7 +151,7 @@ def _check_oracle_guard(v: Representation) -> None:
 
 def _scan_order(v: Representation) -> list[int]:
     """Vertices of nonzero dimension in topological order: the other ones have one subspace."""
-    order = topological_order(v.quiver)
+    order = _topological_order(v.quiver)
     if order is None:
         raise ShapeError("subrepresentation scan requires an acyclic quiver")
     return [x for x in order if v.dims[x]]
@@ -180,14 +180,14 @@ def _destabilizer(
     vertex order, are the first subrep of the best key, and ``count`` is
     how many have that key, over all its dims.  "First" is the order that
     picks each vertex's subspace in turn along ``_scan_order`` (each from
-    ``superspaces``, one dimension class at a time).
+    ``_superspaces``, one dimension class at a time).
 
     A suffix DP over the topological order: the subreps on ``order[i:]``
     depend on the choices before i only through the partial floors of
     those vertices (``stage`` plus the images of the chosen in-neighbours),
     so one table (suffix dims -> first bases, count) per tuple of partial
     floors is built once and shared.  Equal floors are equal keys; each
-    image grows a floor by one ``span_with_image``, against the edge
+    image grows a floor by one ``_span_with_image``, against the edge
     matrix transposed once per pass.
     ``_scan_order`` skips the vertices of dimension 0, so the recursion
     is no deeper than the total dimension.
@@ -213,7 +213,7 @@ def _destabilizer(
     done = [len(u) for u in stage]
     free = [v.dims[x] - done[x] for x in order]
     for q in free:
-        check_enum_guard(q, field)
+        _check_enum_guard(q, field)
     # integer weights and slopes: every total is at most sum(free), so
     # num / total over the lcm of 1..sum(free) is an integer
     scale = lcm(*(alpha.weights[x].denominator for x in order))
@@ -243,7 +243,7 @@ def _destabilizer(
     out_edges: dict[int, list[tuple[tuple, int]]] = {x: [] for x in order}
     for m, (src, dst) in zip(v.mats, v.quiver.edges):
         if src in pos and dst in pos:
-            out_edges[src].append((columns(m), dst))
+            out_edges[src].append((_columns(m), dst))
     # partial floors of order[i:] -> suffix dims (in that order) -> [bases, count]
     memo: dict[tuple, dict[tuple[int, ...], list]] = {(): {(): [(), 1]}}
     keys: dict[tuple[int, ...], tuple[int, int]] = {}
@@ -263,11 +263,11 @@ def _destabilizer(
                 continue
             if bound < threshold:
                 break
-            for u in superspaces(field, floors[0], v.dims[x], d - low):
+            for u in _superspaces(field, floors[0], v.dims[x], d - low):
                 rest = list(floors[1:])
                 for transposed, y in out_edges[x]:
                     j = pos[y] - i - 1
-                    rest[j] = span_with_image(field, rest[j], u, transposed)
+                    rest[j] = _span_with_image(field, rest[j], u, transposed)
                 for dims, (bases, count) in table(tuple(rest)).items():
                     dims = (d,) + dims
                     entry = out.get(dims)
@@ -292,7 +292,7 @@ def _destabilizer(
 
 def _stage(v: Representation, vectors: Sequence[tuple]) -> tuple[Matrix, ...]:
     """The column-echelon Matrix bases of a stage's basis-vector tuples."""
-    return tuple(from_columns(v.field, u, d) for u, d in zip(vectors, v.dims))
+    return tuple(_from_columns(v.field, u, d) for u, d in zip(vectors, v.dims))
 
 
 def hn_bruteforce(v: Representation, alpha: StabilityCondition) -> HNReport:
@@ -389,7 +389,7 @@ def recover_barcode_via_truncations(v: Representation) -> Barcode:
     n = v.quiver.vertex_count
     recovered: dict[tuple[int, int], int] = {}
     for k in range(n):
-        sub = restrict(v, range(k, n))
+        sub = _restrict(v, range(k, n))
         report = hn_from_barcode(barcode(sub), sub.quiver)
         for sl, dims in report.steps:
             if sl == 0:

@@ -17,7 +17,13 @@ Outside input, instance files included, enters through the public
 ``Matrix(field, data, cols)``, which checks the shape, coerces every
 entry, refusing floats, and clears the rows (the field's ``cleared``);
 only results computed here skip that pass, via the private
-``Matrix._canonical``.
+``Matrix._canonical``.  A public name refuses a wrong argument; a private
+one trusts its callers here, which pass what checked constructors built:
+the sweep's flag steps (``_flag_image``, ``_flag_preimage``,
+``_flag_moved``, ``_flag_completed``, ``_scaled_inverse``; "flags"
+below), the oracle's enumerator ``_superspaces`` with ``_check_enum_guard``,
+``_span_with_image``, ``_columns`` and ``_from_columns`` ("subspace
+arithmetic" below), and ``_block_diag`` for ``quiver.direct_sum``.
 
 Everything here is pure and deterministic: echelon forms are the unique
 reduced ones, so equality of spans reduces to equality of basis matrices.
@@ -243,6 +249,8 @@ class Matrix:
         rowlike = (list, tuple)
         if not isinstance(data, rowlike) or data and not isinstance(data[0], rowlike):
             raise ValidationError("matrix data must be a list of rows")
+        if cols is not None:
+            check_counts((cols,), "matrix size")
         if data:
             width = len(data[0])
             if cols is not None and cols != width:
@@ -331,11 +339,7 @@ class Matrix:
 _SLOT_SETTERS = tuple(Matrix.__dict__[name].__set__ for name in Matrix.__slots__)
 
 
-def block_diag(a: Matrix, b: Matrix) -> Matrix:
-    check_type(a, Matrix, "block")
-    check_type(b, Matrix, "block")
-    if a.field != b.field:
-        raise ValidationError("block_diag across different fields")
+def _block_diag(a: Matrix, b: Matrix) -> Matrix:
     # both blocks over the lcm of their denominators, which leaves no common factor
     den = lcm(a.den, b.den)
     sa, sb = den // a.den, den // b.den
@@ -350,14 +354,14 @@ def _gauss_jordan(field: Field, work: list[Sequence[int]], reduced: bool = True)
     Returns the pivot columns; row i holds the pivot of column
     ``pivots[i]`` and every row past the last pivot is zero.  This is the
     one elimination loop of the package: ``rank``, ``inverse``,
-    ``subspace_contains``, ``span_with_image``, ``flag_image``,
-    ``flag_preimage``, ``flag_completed`` and ``scaled_inverse`` run
-    through it (a kernel is the ``flag_preimage`` of the zero subspace),
+    ``subspace_contains``, ``_span_with_image``, ``_flag_image``,
+    ``_flag_preimage``, ``_flag_completed`` and ``_scaled_inverse`` run
+    through it (a kernel is the ``_flag_preimage`` of the zero subspace),
     and no other code takes a row step.  With ``reduced=False`` only the
     rows below each pivot are cleared: the pivots are the same, at about
     half the row operations, which is all a rank needs.  The rows are then
     unspecified, and its callers (``rank``, ``subspace_contains``,
-    ``flag_image``, ``flag_completed``) read only the pivots.
+    ``_flag_image``, ``_flag_completed``) read only the pivots.
 
     The rows are integer rows of ``field`` (a Matrix's ``ints``), and
     only the list is changed: a row is swapped or replaced, never written
@@ -368,8 +372,8 @@ def _gauss_jordan(field: Field, work: list[Sequence[int]], reduced: bool = True)
     residues.  Pivot rows are not scaled, so each row is a nonzero
     multiple of the row that textbook elimination holds at the same step,
     the pivots and row updates are the same, and a full reduction leaves
-    pivot row i as its pivot times the reduced row.  ``flag_preimage``
-    and ``scaled_inverse`` read those rows as they are; ``_echelon`` and
+    pivot row i as its pivot times the reduced row.  ``_flag_preimage``
+    and ``_scaled_inverse`` read those rows as they are; ``_echelon`` and
     ``inverse`` write them back.
     """
     update = field.row_update
@@ -437,17 +441,16 @@ def inverse(m: Matrix) -> Matrix:
     return Matrix._lowest(field, [[x * m.den for x in row] for row in ints], n, den)
 
 
-def random_matrix(field: Field, rows: int, cols: int, rng: random.Random) -> Matrix:
-    if isinstance(field, PrimeField):
-        data = [[rng.randrange(field.p) for _ in range(cols)] for _ in range(rows)]
-    else:
-        data = [[Fraction(rng.randint(-9, 9)) for _ in range(cols)] for _ in range(rows)]
-    return Matrix(field, data, cols)
-
-
 def random_invertible_rng(dim: int, field: Field, rng: random.Random) -> Matrix:
+    """The first invertible dim x dim draw: residues over GF(p), ints in [-9, 9] over QQ."""
+    check_counts((dim,), "matrix size")
+    check_type(rng, random.Random, "random source")
     while True:
-        cand = random_matrix(field, dim, dim, rng)
+        if isinstance(field, PrimeField):
+            data = [[rng.randrange(field.p) for _ in range(dim)] for _ in range(dim)]
+        else:
+            data = [[Fraction(rng.randint(-9, 9)) for _ in range(dim)] for _ in range(dim)]
+        cand = Matrix(field, data, dim)
         if rank(cand) == dim:
             return cand
 
@@ -458,8 +461,8 @@ def random_invertible_rng(dim: int, field: Field, rng: random.Random) -> Matrix:
 # A subspace of K^d is represented by its canonical reduced column-echelon
 # basis (a d x k Matrix), so subspace equality is matrix equality.  The
 # oracle's scan holds one as the tuple of its basis vectors, the rows that
-# ``_echelon`` returns, and converts only at its boundary (``columns``,
-# ``from_columns``).
+# ``_echelon`` returns, and converts only at its boundary (``_columns``,
+# ``_from_columns``).
 # ---------------------------------------------------------------------------
 
 
@@ -485,12 +488,8 @@ ENUM_MAX_DIM = 6
 ENUM_MAX_P = 3
 
 
-def check_enum_guard(dim: int, field: PrimeField) -> None:
-    """Refuse unless GF(p)^dim is small enough to walk."""
-    check_ints((dim,), "enumeration dimension")
-    check_type(field, PrimeField, "enumeration field")
-    if dim < 0:
-        raise ValidationError("negative dimension")
+def _check_enum_guard(dim: int, field: PrimeField) -> None:
+    """GuardError unless GF(p)^dim is small enough to walk."""
     if dim > ENUM_MAX_DIM or field.p > ENUM_MAX_P:
         raise GuardError(
             f"subspace enumeration guard exceeded (dim={dim}, p={field.p}; "
@@ -498,7 +497,7 @@ def check_enum_guard(dim: int, field: PrimeField) -> None:
         )
 
 
-def columns(m: Matrix) -> tuple[tuple[int, ...], ...]:
+def _columns(m: Matrix) -> tuple[tuple[int, ...], ...]:
     """The columns of ``m.ints`` as tuples: the basis vectors of a column-echelon basis.
 
     They are the columns of ``m`` over GF(p), where ``den`` is 1 and the
@@ -507,14 +506,14 @@ def columns(m: Matrix) -> tuple[tuple[int, ...], ...]:
     return tuple(zip(*m.ints))
 
 
-def from_columns(field: Field, vectors: Sequence[Sequence], dim: int) -> Matrix:
+def _from_columns(field: Field, vectors: Sequence[Sequence], dim: int) -> Matrix:
     """The dim x k Matrix whose columns are the k ``vectors`` of canonical entries."""
     ints, den = field.cleared(list(zip(*vectors)) if vectors else [()] * dim)
     return Matrix._canonical(field, ints, len(vectors), den)
 
 
-def span_with_image(field: Field, floor: tuple[tuple, ...], basis: Sequence[Sequence[int]],
-                    transposed: Sequence[Sequence[int]]) -> tuple[tuple, ...]:
+def _span_with_image(field: Field, floor: tuple[tuple, ...], basis: Sequence[Sequence[int]],
+                     transposed: Sequence[Sequence[int]]) -> tuple[tuple, ...]:
     """Basis vectors of span(floor) + m(span(basis)), from the rows of m transposed.
 
     The images are the nonzero rows of ``basis @ transposed``; with none,
@@ -527,8 +526,8 @@ def span_with_image(field: Field, floor: tuple[tuple, ...], basis: Sequence[Sequ
     return tuple(map(tuple, _echelon(field, [*floor, *images])[0]))
 
 
-def superspaces(field: Field, floor: Sequence[tuple[int, ...]], dim: int, k: int
-                ) -> Iterator[tuple[tuple[int, ...], ...]]:
+def _superspaces(field: PrimeField, floor: Sequence[tuple[int, ...]], dim: int, k: int
+                 ) -> Iterator[tuple[tuple[int, ...], ...]]:
     """The subspaces of GF(p)^dim containing span(floor) with k more dimensions.
 
     ``floor`` and each subspace yielded are canonical basis-vector tuples.
@@ -539,16 +538,11 @@ def superspaces(field: Field, floor: Sequence[tuple[int, ...]], dim: int, k: int
     new vectors vanish at the floor's pivots and at each other's, so
     clearing the floor vectors at the new pivots and merging the two parts
     by pivot gives the reduced echelon basis with no elimination.  The
-    refusals, the quotient's guard among them, come before any yield.
+    quotient's guard comes before any yield.
     """
-    check_type(field, PrimeField, "superspace enumeration field")
-    check_counts((dim, k), "superspace dimension")
-    try:
-        taken = {vec.index(1) for vec in floor}
-    except (AttributeError, TypeError, ValueError):
-        raise ValidationError(f"superspace floor {shown(floor)} is not a basis-vector tuple") from None
+    taken = {vec.index(1) for vec in floor}
     free = [r for r in range(dim) if r not in taken]
-    check_enum_guard(len(free), field)
+    _check_enum_guard(len(free), field)
     p = field.p
 
     def generate() -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -582,16 +576,16 @@ def superspaces(field: Field, floor: Sequence[tuple[int, ...]], dim: int, k: int
 # so no member needs a canonical basis of its own, and each operation
 # below moves the whole chain with at most one elimination.  An injective
 # map moves it with none: the images of the columns stay independent, so
-# ``flag_moved`` is one product with the dims unchanged, and the preimage
+# ``_flag_moved`` is one product with the dims unchanged, and the preimage
 # flag through an invertible map is the flag moved by its inverse
-# (``scaled_inverse``, once per map).  A member is the span of its columns,
+# (``_scaled_inverse``, once per map).  A member is the span of its columns,
 # so a flag basis stands for its members up to column scaling, and a map
 # up to a nonzero scalar: the operations read the ``ints`` of their Matrix
 # arguments alone and return bases with ``den`` 1.
 # ---------------------------------------------------------------------------
 
 
-def flag_image(m: Matrix, basis: Matrix, dims: Sequence[int]) -> tuple[Matrix, list[int]]:
+def _flag_image(m: Matrix, basis: Matrix, dims: Sequence[int]) -> tuple[Matrix, list[int]]:
     """The flag of images m(member i), with one elimination of ``m @ basis``.
 
     A column of ``m @ basis`` outside the span of the columns before it is
@@ -607,7 +601,7 @@ def flag_image(m: Matrix, basis: Matrix, dims: Sequence[int]) -> tuple[Matrix, l
     return Matrix._canonical(m.field, kept, len(pivots)), [bisect_left(pivots, d) for d in dims]
 
 
-def flag_preimage(m: Matrix, basis: Matrix, dims: Sequence[int]) -> tuple[Matrix, list[int]]:
+def _flag_preimage(m: Matrix, basis: Matrix, dims: Sequence[int]) -> tuple[Matrix, list[int]]:
     """The flag of preimages {x : m @ x in member i}, with one RREF of [m | basis].
 
     m(x) lies in member i exactly when (x; y) is in the kernel of
@@ -646,14 +640,14 @@ def flag_preimage(m: Matrix, basis: Matrix, dims: Sequence[int]) -> tuple[Matrix
     return Matrix._canonical(field, rows, len(columns)), new_dims
 
 
-def flag_moved(m: Matrix, basis: Matrix, dims: Sequence[int]) -> tuple[Matrix, list[int]]:
+def _flag_moved(m: Matrix, basis: Matrix, dims: Sequence[int]) -> tuple[Matrix, list[int]]:
     """The flag of images m(member i) for an injective m, with one product and no elimination.
 
     An injective m keeps the columns of ``m @ basis`` independent, so they
     are an adapted basis of the image flag with the same dims.  The
     preimage flag through an invertible edge matrix is this flag moved by
-    ``scaled_inverse`` of it.  Over QQ the field's ``primitive_columns``
-    divides each column by its gcd, as for ``flag_preimage``'s kernel
+    ``_scaled_inverse`` of it.  Over QQ the field's ``primitive_columns``
+    divides each column by its gcd, as for ``_flag_preimage``'s kernel
     vectors, so a basis carried across many products keeps small entries.
     """
     field = m.field
@@ -661,12 +655,12 @@ def flag_moved(m: Matrix, basis: Matrix, dims: Sequence[int]) -> tuple[Matrix, l
     return Matrix._canonical(field, moved, basis.cols), list(dims)
 
 
-def scaled_inverse(m: Matrix) -> Matrix | None:
+def _scaled_inverse(m: Matrix) -> Matrix | None:
     """m's inverse times one nonzero scalar, from one RREF of [m.ints | I]; None if singular.
 
     Full reduction leaves row i as its pivot times the reduced row, so the
     right half of row i, times the lcm of the pivots over that pivot, is
-    row i of the inverse times that lcm, as ``flag_preimage`` builds its
+    row i of the inverse times that lcm, as ``_flag_preimage`` builds its
     kernel vectors.  A non-square m is refused with no elimination.
     """
     n = m.rows
@@ -682,7 +676,7 @@ def scaled_inverse(m: Matrix) -> Matrix | None:
     return Matrix._canonical(m.field, scaled, n)
 
 
-def flag_completed(basis: Matrix) -> Matrix:
+def _flag_completed(basis: Matrix) -> Matrix:
     """``basis`` followed by the unit vectors that extend it to all of K^d.
 
     The unit vectors are those of the rows that are not pivots of the

@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import chain
 
 from .errors import ShapeError, ValidationError, check_counts, check_ints, check_type, shown
-from .linalg import QQ, Field, Matrix, block_diag, check_field, inverse
+from .linalg import QQ, Field, Matrix, _block_diag, check_field, inverse
 
 Edge = tuple[int, int]
 
@@ -48,13 +48,8 @@ def _degrees(q: Quiver) -> tuple[list[int], list[list[int]]]:
     return indeg, succ
 
 
-def is_acyclic(q: Quiver) -> bool:
-    """Kahn's algorithm: True iff the quiver has no directed cycle."""
-    return topological_order(q) is not None
-
-
-def topological_order(q: Quiver) -> list[int] | None:
-    check_type(q, Quiver, "quiver")
+def _topological_order(q: Quiver) -> list[int] | None:
+    """Kahn's algorithm: the vertices with every edge pointing forward, or None on a cycle."""
     indeg, succ = _degrees(q)
     ready = deque(x for x in range(q.vertex_count) if indeg[x] == 0)
     order = []
@@ -126,7 +121,7 @@ def direct_sum(a: Representation, b: Representation) -> Representation:
     if a.field != b.field:
         raise ValidationError("direct sum across different fields")
     dims = tuple(x + y for x, y in zip(a.dims, b.dims))
-    mats = tuple(block_diag(ma, mb) for ma, mb in zip(a.mats, b.mats))
+    mats = tuple(_block_diag(ma, mb) for ma, mb in zip(a.mats, b.mats))
     return Representation(a.quiver, a.field, dims, mats)
 
 
@@ -149,17 +144,13 @@ def conjugate(v: Representation, basis: Sequence[Matrix]) -> Representation:
     return Representation(v.quiver, v.field, v.dims, mats)
 
 
-def restrict(v: Representation, vertex_subset: Iterable[int]) -> Representation:
-    """Representation induced on the subquiver spanned by ``vertex_subset``.
+def _restrict(v: Representation, vertex_subset: Iterable[int]) -> Representation:
+    """Representation induced on the subquiver spanned by ``vertex_subset``, vertices of v.
 
     Vertices are reindexed in increasing order; only edges with both ends
     inside the subset survive, in their original relative order.
     """
-    check_type(v, Representation, "restricted representation")
-    check_type(vertex_subset, Iterable, "vertex subset")
-    keep = sorted(set(check_counts(vertex_subset, "vertex")))
-    if keep and keep[-1] >= v.quiver.vertex_count:
-        raise ValidationError(f"vertex {keep[-1]} out of range")
+    keep = sorted(set(vertex_subset))
     renum = {x: i for i, x in enumerate(keep)}
     edges = []
     mats = []
@@ -217,7 +208,8 @@ def _euler_weights(q: Quiver) -> list[int]:
 
 def euler_stability(q: Quiver) -> StabilityCondition:
     """Weight 1 - in_degree(x) at each vertex; defined for acyclic quivers."""
-    if not is_acyclic(q):
+    check_type(q, Quiver, "quiver")
+    if _topological_order(q) is None:
         raise ShapeError("Euler stability requires an acyclic quiver")
     return StabilityCondition(tuple(Fraction(w) for w in _euler_weights(q)))
 

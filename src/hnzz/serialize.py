@@ -38,14 +38,13 @@ def _need(obj, key, kind, where):
     return value
 
 
-def field_to_json(fld: Field) -> dict:
-    check_field(fld)
+def _field_to_json(fld: Field) -> dict:
     if isinstance(fld, PrimeField):
         return {"kind": "prime", "p": fld.p}
     return {"kind": "rational"}
 
 
-def field_from_json(obj) -> Field:
+def _field_from_json(obj) -> Field:
     kind = _need(obj, "kind", str, "field")
     if kind == "rational":
         return QQ
@@ -97,7 +96,7 @@ def instance_to_json(rep: Representation, affine: AffineQuiver | None = None) ->
             "edges": [{"src": s, "dst": d} for s, d in rep.quiver.edges],
         }
     return {
-        "field": field_to_json(rep.field),
+        "field": _field_to_json(rep.field),
         "quiver": quiver_doc,
         "dims": list(rep.dims),
         "matrices": [
@@ -113,7 +112,7 @@ def instance_to_json(rep: Representation, affine: AffineQuiver | None = None) ->
 def instance_from_json(doc) -> Representation:
     if not isinstance(doc, dict):
         raise ParseError("instance: top level must be an object")
-    fld = field_from_json(_need(doc, "field", dict, "instance"))
+    fld = _field_from_json(_need(doc, "field", dict, "instance"))
     qobj = _need(doc, "quiver", dict, "instance")
     if "affine" in qobj:
         aobj = _need(qobj, "affine", dict, "quiver")

@@ -98,13 +98,13 @@ spaces maps each flag member onto a member of the same dimension
 injective edge pointing right onto its image.  So an edge pointing right
 whose matrix has full column rank (one rank), or an edge pointing left
 whose square matrix inverts (one RREF of [m | I]), moves the flag by a
-product with that matrix or with its inverse, ``flag_moved``, dims
+product with that matrix or with its inverse, ``_flag_moved``, dims
 unchanged.  The inverse is m's inverse times the lcm of the pivots, a
 global scalar that no column span sees.  A trivial flag keeps its dims
 across a bijection, which maps 0 to 0 and the whole space to the whole
 space, and its basis, which is never read.  Every other edge, and
-every edge of an aperiodic path, takes ``flag_image`` or
-``flag_preimage``.
+every edge of an aperiodic path, takes ``_flag_image`` or
+``_flag_preimage``.
 
 The sweep runs on the integer rows that every ``Matrix`` holds: the
 flag operations read an edge matrix's ``ints`` and skip its
@@ -127,12 +127,12 @@ from .errors import InternalCheckError, ShapeError, ValidationError, check_ints,
 from .linalg import (
     Field,
     Matrix,
-    flag_completed,
-    flag_image,
-    flag_moved,
-    flag_preimage,
+    _flag_completed,
+    _flag_image,
+    _flag_moved,
+    _flag_preimage,
+    _scaled_inverse,
     rank,
-    scaled_inverse,
 )
 from .quiver import Quiver, Representation
 
@@ -360,19 +360,19 @@ def _crossing(m: Matrix, forward: bool, periodic: bool) -> tuple:
     On a periodic path each matrix object recurs, so whether the crossing
     is a bijection's product is found once per object and direction
     (module docstring): an injective m pointing right, or an invertible
-    m's ``scaled_inverse`` pointing left, moves the flag by
-    ``flag_moved``.  Anything else, and every edge of an aperiodic path,
-    takes ``flag_image`` or ``flag_preimage``.
+    m's ``_scaled_inverse`` pointing left, moves the flag by
+    ``_flag_moved``.  Anything else, and every edge of an aperiodic path,
+    takes ``_flag_image`` or ``_flag_preimage``.
     """
     if periodic:
         if forward:
             if rank(m) == m.cols:
-                return flag_moved, m
+                return _flag_moved, m
         else:
-            inverse = scaled_inverse(m)
+            inverse = _scaled_inverse(m)
             if inverse is not None:
-                return flag_moved, inverse
-    return (flag_image if forward else flag_preimage), m
+                return _flag_moved, inverse
+    return (_flag_image if forward else _flag_preimage), m
 
 
 def _least_period(seq) -> int:
@@ -399,15 +399,15 @@ def _crossed(m: Matrix, op, basis: Matrix, dims, memo: dict):
     """The flag (basis, dims) stepped through ``m`` by ``op`` and completed (module docstring)."""
     d = basis.rows
     if set(dims) <= {0, d}:
-        if op is flag_moved and m.rows == d:
+        if op is _flag_moved and m.rows == d:
             return basis, dims
         if (id(m), op) not in memo:
             moved, new = op(m, Matrix.identity(m.field, d), (0, d))
-            memo[id(m), op] = flag_completed(moved), new
+            memo[id(m), op] = _flag_completed(moved), new
         basis, new = memo[id(m), op]
         return basis, [new[-1] if x else new[0] for x in dims]
     basis, dims = op(m, basis, dims)
-    return flag_completed(basis), dims
+    return _flag_completed(basis), dims
 
 
 def _rank_jumps(starts: list[int], pairs: list[tuple[int, int]]) -> dict[int, int]:

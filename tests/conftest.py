@@ -11,7 +11,7 @@ from hnzz.linalg import (
     Matrix,
     random_invertible_rng,
 )
-from hnzz.quiver import Quiver, Representation, topological_order
+from hnzz.quiver import Quiver, Representation, _topological_order
 
 
 @pytest.fixture
@@ -130,7 +130,7 @@ def reference_kernel(m: Matrix) -> Matrix:
 
     One vector per free column of ``reference_rref(m)``: 1 at the free
     column and minus that column's entries at the pivot columns.  The
-    package takes a kernel as ``flag_preimage`` of the zero subspace; this
+    package takes a kernel as ``_flag_preimage`` of the zero subspace; this
     reference goes through neither the flag operations nor the package's
     elimination, so the tests can check both.
     """
@@ -163,7 +163,7 @@ def pivot_rows(space: Matrix) -> list[int]:
 def reference_superspaces(floor: Matrix, k: int) -> list[Matrix]:
     """The subspaces containing span(floor) with k more dimensions, in the scan's order.
 
-    The order that ``linalg.superspaces`` documents, built on its own: for
+    The order that ``linalg._superspaces`` documents, built on its own: for
     each k of the floor's free rows (those that lead no column) as pivots,
     in lexicographic order, each filling of the entries below each pivot at
     the other free rows, in ``product`` order; the floor's columns and
@@ -201,7 +201,7 @@ def subrepresentations(v: Representation, above=None):
     is tested against; its subspaces, images and spans come from the
     reference code here, not from the package.  ``above`` is a
     subrepresentation in canonical bases, as yielded here; None is the
-    zero one.  The walk takes the vertices in ``topological_order`` (its
+    zero one.  The walk takes the vertices in ``_topological_order`` (its
     own order, not the DP's); at each vertex it enumerates only the
     subspaces containing ``above`` and the images of the already-chosen
     subspaces along in-edges, so every yielded tuple is closed under the
@@ -211,7 +211,7 @@ def subrepresentations(v: Representation, above=None):
     """
     if above is None:
         above = [Matrix.zeros(v.field, d, 0) for d in v.dims]
-    order = [x for x in topological_order(v.quiver) if v.dims[x]]
+    order = [x for x in _topological_order(v.quiver) if v.dims[x]]
     chosen = dict(enumerate(above))
 
     def walk(i):

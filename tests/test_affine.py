@@ -364,12 +364,12 @@ class TestBijectiveCrossings:
         rep = conjugate(rep, conjugating_bases(rep, rng))
         bits = []
 
-        def recording(m, basis, dims, moved=zigzag.flag_moved):
+        def recording(m, basis, dims, moved=zigzag._flag_moved):
             out = moved(m, basis, dims)
             bits.extend(abs(x).bit_length() for row in out[0].ints for x in row)
             return out
 
-        monkeypatch.setattr(zigzag, "flag_moved", recording)
+        monkeypatch.setattr(zigzag, "_flag_moved", recording)
         d_inf, classes, _ = classify_lift(rep)
         assert (d_inf, classes) == (2, {NClass(1, 1 + 3 * n + 2): 1})
         assert bits and max(bits) <= 64

@@ -14,7 +14,7 @@ The fields' products (``RationalField.product`` and
 re-pins it here.
 
 The oracle's walk is pinned beside them: ``hn._destabilizer`` passes,
-enumerations (calls of ``hn.superspaces``) and the superspaces they
+enumerations (calls of ``hn._superspaces``) and the superspaces they
 yield.  Making the walk's steps cheaper moves the work pins and leaves
 these alone.
 """
@@ -62,15 +62,15 @@ def test_workload_round_passes_its_checks(name, tmp_path, count_calls, monkeypat
     work.mkdir()
     requests = WORKLOADS[name].setup(1, work)
     assert requests
-    superspaces, enumerate_superspaces = [], hn.superspaces
+    superspaces, enumerate_superspaces = [], hn._superspaces
 
     def counting(*args):
         for u in enumerate_superspaces(*args):
             superspaces.append(None)
             yield u
 
-    monkeypatch.setattr(hn, "superspaces", counting)
-    walk = [count_calls(hn, step) for step in ("_destabilizer", "superspaces")]
+    monkeypatch.setattr(hn, "_superspaces", counting)
+    walk = [count_calls(hn, step) for step in ("_destabilizer", "_superspaces")]
     eliminations = count_calls(linalg, "_gauss_jordan")
     row_updates = [count_calls(field, "row_update") for field in (RationalField, PrimeField)]
     products = [count_calls(field, "product") for field in (RationalField, PrimeField)]

@@ -16,7 +16,7 @@ from hnzz.affine import LIFT_MAX_WINDOW, AffineQuiver, classify_lift, indec_T
 from hnzz.cli import main
 from hnzz.errors import GuardError, ShapeError
 from hnzz.generators import GEN_MAX_N, GEN_MAX_SUMMANDS, equioriented_quiver
-from hnzz.linalg import GF, superspaces
+from hnzz.linalg import GF, _superspaces
 from hnzz.quiver import direct_sum, zero_representation
 from hnzz.serialize import instance_to_json, write_json
 from hnzz.zigzag import Interval, interval_module
@@ -77,10 +77,10 @@ def test_oracle_refuses_past_the_caps(tmp_path, capsys, p, bars, message):
 
 
 def test_enumerator_limits():
-    assert sum(1 for k in range(7) for _ in superspaces(GF(2), (), 6, k)) == 2825
+    assert sum(1 for k in range(7) for _ in _superspaces(GF(2), (), 6, k)) == 2825
     for dim, p in ((7, 2), (2, 5)):
         with pytest.raises(GuardError) as info:
-            superspaces(GF(p), (), dim, 0)
+            _superspaces(GF(p), (), dim, 0)
         assert str(info.value) == ENUM_REFUSAL.format(dim=dim, p=p)
 
 

@@ -10,7 +10,7 @@ import pytest
 import hnzz.hn as hn_module
 from hnzz import campaign
 from hnzz.errors import GuardError, InternalCheckError, ShapeError, ValidationError
-from hnzz.linalg import GF, QQ, Matrix, columns, subspace_contains
+from hnzz.linalg import GF, QQ, Matrix, _columns, subspace_contains
 from hnzz.quiver import (
     Quiver,
     Representation,
@@ -242,12 +242,12 @@ class TestBruteforce:
     def test_order_independence(self, monkeypatch):
         v = conjugate(three_step_module(), conjugating_bases(three_step_module(), make_rng(23)))
         baseline = hn_bruteforce(v, EPS3)
-        original = hn_module.superspaces
+        original = hn_module._superspaces
 
         def reversed_enum(field, floor, dim, k):
             return iter(list(original(field, floor, dim, k))[::-1])
 
-        monkeypatch.setattr(hn_module, "superspaces", reversed_enum)
+        monkeypatch.setattr(hn_module, "_superspaces", reversed_enum)
         flipped = hn_bruteforce(v, EPS3)
         assert flipped.steps == baseline.steps
         assert flipped.witness == baseline.witness
@@ -258,7 +258,7 @@ class TestBruteforce:
         # of the first pass is the first vertex's class of the best bound,
         # which here holds the destabilizer [0, 1]; it yields each
         # superspace twice, which doubles the destabilizer's count
-        original = hn_module.superspaces
+        original = hn_module._superspaces
         calls = []
 
         def first_doubled(field, floor, dim, k):
@@ -266,7 +266,7 @@ class TestBruteforce:
             calls.append(floor)
             return (u for u in original(field, floor, dim, k) for _ in range(copies))
 
-        monkeypatch.setattr(hn_module, "superspaces", first_doubled)
+        monkeypatch.setattr(hn_module, "_superspaces", first_doubled)
         with pytest.raises(
             InternalCheckError, match=r"^maximal destabilizer is not unique \(2 candidates\)$"
         ):
@@ -313,7 +313,7 @@ class TestDestabilizer:
                 keys = {dims: (slope_of_dims(dims, alpha), sum(dims)) for dims in counts}
                 best = max(keys.values())
                 winners = {dims for dims, key in keys.items() if key == best}
-                above = tuple(map(columns, stage))
+                above = tuple(map(_columns, stage))
                 dims, vectors, count = hn_module._destabilizer(v, above, alpha)
                 assert dims in winners
                 assert hn_module._stage(v, vectors) == first[dims]
@@ -346,7 +346,7 @@ class TestScanWork:
 
     @pytest.mark.parametrize("dims", list(SCAN_WORK))
     def test_enumerations_per_guard_edge_scan(self, dims, monkeypatch, count_calls):
-        original = hn_module.superspaces
+        original = hn_module._superspaces
         calls, yielded = [], []
 
         def counting(field, floor, dim, k):
@@ -355,8 +355,8 @@ class TestScanWork:
                 yielded.append(k)
                 yield u
 
-        monkeypatch.setattr(hn_module, "superspaces", counting)
-        floor_updates = count_calls(hn_module, "span_with_image")
+        monkeypatch.setattr(hn_module, "_superspaces", counting)
+        floor_updates = count_calls(hn_module, "_span_with_image")
         v = zero_map_path(dims)
         report = hn_bruteforce(v, euler_stability(v.quiver))
         assert report.total_dims() == dims

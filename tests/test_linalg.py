@@ -12,24 +12,26 @@ from hypothesis import strategies as st
 import hnzz
 from hnzz import linalg
 from hnzz.errors import GuardError, ValidationError
+from hnzz.hn import hn_bruteforce
 from hnzz.linalg import (
     GF,
     QQ,
     Matrix,
     PrimeField,
     RationalField,
-    block_diag,
-    flag_completed,
-    flag_image,
-    flag_preimage,
-    from_columns,
+    _block_diag,
+    _flag_completed,
+    _flag_image,
+    _flag_preimage,
+    _from_columns,
+    _span_with_image,
+    _superspaces,
     inverse,
     random_invertible_rng,
     rank,
-    span_with_image,
     subspace_contains,
-    superspaces,
 )
+from hnzz.quiver import Quiver, Representation, StabilityCondition
 
 from conftest import (
     FRACTION_ARITHMETIC,
@@ -67,24 +69,24 @@ def column_echelon(m: Matrix) -> Matrix:
     Zero columns are dropped, so two matrices span the same subspace iff
     the results are equal.
     """
-    return from_columns(m.field, linalg._echelon(m.field, linalg.columns(m))[0], m.rows)
+    return _from_columns(m.field, linalg._echelon(m.field, linalg._columns(m))[0], m.rows)
 
 
 def package_superspaces(floor: Matrix, k: int) -> list[Matrix]:
-    """``linalg.superspaces`` of span(floor), each read back as a basis Matrix."""
-    vectors = linalg.columns(floor)
-    return [from_columns(floor.field, u, floor.rows)
-            for u in superspaces(floor.field, vectors, floor.rows, k)]
+    """``linalg._superspaces`` of span(floor), each read back as a basis Matrix."""
+    vectors = linalg._columns(floor)
+    return [_from_columns(floor.field, u, floor.rows)
+            for u in _superspaces(floor.field, vectors, floor.rows, k)]
 
 
 def package_subspaces(dim: int, p: int) -> list[Matrix]:
-    """Every subspace of GF(p)^dim from ``linalg.superspaces``, class by class."""
+    """Every subspace of GF(p)^dim from ``linalg._superspaces``, class by class."""
     return [u for k in range(dim + 1) for u in package_superspaces(Matrix.zeros(GF(p), dim, 0), k)]
 
 
 def kernel(m: Matrix) -> Matrix:
     """The package's kernel, the preimage of the zero subspace, in canonical form."""
-    return column_echelon(flag_preimage(m, Matrix.zeros(m.field, m.rows, 0), ())[0])
+    return column_echelon(_flag_preimage(m, Matrix.zeros(m.field, m.rows, 0), ())[0])
 
 
 @st.composite
@@ -216,10 +218,10 @@ class TestTrustedConstructor:
         flag = column_echelon(right)
         seed = data.draw(st.integers(0, 1000))
         for result in (
-            flag_preimage(m, Matrix.zeros(fld, r, 0), ())[0],
-            flag_image(m, flag, [0, flag.cols])[0],
-            flag_preimage(m, space, [0, space.cols])[0],
-            flag_completed(space),
+            _flag_preimage(m, Matrix.zeros(fld, r, 0), ())[0],
+            _flag_image(m, flag, [0, flag.cols])[0],
+            _flag_preimage(m, space, [0, space.cols])[0],
+            _flag_completed(space),
         ):
             assert_int_rows(result)
         out = [
@@ -228,7 +230,7 @@ class TestTrustedConstructor:
             inverse(random_invertible_rng(c, fld, random.Random(seed))),
             m @ right,
             hstack([m, same_shape]),
-            block_diag(m, right),
+            _block_diag(m, right),
             Matrix.zeros(fld, r, c),
             Matrix.identity(fld, c),
             Matrix.zeros(fld, r, 0),
@@ -337,7 +339,7 @@ class TestSubspaceEnumerator:
         assert any(b.cols == dim for b in got)
         # class k holds exactly the k-dimensional ones
         for k in range(dim + 1):
-            cls = list(superspaces(GF(p), (), dim, k))
+            cls = list(_superspaces(GF(p), (), dim, k))
             assert len(cls) == gaussian_binomial(dim, k, p)
             assert all(len(u) == k for u in cls)
 
@@ -348,22 +350,24 @@ class TestSubspaceEnumerator:
 
     def test_guard_dim(self):
         with pytest.raises(GuardError):
-            superspaces(GF(2), (), 7, 0)
+            _superspaces(GF(2), (), 7, 0)
 
     def test_guard_p(self):
         with pytest.raises(GuardError):
-            superspaces(GF(5), (), 2, 0)
+            _superspaces(GF(5), (), 2, 0)
 
     def test_nonprime_rejected(self):
+        # the enumerator trusts its field: the oracle, its one caller,
+        # refuses QQ first, and GF refuses a modulus that is not prime
+        with pytest.raises(GuardError, match="prime fields only"):
+            hn_bruteforce(Representation(Quiver(1, ()), QQ, (2,), ()), StabilityCondition((1,)))
         with pytest.raises(ValidationError):
-            superspaces(QQ, (), 2, 0)
-        with pytest.raises(ValidationError):
-            superspaces(GF(4), (), 2, 0)
+            _superspaces(GF(4), (), 2, 0)
 
     def test_huge_modulus_rejected_at_once(self):
         start = time.perf_counter()
         with pytest.raises(ValidationError):
-            superspaces(GF(2305843009213693951), (), 1, 0)
+            _superspaces(GF(2305843009213693951), (), 1, 0)
         assert time.perf_counter() - start < 1.0
 
 
@@ -404,8 +408,8 @@ def random_map(fld, rows: int, cols: int, rnd: random.Random) -> Matrix:
 
 
 class TestFlags:
-    @pytest.mark.parametrize("op, reference", [(flag_image, reference_image),
-                                               (flag_preimage, reference_preimage)],
+    @pytest.mark.parametrize("op, reference", [(_flag_image, reference_image),
+                                               (_flag_preimage, reference_preimage)],
                              ids=["image", "preimage"])
     def test_member_by_member(self, op, reference):
         # every member of a 3-6 member flag moves like the canonical subspace op
@@ -414,7 +418,7 @@ class TestFlags:
             fld = rnd.choice(FIELDS)
             src, dst = rnd.randint(0, 4), rnd.randint(0, 4)
             m = random_map(fld, dst, src, rnd)
-            basis, dims = random_flag(fld, dst if op is flag_preimage else src, rnd,
+            basis, dims = random_flag(fld, dst if op is _flag_preimage else src, rnd,
                                       rnd.randint(3, 6))
             moved, new_dims = op(m, basis, dims)
             assert rank(moved) == moved.cols  # still an adapted basis
@@ -428,7 +432,7 @@ class TestFlags:
         fld = QQ
         m = Matrix(fld, [[0, 1, 0], [0, 0, 1]])
         basis = Matrix(fld, [[1, 1], [0, 1]])
-        pre, dims = flag_preimage(m, basis, [0, 1, 2, 1])
+        pre, dims = _flag_preimage(m, basis, [0, 1, 2, 1])
         assert dims == [1, 2, 3, 2]
         assert pre.cols == 3 and rank(pre) == 3
         assert column_echelon(columns(pre, 1)) == Matrix(fld, [[1], [0], [0]])
@@ -439,7 +443,7 @@ class TestFlags:
             fld = rnd.choice(FIELDS)
             d = rnd.randint(0, 5)
             basis, _ = random_flag(fld, d, rnd, 1)
-            full = flag_completed(basis)
+            full = _flag_completed(basis)
             assert full.cols == d and rank(full) == d
             assert columns(full, basis.cols) == basis
 
@@ -481,7 +485,7 @@ def check_rational_ops(m: Matrix, right: Matrix, square: Matrix, source: Matrix,
     assert m @ right == Matrix(fld, reference_matmul(m, right), right.cols)
     n = square.rows
     # blocks over different denominators, entry by entry
-    diag = block_diag(m, square)
+    diag = _block_diag(m, square)
     want = [[*row, *[0] * n] for row in m.data] + [[*[0] * m.cols, *row] for row in square.data]
     assert diag == Matrix(fld, want, m.cols + n)
     augmented, aug_pivots = reference_rref(hstack([square, Matrix.identity(fld, n)]))
@@ -490,12 +494,12 @@ def check_rational_ops(m: Matrix, right: Matrix, square: Matrix, source: Matrix,
     else:
         with pytest.raises(ValidationError):
             inverse(square)
-    for op, basis in ((flag_image, source), (flag_preimage, target)):
+    for op, basis in ((_flag_image, source), (_flag_preimage, target)):
         moved, new_dims = op(m, basis, dims)
         assert len(reference_rref(moved)[1]) == moved.cols  # an adapted basis
         for d, nd in zip(dims, new_dims):
             member = columns(basis, d)
-            if op is flag_image:
+            if op is _flag_image:
                 want = Matrix(fld, reference_matmul(m, member), d)
             else:
                 ker = reference_kernel(hstack([m, member]))
@@ -586,7 +590,7 @@ class TestSubspaceOps:
         # a one-member flag, canonicalised, is the canonical image
         m = Matrix(GF(3), [[1, 2], [0, 1]])
         s = Matrix(GF(3), [[1], [1]])
-        img, (dim,) = flag_image(m, s, [1])
+        img, (dim,) = _flag_image(m, s, [1])
         assert dim == 1 and column_echelon(img) == reference_image(m, s)
         assert subspace_contains(img, m @ s)
 
@@ -599,7 +603,7 @@ class TestSubspaceOps:
             m = Matrix(fld, [[rnd.randrange(p) for _ in range(cols)] for _ in range(rows)], cols)
             spaces = every_subspace(rows, p)
             s = rnd.choice(spaces)
-            pre, (dim,) = flag_preimage(m, s, [s.cols])
+            pre, (dim,) = _flag_preimage(m, s, [s.cols])
             assert dim == pre.cols and column_echelon(pre) == reference_preimage(m, s)
             assert subspace_contains(s, m @ pre)
             # maximality: every vector outside pre maps outside s
@@ -649,10 +653,10 @@ class TestSubspaceOps:
         m = Matrix(fld, [[1, 2], [0, 0], [2, 1]])
         floor = Matrix(fld, [[0], [1], [0]])
         for basis in every_subspace(2, 3):
-            got = span_with_image(fld, linalg.columns(floor), linalg.columns(basis),
-                                  linalg.columns(m))
+            got = _span_with_image(fld, linalg._columns(floor), linalg._columns(basis),
+                                  linalg._columns(m))
             want = reference_column_echelon(hstack([floor, m @ basis]))
-            assert from_columns(fld, got, 3) == want
+            assert _from_columns(fld, got, 3) == want
 
     def test_inverse_roundtrip(self):
         m = random_invertible_rng(3, GF(7), random.Random(11))

@@ -1,4 +1,6 @@
-"""Every name in README's "Library layout" table exists in the package.
+"""README's "Library layout" table names the public surface, and only it.
+
+Every name in the table exists in the package.
 
 A backticked identifier in the table must name a builtin (``int``), an
 ``hnzz`` submodule (``affine``, ``hnzz.linalg``), or an attribute path of
@@ -6,6 +8,12 @@ A backticked identifier in the table must name a builtin (``int``), an
 ``campaign.fast_report``).  A call suffix such as ``(rep, u, v)`` is
 dropped, and ``draw_a``/``check_a`` counts as two names.  A change that
 deletes or renames a documented name must mend the table too.
+
+The table is also the public surface: it names every public function
+and class of the library modules (``public_names`` of
+``tests/test_library_fuzz.py``), bare or as ``module.name``, and no
+private name.  A helper that only its own package calls takes a leading
+underscore and is described in its module's docstring instead.
 """
 
 import builtins
@@ -17,6 +25,7 @@ from pathlib import Path
 import pytest
 
 import hnzz
+from test_library_fuzz import public_names
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 MODULES = {
@@ -63,3 +72,16 @@ def test_table_found():
 @pytest.mark.parametrize("name", layout_names())
 def test_documented_name_exists(name):
     assert resolves(name), f"README's Library layout names {name!r}, which hnzz does not define"
+
+
+def test_table_names_every_public_name():
+    named = set(layout_names())
+    missing = sorted(name for name in public_names()
+                     if name not in named and name.split(".", 1)[1] not in named)
+    assert missing == [], f"public, but not in README's Library layout table: {missing}"
+
+
+def test_table_names_no_private_name():
+    private = [name for name in layout_names()
+               if any(part.startswith("_") for part in name.split("."))]
+    assert private == [], f"README's Library layout table names private {private}"

@@ -3,14 +3,19 @@
 Each public entry below once let such an input escape as a bare
 TypeError, ValueError, KeyError or AttributeError, or took it without a
 word: a fractional interval endpoint, a bool window, a wrapped-interval
-class with endpoints that are no ints or no interval, and a field of
-None, which ``field_to_json`` wrote as the rationals.  A lift window out of
+class with endpoints that are no ints or no interval, a field of None,
+which the instance writer wrote as the rationals, and a matrix width
+that is no count (``Matrix(GF(2), [], -1)`` was a 0 x -1 matrix, and
+``Matrix(GF(2), [[1]], True)`` a 1 x 1 one).  A lift window out of
 range is refused too: a negative one once gave the empty unwinding, and
 one past ``LIFT_MAX_WINDOW`` ran until killed.
 
 A summand constructor refuses a length past ``LIFT_MAX_WINDOW`` before it
 builds anything, as the lift window does: a wrapped interval or a Jordan
-cell of length 10**30 once ran until killed.
+cell of length 10**30 once ran until killed.  It refuses more matrix
+entries than ``SUMMAND_MAX_ENTRIES`` too, which a length under the window
+cap could still ask for: a Jordan cell of size 25,000 on a 2-cycle would
+have built two 25,000 x 25,000 matrices.
 
 Each input rule has one definition, next to the type it describes, and
 the second table reaches each refusal that no other test reaches in
@@ -49,16 +54,7 @@ from hnzz.hn import (
     hn_r_filtration_eval,
     recover_barcode_via_truncations,
 )
-from hnzz.linalg import (
-    GF,
-    QQ,
-    Matrix,
-    block_diag,
-    check_enum_guard,
-    inverse,
-    rank,
-    superspaces,
-)
+from hnzz.linalg import GF, QQ, Matrix, inverse, rank
 from hnzz.quiver import (
     Quiver,
     Representation,
@@ -66,17 +62,13 @@ from hnzz.quiver import (
     conjugate,
     direct_sum,
     euler_stability,
-    is_acyclic,
-    restrict,
     sheaf_euler_characteristic,
     slope_of_dims,
-    topological_order,
     zero_representation,
 )
 from hnzz.serialize import (
     barcode_to_json,
     classes_to_json,
-    field_to_json,
     hn_to_json,
     instance_to_json,
 )
@@ -98,6 +90,12 @@ ONE = Matrix.identity(GF(2), 1)
         lambda: Matrix(GF(2), None),
         lambda: Matrix(GF(2), [1, 2]),
         lambda: Matrix(None, [[1]]),
+        lambda: Matrix(GF(2), [], -1),
+        lambda: Matrix(GF(2), [], "x"),
+        lambda: Matrix(GF(2), [], 1.5),
+        lambda: Matrix(GF(2), [], True),
+        lambda: Matrix(GF(2), [[1]], True),
+        lambda: Matrix(GF(2), [[1]], 1.0),
         lambda: Interval(None, 1),
         lambda: Interval(0.5, 1),
         lambda: Barcode("1"),
@@ -136,7 +134,6 @@ ONE = Matrix.identity(GF(2), 1)
         lambda: hn_bruteforce("x", euler_stability(A2)),
         lambda: hn_bruteforce(V2, None),
         lambda: hn_bruteforce(V2, "ab"),
-        lambda: superspaces(GF(2), (), 2, -1),
         lambda: classify_lift(CELL, "6"),
         lambda: classify_lift(CELL, 6.0),
         lambda: classify_lift(CELL, True),
@@ -157,17 +154,13 @@ ONE = Matrix.identity(GF(2), 1)
         lambda: instance_to_json(None),
         lambda: indec_N(AQ, 0, 1, None),
         lambda: indec_T(AQ, 1, 1, None),
-        lambda: field_to_json(None),
         lambda: NClass(None, 1),
         lambda: NClass("a", 2.5),
         lambda: NClass(-1, 2),
         lambda: NClass(2, 1),
-        lambda: is_acyclic(None),
-        lambda: topological_order(None),
         lambda: zero_representation(None, GF(2)),
         lambda: zero_representation(A2, None),
         lambda: conjugate(None, []),
-        lambda: restrict(None, [0]),
         lambda: slope_of_dims((1,), None),
         lambda: sheaf_euler_characteristic(None),
         lambda: hn_r_filtration_eval(None, 0),
@@ -190,7 +183,6 @@ ONE = Matrix.identity(GF(2), 1)
         lambda: slope_of_dims((1, 1, 1), StabilityCondition((1, 0))),
         lambda: Matrix.identity(GF(2), -2),
         lambda: Matrix.zeros(GF(2), 1.5, 1),
-        lambda: restrict(V2, [True]),
         lambda: Representation(Quiver(1, ()), None, (2,), ()),
         lambda: Barcode.from_dict({Interval(0, 3): 1}).dims_vector(2),
         lambda: classes_to_json({1: 2}),
@@ -201,14 +193,9 @@ ONE = Matrix.identity(GF(2), 1)
         lambda: campaign.run("a", -1, 0),
         lambda: conjugate(V3, [None] * 3),
         lambda: conjugate(V3, 5),
-        lambda: block_diag(None, ONE),
         lambda: Barcode.from_dict({1: 1, Interval(0, 0): 1}),
         lambda: Barcode.from_dict({Interval(0, 0): None}),
         lambda: campaign.run([], 1, 0),
-        lambda: check_enum_guard(None, GF(2)),
-        lambda: check_enum_guard(2, None),
-        lambda: superspaces(GF(2), None, 2, 1),
-        lambda: superspaces(GF(2), ((0, 0),), 2, 1),
     ],
     ids=[
         "GF(None)",
@@ -216,6 +203,12 @@ ONE = Matrix.identity(GF(2), 1)
         "Matrix(data None)",
         "Matrix(rows not lists)",
         "Matrix(field None)",
+        "Matrix([], cols -1)",
+        "Matrix([], cols 'x')",
+        "Matrix([], cols 1.5)",
+        "Matrix([], cols True)",
+        "Matrix([[1]], cols True)",
+        "Matrix([[1]], cols 1.0)",
         "Interval(None, 1)",
         "Interval(0.5, 1)",
         "Barcode('1')",
@@ -254,7 +247,6 @@ ONE = Matrix.identity(GF(2), 1)
         "hn_bruteforce('x', alpha)",
         "hn_bruteforce(v, None)",
         "hn_bruteforce(v, 'ab')",
-        "superspaces(k -1)",
         "classify_lift(window '6')",
         "classify_lift(window 6.0)",
         "classify_lift(window True)",
@@ -275,17 +267,13 @@ ONE = Matrix.identity(GF(2), 1)
         "instance_to_json(None)",
         "indec_N(field None)",
         "indec_T(field None)",
-        "field_to_json(None)",
         "NClass(None, 1)",
         "NClass('a', 2.5)",
         "NClass(-1, 2)",
         "NClass(2, 1)",
-        "is_acyclic(None)",
-        "topological_order(None)",
         "zero_representation(None, field)",
         "zero_representation(q, None)",
         "conjugate(None, [])",
-        "restrict(None, [0])",
         "slope_of_dims(dims, None)",
         "sheaf_euler_characteristic(None)",
         "hn_r_filtration_eval(None, 0)",
@@ -308,7 +296,6 @@ ONE = Matrix.identity(GF(2), 1)
         "slope_of_dims(three dims, two weights)",
         "Matrix.identity(GF(2), -2)",
         "Matrix.zeros(GF(2), 1.5, 1)",
-        "restrict(v, [True])",
         "Representation(field None)",
         "Barcode.dims_vector(bar past the path)",
         "classes_to_json({1: 2})",
@@ -319,14 +306,9 @@ ONE = Matrix.identity(GF(2), 1)
         "campaign.run('a', -1, 0)",
         "conjugate(v, [None] * 3)",
         "conjugate(v, 5)",
-        "block_diag(None, m)",
         "Barcode.from_dict(key 1)",
         "Barcode.from_dict(multiplicity None)",
         "campaign.run([], 1, 0)",
-        "check_enum_guard(None, field)",
-        "check_enum_guard(2, None)",
-        "superspaces(floor None)",
-        "superspaces(floor vector (0, 0))",
     ],
 )
 def test_wrong_type_refused(build):
@@ -364,6 +346,22 @@ def test_summand_length_past_the_window_cap_refused_at_once(build):
 
 
 @pytest.mark.parametrize(
+    "build",
+    [lambda: indec_T(AQ, 1, 708, GF(3)), lambda: indec_N(AQ, 0, 1415, GF(3))],
+    ids=["indec_T(size 708 on a 2-cycle)", "indec_N(length 1416 on a 2-cycle)"],
+)
+def test_summand_entries_past_the_cap_refused(build):
+    # 2 * 708**2 = 1,002,528 entries, just past SUMMAND_MAX_ENTRIES: small
+    # enough to build in well under a second where nothing refuses it
+    with pytest.raises(ShapeError, match="SUMMAND_MAX_ENTRIES"):
+        build()
+
+
+def test_summand_entries_at_the_cap_built():
+    assert indec_T(AQ, 1, 707, GF(3)).dims == (707, 707)  # 999,698 entries
+
+
+@pytest.mark.parametrize(
     "build, error, message",
     [
         (lambda: AffineQuiver(2, (0, 2)), ValidationError, "orientation bits must be 0"),
@@ -376,16 +374,12 @@ def test_summand_length_past_the_window_cap_refused_at_once(build):
         (lambda: ONE @ Matrix.identity(GF(3), 1), ValidationError,
          "matmul across different fields"),
         (lambda: ONE @ Matrix.identity(GF(2), 2), ValidationError, "matmul shape mismatch"),
-        (lambda: block_diag(ONE, Matrix.identity(GF(3), 1)), ValidationError,
-         "block_diag across different fields"),
         (lambda: inverse(Matrix.zeros(GF(2), 1, 2)), ValidationError,
          "inverse of a non-square matrix"),
-        (lambda: check_enum_guard(-1, GF(2)), ValidationError, "negative dimension"),
         (lambda: Quiver(1, ((0, 1),)), ValidationError, r"edge \(0,1\) out of vertex range"),
         (lambda: conjugate(V2, [ONE]), ValidationError, "one basis matrix per vertex required"),
         (lambda: conjugate(V2, [ONE, Matrix.identity(GF(2), 2)]), ValidationError,
          "basis at vertex 1 is not 1x1"),
-        (lambda: restrict(V2, [5]), ValidationError, "vertex 5 out of range"),
         (lambda: path_steps(Quiver(2, ((0, 1), (1, 0)))), ShapeError, "parallel edges between"),
         (lambda: slope_of_dims((1, Fraction(1, 2)), StabilityCondition((1, 0))), ValidationError,
          "is not an int"),
@@ -402,13 +396,10 @@ def test_summand_length_past_the_window_cap_refused_at_once(build):
         "random_orientation(n 1)",
         "matmul(fields)",
         "matmul(shapes)",
-        "block_diag(fields)",
         "inverse(1x2)",
-        "check_enum_guard(-1)",
         "Quiver(edge past the vertices)",
         "conjugate(one basis short)",
         "conjugate(basis 2x2)",
-        "restrict(vertex 5)",
         "path_steps(parallel edges)",
         "slope_of_dims(dims (1, 1/2))",
         "gen_persistence(min_summands past max)",

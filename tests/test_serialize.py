@@ -10,10 +10,10 @@ from hnzz.hn import hn_bruteforce
 from hnzz.linalg import GF, QQ
 from hnzz.quiver import direct_sum, euler_stability
 from hnzz.serialize import (
+    _field_from_json,
+    _field_to_json,
     barcode_to_json,
     classes_to_json,
-    field_from_json,
-    field_to_json,
     hn_to_json,
     instance_from_json,
     instance_to_json,
@@ -29,15 +29,15 @@ from conftest import make_rng
 class TestFieldCodec:
     def test_roundtrip(self):
         for fld in (QQ, GF(2), GF(97)):
-            assert field_from_json(field_to_json(fld)) == fld
+            assert _field_from_json(_field_to_json(fld)) == fld
 
     def test_bad_kind(self):
         with pytest.raises(ParseError):
-            field_from_json({"kind": "real"})
+            _field_from_json({"kind": "real"})
 
     def test_nonprime(self):
         with pytest.raises(ParseError):
-            field_from_json({"kind": "prime", "p": 6})
+            _field_from_json({"kind": "prime", "p": 6})
 
 
 class TestInstanceRoundTrip:

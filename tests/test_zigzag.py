@@ -465,10 +465,11 @@ def mirrored(v: Representation) -> Representation:
 def test_barcode_metamorphic_relations():
     # relations between the barcodes of different inputs, so no reference
     # is needed: the dual (every matrix transposed, every edge reversed)
-    # crosses by flag_preimage where v crossed by flag_image, and keeps the
+    # crosses by _flag_preimage where v crossed by _flag_image, and keeps the
     # bars; relabelling position i as n - 1 - i mirrors each bar; a direct
     # sum adds the bars.  Sparse paths over four fields and lift windows;
-    # on a cycle, d_inf and the lift classes add under a direct sum
+    # on a cycle, d_inf and the lift classes add under a direct sum, and
+    # the dual, on the opposite orientation, keeps them
     rng = make_rng(22)
     pairs = []
     for _ in range(600):
@@ -497,6 +498,8 @@ def test_barcode_metamorphic_relations():
         d_sum, classes_sum, _ = classify_lift(direct_sum(v, w))
         assert d_sum == d_v + d_w
         assert classes_sum == dict(Counter(classes_v) + Counter(classes_w))
+        assert classify_lift(dual(v))[:2] == (d_v, classes_v)
+        assert classify_lift(dual(w))[:2] == (d_w, classes_w)
         seen.add((v.field, "d_inf", d_sum > 0))
         seen.add((v.field, "classes on both", bool(classes_v and classes_w)))
     assert {(fld, kind, True) for fld in (QQ, GF(2), GF(3), GF(5))
@@ -511,7 +514,7 @@ def test_whole_space_flag_keeps_small_entries(monkeypatch):
     q = random_path_quiver(n, rng)
     v = Representation(q, QQ, (3,) * n, tuple(random_invertible_rng(3, QQ, rng) for _ in q.edges))
     bits = []
-    for name in ("flag_image", "flag_preimage"):
+    for name in ("_flag_image", "_flag_preimage"):
         op = getattr(zigzag, name)
 
         def recording(m, basis, dims, op=op):
@@ -756,7 +759,7 @@ def test_product_route_agrees_with_elimination(fld, count_calls):
     # same members as elimination would find: periodic paths and lift
     # windows, priced against one generalized rank per interval
     rng = make_rng(73)
-    moved = count_calls(zigzag, "flag_moved")
+    moved = count_calls(zigzag, "_flag_moved")
     kinds = set()
     with_products = 0
     draws = [periodic_pair(rng, fld)[0] for _ in range(40)]
