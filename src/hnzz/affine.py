@@ -25,7 +25,9 @@ A lift window is the plain length D of the truncated unwinding 0..D;
 ``classify_lift`` alone checks it (a multiple of n, at least
 ``default_window``, at most ``LIFT_MAX_WINDOW``) and keys each wrapped
 interval it recovers by its ``NClass(u, v)``, the same key the
-generators and serializers use.
+generators and serializers use.  ``campaign.check_b`` recovers many
+classes of one report through ``_recovered``, which takes the cycle
+resolved once and returns None for a p = 1 class.
 """
 
 from __future__ import annotations
@@ -351,6 +353,21 @@ def eta_from_lift(v: Representation) -> HNReport:
     return report
 
 
+def _recovered(rep: HNReport, aq: AffineQuiver, u: int, v: int) -> int | None:
+    """``recover_N_multiplicities`` on ``aq``, the cycle of ``rep``; None for a p = 1 class.
+
+    One ``p_value`` per class, and no slope for a p = 1 class.
+    """
+    p = p_value(aq, u, v)
+    if p == 1:
+        return None
+    target = Fraction(1 - p, v - u + 1)  # euler_slope_N(aq, u, v), from p
+    for sl, dims in rep.steps:
+        if sl == target:
+            return dims[u] - dims[u - 1]
+    return 0
+
+
 def recover_N_multiplicities(rep: HNReport, u: int, v: int) -> int:
     """Multiplicity of the wrapped interval [u, v] from HN data, p != 1 only.
 
@@ -362,11 +379,7 @@ def recover_N_multiplicities(rep: HNReport, u: int, v: int) -> int:
     checks.
     """
     check_type(rep, HNReport, "HN report")
-    aq = affine_of_quiver(rep.quiver)
-    target = euler_slope_N(aq, u, v)
-    if target == 0:
+    got = _recovered(rep, affine_of_quiver(rep.quiver), u, v)
+    if got is None:
         raise ValidationError("p = 1 classes have slope 0 and are not recoverable")
-    for sl, dims in rep.steps:
-        if sl == target:
-            return dims[u] - dims[u - 1]
-    return 0
+    return got

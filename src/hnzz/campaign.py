@@ -19,10 +19,9 @@ from dataclasses import dataclass
 from .affine import (
     AffineQuiver,
     NClass,
+    _recovered,
     affine_of_quiver,
     eta_from_lift,
-    p_value,
-    recover_N_multiplicities,
 )
 from .errors import ShapeError, ValidationError, check_counts, check_ints, check_type, shown
 from .generators import gen_affine, gen_persistence
@@ -119,9 +118,9 @@ def check_b(case: Case) -> str | None:
     # (p = 1) classes blend together and are not recoverable
     classes = set(truth_n) | {NClass(u, u + k) for u in range(aq.n) for k in range(2 * aq.n)}
     for cls in sorted(classes):
-        if p_value(aq, cls.u, cls.v) == 1:
+        got = _recovered(report, aq, cls.u, cls.v)
+        if got is None:
             continue
-        got = recover_N_multiplicities(report, cls.u, cls.v)
         if got != truth_n.get(cls, 0):
             return f"N({cls.u},{cls.v}) recovered {got} times, built {truth_n.get(cls, 0)}"
     return None

@@ -14,16 +14,26 @@ pair.  The entries themselves, Fractions over QQ, are built only when
 ``data`` is read.
 
 Outside input, instance files included, enters through the public
-``Matrix(field, data, cols)``, which checks the shape, coerces every
-entry, refusing floats, and clears the rows (the field's ``cleared``);
-only results computed here skip that pass, via the private
-``Matrix._canonical``.  A public name refuses a wrong argument; a private
-one trusts its callers here, which pass what checked constructors built:
-the sweep's flag steps (``_flag_image``, ``_flag_preimage``,
-``_flag_moved``, ``_flag_completed``, ``_scaled_inverse``; "flags"
-below), the oracle's enumerator ``_superspaces`` with ``_check_enum_guard``,
+``Matrix(field, data, cols)``, which checks the shape and hands the rows
+to the field's ``read_rows``.  That takes each entry as the field's
+``coerce`` would, refusing floats, and clears the rows into their one
+(ints, den) pair.  Rows of ints (in [0, p) over GF(p)), and over QQ rows
+of ints and Fractions, are checked and cleared with no Python call per
+entry; any other rows go through ``coerce`` entry by entry.  Results
+computed here skip that pass: ``inverse`` and ``_from_columns`` clear
+exact rows with the field's ``cleared``, and the private
+``Matrix._canonical`` takes integer rows as they are.
+
+A public name refuses a wrong argument; a private one trusts its
+callers here, which pass what checked constructors built: the sweep's
+flag steps (``_flag_image``, ``_flag_preimage``, ``_flag_moved``,
+``_flag_completed``, ``_scaled_inverse``; "flags" below), the oracle's
+enumerator ``_superspaces`` with ``_check_enum_guard``,
 ``_span_with_image``, ``_columns`` and ``_from_columns`` ("subspace
-arithmetic" below), and ``_block_diag`` for ``quiver.direct_sum``.
+arithmetic" below), ``_block_diag`` for ``quiver.direct_sum``, and
+``_read_entry`` for ``serialize``'s reader.  That reads each distinct QQ
+entry string of a document once, "a" and "a/b" straight into ints, and
+``read_rows`` takes the ``_Ratio`` pairs it returns as they are.
 
 Everything here is pure and deterministic: echelon forms are the unique
 reduced ones, so equality of spans reduces to equality of basis matrices.
@@ -50,7 +60,8 @@ from decimal import Decimal
 from fractions import Fraction
 from itertools import chain, combinations, product
 from math import gcd, lcm
-from operator import mul
+from operator import attrgetter, mul
+from typing import NamedTuple
 
 from .errors import GuardError, ValidationError, check_counts, check_ints, check_type, shown
 
@@ -91,9 +102,30 @@ class RationalField:
         except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
             raise ValidationError(f"QQ entry {shown(value)} is not a rational") from exc
 
-    def cleared(self, rows: Sequence[Sequence[Fraction]]) -> tuple[tuple, int]:
-        """Integer rows and the least positive den that make ``rows`` their quotient."""
-        den = lcm(*[x.denominator for row in rows for x in row])
+    def read_rows(self, rows: Sequence[Sequence]) -> tuple[tuple, int]:
+        """``cleared`` of the entries ``coerce`` makes of ``rows``, with no call per entry.
+
+        Rows of ints are integer rows over 1 as they are, and rows of ints,
+        Fractions and ``_read_entry``'s ``_Ratio`` pairs are cleared as they
+        are.  Any other rows go through ``coerce`` entry by entry, in row
+        order, so the first entry it refuses raises.
+        """
+        kinds = set(map(type, chain.from_iterable(rows)))
+        if kinds <= {int}:
+            return tuple(map(tuple, rows)), 1
+        if not kinds <= _EXACT_KINDS:
+            coerce = self.coerce
+            rows = [list(map(coerce, row)) for row in rows]
+        return self.cleared(rows)
+
+    def cleared(self, rows: Sequence[Sequence]) -> tuple[tuple, int]:
+        """Integer rows and the least positive den that make ``rows`` their quotient.
+
+        The entries are exact already: ints, Fractions or ``_Ratio`` pairs.
+        """
+        den = lcm(*map(_denominator, chain.from_iterable(rows)))
+        if den == 1:
+            return tuple(tuple(map(_numerator, row)) for row in rows), 1
         return tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in rows), den
 
     def row_update(self, row: Sequence[int], a: int, b: int, prow: Sequence[int]) -> list[int]:
@@ -153,6 +185,19 @@ class PrimeField:
             raise ValidationError(f"GF({self.p}) entry must be an int, not {type(value).__name__}")
         return value % self.p
 
+    def read_rows(self, rows: Sequence[Sequence]) -> tuple[tuple, int]:
+        """The residue rows ``coerce`` makes of ``rows``, over 1.
+
+        Rows of ints in [0, p) are taken as they are, from checks that run
+        in C.  Any other rows go through ``coerce`` entry by entry, in row
+        order, so the first entry it refuses raises.
+        """
+        flat = list(chain.from_iterable(rows))
+        if set(map(type, flat)) <= {int} and (not flat or min(flat) >= 0 and max(flat) < self.p):
+            return tuple(map(tuple, rows)), 1
+        coerce = self.coerce
+        return tuple(tuple(map(coerce, row)) for row in rows), 1
+
     def cleared(self, rows: Sequence[Sequence[int]]) -> tuple[Sequence, int]:
         """Residue rows are integer rows already: ``rows`` over 1."""
         return rows, 1
@@ -207,6 +252,48 @@ QQ = RationalField()
 
 Field = RationalField | PrimeField
 
+_numerator = attrgetter("numerator")
+_denominator = attrgetter("denominator")
+
+
+class _Ratio(NamedTuple):
+    """The QQ entry a/b of an "a/b" string, with b > 1 and a, b coprime."""
+
+    numerator: int
+    denominator: int
+
+
+# the QQ entries that RationalField.read_rows clears as they are
+_EXACT_KINDS = frozenset({int, Fraction, _Ratio})
+
+
+def _read_entry(value):
+    """``value`` as an exact QQ entry, for ``serialize``'s reader.
+
+    A string "a" or "a/b", in ASCII digits with at most a leading minus
+    on a, is read into ints: an int, or a ``_Ratio`` when b does not
+    divide a.  Any other value, and such a string whose digits run past
+    Python's limit or whose b is 0, goes through ``QQ.coerce``, so it is
+    accepted or refused as it is there, with the same message.  An int is
+    returned as it is.
+    """
+    kind = type(value)
+    if kind is str:
+        a, slash, b = value.partition("/")
+        digits = a[1:] if a[:1] == "-" else a
+        if (digits.isdigit() and digits.isascii()
+                and (not slash or b.isdigit() and b.isascii())):
+            try:
+                num, den = int(a), int(b) if slash else 1
+            except ValueError:  # past the digit limit
+                return QQ.coerce(value)
+            if den:
+                g = gcd(num, den)
+                return num // g if den == g else _Ratio(num // g, den // g)
+    elif kind is int:
+        return value
+    return QQ.coerce(value)
+
 
 def GF(p: int) -> PrimeField:
     return PrimeField(p)
@@ -232,11 +319,12 @@ def _store(m: "Matrix", field: Field, cols: int, ints: tuple, den: int) -> "Matr
 class Matrix:
     """Immutable dense matrix: the integer rows ``ints`` over the denominator ``den``.
 
-    The public constructor checks the field, that the rows are lists or
-    tuples of one length, and coerces every entry into the field
-    (``ValidationError`` for each refusal); the field then clears the
-    rows, so a Matrix is always in canonical form: ``den`` is 1 over
-    GF(p), and over QQ the gcd of ``den`` and all of ``ints`` is 1.
+    The public constructor checks the field and that the rows are lists
+    or tuples of one length; the field's ``read_rows`` then takes every
+    entry as its ``coerce`` would (``ValidationError`` for the first it
+    refuses, in row order) and clears the rows, so a Matrix is always in
+    canonical form: ``den`` is 1 over GF(p), and over QQ the gcd of
+    ``den`` and all of ``ints`` is 1.
     ``Matrix._canonical`` trusts integer rows that are in that form
     already, and ``Matrix._lowest`` puts them there; both are only for
     results computed in this module.  ``data`` builds the entries.
@@ -258,13 +346,13 @@ class Matrix:
             cols = width
         elif cols is None:
             cols = 0
-        coerce = field.coerce
-        packed = []
-        for row in data:
+        for i, row in enumerate(data):
             if not isinstance(row, rowlike) or len(row) != cols:
+                # the entries of the rows above are read first, so one
+                # the field refuses there raises before the shape does
+                field.read_rows(data[:i])
                 raise ValidationError("ragged rows in matrix data")
-            packed.append(tuple(map(coerce, row)))
-        _store(self, field, cols, *field.cleared(tuple(packed)))
+        _store(self, field, cols, *field.read_rows(data))
 
     @classmethod
     def _canonical(cls, field: Field, rows: Iterable[Sequence[int]], cols: int,

@@ -3,16 +3,19 @@
 Rational entries travel as strings ("a/b" or "a") to avoid float loss;
 prime-field entries are plain ints with the modulus stated once in the
 field descriptor.  The reader builds matrices with the public ``Matrix``
-and weights with ``StabilityCondition``, so the field coerces each entry
-once; an entry it refuses is malformed input (``ParseError``).  Over QQ
-the reader coerces each distinct entry string once per document, and
-``Matrix`` clears those Fractions into integer rows over one
-denominator; the writer reads the entries back through ``data``.  The
-reader returns the ``Representation`` alone, which checks its matrix
-shapes itself; an ``affine`` quiver is checked by ``AffineQuiver`` and
-read as ``to_quiver`` builds it, and the writer refuses an ``affine``
-spelling that is not the representation's quiver (``ValidationError``).
-All writers emit canonically ordered, newline terminated documents so
+and weights with ``StabilityCondition``, so each entry is taken as its
+field's ``coerce`` takes it; an entry the field refuses is malformed
+input (``ParseError``).  Over QQ the reader reads each distinct entry
+string once per document (``_RationalReader``): "a" and "a/b" in ASCII
+digits straight into ints, any other through ``QQ.coerce``; ``Matrix``
+then clears each matrix into integer rows over one denominator in one
+call of the field, and over GF(p) takes rows of residues as they are.
+The writer reads the entries back through ``data``.  The reader
+returns the ``Representation`` alone, which checks its matrix shapes
+itself; an ``affine`` quiver is checked by ``AffineQuiver`` and read as
+``to_quiver`` builds it, and the writer refuses an ``affine`` spelling
+that is not the representation's quiver (``ValidationError``).  All
+writers emit canonically ordered, newline terminated documents so
 repeated runs are byte-identical.
 """
 
@@ -23,7 +26,8 @@ import json
 from .affine import AffineQuiver, NClass, TClass, to_quiver
 from .errors import ParseError, ValidationError, check_type, is_int, shown
 from .hn import HNReport
-from .linalg import Field, GF, Matrix, PrimeField, QQ, RationalField, check_field
+from .linalg import (Field, GF, Matrix, PrimeField, QQ, RationalField, _read_entry,
+                     check_field)
 from .quiver import Quiver, Representation, StabilityCondition
 from .zigzag import Barcode, Interval, check_multiplicities
 
@@ -63,25 +67,29 @@ def _entry_to_json(fld: Field, value):
     return str(value)
 
 
-def _rational_reader(fld: RationalField):
-    """``fld.coerce`` that converts each distinct string once.
+class _RationalReader(dict):
+    """One document's QQ entries read exact, each distinct string once.
 
-    Only strings are kept: ``True == 1`` and they hash alike, so a JSON
-    ``true`` keyed with the rest would borrow the Fraction of ``1``.  A
+    A lookup that misses reads the entry with ``linalg._read_entry``: ints
+    for "a" and "a/b" strings in ASCII digits, and ``QQ.coerce`` for the
+    rest.  Only strings are kept: ``True == 1`` and they hash alike, so a
+    JSON ``true`` keyed with the rest would borrow the value of ``1``.  A
     refused string is not kept, and raises again wherever it occurs.
     """
-    seen: dict[str, object] = {}
-    coerce = fld.coerce
 
-    def read(value):
-        if type(value) is not str:
-            return coerce(value)
-        got = seen.get(value)
-        if got is None:
-            got = seen[value] = coerce(value)
+    def __missing__(self, value):
+        got = _read_entry(value)
+        if type(value) is str:
+            self[value] = got
         return got
 
-    return read
+    def rows(self, rows: list) -> list:
+        """``rows`` with each entry read; as they are if one cannot be a key."""
+        read = self.__getitem__
+        try:
+            return [list(map(read, row)) for row in rows]
+        except TypeError:  # an unhashable entry, which Matrix refuses in its place
+            return rows
 
 
 def instance_to_json(rep: Representation, affine: AffineQuiver | None = None) -> dict:
@@ -139,7 +147,7 @@ def instance_from_json(doc) -> Representation:
     mat_docs = _need(doc, "matrices", list, "instance")
     slots: dict[int, Matrix] = {}
     # QQ entry strings repeat across a document: each is read once
-    read = _rational_reader(fld) if isinstance(fld, RationalField) else None
+    reader = _RationalReader() if isinstance(fld, RationalField) else None
     for mobj in mat_docs:
         e = _need(mobj, "edge", int, "matrix")
         if e < 0 or e >= len(quiver.edges):
@@ -153,8 +161,8 @@ def instance_from_json(doc) -> Representation:
         if any(len(row) != width for row in rows):
             raise ValidationError("ragged rows in matrix data")
         try:
-            if read is not None:
-                rows = [list(map(read, row)) for row in rows]
+            if reader is not None:
+                rows = reader.rows(rows)
             slots[e] = Matrix(fld, rows, width)
         except ValidationError as exc:
             raise ParseError(f"matrix {e}: {exc}") from exc

@@ -17,9 +17,16 @@ The oracle's walk is pinned beside them: ``hn._destabilizer`` passes,
 enumerations (calls of ``hn._superspaces``) and the superspaces they
 yield.  Making the walk's steps cheaper moves the work pins and leaves
 these alone.
+
+So is the number of ``Fraction``s built over the round, most of them by
+reading QQ instances before their entry strings were read into ints.
+Each instance file of the round must also come back byte for byte
+through ``instance_from_json`` and ``instance_to_json``.
 """
 
+import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -30,7 +37,9 @@ import harness  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 from hnzz import hn, linalg  # noqa: E402
+from hnzz.affine import AffineQuiver  # noqa: E402
 from hnzz.linalg import PrimeField, RationalField  # noqa: E402
+from hnzz.serialize import instance_from_json, instance_to_json, load_json  # noqa: E402
 
 # (eliminations, row updates) of one seed-1 round's requests; products
 # accumulate in ints and make no row updates
@@ -56,6 +65,24 @@ ORACLE_WALK = {
 }
 
 
+# Fractions built over the same round: the QQ entries that ``data`` writes
+# back, slopes and weights; QQ instance entries are read into ints
+ROUND_FRACTIONS = {
+    "lift-long": 693,
+    "zigzag-rational": 144,
+    "oracle-certify": 1614,
+}
+
+
+def assert_round_trips(path: str) -> None:
+    """The instance file at ``path`` comes back byte for byte from what is read."""
+    text = Path(path).read_text(encoding="utf-8")
+    doc = load_json(path)
+    spelled = doc["quiver"].get("affine")
+    affine = AffineQuiver(spelled["n"], tuple(spelled["orientation"])) if spelled else None
+    assert json.dumps(instance_to_json(instance_from_json(doc), affine), indent=2) + "\n" == text
+
+
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_workload_round_passes_its_checks(name, tmp_path, count_calls, monkeypatch):
     work = tmp_path / name
@@ -74,9 +101,15 @@ def test_workload_round_passes_its_checks(name, tmp_path, count_calls, monkeypat
     eliminations = count_calls(linalg, "_gauss_jordan")
     row_updates = [count_calls(field, "row_update") for field in (RationalField, PrimeField)]
     products = [count_calls(field, "product") for field in (RationalField, PrimeField)]
+    fractions = count_calls(Fraction, "__new__")
     problems = [problem for _, problem, _ in map(harness.run_request, requests) if problem]
     assert problems == []
     work_done = (len(eliminations), sum(map(len, row_updates)))
     assert work_done == ROUND_WORK[name]
     assert sum(map(len, products)) == ROUND_PRODUCTS[name]
     assert (*map(len, walk), len(superspaces)) == ORACLE_WALK[name]
+    assert len(fractions) == ROUND_FRACTIONS[name]
+    instances = sorted({r.argv[1] for r in requests if r.kind != "verify"})
+    assert instances
+    for path in instances:
+        assert_round_trips(path)

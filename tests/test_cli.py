@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 import hnzz
-from hnzz import campaign, cli
+from hnzz import campaign, cli, serialize
 from hnzz.affine import AffineQuiver, CCW, CW, NClass, indec_N, indec_T, to_quiver
 from hnzz.cli import main
 from hnzz.generators import equioriented_quiver, gen_affine
@@ -681,9 +681,9 @@ class TestMalformedInput:
         assert run(["barcode", inp]) == 2
         assert capsys.readouterr().err == err
 
-    def test_repeated_entry_strings_read_once(self, tmp_path, count_calls):
-        # one Fraction per distinct string of the document, however often it
-        # occurs in the matrices; ints are read as before
+    def test_repeated_entry_strings_read_once(self, tmp_path, monkeypatch, count_calls):
+        # one read per distinct string of the document, however often it
+        # occurs in the matrices, and each into ints: no Fraction is built
         q = Quiver(3, ((0, 1), (2, 1)))
         doc = instance_to_json(Representation(q, QQ, (2, 2, 1), (Matrix.zeros(QQ, 2, 2),
                                                                   Matrix.zeros(QQ, 2, 1))))
@@ -692,9 +692,12 @@ class TestMalformedInput:
         inp = tmp_path / "inst.json"
         write_json(str(inp), doc)
         raw = load_json(str(inp))
+        reads, read_entry = [], serialize._read_entry
+        monkeypatch.setattr(serialize, "_read_entry", lambda v: reads.append(v) or read_entry(v))
         built = count_calls(Fraction, "__new__")
         first, second = instance_from_json(raw).mats
-        assert len(built) == 3  # "2/4", "-3" and the int 7
+        assert reads == ["2/4", "-3", 7]  # an int is read where it occurs, as it was
+        assert len(built) == 0
         assert first.data == ((Fraction(1, 2), -3), (Fraction(1, 2), Fraction(1, 2)))
         assert second.data == ((-3,), (7,))
         for row in first.data + second.data:

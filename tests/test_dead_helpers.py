@@ -19,13 +19,16 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 # entry points the README documents for library callers (``lift_truncated``
-# is the paper's unwinding, which ``classify_lift`` sweeps without building),
-# and the tests' independent subspace checker
+# is the paper's unwinding, which ``classify_lift`` sweeps without building;
+# ``recover_N_multiplicities`` reads one class, and ``campaign.check_b``
+# reads many through the same private step), and the tests' independent
+# subspace checker
 KEEP = {
     "is_semistable",
     "hn_r_filtration_eval",
     "sheaf_euler_characteristic",
     "recover_barcode_via_truncations",
+    "recover_N_multiplicities",
     "lift_truncated",
     "subspace_contains",
 }

@@ -153,6 +153,23 @@ class TestConstructor:
         with pytest.raises(ValidationError):
             Matrix(QQ, [[1, 2]], cols=3)
 
+    @pytest.mark.parametrize(
+        "fld,data,err",
+        [
+            (QQ, [[True], [1, 2]], "QQ entry must be exact, not bool"),
+            (QQ, [["1/2"], ["1/0", 2]], "ragged rows in matrix data"),
+            (QQ, [["1/2"], [1], "1"], "ragged rows in matrix data"),
+            (GF(2), [[0], [1.5], [1, 2]], "GF(2) entry must be an int, not float"),
+            (GF(2), [[-1], [7, 2]], "ragged rows in matrix data"),
+        ],
+    )
+    def test_entries_above_a_ragged_row_refuse_first(self, fld, data, err):
+        # entries are read row by row, so a refused entry in the rows above
+        # the first ragged row is the error, and one in that row is not
+        with pytest.raises(ValidationError) as info:
+            Matrix(fld, data)
+        assert str(info.value) == err
+
     @pytest.mark.parametrize("attr", ["field", "rows", "cols", "ints", "den", "data", "other"])
     def test_attributes_are_read_only(self, attr):
         # one matrix from each constructor: the public one and the trusted one

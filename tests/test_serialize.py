@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -7,7 +8,7 @@ from hnzz.errors import ParseError, ShapeError, ValidationError
 from hnzz.affine import AffineQuiver, CCW, CW, NClass, affine_of_quiver, eta_from_lift, indec_N
 from hnzz.generators import gen_affine, gen_persistence
 from hnzz.hn import hn_bruteforce
-from hnzz.linalg import GF, QQ
+from hnzz.linalg import GF, QQ, Matrix
 from hnzz.quiver import direct_sum, euler_stability
 from hnzz.serialize import (
     _field_from_json,
@@ -95,6 +96,91 @@ class TestInstanceRoundTrip:
         for mobj in doc["matrices"]:
             for row in mobj["rows"]:
                 assert all(isinstance(x, str) for x in row)
+
+
+def coerced_then_cleared(fld, rows):
+    """The matrix read as the reader once read it: ``fld.coerce`` on each
+    entry in row order, then the entries over their least common
+    denominator; or the message of the first entry refused."""
+    try:
+        entries = [[Fraction(fld.coerce(x)) for x in row] for row in rows]
+    except ValidationError as exc:
+        return str(exc)
+    den = lcm(*(x.denominator for row in entries for x in row))
+    return tuple(tuple(int(x * den) for x in row) for row in entries), den
+
+
+def read_by_reader(fld, rows):
+    """The ``(ints, den)`` of ``rows`` read as an instance's one matrix, or the
+    ParseError message without its "matrix 0: " prefix."""
+    doc = {
+        "field": _field_to_json(fld),
+        "quiver": {"vertices": 2, "edges": [{"src": 0, "dst": 1}]},
+        "dims": [len(rows[0]), len(rows)],
+        "matrices": [{"edge": 0, "rows": rows}],
+    }
+    try:
+        m = instance_from_json(doc).mats[0]
+    except ParseError as exc:
+        assert str(exc).startswith("matrix 0: ")
+        return str(exc).removeprefix("matrix 0: ")
+    return m.ints, m.den
+
+
+def read_by_matrix(fld, rows):
+    try:
+        m = Matrix(fld, rows)
+    except ValidationError as exc:
+        return str(exc)
+    return m.ints, m.den
+
+
+# entries each route must read as ``coerce`` does, or refuse with its words
+QQ_ENTRIES = [
+    "0", "-0", "007", "-12", "+5", " 5 ", "5\n", "\u0663", "\u00b2", "1_000", "-", "--3", "",
+    "1/0", "2/4", "-3/6", "10/5", "1/-2", "0/5", "-0/7", "3/", "/3", "1/2/3", "-.5", "0.5",
+    "1e3", "9" * 3999, "9" * 4301, "2/" + "3" * 4301, "-" + "9" * 4300,
+    True, False, None, 1.5, [1], {}, 7, -7, 10**50,
+]
+GF_ENTRIES = [0, 1, 2, -1, -7, 3, 5, 10**4999, True, False, 1.5, "1", None, [1], Fraction(1, 2)]
+
+
+class TestReaderAgainstCoerce:
+    """The reader and ``Matrix`` read a matrix as coercing each entry did."""
+
+    @staticmethod
+    def matrices(entry, plain):
+        # the entry alone, first and last among plain ones, and beside a
+        # refused entry on either side
+        refused = "1/0"
+        return [
+            [[entry]],
+            [[entry, plain[0]], [plain[1], plain[2]]],
+            [[plain[0], plain[1]], [plain[2], entry]],
+            [[refused, entry]],
+            [[entry, refused]],
+        ]
+
+    @pytest.mark.parametrize("entry", QQ_ENTRIES, ids=range(len(QQ_ENTRIES)))
+    def test_rational(self, entry):
+        for rows in self.matrices(entry, ["1", "2/4", "-3"]):
+            want = coerced_then_cleared(QQ, rows)
+            assert read_by_reader(QQ, rows) == want
+            assert read_by_matrix(QQ, rows) == want
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("entry", GF_ENTRIES, ids=range(len(GF_ENTRIES)))
+    def test_prime(self, p, entry):
+        for rows in self.matrices(entry, [0, 1, p - 1]):
+            want = coerced_then_cleared(GF(p), rows)
+            assert read_by_reader(GF(p), rows) == want
+            assert read_by_matrix(GF(p), rows) == want
+
+    def test_rows_of_plain_entries(self):
+        rows = [["1/2", "-2/3", "0"], ["4", "6/8", "-9/3"]]
+        assert read_by_reader(QQ, rows) == (((6, -8, 0), (48, 9, -36)), 12)
+        assert read_by_reader(QQ, [["-3", "10/5"], ["0", "7"]]) == (((-3, 2), (0, 7)), 1)
+        assert read_by_reader(GF(3), [[0, 2], [1, 1]]) == (((0, 2), (1, 1)), 1)
 
 
 class TestReportCodecs:
