@@ -96,9 +96,11 @@ def gen_persistence(
 ) -> tuple[Representation, dict[Interval, int]]:
     """Conjugated random interval sum on ``quiver``, a path on n vertices
     (by default the equioriented one), capped as ``_capped_sum`` says.
-    ``n`` and ``max_summands`` are refused past ``GEN_MAX_N`` and
-    ``GEN_MAX_SUMMANDS``."""
+    ``n`` is refused below 1, and ``n`` and ``max_summands`` past
+    ``GEN_MAX_N`` and ``GEN_MAX_SUMMANDS``."""
     _check_gen_size(n, min_summands, max_summands, (total_cap, vertex_cap))
+    if n < 1:
+        raise ValidationError("a persistence path needs at least one vertex")
     check_type(rng, random.Random, "random source")
     q = equioriented_quiver(n) if quiver is None else quiver
 

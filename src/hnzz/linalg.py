@@ -20,9 +20,11 @@ to the field's ``read_rows``.  That takes each entry as the field's
 (ints, den) pair.  Rows of ints (in [0, p) over GF(p)), and over QQ rows
 of ints and Fractions, are checked and cleared with no Python call per
 entry; any other rows go through ``coerce`` entry by entry.  Results
-computed here skip that pass: ``inverse`` and ``_from_columns`` clear
-exact rows with the field's ``cleared``, and the private
-``Matrix._canonical`` takes integer rows as they are.
+computed here skip that pass: the private ``Matrix._canonical`` takes
+integer rows over a den as they are, and a den past 1 goes to the
+field's ``lowest``, which divides rows and den by their gcd over QQ and,
+over GF(p), where only ``inverse`` passes one, multiplies the rows by
+its inverse mod p.
 
 A public name refuses a wrong argument; a private one trusts its
 callers here, which pass what checked constructors built: the sweep's
@@ -43,11 +45,11 @@ through one kernel.  The field supplies the rest: its row update
 (fraction-free with a gcd over QQ, in residues over GF(p)), its product
 (packed rows over a small GF(p), as in M4RI: Albrecht, Bard and Hart,
 ACM TOMS 2010), the reduction of an integer row to canonical entries,
-the gcd division of a basis's columns (QQ only), and the write-back of a
-row divided by its pivot.  No rank, pivot or span moves when a matrix
-is scaled by a nonzero scalar, so the flag operations read ``ints``
-alone and return bases with ``den`` 1, and the barcode sweep builds no
-``Fraction``.
+the lowest terms of integer rows over a den, the gcd division of a
+basis's columns (QQ only), and the write-back of a row divided by its
+pivot.  No rank, pivot or span moves when a matrix is scaled by a
+nonzero scalar, so the flag operations read ``ints`` alone and return
+bases with ``den`` 1, and the barcode sweep builds no ``Fraction``.
 """
 
 from __future__ import annotations
@@ -103,12 +105,13 @@ class RationalField:
             raise ValidationError(f"QQ entry {shown(value)} is not a rational") from exc
 
     def read_rows(self, rows: Sequence[Sequence]) -> tuple[tuple, int]:
-        """``cleared`` of the entries ``coerce`` makes of ``rows``, with no call per entry.
+        """The integer rows and least den whose quotient is what ``coerce`` makes of ``rows``.
 
         Rows of ints are integer rows over 1 as they are, and rows of ints,
-        Fractions and ``_read_entry``'s ``_Ratio`` pairs are cleared as they
-        are.  Any other rows go through ``coerce`` entry by entry, in row
-        order, so the first entry it refuses raises.
+        Fractions and ``_read_entry``'s ``_Ratio`` pairs are cleared over
+        the lcm of their denominators with no call per entry.  Any other
+        rows go through ``coerce`` entry by entry, in row order, so the
+        first entry it refuses raises.
         """
         kinds = set(map(type, chain.from_iterable(rows)))
         if kinds <= {int}:
@@ -116,17 +119,17 @@ class RationalField:
         if not kinds <= _EXACT_KINDS:
             coerce = self.coerce
             rows = [list(map(coerce, row)) for row in rows]
-        return self.cleared(rows)
-
-    def cleared(self, rows: Sequence[Sequence]) -> tuple[tuple, int]:
-        """Integer rows and the least positive den that make ``rows`` their quotient.
-
-        The entries are exact already: ints, Fractions or ``_Ratio`` pairs.
-        """
         den = lcm(*map(_denominator, chain.from_iterable(rows)))
         if den == 1:
             return tuple(tuple(map(_numerator, row)) for row in rows), 1
         return tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in rows), den
+
+    def lowest(self, rows: Sequence[Sequence[int]], den: int) -> tuple[Sequence, int]:
+        """Integer rows over ``den`` and ``den``, both divided by the gcd of all of them."""
+        g = gcd(den, *chain.from_iterable(rows))
+        if g > 1:
+            return [[x // g for x in row] for row in rows], den // g
+        return rows, den
 
     def row_update(self, row: Sequence[int], a: int, b: int, prow: Sequence[int]) -> list[int]:
         """``a * row - b * prow`` divided by the gcd of its entries: the fraction-free step."""
@@ -198,9 +201,11 @@ class PrimeField:
         coerce = self.coerce
         return tuple(tuple(map(coerce, row)) for row in rows), 1
 
-    def cleared(self, rows: Sequence[Sequence[int]]) -> tuple[Sequence, int]:
-        """Residue rows are integer rows already: ``rows`` over 1."""
-        return rows, 1
+    def lowest(self, rows: Sequence[Sequence[int]], den: int) -> tuple[Sequence, int]:
+        """Integer rows over ``den``, a unit mod p, as residue rows over 1."""
+        p = self.p
+        f = pow(den, -1, p)
+        return [[x * f % p for x in row] for row in rows], 1
 
     def row_update(self, row: Sequence[int], a: int, b: int, prow: Sequence[int]) -> list[int]:
         """``a * row - b * prow`` in residues."""
@@ -325,9 +330,9 @@ class Matrix:
     refuses, in row order) and clears the rows, so a Matrix is always in
     canonical form: ``den`` is 1 over GF(p), and over QQ the gcd of
     ``den`` and all of ``ints`` is 1.
-    ``Matrix._canonical`` trusts integer rows that are in that form
-    already, and ``Matrix._lowest`` puts them there; both are only for
-    results computed in this module.  ``data`` builds the entries.
+    ``Matrix._canonical`` trusts integer rows over a den and puts them in
+    that form with the field's ``lowest``; it is only for results computed
+    in this module.  ``data`` builds the entries.
     """
 
     __slots__ = ("field", "rows", "cols", "ints", "den")
@@ -355,20 +360,12 @@ class Matrix:
         _store(self, field, cols, *field.read_rows(data))
 
     @classmethod
-    def _canonical(cls, field: Field, rows: Iterable[Sequence[int]], cols: int,
+    def _canonical(cls, field: Field, rows: Sequence[Sequence[int]], cols: int,
                    den: int = 1) -> "Matrix":
-        """The Matrix of integer rows over ``den`` already in lowest terms: no checks."""
-        return _store(object.__new__(cls), field, cols, tuple(map(tuple, rows)), den)
-
-    @classmethod
-    def _lowest(cls, field: Field, rows: Sequence[Sequence[int]], cols: int, den: int) -> "Matrix":
-        """The Matrix of integer rows over ``den``, both divided by the gcd of all of them."""
+        """The Matrix of integer rows over ``den``, put in lowest terms by ``field.lowest``."""
         if den > 1:
-            g = gcd(den, *chain.from_iterable(rows))
-            if g > 1:
-                den //= g
-                rows = [[x // g for x in row] for row in rows]
-        return cls._canonical(field, rows, cols, den)
+            rows, den = field.lowest(rows, den)
+        return _store(object.__new__(cls), field, cols, tuple(map(tuple, rows)), den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -419,8 +416,8 @@ class Matrix:
                 f"matmul shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
             )
         field, cols = self.field, other.cols
-        return Matrix._lowest(field, field.product(self.ints, other.ints, cols), cols,
-                              self.den * other.den)
+        return Matrix._canonical(field, field.product(self.ints, other.ints, cols), cols,
+                                 self.den * other.den)
 
 
 # the setters of Matrix's slots, in ``__slots__`` order: faster than object.__setattr__
@@ -428,7 +425,7 @@ _SLOT_SETTERS = tuple(Matrix.__dict__[name].__set__ for name in Matrix.__slots__
 
 
 def _block_diag(a: Matrix, b: Matrix) -> Matrix:
-    # both blocks over the lcm of their denominators, which leaves no common factor
+    # both blocks over the lcm of their denominators
     den = lcm(a.den, b.den)
     sa, sb = den // a.den, den // b.den
     rows = [[x * sa for x in row] + [0] * b.cols for row in a.ints]
@@ -441,9 +438,9 @@ def _gauss_jordan(field: Field, work: list[Sequence[int]], reduced: bool = True)
 
     Returns the pivot columns; row i holds the pivot of column
     ``pivots[i]`` and every row past the last pivot is zero.  This is the
-    one elimination loop of the package: ``rank``, ``inverse``,
-    ``subspace_contains``, ``_span_with_image``, ``_flag_image``,
-    ``_flag_preimage``, ``_flag_completed`` and ``_scaled_inverse`` run
+    one elimination loop of the package: ``rank``, ``subspace_contains``,
+    ``_span_with_image``, ``_flag_image``, ``_flag_preimage``,
+    ``_flag_completed`` and ``_scaled_inverse`` (``inverse``'s too) run
     through it (a kernel is the ``_flag_preimage`` of the zero subspace),
     and no other code takes a row step.  With ``reduced=False`` only the
     rows below each pivot are cleared: the pivots are the same, at about
@@ -461,8 +458,8 @@ def _gauss_jordan(field: Field, work: list[Sequence[int]], reduced: bool = True)
     multiple of the row that textbook elimination holds at the same step,
     the pivots and row updates are the same, and a full reduction leaves
     pivot row i as its pivot times the reduced row.  ``_flag_preimage``
-    and ``_scaled_inverse`` read those rows as they are; ``_echelon`` and
-    ``inverse`` write them back.
+    and ``_scaled_inverse`` read those rows as they are; ``_echelon``
+    writes them back.
     """
     update = field.row_update
     nr = len(work)
@@ -508,25 +505,18 @@ def rank(m: Matrix) -> int:
     return len(_gauss_jordan(m.field, list(m.ints), reduced=False))
 
 
-def _with_identity(rows: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """The integer rows of [rows | I]."""
-    n = len(rows)
-    return [row + tuple(int(i == j) for j in range(n)) for i, row in enumerate(rows)]
-
-
 def inverse(m: Matrix) -> Matrix:
-    """The inverse of ``m``, from one reduction of [m.ints | I]."""
+    """The inverse of ``m``: its ``_scaled_inverse`` times m.den over the scalar."""
     check_type(m, Matrix, "inverse input")
     if m.rows != m.cols:
         raise ValidationError("inverse of a non-square matrix")
-    field, n = m.field, m.rows
-    work = _with_identity(m.ints)
-    pivots = _gauss_jordan(field, work)
-    if pivots and pivots[-1] >= n:
+    scaled = _scaled_inverse(m)
+    if scaled is None:
         raise ValidationError("matrix is not invertible")
-    # the right half of row i over its pivot is row i of the inverse of m.ints
-    ints, den = field.cleared([field.write_back(row[n:], row[i]) for i, row in enumerate(work)])
-    return Matrix._lowest(field, [[x * m.den for x in row] for row in ints], n, den)
+    inv, scale = scaled
+    # m is ints / m.den, so its inverse is m.den times inv / scale
+    rows = inv.ints if m.den == 1 else [[x * m.den for x in row] for row in inv.ints]
+    return Matrix._canonical(m.field, rows, m.rows, scale)
 
 
 def random_invertible_rng(dim: int, field: Field, rng: random.Random) -> Matrix:
@@ -594,10 +584,9 @@ def _columns(m: Matrix) -> tuple[tuple[int, ...], ...]:
     return tuple(zip(*m.ints))
 
 
-def _from_columns(field: Field, vectors: Sequence[Sequence], dim: int) -> Matrix:
-    """The dim x k Matrix whose columns are the k ``vectors`` of canonical entries."""
-    ints, den = field.cleared(list(zip(*vectors)) if vectors else [()] * dim)
-    return Matrix._canonical(field, ints, len(vectors), den)
+def _from_columns(field: PrimeField, vectors: Sequence[Sequence[int]], dim: int) -> Matrix:
+    """The dim x k Matrix over GF(p) whose columns are the k residue ``vectors``."""
+    return Matrix._canonical(field, list(zip(*vectors)) if vectors else [()] * dim, len(vectors))
 
 
 def _span_with_image(field: Field, floor: tuple[tuple, ...], basis: Sequence[Sequence[int]],
@@ -743,25 +732,27 @@ def _flag_moved(m: Matrix, basis: Matrix, dims: Sequence[int]) -> tuple[Matrix, 
     return Matrix._canonical(field, moved, basis.cols), list(dims)
 
 
-def _scaled_inverse(m: Matrix) -> Matrix | None:
-    """m's inverse times one nonzero scalar, from one RREF of [m.ints | I]; None if singular.
+def _scaled_inverse(m: Matrix) -> tuple[Matrix, int] | None:
+    """The inverse of m.ints times the lcm L of its pivots, and L; None if m is singular.
 
-    Full reduction leaves row i as its pivot times the reduced row, so the
-    right half of row i, times the lcm of the pivots over that pivot, is
-    row i of the inverse times that lcm, as ``_flag_preimage`` builds its
-    kernel vectors.  A non-square m is refused with no elimination.
+    This is the one elimination of [m.ints | I].  Full reduction leaves
+    row i as its pivot times the reduced row, so the right half of row i,
+    times L over that pivot, is row i of the inverse times L, as
+    ``_flag_preimage`` builds its kernel vectors.  L divides the product
+    of the pivots, so over GF(p) it is a unit.  A non-square m is refused
+    with no elimination.
     """
     n = m.rows
     if m.cols != n:
         return None
-    work = _with_identity(m.ints)
+    work = [row + tuple(int(i == j) for j in range(n)) for i, row in enumerate(m.ints)]
     pivots = _gauss_jordan(m.field, work)
     if pivots and pivots[-1] >= n:
         return None
     den = lcm(*[work[i][i] for i in range(n)])
     reduce = m.field.reduce
     scaled = [reduce([x * (den // row[i]) for x in row[n:]]) for i, row in enumerate(work)]
-    return Matrix._canonical(m.field, scaled, n)
+    return Matrix._canonical(m.field, scaled, n), den
 
 
 def _flag_completed(basis: Matrix) -> Matrix:

@@ -99,8 +99,9 @@ injective edge pointing right onto its image.  So an edge pointing right
 whose matrix has full column rank (one rank), or an edge pointing left
 whose square matrix inverts (one RREF of [m | I]), moves the flag by a
 product with that matrix or with its inverse, ``_flag_moved``, dims
-unchanged.  The inverse is m's inverse times the lcm of the pivots, a
-global scalar that no column span sees.  A trivial flag keeps its dims
+unchanged.  That inverse is the matrix of ``_scaled_inverse``: the
+inverse of m's integer rows times the lcm of its pivots, a global scalar
+that no column span sees.  A trivial flag keeps its dims
 across a bijection, which maps 0 to 0 and the whole space to the whole
 space, and its basis, which is never read.  Every other edge, and
 every edge of an aperiodic path, takes ``_flag_image`` or
@@ -123,7 +124,8 @@ from collections import deque
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
-from .errors import InternalCheckError, ShapeError, ValidationError, check_ints, check_type, shown
+from .errors import (InternalCheckError, ShapeError, ValidationError, check_counts, check_ints,
+                     check_type, shown)
 from .linalg import (
     Field,
     Matrix,
@@ -193,7 +195,7 @@ class Barcode:
         return Barcode(tuple(sorted(d.items())))
 
     def dims_vector(self, n: int) -> tuple[int, ...]:
-        check_ints((n,), "path length")
+        check_counts((n,), "path length")
         dims = [0] * n
         for iv, mult in self.entries:
             iv.check_on_path(n)
@@ -369,9 +371,9 @@ def _crossing(m: Matrix, forward: bool, periodic: bool) -> tuple:
             if rank(m) == m.cols:
                 return _flag_moved, m
         else:
-            inverse = _scaled_inverse(m)
-            if inverse is not None:
-                return _flag_moved, inverse
+            scaled = _scaled_inverse(m)
+            if scaled is not None:
+                return _flag_moved, scaled[0]
     return (_flag_image if forward else _flag_preimage), m
 
 

@@ -352,6 +352,19 @@ class TestBijectiveCrossings:
             assert (d_inf, classes) == (3, {})
             assert len(eliminations) == n
 
+    def test_rational_bijections_cross_with_no_fraction(self, count_calls):
+        # over QQ a bijection pointing left is crossed by the integer rows
+        # of its _scaled_inverse, so the window of a conjugated Jordan cell
+        # on a cycle with a counterclockwise edge is swept with no Fraction
+        rng = make_rng(37)
+        rep = indec_T(EX, Fraction(-2, 3), 2, QQ)
+        rep = conjugate(rep, conjugating_bases(rep, rng))
+        inverses = count_calls(zigzag, "_scaled_inverse")
+        built = count_calls(Fraction, "__new__")
+        d_inf, classes, _ = classify_lift(rep)
+        assert (d_inf, classes) == (2, {})
+        assert len(inverses) == 1 and len(built) == 0
+
     @pytest.mark.parametrize("n", [50, 100])
     def test_rational_cycle_exact_with_small_entries(self, n, monkeypatch):
         # a wrapped interval winding three times plus a size-2 cell over QQ,

@@ -2,7 +2,7 @@
 
 Each public entry below is called once with valid arguments, then with
 each argument in turn, keyword arguments included, replaced by ``None``,
-``-1``, ``1.5``, ``True`` and ``"x"``.  Only hnzz's five exception
+``0``, ``-1``, ``1.5``, ``True`` and ``"x"``.  Only hnzz's five exception
 classes may come out.  The entries are every public function and class
 of the library modules (``errors``, which holds the rules themselves, is
 not one), minus ``SKIPPED``; a new public name that is in neither table
@@ -28,7 +28,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 MODULES = ("linalg", "quiver", "zigzag", "hn", "affine", "campaign", "serialize", "generators")
-BAD = (None, -1, 1.5, True, "x")
+BAD = (None, 0, -1, 1.5, True, "x")
 ADDRESS_SPACE = 1 << 30  # bytes the child may map
 ALARM_S = 5  # the child's wall-clock limit; its calls take well under a second
 

@@ -69,7 +69,8 @@ def column_echelon(m: Matrix) -> Matrix:
     Zero columns are dropped, so two matrices span the same subspace iff
     the results are equal.
     """
-    return _from_columns(m.field, linalg._echelon(m.field, linalg._columns(m))[0], m.rows)
+    vectors = linalg._echelon(m.field, linalg._columns(m))[0]
+    return Matrix(m.field, list(zip(*vectors)) if vectors else [()] * m.rows, len(vectors))
 
 
 def package_superspaces(floor: Matrix, k: int) -> list[Matrix]:
@@ -555,6 +556,17 @@ class TestRationalKernel:
         calls = [count_calls(Fraction, name) for name in FRACTION_ARITHMETIC]
         package_rref(m), rank(m), inverse(m), m @ m
         assert sum(map(len, calls)) == 0
+
+    def test_inverse_builds_no_fraction(self, count_calls):
+        # the inverse is _scaled_inverse's integer rows over the lcm of the
+        # pivots, put in lowest terms on ints: no entry is written back
+        mats = [Matrix(QQ, [[Fraction(1, 3), Fraction(-2, 2**70)], [5, Fraction(7, 9)]]),
+                random_invertible_rng(5, QQ, random.Random(3))]
+        built = count_calls(Fraction, "__new__")
+        inverses = [inverse(m) for m in mats]
+        assert len(built) == 0
+        for m, inv in zip(mats, inverses):
+            assert inv.den > 1 and m @ inv == Matrix.identity(QQ, m.rows)
 
 
 def plain_product(fld, left, right, cols) -> list[list[int]]:

@@ -387,6 +387,9 @@ def test_summand_entries_at_the_cap_built():
          "min_summands 5 exceeds max_summands 2"),
         (lambda: gen_affine(3, GF(2), 2, random.Random(0), max_len=-1), ValidationError,
          "generator size -1 is negative"),
+        (lambda: gen_persistence(0, GF(2), 1, random.Random(0)), ValidationError,
+         "needs at least one vertex"),
+        (lambda: Barcode(()).dims_vector(-1), ValidationError, "path length -1 is negative"),
     ],
     ids=[
         "AffineQuiver(bit 2)",
@@ -404,6 +407,8 @@ def test_summand_entries_at_the_cap_built():
         "slope_of_dims(dims (1, 1/2))",
         "gen_persistence(min_summands past max)",
         "gen_affine(max_len -1)",
+        "gen_persistence(n 0)",
+        "Barcode.dims_vector(n -1)",
     ],
 )
 def test_refusal_reached(build, error, message):
