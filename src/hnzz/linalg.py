@@ -21,10 +21,9 @@ to the field's ``read_rows``.  That takes each entry as the field's
 of ints and Fractions, are checked and cleared with no Python call per
 entry; any other rows go through ``coerce`` entry by entry.  Results
 computed here skip that pass: the private ``Matrix._canonical`` takes
-integer rows over a den as they are, and a den past 1 goes to the
-field's ``lowest``, which divides rows and den by their gcd over QQ and,
-over GF(p), where only ``inverse`` passes one, multiplies the rows by
-its inverse mod p.
+integer rows over a den as they are, and a den past 1, which only QQ
+results have, goes to ``RationalField.lowest``, which divides rows and
+den by their gcd.
 
 A public name refuses a wrong argument; a private one trusts its
 callers here, which pass what checked constructors built: the sweep's
@@ -42,14 +41,19 @@ reduced ones, so equality of spans reduces to equality of basis matrices.
 
 Elimination and products run on the integer rows for every field,
 through one kernel.  The field supplies the rest: its row update
-(fraction-free with a gcd over QQ, in residues over GF(p)), its product
-(packed rows over a small GF(p), as in M4RI: Albrecht, Bard and Hart,
-ACM TOMS 2010), the reduction of an integer row to canonical entries,
-the lowest terms of integer rows over a den, the gcd division of a
-basis's columns (QQ only), and the write-back of a row divided by its
-pivot.  No rank, pivot or span moves when a matrix is scaled by a
-nonzero scalar, so the flag operations read ``ints`` alone and return
-bases with ``den`` 1, and the barcode sweep builds no ``Fraction``.
+(fraction-free with a gcd over QQ, in residues over GF(p)), its product,
+both on rows packed into one int, a byte per column, over a small GF(p)
+(the packed rows of M4RI: Albrecht, Bard and Hart, ACM TOMS 2010), the
+reduction of an integer row to canonical entries, the scalars that turn
+an eliminated [m | I] into an inverse, the lowest terms of integer rows
+over a den (QQ only), the gcd division of a basis's columns (QQ only),
+and the write-back of a row divided by its pivot.  A packed row step
+returns ``bytes``, which index and slice as residues do, so the rows an
+elimination leaves may be ``bytes``; each caller reads them or writes
+them back, and none leaves this module.  No rank, pivot or span moves
+when a matrix is scaled by a nonzero scalar, so the flag operations read
+``ints`` alone and return bases with ``den`` 1, and the barcode sweep
+builds no ``Fraction``.
 """
 
 from __future__ import annotations
@@ -149,6 +153,11 @@ class RationalField:
         right_cols = list(zip(*right)) if right else [()] * cols
         return [[sum(map(mul, lrow, col)) for col in right_cols] for lrow in left]
 
+    def inverse_scales(self, pivots: Sequence[int]) -> tuple[list[int], int]:
+        """Per pivot, the lcm L of ``pivots`` over it, and L: ``_scaled_inverse``'s scalars."""
+        den = lcm(*pivots)
+        return [den // x for x in pivots], den
+
     def primitive_columns(self, rows: Sequence[Sequence[int]]) -> Sequence[Sequence[int]]:
         """``rows`` with each column divided by the gcd of its entries: a smaller basis."""
         scales = [gcd(*col) for col in zip(*rows)]
@@ -179,6 +188,8 @@ class PrimeField:
         if not _is_prime(self.p):
             raise ValidationError(f"modulus {self.p} is not prime")
         object.__setattr__(self, "_residues", bytes(x % self.p for x in range(256)))
+        # whether a packed row step fits in bytes (``row_update``)
+        object.__setattr__(self, "_packs_rows", 2 * (self.p - 1) ** 2 < 256)
 
     zero = 0
     one = 1
@@ -201,15 +212,21 @@ class PrimeField:
         coerce = self.coerce
         return tuple(tuple(map(coerce, row)) for row in rows), 1
 
-    def lowest(self, rows: Sequence[Sequence[int]], den: int) -> tuple[Sequence, int]:
-        """Integer rows over ``den``, a unit mod p, as residue rows over 1."""
-        p = self.p
-        f = pow(den, -1, p)
-        return [[x * f % p for x in row] for row in rows], 1
+    def row_update(self, row: Sequence[int], a: int, b: int, prow: Sequence[int]) -> Sequence[int]:
+        """``a * row - b * prow`` in residues, for nonzero ``a``, ``b`` and rows in residues.
 
-    def row_update(self, row: Sequence[int], a: int, b: int, prow: Sequence[int]) -> list[int]:
-        """``a * row - b * prow`` in residues."""
+        While 2 * (p - 1)**2 < 256, so for p up to 11, each row is packed
+        into one int, a byte per column, as ``product`` packs its right
+        factor: the step is ``a * row + (p - b) * prow`` on the two ints, no
+        byte of which carries, unpacked by ``to_bytes`` and reduced through
+        the byte table.  The rows are read as they are, tuples of residues or
+        the ``bytes`` this step returns; past the bound the step is one
+        reduced entry per column.
+        """
         p = self.p
+        if self._packs_rows:
+            packed = a * int.from_bytes(row, "little") + (p - b) * int.from_bytes(prow, "little")
+            return packed.to_bytes(len(row), "little").translate(self._residues)
         return [(a * x - b * y) % p for x, y in zip(row, prow)]
 
     def reduce(self, row: list[int]) -> list[int]:
@@ -237,14 +254,19 @@ class PrimeField:
         right_cols = list(zip(*right)) if right else [()] * cols
         return [[sum(map(mul, lrow, col)) % p for col in right_cols] for lrow in left]
 
+    def inverse_scales(self, pivots: Sequence[int]) -> tuple[list[int], int]:
+        """Per pivot, its inverse mod p, and 1: ``_scaled_inverse`` returns the inverse itself."""
+        p = self.p
+        return [pow(x, -1, p) for x in pivots], 1
+
     def primitive_columns(self, rows: Sequence[Sequence[int]]) -> Sequence[Sequence[int]]:
         """``rows`` as they are: residues stay below p."""
         return rows
 
     def write_back(self, row: Sequence[int], d: int) -> Sequence[int]:
-        """``row / d`` in residues, for ``row`` in residues: as it is when d is 1."""
+        """``row / d`` in residues, for ``row`` in residues: as a tuple when d is 1."""
         if d == 1:
-            return row
+            return tuple(row)
         p = self.p
         f = pow(d, -1, p)
         return [x * f % p for x in row]
@@ -331,8 +353,8 @@ class Matrix:
     canonical form: ``den`` is 1 over GF(p), and over QQ the gcd of
     ``den`` and all of ``ints`` is 1.
     ``Matrix._canonical`` trusts integer rows over a den and puts them in
-    that form with the field's ``lowest``; it is only for results computed
-    in this module.  ``data`` builds the entries.
+    that form, a den past 1 (QQ only) with ``RationalField.lowest``; it is
+    only for results computed in this module.  ``data`` builds the entries.
     """
 
     __slots__ = ("field", "rows", "cols", "ints", "den")
@@ -362,7 +384,10 @@ class Matrix:
     @classmethod
     def _canonical(cls, field: Field, rows: Sequence[Sequence[int]], cols: int,
                    den: int = 1) -> "Matrix":
-        """The Matrix of integer rows over ``den``, put in lowest terms by ``field.lowest``."""
+        """The Matrix of integer rows over ``den``, put in lowest terms by ``field.lowest``.
+
+        Only a QQ result has a den past 1: over GF(p) every computed den is 1.
+        """
         if den > 1:
             rows, den = field.lowest(rows, den)
         return _store(object.__new__(cls), field, cols, tuple(map(tuple, rows)), den)
@@ -459,7 +484,9 @@ def _gauss_jordan(field: Field, work: list[Sequence[int]], reduced: bool = True)
     the pivots and row updates are the same, and a full reduction leaves
     pivot row i as its pivot times the reduced row.  ``_flag_preimage``
     and ``_scaled_inverse`` read those rows as they are; ``_echelon``
-    writes them back.
+    writes them back.  Over GF(p) for p up to 11 an updated row comes
+    back as the ``bytes`` of the field's packed step, which the next
+    update takes as it is, so a row that any update replaced is ``bytes``.
     """
     update = field.row_update
     nr = len(work)
@@ -491,7 +518,7 @@ def _echelon(field: Field, rows: Iterable[Sequence[int]]) -> tuple[list[Sequence
     """The nonzero reduced row-echelon rows of the integer ``rows``, and the pivots.
 
     Each pivot row that ``_gauss_jordan`` leaves is written back divided by
-    its pivot, in canonical entries.
+    its pivot, in canonical entries, so no ``bytes`` row is handed out.
     """
     work = list(rows)
     pivots = _gauss_jordan(field, work)
@@ -733,14 +760,16 @@ def _flag_moved(m: Matrix, basis: Matrix, dims: Sequence[int]) -> tuple[Matrix, 
 
 
 def _scaled_inverse(m: Matrix) -> tuple[Matrix, int] | None:
-    """The inverse of m.ints times the lcm L of its pivots, and L; None if m is singular.
+    """The inverse of m.ints times a nonzero scalar s, and s; None if m is singular.
 
     This is the one elimination of [m.ints | I].  Full reduction leaves
-    row i as its pivot times the reduced row, so the right half of row i,
-    times L over that pivot, is row i of the inverse times L, as
-    ``_flag_preimage`` builds its kernel vectors.  L divides the product
-    of the pivots, so over GF(p) it is a unit.  A non-square m is refused
-    with no elimination.
+    row i as its pivot times the reduced row, so the right half of row i
+    over its pivot is row i of the inverse.  The field's
+    ``inverse_scales`` gives each row's multiplier and s in one pass:
+    over QQ, the lcm L of the pivots over the pivot, and L, which keeps
+    the rows integer, as ``_flag_preimage`` builds its kernel vectors;
+    over GF(p), the pivot's inverse mod p, and 1.  A non-square m is
+    refused with no elimination.
     """
     n = m.rows
     if m.cols != n:
@@ -749,9 +778,9 @@ def _scaled_inverse(m: Matrix) -> tuple[Matrix, int] | None:
     pivots = _gauss_jordan(m.field, work)
     if pivots and pivots[-1] >= n:
         return None
-    den = lcm(*[work[i][i] for i in range(n)])
+    scales, den = m.field.inverse_scales([work[i][i] for i in range(n)])
     reduce = m.field.reduce
-    scaled = [reduce([x * (den // row[i]) for x in row[n:]]) for i, row in enumerate(work)]
+    scaled = [reduce([x * f for x in row[n:]]) for f, row in zip(scales, work)]
     return Matrix._canonical(m.field, scaled, n), den
 
 

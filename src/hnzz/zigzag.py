@@ -86,9 +86,20 @@ shifted marks of k - p, and this is exact:
 
 The rest of the sweep depends only on these members and the later
 edges, which repeat.  So from k on every rank row is the row p
-positions earlier with its starts shifted, and the remaining bars close
-by translation, with no elimination and no rank test.  Only the last p
-positions' marks and rows are kept.
+positions earlier with its starts shifted, and no row of k or later is
+built.  The bars close by translation instead, with no elimination, no
+rank row and no difference of rows:
+
+* the bars ending at k - 1 come from the last row swept and row k, which
+  is row k - p shifted;
+* for j - 1 >= k the bars d[., j-1] = g_{j-1} - g_j are those of
+  d[., j-1-p] shifted, since both rows are shifts and the shift is one
+  to one, so each bar ending at e >= k is a translate of one ending in
+  [k - p, k - 1];
+* the last row is a swept row shifted by a whole number of periods.
+
+Only the last p positions' marks (``_rank_rows``) and rows (``_bars``)
+are kept.
 
 On a periodic path every edge matrix object recurs, so the sweep works
 out once per object and direction whether crossing it needs an
@@ -274,21 +285,39 @@ def barcode(v: Representation) -> Barcode:
 
 def _bars(fld: Field, dims: tuple[int, ...], crossings: list[tuple[Matrix, bool]]) -> Barcode:
     """The barcode of the path of vertex dims ``dims`` whose position k > 0
-    is joined to k - 1 by ``crossings[k - 1]``, an (edge matrix, points right)."""
+    is joined to k - 1 by ``crossings[k - 1]``, an (edge matrix, points right).
+
+    The rank rows that ``_rank_rows`` sweeps give the bars ending before
+    its first repeat, and the rest close by translation (module docstring).
+    """
     n = len(dims)
     if n == 0:
         return Barcode(())
+    # matrices compare by value; the same object passes the tuple's identity test
+    period = _least_period(crossings)
+    if period == len(crossings):
+        period = 0  # aperiodic: no position repeats one before it
     found: dict[tuple[int, int], int] = {}
+    # the rank rows of the last `period` positions swept
+    swept: deque[dict[int, int]] = deque(maxlen=period)
     prev_g: dict[int, int] = {}
-    # d[a, k-1] = g_{k-1}(a) - g_k(a), with g_k(a) = r[a,k] - r[a-1,k]
-    for k, g in enumerate(_rank_rows(fld, dims, crossings)):
-        for a in (prev_g.keys() | g.keys()) - {k}:
-            d = prev_g.get(a, 0) - g.get(a, 0)
-            if d < 0:
-                raise InternalCheckError(f"negative multiplicity {d} for [{a},{k - 1}]")
-            if d:
-                found[(a, k - 1)] = d
+    k = 0
+    for k, g in enumerate(_rank_rows(fld, dims, crossings, period)):
+        _close_bars(found, prev_g, g, k)
         prev_g = g
+        swept.append(g)
+    repeat = k + 1
+    if repeat < n:
+        # the row of a position i >= repeat is that of i - period, shifted
+        _close_bars(found, prev_g, _shifted_row(swept[0], period), repeat)
+        # no bar of start 0 ends here: r[0, e] never grows with e, and it
+        # repeats with the period from repeat - period on, so it is constant
+        tail = [(a, e, d) for (a, e), d in found.items() if e >= repeat - period]
+        for a, e, d in tail:
+            for t in range(period, n - 1 - e, period):
+                found[(a + t, e + t)] = d
+        t, i = divmod(n - 1 - repeat, period)
+        prev_g = _shifted_row(swept[i], period * (t + 1))
 
     for a, d in prev_g.items():
         found[(a, n - 1)] = d
@@ -302,21 +331,19 @@ def _bars(fld: Field, dims: tuple[int, ...], crossings: list[tuple[Matrix, bool]
     return bar
 
 
-def _rank_rows(fld: Field, dims: tuple[int, ...], crossings: list[tuple[Matrix, bool]]
-               ) -> Iterator[dict[int, int]]:
-    """The jumps of each rank row r[., k], k = 0 .. n-1, in order.
+def _rank_rows(fld: Field, dims: tuple[int, ...], crossings: list[tuple[Matrix, bool]],
+               period: int) -> Iterator[dict[int, int]]:
+    """The jumps of each rank row r[., k] before the first repeat, k = 0, 1, ..., in order.
 
-    Sweeps the flag until a position repeats the one ``period`` earlier
-    (module docstring); every later row is the row ``period`` positions
-    before it with its starts shifted, so it is replayed, not swept.
+    ``period`` is the least period of ``crossings``, or 0 on an aperiodic
+    path.  The flag is swept until the first position k whose marks are
+    those of k - ``period`` shifted (module docstring), and the rows of k
+    and later are not built: they are rows of the last period, shifted,
+    which ``_bars`` closes by translation.  With no repeat every row of
+    the path is yielded.
     """
-    # matrices compare by value; the same object passes the tuple's identity test
-    period = _least_period(crossings)
-    if period == len(crossings):
-        period = 0  # aperiodic: no position repeats one before it
-    # the marks and rows of the last `period` positions
+    # the marks of the last `period` positions
     past_marks: deque[tuple[list[int], list[tuple]]] = deque(maxlen=period)
-    past_rows: deque[dict[int, int]] = deque(maxlen=period)
 
     # one flag carries both chains, over one list of marks: the starts a,
     # and the pairs (dim A[a], dim R[a]) of their members
@@ -344,16 +371,9 @@ def _rank_rows(fld: Field, dims: tuple[int, ...], crossings: list[tuple[Matrix, 
                     pairs.append(pair)
         if (period and len(past_marks) == period and pairs == past_marks[0][1]
                 and starts == _shifted(past_marks[0][0], period)):
-            # k repeats k - period, and so does every later position
-            for _ in range(k, len(dims)):
-                g = {a + period if a else 0: d for a, d in past_rows[0].items()}
-                past_rows.append(g)
-                yield g
-            return
-        g = _rank_jumps(starts, pairs)
+            return  # k repeats k - period, and so does every later position
         past_marks.append((starts, pairs))
-        past_rows.append(g)
-        yield g
+        yield _rank_jumps(starts, pairs)
 
 
 def _crossing(m: Matrix, forward: bool, periodic: bool) -> tuple:
@@ -392,9 +412,29 @@ def _least_period(seq) -> int:
     return len(seq) - border[-1] if seq else 0
 
 
-def _shifted(starts: list[int], period: int) -> list[int]:
+def _shifted(starts: Iterable[int], period: int) -> list[int]:
     """Starts of a position moved ``period`` positions right: start 0 stays 0."""
     return [a + period if a else 0 for a in starts]
+
+
+def _shifted_row(g: dict[int, int], period: int) -> dict[int, int]:
+    """The rank row ``g`` (start -> jump) with its starts moved ``period`` positions right."""
+    return dict(zip(_shifted(g, period), g.values()))
+
+
+def _close_bars(found: dict[tuple[int, int], int], prev_g: dict[int, int], g: dict[int, int],
+                k: int) -> None:
+    """Record in ``found`` the bars ending at k - 1, from the rank rows ``prev_g`` and ``g``.
+
+    They are the rows of k - 1 and k, and d[a, k-1] = g_{k-1}(a) - g_k(a)
+    for a < k, where g_k(a) = r[a,k] - r[a-1,k].
+    """
+    for a in (prev_g.keys() | g.keys()) - {k}:
+        d = prev_g.get(a, 0) - g.get(a, 0)
+        if d < 0:
+            raise InternalCheckError(f"negative multiplicity {d} for [{a},{k - 1}]")
+        if d:
+            found[(a, k - 1)] = d
 
 
 def _crossed(m: Matrix, op, basis: Matrix, dims, memo: dict):

@@ -18,6 +18,10 @@ enumerations (calls of ``hn._superspaces``) and the superspaces they
 yield.  Making the walk's steps cheaper moves the work pins and leaves
 these alone.
 
+So are the positions of the round's barcode sweeps and the positions
+whose rank row a sweep built (``zigzag._rank_jumps`` calls); a sweep
+closes the rest by translation once its path repeats itself.
+
 So is the number of ``Fraction``s built over the round, most of them by
 reading QQ instances before their entry strings were read into ints.
 Each instance file of the round must also come back byte for byte
@@ -36,7 +40,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 import harness  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
-from hnzz import hn, linalg  # noqa: E402
+from hnzz import hn, linalg, zigzag  # noqa: E402
 from hnzz.affine import AffineQuiver  # noqa: E402
 from hnzz.linalg import PrimeField, RationalField  # noqa: E402
 from hnzz.serialize import instance_from_json, instance_to_json, load_json  # noqa: E402
@@ -62,6 +66,13 @@ ORACLE_WALK = {
     "lift-long": (0, 0, 0),
     "zigzag-rational": (0, 0, 0),
     "oracle-certify": (89, 767, 1048),
+}
+
+# (positions, swept positions) of the barcode sweeps over the same round
+ROUND_SWEEPS = {
+    "lift-long": (5006, 2034),
+    "zigzag-rational": (380, 380),
+    "oracle-certify": (461, 239),
 }
 
 
@@ -97,6 +108,14 @@ def test_workload_round_passes_its_checks(name, tmp_path, count_calls, monkeypat
             yield u
 
     monkeypatch.setattr(hn, "_superspaces", counting)
+    positions, rank_rows = [], zigzag._rank_rows
+
+    def sweeping(fld, dims, *rest):
+        positions.append(len(dims))
+        return rank_rows(fld, dims, *rest)
+
+    monkeypatch.setattr(zigzag, "_rank_rows", sweeping)
+    swept = count_calls(zigzag, "_rank_jumps")
     walk = [count_calls(hn, step) for step in ("_destabilizer", "_superspaces")]
     eliminations = count_calls(linalg, "_gauss_jordan")
     row_updates = [count_calls(field, "row_update") for field in (RationalField, PrimeField)]
@@ -108,6 +127,7 @@ def test_workload_round_passes_its_checks(name, tmp_path, count_calls, monkeypat
     assert work_done == ROUND_WORK[name]
     assert sum(map(len, products)) == ROUND_PRODUCTS[name]
     assert (*map(len, walk), len(superspaces)) == ORACLE_WALK[name]
+    assert (sum(positions), len(swept)) == ROUND_SWEEPS[name]
     assert len(fractions) == ROUND_FRACTIONS[name]
     instances = sorted({r.argv[1] for r in requests if r.kind != "verify"})
     assert instances

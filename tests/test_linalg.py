@@ -614,6 +614,61 @@ class TestFieldProduct:
             assert got[0][0] == (p - 1) ** 2 * height % p
 
 
+class TestPrimeRowStep:
+    """``PrimeField.row_update`` against the entrywise step; p up to 11 packs a byte per column."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 2**31 - 1])
+    def test_matches_entrywise_step(self, p):
+        fld, rng = GF(p), random.Random(p)
+        # the packed step while no byte of 2 * (p - 1)**2 carries
+        assert fld._packs_rows == (p <= 11)
+        for width in range(25):
+            for _ in range(8):
+                row, prow = (tuple(rng.randrange(p) for _ in range(width)) for _ in range(2))
+                a, b, c, e = (rng.randrange(1, p) for _ in range(4))
+                # the extreme residues too, where a packed byte is fullest
+                if rng.random() < 0.25:
+                    row, prow, a, b = (p - 1,) * width, (1,) * width, p - 1, 1
+                want = [(a * x - b * y) % p for x, y in zip(row, prow)]
+                got = fld.row_update(row, a, b, prow)
+                assert list(got) == want
+                assert isinstance(got, bytes) == (p <= 11)
+                # the step's own output read back as either row
+                other = fld.row_update(prow, c, e, row)
+                again = fld.row_update(got, c, e, other)
+                assert list(again) == [(c * x - e * y) % p for x, y in zip(want, other)]
+
+    @pytest.mark.parametrize("p", [5, 7, 11, 13])
+    def test_elimination_matches_textbook(self, p):
+        # the unscaled pivot rows of _gauss_jordan are the textbook reduced
+        # rows times their pivots, with the same pivots, on either side of
+        # the packing bound
+        fld, rng = GF(p), random.Random(100 + p)
+        for _ in range(60):
+            rows, cols = rng.randint(0, 9), rng.randint(0, 18)
+            m = Matrix(fld, [[rng.choice((0, 0, rng.randrange(p))) for _ in range(cols)]
+                             for _ in range(rows)], cols)
+            work = list(m.ints)
+            pivots = linalg._gauss_jordan(fld, work)
+            reduced, want = reference_rref(m)
+            assert pivots == want
+            for i, c in enumerate(pivots):
+                assert list(work[i]) == [work[i][c] * x % p for x in reduced[i]]
+            assert not any(map(any, work[len(pivots):]))
+
+    @pytest.mark.parametrize("p", [2, 3, 7, 13])
+    def test_inverse_is_one_pass(self, p):
+        # _scaled_inverse returns the inverse itself over GF(p), with scale
+        # 1, so inverse makes no second pass over its rows
+        rng = random.Random(p)
+        for dim in range(1, 7):
+            m = random_invertible_rng(dim, GF(p), rng)
+            scaled, scale = linalg._scaled_inverse(m)
+            assert scale == 1
+            assert scaled == inverse(m)
+            assert m @ scaled == Matrix.identity(GF(p), dim)
+
+
 class TestSubspaceOps:
     def test_image_is_span(self):
         # a one-member flag, canonicalised, is the canonical image

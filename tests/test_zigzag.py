@@ -723,7 +723,7 @@ def periodic_pair(rng, fld) -> tuple[Representation, Representation]:
 @pytest.mark.parametrize("fld", [GF(2), GF(3), GF(5), QQ], ids=repr)
 def test_periodic_paths_replay_their_repeats(fld, count_calls):
     # the sweep stops at a position whose marks repeat those one period
-    # earlier and replays the later rank rows; a path with no shorter
+    # earlier and closes the later bars by translation; a path with no shorter
     # period than its length sweeps, and prices, every position
     rng = make_rng(70)
     swept = count_calls(zigzag, "_rank_jumps")
@@ -784,6 +784,59 @@ def test_product_route_agrees_with_elimination(fld, count_calls):
 )
 def test_least_period(seq, period):
     assert zigzag._least_period(seq) == period
+
+
+def test_translated_tail_matches_full_sweep(count_calls, monkeypatch):
+    # past the sweep's first repeat the bars close by translation; with the
+    # period hidden (``len`` for ``_least_period``) the sweep runs every
+    # position, and 400 lift windows of the default length plus 0-12
+    # periods must classify alike
+    rng = make_rng(74)
+    swept = count_calls(zigzag, "_rank_jumps")
+    stopped = 0
+    for i in range(400):
+        fld = (GF(2), GF(3), GF(5), QQ)[i % 4]
+        _, v, _, _ = gen_affine(rng.randint(2, 4), fld, 4, rng, min_summands=1, total_cap=6,
+                                vertex_cap=3)
+        window = default_window(v) + v.quiver.vertex_count * rng.randint(0, 12)
+        swept.clear()
+        got = classify_lift(v, window)
+        stopped += len(swept) <= window
+        with monkeypatch.context() as full:
+            full.setattr(zigzag, "_least_period", len)
+            assert classify_lift(v, window) == got
+    assert stopped == 400
+
+
+@pytest.mark.parametrize("fld", [GF(2), GF(3), GF(5), QQ], ids=repr)
+def test_translated_tail_edge_cases(fld, count_calls, monkeypatch):
+    # every prefix of random periodic paths against a full sweep: among
+    # them repeats found at the last position,
+    # paths of period 1, and last rows whose start-0 bars translate to
+    # start 0 (a start-0 bar cannot end between the repeat and the last
+    # position: r[0, e] falls with e and repeats with period there)
+    rng = make_rng(75)
+    swept = count_calls(zigzag, "_rank_jumps")
+    seen = Counter()
+    for _ in range(60):
+        v, _ = periodic_pair(rng, fld)
+        steps = [(forward, v.mats[e]) for e, forward in path_steps(v.quiver)]
+        for cut in range(1, len(steps) + 1):
+            w = rep_of_steps(fld, steps[:cut])
+            n = w.quiver.vertex_count
+            swept.clear()
+            got = bars(w)
+            if len(swept) == n:
+                continue
+            seen["stopped"] += 1
+            seen["at the last position"] += len(swept) == n - 1
+            seen["period 1"] += zigzag._least_period(steps[:cut]) == 1
+            seen["start 0 translated"] += any(a == 0 and b == n - 1 for a, b in got)
+            with monkeypatch.context() as full:
+                full.setattr(zigzag, "_least_period", len)
+                assert bars(w) == got
+    print(f"  {dict(seen)}")
+    assert min(seen.values()) >= 3
 
 
 # signs, small integers and proper fractions, one with a denominator past
