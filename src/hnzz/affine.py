@@ -275,7 +275,7 @@ def classify_lift(
     """Summand multiplicities of v and the window barcode they come from.
 
     Sweeps the window 0..D of the unwinding (D = ``default_window(v)`` if
-    ``window`` is None) once, straight from the cycle's n crossings, and
+    ``window`` is None) once, given one turn of the cycle's n crossings, and
     classifies the bars, those of ``barcode(lift_truncated(v, D))``; no
     window ``Representation`` is built.  d_inf counts full-window bars (Jordan
     cells unwind to copies of the two-sided infinite interval, one per
@@ -309,7 +309,7 @@ def classify_lift(
     orientation = affine_of_quiver(v.quiver).orientation
     # the edge joining positions i-1 and i is e_{i mod n}: one turn from e_1
     turn = [(v.mats[j], orientation[j] == CW) for j in (*range(1, n), 0)]
-    bar = _bars(v.field, v.dims * (D // n) + v.dims[:1], turn * (D // n))
+    bar = _bars(v.field, v.dims * (D // n) + v.dims[:1], turn)
     clip_bound = (v.dims[0] + 1) * n
     d_inf = 0
     classes: dict[NClass, int] = {}

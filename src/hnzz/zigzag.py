@@ -13,8 +13,8 @@ restriction to [x, y].
 
 ``barcode`` evaluates the whole grid in one left-to-right sweep over
 the dims and the crossings, one (edge matrix, points right) per position
-k > 0, which ``affine.classify_lift`` takes straight from a cycle.  With
-the right endpoint at position k, the subspaces
+k > 0, given as one period (below).  With the right endpoint at position
+k, the subspaces
 
     A[a] = image at k of (limit over [a, k])          -- grows with a
     R[a] = kernel at k of (V_k -> colimit over [a, k]) -- shrinks with a
@@ -61,21 +61,21 @@ A flag whose members are all 0 or the whole space (a trivial flag) steps
 to the same members whatever basis it carries: the zero member goes to
 0 (image) or ker m (preimage), the full one to im m (image) or all of
 V_k (preimage).  So a trivial flag steps from the identity with members
-0 and everything, once per (matrix, flag operation), and that step is
-shared by every later crossing of that edge matrix; a lift window
-repeats each of the cycle's n matrix objects at every n-th position.
-Its basis is never read: its next step starts from the identity again,
-and ``_rank_jumps`` reads only dims.  The ranks take no elimination and
-no row step, so the cost stays linear in the path length for bounded
-vertex dimensions, which the long lift windows rely on.
+0 and everything, once per place in the period of the crossings, and
+every later crossing in that place reuses the step.  Its basis is never
+read: its next step starts from the identity again, and ``_rank_jumps``
+reads only dims.  The ranks take no elimination and no row step, so the
+cost stays linear in the path length for bounded vertex dimensions,
+which the long lift windows rely on.
 
 A lift window repeats its cycle's steps, and the sweep stops once it
-repeats itself.  Let p be the least period of the crossing sequence
-(edge matrix, points right), matrices compared by value; on an
-aperiodic path p is the whole length and the sweep runs to the end.
-Shift a position's marks by p: a start a > 0 becomes a + p, start 0
-stays 0.  The sweep stops at the first position k whose marks are the
-shifted marks of k - p, and this is exact:
+repeats itself.  It takes one period of p crossings: ``barcode`` finds
+the least one, matrices compared by value, and ``affine.classify_lift``
+passes its cycle's one turn; on an aperiodic path p is the whole length
+and the sweep runs to the end.  Shift a position's marks by p: a start
+a > 0 becomes a + p, start 0 stays 0.  The sweep stops at the first
+position k whose marks are the shifted marks of k - p, and this is
+exact:
 
 * A[0] at k is contained in A[p] at k, and R[p] at k in R[0] at k;
 * A[p] and R[p] at k are the translates of A[0] and R[0] at k - p,
@@ -101,22 +101,21 @@ rank row and no difference of rows:
 Only the last p positions' marks (``_rank_rows``) and rows (``_bars``)
 are kept.
 
-On a periodic path every edge matrix object recurs, so the sweep works
-out once per object and direction whether crossing it needs an
-elimination at all (``_crossing``).  A bijection between consecutive
-spaces maps each flag member onto a member of the same dimension
-(Carlsson and de Silva, "Zigzag persistence", 2010), and so does an
-injective edge pointing right onto its image.  So an edge pointing right
-whose matrix has full column rank (one rank), or an edge pointing left
-whose square matrix inverts (one RREF of [m | I]), moves the flag by a
-product with that matrix or with its inverse, ``_flag_moved``, dims
-unchanged.  That inverse is the matrix of ``_scaled_inverse``: the
-inverse of m's integer rows times the lcm of its pivots, a global scalar
-that no column span sees.  A trivial flag keeps its dims
-across a bijection, which maps 0 to 0 and the whole space to the whole
-space, and its basis, which is never read.  Every other edge, and
-every edge of an aperiodic path, takes ``_flag_image`` or
-``_flag_preimage``.
+On a periodic path every crossing of the period recurs, so the sweep
+works out once per place in the period whether it needs an elimination
+at all (``_crossing``).  A bijection between consecutive spaces maps each
+flag member onto a member of the same dimension (Carlsson and de Silva,
+"Zigzag persistence", 2010), and so does an injective edge pointing
+right onto its image.  So an edge pointing right whose matrix has full
+column rank (one rank), or an edge pointing left whose square matrix
+inverts (one RREF of [m | I]), moves the flag by a product with that
+matrix or with its inverse, ``_flag_moved``, dims unchanged.  That
+inverse is the matrix of ``_scaled_inverse``: the inverse of m's integer
+rows times the lcm of its pivots, a global scalar that no column span
+sees.  A trivial flag keeps its dims across a bijection, which maps 0 to
+0 and the whole space to the whole space, and its basis, which is never
+read.  Every other edge, and every edge of an aperiodic path, takes
+``_flag_image`` or ``_flag_preimage``.
 
 The sweep runs on the integer rows that every ``Matrix`` holds: the
 flag operations read an edge matrix's ``ints`` and skip its
@@ -280,12 +279,14 @@ def barcode(v: Representation) -> Barcode:
     """
     check_type(v, Representation, "barcode input")
     crossings = [(v.mats[eidx], forward) for eidx, forward in path_steps(v.quiver)]
-    return _bars(v.field, v.dims, crossings)
+    # matrices compare by value; the same object passes the tuple's identity test
+    return _bars(v.field, v.dims, crossings[:_least_period(crossings)])
 
 
 def _bars(fld: Field, dims: tuple[int, ...], crossings: list[tuple[Matrix, bool]]) -> Barcode:
     """The barcode of the path of vertex dims ``dims`` whose position k > 0
-    is joined to k - 1 by ``crossings[k - 1]``, an (edge matrix, points right).
+    is joined to k - 1 by ``crossings[(k - 1) % len(crossings)]``, an
+    (edge matrix, points right): fewer crossings than edges repeat.
 
     The rank rows that ``_rank_rows`` sweeps give the bars ending before
     its first repeat, and the rest close by translation (module docstring).
@@ -293,10 +294,7 @@ def _bars(fld: Field, dims: tuple[int, ...], crossings: list[tuple[Matrix, bool]
     n = len(dims)
     if n == 0:
         return Barcode(())
-    # matrices compare by value; the same object passes the tuple's identity test
-    period = _least_period(crossings)
-    if period == len(crossings):
-        period = 0  # aperiodic: no position repeats one before it
+    period = len(crossings) if len(crossings) < n - 1 else 0
     found: dict[tuple[int, int], int] = {}
     # the rank rows of the last `period` positions swept
     swept: deque[dict[int, int]] = deque(maxlen=period)
@@ -335,12 +333,12 @@ def _rank_rows(fld: Field, dims: tuple[int, ...], crossings: list[tuple[Matrix, 
                period: int) -> Iterator[dict[int, int]]:
     """The jumps of each rank row r[., k] before the first repeat, k = 0, 1, ..., in order.
 
-    ``period`` is the least period of ``crossings``, or 0 on an aperiodic
-    path.  The flag is swept until the first position k whose marks are
-    those of k - ``period`` shifted (module docstring), and the rows of k
-    and later are not built: they are rows of the last period, shifted,
-    which ``_bars`` closes by translation.  With no repeat every row of
-    the path is yielded.
+    ``crossings`` is as in ``_bars``, and ``period`` is its length on a
+    periodic path, 0 on an aperiodic one.  The flag is swept until the
+    first position k whose marks are those of k - ``period`` shifted
+    (module docstring), and the rows of k and later are not built: they
+    are rows of the last period, shifted, which ``_bars`` closes by
+    translation.  With no repeat every row of the path is yielded.
     """
     # the marks of the last `period` positions
     past_marks: deque[tuple[list[int], list[tuple]]] = deque(maxlen=period)
@@ -349,19 +347,13 @@ def _rank_rows(fld: Field, dims: tuple[int, ...], crossings: list[tuple[Matrix, 
     # and the pairs (dim A[a], dim R[a]) of their members
     basis = Matrix.identity(fld, dims[0])
     starts, pairs = [0], [(dims[0], 0)]
-    # per (edge matrix object, points right): its flag step, found once
-    steps: dict[tuple[int, bool], tuple] = {}
-    # trivial flag steps, one per (matrix, flag operation)
-    trivial_steps: dict[tuple, tuple[Matrix, list[int]]] = {}
+    # per crossing: its flag operation, the matrix it applies, its trivial step
+    table = [[*_crossing(m, forward, period > 0), None] for m, forward in crossings]
 
     for k in range(len(dims)):
         if k > 0:
-            m, forward = crossings[k - 1]
-            if (id(m), forward) not in steps:
-                steps[id(m), forward] = _crossing(m, forward, period > 0)
-            op, m = steps[id(m), forward]
             a_dims, r_dims = zip(*pairs)
-            basis, new = _crossed(m, op, basis, r_dims + a_dims, trivial_steps)
+            basis, new = _crossed(table[(k - 1) % len(table)], basis, r_dims + a_dims)
             r_dims, a_dims = new[:len(r_dims)], new[len(r_dims):]
             # nested members of equal dimension are equal: keep the first start
             previous, starts, pairs = starts, [], []
@@ -379,8 +371,8 @@ def _rank_rows(fld: Field, dims: tuple[int, ...], crossings: list[tuple[Matrix, 
 def _crossing(m: Matrix, forward: bool, periodic: bool) -> tuple:
     """The flag operation across the edge matrix ``m`` and the matrix it applies.
 
-    On a periodic path each matrix object recurs, so whether the crossing
-    is a bijection's product is found once per object and direction
+    On a periodic path each crossing of the period recurs, so whether it
+    is a bijection's product is found once per place in the period
     (module docstring): an injective m pointing right, or an invertible
     m's ``_scaled_inverse`` pointing left, moves the flag by
     ``_flag_moved``.  Anything else, and every edge of an aperiodic path,
@@ -437,16 +429,22 @@ def _close_bars(found: dict[tuple[int, int], int], prev_g: dict[int, int], g: di
             found[(a, k - 1)] = d
 
 
-def _crossed(m: Matrix, op, basis: Matrix, dims, memo: dict):
-    """The flag (basis, dims) stepped through ``m`` by ``op`` and completed (module docstring)."""
+def _crossed(entry: list, basis: Matrix, dims):
+    """The flag (basis, dims) stepped and completed across a crossing (module docstring).
+
+    ``entry`` is the crossing's [flag operation, matrix, trivial step] in
+    ``_rank_rows``.  The trivial step, stored on first use, restarts a
+    trivial flag from the identity, which also keeps QQ bases small.
+    """
+    op, m, trivial = entry
     d = basis.rows
     if set(dims) <= {0, d}:
         if op is _flag_moved and m.rows == d:
             return basis, dims
-        if (id(m), op) not in memo:
+        if trivial is None:
             moved, new = op(m, Matrix.identity(m.field, d), (0, d))
-            memo[id(m), op] = _flag_completed(moved), new
-        basis, new = memo[id(m), op]
+            trivial = entry[2] = _flag_completed(moved), new
+        basis, new = trivial
         return basis, [new[-1] if x else new[0] for x in dims]
     basis, dims = op(m, basis, dims)
     return _flag_completed(basis), dims

@@ -261,10 +261,10 @@ def test_criterion_8_scaling_smoke(count_calls):
     report(8, "doubling the cycle length stays within the 2.5x envelope", start, 300.0)
 
 
-def test_lift_window_shares_trivial_steps(count_calls):
+def test_lift_window_decides_each_crossing_once(count_calls):
     # the barcode sweep keeps both nested chains as one flag, and the window
-    # repeats each of the cycle's 100 matrices, 98 of them bijective.  Per
-    # matrix, once: a rank (pointing right) or an [m | I] reduction
+    # repeats the cycle's 100 crossings, 98 of them bijective.  Per place
+    # in the cycle, once: a rank (pointing right) or an [m | I] reduction
     # (pointing left, square) decides whether a crossing is a product, 99
     # eliminations; a bijective edge then moves the flag by a product.
     # The two other edges cost 4 preimages, and 4 completions run.  The

@@ -327,7 +327,7 @@ class TestLiftedMultiplicities:
 
 
 class TestBijectiveCrossings:
-    """A lift window crosses a bijective edge matrix by one product, found once per matrix."""
+    """A lift window crosses a bijective edge matrix by one product, found once per cycle edge."""
 
     def test_all_bijective_cycle_work(self, count_calls):
         # Jordan cells only, conjugated: every edge matrix of the cycle is
@@ -336,11 +336,12 @@ class TestBijectiveCrossings:
         # the whole space, so the flag stays trivial, each position keeps
         # the one mark (0, dim, 0), no rank is taken, and the sweep stops
         # at position n, whose marks repeat those of position 0.  So each
-        # of the n crossings is the first of its matrix: one rank (pointing
-        # right) or one [m | I] reduction (pointing left) decides that it
-        # is a product, and the flag needs none.  No completion runs:
-        # the flag keeps all of V_k.  The elimination route ran
-        # n + (left-pointing edges) here, a kernel more per such edge
+        # of the n crossings is the first in its place of the cycle: one
+        # rank (pointing right) or one [m | I] reduction (pointing left)
+        # decides that it is a product, and the flag needs none.  No
+        # completion runs: the flag keeps all of V_k.  The elimination
+        # route ran n + (left-pointing edges) here, a kernel more per such
+        # edge
         rng = make_rng(34)
         eliminations = count_calls(linalg, "_gauss_jordan")
         for n in (2, 7, 12):

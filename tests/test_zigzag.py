@@ -17,6 +17,7 @@ from hnzz.linalg import (
     subspace_contains,
 )
 from hnzz.quiver import Quiver, Representation, conjugate, direct_sum, zero_representation
+from hnzz.serialize import instance_from_json, instance_to_json
 from hnzz.zigzag import (
     Barcode,
     Interval,
@@ -555,85 +556,81 @@ def unshared(v: Representation) -> Representation:
     return Representation(v.quiver, v.field, v.dims, mats)
 
 
-class TestSharedMatrices:
-    """``barcode`` steps a trivial flag once per Matrix object it crosses.
+def sweep_draws(fld):
+    """Paths whose edges share Matrix objects, each flagged True if it is a lift window.
 
-    Every path here reuses objects.  The reference prices each interval
-    on its own, so a reused step that moved the wrong members shows, and
-    the same path with unshared matrices must need more eliminations.
-    Every row update of a sweep must be an elimination's: the ranks are
-    read off the marks' dims and take none.
+    Lift windows of small cycles at the default length and one period
+    more, one square matrix on every edge of a path with edges pointing
+    both ways, and paths with zero-dim vertices drawing each shape from a
+    pool of two matrices.
     """
+    rng = make_rng(61)
+    for _ in range(8):
+        _, v, _, _ = gen_affine(
+            rng.randint(2, 3), fld, 3, rng, min_summands=1, total_cap=5, vertex_cap=2
+        )
+        window = default_window(v)
+        for D in (window, window + v.quiver.vertex_count):
+            yield lift_truncated(v, D), True
+    rng = make_rng(62)
+    for _ in range(10):
+        d = rng.randint(1, 3)
+        m = Matrix(fld, [[rng.choice((0, 1, 2)) for _ in range(d)] for _ in range(d)], d)
+        q = Quiver(1, ())
+        while {fwd for _, fwd in path_steps(q)} != {True, False}:
+            q = random_path_quiver(rng.randint(4, 8), rng)
+        yield Representation(q, fld, (d,) * q.vertex_count, (m,) * len(q.edges)), False
+    rng = make_rng(63)
+    for _ in range(25):
+        dims = [rng.choice((0, 0, 1, 2)) for _ in range(rng.randint(4, 9))]
+        yield shared_matrix_rep(rng, fld, dims), False
 
-    @pytest.fixture
-    def check(self, count_calls, monkeypatch):
-        calls = count_calls(linalg, "_gauss_jordan")
-        eliminations = {"shared": 0, "unshared": 0}
-        inside = []  # one entry per elimination running
-        gauss_jordan = linalg._gauss_jordan
 
-        def eliminating(*args, **kwargs):
-            inside.append(None)
-            try:
-                return gauss_jordan(*args, **kwargs)
-            finally:
-                inside.pop()
+@pytest.mark.parametrize("fld", [GF(2), GF(3), QQ], ids=repr)
+def test_sweep_work_follows_values_not_objects(fld, count_calls, monkeypatch):
+    # the sweep shares work by place in the period of the crossings, so a
+    # path with shared Matrix objects, its unshared copy and, for a lift
+    # window, the window read back from its instance JSON run the same
+    # eliminations and give the same bars, those of one generalized rank
+    # per interval.  Every row update of a sweep must be an elimination's:
+    # the ranks are read off the marks' dims and take none
+    calls = count_calls(linalg, "_gauss_jordan")
+    inside = []  # one entry per elimination running
+    gauss_jordan = linalg._gauss_jordan
 
-        monkeypatch.setattr(linalg, "_gauss_jordan", eliminating)
-        for field in (linalg.RationalField, linalg.PrimeField):
-            def row_update(*args, update=field.row_update):
-                assert inside, "a row update outside _gauss_jordan"
-                return update(*args)
+    def eliminating(*args, **kwargs):
+        inside.append(None)
+        try:
+            return gauss_jordan(*args, **kwargs)
+        finally:
+            inside.pop()
 
-            monkeypatch.setattr(field, "row_update", row_update)
+    monkeypatch.setattr(linalg, "_gauss_jordan", eliminating)
+    for field in (linalg.RationalField, linalg.PrimeField):
+        def row_update(*args, update=field.row_update):
+            assert inside, "a row update outside _gauss_jordan"
+            return update(*args)
 
-        def check(v):
+        monkeypatch.setattr(field, "row_update", row_update)
+
+    shared = 0
+    for v, lift in sweep_draws(fld):
+        shared += len({id(m) for m in v.mats}) < len(v.mats)
+        versions = [v, unshared(v)]
+        if lift:
+            versions.append(instance_from_json(instance_to_json(v)))
+        got, work = [], []
+        for w in versions:
             start = len(calls)
-            got = bars(v)
-            middle = len(calls)
-            assert bars(unshared(v)) == got
-            eliminations["shared"] += middle - start
-            eliminations["unshared"] += len(calls) - middle
-            assert got == inclusion_exclusion_bars(v)
-            return eliminations
-
-        return check
-
-    @pytest.mark.parametrize("fld", [GF(2), GF(3), QQ], ids=repr)
-    def test_lift_windows(self, fld, check):
-        rng = make_rng(61)
-        for _ in range(8):
-            _, v, _, _ = gen_affine(
-                rng.randint(2, 3), fld, 3, rng, min_summands=1, total_cap=5, vertex_cap=2
-            )
-            window = default_window(v)
-            for D in (window, window + v.quiver.vertex_count):
-                eliminations = check(lift_truncated(v, D))
-        assert eliminations["shared"] < eliminations["unshared"]
-
-    @pytest.mark.parametrize("fld", [GF(2), GF(3), QQ], ids=repr)
-    def test_square_matrix_both_directions(self, fld, check):
-        rng = make_rng(62)
-        for _ in range(10):
-            d = rng.randint(1, 3)
-            m = Matrix(fld, [[rng.choice((0, 1, 2)) for _ in range(d)] for _ in range(d)], d)
-            q = Quiver(1, ())
-            while {fwd for _, fwd in path_steps(q)} != {True, False}:
-                q = random_path_quiver(rng.randint(4, 8), rng)
-            eliminations = check(Representation(q, fld, (d,) * q.vertex_count, (m,) * len(q.edges)))
-        assert eliminations["shared"] < eliminations["unshared"]
-
-    @pytest.mark.parametrize("fld", [GF(2), GF(3), QQ], ids=repr)
-    def test_dimension_zero_vertices(self, fld, check):
-        rng = make_rng(63)
-        for _ in range(25):
-            dims = [rng.choice((0, 0, 1, 2)) for _ in range(rng.randint(4, 9))]
-            eliminations = check(shared_matrix_rep(rng, fld, dims))
-        assert eliminations["shared"] < eliminations["unshared"]
+            got.append(bars(w))
+            work.append(len(calls) - start)
+        assert got == [inclusion_exclusion_bars(v)] * len(versions)
+        assert work == [work[0]] * len(versions)
+    assert calls and shared >= 40
 
 
 def test_distinct_matrices_run_every_step(count_calls):
-    # no Matrix object recurs, so no flag step is shared: every step runs
+    # the path has no period, so no flag step is shared: every step runs
     # its elimination, and the ranks, read off the marks' dims, run none;
     # the row updates are those of the eliminations (QQ products make none)
     rng = make_rng(68)
@@ -787,10 +784,11 @@ def test_least_period(seq, period):
 
 
 def test_translated_tail_matches_full_sweep(count_calls, monkeypatch):
-    # past the sweep's first repeat the bars close by translation; with the
-    # period hidden (``len`` for ``_least_period``) the sweep runs every
-    # position, and 400 lift windows of the default length plus 0-12
-    # periods must classify alike
+    # past the sweep's first repeat the bars close by translation; on 400
+    # lift windows of the default length plus 0-12 periods, the window
+    # barcode of classify_lift must be that of barcode on the built window
+    # with its period hidden (``len`` for ``_least_period``), which sweeps
+    # every position
     rng = make_rng(74)
     swept = count_calls(zigzag, "_rank_jumps")
     stopped = 0
@@ -800,11 +798,13 @@ def test_translated_tail_matches_full_sweep(count_calls, monkeypatch):
                                 vertex_cap=3)
         window = default_window(v) + v.quiver.vertex_count * rng.randint(0, 12)
         swept.clear()
-        got = classify_lift(v, window)
+        got = classify_lift(v, window)[2]
         stopped += len(swept) <= window
         with monkeypatch.context() as full:
             full.setattr(zigzag, "_least_period", len)
-            assert classify_lift(v, window) == got
+            swept.clear()
+            assert barcode(lift_truncated(v, window)) == got
+            assert len(swept) == window + 1
     assert stopped == 400
 
 
