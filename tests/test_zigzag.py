@@ -556,77 +556,89 @@ def unshared(v: Representation) -> Representation:
     return Representation(v.quiver, v.field, v.dims, mats)
 
 
-def sweep_draws(fld):
-    """Paths whose edges share Matrix objects, each flagged True if it is a lift window.
+class TestSharedMatrices:
+    """``barcode`` shares its work by place in the period of the crossings.
 
-    Lift windows of small cycles at the default length and one period
-    more, one square matrix on every edge of a path with edges pointing
-    both ways, and paths with zero-dim vertices drawing each shape from a
-    pool of two matrices.
+    Every path here reuses Matrix objects.  The path, its copy with
+    unshared matrices and, for a lift window, the window read back from
+    its instance JSON run the same eliminations and give the same bars,
+    those of one generalized rank per interval, so a reused step that
+    moved the wrong members shows.  Every row update of a sweep must be
+    an elimination's: the ranks are read off the marks' dims and take none.
     """
-    rng = make_rng(61)
-    for _ in range(8):
-        _, v, _, _ = gen_affine(
-            rng.randint(2, 3), fld, 3, rng, min_summands=1, total_cap=5, vertex_cap=2
-        )
-        window = default_window(v)
-        for D in (window, window + v.quiver.vertex_count):
-            yield lift_truncated(v, D), True
-    rng = make_rng(62)
-    for _ in range(10):
-        d = rng.randint(1, 3)
-        m = Matrix(fld, [[rng.choice((0, 1, 2)) for _ in range(d)] for _ in range(d)], d)
-        q = Quiver(1, ())
-        while {fwd for _, fwd in path_steps(q)} != {True, False}:
-            q = random_path_quiver(rng.randint(4, 8), rng)
-        yield Representation(q, fld, (d,) * q.vertex_count, (m,) * len(q.edges)), False
-    rng = make_rng(63)
-    for _ in range(25):
-        dims = [rng.choice((0, 0, 1, 2)) for _ in range(rng.randint(4, 9))]
-        yield shared_matrix_rep(rng, fld, dims), False
 
+    @pytest.fixture
+    def check(self, count_calls, monkeypatch):
+        calls = count_calls(linalg, "_gauss_jordan")
+        inside = []  # one entry per elimination running
+        gauss_jordan = linalg._gauss_jordan
 
-@pytest.mark.parametrize("fld", [GF(2), GF(3), QQ], ids=repr)
-def test_sweep_work_follows_values_not_objects(fld, count_calls, monkeypatch):
-    # the sweep shares work by place in the period of the crossings, so a
-    # path with shared Matrix objects, its unshared copy and, for a lift
-    # window, the window read back from its instance JSON run the same
-    # eliminations and give the same bars, those of one generalized rank
-    # per interval.  Every row update of a sweep must be an elimination's:
-    # the ranks are read off the marks' dims and take none
-    calls = count_calls(linalg, "_gauss_jordan")
-    inside = []  # one entry per elimination running
-    gauss_jordan = linalg._gauss_jordan
+        def eliminating(*args, **kwargs):
+            inside.append(None)
+            try:
+                return gauss_jordan(*args, **kwargs)
+            finally:
+                inside.pop()
 
-    def eliminating(*args, **kwargs):
-        inside.append(None)
-        try:
-            return gauss_jordan(*args, **kwargs)
-        finally:
-            inside.pop()
+        monkeypatch.setattr(linalg, "_gauss_jordan", eliminating)
+        for field in (linalg.RationalField, linalg.PrimeField):
+            def row_update(*args, update=field.row_update):
+                assert inside, "a row update outside _gauss_jordan"
+                return update(*args)
 
-    monkeypatch.setattr(linalg, "_gauss_jordan", eliminating)
-    for field in (linalg.RationalField, linalg.PrimeField):
-        def row_update(*args, update=field.row_update):
-            assert inside, "a row update outside _gauss_jordan"
-            return update(*args)
+            monkeypatch.setattr(field, "row_update", row_update)
 
-        monkeypatch.setattr(field, "row_update", row_update)
+        def check(v, lift=False):
+            """Check v against its copies; return whether it shares a Matrix object."""
+            versions = [v, unshared(v)]
+            if lift:
+                versions.append(instance_from_json(instance_to_json(v)))
+            got, work = [], []
+            for w in versions:
+                start = len(calls)
+                got.append(bars(w))
+                work.append(len(calls) - start)
+            assert got == [inclusion_exclusion_bars(v)] * len(versions)
+            assert work == [work[0]] * len(versions)
+            assert calls
+            return len({id(m) for m in v.mats}) < len(v.mats)
 
-    shared = 0
-    for v, lift in sweep_draws(fld):
-        shared += len({id(m) for m in v.mats}) < len(v.mats)
-        versions = [v, unshared(v)]
-        if lift:
-            versions.append(instance_from_json(instance_to_json(v)))
-        got, work = [], []
-        for w in versions:
-            start = len(calls)
-            got.append(bars(w))
-            work.append(len(calls) - start)
-        assert got == [inclusion_exclusion_bars(v)] * len(versions)
-        assert work == [work[0]] * len(versions)
-    assert calls and shared >= 40
+        return check
+
+    @pytest.mark.parametrize("fld", [GF(2), GF(3), QQ], ids=repr)
+    def test_lift_windows(self, fld, check):
+        rng = make_rng(61)
+        shared = 0
+        for _ in range(8):
+            _, v, _, _ = gen_affine(
+                rng.randint(2, 3), fld, 3, rng, min_summands=1, total_cap=5, vertex_cap=2
+            )
+            window = default_window(v)
+            for D in (window, window + v.quiver.vertex_count):
+                shared += check(lift_truncated(v, D), lift=True)
+        assert shared == 16
+
+    @pytest.mark.parametrize("fld", [GF(2), GF(3), QQ], ids=repr)
+    def test_square_matrix_both_directions(self, fld, check):
+        rng = make_rng(62)
+        shared = 0
+        for _ in range(10):
+            d = rng.randint(1, 3)
+            m = Matrix(fld, [[rng.choice((0, 1, 2)) for _ in range(d)] for _ in range(d)], d)
+            q = Quiver(1, ())
+            while {fwd for _, fwd in path_steps(q)} != {True, False}:
+                q = random_path_quiver(rng.randint(4, 8), rng)
+            shared += check(Representation(q, fld, (d,) * q.vertex_count, (m,) * len(q.edges)))
+        assert shared == 10
+
+    @pytest.mark.parametrize("fld", [GF(2), GF(3), QQ], ids=repr)
+    def test_dimension_zero_vertices(self, fld, check):
+        rng = make_rng(63)
+        shared = 0
+        for _ in range(25):
+            dims = [rng.choice((0, 0, 1, 2)) for _ in range(rng.randint(4, 9))]
+            shared += check(shared_matrix_rep(rng, fld, dims))
+        assert shared == 15
 
 
 def test_distinct_matrices_run_every_step(count_calls):
