@@ -247,7 +247,7 @@ class PrimeField:
         """
         p = self.p
         if (p - 1) ** 2 * len(right) < 256:
-            packed = [int.from_bytes(bytes(row), "little") for row in right]
+            packed = [int.from_bytes(row, "little") for row in right]
             table = self._residues
             return [sum(map(mul, lrow, packed)).to_bytes(cols, "little").translate(table)
                     for lrow in left]

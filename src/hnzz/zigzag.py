@@ -13,8 +13,8 @@ restriction to [x, y].
 
 ``barcode`` evaluates the whole grid in one left-to-right sweep over
 the dims and the crossings, one (edge matrix, points right) per position
-k > 0, given as one period (below).  With the right endpoint at position
-k, the subspaces
+k > 0, given as the path's crossings or as one turn of a cycle (below).
+With the right endpoint at position k, the subspaces
 
     A[a] = image at k of (limit over [a, k])          -- grows with a
     R[a] = kernel at k of (V_k -> colimit over [a, k]) -- shrinks with a
@@ -69,10 +69,13 @@ cost stays linear in the path length for bounded vertex dimensions,
 which the long lift windows rely on.
 
 A lift window repeats its cycle's steps, and the sweep stops once it
-repeats itself.  It takes one period of p crossings: ``barcode`` finds
-the least one, matrices compared by value, and ``affine.classify_lift``
-passes its cycle's one turn; on an aperiodic path p is the whole length
-and the sweep runs to the end.  Shift a position's marks by p: a start
+repeats itself.  ``_bars`` alone finds the least period p of the
+crossings, matrices compared by value.  ``barcode`` passes a path's
+n - 1 crossings, and p is their least period; ``affine.classify_lift``
+passes its cycle's one turn, and p is the least period of two turns, so
+that it holds across the turn's end, and divides the turn's length by
+Fine and Wilf.  On an aperiodic path p is the whole length and the
+sweep runs to the end.  Shift a position's marks by p: a start
 a > 0 becomes a + p, start 0 stays 0.  The sweep stops at the first
 position k whose marks are the shifted marks of k - p, and this is
 exact:
@@ -98,8 +101,8 @@ rank row and no difference of rows:
   [k - p, k - 1];
 * the last row is a swept row shifted by a whole number of periods.
 
-Only the last p positions' marks (``_rank_rows``) and rows (``_bars``)
-are kept.
+One loop steps the flag, takes each row's bars and finds the repeat,
+and it keeps the marks and rank rows of the last p positions only.
 
 On a periodic path every crossing of the period recurs, so the sweep
 works out once per place in the period whether it needs an elimination
@@ -131,7 +134,7 @@ built after the parse.  Over GF(p) the integer rows are the residues.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import (InternalCheckError, ShapeError, ValidationError, check_counts, check_ints,
@@ -279,45 +282,67 @@ def barcode(v: Representation) -> Barcode:
     """
     check_type(v, Representation, "barcode input")
     crossings = [(v.mats[eidx], forward) for eidx, forward in path_steps(v.quiver)]
-    # matrices compare by value; the same object passes the tuple's identity test
-    return _bars(v.field, v.dims, crossings[:_least_period(crossings)])
+    return _bars(v.field, v.dims, crossings)
 
 
 def _bars(fld: Field, dims: tuple[int, ...], crossings: list[tuple[Matrix, bool]]) -> Barcode:
     """The barcode of the path of vertex dims ``dims`` whose position k > 0
-    is joined to k - 1 by ``crossings[(k - 1) % len(crossings)]``, an
-    (edge matrix, points right): fewer crossings than edges repeat.
+    is joined to k - 1 by an (edge matrix, points right): ``crossings``
+    holds the path's n - 1 of them, or fewer, one turn of a cycle that
+    the path repeats.
 
-    The rank rows that ``_rank_rows`` sweeps give the bars ending before
-    its first repeat, and the rest close by translation (module docstring).
+    One loop sweeps the flag, takes each rank row's bars and stops at the
+    first repeat, and the rest close by translation (module docstring).
     """
     n = len(dims)
     if n == 0:
         return Barcode(())
-    period = len(crossings) if len(crossings) < n - 1 else 0
+    # fewer crossings than edges are one turn of a cycle, and two turns carry
+    # its period across the turn's end; matrices compare by value
+    period = _least_period(crossings * 2 if len(crossings) < n - 1 else crossings)
+    periodic = period < n - 1
+    # per crossing of the period: its flag operation, the matrix it applies, its trivial step
+    table = [[*_crossing(m, forward, periodic), None] for m, forward in crossings[:period]]
+    # the marks and rank row of each of the last `period` positions, on a periodic path
+    past: deque[tuple[list[int], list[tuple], dict[int, int]]] = deque(
+        maxlen=period if periodic else 0)
     found: dict[tuple[int, int], int] = {}
-    # the rank rows of the last `period` positions swept
-    swept: deque[dict[int, int]] = deque(maxlen=period)
-    prev_g: dict[int, int] = {}
-    k = 0
-    for k, g in enumerate(_rank_rows(fld, dims, crossings, period)):
-        _close_bars(found, prev_g, g, k)
-        prev_g = g
-        swept.append(g)
-    repeat = k + 1
-    if repeat < n:
-        # the row of a position i >= repeat is that of i - period, shifted
-        _close_bars(found, prev_g, _shifted_row(swept[0], period), repeat)
-        # no bar of start 0 ends here: r[0, e] never grows with e, and it
-        # repeats with the period from repeat - period on, so it is constant
-        tail = [(a, e, d) for (a, e), d in found.items() if e >= repeat - period]
-        for a, e, d in tail:
-            for t in range(period, n - 1 - e, period):
-                found[(a + t, e + t)] = d
-        t, i = divmod(n - 1 - repeat, period)
-        prev_g = _shifted_row(swept[i], period * (t + 1))
 
-    for a, d in prev_g.items():
+    # one flag carries both chains, over one list of marks: the starts a,
+    # and the pairs (dim A[a], dim R[a]) of their members
+    basis = Matrix.identity(fld, dims[0])
+    starts, pairs = [0], [(dims[0], 0)]
+    g: dict[int, int] = {}  # the rank row of the last position swept
+    for k in range(n):
+        if k > 0:
+            a_dims, r_dims = zip(*pairs)
+            basis, new = _crossed(table[(k - 1) % period], basis, r_dims + a_dims)
+            r_dims, a_dims = new[:len(r_dims)], new[len(r_dims):]
+            # nested members of equal dimension are equal: keep the first start
+            previous, starts, pairs = starts, [], []
+            for a, pair in zip([*previous, k], [*zip(a_dims, r_dims), (dims[k], 0)]):
+                if not pairs or pair != pairs[-1]:
+                    starts.append(a)
+                    pairs.append(pair)
+        if (periodic and len(past) == period and pairs == past[0][1]
+                and starts == _shifted(past[0][0], period)):
+            # k repeats k - period, and so does every later position: the
+            # row of a position i >= k is that of i - period, shifted
+            _close_bars(found, g, _shifted_row(past[0][2], period), k)
+            # no bar of start 0 ends here: r[0, e] never grows with e, and it
+            # repeats with the period from k - period on, so it is constant
+            tail = [(a, e, d) for (a, e), d in found.items() if e >= k - period]
+            for a, e, d in tail:
+                for t in range(period, n - 1 - e, period):
+                    found[(a + t, e + t)] = d
+            t, i = divmod(n - 1 - k, period)
+            g = _shifted_row(past[i][2], period * (t + 1))
+            break
+        prev_g, g = g, _rank_jumps(starts, pairs)
+        _close_bars(found, prev_g, g, k)
+        past.append((starts, pairs, g))
+
+    for a, d in g.items():
         found[(a, n - 1)] = d
 
     bar = Barcode.from_dict({Interval(a, b): d for (a, b), d in found.items()})
@@ -327,45 +352,6 @@ def _bars(fld: Field, dims: tuple[int, ...], crossings: list[tuple[Matrix, bool]
             f"barcode does not conserve dimensions: {list(mass)} vs {list(dims)}"
         )
     return bar
-
-
-def _rank_rows(fld: Field, dims: tuple[int, ...], crossings: list[tuple[Matrix, bool]],
-               period: int) -> Iterator[dict[int, int]]:
-    """The jumps of each rank row r[., k] before the first repeat, k = 0, 1, ..., in order.
-
-    ``crossings`` is as in ``_bars``, and ``period`` is its length on a
-    periodic path, 0 on an aperiodic one.  The flag is swept until the
-    first position k whose marks are those of k - ``period`` shifted
-    (module docstring), and the rows of k and later are not built: they
-    are rows of the last period, shifted, which ``_bars`` closes by
-    translation.  With no repeat every row of the path is yielded.
-    """
-    # the marks of the last `period` positions
-    past_marks: deque[tuple[list[int], list[tuple]]] = deque(maxlen=period)
-
-    # one flag carries both chains, over one list of marks: the starts a,
-    # and the pairs (dim A[a], dim R[a]) of their members
-    basis = Matrix.identity(fld, dims[0])
-    starts, pairs = [0], [(dims[0], 0)]
-    # per crossing: its flag operation, the matrix it applies, its trivial step
-    table = [[*_crossing(m, forward, period > 0), None] for m, forward in crossings]
-
-    for k in range(len(dims)):
-        if k > 0:
-            a_dims, r_dims = zip(*pairs)
-            basis, new = _crossed(table[(k - 1) % len(table)], basis, r_dims + a_dims)
-            r_dims, a_dims = new[:len(r_dims)], new[len(r_dims):]
-            # nested members of equal dimension are equal: keep the first start
-            previous, starts, pairs = starts, [], []
-            for a, pair in zip([*previous, k], [*zip(a_dims, r_dims), (dims[k], 0)]):
-                if not pairs or pair != pairs[-1]:
-                    starts.append(a)
-                    pairs.append(pair)
-        if (period and len(past_marks) == period and pairs == past_marks[0][1]
-                and starts == _shifted(past_marks[0][0], period)):
-            return  # k repeats k - period, and so does every later position
-        past_marks.append((starts, pairs))
-        yield _rank_jumps(starts, pairs)
 
 
 def _crossing(m: Matrix, forward: bool, periodic: bool) -> tuple:
@@ -432,9 +418,10 @@ def _close_bars(found: dict[tuple[int, int], int], prev_g: dict[int, int], g: di
 def _crossed(entry: list, basis: Matrix, dims):
     """The flag (basis, dims) stepped and completed across a crossing (module docstring).
 
-    ``entry`` is the crossing's [flag operation, matrix, trivial step] in
-    ``_rank_rows``.  The trivial step, stored on first use, restarts a
-    trivial flag from the identity, which also keeps QQ bases small.
+    ``entry`` is the crossing's [flag operation, matrix, trivial step],
+    one per place in the period in ``_bars``.  The trivial step, stored
+    on first use, restarts a trivial flag from the identity, which also
+    keeps QQ bases small.
     """
     op, m, trivial = entry
     d = basis.rows

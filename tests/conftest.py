@@ -5,6 +5,7 @@ from itertools import combinations, product
 import pytest
 
 from hnzz import linalg
+from hnzz.affine import CCW, CW
 from hnzz.linalg import (
     GF,
     QQ,
@@ -52,6 +53,13 @@ FRACTION_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", 
 
 def make_rng(seed: int) -> random.Random:
     return random.Random(seed)
+
+
+def mixed_orientations(n):
+    """Every acyclic orientation of an n-cycle: the bit tuples with both CW and CCW."""
+    for bits in product((CW, CCW), repeat=n):
+        if len(set(bits)) > 1:
+            yield bits
 
 
 def _field_ops(fld):

@@ -10,7 +10,6 @@ import os
 import random
 import time
 import timeit
-from itertools import product
 
 from hnzz.affine import (
     CCW,
@@ -33,6 +32,8 @@ from hnzz.quiver import conjugate, direct_sum, euler_stability, slope_of_dims
 from hnzz.serialize import instance_to_json, load_json
 from hnzz.zigzag import barcode
 
+from conftest import mixed_orientations
+
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 EX6 = AffineQuiver(6, (CW, CW, CW, CCW, CW, CW))
 
@@ -41,12 +42,6 @@ def report(num: int, label: str, start: float, budget: float) -> None:
     elapsed = time.perf_counter() - start
     print(f"criterion {num} PASS ({elapsed:.2f}s / budget {budget:.0f}s): {label}")
     assert elapsed < budget, f"criterion {num} exceeded its {budget}s budget"
-
-
-def mixed_orientations(n):
-    for bits in product((CW, CCW), repeat=n):
-        if len(set(bits)) > 1:
-            yield bits
 
 
 def test_criterion_1_running_example_golden():

@@ -3,7 +3,6 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import product
 from pathlib import Path
 
 import pytest
@@ -44,17 +43,11 @@ from hnzz.affine import (
 )
 from hnzz.generators import gen_affine, random_orientation
 
-from conftest import conjugating_bases, make_rng
+from conftest import conjugating_bases, make_rng, mixed_orientations
 
 TESTS = Path(__file__).resolve().parent
 # the running 6-cycle example: only e_3 is counterclockwise
 EX = AffineQuiver(6, (CW, CW, CW, CCW, CW, CW))
-
-
-def mixed_orientations(n):
-    for bits in product((CW, CCW), repeat=n):
-        if len(set(bits)) > 1:
-            yield bits
 
 
 class TestQuiverConstruction:

@@ -108,13 +108,15 @@ def test_workload_round_passes_its_checks(name, tmp_path, count_calls, monkeypat
             yield u
 
     monkeypatch.setattr(hn, "_superspaces", counting)
-    positions, rank_rows = [], zigzag._rank_rows
+    positions, bars = [], zigzag._bars
 
     def sweeping(fld, dims, *rest):
         positions.append(len(dims))
-        return rank_rows(fld, dims, *rest)
+        return bars(fld, dims, *rest)
 
-    monkeypatch.setattr(zigzag, "_rank_rows", sweeping)
+    # affine binds ``_bars`` by name
+    for target in ("hnzz.zigzag._bars", "hnzz.affine._bars"):
+        monkeypatch.setattr(target, sweeping)
     swept = count_calls(zigzag, "_rank_jumps")
     walk = [count_calls(hn, step) for step in ("_destabilizer", "_superspaces")]
     eliminations = count_calls(linalg, "_gauss_jordan")

@@ -1,12 +1,14 @@
 import hashlib
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from hnzz import linalg, zigzag
 from hnzz.errors import ShapeError, ValidationError
-from hnzz.affine import classify_lift, default_window, lift_truncated
+from hnzz.affine import (CCW, CW, AffineQuiver, classify_lift, default_window, lift_truncated,
+                         to_quiver)
 from hnzz.generators import gen_affine
 from hnzz.linalg import (
     GF,
@@ -795,6 +797,15 @@ def test_least_period(seq, period):
     assert zigzag._least_period(seq) == period
 
 
+def test_least_period_of_two_turns_divides_a_turn():
+    # ``_bars`` reads a cycle's period off two turns: by Fine and Wilf it
+    # divides the turn's length, so the turn repeats whole periods
+    words = ["".join(w) for size in range(1, 7) for w in product("abc", repeat=size)]
+    assert len(words) == 1092
+    for w in words:
+        assert len(w) % zigzag._least_period(w * 2) == 0, w
+
+
 def test_translated_tail_matches_full_sweep(count_calls, monkeypatch):
     # past the sweep's first repeat the bars close by translation; on 400
     # lift windows of the default length plus 0-12 periods, the window
@@ -818,6 +829,24 @@ def test_translated_tail_matches_full_sweep(count_calls, monkeypatch):
             assert barcode(lift_truncated(v, window)) == got
             assert len(swept) == window + 1
     assert stopped == 400
+
+
+def test_lift_sweeps_least_period_within_a_turn(count_calls):
+    # a 12-cycle of alternating orientation with one matrix on every edge:
+    # its crossings repeat every 2 positions, within one turn, and
+    # classify_lift sweeps no more of its window than barcode of the built
+    # window does
+    fld = GF(3)
+    m = Matrix(fld, [[1, 1], [0, 2]])
+    v = Representation(to_quiver(AffineQuiver(12, (CW, CCW) * 6)), fld, (2,) * 12, (m,) * 12)
+    window = lift_truncated(v, default_window(v))
+    work = [count_calls(linalg, "_gauss_jordan"), count_calls(zigzag, "_rank_jumps")]
+    got = classify_lift(v)[2]
+    lifted = [len(calls) for calls in work]
+    for calls in work:
+        calls.clear()
+    assert barcode(window) == got
+    assert [len(calls) for calls in work] == lifted == [2, 2]
 
 
 @pytest.mark.parametrize("fld", [GF(2), GF(3), GF(5), QQ], ids=repr)
