@@ -25,8 +25,8 @@ from .affine import (
 )
 from .errors import ShapeError, ValidationError, check_counts, check_ints, check_type, shown
 from .generators import gen_affine, gen_persistence
-from .hn import ORACLE_MAX_TOTAL_DIM, HNReport, hn_bruteforce, hn_from_barcode
-from .linalg import ENUM_MAX_DIM, GF
+from .hn import ENUM_MAX_DIM, ORACLE_MAX_TOTAL_DIM, HNReport, hn_bruteforce, hn_from_barcode
+from .linalg import GF
 from .quiver import Quiver, Representation, StabilityCondition, euler_stability
 from .serialize import instance_to_json
 from .zigzag import Barcode, Interval, barcode, is_path

@@ -6,8 +6,8 @@ tuples closed under the edge maps) that contain the current stage, which
 are those of the quotient, takes the unique maximal destabilizer as the
 next stage, and returns explicit filtration bases in the input
 coordinates.  It works on any acyclic quiver but raises GuardError past
-fixed limits: total dimension ``ORACLE_MAX_TOTAL_DIM[p]`` (below) and
-the enumerator limits ``ENUM_MAX_DIM``, ``ENUM_MAX_P`` (in ``linalg``).
+the fixed limits below: the characteristics and total dimensions of
+``ORACLE_MAX_TOTAL_DIM``, and ``ENUM_MAX_DIM`` at any vertex.
 Each pass of ``hn_bruteforce`` returns the one destabilizer of the
 quotient (``_destabilizer``): its dims, its basis vectors and how many
 subrepresentations share its (slope, total) key.  A suffix DP over the
@@ -20,9 +20,10 @@ subrepresentation priced so far (at first the whole quotient), only
 rises, and a class whose bound is below T is never walked, so the
 destabilizer and its count are those of the full scan.  The scan skips
 the vertices of dimension 0.  Inside it a subspace, floors included, is
-the tuple of its canonical basis vectors (``linalg._superspaces``), and
-so is the stage that one pass hands the next; a ``Matrix`` appears only
-in the witness.
+the tuple of its canonical basis vectors (the rows that
+``linalg._echelon`` returns, as ``_superspaces`` yields them), and so is
+the stage that one pass hands the next; a ``Matrix`` appears only in the
+witness.
 ``hn_from_barcode`` is the fast route for a path of any orientation
 under the Euler weights: every interval module is semistable there, of
 slope (1 - e)/|I| with e the number of edges that point into I from
@@ -38,23 +39,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, combinations, product
 from math import lcm
 from operator import add, mul
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import GuardError, InternalCheckError, ShapeError, ValidationError, check_type, shown
-from .linalg import (
-    ENUM_MAX_P,
-    Matrix,
-    PrimeField,
-    QQ,
-    _check_enum_guard,
-    _columns,
-    _from_columns,
-    _span_with_image,
-    _superspaces,
-)
+from .linalg import Matrix, PrimeField, QQ, _echelon, _from_columns
 from .quiver import (
     Quiver,
     Representation,
@@ -130,9 +121,14 @@ def _checked_steps(quiver: Quiver, steps) -> tuple[tuple[Fraction, tuple[int, ..
     return tuple((QQ.coerce(sl), checked_dims(dims, quiver.vertex_count)) for sl, dims in steps)
 
 
-# The oracle's cap on the total dimension of its input, per characteristic;
-# the subrepresentation scan multiplies subspace counts across vertices.
+# The oracle's cap on the total dimension of its input, per characteristic,
+# and so the characteristics it runs over; the subrepresentation scan
+# multiplies subspace counts across vertices.
 ORACLE_MAX_TOTAL_DIM = {2: 8, 3: 6}
+# Subspace enumeration over GF(p) grows like p^(dim^2/4); this cap on the
+# dimension of the quotient at one vertex keeps the scan in the "finishes
+# in seconds" regime.
+ENUM_MAX_DIM = 6
 
 
 def _check_oracle_guard(v: Representation) -> None:
@@ -140,8 +136,8 @@ def _check_oracle_guard(v: Representation) -> None:
     if not isinstance(v.field, PrimeField):
         raise GuardError("the brute-force oracle runs over prime fields only")
     p = v.field.p
-    if p > ENUM_MAX_P:
-        raise GuardError(f"oracle guard exceeded: p={p} > {ENUM_MAX_P}")
+    if p not in ORACLE_MAX_TOTAL_DIM:
+        raise GuardError(f"oracle guard exceeded: p={p} > {max(ORACLE_MAX_TOTAL_DIM)}")
     cap = ORACLE_MAX_TOTAL_DIM[p]
     if v.total_dim() > cap:
         raise GuardError(
@@ -155,6 +151,56 @@ def _scan_order(v: Representation) -> list[int]:
     if order is None:
         raise ShapeError("subrepresentation scan requires an acyclic quiver")
     return [x for x in order if v.dims[x]]
+
+
+def _superspaces(field: PrimeField, floor: Sequence[tuple[int, ...]], dim: int, k: int
+                 ) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """The subspaces of GF(p)^dim containing span(floor) with k more dimensions.
+
+    ``floor`` and each subspace yielded are canonical basis-vector tuples.
+    The k-dimensional subspaces of the quotient are walked on the floor's
+    free coordinates, those that lead no floor vector: for each k of them
+    as pivots, in lexicographic order, every filling of the entries past
+    each pivot at the other free coordinates, in ``product`` order.  The
+    new vectors vanish at the floor's pivots and at each other's, so
+    clearing the floor vectors at the new pivots and merging the two parts
+    by pivot gives the reduced echelon basis with no elimination.  The
+    caller, ``_destabilizer``, has held the quotient to ``ENUM_MAX_DIM``.
+    """
+    p = field.p
+    taken = {vec.index(1) for vec in floor}
+    free = [r for r in range(dim) if r not in taken]
+    for pivots in combinations(free, k):
+        slots = [(j, r) for j, c in enumerate(pivots) for r in free if r > c and r not in pivots]
+        # each floor vector with its nonzero entries at the new pivots
+        clear = [(vec, [(j, vec[c]) for j, c in enumerate(pivots) if vec[c]]) for vec in floor]
+        for values in product(range(p), repeat=len(slots)):
+            new = [[0] * dim for _ in pivots]
+            for j, c in enumerate(pivots):
+                new[j][c] = 1
+            for (j, r), x in zip(slots, values):
+                new[j][r] = x
+            rows = [tuple(row) for row in new]
+            for vec, hits in clear:
+                for j, a in hits:
+                    vec = [(x - a * y) % p for x, y in zip(vec, new[j])]
+                rows.append(tuple(vec))
+            # reduced echelon rows fall in lexicographic order as their pivots rise
+            yield tuple(sorted(rows, reverse=True))
+
+
+def _span_with_image(field: PrimeField, floor: tuple[tuple, ...], basis: Sequence[Sequence[int]],
+                     transposed: Sequence[Sequence[int]]) -> tuple[tuple, ...]:
+    """Basis vectors of span(floor) + m(span(basis)), from the rows of m transposed.
+
+    The images are the nonzero rows of ``basis @ transposed``; with none,
+    the floor is the answer, and otherwise one ``_echelon`` of them and the
+    floor vectors gives the canonical basis.
+    """
+    images = [row for row in field.product(basis, transposed, len(transposed[0])) if any(row)]
+    if not images:
+        return floor
+    return tuple(map(tuple, _echelon(field, [*floor, *images])[0]))
 
 
 def is_semistable(v: Representation, alpha: StabilityCondition) -> bool:
@@ -204,16 +250,20 @@ def _destabilizer(
     classes in decreasing-bound order and stops at the first bound below
     T, so every dims of the best key keeps its exact count and first
     bases; the other entries may be missing or short and are dropped.
-    The enumeration guard is checked up front for every vertex's whole
-    quotient, so a refusal does not depend on what the bound skips.
+    The enumeration guard, ``ENUM_MAX_DIM``, is checked here once, up
+    front, for every vertex's whole quotient, so a refusal does not depend
+    on what the bound skips, and ``_superspaces`` checks nothing.
     """
     order = _scan_order(v)
     n = len(order)
     field = v.field
     done = [len(u) for u in stage]
     free = [v.dims[x] - done[x] for x in order]
-    for q in free:
-        _check_enum_guard(q, field)
+    if max(free) > ENUM_MAX_DIM:
+        raise GuardError(
+            f"subspace enumeration guard exceeded (dim={max(free)}, p={field.p}; "
+            f"limits dim<={ENUM_MAX_DIM}, p<={max(ORACLE_MAX_TOTAL_DIM)})"
+        )
     # integer weights and slopes: every total is at most sum(free), so
     # num / total over the lcm of 1..sum(free) is an integer
     scale = lcm(*(alpha.weights[x].denominator for x in order))
@@ -243,7 +293,7 @@ def _destabilizer(
     out_edges: dict[int, list[tuple[tuple, int]]] = {x: [] for x in order}
     for m, (src, dst) in zip(v.mats, v.quiver.edges):
         if src in pos and dst in pos:
-            out_edges[src].append((_columns(m), dst))
+            out_edges[src].append((tuple(zip(*m.ints)), dst))
     # partial floors of order[i:] -> suffix dims (in that order) -> [bases, count]
     memo: dict[tuple, dict[tuple[int, ...], list]] = {(): {(): [(), 1]}}
     keys: dict[tuple[int, ...], tuple[int, int]] = {}

@@ -28,9 +28,8 @@ den by their gcd.
 A public name refuses a wrong argument; a private one trusts its
 callers here, which pass what checked constructors built: the sweep's
 flag steps (``_flag_image``, ``_flag_preimage``, ``_flag_moved``,
-``_flag_completed``, ``_scaled_inverse``; "flags" below), the oracle's
-enumerator ``_superspaces`` with ``_check_enum_guard``,
-``_span_with_image``, ``_columns`` and ``_from_columns`` ("subspace
+``_flag_completed``, ``_scaled_inverse``; "flags" below), ``_echelon``
+and ``_from_columns`` for the oracle's subspace scan in ``hn`` ("subspace
 arithmetic" below), ``_block_diag`` for ``quiver.direct_sum``, and
 ``_read_entry`` for ``serialize``'s reader.  That reads each distinct QQ
 entry string of a document once, "a" and "a/b" straight into ints, and
@@ -60,16 +59,16 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from itertools import chain, combinations, product
+from itertools import chain
 from math import gcd, lcm
 from operator import attrgetter, mul
 from typing import NamedTuple
 
-from .errors import GuardError, ValidationError, check_counts, check_ints, check_type, shown
+from .errors import ValidationError, check_counts, check_ints, check_type, shown
 
 
 def _is_prime(n: int) -> bool:
@@ -464,14 +463,15 @@ def _gauss_jordan(field: Field, work: list[Sequence[int]], reduced: bool = True)
     Returns the pivot columns; row i holds the pivot of column
     ``pivots[i]`` and every row past the last pivot is zero.  This is the
     one elimination loop of the package: ``rank``, ``subspace_contains``,
-    ``_span_with_image``, ``_flag_image``, ``_flag_preimage``,
-    ``_flag_completed`` and ``_scaled_inverse`` (``inverse``'s too) run
-    through it (a kernel is the ``_flag_preimage`` of the zero subspace),
-    and no other code takes a row step.  With ``reduced=False`` only the
-    rows below each pivot are cleared: the pivots are the same, at about
-    half the row operations, which is all a rank needs.  The rows are then
-    unspecified, and its callers (``rank``, ``subspace_contains``,
-    ``_flag_image``, ``_flag_completed``) read only the pivots.
+    ``_echelon`` (and so the oracle's floor step in ``hn``),
+    ``_flag_image``, ``_flag_preimage``, ``_flag_completed`` and
+    ``_scaled_inverse`` (``inverse``'s too) run through it (a kernel is the
+    ``_flag_preimage`` of the zero subspace), and no other code takes a
+    row step.  With ``reduced=False`` only the rows below each pivot are
+    cleared: the pivots are the same, at about half the row operations,
+    which is all a rank needs.  The rows are then unspecified, and its
+    callers (``rank``, ``subspace_contains``, ``_flag_image``,
+    ``_flag_completed``) read only the pivots.
 
     The rows are integer rows of ``field`` (a Matrix's ``ints``), and
     only the list is changed: a row is swapped or replaced, never written
@@ -554,7 +554,7 @@ def random_invertible_rng(dim: int, field: Field, rng: random.Random) -> Matrix:
         if isinstance(field, PrimeField):
             data = [[rng.randrange(field.p) for _ in range(dim)] for _ in range(dim)]
         else:
-            data = [[Fraction(rng.randint(-9, 9)) for _ in range(dim)] for _ in range(dim)]
+            data = [[rng.randint(-9, 9) for _ in range(dim)] for _ in range(dim)]
         cand = Matrix(field, data, dim)
         if rank(cand) == dim:
             return cand
@@ -565,9 +565,8 @@ def random_invertible_rng(dim: int, field: Field, rng: random.Random) -> Matrix:
 #
 # A subspace of K^d is represented by its canonical reduced column-echelon
 # basis (a d x k Matrix), so subspace equality is matrix equality.  The
-# oracle's scan holds one as the tuple of its basis vectors, the rows that
-# ``_echelon`` returns, and converts only at its boundary (``_columns``,
-# ``_from_columns``).
+# oracle's scan in ``hn`` holds one as the tuple of its basis vectors, the
+# rows that ``_echelon`` returns, and ``_from_columns`` builds its Matrix.
 # ---------------------------------------------------------------------------
 
 
@@ -587,88 +586,9 @@ def subspace_contains(space: Matrix, vectors: Matrix) -> bool:
     return len(_gauss_jordan(space.field, work, reduced=False)) == space.cols
 
 
-# Subspace enumeration over GF(p) grows like p^(dim^2/4); these limits keep
-# the oracle's scans in the "finishes in seconds" regime.
-ENUM_MAX_DIM = 6
-ENUM_MAX_P = 3
-
-
-def _check_enum_guard(dim: int, field: PrimeField) -> None:
-    """GuardError unless GF(p)^dim is small enough to walk."""
-    if dim > ENUM_MAX_DIM or field.p > ENUM_MAX_P:
-        raise GuardError(
-            f"subspace enumeration guard exceeded (dim={dim}, p={field.p}; "
-            f"limits dim<={ENUM_MAX_DIM}, p<={ENUM_MAX_P})"
-        )
-
-
-def _columns(m: Matrix) -> tuple[tuple[int, ...], ...]:
-    """The columns of ``m.ints`` as tuples: the basis vectors of a column-echelon basis.
-
-    They are the columns of ``m`` over GF(p), where ``den`` is 1 and the
-    oracle runs; over QQ they are those columns times ``den``.
-    """
-    return tuple(zip(*m.ints))
-
-
 def _from_columns(field: PrimeField, vectors: Sequence[Sequence[int]], dim: int) -> Matrix:
     """The dim x k Matrix over GF(p) whose columns are the k residue ``vectors``."""
     return Matrix._canonical(field, list(zip(*vectors)) if vectors else [()] * dim, len(vectors))
-
-
-def _span_with_image(field: Field, floor: tuple[tuple, ...], basis: Sequence[Sequence[int]],
-                     transposed: Sequence[Sequence[int]]) -> tuple[tuple, ...]:
-    """Basis vectors of span(floor) + m(span(basis)), from the rows of m transposed.
-
-    The images are the nonzero rows of ``basis @ transposed``; with none,
-    the floor is the answer, and otherwise one ``_echelon`` of them and the
-    floor vectors gives the canonical basis.
-    """
-    images = [row for row in field.product(basis, transposed, len(transposed[0])) if any(row)]
-    if not images:
-        return floor
-    return tuple(map(tuple, _echelon(field, [*floor, *images])[0]))
-
-
-def _superspaces(field: PrimeField, floor: Sequence[tuple[int, ...]], dim: int, k: int
-                 ) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """The subspaces of GF(p)^dim containing span(floor) with k more dimensions.
-
-    ``floor`` and each subspace yielded are canonical basis-vector tuples.
-    The k-dimensional subspaces of the quotient are walked on the floor's
-    free coordinates, those that lead no floor vector: for each k of them
-    as pivots, in lexicographic order, every filling of the entries past
-    each pivot at the other free coordinates, in ``product`` order.  The
-    new vectors vanish at the floor's pivots and at each other's, so
-    clearing the floor vectors at the new pivots and merging the two parts
-    by pivot gives the reduced echelon basis with no elimination.  The
-    quotient's guard comes before any yield.
-    """
-    taken = {vec.index(1) for vec in floor}
-    free = [r for r in range(dim) if r not in taken]
-    _check_enum_guard(len(free), field)
-    p = field.p
-
-    def generate() -> Iterator[tuple[tuple[int, ...], ...]]:
-        for pivots in combinations(free, k):
-            slots = [(j, r) for j, c in enumerate(pivots) for r in free if r > c and r not in pivots]
-            # each floor vector with its nonzero entries at the new pivots
-            clear = [(vec, [(j, vec[c]) for j, c in enumerate(pivots) if vec[c]]) for vec in floor]
-            for values in product(range(p), repeat=len(slots)):
-                new = [[0] * dim for _ in pivots]
-                for j, c in enumerate(pivots):
-                    new[j][c] = 1
-                for (j, r), x in zip(slots, values):
-                    new[j][r] = x
-                rows = [tuple(row) for row in new]
-                for vec, hits in clear:
-                    for j, a in hits:
-                        vec = [(x - a * y) % p for x, y in zip(vec, new[j])]
-                    rows.append(tuple(vec))
-                # reduced echelon rows fall in lexicographic order as their pivots rise
-                yield tuple(sorted(rows, reverse=True))
-
-    return generate()
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,20 @@ def make_rng(seed: int) -> random.Random:
     return random.Random(seed)
 
 
+def vectors_of(m: Matrix) -> tuple[tuple[int, ...], ...]:
+    """The columns of ``m.ints`` as tuples: the oracle's basis-vector tuple of span(m).
+
+    Over GF(p) they are the columns of ``m``; over QQ those columns times
+    ``m.den``, which span the same subspace.
+    """
+    return tuple(zip(*m.ints))
+
+
+def from_vectors(field, vectors, dim: int) -> Matrix:
+    """The dim x k Matrix whose columns are the k ``vectors``, built by the public constructor."""
+    return Matrix(field, list(zip(*vectors)) if vectors else [()] * dim, len(vectors))
+
+
 def mixed_orientations(n):
     """Every acyclic orientation of an n-cycle: the bit tuples with both CW and CCW."""
     for bits in product((CW, CCW), repeat=n):

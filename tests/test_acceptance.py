@@ -26,7 +26,12 @@ from hnzz.affine import (
 )
 from hnzz import campaign, linalg
 from hnzz.generators import gen_affine, gen_persistence, random_orientation
-from hnzz.hn import ORACLE_MAX_TOTAL_DIM, is_semistable, recover_barcode_via_truncations
+from hnzz.hn import (
+    ENUM_MAX_DIM,
+    ORACLE_MAX_TOTAL_DIM,
+    is_semistable,
+    recover_barcode_via_truncations,
+)
 from hnzz.linalg import GF, Matrix, random_invertible_rng
 from hnzz.quiver import conjugate, direct_sum, euler_stability, slope_of_dims
 from hnzz.serialize import instance_to_json, load_json
@@ -95,7 +100,7 @@ def draw_equioriented(rng):
     p = rng.choice(tuple(ORACLE_MAX_TOTAL_DIM))
     rep, truth = gen_persistence(
         rng.randint(1, 5), GF(p), 4, rng, min_summands=1, total_cap=ORACLE_MAX_TOTAL_DIM[p],
-        vertex_cap=linalg.ENUM_MAX_DIM,
+        vertex_cap=ENUM_MAX_DIM,
     )
     return campaign.Case(rep, truth)
 

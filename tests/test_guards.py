@@ -14,12 +14,15 @@ import pytest
 
 from hnzz.affine import LIFT_MAX_WINDOW, AffineQuiver, classify_lift, indec_T
 from hnzz.cli import main
-from hnzz.errors import GuardError, ShapeError
+from hnzz.errors import GuardError, ShapeError, ValidationError
 from hnzz.generators import GEN_MAX_N, GEN_MAX_SUMMANDS, equioriented_quiver
-from hnzz.linalg import GF, _superspaces
-from hnzz.quiver import direct_sum, zero_representation
+from hnzz.hn import _superspaces, hn_bruteforce
+from hnzz.linalg import GF, Matrix
+from hnzz.quiver import Quiver, Representation, StabilityCondition, direct_sum, zero_representation
 from hnzz.serialize import instance_to_json, write_json
 from hnzz.zigzag import Interval, interval_module
+
+from conftest import zero_map_path
 
 ENUM_REFUSAL = "subspace enumeration guard exceeded (dim={dim}, p={p}; limits dim<=6, p<=3)"
 
@@ -78,10 +81,39 @@ def test_oracle_refuses_past_the_caps(tmp_path, capsys, p, bars, message):
 
 def test_enumerator_limits():
     assert sum(1 for k in range(7) for _ in _superspaces(GF(2), (), 6, k)) == 2825
-    for dim, p in ((7, 2), (2, 5)):
+    # the enumerator checks nothing: the oracle refuses for it
+    for dim, p, message in ((7, 2, ENUM_REFUSAL.format(dim=7, p=2)),
+                            (2, 5, "oracle guard exceeded: p=5 > 3")):
         with pytest.raises(GuardError) as info:
-            _superspaces(GF(p), (), dim, 0)
-        assert str(info.value) == ENUM_REFUSAL.format(dim=dim, p=p)
+            hn_bruteforce(zero_map_path((dim,), GF(p)), StabilityCondition((1,)))
+        assert str(info.value) == message
+
+
+def two_cycle(dims):
+    """The directed 2-cycle 0 -> 1 -> 0 over GF(2) with zero maps."""
+    mats = (Matrix.zeros(GF(2), dims[1], dims[0]), Matrix.zeros(GF(2), dims[0], dims[1]))
+    return Representation(Quiver(2, ((0, 1), (1, 0))), GF(2), dims, mats)
+
+
+@pytest.mark.parametrize(
+    "rep,weights,error,message",
+    [
+        # the total cap before the weights
+        (zero_map_path((7, 2)), (1,), GuardError,
+         "oracle guard exceeded: total dimension 9 > 8 over GF(2)"),
+        # the weights before the shape and the enumeration guard
+        (zero_map_path((7, 1)), (1,), ValidationError,
+         "stability condition does not match the quiver"),
+        # the shape before the enumeration guard
+        (two_cycle((7, 1)), (1, 0), ShapeError,
+         "subrepresentation scan requires an acyclic quiver"),
+        (zero_map_path((1, 7)), (1, 0), GuardError, ENUM_REFUSAL.format(dim=7, p=2)),
+    ],
+)
+def test_oracle_refusal_order(rep, weights, error, message):
+    with pytest.raises(error) as info:
+        hn_bruteforce(rep, StabilityCondition(weights))
+    assert type(info.value) is error and str(info.value) == message
 
 
 def cycle_instance(tmp_path):

@@ -10,7 +10,7 @@ import pytest
 import hnzz.hn as hn_module
 from hnzz import campaign
 from hnzz.errors import GuardError, InternalCheckError, ShapeError, ValidationError
-from hnzz.linalg import GF, QQ, Matrix, _columns, subspace_contains
+from hnzz.linalg import GF, QQ, Matrix, subspace_contains
 from hnzz.quiver import (
     Quiver,
     Representation,
@@ -23,6 +23,7 @@ from hnzz.quiver import (
 )
 from hnzz.zigzag import Barcode, Interval, barcode, interval_module
 from hnzz.hn import (
+    ENUM_MAX_DIM,
     ORACLE_MAX_TOTAL_DIM,
     HNReport,
     hn_bruteforce,
@@ -36,10 +37,12 @@ from hnzz.generators import equioriented_quiver, gen_persistence
 
 from conftest import (
     conjugating_bases,
+    from_vectors,
     make_rng,
     random_path_quiver,
     random_zigzag_rep,
     subrepresentations,
+    vectors_of,
     zero_map_path,
 )
 
@@ -313,7 +316,7 @@ class TestDestabilizer:
                 keys = {dims: (slope_of_dims(dims, alpha), sum(dims)) for dims in counts}
                 best = max(keys.values())
                 winners = {dims for dims, key in keys.items() if key == best}
-                above = tuple(map(_columns, stage))
+                above = tuple(map(vectors_of, stage))
                 dims, vectors, count = hn_module._destabilizer(v, above, alpha)
                 assert dims in winners
                 assert hn_module._stage(v, vectors) == first[dims]
@@ -413,6 +416,48 @@ def test_oracle_witness_digest_pinned(name):
             runs += 1
     assert runs > 100
     assert h.hexdigest() == expected
+
+
+def dual(v: Representation) -> Representation:
+    """v with every edge reversed and every map transposed."""
+    q = Quiver(v.quiver.vertex_count, tuple((dst, src) for src, dst in v.quiver.edges))
+    mats = tuple(from_vectors(v.field, m.data, m.cols) for m in v.mats)
+    return Representation(q, v.field, v.dims, mats)
+
+
+def test_oracle_obeys_duality_conjugation_and_direct_sums():
+    # campaign draws under random weights, within the oracle's guards:
+    # the dual under the negated weights reverses the steps and negates
+    # their slopes; a conjugate keeps the steps, and each of its witness
+    # stages spans the bases times the original stage; the sum of v and
+    # its conjugate has the merged report of both
+    rng = make_rng(44)
+    stages = sums = 0
+    for draw in (campaign.draw_a, campaign.draw_b) * 100:
+        v = draw(rng).rep
+        alpha = random_weights(v.quiver, rng)
+        report = hn_bruteforce(v, alpha)
+        negated = StabilityCondition(tuple(-w for w in alpha.weights))
+        assert hn_bruteforce(dual(v), negated).steps == tuple(
+            (-sl, dims) for sl, dims in reversed(report.steps)
+        )
+        bases = conjugating_bases(v, rng)
+        w = conjugate(v, bases)
+        moved = hn_bruteforce(w, alpha)
+        assert moved.steps == report.steps
+        for stage, image in zip(report.witness, moved.witness):
+            for b, u, bu in zip(bases, stage, image):
+                assert bu.cols == u.cols and subspace_contains(bu, b @ u)
+            stages += 1
+        total = direct_sum(v, w)
+        if (total.total_dim() <= ORACLE_MAX_TOTAL_DIM[v.field.p]
+                and max(total.dims) <= ENUM_MAX_DIM):
+            assert hn_bruteforce(total, alpha) == HNReport.merged(
+                v.quiver, report.steps + moved.steps
+            )
+            sums += 1
+    # 398 witness stages and 95 sums within the caps at this seed
+    assert stages >= 350 and sums >= 80
 
 
 class TestFromBarcode:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import hnzz
 from hnzz import linalg
 from hnzz.errors import GuardError, ValidationError
-from hnzz.hn import hn_bruteforce
+from hnzz.hn import _span_with_image, _superspaces, hn_bruteforce
 from hnzz.linalg import (
     GF,
     QQ,
@@ -23,9 +23,6 @@ from hnzz.linalg import (
     _flag_completed,
     _flag_image,
     _flag_preimage,
-    _from_columns,
-    _span_with_image,
-    _superspaces,
     inverse,
     random_invertible_rng,
     rank,
@@ -37,6 +34,7 @@ from conftest import (
     FRACTION_ARITHMETIC,
     every_subspace,
     every_superspace,
+    from_vectors,
     hstack,
     package_rref,
     pivot_rows,
@@ -45,6 +43,8 @@ from conftest import (
     reference_matmul,
     reference_rref,
     reference_superspaces,
+    vectors_of,
+    zero_map_path,
 )
 
 FIELDS = [QQ, GF(2), GF(3), GF(5)]
@@ -69,19 +69,17 @@ def column_echelon(m: Matrix) -> Matrix:
     Zero columns are dropped, so two matrices span the same subspace iff
     the results are equal.
     """
-    vectors = linalg._echelon(m.field, linalg._columns(m))[0]
-    return Matrix(m.field, list(zip(*vectors)) if vectors else [()] * m.rows, len(vectors))
+    return from_vectors(m.field, linalg._echelon(m.field, vectors_of(m))[0], m.rows)
 
 
 def package_superspaces(floor: Matrix, k: int) -> list[Matrix]:
-    """``linalg._superspaces`` of span(floor), each read back as a basis Matrix."""
-    vectors = linalg._columns(floor)
-    return [_from_columns(floor.field, u, floor.rows)
-            for u in _superspaces(floor.field, vectors, floor.rows, k)]
+    """``hn._superspaces`` of span(floor), each read back as a basis Matrix."""
+    return [from_vectors(floor.field, u, floor.rows)
+            for u in _superspaces(floor.field, vectors_of(floor), floor.rows, k)]
 
 
 def package_subspaces(dim: int, p: int) -> list[Matrix]:
-    """Every subspace of GF(p)^dim from ``linalg._superspaces``, class by class."""
+    """Every subspace of GF(p)^dim from ``hn._superspaces``, class by class."""
     return [u for k in range(dim + 1) for u in package_superspaces(Matrix.zeros(GF(p), dim, 0), k)]
 
 
@@ -366,13 +364,19 @@ class TestSubspaceEnumerator:
         assert len(package_subspaces(2, 2)) == 5
         assert len(package_subspaces(3, 2)) == 16
 
+    # the enumerator trusts its caller: the oracle refuses the quotients it
+    # may not walk before it enumerates any
     def test_guard_dim(self):
-        with pytest.raises(GuardError):
-            _superspaces(GF(2), (), 7, 0)
+        with pytest.raises(GuardError) as info:
+            hn_bruteforce(zero_map_path((7,)), StabilityCondition((1,)))
+        assert str(info.value) == (
+            "subspace enumeration guard exceeded (dim=7, p=2; limits dim<=6, p<=3)"
+        )
 
     def test_guard_p(self):
-        with pytest.raises(GuardError):
-            _superspaces(GF(5), (), 2, 0)
+        with pytest.raises(GuardError) as info:
+            hn_bruteforce(zero_map_path((2,), GF(5)), StabilityCondition((1,)))
+        assert str(info.value) == "oracle guard exceeded: p=5 > 3"
 
     def test_nonprime_rejected(self):
         # the enumerator trusts its field: the oracle, its one caller,
@@ -737,10 +741,9 @@ class TestSubspaceOps:
         m = Matrix(fld, [[1, 2], [0, 0], [2, 1]])
         floor = Matrix(fld, [[0], [1], [0]])
         for basis in every_subspace(2, 3):
-            got = _span_with_image(fld, linalg._columns(floor), linalg._columns(basis),
-                                  linalg._columns(m))
+            got = _span_with_image(fld, vectors_of(floor), vectors_of(basis), vectors_of(m))
             want = reference_column_echelon(hstack([floor, m @ basis]))
-            assert _from_columns(fld, got, 3) == want
+            assert from_vectors(fld, got, 3) == want
 
     def test_inverse_roundtrip(self):
         m = random_invertible_rng(3, GF(7), random.Random(11))
