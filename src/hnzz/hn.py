@@ -50,13 +50,12 @@ from .quiver import (
     Quiver,
     Representation,
     StabilityCondition,
-    _restrict,
     _topological_order,
     check_weights,
     checked_dims,
     slope_of_dims,
 )
-from .zigzag import Barcode, Interval, barcode, path_steps
+from .zigzag import Barcode, Interval, _bars, _crossings, path_steps
 
 
 @dataclass(frozen=True)
@@ -432,15 +431,20 @@ def recover_barcode_via_truncations(v: Representation) -> Barcode:
     k..n-1 exposes the multiplicities of intervals starting at the cut;
     subtracting the already-known intervals that reach past the cut
     recovers the multiplicity of [k, v] for every right endpoint v.
+    The path's crossings are read once, and the cut at k is swept as
+    their slice from k on, over the dims from k on, by ``zigzag._bars``;
+    its quiver for ``hn_from_barcode`` is read off the slice's directions.
     """
     check_type(v, Representation, "truncation recovery input")
-    if not all(fwd for _, fwd in path_steps(v.quiver)):
+    crossings = _crossings(v)
+    if not all(fwd for _, fwd in crossings):
         raise ShapeError("truncation recovery requires an equioriented path")
-    n = v.quiver.vertex_count
+    n = len(v.dims)
     recovered: dict[tuple[int, int], int] = {}
     for k in range(n):
-        sub = _restrict(v, range(k, n))
-        report = hn_from_barcode(barcode(sub), sub.quiver)
+        cut = crossings[k:]
+        edges = tuple((i - 1, i) if fwd else (i, i - 1) for i, (_, fwd) in enumerate(cut, 1))
+        report = hn_from_barcode(_bars(v.field, v.dims[k:], cut), Quiver(n - k, edges))
         for sl, dims in report.steps:
             if sl == 0:
                 continue

@@ -144,24 +144,6 @@ def conjugate(v: Representation, basis: Sequence[Matrix]) -> Representation:
     return Representation(v.quiver, v.field, v.dims, mats)
 
 
-def _restrict(v: Representation, vertex_subset: Iterable[int]) -> Representation:
-    """Representation induced on the subquiver spanned by ``vertex_subset``, vertices of v.
-
-    Vertices are reindexed in increasing order; only edges with both ends
-    inside the subset survive, in their original relative order.
-    """
-    keep = sorted(set(vertex_subset))
-    renum = {x: i for i, x in enumerate(keep)}
-    edges = []
-    mats = []
-    for (src, dst), m in zip(v.quiver.edges, v.mats):
-        if src in renum and dst in renum:
-            edges.append((renum[src], renum[dst]))
-            mats.append(m)
-    sub = Quiver(len(keep), tuple(edges))
-    return Representation(sub, v.field, tuple(v.dims[x] for x in keep), tuple(mats))
-
-
 @dataclass(frozen=True)
 class StabilityCondition:
     """One exact rational weight per vertex; induces the slope functional."""

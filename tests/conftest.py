@@ -69,6 +69,13 @@ def from_vectors(field, vectors, dim: int) -> Matrix:
     return Matrix(field, list(zip(*vectors)) if vectors else [()] * dim, len(vectors))
 
 
+def dual(v: Representation) -> Representation:
+    """v with every edge reversed and every map transposed."""
+    q = Quiver(v.quiver.vertex_count, tuple((dst, src) for src, dst in v.quiver.edges))
+    mats = tuple(from_vectors(v.field, m.data, m.cols) for m in v.mats)
+    return Representation(q, v.field, v.dims, mats)
+
+
 def mixed_orientations(n):
     """Every acyclic orientation of an n-cycle: the bit tuples with both CW and CCW."""
     for bits in product((CW, CCW), repeat=n):

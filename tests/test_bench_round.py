@@ -28,10 +28,12 @@ Each instance file of the round must also come back byte for byte
 through ``instance_from_json`` and ``instance_to_json``.
 """
 
+import importlib
 import json
 import sys
 from fractions import Fraction
 from pathlib import Path
+from pkgutil import iter_modules
 
 import pytest
 
@@ -40,6 +42,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 import harness  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
+import hnzz  # noqa: E402
 from hnzz import hn, linalg, zigzag  # noqa: E402
 from hnzz.affine import AffineQuiver  # noqa: E402
 from hnzz.linalg import PrimeField, RationalField  # noqa: E402
@@ -114,9 +117,11 @@ def test_workload_round_passes_its_checks(name, tmp_path, count_calls, monkeypat
         positions.append(len(dims))
         return bars(fld, dims, *rest)
 
-    # affine binds ``_bars`` by name
-    for target in ("hnzz.zigzag._bars", "hnzz.affine._bars"):
-        monkeypatch.setattr(target, sweeping)
+    # every module of the package that binds the sweep by name, found by identity
+    for info in iter_modules(hnzz.__path__):
+        module = importlib.import_module(f"hnzz.{info.name}")
+        if getattr(module, "_bars", None) is bars:
+            monkeypatch.setattr(module, "_bars", sweeping)
     swept = count_calls(zigzag, "_rank_jumps")
     walk = [count_calls(hn, step) for step in ("_destabilizer", "_superspaces")]
     eliminations = count_calls(linalg, "_gauss_jordan")

@@ -601,33 +601,43 @@ class TestMalformedInput:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
-        "make, rows, code, err",
+        "make, mutate, code, err",
         [
-            (_rational_instance, [["1"], ["1", "0"]], 3,
+            (_rational_instance, _set(("matrices", 0, "rows"), [["1"], ["1", "0"]]), 3,
              "invariant violation: ragged rows in matrix data\n"),
-            (_small_instance, [[1], [1, 0]], 3,
+            (_small_instance, _set(("matrices", 0, "rows"), [[1], [1, 0]]), 3,
              "invariant violation: ragged rows in matrix data\n"),
-            (_rational_instance, [[0.5]], 2,
+            (_rational_instance, _set(("matrices", 0, "rows"), [[0.5]]), 2,
              "error: matrix 0: QQ entry must be exact, not float\n"),
-            (_rational_instance, [[True]], 2,
+            (_rational_instance, _set(("matrices", 0, "rows"), [[True]]), 2,
              "error: matrix 0: QQ entry must be exact, not bool\n"),
-            (_rational_instance, [["1e5"]], 2,
+            (_rational_instance, _set(("matrices", 0, "rows"), [["1e5"]]), 2,
              "error: matrix 0: QQ entry '1e5' has an exponent; write a/b or a decimal\n"),
-            (_rational_instance, [["1", "0"]], 3,
+            (_rational_instance, _set(("matrices", 0, "rows"), [["1", "0"]]), 3,
              "invariant violation: edge 0: matrix is 1x2, expected 1x1\n"),
-            (_small_instance, [["1"]], 2,
+            (_small_instance, _set(("matrices", 0, "rows"), [["1"]]), 2,
              "error: matrix 0: GF(2) entry must be an int, not str\n"),
+            (_affine_instance, _set(("quiver", "affine", "orientation", 0), 2), 2,
+             "error: quiver.affine: orientation must be a 0/1 array\n"),
+            (_small_instance, _set(("dims",), [1, 1]), 3,
+             "invariant violation: dims has 2 entries for 3 vertices\n"),
+            (_small_instance, _set(("matrices", 0, "edge"), 5), 2,
+             "error: matrix for unknown edge 5\n"),
+            (_small_instance, _set(("matrices", 1, "edge"), 0), 2,
+             "error: duplicate matrix for edge 0\n"),
         ],
-        ids=["ragged-qq", "ragged-gf2", "float", "bool", "exponent", "wide", "gf2-str"],
+        ids=["ragged-qq", "ragged-gf2", "float", "bool", "exponent", "wide", "gf2-str",
+             "orientation-2", "dims-short", "unknown-edge", "duplicate-edge"],
     )
-    def test_bad_entry_message(self, tmp_path, make, rows, code, err):
+    def test_bad_entry_message(self, tmp_path, make, mutate, code, err):
         # pins the whole stderr line: entry errors come from the reader
         # (exit 2), shape errors from the matrix and the representation (exit 3)
         doc = make()
-        doc["matrices"][0]["rows"] = rows
+        mutate(doc)
         inp = tmp_path / "inst.json"
         write_json(str(inp), doc)
-        assert run_process(["barcode", inp]) == (code, err)
+        command = "lift" if "affine" in doc["quiver"] else "barcode"
+        assert run_process([command, inp]) == (code, err)
 
     @pytest.mark.parametrize(
         "affine, err",
@@ -748,33 +758,39 @@ class TestMalformedInput:
             assert "Traceback" not in err
 
     @pytest.mark.parametrize(
-        "args",
+        "args, err",
         [
-            ["gen", "--kind", "persistence", "--n", 0],
-            ["gen", "--kind", "affine", "--n", 1],
-            ["gen", "--kind", "persistence", "--n", 3, "--max-summands", -1],
-            ["verify", "--theorem", "a", "--cases", -3],
-            ["gen", "--kind", "persistence", "--n", 3, "--field", "q"],
+            (["gen", "--kind", "persistence", "--n", 0],
+             "error: --kind persistence needs --n of at least 1\n"),
+            (["gen", "--kind", "affine", "--n", 1],
+             "error: --kind affine needs --n of at least 2\n"),
+            (["gen", "--kind", "persistence", "--n", 3, "--max-summands", -1],
+             "error: --max-summands must not be negative\n"),
+            (["verify", "--theorem", "a", "--cases", -3], "error: --cases must not be negative\n"),
+            (["gen", "--kind", "persistence", "--n", 3, "--field", "q"],
+             "error: bad field 'q': use 'rational' or a prime\n"),
+            (["verify", "--theorem", "a", "--cases", -1], "error: --cases must not be negative\n"),
         ],
         ids=["persistence-n0", "affine-n1", "negative-summands", "negative-cases",
-             "field-q"],
+             "field-q", "cases-minus-1"],
     )
-    def test_bad_argument_exit_2(self, tmp_path, args):
+    def test_bad_argument_exit_2(self, tmp_path, args, err):
+        # pins the whole stderr line
         if args[0] == "gen":
             args = [*args, "--out", tmp_path / "g.json"]
-        code, err = run_process(args)
-        assert code == 2
-        assert "Traceback" not in err
+        assert run_process(args) == (2, err)
 
     def test_unwritable_out_exit_2(self, tmp_path):
         missing = tmp_path / "missing" / "x.json"
         code, err = run_process(["gen", "--kind", "persistence", "--n", 3, "--out", missing])
         assert code == 2
+        assert err.startswith("error: cannot write ")
         assert "Traceback" not in err
         inp = tmp_path / "inst.json"
         write_json(str(inp), _small_instance())
         code, err = run_process(["barcode", inp, "--out", missing])
         assert code == 2
+        assert err.startswith("error: cannot write ")
         assert "Traceback" not in err
 
 

@@ -37,7 +37,7 @@ from hnzz.generators import equioriented_quiver, gen_persistence
 
 from conftest import (
     conjugating_bases,
-    from_vectors,
+    dual,
     make_rng,
     random_path_quiver,
     random_zigzag_rep,
@@ -416,13 +416,6 @@ def test_oracle_witness_digest_pinned(name):
             runs += 1
     assert runs > 100
     assert h.hexdigest() == expected
-
-
-def dual(v: Representation) -> Representation:
-    """v with every edge reversed and every map transposed."""
-    q = Quiver(v.quiver.vertex_count, tuple((dst, src) for src, dst in v.quiver.edges))
-    mats = tuple(from_vectors(v.field, m.data, m.cols) for m in v.mats)
-    return Representation(q, v.field, v.dims, mats)
 
 
 def test_oracle_obeys_duality_conjugation_and_direct_sums():

@@ -11,7 +11,7 @@ fails the test.
 The calls run in a child process with its address space capped and an
 alarm set, so a huge allocation (a ``MemoryError``) or a hang fails this
 test instead of the whole run.  Run this file as a script to see the
-escapes it finds.
+escapes it finds: it lists them and exits 1 if there is any.
 """
 
 import importlib
@@ -200,4 +200,6 @@ if __name__ == "__main__":
     signal.alarm(ALARM_S)
     with tempfile.TemporaryDirectory() as scratch:
         os.chdir(scratch)  # the calls of write_json and load_json leave their files here
-        print(json.dumps(escapes(), indent=1))
+        found = escapes()
+    print(json.dumps(found, indent=1))
+    sys.exit(1 if found else 0)

@@ -11,7 +11,6 @@ from hnzz.quiver import (
     check_weights,
     conjugate,
     direct_sum,
-    _restrict,
     _topological_order,
     euler_stability,
     sheaf_euler_characteristic,
@@ -191,28 +190,6 @@ class TestConjugate:
         v = interval_module(A2, Interval(0, 1), GF(5))
         with pytest.raises(ValidationError):
             conjugate(v, [Matrix.zeros(GF(5), 1, 1), Matrix.identity(GF(5), 1)])
-
-
-class TestRestrict:
-    def test_full(self):
-        rng = make_rng(1)
-        for _ in range(10):
-            v = random_zigzag_rep(rng)
-            assert _restrict(v, range(v.quiver.vertex_count)) == v
-
-    def test_empty(self):
-        v = interval_module(A3, Interval(0, 2), QQ)
-        sub = _restrict(v, ())
-        assert sub.quiver.vertex_count == 0 and sub.dims == ()
-
-    def test_suffix(self):
-        v = direct_sum(
-            interval_module(A3, Interval(0, 2), GF(2)),
-            interval_module(A3, Interval(1, 2), GF(2)),
-        )
-        sub = _restrict(v, {1, 2})
-        assert sub.dims == (2, 2)
-        assert sub.quiver == Quiver(2, ((0, 1),))
 
 
 class TestSlope:

@@ -54,7 +54,7 @@ from hnzz.hn import (
     hn_r_filtration_eval,
     recover_barcode_via_truncations,
 )
-from hnzz.linalg import GF, QQ, Matrix, inverse, rank
+from hnzz.linalg import GF, QQ, Matrix, inverse, rank, subspace_contains
 from hnzz.quiver import (
     Quiver,
     Representation,
@@ -85,230 +85,138 @@ ONE = Matrix.identity(GF(2), 1)
 @pytest.mark.parametrize(
     "build",
     [
-        lambda: GF(None),
-        lambda: GF("3"),
-        lambda: Matrix(GF(2), None),
-        lambda: Matrix(GF(2), [1, 2]),
-        lambda: Matrix(None, [[1]]),
-        lambda: Matrix(GF(2), [], -1),
-        lambda: Matrix(GF(2), [], "x"),
-        lambda: Matrix(GF(2), [], 1.5),
-        lambda: Matrix(GF(2), [], True),
-        lambda: Matrix(GF(2), [[1]], True),
-        lambda: Matrix(GF(2), [[1]], 1.0),
-        lambda: Interval(None, 1),
-        lambda: Interval(0.5, 1),
-        lambda: Barcode("1"),
-        lambda: Barcode(None),
-        lambda: Barcode((("0", 1),)),
-        lambda: Barcode(((Interval(0, 1), 1.0),)),
-        lambda: Barcode.from_dict("1"),
-        lambda: HNReport(A2, None),
-        lambda: HNReport(A2, ((1.5, (1, 0)),)),
-        lambda: HNReport(A2, ((True, (1, 0)),)),
-        lambda: HNReport(A2, (("a", (1, 0)),)),
-        lambda: HNReport(A2, ((1, (1, -1)),)),
-        lambda: HNReport(A2, ((1, (1, 0.5)),)),
-        lambda: HNReport(None, ()),
-        lambda: HNReport(A2, ((1, (1, 0)),), witness="x"),
-        lambda: HNReport(A2, ((1, (1, 0)),), witness=((),)),
-        lambda: HNReport.merged(None, []),
-        lambda: HNReport.merged(A2, [(1, (1, "a"))]),
-        lambda: hn_from_barcode(None, A2),
-        lambda: hn_from_barcode("x", A2),
-        lambda: hn_from_barcode(Barcode(()), None),
-        lambda: recover_barcode_via_truncations(None),
-        lambda: interval_module(A2, Interval(0, 1), None),
-        lambda: interval_module(A2, None, GF(2)),
-        lambda: barcode(None),
-        lambda: rank(None),
-        lambda: inverse(None),
-        lambda: AffineQuiver(2, None),
-        lambda: indec_T(AQ, 1, 2.5, QQ),
-        lambda: indec_T(AQ, 1, "2", QQ),
-        lambda: indec_T(AQ, 1, None, QQ),
-        lambda: indec_N(AQ, 0, 2.5, QQ),
-        lambda: indec_N(AQ, None, 1, QQ),
-        lambda: indec_N(AQ, False, 1, QQ),
-        lambda: hn_bruteforce(None, euler_stability(A2)),
-        lambda: hn_bruteforce("x", euler_stability(A2)),
-        lambda: hn_bruteforce(V2, None),
-        lambda: hn_bruteforce(V2, "ab"),
-        lambda: classify_lift(CELL, "6"),
-        lambda: classify_lift(CELL, 6.0),
-        lambda: classify_lift(CELL, True),
-        lambda: lift_truncated(CELL, 6.0),
-        lambda: classify_lift(None),
-        lambda: eta_from_lift(None),
-        lambda: path_steps(None),
-        lambda: is_path(None),
-        lambda: Matrix.identity(GF(2), 1) @ None,
-        lambda: direct_sum(None, None),
-        lambda: euler_stability(None),
-        lambda: lift_truncated(None, 6),
-        lambda: affine_of_quiver(None),
-        lambda: to_quiver(None),
-        lambda: p_value(None, 0, 1),
-        lambda: wrap_counts(2, 0, None),
-        lambda: campaign.fast_report(None, None),
-        lambda: instance_to_json(None),
-        lambda: indec_N(AQ, 0, 1, None),
-        lambda: indec_T(AQ, 1, 1, None),
-        lambda: NClass(None, 1),
-        lambda: NClass("a", 2.5),
-        lambda: NClass(-1, 2),
-        lambda: NClass(2, 1),
-        lambda: zero_representation(None, GF(2)),
-        lambda: zero_representation(A2, None),
-        lambda: conjugate(None, []),
-        lambda: slope_of_dims((1,), None),
-        lambda: sheaf_euler_characteristic(None),
-        lambda: hn_r_filtration_eval(None, 0),
-        lambda: hn_direct_sum_merge(None, None),
-        lambda: recover_N_multiplicities(None, 0, 1),
-        lambda: barcode_to_json(None),
-        lambda: hn_to_json(None),
-        lambda: classes_to_json(None),
-        lambda: equioriented_quiver(None),
-        lambda: random_orientation(None, random.Random(0)),
-        lambda: gen_persistence(None, GF(2), 1, random.Random(0)),
-        lambda: campaign.check_a(None),
-        lambda: campaign.check_b(None),
-        lambda: campaign.run("a", None, 0),
-        lambda: campaign.run("c", 1, 0),
-        lambda: Matrix.zeros(None, 1, 1),
-        lambda: Matrix.identity(None, 1),
-        lambda: wrap_counts(3, 0, -5),
-        lambda: slope_of_dims((2, -1), StabilityCondition((1, 0))),
-        lambda: slope_of_dims((1, 1, 1), StabilityCondition((1, 0))),
-        lambda: Matrix.identity(GF(2), -2),
-        lambda: Matrix.zeros(GF(2), 1.5, 1),
-        lambda: Representation(Quiver(1, ()), None, (2,), ()),
-        lambda: Barcode.from_dict({Interval(0, 3): 1}).dims_vector(2),
-        lambda: classes_to_json({1: 2}),
-        lambda: classes_to_json({NClass(0, 1): -2}),
-        lambda: random_orientation(3, None),
-        lambda: gen_persistence(3, GF(2), 2, None),
-        lambda: gen_affine(3, GF(2), 2, None),
-        lambda: campaign.run("a", -1, 0),
-        lambda: conjugate(V3, [None] * 3),
-        lambda: conjugate(V3, 5),
-        lambda: Barcode.from_dict({1: 1, Interval(0, 0): 1}),
-        lambda: Barcode.from_dict({Interval(0, 0): None}),
-        lambda: campaign.run([], 1, 0),
-    ],
-    ids=[
-        "GF(None)",
-        "GF('3')",
-        "Matrix(data None)",
-        "Matrix(rows not lists)",
-        "Matrix(field None)",
-        "Matrix([], cols -1)",
-        "Matrix([], cols 'x')",
-        "Matrix([], cols 1.5)",
-        "Matrix([], cols True)",
-        "Matrix([[1]], cols True)",
-        "Matrix([[1]], cols 1.0)",
-        "Interval(None, 1)",
-        "Interval(0.5, 1)",
-        "Barcode('1')",
-        "Barcode(None)",
-        "Barcode(non-interval)",
-        "Barcode(float multiplicity)",
-        "Barcode.from_dict('1')",
-        "HNReport(q, None)",
-        "HNReport(slope 1.5)",
-        "HNReport(slope True)",
-        "HNReport(slope 'a')",
-        "HNReport(dims (1, -1))",
-        "HNReport(dims (1, 0.5))",
-        "HNReport(quiver None)",
-        "HNReport(witness 'x')",
-        "HNReport(witness one empty stage)",
-        "HNReport.merged(quiver None)",
-        "HNReport.merged(dims (1, 'a'))",
-        "hn_from_barcode(None, q)",
-        "hn_from_barcode('x', q)",
-        "hn_from_barcode(bar, None)",
-        "recover_barcode_via_truncations(None)",
-        "interval_module(field None)",
-        "interval_module(interval None)",
-        "barcode(None)",
-        "rank(None)",
-        "inverse(None)",
-        "AffineQuiver(2, None)",
-        "indec_T(size 2.5)",
-        "indec_T(size '2')",
-        "indec_T(size None)",
-        "indec_N(endpoint 2.5)",
-        "indec_N(endpoint None)",
-        "indec_N(endpoint False)",
-        "hn_bruteforce(None, alpha)",
-        "hn_bruteforce('x', alpha)",
-        "hn_bruteforce(v, None)",
-        "hn_bruteforce(v, 'ab')",
-        "classify_lift(window '6')",
-        "classify_lift(window 6.0)",
-        "classify_lift(window True)",
-        "lift_truncated(window 6.0)",
-        "classify_lift(None)",
-        "eta_from_lift(None)",
-        "path_steps(None)",
-        "is_path(None)",
-        "Matrix @ None",
-        "direct_sum(None, None)",
-        "euler_stability(None)",
-        "lift_truncated(None, 6)",
-        "affine_of_quiver(None)",
-        "to_quiver(None)",
-        "p_value(None, 0, 1)",
-        "wrap_counts(2, 0, None)",
-        "fast_report(None, None)",
-        "instance_to_json(None)",
-        "indec_N(field None)",
-        "indec_T(field None)",
-        "NClass(None, 1)",
-        "NClass('a', 2.5)",
-        "NClass(-1, 2)",
-        "NClass(2, 1)",
-        "zero_representation(None, field)",
-        "zero_representation(q, None)",
-        "conjugate(None, [])",
-        "slope_of_dims(dims, None)",
-        "sheaf_euler_characteristic(None)",
-        "hn_r_filtration_eval(None, 0)",
-        "hn_direct_sum_merge(None, None)",
-        "recover_N_multiplicities(None, 0, 1)",
-        "barcode_to_json(None)",
-        "hn_to_json(None)",
-        "classes_to_json(None)",
-        "equioriented_quiver(None)",
-        "random_orientation(None, rng)",
-        "gen_persistence(None, ...)",
-        "check_a(None)",
-        "check_b(None)",
-        "campaign.run('a', None, 0)",
-        "campaign.run('c', 1, 0)",
-        "Matrix.zeros(None, 1, 1)",
-        "Matrix.identity(None, 1)",
-        "wrap_counts(3, 0, -5)",
-        "slope_of_dims((2, -1), alpha)",
-        "slope_of_dims(three dims, two weights)",
-        "Matrix.identity(GF(2), -2)",
-        "Matrix.zeros(GF(2), 1.5, 1)",
-        "Representation(field None)",
-        "Barcode.dims_vector(bar past the path)",
-        "classes_to_json({1: 2})",
-        "classes_to_json(multiplicity -2)",
-        "random_orientation(3, None)",
-        "gen_persistence(rng None)",
-        "gen_affine(rng None)",
-        "campaign.run('a', -1, 0)",
-        "conjugate(v, [None] * 3)",
-        "conjugate(v, 5)",
-        "Barcode.from_dict(key 1)",
-        "Barcode.from_dict(multiplicity None)",
-        "campaign.run([], 1, 0)",
+        pytest.param(lambda: GF(None), id="GF(None)"),
+        pytest.param(lambda: GF("3"), id="GF('3')"),
+        pytest.param(lambda: Matrix(GF(2), None), id="Matrix(data None)"),
+        pytest.param(lambda: Matrix(GF(2), [1, 2]), id="Matrix(rows not lists)"),
+        pytest.param(lambda: Matrix(None, [[1]]), id="Matrix(field None)"),
+        pytest.param(lambda: Matrix(GF(2), [], -1), id="Matrix([], cols -1)"),
+        pytest.param(lambda: Matrix(GF(2), [], "x"), id="Matrix([], cols 'x')"),
+        pytest.param(lambda: Matrix(GF(2), [], 1.5), id="Matrix([], cols 1.5)"),
+        pytest.param(lambda: Matrix(GF(2), [], True), id="Matrix([], cols True)"),
+        pytest.param(lambda: Matrix(GF(2), [[1]], True), id="Matrix([[1]], cols True)"),
+        pytest.param(lambda: Matrix(GF(2), [[1]], 1.0), id="Matrix([[1]], cols 1.0)"),
+        pytest.param(lambda: Interval(None, 1), id="Interval(None, 1)"),
+        pytest.param(lambda: Interval(0.5, 1), id="Interval(0.5, 1)"),
+        pytest.param(lambda: Barcode("1"), id="Barcode('1')"),
+        pytest.param(lambda: Barcode(None), id="Barcode(None)"),
+        pytest.param(lambda: Barcode((("0", 1),)), id="Barcode(non-interval)"),
+        pytest.param(lambda: Barcode(((Interval(0, 1), 1.0),)), id="Barcode(float multiplicity)"),
+        pytest.param(lambda: Barcode.from_dict("1"), id="Barcode.from_dict('1')"),
+        pytest.param(lambda: HNReport(A2, None), id="HNReport(q, None)"),
+        pytest.param(lambda: HNReport(A2, ((1.5, (1, 0)),)), id="HNReport(slope 1.5)"),
+        pytest.param(lambda: HNReport(A2, ((True, (1, 0)),)), id="HNReport(slope True)"),
+        pytest.param(lambda: HNReport(A2, (("a", (1, 0)),)), id="HNReport(slope 'a')"),
+        pytest.param(lambda: HNReport(A2, ((1, (1, -1)),)), id="HNReport(dims (1, -1))"),
+        pytest.param(lambda: HNReport(A2, ((1, (1, 0.5)),)), id="HNReport(dims (1, 0.5))"),
+        pytest.param(lambda: HNReport(None, ()), id="HNReport(quiver None)"),
+        pytest.param(lambda: HNReport(A2, ((1, (1, 0)),), witness="x"),
+                     id="HNReport(witness 'x')"),
+        pytest.param(lambda: HNReport(A2, ((1, (1, 0)),), witness=((),)),
+                     id="HNReport(witness one empty stage)"),
+        pytest.param(lambda: HNReport.merged(None, []), id="HNReport.merged(quiver None)"),
+        pytest.param(lambda: HNReport.merged(A2, [(1, (1, "a"))]),
+                     id="HNReport.merged(dims (1, 'a'))"),
+        pytest.param(lambda: hn_from_barcode(None, A2), id="hn_from_barcode(None, q)"),
+        pytest.param(lambda: hn_from_barcode("x", A2), id="hn_from_barcode('x', q)"),
+        pytest.param(lambda: hn_from_barcode(Barcode(()), None), id="hn_from_barcode(bar, None)"),
+        pytest.param(lambda: recover_barcode_via_truncations(None),
+                     id="recover_barcode_via_truncations(None)"),
+        pytest.param(lambda: interval_module(A2, Interval(0, 1), None),
+                     id="interval_module(field None)"),
+        pytest.param(lambda: interval_module(A2, None, GF(2)),
+                     id="interval_module(interval None)"),
+        pytest.param(lambda: barcode(None), id="barcode(None)"),
+        pytest.param(lambda: rank(None), id="rank(None)"),
+        pytest.param(lambda: inverse(None), id="inverse(None)"),
+        pytest.param(lambda: AffineQuiver(2, None), id="AffineQuiver(2, None)"),
+        pytest.param(lambda: indec_T(AQ, 1, 2.5, QQ), id="indec_T(size 2.5)"),
+        pytest.param(lambda: indec_T(AQ, 1, "2", QQ), id="indec_T(size '2')"),
+        pytest.param(lambda: indec_T(AQ, 1, None, QQ), id="indec_T(size None)"),
+        pytest.param(lambda: indec_N(AQ, 0, 2.5, QQ), id="indec_N(endpoint 2.5)"),
+        pytest.param(lambda: indec_N(AQ, None, 1, QQ), id="indec_N(endpoint None)"),
+        pytest.param(lambda: indec_N(AQ, False, 1, QQ), id="indec_N(endpoint False)"),
+        pytest.param(lambda: hn_bruteforce(None, euler_stability(A2)),
+                     id="hn_bruteforce(None, alpha)"),
+        pytest.param(lambda: hn_bruteforce("x", euler_stability(A2)),
+                     id="hn_bruteforce('x', alpha)"),
+        pytest.param(lambda: hn_bruteforce(V2, None), id="hn_bruteforce(v, None)"),
+        pytest.param(lambda: hn_bruteforce(V2, "ab"), id="hn_bruteforce(v, 'ab')"),
+        pytest.param(lambda: classify_lift(CELL, "6"), id="classify_lift(window '6')"),
+        pytest.param(lambda: classify_lift(CELL, 6.0), id="classify_lift(window 6.0)"),
+        pytest.param(lambda: classify_lift(CELL, True), id="classify_lift(window True)"),
+        pytest.param(lambda: lift_truncated(CELL, 6.0), id="lift_truncated(window 6.0)"),
+        pytest.param(lambda: classify_lift(None), id="classify_lift(None)"),
+        pytest.param(lambda: eta_from_lift(None), id="eta_from_lift(None)"),
+        pytest.param(lambda: path_steps(None), id="path_steps(None)"),
+        pytest.param(lambda: is_path(None), id="is_path(None)"),
+        pytest.param(lambda: Matrix.identity(GF(2), 1) @ None, id="Matrix @ None"),
+        pytest.param(lambda: direct_sum(None, None), id="direct_sum(None, None)"),
+        pytest.param(lambda: euler_stability(None), id="euler_stability(None)"),
+        pytest.param(lambda: lift_truncated(None, 6), id="lift_truncated(None, 6)"),
+        pytest.param(lambda: affine_of_quiver(None), id="affine_of_quiver(None)"),
+        pytest.param(lambda: to_quiver(None), id="to_quiver(None)"),
+        pytest.param(lambda: p_value(None, 0, 1), id="p_value(None, 0, 1)"),
+        pytest.param(lambda: wrap_counts(2, 0, None), id="wrap_counts(2, 0, None)"),
+        pytest.param(lambda: campaign.fast_report(None, None), id="fast_report(None, None)"),
+        pytest.param(lambda: instance_to_json(None), id="instance_to_json(None)"),
+        pytest.param(lambda: indec_N(AQ, 0, 1, None), id="indec_N(field None)"),
+        pytest.param(lambda: indec_T(AQ, 1, 1, None), id="indec_T(field None)"),
+        pytest.param(lambda: NClass(None, 1), id="NClass(None, 1)"),
+        pytest.param(lambda: NClass("a", 2.5), id="NClass('a', 2.5)"),
+        pytest.param(lambda: NClass(-1, 2), id="NClass(-1, 2)"),
+        pytest.param(lambda: NClass(2, 1), id="NClass(2, 1)"),
+        pytest.param(lambda: zero_representation(None, GF(2)),
+                     id="zero_representation(None, field)"),
+        pytest.param(lambda: zero_representation(A2, None), id="zero_representation(q, None)"),
+        pytest.param(lambda: conjugate(None, []), id="conjugate(None, [])"),
+        pytest.param(lambda: slope_of_dims((1,), None), id="slope_of_dims(dims, None)"),
+        pytest.param(lambda: sheaf_euler_characteristic(None),
+                     id="sheaf_euler_characteristic(None)"),
+        pytest.param(lambda: hn_r_filtration_eval(None, 0), id="hn_r_filtration_eval(None, 0)"),
+        pytest.param(lambda: hn_direct_sum_merge(None, None),
+                     id="hn_direct_sum_merge(None, None)"),
+        pytest.param(lambda: recover_N_multiplicities(None, 0, 1),
+                     id="recover_N_multiplicities(None, 0, 1)"),
+        pytest.param(lambda: barcode_to_json(None), id="barcode_to_json(None)"),
+        pytest.param(lambda: hn_to_json(None), id="hn_to_json(None)"),
+        pytest.param(lambda: classes_to_json(None), id="classes_to_json(None)"),
+        pytest.param(lambda: equioriented_quiver(None), id="equioriented_quiver(None)"),
+        pytest.param(lambda: random_orientation(None, random.Random(0)),
+                     id="random_orientation(None, rng)"),
+        pytest.param(lambda: gen_persistence(None, GF(2), 1, random.Random(0)),
+                     id="gen_persistence(None, ...)"),
+        pytest.param(lambda: campaign.check_a(None), id="check_a(None)"),
+        pytest.param(lambda: campaign.check_b(None), id="check_b(None)"),
+        pytest.param(lambda: campaign.run("a", None, 0), id="campaign.run('a', None, 0)"),
+        pytest.param(lambda: campaign.run("c", 1, 0), id="campaign.run('c', 1, 0)"),
+        pytest.param(lambda: Matrix.zeros(None, 1, 1), id="Matrix.zeros(None, 1, 1)"),
+        pytest.param(lambda: Matrix.identity(None, 1), id="Matrix.identity(None, 1)"),
+        pytest.param(lambda: wrap_counts(3, 0, -5), id="wrap_counts(3, 0, -5)"),
+        pytest.param(lambda: slope_of_dims((2, -1), StabilityCondition((1, 0))),
+                     id="slope_of_dims((2, -1), alpha)"),
+        pytest.param(lambda: slope_of_dims((1, 1, 1), StabilityCondition((1, 0))),
+                     id="slope_of_dims(three dims, two weights)"),
+        pytest.param(lambda: Matrix.identity(GF(2), -2), id="Matrix.identity(GF(2), -2)"),
+        pytest.param(lambda: Matrix.zeros(GF(2), 1.5, 1), id="Matrix.zeros(GF(2), 1.5, 1)"),
+        pytest.param(lambda: Representation(Quiver(1, ()), None, (2,), ()),
+                     id="Representation(field None)"),
+        pytest.param(lambda: Barcode.from_dict({Interval(0, 3): 1}).dims_vector(2),
+                     id="Barcode.dims_vector(bar past the path)"),
+        pytest.param(lambda: classes_to_json({1: 2}), id="classes_to_json({1: 2})"),
+        pytest.param(lambda: classes_to_json({NClass(0, 1): -2}),
+                     id="classes_to_json(multiplicity -2)"),
+        pytest.param(lambda: random_orientation(3, None), id="random_orientation(3, None)"),
+        pytest.param(lambda: gen_persistence(3, GF(2), 2, None), id="gen_persistence(rng None)"),
+        pytest.param(lambda: gen_affine(3, GF(2), 2, None), id="gen_affine(rng None)"),
+        pytest.param(lambda: campaign.run("a", -1, 0), id="campaign.run('a', -1, 0)"),
+        pytest.param(lambda: conjugate(V3, [None] * 3), id="conjugate(v, [None] * 3)"),
+        pytest.param(lambda: conjugate(V3, 5), id="conjugate(v, 5)"),
+        pytest.param(lambda: Barcode.from_dict({1: 1, Interval(0, 0): 1}),
+                     id="Barcode.from_dict(key 1)"),
+        pytest.param(lambda: Barcode.from_dict({Interval(0, 0): None}),
+                     id="Barcode.from_dict(multiplicity None)"),
+        pytest.param(lambda: campaign.run([], 1, 0), id="campaign.run([], 1, 0)"),
     ],
 )
 def test_wrong_type_refused(build):
@@ -364,51 +272,48 @@ def test_summand_entries_at_the_cap_built():
 @pytest.mark.parametrize(
     "build, error, message",
     [
-        (lambda: AffineQuiver(2, (0, 2)), ValidationError, "orientation bits must be 0"),
-        (lambda: affine_of_quiver(Quiver(3, ((0, 1), (0, 2), (1, 2)))), ShapeError,
-         "edge 0 does not join x_2 and x_0"),
-        (lambda: wrap_counts(0, 0, 0), ValidationError, "cycle length 0 is not positive"),
-        (lambda: indec_T(AQ, 1, 0, GF(2)), ValidationError, "size must be at least 1"),
-        (lambda: random_orientation(1, random.Random(0)), ValidationError,
-         "needs a cycle of at least two vertices"),
-        (lambda: ONE @ Matrix.identity(GF(3), 1), ValidationError,
-         "matmul across different fields"),
-        (lambda: ONE @ Matrix.identity(GF(2), 2), ValidationError, "matmul shape mismatch"),
-        (lambda: inverse(Matrix.zeros(GF(2), 1, 2)), ValidationError,
-         "inverse of a non-square matrix"),
-        (lambda: Quiver(1, ((0, 1),)), ValidationError, r"edge \(0,1\) out of vertex range"),
-        (lambda: conjugate(V2, [ONE]), ValidationError, "one basis matrix per vertex required"),
-        (lambda: conjugate(V2, [ONE, Matrix.identity(GF(2), 2)]), ValidationError,
-         "basis at vertex 1 is not 1x1"),
-        (lambda: path_steps(Quiver(2, ((0, 1), (1, 0)))), ShapeError, "parallel edges between"),
-        (lambda: slope_of_dims((1, Fraction(1, 2)), StabilityCondition((1, 0))), ValidationError,
-         "is not an int"),
-        (lambda: gen_persistence(3, GF(2), 2, random.Random(0), min_summands=5), ValidationError,
-         "min_summands 5 exceeds max_summands 2"),
-        (lambda: gen_affine(3, GF(2), 2, random.Random(0), max_len=-1), ValidationError,
-         "generator size -1 is negative"),
-        (lambda: gen_persistence(0, GF(2), 1, random.Random(0)), ValidationError,
-         "needs at least one vertex"),
-        (lambda: Barcode(()).dims_vector(-1), ValidationError, "path length -1 is negative"),
-    ],
-    ids=[
-        "AffineQuiver(bit 2)",
-        "affine_of_quiver(edge off the cycle)",
-        "wrap_counts(n 0)",
-        "indec_T(size 0)",
-        "random_orientation(n 1)",
-        "matmul(fields)",
-        "matmul(shapes)",
-        "inverse(1x2)",
-        "Quiver(edge past the vertices)",
-        "conjugate(one basis short)",
-        "conjugate(basis 2x2)",
-        "path_steps(parallel edges)",
-        "slope_of_dims(dims (1, 1/2))",
-        "gen_persistence(min_summands past max)",
-        "gen_affine(max_len -1)",
-        "gen_persistence(n 0)",
-        "Barcode.dims_vector(n -1)",
+        pytest.param(lambda: AffineQuiver(2, (0, 2)), ValidationError,
+                     "orientation bits must be 0", id="AffineQuiver(bit 2)"),
+        pytest.param(lambda: affine_of_quiver(Quiver(3, ((0, 1), (0, 2), (1, 2)))), ShapeError,
+                     "edge 0 does not join x_2 and x_0",
+                     id="affine_of_quiver(edge off the cycle)"),
+        pytest.param(lambda: wrap_counts(0, 0, 0), ValidationError,
+                     "cycle length 0 is not positive", id="wrap_counts(n 0)"),
+        pytest.param(lambda: indec_T(AQ, 1, 0, GF(2)), ValidationError, "size must be at least 1",
+                     id="indec_T(size 0)"),
+        pytest.param(lambda: random_orientation(1, random.Random(0)), ValidationError,
+                     "needs a cycle of at least two vertices", id="random_orientation(n 1)"),
+        pytest.param(lambda: ONE @ Matrix.identity(GF(3), 1), ValidationError,
+                     "matmul across different fields", id="matmul(fields)"),
+        pytest.param(lambda: ONE @ Matrix.identity(GF(2), 2), ValidationError,
+                     "matmul shape mismatch", id="matmul(shapes)"),
+        pytest.param(lambda: inverse(Matrix.zeros(GF(2), 1, 2)), ValidationError,
+                     "inverse of a non-square matrix", id="inverse(1x2)"),
+        pytest.param(lambda: Quiver(1, ((0, 1),)), ValidationError,
+                     r"edge \(0,1\) out of vertex range", id="Quiver(edge past the vertices)"),
+        pytest.param(lambda: conjugate(V2, [ONE]), ValidationError,
+                     "one basis matrix per vertex required", id="conjugate(one basis short)"),
+        pytest.param(lambda: conjugate(V2, [ONE, Matrix.identity(GF(2), 2)]), ValidationError,
+                     "basis at vertex 1 is not 1x1", id="conjugate(basis 2x2)"),
+        pytest.param(lambda: path_steps(Quiver(2, ((0, 1), (1, 0)))), ShapeError,
+                     "parallel edges between", id="path_steps(parallel edges)"),
+        pytest.param(lambda: slope_of_dims((1, Fraction(1, 2)), StabilityCondition((1, 0))),
+                     ValidationError, "is not an int", id="slope_of_dims(dims (1, 1/2))"),
+        pytest.param(lambda: gen_persistence(3, GF(2), 2, random.Random(0), min_summands=5),
+                     ValidationError, "min_summands 5 exceeds max_summands 2",
+                     id="gen_persistence(min_summands past max)"),
+        pytest.param(lambda: gen_affine(3, GF(2), 2, random.Random(0), max_len=-1),
+                     ValidationError, "generator size -1 is negative",
+                     id="gen_affine(max_len -1)"),
+        pytest.param(lambda: gen_persistence(0, GF(2), 1, random.Random(0)), ValidationError,
+                     "needs at least one vertex", id="gen_persistence(n 0)"),
+        pytest.param(lambda: Barcode(()).dims_vector(-1), ValidationError,
+                     "path length -1 is negative", id="Barcode.dims_vector(n -1)"),
+        pytest.param(lambda: subspace_contains(Matrix.identity(GF(2), 2), Matrix.identity(GF(2), 3)),
+                     ValidationError, "subspace and vectors differ in field or height",
+                     id="subspace_contains(heights 2 and 3)"),
+        pytest.param(lambda: HNReport(A2, ((1, (1, 0)),), witness=(5,)), ValidationError,
+                     r"HN witness \(5,\) does not fit the steps", id="HNReport(witness (5,))"),
     ],
 )
 def test_refusal_reached(build, error, message):

@@ -32,6 +32,7 @@ from hnzz.zigzag import (
 from conftest import (
     FRACTION_ARITHMETIC,
     conjugating_bases,
+    dual,
     hstack,
     make_rng,
     random_path_quiver,
@@ -450,14 +451,6 @@ def test_sweep_digest():
     )
 
 
-def dual(v: Representation) -> Representation:
-    """v with every edge reversed and every matrix transposed."""
-    q = Quiver(v.quiver.vertex_count, tuple((dst, src) for src, dst in v.quiver.edges))
-    mats = tuple(Matrix(m.field, [[row[j] for row in m.data] for j in range(m.cols)], m.rows)
-                 for m in v.mats)
-    return Representation(q, v.field, v.dims, mats)
-
-
 def mirrored(v: Representation) -> Representation:
     """v with position i relabelled n - 1 - i."""
     n = v.quiver.vertex_count
@@ -543,11 +536,7 @@ def shared_matrix_rep(rng, fld, dims):
     for src, dst in q.edges:
         shape = (dims[dst], dims[src])
         if shape not in pool:
-            pool[shape] = [
-                Matrix(fld, [[rng.choice((0, 0, 1, 2)) for _ in range(shape[1])]
-                             for _ in range(shape[0])], shape[1])
-                for _ in range(2)
-            ]
+            pool[shape] = [sparse_matrix(rng, fld, *shape) for _ in range(2)]
         mats.append(rng.choice(pool[shape]))
     return Representation(q, fld, tuple(dims), tuple(mats))
 
