@@ -244,29 +244,33 @@ def _check_entry_cap(entries: int) -> None:
                          f"SUMMAND_MAX_ENTRIES = {SUMMAND_MAX_ENTRIES}")
 
 
+def _turn(v: Representation) -> list[tuple[Matrix, bool]]:
+    """One turn of the cycle v's unwinding, e_1 round to e_0: for i = 1..n, the
+    (edge matrix, points right) joining positions i-1 and i, that of e_{i mod n},
+    which points right iff it is CW; ``affine_of_quiver`` refuses a non-cycle."""
+    orientation = affine_of_quiver(v.quiver).orientation
+    n = len(orientation)
+    return [(v.mats[i % n], orientation[i % n] == CW) for i in range(1, n + 1)]
+
+
 def lift_truncated(v: Representation, D: int) -> Representation:
     """The unwinding of v restricted to positions 0..D.
 
-    Position i carries the space at vertex i mod n; the edge between
-    i-1 and i carries the matrix of e_{i mod n} and points right exactly
-    when that edge is CW.  D must be an int from 0 to ``LIFT_MAX_WINDOW``:
-    a wrong type or a negative D raises ValidationError, a longer window
-    ShapeError, before anything is built.
+    Position i carries the space at vertex i mod n, and the edge between
+    i-1 and i is the crossing of ``_turn`` in that place.  D must be an
+    int from 0 to ``LIFT_MAX_WINDOW``: a wrong type or a negative D raises
+    ValidationError, a longer window ShapeError, before anything is built.
     """
     _check_window_cap(D)
     if D < 0:
         raise ValidationError(f"window length {D} is negative")
     check_type(v, Representation, "lift input")
-    aq = affine_of_quiver(v.quiver)
-    n = aq.n
+    turn = _turn(v)
+    n = len(turn)
+    crossings = [turn[(i - 1) % n] for i in range(1, D + 1)]
+    edges = tuple((i - 1, i) if fwd else (i, i - 1) for i, (_, fwd) in enumerate(crossings, 1))
     dims = tuple(v.dims[i % n] for i in range(D + 1))
-    edges = []
-    mats = []
-    for i in range(1, D + 1):
-        j = i % n
-        edges.append((i - 1, i) if aq.orientation[j] == CW else (i, i - 1))
-        mats.append(v.mats[j])
-    return Representation(Quiver(D + 1, tuple(edges)), v.field, dims, tuple(mats))
+    return Representation(Quiver(D + 1, edges), v.field, dims, tuple(m for m, _ in crossings))
 
 
 def classify_lift(
@@ -306,10 +310,7 @@ def classify_lift(
             f"window length {D} is below {bound} = (dim at x_0 + 2) * n, "
             "the shortest window that certifies every summand"
         )
-    orientation = affine_of_quiver(v.quiver).orientation
-    # the edge joining positions i-1 and i is e_{i mod n}: one turn from e_1
-    turn = [(v.mats[j], orientation[j] == CW) for j in (*range(1, n), 0)]
-    bar = _bars(v.field, v.dims * (D // n) + v.dims[:1], turn)
+    bar = _bars(v.field, v.dims * (D // n) + v.dims[:1], _turn(v))
     clip_bound = (v.dims[0] + 1) * n
     d_inf = 0
     classes: dict[NClass, int] = {}

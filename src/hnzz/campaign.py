@@ -23,7 +23,8 @@ from .affine import (
     affine_of_quiver,
     eta_from_lift,
 )
-from .errors import ShapeError, ValidationError, check_counts, check_ints, check_type, shown
+from .errors import (GuardError, InternalCheckError, ShapeError, ValidationError, check_counts,
+                     check_ints, check_type, shown)
 from .generators import gen_affine, gen_persistence
 from .hn import ENUM_MAX_DIM, ORACLE_MAX_TOTAL_DIM, HNReport, hn_bruteforce, hn_from_barcode
 from .linalg import GF
@@ -149,7 +150,11 @@ def run(theorem: str, cases: int, seed: int) -> Tally:
     tally = Tally()
     for _ in range(cases):
         case = draw(rng)
-        reason = check(case)
+        try:
+            reason = check(case)
+        except (InternalCheckError, ValidationError, ShapeError, GuardError) as exc:
+            # only this case fails, so the tally still counts and shows it
+            reason = f"{type(exc).__name__}: {exc}"
         if reason is None:
             tally.passed += 1
             continue

@@ -55,7 +55,7 @@ from .quiver import (
     checked_dims,
     slope_of_dims,
 )
-from .zigzag import Barcode, Interval, _bars, _crossings, path_steps
+from .zigzag import Barcode, Interval, barcode, path_steps
 
 
 @dataclass(frozen=True)
@@ -427,24 +427,38 @@ def hn_direct_sum_merge(a: HNReport, b: HNReport) -> HNReport:
 def recover_barcode_via_truncations(v: Representation) -> Barcode:
     """Rebuild the full barcode from Euler HN data of right truncations.
 
-    For each cut k the Euler HN report of the restriction to vertices
-    k..n-1 exposes the multiplicities of intervals starting at the cut;
-    subtracting the already-known intervals that reach past the cut
-    recovers the multiplicity of [k, v] for every right endpoint v.
-    The path's crossings are read once, and the cut at k is swept as
-    their slice from k on, over the dims from k on, by ``zigzag._bars``;
-    its quiver for ``hn_from_barcode`` is read off the slice's directions.
+    Clip, report, decode.  Restriction is exact and additive on interval
+    modules, so the truncation to vertices k..n-1 has the barcode of v
+    clipped: [a, b] with b >= k becomes [max(a, k) - k, b - k].  v is
+    swept once; ``hn_from_barcode`` reports each clip on the equioriented
+    path of n - k vertices, and ``_decoded`` reads the reports alone.
     """
     check_type(v, Representation, "truncation recovery input")
-    crossings = _crossings(v)
-    if not all(fwd for _, fwd in crossings):
+    if not all(fwd for _, fwd in path_steps(v.quiver)):
         raise ShapeError("truncation recovery requires an equioriented path")
-    n = len(v.dims)
-    recovered: dict[tuple[int, int], int] = {}
+    bar = barcode(v)
+    n = v.quiver.vertex_count
+    reports = []
     for k in range(n):
-        cut = crossings[k:]
-        edges = tuple((i - 1, i) if fwd else (i, i - 1) for i, (_, fwd) in enumerate(cut, 1))
-        report = hn_from_barcode(_bars(v.field, v.dims[k:], cut), Quiver(n - k, edges))
+        clipped: dict[Interval, int] = {}
+        for iv, mult in bar:
+            if iv.hi >= k:
+                key = Interval(max(iv.lo, k) - k, iv.hi - k)
+                clipped[key] = clipped.get(key, 0) + mult
+        path = Quiver(n - k, tuple((i - 1, i) for i in range(1, n - k)))
+        reports.append(hn_from_barcode(Barcode.from_dict(clipped), path))
+    return _decoded(reports)
+
+
+def _decoded(reports: Sequence[HNReport]) -> Barcode:
+    """The barcode of an equioriented path from the Euler HN reports of its
+    right truncations, ``reports[k]`` that of vertices k..n-1.
+
+    At cut k the step of slope 1/(j+1) holds at vertex 0 the bars [u, k + j]
+    of v with u <= k; less those with u < k, found at earlier cuts, they are [k, k + j].
+    """
+    recovered: dict[tuple[int, int], int] = {}
+    for k, report in enumerate(reports):
         for sl, dims in report.steps:
             if sl == 0:
                 continue

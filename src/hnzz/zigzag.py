@@ -71,10 +71,7 @@ which the long lift windows rely on.
 A lift window repeats its cycle's steps, and the sweep stops once it
 repeats itself.  ``_bars`` alone finds the least period p of the
 crossings, matrices compared by value.  ``barcode`` passes a path's
-n - 1 crossings (``_crossings``), and p is their least period;
-``hn.recover_barcode_via_truncations`` passes, for each cut k, the
-slice of those crossings from k on with the dims from k on, a path of
-its own, and p is the slice's least period; ``affine.classify_lift``
+n - 1 crossings, and p is their least period; ``affine.classify_lift``
 passes its cycle's one turn, and p is the least period of two turns, so
 that it holds across the turn's end, and divides the turn's length by
 Fine and Wilf.  On an aperiodic path p is the whole length and the
@@ -284,15 +281,7 @@ def barcode(v: Representation) -> Barcode:
     InternalCheckError rather than being clamped.
     """
     check_type(v, Representation, "barcode input")
-    return _bars(v.field, v.dims, _crossings(v))
-
-
-def _crossings(v: Representation) -> list[tuple[Matrix, bool]]:
-    """The (edge matrix, points right) joining each position k > 0 of the path v to k - 1.
-
-    ``path_steps`` refuses a quiver that is no path.
-    """
-    return [(v.mats[eidx], forward) for eidx, forward in path_steps(v.quiver)]
+    return _bars(v.field, v.dims, [(v.mats[eidx], fwd) for eidx, fwd in path_steps(v.quiver)])
 
 
 def _bars(fld: Field, dims: tuple[int, ...], crossings: list[tuple[Matrix, bool]]) -> Barcode:

@@ -13,6 +13,7 @@ from hnzz.linalg import (
     random_invertible_rng,
 )
 from hnzz.quiver import Quiver, Representation, _topological_order
+from hnzz.zigzag import path_steps
 
 
 @pytest.fixture
@@ -74,6 +75,14 @@ def dual(v: Representation) -> Representation:
     q = Quiver(v.quiver.vertex_count, tuple((dst, src) for src, dst in v.quiver.edges))
     mats = tuple(from_vectors(v.field, m.data, m.cols) for m in v.mats)
     return Representation(q, v.field, v.dims, mats)
+
+
+def restricted(v: Representation, lo: int, hi: int) -> Representation:
+    """The path v restricted to positions lo..hi, renumbered from 0."""
+    steps = path_steps(v.quiver)[lo:hi]
+    edges = tuple((k, k + 1) if fwd else (k + 1, k) for k, (_, fwd) in enumerate(steps))
+    mats = tuple(v.mats[eidx] for eidx, _ in steps)
+    return Representation(Quiver(hi - lo + 1, edges), v.field, v.dims[lo:hi + 1], mats)
 
 
 def mixed_orientations(n):

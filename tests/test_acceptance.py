@@ -29,6 +29,8 @@ from hnzz.generators import gen_affine, gen_persistence, random_orientation
 from hnzz.hn import (
     ENUM_MAX_DIM,
     ORACLE_MAX_TOTAL_DIM,
+    _decoded,
+    hn_bruteforce,
     is_semistable,
     recover_barcode_via_truncations,
 )
@@ -37,7 +39,7 @@ from hnzz.quiver import conjugate, direct_sum, euler_stability, slope_of_dims
 from hnzz.serialize import instance_to_json, load_json
 from hnzz.zigzag import barcode
 
-from conftest import mixed_orientations
+from conftest import mixed_orientations, restricted
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 EX6 = AffineQuiver(6, (CW, CW, CW, CCW, CW, CW))
@@ -122,6 +124,18 @@ def test_criterion_3_truncation_recovery():
     for case in cases:
         assert recover_barcode_via_truncations(case.rep) == barcode(case.rep)
     report(3, "truncation recursion rebuilds 200 barcodes", start, 60.0)
+
+
+def test_criterion_3_decoder_reads_oracle_reports():
+    # the recovery's decoder reads only reports: handed the oracle's Euler
+    # report of each right truncation, it rebuilds the barcode as well
+    start = time.perf_counter()
+    for case in nonzero_cases(draw_equioriented, 20_240_001, 200):
+        v, n = case.rep, case.rep.quiver.vertex_count
+        cuts = [restricted(v, k, n - 1) for k in range(n)]
+        reports = [hn_bruteforce(cut, euler_stability(cut.quiver)) for cut in cuts]
+        assert _decoded(reports) == barcode(v)
+    report(3, "decoder rebuilds 200 barcodes from the oracle's reports", start, 60.0)
 
 
 def test_criterion_4_slope_formula_exhaustive():

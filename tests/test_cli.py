@@ -12,6 +12,7 @@ import hnzz
 from hnzz import campaign, cli, serialize
 from hnzz.affine import AffineQuiver, CCW, CW, NClass, indec_N, indec_T, to_quiver
 from hnzz.cli import main
+from hnzz.errors import InternalCheckError
 from hnzz.generators import equioriented_quiver, gen_affine
 from hnzz.hn import HNReport, hn_bruteforce
 from hnzz.linalg import GF, QQ, Matrix
@@ -496,17 +497,23 @@ class TestVerifyCommand:
             cycles.append(drawn[0])
             return drawn
 
+        # a check that raises fails its case as one that returns a reason does
+        def raising(case):
+            raise InternalCheckError("forced")
+
         monkeypatch.setattr(campaign, "gen_affine", recording)
-        for theorem in ("a", "b"):
+        for theorem, check, reason in (("a", lambda case: "forced", "forced"),
+                                       ("b", lambda case: "forced", "forced"),
+                                       ("a", raising, "InternalCheckError: forced")):
             draw, _ = campaign.THEOREMS[theorem]
-            monkeypatch.setitem(campaign.THEOREMS, theorem, (draw, lambda case: "forced"))
+            monkeypatch.setitem(campaign.THEOREMS, theorem, (draw, check))
             assert run(["verify", "--theorem", theorem, "--cases", 3, "--seed", 5]) == 1
             out, err = capsys.readouterr()
             head = f"theorem {theorem}: 0 passed, 3 failed of 3\nfirst counterexample instance:\n"
             assert out.startswith(head)
             aq = cycles[0] if theorem == "b" else None
             assert json.loads(out[len(head):]) == instance_to_json(draw(random.Random(5)).rep, aq)
-            assert "first disagreement: forced" in err
+            assert f"first disagreement: {reason}" in err
 
     def test_theorem_choices_come_from_the_campaign(self, monkeypatch, capsys):
         draw, _ = campaign.THEOREMS["a"]

@@ -39,6 +39,7 @@ from conftest import (
     random_zigzag_rep,
     reference_column_echelon,
     reference_kernel,
+    restricted,
 )
 
 A2 = Quiver(2, ((0, 1),))
@@ -463,9 +464,11 @@ def test_barcode_metamorphic_relations():
     # is needed: the dual (every matrix transposed, every edge reversed)
     # crosses by _flag_preimage where v crossed by _flag_image, and keeps the
     # bars; relabelling position i as n - 1 - i mirrors each bar; a direct
-    # sum adds the bars.  Sparse paths over four fields and lift windows;
-    # on a cycle, d_inf and the lift classes add under a direct sum, and
-    # the dual, on the opposite orientation, keeps them
+    # sum adds the bars; the restriction to a right cut [k, n-1] or a left
+    # cut [0, k] clips them (restriction is exact and additive on interval
+    # modules).  Sparse paths over four fields and lift windows; on a cycle,
+    # d_inf and the lift classes add under a direct sum, and the dual, on
+    # the opposite orientation, keeps them
     rng = make_rng(22)
     pairs = []
     for _ in range(600):
@@ -488,6 +491,12 @@ def test_barcode_metamorphic_relations():
         assert bars(dual(v)) == got
         assert bars(mirrored(v)) == {(n - 1 - b, n - 1 - a): m for (a, b), m in got.items()}
         assert bars(direct_sum(v, w)) == dict(Counter(got) + Counter(bars(w)))
+        for lo, hi in {*((k, n - 1) for k in range(n)), *((0, k) for k in range(n))}:
+            clipped = Counter()
+            for (a, b), m in got.items():
+                if max(a, lo) <= min(b, hi):
+                    clipped[(max(a, lo) - lo, min(b, hi) - lo)] += m
+            assert bars(restricted(v, lo, hi)) == dict(clipped)
     seen = set()
     for v, w in cycles:
         (d_v, classes_v, _), (d_w, classes_w, _) = classify_lift(v), classify_lift(w)
