@@ -40,7 +40,7 @@ from operator import mul
 from .errors import InternalCheckError, ShapeError, ValidationError, check_ints, check_type, shown
 from .linalg import Field, Matrix, check_field
 from .quiver import Quiver, Representation
-from .zigzag import Barcode, _bars
+from .zigzag import Barcode, _bars, _check_entry_cap
 from .hn import HNReport
 
 CW = 0
@@ -50,10 +50,6 @@ CCW = 1
 # 50,000-position window of a GF(3) 40-cycle of dimension 8 lifted and
 # classified in 0.3 s: the barcode sweep stops at its first repeat.
 LIFT_MAX_WINDOW = 50_000
-# The summand caps: indec_N and indec_T refuse a length past LIFT_MAX_WINDOW
-# and more matrix entries, which grow with its square, than this.  The bench's
-# largest has 1,820; a 2-cycle Jordan cell of 1,002,528 built in 0.17 s.
-SUMMAND_MAX_ENTRIES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -159,7 +155,7 @@ def indec_N(aq: AffineQuiver, u: int, v: int, fld: Field) -> Representation:
     _check_window_cap(v - u + 1)
     support = [range(u + (j - u) % n, v + 1, n) for j in range(n)]
     dims = tuple(map(len, support))
-    _check_entry_cap(sum(map(mul, dims, dims[-1:] + dims[:-1])))
+    _check_entry_cap(sum(map(mul, dims, dims[-1:] + dims[:-1])), "summand")
     z, o = fld.zero, fld.one
     mats = []
     for j in range(n):
@@ -187,7 +183,7 @@ def indec_T(aq: AffineQuiver, lam, w: int, fld: Field) -> Representation:
         raise ValidationError("Jordan-cell size must be at least 1")
     n = aq.n
     _check_window_cap(w * n)
-    _check_entry_cap(n * w * w)
+    _check_entry_cap(n * w * w, "summand")
     z, o = fld.zero, fld.one
     jordan = [
         [lam if i == j else (o if j == i + 1 else z) for j in range(w)]
@@ -235,13 +231,6 @@ def _check_window_cap(D) -> None:
     check_ints((D,), "window length")
     if D > LIFT_MAX_WINDOW:
         raise ShapeError(f"window length {shown(D)} exceeds LIFT_MAX_WINDOW = {LIFT_MAX_WINDOW}")
-
-
-def _check_entry_cap(entries: int) -> None:
-    """ShapeError past ``SUMMAND_MAX_ENTRIES``."""
-    if entries > SUMMAND_MAX_ENTRIES:
-        raise ShapeError(f"summand of {entries} matrix entries exceeds "
-                         f"SUMMAND_MAX_ENTRIES = {SUMMAND_MAX_ENTRIES}")
 
 
 def _turn(v: Representation) -> list[tuple[Matrix, bool]]:

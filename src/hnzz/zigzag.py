@@ -60,13 +60,13 @@ flag that crosses an edge has a zero member and a full one.
 A flag whose members are all 0 or the whole space (a trivial flag) steps
 to the same members whatever basis it carries: the zero member goes to
 0 (image) or ker m (preimage), the full one to im m (image) or all of
-V_k (preimage).  So a trivial flag steps from the identity with members
-0 and everything, once per place in the period of the crossings, and
-every later crossing in that place reuses the step.  Its basis is never
-read: its next step starts from the identity again, and ``_rank_jumps``
-reads only dims.  The ranks take no elimination and no row step, so the
-cost stays linear in the path length for bounded vertex dimensions,
-which the long lift windows rely on.
+V_k (preimage).  So a trivial flag drops its basis, which
+``_rank_jumps`` never reads, and takes the one step of every flag from
+the identity.  Over QQ that keeps the basis from carrying the product of
+every map crossed, whose entries grow with the path.  The ranks take no
+elimination and no row step, so the cost stays linear in the path
+length for bounded vertex dimensions, which the long lift windows rely
+on.
 
 A lift window repeats its cycle's steps, and the sweep stops once it
 repeats itself.  ``_bars`` alone finds the least period p of the
@@ -150,6 +150,19 @@ from .linalg import (
     rank,
 )
 from .quiver import Quiver, Representation
+
+# The matrix entries one input may ask for: ``affine`` refuses a summand whose
+# edge matrices, growing with its length squared, would hold more, and ``_bars``
+# a vertex whose d x d flag basis would.  The bench's largest summand has
+# 1,820; a 2-cycle Jordan cell of 1,002,528 built in 0.17 s.
+SUMMAND_MAX_ENTRIES = 1_000_000
+
+
+def _check_entry_cap(entries: int, what: str) -> None:
+    """ShapeError past ``SUMMAND_MAX_ENTRIES``."""
+    if entries > SUMMAND_MAX_ENTRIES:
+        raise ShapeError(f"{what} of {entries} matrix entries exceeds "
+                         f"SUMMAND_MAX_ENTRIES = {SUMMAND_MAX_ENTRIES}")
 
 
 @dataclass(frozen=True, order=True)
@@ -296,12 +309,13 @@ def _bars(fld: Field, dims: tuple[int, ...], crossings: list[tuple[Matrix, bool]
     n = len(dims)
     if n == 0:
         return Barcode(())
+    _check_entry_cap(max(dims) ** 2, "flag basis")
     # fewer crossings than edges are one turn of a cycle, and two turns carry
     # its period across the turn's end; matrices compare by value
     period = _least_period(crossings * 2 if len(crossings) < n - 1 else crossings)
     periodic = period < n - 1
-    # per crossing of the period: its flag operation, the matrix it applies, its trivial step
-    table = [[*_crossing(m, forward, periodic), None] for m, forward in crossings[:period]]
+    # per crossing of the period: its flag operation and the matrix it applies
+    table = [_crossing(m, forward, periodic) for m, forward in crossings[:period]]
     # the marks and rank row of each of the last `period` positions, on a periodic path
     past: deque[tuple[list[int], list[tuple], dict[int, int]]] = deque(
         maxlen=period if periodic else 0)
@@ -414,24 +428,20 @@ def _close_bars(found: dict[tuple[int, int], int], prev_g: dict[int, int], g: di
             found[(a, k - 1)] = d
 
 
-def _crossed(entry: list, basis: Matrix, dims):
+def _crossed(entry: tuple, basis: Matrix, dims):
     """The flag (basis, dims) stepped and completed across a crossing (module docstring).
 
-    ``entry`` is the crossing's [flag operation, matrix, trivial step],
-    one per place in the period in ``_bars``.  The trivial step, stored
-    on first use, restarts a trivial flag from the identity, which also
+    ``entry`` is the crossing's (flag operation, matrix), one per place in
+    the period in ``_bars``.  A trivial flag keeps its basis and dims
+    across a bijection, and otherwise steps from the identity, which
     keeps QQ bases small.
     """
-    op, m, trivial = entry
+    op, m = entry
     d = basis.rows
     if set(dims) <= {0, d}:
         if op is _flag_moved and m.rows == d:
             return basis, dims
-        if trivial is None:
-            moved, new = op(m, Matrix.identity(m.field, d), (0, d))
-            trivial = entry[2] = _flag_completed(moved), new
-        basis, new = trivial
-        return basis, [new[-1] if x else new[0] for x in dims]
+        basis = Matrix.identity(m.field, d)
     basis, dims = op(m, basis, dims)
     return _flag_completed(basis), dims
 

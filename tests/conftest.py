@@ -77,6 +77,13 @@ def dual(v: Representation) -> Representation:
     return Representation(q, v.field, v.dims, mats)
 
 
+def mirrored(v: Representation) -> Representation:
+    """The path v with position i relabelled n - 1 - i."""
+    n = v.quiver.vertex_count
+    q = Quiver(n, tuple((n - 1 - src, n - 1 - dst) for src, dst in v.quiver.edges))
+    return Representation(q, v.field, v.dims[::-1], v.mats)
+
+
 def restricted(v: Representation, lo: int, hi: int) -> Representation:
     """The path v restricted to positions lo..hi, renumbered from 0."""
     steps = path_steps(v.quiver)[lo:hi]
@@ -301,6 +308,23 @@ def random_zigzag_rep(rng: random.Random, max_n=4, max_dim=3, fields=(2, 3, 5)) 
                 dims[src],
             )
         )
+    return Representation(q, fld, dims, tuple(mats))
+
+
+def sparse_rep(rng, fld, q: Quiver, dims) -> Representation:
+    """A representation of q on ``dims`` with rank-deficient maps.
+
+    About one edge in five carries the zero map; the other entries are
+    zero half the time.
+    """
+    mats = []
+    for src, dst in q.edges:
+        zero_map = rng.random() < 0.2
+        rows = [
+            [0 if zero_map or rng.random() < 0.5 else rng.randint(1, 4) for _ in range(dims[src])]
+            for _ in range(dims[dst])
+        ]
+        mats.append(Matrix(fld, rows, dims[src]))
     return Representation(q, fld, dims, tuple(mats))
 
 

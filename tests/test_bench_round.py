@@ -53,7 +53,7 @@ from hnzz.serialize import instance_from_json, instance_to_json, load_json  # no
 ROUND_WORK = {
     "lift-long": (718, 8316),
     "zigzag-rational": (387, 6094),
-    "oracle-certify": (1348, 710),
+    "oracle-certify": (1355, 710),
 }
 
 # products over the same round: flag crossings, the oracle's span steps and
@@ -61,7 +61,7 @@ ROUND_WORK = {
 ROUND_PRODUCTS = {
     "lift-long": 1972,
     "zigzag-rational": 208,
-    "oracle-certify": 1216,
+    "oracle-certify": 1218,
 }
 
 # (passes, enumerations, superspaces) of the oracle over the same round

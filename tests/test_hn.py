@@ -3,7 +3,7 @@ import random
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -33,14 +33,18 @@ from hnzz.hn import (
     is_semistable,
     recover_barcode_via_truncations,
 )
-from hnzz.generators import equioriented_quiver, gen_persistence
+from hnzz.affine import AffineQuiver, to_quiver
+from hnzz.campaign import fast_report
+from hnzz.generators import equioriented_quiver, gen_affine, gen_persistence
 
 from conftest import (
     conjugating_bases,
     dual,
     make_rng,
+    mirrored,
     random_path_quiver,
     random_zigzag_rep,
+    sparse_rep,
     subrepresentations,
     vectors_of,
     zero_map_path,
@@ -453,6 +457,58 @@ def test_oracle_obeys_duality_conjugation_and_direct_sums():
     assert stages >= 350 and sums >= 80
 
 
+def rotated(aq: AffineQuiver, v: Representation, r: int) -> Representation:
+    """The cycle v with vertex x relabelled (x - r) mod n, so edge e_j becomes e_{j-r}."""
+    n = aq.n
+
+    def turn(xs):
+        return tuple(xs[(i + r) % n] for i in range(n))
+
+    q = to_quiver(AffineQuiver(n, turn(aq.orientation)))
+    return Representation(q, v.field, turn(v.dims), turn(v.mats))
+
+
+def test_fast_routes_obey_direct_sums_conjugation_and_relabelling():
+    # the relations of the oracle test above on the fast routes under the
+    # Euler weights, which need no oracle and so reach past its guards: a
+    # direct sum has the merged report of its summands, a conjugate the same
+    # report, a path read backwards every step's dims reversed, and a cycle
+    # rotated by r every step's dims rotated
+    rng = make_rng(47)
+    cases = past_guard = 0
+    for fld in (GF(2), GF(3), GF(5), QQ):
+        for shape in ("path",) * 20 + ("cycle",) * 18:
+            if shape == "path":
+                n = rng.randint(1, 9)
+                q = random_path_quiver(n, rng)
+                v, _ = gen_persistence(n, fld, 4, rng, quiver=q)
+                w, _ = gen_persistence(n, fld, 4, rng, quiver=q)
+            else:
+                aq, v, _, _ = gen_affine(rng.randint(2, 6), fld, 3, rng, min_summands=1)
+                n, q = aq.n, v.quiver
+                w = sparse_rep(rng, fld, q, tuple(rng.randint(0, 2) for _ in range(n)))
+            alpha = euler_stability(q)
+            report = fast_report(v, alpha)
+            total = direct_sum(v, w)
+            assert fast_report(total, alpha) == HNReport.merged(
+                q, report.steps + fast_report(w, alpha).steps)
+            assert fast_report(conjugate(v, conjugating_bases(v, rng)), alpha) == report
+            if shape == "path":
+                moved = mirrored(v)
+                expected = [(sl, dims[::-1]) for sl, dims in report.steps]
+            else:
+                r = rng.randrange(1, n)
+                moved = rotated(aq, v, r)
+                expected = [(sl, dims[r:] + dims[:r]) for sl, dims in report.steps]
+            assert fast_report(moved, euler_stability(moved.quiver)).steps == tuple(expected)
+            cases += 1
+            cap = ORACLE_MAX_TOTAL_DIM.get(getattr(fld, "p", None), 0)
+            past_guard += total.total_dim() > cap
+    # 124 of the 152 sums lie past the oracle's total-dimension guard at this
+    # seed, those over GF(5) and QQ, which it refuses, included
+    assert cases == 152 and past_guard >= 100
+
+
 class TestFromBarcode:
     def test_three_step_example(self):
         bar = Barcode.from_dict(
@@ -634,6 +690,41 @@ class TestMerge:
             assert hn_r_filtration_eval(merged, t) == tuple(
                 a + b for a, b in zip(su, sw)
             )
+
+
+def cut_reports(bars: Counter, steps, cuts) -> tuple[HNReport, ...]:
+    """The Euler reports of ``bars``, (lo, hi) keys, clipped to each cut [lo, hi]
+    of the path whose edge k points right iff ``steps[k]``."""
+    reports = []
+    for lo, hi in cuts:
+        clipped = Counter()
+        for (a, b), mult in bars.items():
+            if max(a, lo) <= min(b, hi):
+                clipped[Interval(max(a, lo) - lo, min(b, hi) - lo)] += mult
+        q = Quiver(hi - lo + 1, tuple((k, k + 1) if fwd else (k + 1, k)
+                                      for k, fwd in enumerate(steps[lo:hi])))
+        reports.append(hn_from_barcode(Barcode.from_dict(dict(clipped)), q))
+    return tuple(reports)
+
+
+def test_truncation_reports_determine_the_barcode():
+    # every orientation of a path of n <= 4 vertices and every multiset of at
+    # most 3 bars: the Euler reports of the n right cuts [k, n-1] and the n
+    # left cuts [0, k] tell the multisets apart on every orientation, and the
+    # right cuts alone on only some of them
+    separated = []
+    for n in range(1, 5):
+        bars = [(a, b) for a in range(n) for b in range(a, n)]
+        multisets = [Counter(c) for size in range(4)
+                     for c in combinations_with_replacement(bars, size)]
+        right_only = 0
+        for steps in product((True, False), repeat=n - 1):
+            right = [cut_reports(m, steps, [(k, n - 1) for k in range(n)]) for m in multisets]
+            left = [cut_reports(m, steps, [(0, k) for k in range(n)]) for m in multisets]
+            assert len(set(zip(right, left))) == len(multisets)
+            right_only += len(set(right)) == len(multisets)
+        separated.append((right_only, 2 ** (n - 1)))
+    assert separated == [(1, 1), (2, 2), (3, 4), (4, 8)]
 
 
 class TestRecovery:

@@ -15,7 +15,9 @@ builds anything, as the lift window does: a wrapped interval or a Jordan
 cell of length 10**30 once ran until killed.  It refuses more matrix
 entries than ``SUMMAND_MAX_ENTRIES`` too, which a length under the window
 cap could still ask for: a Jordan cell of size 25,000 on a 2-cycle would
-have built two 25,000 x 25,000 matrices.
+have built two 25,000 x 25,000 matrices.  The barcode sweep refuses a vertex
+whose d x d flag basis would hold more entries than that cap, before it
+builds anything, for each command that sweeps.
 
 Each input rule has one definition, next to the type it describes, and
 the second table reaches each refusal that no other test reaches in
@@ -23,8 +25,10 @@ process, by its message.  ``tests/test_library_fuzz.py`` calls every
 public entry with wrong arguments.
 """
 
+import json
 import random
 import signal
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -44,6 +48,7 @@ from hnzz.affine import (
     to_quiver,
     wrap_counts,
 )
+from hnzz.cli import main
 from hnzz.errors import ShapeError, ValidationError
 from hnzz.generators import equioriented_quiver, gen_affine, gen_persistence, random_orientation
 from hnzz.hn import (
@@ -73,6 +78,22 @@ from hnzz.serialize import (
     instance_to_json,
 )
 from hnzz.zigzag import Barcode, Interval, barcode, interval_module, is_path, path_steps
+
+
+@contextmanager
+def within_seconds(seconds: int):
+    """TimeoutError if the body runs longer than ``seconds``."""
+    def expired(signum, frame):
+        raise TimeoutError(f"not refused within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
 
 A2 = Quiver(2, ((0, 1),))
 AQ = AffineQuiver(2, (0, 1))
@@ -240,17 +261,8 @@ def test_lift_window_out_of_range_refused(window, error):
     ids=["indec_N(length 10**30 + 1)", "indec_T(size 10**30)"],
 )
 def test_summand_length_past_the_window_cap_refused_at_once(build):
-    def expired(signum, frame):
-        raise TimeoutError("the summand was not refused within 3 s")
-
-    previous = signal.signal(signal.SIGALRM, expired)
-    signal.alarm(3)
-    try:
-        with pytest.raises(ShapeError, match="LIFT_MAX_WINDOW"):
-            build()
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
+    with within_seconds(3), pytest.raises(ShapeError, match="LIFT_MAX_WINDOW"):
+        build()
 
 
 @pytest.mark.parametrize(
@@ -267,6 +279,45 @@ def test_summand_entries_past_the_cap_refused(build):
 
 def test_summand_entries_at_the_cap_built():
     assert indec_T(AQ, 1, 707, GF(3)).dims == (707, 707)  # 999,698 entries
+
+
+# A matrix with no rows is spelled "rows": [], so a 200-byte file can declare
+# a vertex of dimension 10**6.  These files once ran for 12 s each and then
+# escaped as a MemoryError: the sweep built a 10**6 x 10**6 flag basis.
+HUGE_VERTEX = {"field": {"kind": "prime", "p": 2}, "dims": [0, 10**6, 0]}
+HUGE_PATH = {**HUGE_VERTEX,
+             "quiver": {"vertices": 3, "edges": [{"src": 1, "dst": 0}, {"src": 1, "dst": 2}]},
+             "matrices": [{"edge": e, "rows": []} for e in range(2)]}
+HUGE_CYCLE = {**HUGE_VERTEX, "quiver": {"affine": {"n": 3, "orientation": [0, 1, 0]}},
+              "matrices": [{"edge": e, "rows": []} for e in range(3)]}
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        (["barcode"], HUGE_PATH),
+        (["hn"], HUGE_PATH),
+        (["hn", "--oracle"], HUGE_PATH),
+        (["lift"], HUGE_CYCLE),
+        (["hn"], HUGE_CYCLE),
+    ],
+    ids=["barcode path", "hn path", "hn --oracle path", "lift cycle", "hn cycle"],
+)
+def test_huge_vertex_refused_before_the_sweep(tmp_path, capsys, command, doc):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    with within_seconds(3):
+        assert main([command[0], str(path), *command[1:]]) == 4
+    assert capsys.readouterr().err == (
+        "unsupported shape: flag basis of 1000000000000 matrix entries exceeds "
+        "SUMMAND_MAX_ENTRIES = 1000000\n"
+    )
+
+
+def test_vertex_at_the_cap_swept():
+    # a 1,000 x 1,000 flag basis: 1,000,000 entries, at the cap
+    v = Representation(Quiver(1, ()), GF(2), (1000,), ())
+    assert barcode(v) == Barcode(((Interval(0, 0), 1000),))
 
 
 @pytest.mark.parametrize(

@@ -35,11 +35,13 @@ from conftest import (
     dual,
     hstack,
     make_rng,
+    mirrored,
     random_path_quiver,
     random_zigzag_rep,
     reference_column_echelon,
     reference_kernel,
     restricted,
+    sparse_rep,
 )
 
 A2 = Quiver(2, ((0, 1),))
@@ -379,19 +381,6 @@ def sparse_zigzag_rep(rng, max_n=9, max_dim=4):
     return sparse_rep(rng, fld, q, dims)
 
 
-def sparse_rep(rng, fld, q: Quiver, dims) -> Representation:
-    """A representation of q on ``dims`` with ``sparse_zigzag_rep``'s maps."""
-    mats = []
-    for src, dst in q.edges:
-        zero_map = rng.random() < 0.2
-        rows = [
-            [0 if zero_map or rng.random() < 0.5 else rng.randint(1, 4) for _ in range(dims[src])]
-            for _ in range(dims[dst])
-        ]
-        mats.append(Matrix(fld, rows, dims[src]))
-    return Representation(q, fld, dims, tuple(mats))
-
-
 def inclusion_exclusion_bars(v) -> dict:
     """The barcode from one generalized rank per interval, no sweep."""
     n = v.quiver.vertex_count
@@ -450,13 +439,6 @@ def test_sweep_digest():
     assert digest.hexdigest() == (
         "23919eb3c94753c14b2fe4a626f19c2c79a0e6532b1b4c0996cbf7ab106f39e9"
     )
-
-
-def mirrored(v: Representation) -> Representation:
-    """v with position i relabelled n - 1 - i."""
-    n = v.quiver.vertex_count
-    q = Quiver(n, tuple((n - 1 - src, n - 1 - dst) for src, dst in v.quiver.edges))
-    return Representation(q, v.field, v.dims[::-1], v.mats)
 
 
 def test_barcode_metamorphic_relations():
