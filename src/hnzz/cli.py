@@ -85,12 +85,8 @@ def _cmd_hn(args) -> int:
 
 def _cmd_lift(args) -> int:
     d_inf, classes, bar = classify_lift(instance_from_json(load_json(args.input)), args.window)
-    doc = {
-        "d_inf": d_inf,
-        "classes": classes_to_json(classes),
-        "barcode": barcode_to_json(bar),
-    }
-    _emit(doc, args.out)
+    _emit({"d_inf": d_inf, "classes": classes_to_json(classes), "barcode": barcode_to_json(bar)},
+          args.out)
     return 0
 
 
@@ -189,6 +185,11 @@ def _parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     return parser
+
+
+# Built on import: argparse's help strings look up translation files, a few
+# ms of file probing, which the first call of main would otherwise pay alone.
+_parser()
 
 
 def main(argv=None) -> int:
