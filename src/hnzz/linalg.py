@@ -28,12 +28,13 @@ den by their gcd.
 A public name refuses a wrong argument; a private one trusts its
 callers here, which pass what checked constructors built: the sweep's
 flag steps (``_flag_image``, ``_flag_preimage``, ``_flag_moved``,
-``_flag_completed``, ``_scaled_inverse``; "flags" below), ``_echelon``
-and ``_from_columns`` for the oracle's subspace scan in ``hn`` ("subspace
-arithmetic" below), ``_block_diag`` for ``quiver.direct_sum``, and
-``_read_entry`` for ``serialize``'s reader.  That reads each distinct QQ
-entry string of a document once, "a" and "a/b" straight into ints, and
-``read_rows`` takes the ``_Ratio`` pairs it returns as they are.
+``_flag_completed``, ``_scaled_inverse``, ``_composed``; "flags"
+below), ``_echelon`` and ``_from_columns`` for the oracle's subspace
+scan in ``hn`` ("subspace arithmetic" below), ``_block_diag`` for
+``quiver.direct_sum``, and ``_read_entry`` for ``serialize``'s reader.
+That reads each distinct QQ entry string of a document once, "a" and
+"a/b" straight into ints, and ``read_rows`` takes the ``_Ratio`` pairs
+it returns as they are.
 
 Everything here is pure and deterministic: echelon forms are the unique
 reduced ones, so equality of spans reduces to equality of basis matrices.
@@ -45,14 +46,14 @@ both on rows packed into one int, a byte per column, over a small GF(p)
 (the packed rows of M4RI: Albrecht, Bard and Hart, ACM TOMS 2010), the
 reduction of an integer row to canonical entries, the scalars that turn
 an eliminated [m | I] into an inverse, the lowest terms of integer rows
-over a den (QQ only), the gcd division of a basis's columns (QQ only),
-and the write-back of a row divided by its pivot.  A packed row step
-returns ``bytes``, which index and slice as residues do, so the rows an
-elimination leaves may be ``bytes``; each caller reads them or writes
-them back, and none leaves this module.  No rank, pivot or span moves
-when a matrix is scaled by a nonzero scalar, so the flag operations read
-``ints`` alone and return bases with ``den`` 1, and the barcode sweep
-builds no ``Fraction``.
+over a den (QQ only), the gcd division of a basis's columns or of a
+map's entries (QQ only), and the write-back of a row divided by its
+pivot.  A packed row step returns ``bytes``, which index and slice as
+residues do, so the rows an elimination leaves may be ``bytes``; each
+caller reads them or writes them back, and none leaves this module.  No
+rank, pivot or span moves when a matrix is scaled by a nonzero scalar,
+so the flag operations read ``ints`` alone and return bases with
+``den`` 1, and the barcode sweep builds no ``Fraction``.
 """
 
 from __future__ import annotations
@@ -164,6 +165,11 @@ class RationalField:
             rows = [[x // g for x, g in zip(row, scales)] for row in rows]
         return rows
 
+    def primitive(self, rows: Sequence[Sequence[int]]) -> Sequence[Sequence[int]]:
+        """``rows`` divided by the gcd of all their entries: a smaller map, up to a scalar."""
+        g = gcd(*chain.from_iterable(rows))
+        return [[x // g for x in row] for row in rows] if g > 1 else rows
+
     def write_back(self, row: Sequence[int], d: int) -> list[Fraction]:
         """``row / d`` in canonical entries, one Fraction per nonzero entry."""
         zero = self.zero
@@ -261,6 +267,8 @@ class PrimeField:
     def primitive_columns(self, rows: Sequence[Sequence[int]]) -> Sequence[Sequence[int]]:
         """``rows`` as they are: residues stay below p."""
         return rows
+
+    primitive = primitive_columns
 
     def write_back(self, row: Sequence[int], d: int) -> Sequence[int]:
         """``row / d`` in residues, for ``row`` in residues: as a tuple when d is 1."""
@@ -679,6 +687,19 @@ def _flag_moved(m: Matrix, basis: Matrix, dims: Sequence[int]) -> tuple[Matrix, 
     return Matrix._canonical(field, moved, basis.cols), list(dims)
 
 
+def _composed(mats: Sequence[Matrix]) -> Matrix:
+    """The product of the square maps ``mats``, applied first to last, up to a nonzero scalar.
+
+    Each product goes through the field's ``primitive``, since a map, unlike
+    a basis, may be scaled as a whole but not column by column.
+    """
+    field, d = mats[0].field, mats[0].cols
+    rows = mats[0].ints
+    for m in mats[1:]:
+        rows = field.primitive(field.product(m.ints, rows, d))
+    return Matrix._canonical(field, rows, d)
+
+
 def _scaled_inverse(m: Matrix) -> tuple[Matrix, int] | None:
     """The inverse of m.ints times a nonzero scalar s, and s; None if m is singular.
 
@@ -694,7 +715,7 @@ def _scaled_inverse(m: Matrix) -> tuple[Matrix, int] | None:
     n = m.rows
     if m.cols != n:
         return None
-    work = [row + tuple(int(i == j) for j in range(n)) for i, row in enumerate(m.ints)]
+    work = [row + (0,) * i + (1,) + (0,) * (n - i - 1) for i, row in enumerate(m.ints)]
     pivots = _gauss_jordan(m.field, work)
     if pivots and pivots[-1] >= n:
         return None
@@ -717,5 +738,6 @@ def _flag_completed(basis: Matrix) -> Matrix:
         return Matrix.identity(basis.field, d)
     taken = set(_gauss_jordan(basis.field, list(zip(*basis.ints)), reduced=False))
     extra = [r for r in range(d) if r not in taken]
-    rows = [row + tuple(int(r == e) for e in extra) for r, row in enumerate(basis.ints)]
+    block = zip(*[(0,) * e + (1,) + (0,) * (d - e - 1) for e in extra])  # unit columns
+    rows = [row + ext for row, ext in zip(basis.ints, block)]
     return Matrix._canonical(basis.field, rows, d)

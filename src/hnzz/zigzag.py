@@ -101,8 +101,16 @@ rank row and no difference of rows:
   [k - p, k - 1];
 * the last row is a swept row shifted by a whole number of periods.
 
-One loop steps the flag, takes each row's bars and finds the repeat,
-and it keeps the marks and rank rows of the last p positions only.
+One loop steps the flag from segment end to segment end: a segment is
+a maximal run of square bijections within one period, or any other
+crossing, so every multiple of p is a segment end.  A square bijection
+keeps each member's dimension, so the new mark (k, dim V_k, 0) equals
+the last pair and is dropped, and the marks and rank row stay the same
+through a run.  So no bar ends inside a run, a run cut short by the
+path's end is not crossed, and the first repeat falls on a segment end:
+one inside a run holds at the run's start.  The loop keeps the
+position, marks and rank row of each segment end of the last period,
+and a position has the row of the last segment end at or before it.
 
 On a periodic path every crossing of the period recurs, so the sweep
 works out once per place in the period whether it needs an elimination
@@ -115,10 +123,13 @@ inverts (one RREF of [m | I]), moves the flag by a product with that
 matrix or with its inverse, ``_flag_moved``, dims unchanged.  That
 inverse is the matrix of ``_scaled_inverse``: the inverse of m's integer
 rows times the lcm of its pivots, a global scalar that no column span
-sees.  A trivial flag keeps its dims across a bijection, which maps 0 to
-0 and the whole space to the whole space, and its basis, which is never
-read.  Every other edge, and every edge of an aperiodic path, takes
-``_flag_image`` or ``_flag_preimage``.
+sees.  A run of square bijections moves the flag by their product,
+built once (``linalg._composed``, over QQ divided by the gcd of all its
+entries) when a flag that is not trivial first crosses it.  A trivial flag keeps
+its dims across a bijection, which maps 0 to 0 and the whole space to
+the whole space, and its basis, which is never read: no product.  Every
+other edge, and every edge of an aperiodic path, takes ``_flag_image``
+or ``_flag_preimage``.
 
 The sweep runs on the integer rows that every ``Matrix`` holds: the
 flag operations read an edge matrix's ``ints`` and skip its
@@ -136,12 +147,14 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import cycle
 
 from .errors import (InternalCheckError, ShapeError, ValidationError, check_counts, check_ints,
                      check_type, shown)
 from .linalg import (
     Field,
     Matrix,
+    _composed,
     _flag_completed,
     _flag_image,
     _flag_moved,
@@ -303,8 +316,9 @@ def _bars(fld: Field, dims: tuple[int, ...], crossings: list[tuple[Matrix, bool]
     holds the path's n - 1 of them, or fewer, one turn of a cycle that
     the path repeats.
 
-    One loop sweeps the flag, takes each rank row's bars and stops at the
-    first repeat, and the rest close by translation (module docstring).
+    One loop sweeps the flag from segment end to segment end, takes each
+    rank row's bars and stops at the first repeat, and the rest close by
+    translation (module docstring).
     """
     n = len(dims)
     if n == 0:
@@ -314,46 +328,63 @@ def _bars(fld: Field, dims: tuple[int, ...], crossings: list[tuple[Matrix, bool]
     # its period across the turn's end; matrices compare by value
     period = _least_period(crossings * 2 if len(crossings) < n - 1 else crossings)
     periodic = period < n - 1
-    # per crossing of the period: its flag operation and the matrix it applies
-    table = [_crossing(m, forward, periodic) for m, forward in crossings[:period]]
-    # the marks and rank row of each of the last `period` positions, on a periodic path
-    past: deque[tuple[list[int], list[tuple], dict[int, int]]] = deque(
-        maxlen=period if periodic else 0)
+    # the segments of the period, each [flag operation, matrices, length]: a
+    # maximal run of square bijections is one, any other crossing one of its own
+    segments: list[list] = []
+    joins = False
+    for m, forward in crossings[:period]:
+        op, applied = _crossing(m, forward, periodic)
+        if joins and op is _flag_moved and m.rows == m.cols:
+            segments[-1][1].append(applied)
+            segments[-1][2] += 1
+        else:
+            segments.append([op, [applied], 1])
+            joins = op is _flag_moved and m.rows == m.cols
+    # the position, marks and rank row of each segment end of the last period
+    past: deque[tuple[int, list[int], list[tuple], dict[int, int]]] = deque(
+        maxlen=len(segments) if periodic else 0)
     found: dict[tuple[int, int], int] = {}
 
     # one flag carries both chains, over one list of marks: the starts a,
     # and the pairs (dim A[a], dim R[a]) of their members
     basis = Matrix.identity(fld, dims[0])
     starts, pairs = [0], [(dims[0], 0)]
-    g: dict[int, int] = {}  # the rank row of the last position swept
-    for k in range(n):
-        if k > 0:
-            a_dims, r_dims = zip(*pairs)
-            basis, new = _crossed(table[(k - 1) % period], basis, r_dims + a_dims)
-            r_dims, a_dims = new[:len(r_dims)], new[len(r_dims):]
-            # nested members of equal dimension are equal: keep the first start
-            previous, starts, pairs = starts, [], []
-            for a, pair in zip([*previous, k], [*zip(a_dims, r_dims), (dims[k], 0)]):
-                if not pairs or pair != pairs[-1]:
-                    starts.append(a)
-                    pairs.append(pair)
-        if (periodic and len(past) == period and pairs == past[0][1]
-                and starts == _shifted(past[0][0], period)):
+    g: dict[int, int] = {}  # the rank row of the last segment end swept
+    k, ahead = 0, cycle(segments)
+    while True:
+        if (periodic and len(past) == len(segments) and pairs == past[0][2]
+                and starts == _shifted(past[0][1], period)):
             # k repeats k - period, and so does every later position: the
             # row of a position i >= k is that of i - period, shifted
-            _close_bars(found, g, _shifted_row(past[0][2], period), k)
+            _close_bars(found, g, _shifted_row(past[0][3], period), k)
             # no bar of start 0 ends here: r[0, e] never grows with e, and it
             # repeats with the period from k - period on, so it is constant
             tail = [(a, e, d) for (a, e), d in found.items() if e >= k - period]
             for a, e, d in tail:
                 for t in range(period, n - 1 - e, period):
                     found[(a + t, e + t)] = d
+            # position k - period + i has the row of the last segment end at or before it
             t, i = divmod(n - 1 - k, period)
-            g = _shifted_row(past[i][2], period * (t + 1))
+            row = next(row for at, _, _, row in reversed(past) if at <= k - period + i)
+            g = _shifted_row(row, period * (t + 1))
             break
         prev_g, g = g, _rank_jumps(starts, pairs)
         _close_bars(found, prev_g, g, k)
-        past.append((starts, pairs, g))
+        past.append((k, starts, pairs, g))
+        segment = next(ahead, None)
+        if segment is None or k + segment[2] >= n:
+            # the path ends here, or inside a run, which keeps the marks
+            break
+        k += segment[2]
+        a_dims, r_dims = zip(*pairs)
+        basis, new = _crossed(segment, basis, r_dims + a_dims)
+        r_dims, a_dims = new[:len(r_dims)], new[len(r_dims):]
+        # nested members of equal dimension are equal: keep the first start
+        previous, starts, pairs = starts, [], []
+        for a, pair in zip([*previous, k], [*zip(a_dims, r_dims), (dims[k], 0)]):
+            if not pairs or pair != pairs[-1]:
+                starts.append(a)
+                pairs.append(pair)
 
     for a, d in g.items():
         found[(a, n - 1)] = d
@@ -428,21 +459,24 @@ def _close_bars(found: dict[tuple[int, int], int], prev_g: dict[int, int], g: di
             found[(a, k - 1)] = d
 
 
-def _crossed(entry: tuple, basis: Matrix, dims):
-    """The flag (basis, dims) stepped and completed across a crossing (module docstring).
+def _crossed(segment: list, basis: Matrix, dims):
+    """The flag (basis, dims) stepped and completed across a segment (module docstring).
 
-    ``entry`` is the crossing's (flag operation, matrix), one per place in
+    ``segment`` is [flag operation, matrices, length], one per segment of
     the period in ``_bars``.  A trivial flag keeps its basis and dims
     across a bijection, and otherwise steps from the identity, which
-    keeps QQ bases small.
+    keeps QQ bases small.  Any other flag crosses a run of bijections by
+    their product, which the first such crossing stores in the segment.
     """
-    op, m = entry
+    op, mats, _ = segment
     d = basis.rows
     if set(dims) <= {0, d}:
-        if op is _flag_moved and m.rows == d:
+        if op is _flag_moved and mats[0].rows == d:
             return basis, dims
-        basis = Matrix.identity(m.field, d)
-    basis, dims = op(m, basis, dims)
+        basis = Matrix.identity(mats[0].field, d)
+    if len(mats) > 1:
+        mats = segment[1] = [_composed(mats)]
+    basis, dims = op(mats[0], basis, dims)
     return _flag_completed(basis), dims
 
 

@@ -280,14 +280,20 @@ def test_lift_window_decides_each_crossing_once(count_calls):
     # repeats the cycle's 100 crossings, 98 of them bijective.  Per place
     # in the cycle, once: a rank (pointing right) or an [m | I] reduction
     # (pointing left, square) decides whether a crossing is a product, 99
-    # eliminations; a bijective edge then moves the flag by a product.
-    # The two other edges cost 4 preimages, and 4 completions run.  The
-    # sweep stops once its marks repeat one cycle later, so 107
-    # eliminations run over 701 window positions.  A change may lower this
-    # pin, never raise it
+    # eliminations.  The two other edges cost 4 preimages, and 4
+    # completions run.  The sweep stops once its marks repeat one cycle
+    # later, so 107 eliminations run over 701 window positions.  The
+    # bijective edges form two runs of the cycle, of 2 and 96 edges, and
+    # the sweep crosses each run in one step: the first flag that is not
+    # trivial composes its matrices once, 96 products, and then moves by
+    # one product per crossing, 107 products in all (300 at one product
+    # per bijective crossing).  A change may lower these pins, never raise
+    # them
     rep = _scaling_instance(100, 1)
     positions = default_window(rep) + 1
     calls = count_calls(linalg, "_gauss_jordan")
+    products = count_calls(linalg.PrimeField, "product")
     eta_from_lift(rep)
-    print(f"  {len(calls)} eliminations over {positions} window positions")
+    print(f"  {len(calls)} eliminations and {len(products)} products over {positions} window positions")
     assert (len(calls), positions) == (107, 701)
+    assert len(products) == 107

@@ -364,22 +364,31 @@ class TestBijectiveCrossings:
         # a wrapped interval winding three times plus a size-2 cell over QQ,
         # conjugated: the product route carries a partial flag across
         # hundreds of bijective edges, each product's columns divided by
-        # their gcds, so the entries stay small and the summands exact
+        # their gcds, and composes each run of them into one map, each
+        # product divided by the gcd of all its entries, so the entries of
+        # bases and composed maps stay small and the summands exact
         rng = make_rng(35)
         aq = AffineQuiver(n, random_orientation(n, rng))
         rep = direct_sum(indec_N(aq, 1, 1 + 3 * n + 2, QQ), indec_T(aq, 1, 2, QQ))
         rep = conjugate(rep, conjugating_bases(rep, rng))
-        bits = []
+        bits, composed_bits = [], []
 
         def recording(m, basis, dims, moved=zigzag._flag_moved):
             out = moved(m, basis, dims)
             bits.extend(abs(x).bit_length() for row in out[0].ints for x in row)
             return out
 
+        def composing(mats, composed=zigzag._composed):
+            out = composed(mats)
+            composed_bits.extend(abs(x).bit_length() for row in out.ints for x in row)
+            return out
+
         monkeypatch.setattr(zigzag, "_flag_moved", recording)
+        monkeypatch.setattr(zigzag, "_composed", composing)
         d_inf, classes, _ = classify_lift(rep)
         assert (d_inf, classes) == (2, {NClass(1, 1 + 3 * n + 2): 1})
         assert bits and max(bits) <= 64
+        assert composed_bits and max(composed_bits) <= 64
 
 
 class TestEtaFromLift:

@@ -18,9 +18,10 @@ enumerations (calls of ``hn._superspaces``) and the superspaces they
 yield.  Making the walk's steps cheaper moves the work pins and leaves
 these alone.
 
-So are the positions of the round's barcode sweeps and the positions
-whose rank row a sweep built (``zigzag._rank_jumps`` calls); a sweep
-closes the rest by translation once its path repeats itself.
+So are the positions of the round's barcode sweeps and the segment ends
+whose rank row a sweep built (``zigzag._rank_jumps`` calls): a sweep
+crosses each run of bijections in one step, and closes the positions
+past its first repeat by translation.
 
 So is the number of ``Fraction``s built over the round, most of them by
 reading QQ instances before their entry strings were read into ints.
@@ -56,12 +57,12 @@ ROUND_WORK = {
     "oracle-certify": (1355, 710),
 }
 
-# products over the same round: flag crossings, the oracle's span steps and
-# Matrix products
+# products over the same round: flag crossings, the products that compose a
+# run of bijections, the oracle's span steps and Matrix products
 ROUND_PRODUCTS = {
-    "lift-long": 1972,
+    "lift-long": 718,
     "zigzag-rational": 208,
-    "oracle-certify": 1218,
+    "oracle-certify": 1217,
 }
 
 # (passes, enumerations, superspaces) of the oracle over the same round
@@ -71,11 +72,11 @@ ORACLE_WALK = {
     "oracle-certify": (89, 767, 1048),
 }
 
-# (positions, swept positions) of the barcode sweeps over the same round
+# (positions, segment ends swept) of the barcode sweeps over the same round
 ROUND_SWEEPS = {
-    "lift-long": (5006, 2034),
+    "lift-long": (5006, 88),
     "zigzag-rational": (380, 380),
-    "oracle-certify": (461, 239),
+    "oracle-certify": (461, 194),
 }
 
 

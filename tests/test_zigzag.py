@@ -14,6 +14,7 @@ from hnzz.linalg import (
     GF,
     QQ,
     Matrix,
+    inverse,
     random_invertible_rng,
     rank,
     subspace_contains,
@@ -711,20 +712,38 @@ def periodic_pair(rng, fld) -> tuple[Representation, Representation]:
     return rep_of_steps(fld, steps), rep_of_steps(fld, [*steps[:-1], (forward, fresh)])
 
 
+def segment_ends(monkeypatch) -> list:
+    """The position k of each ``_close_bars`` call of the sweeps that follow, in order.
+
+    A sweep closes bars at each segment end it prices and once more at its
+    first repeat, so after a repeat the last entry is the repeat's position.
+    """
+    ends = []
+    close = zigzag._close_bars
+
+    def recording(found, prev_g, g, k):
+        ends.append(k)
+        close(found, prev_g, g, k)
+
+    monkeypatch.setattr(zigzag, "_close_bars", recording)
+    return ends
+
+
 @pytest.mark.parametrize("fld", [GF(2), GF(3), GF(5), QQ], ids=repr)
 def test_periodic_paths_replay_their_repeats(fld, count_calls):
     # the sweep stops at a position whose marks repeat those one period
-    # earlier and closes the later bars by translation; a path with no shorter
-    # period than its length sweeps, and prices, every position
+    # earlier and closes the later bars by translation (shifting rank rows,
+    # which only a repeat does); a path with no shorter period than its
+    # length sweeps, and prices, every position
     rng = make_rng(70)
-    swept = count_calls(zigzag, "_rank_jumps")
+    shifted = count_calls(zigzag, "_shifted_row")
     replays = {"periodic": 0, "broken": 0}
     zero_dims = 0
     for _ in range(30):
         for kind, v in zip(replays, periodic_pair(rng, fld)):
-            swept.clear()
+            shifted.clear()
             assert bars(v) == inclusion_exclusion_bars(v)
-            replays[kind] += len(swept) < v.quiver.vertex_count
+            replays[kind] += bool(shifted)
             zero_dims += 0 in v.dims
     print(f"  replays {replays}, {zero_dims} draws with a zero-dim vertex")
     assert replays["periodic"] >= 25
@@ -791,23 +810,25 @@ def test_translated_tail_matches_full_sweep(count_calls, monkeypatch):
     # lift windows of the default length plus 0-12 periods, the window
     # barcode of classify_lift must be that of barcode on the built window
     # with its period hidden (``len`` for ``_least_period``), which sweeps
-    # every position
+    # and prices every position, and never repeats
     rng = make_rng(74)
     swept = count_calls(zigzag, "_rank_jumps")
+    shifted = count_calls(zigzag, "_shifted_row")
     stopped = 0
     for i in range(400):
         fld = (GF(2), GF(3), GF(5), QQ)[i % 4]
         _, v, _, _ = gen_affine(rng.randint(2, 4), fld, 4, rng, min_summands=1, total_cap=6,
                                 vertex_cap=3)
         window = default_window(v) + v.quiver.vertex_count * rng.randint(0, 12)
-        swept.clear()
+        shifted.clear()
         got = classify_lift(v, window)[2]
-        stopped += len(swept) <= window
+        stopped += bool(shifted)
         with monkeypatch.context() as full:
             full.setattr(zigzag, "_least_period", len)
             swept.clear()
+            shifted.clear()
             assert barcode(lift_truncated(v, window)) == got
-            assert len(swept) == window + 1
+            assert len(swept) == window + 1 and not shifted
     assert stopped == 400
 
 
@@ -815,7 +836,9 @@ def test_lift_sweeps_least_period_within_a_turn(count_calls):
     # a 12-cycle of alternating orientation with one matrix on every edge:
     # its crossings repeat every 2 positions, within one turn, and
     # classify_lift sweeps no more of its window than barcode of the built
-    # window does
+    # window does.  Both crossings of the period are bijections, one run,
+    # so the trivial flag crosses it unchanged and the sweep builds one
+    # rank row, at position 0, and repeats it at position 2
     fld = GF(3)
     m = Matrix(fld, [[1, 1], [0, 2]])
     v = Representation(to_quiver(AffineQuiver(12, (CW, CCW) * 6)), fld, (2,) * 12, (m,) * 12)
@@ -826,7 +849,7 @@ def test_lift_sweeps_least_period_within_a_turn(count_calls):
     for calls in work:
         calls.clear()
     assert barcode(window) == got
-    assert [len(calls) for calls in work] == lifted == [2, 2]
+    assert [len(calls) for calls in work] == lifted == [2, 1]
 
 
 @pytest.mark.parametrize("fld", [GF(2), GF(3), GF(5), QQ], ids=repr)
@@ -837,7 +860,8 @@ def test_translated_tail_edge_cases(fld, count_calls, monkeypatch):
     # start 0 (a start-0 bar cannot end between the repeat and the last
     # position: r[0, e] falls with e and repeats with period there)
     rng = make_rng(75)
-    swept = count_calls(zigzag, "_rank_jumps")
+    shifted = count_calls(zigzag, "_shifted_row")
+    ends = segment_ends(monkeypatch)
     seen = Counter()
     for _ in range(60):
         v, _ = periodic_pair(rng, fld)
@@ -845,12 +869,13 @@ def test_translated_tail_edge_cases(fld, count_calls, monkeypatch):
         for cut in range(1, len(steps) + 1):
             w = rep_of_steps(fld, steps[:cut])
             n = w.quiver.vertex_count
-            swept.clear()
+            shifted.clear()
+            ends.clear()
             got = bars(w)
-            if len(swept) == n:
+            if not shifted:
                 continue
             seen["stopped"] += 1
-            seen["at the last position"] += len(swept) == n - 1
+            seen["at the last position"] += ends[-1] == n - 1
             seen["period 1"] += zigzag._least_period(steps[:cut]) == 1
             seen["start 0 translated"] += any(a == 0 and b == n - 1 for a, b in got)
             with monkeypatch.context() as full:
@@ -858,6 +883,97 @@ def test_translated_tail_edge_cases(fld, count_calls, monkeypatch):
                 assert bars(w) == got
     print(f"  {dict(seen)}")
     assert min(seen.values()) >= 3
+
+
+def bijection_run_steps(rng, fld) -> list:
+    """A block of 1-6 steps repeated 2-4 times, all but 0-2 of them invertible square maps.
+
+    In the block's own coordinates each invertible map is a signed
+    permutation, pointing either way at a dim of 2-3, and each other step a
+    random 0/1 map with a zero row, so singular when square; between two other
+    steps the vertices take a dim of 0-3, and the last one returns to the
+    block's first dim.  Each vertex of the block then takes a random basis,
+    the same in every repeat: flags meet later kernels in special position,
+    and no member is a coordinate subspace.
+    """
+    size = rng.randint(1, 6)
+    others = sorted(rng.sample(range(size), min(size, rng.randint(0, 2))))
+    dims = [rng.randint(2, 3)]
+    block = []
+    for i in range(size):
+        forward = rng.random() < 0.5
+        dim = dims[-1]
+        if i in others:
+            after = dims[0] if i == others[-1] else rng.randint(0, 3)
+            rows, cols = (after, dim) if forward else (dim, after)
+            top = [[rng.randint(0, 1) for _ in range(cols)] for _ in range(rows - 1)]
+            block.append((forward, Matrix(fld, [*top, [0] * cols][:rows], cols)))
+        else:
+            after, order = dim, rng.sample(range(dim), dim)
+            block.append((forward, Matrix(fld, [[rng.choice((1, -1)) if j == order[r] else 0
+                                                 for j in range(dim)] for r in range(dim)], dim)))
+        dims.append(after)
+    bases = [random_invertible_rng(d, fld, rng) for d in dims[:-1]]
+    bases.append(bases[0])
+    steps = []
+    for i, (forward, m) in enumerate(block):
+        src, dst = (i, i + 1) if forward else (i + 1, i)
+        steps.append((forward, bases[dst] @ m @ inverse(bases[src])))
+    return steps * rng.randint(2, 4)
+
+
+@pytest.mark.parametrize("fld", [GF(2), GF(3), GF(5), QQ], ids=repr)
+def test_runs_of_bijections_cross_in_one_step(fld, count_calls, monkeypatch):
+    # a run of square bijections within one period is one segment: every
+    # prefix of paths made mostly of them must give the bars of a full sweep
+    # (period hidden, one crossing per segment), and stop at the full sweep's
+    # first position whose marks repeat those one period earlier
+    rng = make_rng(76)
+    shifted = count_calls(zigzag, "_shifted_row")
+    composed = count_calls(zigzag, "_composed")
+    products = [count_calls(field, "product") for field in (linalg.RationalField, linalg.PrimeField)]
+    ends = segment_ends(monkeypatch)
+    seen = Counter()
+    crossed = zigzag._crossed
+
+    def watching(segment, basis, dims):
+        before = sum(map(len, products))
+        out = crossed(segment, basis, dims)
+        if segment[2] > 1 and set(dims) <= {0, basis.rows}:
+            assert sum(map(len, products)) == before, "a trivial flag took a product"
+            seen["trivial flag across a run"] += 1
+        return out
+
+    monkeypatch.setattr(zigzag, "_crossed", watching)
+    for _ in range(30):
+        steps = bijection_run_steps(rng, fld)
+        for cut in range(1, len(steps) + 1):
+            w = rep_of_steps(fld, steps[:cut])
+            n = w.quiver.vertex_count
+            shifted.clear()
+            composed.clear()
+            ends.clear()
+            got = bars(w)
+            stop = ends[-1] if shifted else None
+            seen["run composed"] += bool(composed)
+            seen["run cut at the end"] += not shifted and ends[-1] < n - 1
+            period = zigzag._least_period(steps[:cut])
+            seen["run ends at the period"] += (
+                period < n - 1 and edge_kind(*steps[period - 1]) == "bijective"
+                and edge_kind(*steps[0]) == "bijective")
+            with monkeypatch.context() as full:
+                full.setattr(zigzag, "_least_period", len)
+                marks = []
+                full.setattr(zigzag, "_rank_jumps",
+                             lambda starts, pairs, jumps=zigzag._rank_jumps:
+                             marks.append((starts, pairs)) or jumps(starts, pairs))
+                assert bars(w) == got
+            repeats = [k for k in range(period, n) if period < n - 1
+                       and marks[k] == (zigzag._shifted(marks[k - period][0], period),
+                                        marks[k - period][1])]
+            assert stop == (repeats[0] if repeats else None)
+    print(f"  {dict(seen)}")
+    assert min(seen.values()) >= 3 and len(seen) == 4
 
 
 # signs, small integers and proper fractions, one with a denominator past
