@@ -28,7 +28,7 @@ den by their gcd.
 A public name refuses a wrong argument; a private one trusts its
 callers here, which pass what checked constructors built: the sweep's
 flag steps (``_flag_image``, ``_flag_preimage``, ``_flag_moved``,
-``_flag_completed``, ``_scaled_inverse``, ``_composed``; "flags"
+``_flag_completed``, ``_scaled_solve``, ``_composed``; "flags"
 below), ``_echelon`` and ``_from_columns`` for the oracle's subspace
 scan in ``hn`` ("subspace arithmetic" below), ``_block_diag`` for
 ``quiver.direct_sum``, and ``_read_entry`` for ``serialize``'s reader.
@@ -45,7 +45,7 @@ through one kernel.  The field supplies the rest: its row update
 both on rows packed into one int, a byte per column, over a small GF(p)
 (the packed rows of M4RI: Albrecht, Bard and Hart, ACM TOMS 2010), the
 reduction of an integer row to canonical entries, the scalars that turn
-an eliminated [m | I] into an inverse, the lowest terms of integer rows
+an eliminated [m | rhs] into a solution, the lowest terms of integer rows
 over a den (QQ only), the gcd division of a basis's columns or of a
 map's entries (QQ only), and the write-back of a row divided by its
 pivot.  A packed row step returns ``bytes``, which index and slice as
@@ -64,9 +64,9 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, groupby
 from math import gcd, lcm
-from operator import attrgetter, mul
+from operator import attrgetter, itemgetter, mul
 from typing import NamedTuple
 
 from .errors import ValidationError, check_counts, check_ints, check_type, shown
@@ -154,7 +154,7 @@ class RationalField:
         return [[sum(map(mul, lrow, col)) for col in right_cols] for lrow in left]
 
     def inverse_scales(self, pivots: Sequence[int]) -> tuple[list[int], int]:
-        """Per pivot, the lcm L of ``pivots`` over it, and L: ``_scaled_inverse``'s scalars."""
+        """Per pivot, the lcm L of ``pivots`` over it, and L: ``_scaled_solve``'s scalars."""
         den = lcm(*pivots)
         return [den // x for x in pivots], den
 
@@ -260,7 +260,7 @@ class PrimeField:
         return [[sum(map(mul, lrow, col)) % p for col in right_cols] for lrow in left]
 
     def inverse_scales(self, pivots: Sequence[int]) -> tuple[list[int], int]:
-        """Per pivot, its inverse mod p, and 1: ``_scaled_inverse`` returns the inverse itself."""
+        """Per pivot, its inverse mod p, and 1: ``_scaled_solve`` returns the solution itself."""
         p = self.p
         return [pow(x, -1, p) for x in pivots], 1
 
@@ -421,7 +421,7 @@ class Matrix:
     def identity(field: Field, n: int) -> "Matrix":
         check_field(field)
         check_counts((n,), "matrix size")
-        return Matrix._canonical(field, [[int(i == j) for j in range(n)] for i in range(n)], n)
+        return Matrix._canonical(field, _unit_rows(n), n)
 
     def __eq__(self, other) -> bool:
         return (
@@ -456,6 +456,11 @@ class Matrix:
 _SLOT_SETTERS = tuple(Matrix.__dict__[name].__set__ for name in Matrix.__slots__)
 
 
+def _unit_rows(n: int) -> list[tuple[int, ...]]:
+    """The integer rows of the n x n identity."""
+    return [(0,) * i + (1,) + (0,) * (n - i - 1) for i in range(n)]
+
+
 def _block_diag(a: Matrix, b: Matrix) -> Matrix:
     # both blocks over the lcm of their denominators
     den = lcm(a.den, b.den)
@@ -473,12 +478,12 @@ def _gauss_jordan(field: Field, work: list[Sequence[int]], reduced: bool = True)
     one elimination loop of the package: ``rank``, ``subspace_contains``,
     ``_echelon`` (and so the oracle's floor step in ``hn``),
     ``_flag_image``, ``_flag_preimage``, ``_flag_completed`` and
-    ``_scaled_inverse`` (``inverse``'s too) run through it (a kernel is the
-    ``_flag_preimage`` of the zero subspace), and no other code takes a
-    row step.  With ``reduced=False`` only the rows below each pivot are
-    cleared: the pivots are the same, at about half the row operations,
-    which is all a rank needs.  The rows are then unspecified, and its
-    callers (``rank``, ``subspace_contains``, ``_flag_image``,
+    ``_scaled_solve`` (``inverse``'s and ``_composed``'s too) run through it
+    (a kernel is the ``_flag_preimage`` of the zero subspace), and no other
+    code takes a row step.  With ``reduced=False`` only the rows below each
+    pivot are cleared: the pivots are the same, at about half the row
+    operations, which is all a rank needs.  The rows are then unspecified,
+    and its callers (``rank``, ``subspace_contains``, ``_flag_image``,
     ``_flag_completed``) read only the pivots.
 
     The rows are integer rows of ``field`` (a Matrix's ``ints``), and
@@ -491,7 +496,7 @@ def _gauss_jordan(field: Field, work: list[Sequence[int]], reduced: bool = True)
     multiple of the row that textbook elimination holds at the same step,
     the pivots and row updates are the same, and a full reduction leaves
     pivot row i as its pivot times the reduced row.  ``_flag_preimage``
-    and ``_scaled_inverse`` read those rows as they are; ``_echelon``
+    and ``_scaled_solve`` read those rows as they are; ``_echelon``
     writes them back.  Over GF(p) for p up to 11 an updated row comes
     back as the ``bytes`` of the field's packed step, which the next
     update takes as it is, so a row that any update replaced is ``bytes``.
@@ -541,16 +546,16 @@ def rank(m: Matrix) -> int:
 
 
 def inverse(m: Matrix) -> Matrix:
-    """The inverse of ``m``: its ``_scaled_inverse`` times m.den over the scalar."""
+    """The inverse of ``m``: its ``_scaled_solve`` against I, times m.den over the scalar."""
     check_type(m, Matrix, "inverse input")
     if m.rows != m.cols:
         raise ValidationError("inverse of a non-square matrix")
-    scaled = _scaled_inverse(m)
-    if scaled is None:
+    solved = _scaled_solve(m, _unit_rows(m.rows))
+    if solved is None:
         raise ValidationError("matrix is not invertible")
-    inv, scale = scaled
+    inv, scale = solved
     # m is ints / m.den, so its inverse is m.den times inv / scale
-    rows = inv.ints if m.den == 1 else [[x * m.den for x in row] for row in inv.ints]
+    rows = inv if m.den == 1 else [[x * m.den for x in row] for row in inv]
     return Matrix._canonical(m.field, rows, m.rows, scale)
 
 
@@ -609,11 +614,11 @@ def _from_columns(field: PrimeField, vectors: Sequence[Sequence[int]], dim: int)
 # below moves the whole chain with at most one elimination.  An injective
 # map moves it with none: the images of the columns stay independent, so
 # ``_flag_moved`` is one product with the dims unchanged, and the preimage
-# flag through an invertible map is the flag moved by its inverse
-# (``_scaled_inverse``, once per map).  A member is the span of its columns,
-# so a flag basis stands for its members up to column scaling, and a map
-# up to a nonzero scalar: the operations read the ``ints`` of their Matrix
-# arguments alone and return bases with ``den`` 1.
+# flag through an invertible map is the flag moved by its inverse, which
+# ``_composed`` builds for a run of them.  A member is the span of its
+# columns, so a flag basis stands for its members up to column scaling,
+# and a map up to a nonzero scalar: the operations read the ``ints`` of
+# their Matrix arguments alone and return bases with ``den`` 1.
 # ---------------------------------------------------------------------------
 
 
@@ -678,51 +683,70 @@ def _flag_moved(m: Matrix, basis: Matrix, dims: Sequence[int]) -> tuple[Matrix, 
     An injective m keeps the columns of ``m @ basis`` independent, so they
     are an adapted basis of the image flag with the same dims.  The
     preimage flag through an invertible edge matrix is this flag moved by
-    ``_scaled_inverse`` of it.  Over QQ the field's ``primitive_columns``
-    divides each column by its gcd, as for ``_flag_preimage``'s kernel
-    vectors, so a basis carried across many products keeps small entries.
+    its inverse, as ``_composed`` builds it.  Over QQ the field's
+    ``primitive_columns`` divides each column by its gcd, as for
+    ``_flag_preimage``'s kernel vectors, so a basis carried across many
+    products keeps small entries.
     """
     field = m.field
     moved = field.primitive_columns(field.product(m.ints, basis.ints, basis.cols))
     return Matrix._canonical(field, moved, basis.cols), list(dims)
 
 
-def _composed(mats: Sequence[Matrix]) -> Matrix:
-    """The product of the square maps ``mats``, applied first to last, up to a nonzero scalar.
+def _scaled_solve(m: Matrix, rhs: Sequence[Sequence[int]]) -> tuple[list, int] | None:
+    """The rows of s * m.ints⁻¹ @ rhs for a nonzero scalar s, and s; None if m is singular.
 
-    Each product goes through the field's ``primitive``, since a map, unlike
-    a basis, may be scaled as a whole but not column by column.
-    """
-    field, d = mats[0].field, mats[0].cols
-    rows = mats[0].ints
-    for m in mats[1:]:
-        rows = field.primitive(field.product(m.ints, rows, d))
-    return Matrix._canonical(field, rows, d)
-
-
-def _scaled_inverse(m: Matrix) -> tuple[Matrix, int] | None:
-    """The inverse of m.ints times a nonzero scalar s, and s; None if m is singular.
-
-    This is the one elimination of [m.ints | I].  Full reduction leaves
-    row i as its pivot times the reduced row, so the right half of row i
-    over its pivot is row i of the inverse.  The field's
-    ``inverse_scales`` gives each row's multiplier and s in one pass:
-    over QQ, the lcm L of the pivots over the pivot, and L, which keeps
-    the rows integer, as ``_flag_preimage`` builds its kernel vectors;
-    over GF(p), the pivot's inverse mod p, and 1.  A non-square m is
-    refused with no elimination.
+    One elimination of [m.ints | rhs], m square: its pivots all fall in
+    m's columns exactly when m is invertible, and full reduction then
+    leaves row i as its pivot times the reduced row, whose right half is
+    row i of the solution.  The field's ``inverse_scales`` gives each
+    row's multiplier and s: over QQ the lcm L of the pivots over the
+    pivot, and L, which keeps the rows integer; over GF(p) the pivot's
+    inverse, and 1.
     """
     n = m.rows
-    if m.cols != n:
-        return None
-    work = [row + (0,) * i + (1,) + (0,) * (n - i - 1) for i, row in enumerate(m.ints)]
+    work = [row + tuple(xrow) for row, xrow in zip(m.ints, rhs)]
     pivots = _gauss_jordan(m.field, work)
-    if pivots and pivots[-1] >= n:
+    if len(pivots) < n or pivots and pivots[-1] >= n:
         return None
-    scales, den = m.field.inverse_scales([work[i][i] for i in range(n)])
+    scales, s = m.field.inverse_scales([work[i][i] for i in range(n)])
     reduce = m.field.reduce
-    scaled = [reduce([x * f for x in row[n:]]) for f, row in zip(scales, work)]
-    return Matrix._canonical(m.field, scaled, n), den
+    return [reduce([x * f for x in row[n:]]) for f, row in zip(scales, work)], s
+
+
+def _composed(run: Sequence[tuple[Matrix, bool]]) -> tuple[Matrix | None, int]:
+    """The map of a run of d x d crossings up to a nonzero scalar, or None if one is singular.
+
+    ``run`` holds (matrix, points right) pairs, crossed in order.  The
+    product X so far starts as the identity: f pointing right makes it
+    f @ X, and a stretch of b1, b2, ... pointing left makes it B⁻¹ @ X for
+    B = b1 @ b2 @ ..., one ``_scaled_solve`` of [B | X] that fails exactly
+    when B is singular.  One rank of X then certifies the maps pointing
+    right, if any.  Each result goes through the field's ``primitive``: a
+    map, unlike a basis, is scaled as a whole.  Also returns the length of
+    the prefix whose left-pointing crossings a solve certified.
+    """
+    field, d = run[0][0].field, run[0][0].cols
+    product, primitive = field.product, field.primitive
+    x, solved = None, 0
+    for forward, stretch in groupby(run, itemgetter(1)):
+        mats = [m for m, _ in stretch]
+        if forward:
+            for f in mats:
+                x = f.ints if x is None else primitive(product(f.ints, x, d))
+        else:
+            b = mats[0]
+            for m in mats[1:]:
+                b = Matrix._canonical(field, primitive(product(b.ints, m.ints, d)), d)
+            out = _scaled_solve(b, _unit_rows(d) if x is None else x)
+            if out is None:
+                return None, solved
+            x = primitive(out[0])
+        solved += len(mats)
+    composed = Matrix._canonical(field, x, d)
+    if any(forward for _, forward in run) and rank(composed) < d:
+        return None, solved
+    return composed, solved
 
 
 def _flag_completed(basis: Matrix) -> Matrix:

@@ -113,23 +113,21 @@ position, marks and rank row of each segment end of the last period,
 and a position has the row of the last segment end at or before it.
 
 On a periodic path every crossing of the period recurs, so the sweep
-works out once per place in the period whether it needs an elimination
-at all (``_crossing``).  A bijection between consecutive spaces maps each
-flag member onto a member of the same dimension (Carlsson and de Silva,
-"Zigzag persistence", 2010), and so does an injective edge pointing
-right onto its image.  So an edge pointing right whose matrix has full
-column rank (one rank), or an edge pointing left whose square matrix
-inverts (one RREF of [m | I]), moves the flag by a product with that
-matrix or with its inverse, ``_flag_moved``, dims unchanged.  That
-inverse is the matrix of ``_scaled_inverse``: the inverse of m's integer
-rows times the lcm of its pivots, a global scalar that no column span
-sees.  A run of square bijections moves the flag by their product,
-built once (``linalg._composed``, over QQ divided by the gcd of all its
-entries) when a flag that is not trivial first crosses it.  A trivial flag keeps
-its dims across a bijection, which maps 0 to 0 and the whole space to
-the whole space, and its basis, which is never read: no product.  Every
-other edge, and every edge of an aperiodic path, takes ``_flag_image``
-or ``_flag_preimage``.
+decides once per place in the period whether it needs an elimination.
+A bijection between consecutive spaces maps each flag member onto a
+member of the same dimension (Carlsson and de Silva, "Zigzag
+persistence", 2010), and so does an injective edge pointing right onto
+its image, so such an edge moves the flag by a product with its matrix
+or its inverse, ``_flag_moved``, dims unchanged.  A non-square edge
+pointing right is ranked once (``_crossing``), and a maximal run of
+square crossings is decided and composed in one pass
+(``linalg._composed``): one solve of [B | X] per stretch of left-pointing
+matrices, B their product and X the map so far, and one rank of the
+run's map for the right-pointing ones.  A run that fails is split
+(``_run_segments``).  A trivial flag keeps its dims across a bijection,
+which maps 0 to 0 and the whole space to the whole space, and its
+basis, which is never read: no product.  Every other edge, and every
+edge of an aperiodic path, takes ``_flag_image`` or ``_flag_preimage``.
 
 The sweep runs on the integer rows that every ``Matrix`` holds: the
 flag operations read an edge matrix's ``ints`` and skip its
@@ -147,7 +145,8 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import cycle
+from itertools import cycle, groupby
+from operator import itemgetter
 
 from .errors import (InternalCheckError, ShapeError, ValidationError, check_counts, check_ints,
                      check_type, shown)
@@ -159,7 +158,6 @@ from .linalg import (
     _flag_image,
     _flag_moved,
     _flag_preimage,
-    _scaled_inverse,
     rank,
 )
 from .quiver import Quiver, Representation
@@ -328,18 +326,14 @@ def _bars(fld: Field, dims: tuple[int, ...], crossings: list[tuple[Matrix, bool]
     # its period across the turn's end; matrices compare by value
     period = _least_period(crossings * 2 if len(crossings) < n - 1 else crossings)
     periodic = period < n - 1
-    # the segments of the period, each [flag operation, matrices, length]: a
+    # the segments of the period, each [flag operation, matrix, length]: a
     # maximal run of square bijections is one, any other crossing one of its own
     segments: list[list] = []
-    joins = False
-    for m, forward in crossings[:period]:
-        op, applied = _crossing(m, forward, periodic)
-        if joins and op is _flag_moved and m.rows == m.cols:
-            segments[-1][1].append(applied)
-            segments[-1][2] += 1
+    for square, run in groupby(crossings[:period], lambda c: periodic and c[0].rows == c[0].cols):
+        if square:
+            segments += _run_segments(list(run))
         else:
-            segments.append([op, [applied], 1])
-            joins = op is _flag_moved and m.rows == m.cols
+            segments += [[*_crossing(m, forward, periodic), 1] for m, forward in run]
     # the position, marks and rank row of each segment end of the last period
     past: deque[tuple[int, list[int], list[tuple], dict[int, int]]] = deque(
         maxlen=len(segments) if periodic else 0)
@@ -399,24 +393,38 @@ def _bars(fld: Field, dims: tuple[int, ...], crossings: list[tuple[Matrix, bool]
 
 
 def _crossing(m: Matrix, forward: bool, periodic: bool) -> tuple:
-    """The flag operation across the edge matrix ``m`` and the matrix it applies.
+    """The flag operation across a non-square ``m``, or any ``m`` of an aperiodic path.
 
-    On a periodic path each crossing of the period recurs, so whether it
-    is a bijection's product is found once per place in the period
-    (module docstring): an injective m pointing right, or an invertible
-    m's ``_scaled_inverse`` pointing left, moves the flag by
-    ``_flag_moved``.  Anything else, and every edge of an aperiodic path,
-    takes ``_flag_image`` or ``_flag_preimage``.
+    On a periodic path an injective m pointing right moves the flag by
+    ``_flag_moved`` (module docstring); anything else takes
+    ``_flag_image`` or ``_flag_preimage``.
     """
-    if periodic:
-        if forward:
-            if rank(m) == m.cols:
-                return _flag_moved, m
-        else:
-            scaled = _scaled_inverse(m)
-            if scaled is not None:
-                return _flag_moved, scaled[0]
+    if periodic and forward and rank(m) == m.cols:
+        return _flag_moved, m
     return (_flag_image if forward else _flag_preimage), m
+
+
+def _run_segments(run: list[tuple[Matrix, bool]]) -> list[list]:
+    """The segments of a maximal run of square crossings within one period of a periodic path.
+
+    The run is one segment when ``_composed`` finds every crossing a
+    bijection.  Otherwise each crossing that no solve of it certified is
+    ranked, each maximal stretch of bijections is composed the same way,
+    and every other crossing is a segment of its own.
+    """
+    composed, solved = _composed(run)
+    if composed is not None:
+        return [[_flag_moved, composed, len(run)]]
+    segments: list[list] = []
+    bijective = [i < solved and not forward or rank(m) == m.rows
+                 for i, (m, forward) in enumerate(run)]
+    for moved, part in groupby(zip(bijective, run), itemgetter(0)):
+        part = [crossing for _, crossing in part]
+        if moved:
+            segments.append([_flag_moved, _composed(part)[0], len(part)])
+        else:
+            segments += [[_flag_image if forward else _flag_preimage, m, 1] for m, forward in part]
+    return segments
 
 
 def _least_period(seq) -> int:
@@ -462,21 +470,18 @@ def _close_bars(found: dict[tuple[int, int], int], prev_g: dict[int, int], g: di
 def _crossed(segment: list, basis: Matrix, dims):
     """The flag (basis, dims) stepped and completed across a segment (module docstring).
 
-    ``segment`` is [flag operation, matrices, length], one per segment of
-    the period in ``_bars``.  A trivial flag keeps its basis and dims
-    across a bijection, and otherwise steps from the identity, which
-    keeps QQ bases small.  Any other flag crosses a run of bijections by
-    their product, which the first such crossing stores in the segment.
+    ``segment`` is [flag operation, matrix, length], one per segment of
+    the period in ``_bars``; a run of bijections holds their product.  A
+    trivial flag keeps its basis and dims across a bijection, and
+    otherwise steps from the identity, which keeps QQ bases small.
     """
-    op, mats, _ = segment
+    op, m, _ = segment
     d = basis.rows
     if set(dims) <= {0, d}:
-        if op is _flag_moved and mats[0].rows == d:
+        if op is _flag_moved and m.rows == d:
             return basis, dims
-        basis = Matrix.identity(mats[0].field, d)
-    if len(mats) > 1:
-        mats = segment[1] = [_composed(mats)]
-    basis, dims = op(mats[0], basis, dims)
+        basis = Matrix.identity(m.field, d)
+    basis, dims = op(m, basis, dims)
     return _flag_completed(basis), dims
 
 

@@ -277,23 +277,24 @@ def test_criterion_8_scaling_smoke(count_calls):
 
 def test_lift_window_decides_each_crossing_once(count_calls):
     # the barcode sweep keeps both nested chains as one flag, and the window
-    # repeats the cycle's 100 crossings, 98 of them bijective.  Per place
-    # in the cycle, once: a rank (pointing right) or an [m | I] reduction
-    # (pointing left, square) decides whether a crossing is a product, 99
-    # eliminations.  The two other edges cost 4 preimages, and 4
+    # repeats the cycle's 100 crossings.  Per place in the cycle, once: 98
+    # of them are square bijections in two runs of square crossings, of 96
+    # (5 x 5) and 2 (6 x 6) edges, and each run is decided and composed in
+    # one pass: one [B | X] solve per stretch of left-pointing edges (27
+    # and 1) and one rank of the product for the right-pointing ones, 30
+    # eliminations, and 70 products.  The two 6 x 5 edges cost a rank
+    # (pointing right, injective) and 4 preimages (pointing left), and 4
     # completions run.  The sweep stops once its marks repeat one cycle
-    # later, so 107 eliminations run over 701 window positions.  The
-    # bijective edges form two runs of the cycle, of 2 and 96 edges, and
-    # the sweep crosses each run in one step: the first flag that is not
-    # trivial composes its matrices once, 96 products, and then moves by
-    # one product per crossing, 107 products in all (300 at one product
-    # per bijective crossing).  A change may lower these pins, never raise
-    # them
+    # later, so 39 eliminations run over 701 window positions (107 with
+    # one rank or [m | I] reduction per square crossing).  Flags that are
+    # not trivial cross the runs and the injective edge by 11 products, 81
+    # in all (300 at one product per bijective crossing).  A change may
+    # lower these pins, never raise them
     rep = _scaling_instance(100, 1)
     positions = default_window(rep) + 1
     calls = count_calls(linalg, "_gauss_jordan")
     products = count_calls(linalg.PrimeField, "product")
     eta_from_lift(rep)
     print(f"  {len(calls)} eliminations and {len(products)} products over {positions} window positions")
-    assert (len(calls), positions) == (107, 701)
-    assert len(products) == 107
+    assert (len(calls), positions) == (39, 701)
+    assert len(products) == 81

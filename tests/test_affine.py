@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import groupby
 from pathlib import Path
 
 import pytest
@@ -320,7 +321,7 @@ class TestLiftedMultiplicities:
 
 
 class TestBijectiveCrossings:
-    """A lift window crosses a bijective edge matrix by one product, found once per cycle edge."""
+    """A lift window crosses each run of bijective edge matrices by one product, composed once."""
 
     def test_all_bijective_cycle_work(self, count_calls):
         # Jordan cells only, conjugated: every edge matrix of the cycle is
@@ -328,36 +329,41 @@ class TestBijectiveCrossings:
         # n.  A bijection moves the zero member to 0 and the whole space to
         # the whole space, so the flag stays trivial, each position keeps
         # the one mark (0, dim, 0), no rank is taken, and the sweep stops
-        # at position n, whose marks repeat those of position 0.  So each
-        # of the n crossings is the first in its place of the cycle: one
-        # rank (pointing right) or one [m | I] reduction (pointing left)
-        # decides that it is a product, and the flag needs none.  No
-        # completion runs: the flag keeps all of V_k.  The elimination
-        # route ran n + (left-pointing edges) here, a kernel more per such
-        # edge
+        # at position n, whose marks repeat those of position 0.  The n
+        # crossings of one turn are one run of square crossings, decided
+        # and composed once: one [B | X] solve per stretch of left-pointing
+        # edges, and one rank of the product for the right-pointing ones,
+        # of which an acyclic orientation has one at least.  The flag
+        # needs no product, and no completion runs: the flag keeps all of
+        # V_k.  One rank or [m | I] reduction per crossing ran n here, and
+        # the elimination route n + (left-pointing edges), a kernel more
+        # per such edge
         rng = make_rng(34)
         eliminations = count_calls(linalg, "_gauss_jordan")
         for n in (2, 7, 12):
             aq = AffineQuiver(n, random_orientation(n, rng))
             rep = direct_sum(indec_T(aq, 1, 2, GF(3)), indec_T(aq, 2, 1, GF(3)))
             rep = conjugate(rep, conjugating_bases(rep, rng))
+            forward = [aq.orientation[i % n] == CW for i in range(1, n + 1)]
+            stretches = sum(not fwd for fwd, _ in groupby(forward))
             eliminations.clear()
             d_inf, classes, _ = classify_lift(rep)
             assert (d_inf, classes) == (3, {})
-            assert len(eliminations) == n
+            assert len(eliminations) == stretches + 1
 
     def test_rational_bijections_cross_with_no_fraction(self, count_calls):
-        # over QQ a bijection pointing left is crossed by the integer rows
-        # of its _scaled_inverse, so the window of a conjugated Jordan cell
-        # on a cycle with a counterclockwise edge is swept with no Fraction
+        # over QQ the run of a cycle's bijections is composed on integer
+        # rows, its left-pointing edges by the rows of one _scaled_solve,
+        # so the window of a conjugated Jordan cell on a cycle with a
+        # counterclockwise edge is swept with no Fraction
         rng = make_rng(37)
         rep = indec_T(EX, Fraction(-2, 3), 2, QQ)
         rep = conjugate(rep, conjugating_bases(rep, rng))
-        inverses = count_calls(zigzag, "_scaled_inverse")
+        solves = count_calls(linalg, "_scaled_solve")
         built = count_calls(Fraction, "__new__")
         d_inf, classes, _ = classify_lift(rep)
         assert (d_inf, classes) == (2, {})
-        assert len(inverses) == 1 and len(built) == 0
+        assert len(solves) == 1 and len(built) == 0
 
     @pytest.mark.parametrize("n", [50, 100])
     def test_rational_cycle_exact_with_small_entries(self, n, monkeypatch):
@@ -378,9 +384,10 @@ class TestBijectiveCrossings:
             bits.extend(abs(x).bit_length() for row in out[0].ints for x in row)
             return out
 
-        def composing(mats, composed=zigzag._composed):
-            out = composed(mats)
-            composed_bits.extend(abs(x).bit_length() for row in out.ints for x in row)
+        def composing(run, composed=zigzag._composed):
+            out = composed(run)
+            if out[0] is not None:
+                composed_bits.extend(abs(x).bit_length() for row in out[0].ints for x in row)
             return out
 
         monkeypatch.setattr(zigzag, "_flag_moved", recording)

@@ -52,17 +52,19 @@ from hnzz.serialize import instance_from_json, instance_to_json, load_json  # no
 # (eliminations, row updates) of one seed-1 round's requests; products
 # accumulate in ints and make no row updates
 ROUND_WORK = {
-    "lift-long": (718, 8316),
+    "lift-long": (248, 3650),
     "zigzag-rational": (387, 6094),
-    "oracle-certify": (1355, 710),
+    "oracle-certify": (1346, 709),
 }
 
-# products over the same round: flag crossings, the products that compose a
-# run of bijections, the oracle's span steps and Matrix products
+# products over the same round: flag crossings, the products that compose
+# each run of square crossings of a period (every run is composed, since
+# composing it is what certifies it), the oracle's span steps and Matrix
+# products
 ROUND_PRODUCTS = {
-    "lift-long": 718,
+    "lift-long": 544,
     "zigzag-rational": 208,
-    "oracle-certify": 1217,
+    "oracle-certify": 1252,
 }
 
 # (passes, enumerations, superspaces) of the oracle over the same round

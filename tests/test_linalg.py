@@ -429,6 +429,15 @@ def random_map(fld, rows: int, cols: int, rnd: random.Random) -> Matrix:
     return Matrix(fld, [[entry() for _ in range(cols)] for _ in range(rows)], cols)
 
 
+def up_to_scalar(m: Matrix) -> tuple:
+    """The entries of m over its first nonzero one: equal for matrices equal up to a scalar."""
+    flat = [x for row in m.data for x in row]
+    lead = next((x for x in flat if x), 1)
+    if m.field == QQ:
+        return tuple(x / lead for x in flat)
+    return tuple(x * pow(lead, -1, m.field.p) % m.field.p for x in flat)
+
+
 class TestFlags:
     @pytest.mark.parametrize("op, reference", [(_flag_image, reference_image),
                                                (_flag_preimage, reference_preimage)],
@@ -458,6 +467,54 @@ class TestFlags:
         assert dims == [1, 2, 3, 2]
         assert pre.cols == 3 and rank(pre) == 3
         assert column_echelon(columns(pre, 1)) == Matrix(fld, [[1], [0], [0]])
+
+    @pytest.mark.parametrize("fld", FIELDS, ids=repr)
+    def test_scaled_solve(self, fld):
+        # one elimination of [m | rhs]: s times m.ints⁻¹ @ rhs, so inverse(m)
+        # @ rhs up to a scalar, None for a singular m, and 0 x 0 solved
+        rnd = random.Random(23)
+        assert linalg._scaled_solve(Matrix.zeros(fld, 0, 0), []) == ([], 1)
+        singular = 0
+        for _ in range(60):
+            d, k = rnd.randint(1, 5), rnd.randint(0, 4)
+            m = random_invertible_rng(d, fld, rnd)
+            rhs = random_map(fld, d, k, rnd)
+            rows, s = linalg._scaled_solve(m, rhs.ints)
+            solved = Matrix(fld, rows, k)
+            scaled_rhs = Matrix(fld, [[x * s for x in row] for row in rhs.ints], k)
+            assert Matrix(fld, m.ints) @ solved == scaled_rhs
+            assert up_to_scalar(solved) == up_to_scalar(inverse(m) @ rhs)
+            flat = random_map(fld, d, d, rnd)
+            if rank(flat) < d:
+                singular += 1
+                assert linalg._scaled_solve(flat, rhs.ints) is None
+        assert singular >= 20
+
+    @pytest.mark.parametrize("fld", FIELDS, ids=repr)
+    def test_composed(self, fld):
+        # a run of square crossings maps by the product of its matrices
+        # pointing right and the inverses of those pointing left, in
+        # crossing order, up to a scalar.  With one crossing made singular
+        # there is no map, and the solves certified the prefix before that
+        # crossing's stretch of left-pointing edges, or the whole run when
+        # it points right and only the final rank finds it
+        rnd = random.Random(24)
+        for _ in range(80):
+            d = rnd.randint(1, 4)
+            run = [(random_invertible_rng(d, fld, rnd), rnd.random() < 0.5)
+                   for _ in range(rnd.randint(1, 7))]
+            want = Matrix.identity(fld, d)
+            for m, forward in run:
+                want = (m if forward else inverse(m)) @ want
+            composed, solved = linalg._composed(run)
+            assert solved == len(run) and up_to_scalar(composed) == up_to_scalar(want)
+            i = rnd.randrange(len(run))
+            m, forward = run[i]
+            run[i] = (Matrix(fld, [*m.ints[1:], [0] * d], d), forward)
+            start = i
+            while start and not forward and not run[start - 1][1]:
+                start -= 1
+            assert linalg._composed(run) == (None, len(run) if forward else start)
 
     def test_completed(self):
         rnd = random.Random(22)
@@ -562,8 +619,8 @@ class TestRationalKernel:
         assert sum(map(len, calls)) == 0
 
     def test_inverse_builds_no_fraction(self, count_calls):
-        # the inverse is _scaled_inverse's integer rows over the lcm of the
-        # pivots, put in lowest terms on ints: no entry is written back
+        # the inverse is _scaled_solve's integer rows against I over the lcm
+        # of the pivots, put in lowest terms on ints: no entry is written back
         mats = [Matrix(QQ, [[Fraction(1, 3), Fraction(-2, 2**70)], [5, Fraction(7, 9)]]),
                 random_invertible_rng(5, QQ, random.Random(3))]
         built = count_calls(Fraction, "__new__")
@@ -662,15 +719,16 @@ class TestPrimeRowStep:
 
     @pytest.mark.parametrize("p", [2, 3, 7, 13])
     def test_inverse_is_one_pass(self, p):
-        # _scaled_inverse returns the inverse itself over GF(p), with scale
-        # 1, so inverse makes no second pass over its rows
+        # _scaled_solve against I returns the inverse itself over GF(p),
+        # with scale 1, so inverse makes no second pass over its rows
         rng = random.Random(p)
         for dim in range(1, 7):
             m = random_invertible_rng(dim, GF(p), rng)
-            scaled, scale = linalg._scaled_inverse(m)
+            rows, scale = linalg._scaled_solve(m, Matrix.identity(GF(p), dim).ints)
+            solved = Matrix(GF(p), rows, dim)
             assert scale == 1
-            assert scaled == inverse(m)
-            assert m @ scaled == Matrix.identity(GF(p), dim)
+            assert solved == inverse(m)
+            assert m @ solved == Matrix.identity(GF(p), dim)
 
 
 class TestSubspaceOps:
