@@ -16,7 +16,7 @@ from .affine import AffineQuiver, CCW, CW, NClass, TClass, indec_N, indec_T, to_
 from .errors import GuardError, ValidationError, check_counts, check_ints, check_type, shown
 from .linalg import Field, PrimeField, random_invertible_rng
 from .quiver import Quiver, Representation, conjugate, direct_sum, zero_representation
-from .zigzag import Interval, interval_module
+from .zigzag import Interval, interval_module, path_steps
 
 # Input caps.  On a 2-core Xeon VM, n = 1,000 with 16 summands built in
 # 0.5-7 s and 64 summands at n = 60 in 6 s; work grows with both at once.
@@ -97,12 +97,16 @@ def gen_persistence(
     """Conjugated random interval sum on ``quiver``, a path on n vertices
     (by default the equioriented one), capped as ``_capped_sum`` says.
     ``n`` is refused below 1, and ``n`` and ``max_summands`` past
-    ``GEN_MAX_N`` and ``GEN_MAX_SUMMANDS``."""
+    ``GEN_MAX_N`` and ``GEN_MAX_SUMMANDS``; ``quiver`` is refused unless it
+    is a path (``path_steps``) on n vertices, before anything is drawn."""
     _check_gen_size(n, min_summands, max_summands, (total_cap, vertex_cap))
     if n < 1:
         raise ValidationError("a persistence path needs at least one vertex")
     check_type(rng, random.Random, "random source")
     q = equioriented_quiver(n) if quiver is None else quiver
+    path_steps(q)
+    if q.vertex_count != n:
+        raise ValidationError(f"quiver has {q.vertex_count} vertices, not n = {n}")
 
     def draw() -> tuple[Interval, Representation]:
         lo = rng.randrange(n)

@@ -205,7 +205,8 @@ def _span_with_image(field: PrimeField, floor: tuple[tuple, ...], basis: Sequenc
 def is_semistable(v: Representation, alpha: StabilityCondition) -> bool:
     """True iff no nonzero subrepresentation has a strictly larger slope.
 
-    One oracle pass: v is semistable iff its HN filtration has one step.
+    v is semistable iff its HN filtration has one step, so this runs all of
+    ``hn_bruteforce``, every one of its oracle passes.
     """
     steps = hn_bruteforce(v, alpha).steps
     if not steps:

@@ -584,10 +584,11 @@ def random_invertible_rng(dim: int, field: Field, rng: random.Random) -> Matrix:
 
 
 def subspace_contains(space: Matrix, vectors: Matrix) -> bool:
-    """True iff every column of ``vectors`` lies in span(space), a basis of full column rank.
+    """True iff every column of ``vectors`` lies in the span of the columns of ``space``.
 
     Scaling a block moves no rank, so the integer rows of both are ranked
-    side by side, as they are.
+    side by side, as they are: the vectors add no pivot to those of
+    ``space`` exactly when they lie in its span.
     """
     check_type(space, Matrix, "subspace")
     check_type(vectors, Matrix, "vectors")
@@ -596,7 +597,7 @@ def subspace_contains(space: Matrix, vectors: Matrix) -> bool:
     if vectors.cols == 0:
         return True
     work = [a + b for a, b in zip(space.ints, vectors.ints)]
-    return len(_gauss_jordan(space.field, work, reduced=False)) == space.cols
+    return len(_gauss_jordan(space.field, work, reduced=False)) == rank(space)
 
 
 def _from_columns(field: PrimeField, vectors: Sequence[Sequence[int]], dim: int) -> Matrix:

@@ -112,22 +112,26 @@ one inside a run holds at the run's start.  The loop keeps the
 position, marks and rank row of each segment end of the last period,
 and a position has the row of the last segment end at or before it.
 
-On a periodic path every crossing of the period recurs, so the sweep
-decides once per place in the period whether it needs an elimination.
-A bijection between consecutive spaces maps each flag member onto a
-member of the same dimension (Carlsson and de Silva, "Zigzag
-persistence", 2010), and so does an injective edge pointing right onto
-its image, so such an edge moves the flag by a product with its matrix
-or its inverse, ``_flag_moved``, dims unchanged.  A non-square edge
-pointing right is ranked once (``_crossing``), and a maximal run of
-square crossings is decided and composed in one pass
-(``linalg._composed``): one solve of [B | X] per stretch of left-pointing
-matrices, B their product and X the map so far, and one rank of the
-run's map for the right-pointing ones.  A run that fails is split
-(``_run_segments``).  A trivial flag keeps its dims across a bijection,
-which maps 0 to 0 and the whole space to the whole space, and its
-basis, which is never read: no product.  Every other edge, and every
-edge of an aperiodic path, takes ``_flag_image`` or ``_flag_preimage``.
+On a periodic path every crossing of the period recurs, so one function,
+``_segments``, decides once per place in the period how the sweep
+crosses it; on an aperiodic path it decides nothing, and every crossing
+takes ``_flag_image`` or ``_flag_preimage``.  A bijection between
+consecutive spaces maps each flag member onto a member of the same
+dimension (Carlsson and de Silva, "Zigzag persistence", 2010), and so
+does an injective edge pointing right onto its image, so such an edge
+moves the flag by a product with its matrix or its inverse,
+``_flag_moved``, dims unchanged.  Each maximal run of square crossings
+is first decided and composed whole (``linalg._composed``): one solve of
+[B | X] per stretch of left-pointing matrices, B their product and X the
+map so far, and one rank of the run's map for the right-pointing ones.
+A crossing of a run that fails, and a non-square one, is decided alone:
+it moves the flag when a solve of its run certified it, or when it
+points right or is square and has full column rank, which needs at least
+as many rows as columns, so a wider matrix is not ranked.  Each maximal
+stretch of moved square crossings is composed again into one segment,
+and every other crossing is a segment of its own.  A trivial flag keeps
+its dims across a bijection, which maps 0 to 0 and the whole space to
+the whole space, and its basis, which is never read: no product.
 
 The sweep runs on the integer rows that every ``Matrix`` holds: the
 flag operations read an edge matrix's ``ints`` and skip its
@@ -326,14 +330,9 @@ def _bars(fld: Field, dims: tuple[int, ...], crossings: list[tuple[Matrix, bool]
     # its period across the turn's end; matrices compare by value
     period = _least_period(crossings * 2 if len(crossings) < n - 1 else crossings)
     periodic = period < n - 1
-    # the segments of the period, each [flag operation, matrix, length]: a
-    # maximal run of square bijections is one, any other crossing one of its own
-    segments: list[list] = []
-    for square, run in groupby(crossings[:period], lambda c: periodic and c[0].rows == c[0].cols):
-        if square:
-            segments += _run_segments(list(run))
-        else:
-            segments += [[*_crossing(m, forward, periodic), 1] for m, forward in run]
+    # the segments of the period, each [flag operation, matrix, length]; a
+    # path that does not repeat takes one flag step per crossing
+    segments = _segments(crossings[:period], periodic)
     # the position, marks and rank row of each segment end of the last period
     past: deque[tuple[int, list[int], list[tuple], dict[int, int]]] = deque(
         maxlen=len(segments) if periodic else 0)
@@ -392,38 +391,35 @@ def _bars(fld: Field, dims: tuple[int, ...], crossings: list[tuple[Matrix, bool]
     return bar
 
 
-def _crossing(m: Matrix, forward: bool, periodic: bool) -> tuple:
-    """The flag operation across a non-square ``m``, or any ``m`` of an aperiodic path.
+def _segments(period: list[tuple[Matrix, bool]], periodic: bool) -> list[list]:
+    """The segments of one ``period`` of crossings, each [flag operation, matrix, length].
 
-    On a periodic path an injective m pointing right moves the flag by
-    ``_flag_moved`` (module docstring); anything else takes
-    ``_flag_image`` or ``_flag_preimage``.
+    A path that does not repeat decides nothing: each crossing is an image
+    or preimage step.  On a periodic path a maximal run of square crossings
+    that ``_composed`` finds all bijections is one segment.  Any other
+    crossing moves the flag when a solve of its run certified it, or when it
+    points right or is square and has full column rank; a moved non-square
+    crossing is a segment of its own, each maximal stretch of moved square
+    ones is composed into one, and every other crossing is an image or
+    preimage step.
     """
-    if periodic and forward and rank(m) == m.cols:
-        return _flag_moved, m
-    return (_flag_image if forward else _flag_preimage), m
-
-
-def _run_segments(run: list[tuple[Matrix, bool]]) -> list[list]:
-    """The segments of a maximal run of square crossings within one period of a periodic path.
-
-    The run is one segment when ``_composed`` finds every crossing a
-    bijection.  Otherwise each crossing that no solve of it certified is
-    ranked, each maximal stretch of bijections is composed the same way,
-    and every other crossing is a segment of its own.
-    """
-    composed, solved = _composed(run)
-    if composed is not None:
-        return [[_flag_moved, composed, len(run)]]
     segments: list[list] = []
-    bijective = [i < solved and not forward or rank(m) == m.rows
+    for square, run in groupby(period, lambda c: c[0].rows == c[0].cols):
+        run = list(run)
+        composed, solved = _composed(run) if periodic and square else (None, 0)
+        if composed is not None:
+            segments.append([_flag_moved, composed, len(run)])
+            continue
+        moved = [periodic and (i < solved and not forward or (forward or square)
+                               and m.rows >= m.cols and rank(m) == m.cols)
                  for i, (m, forward) in enumerate(run)]
-    for moved, part in groupby(zip(bijective, run), itemgetter(0)):
-        part = [crossing for _, crossing in part]
-        if moved:
-            segments.append([_flag_moved, _composed(part)[0], len(part)])
-        else:
-            segments += [[_flag_image if forward else _flag_preimage, m, 1] for m, forward in part]
+        for move, part in groupby(zip(moved, run), itemgetter(0)):
+            part = [crossing for _, crossing in part]
+            if move and square:
+                segments.append([_flag_moved, _composed(part)[0], len(part)])
+            else:
+                segments += [[_flag_moved if move else _flag_image if forward else _flag_preimage,
+                              m, 1] for m, forward in part]
     return segments
 
 

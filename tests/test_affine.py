@@ -351,6 +351,23 @@ class TestBijectiveCrossings:
             assert (d_inf, classes) == (3, {})
             assert len(eliminations) == stretches + 1
 
+    def test_wide_edge_pointing_right_is_not_ranked(self, count_calls):
+        # dims (2, 1, 2): the turn from x_0 crosses e1 (1x2, pointing
+        # right), e2 (1x2, pointing left) and e0 (2x2, pointing right).  A
+        # matrix with fewer rows than columns is never injective, so e1
+        # steps by an image with no rank; e2 steps by a preimage, and e0 is
+        # a run of square crossings that _composed decides on its own
+        aq = AffineQuiver(3, (CW, CW, CCW))
+        fld = GF(3)
+        wide = Matrix(fld, [[1, 0]])
+        rep = Representation(to_quiver(aq), fld, (2, 1, 2),
+                             (Matrix.identity(fld, 2), wide, wide))
+        ranks = count_calls(zigzag, "rank")
+        d_inf, classes, window = classify_lift(rep)
+        assert (d_inf, classes) == (1, {NClass(2, 3): 1})
+        assert window == barcode(lift_truncated(rep, default_window(rep)))
+        assert len(ranks) == 0
+
     def test_rational_bijections_cross_with_no_fraction(self, count_calls):
         # over QQ the run of a cycle's bijections is composed on integer
         # rows, its left-pointing edges by the rows of one _scaled_solve,

@@ -770,6 +770,15 @@ class TestSubspaceOps:
         # dim(a + b) = dim a + dim b - dim(a ∩ b), so the intersection is a line
         assert a.cols + b.cols - total == 1
 
+    @pytest.mark.parametrize("space,vectors,contained", [
+        (Matrix(QQ, [[1, 1]]), Matrix(QQ, [[1]]), True),
+        (Matrix(GF(2), [[1, 1], [0, 0]]), Matrix(GF(2), [[1], [0]]), True),
+        (Matrix(GF(2), [[1, 1], [0, 0]]), Matrix(GF(2), [[0], [1]]), False),
+    ])
+    def test_contains_with_dependent_columns(self, space, vectors, contained):
+        # the columns of space need not be independent: their span is compared
+        assert subspace_contains(space, vectors) == contained
+
     def test_superspaces(self):
         floor = Matrix(GF(2), [[1], [0], [0]])
         sup = [u for k in range(3) for u in package_superspaces(floor, k)]

@@ -358,6 +358,17 @@ def test_vertex_at_the_cap_swept():
                      id="gen_affine(max_len -1)"),
         pytest.param(lambda: gen_persistence(0, GF(2), 1, random.Random(0)), ValidationError,
                      "needs at least one vertex", id="gen_persistence(n 0)"),
+        pytest.param(lambda: gen_persistence(3, GF(2), 2, random.Random(0),
+                                             quiver=equioriented_quiver(5)),
+                     ValidationError, "quiver has 5 vertices, not n = 3",
+                     id="gen_persistence(n 3, 5-vertex path)"),
+        pytest.param(lambda: gen_persistence(8, GF(2), 2, random.Random(0),
+                                             quiver=equioriented_quiver(5)),
+                     ValidationError, "quiver has 5 vertices, not n = 8",
+                     id="gen_persistence(n 8, 5-vertex path)"),
+        pytest.param(lambda: gen_persistence(2, GF(2), 0, random.Random(0), quiver=Quiver(2, ())),
+                     ShapeError, "not a connected path",
+                     id="gen_persistence(edgeless quiver)"),
         pytest.param(lambda: Barcode(()).dims_vector(-1), ValidationError,
                      "path length -1 is negative", id="Barcode.dims_vector(n -1)"),
         pytest.param(lambda: subspace_contains(Matrix.identity(GF(2), 2), Matrix.identity(GF(2), 3)),

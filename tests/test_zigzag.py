@@ -625,9 +625,10 @@ class TestSharedMatrices:
 
 
 def test_distinct_matrices_run_every_step(count_calls):
-    # the path has no period, so no flag step is shared: every step runs
-    # its elimination, and the ranks, read off the marks' dims, run none;
-    # the row updates are those of the eliminations (QQ products make none)
+    # the path has no period, so no flag step is shared and no crossing is
+    # decided: every step runs its elimination, no matrix is ranked, and the
+    # rank rows are read off the marks' dims; the row updates are those of
+    # the eliminations (QQ products make none)
     rng = make_rng(68)
     q = random_path_quiver(40, rng)
     dims = tuple(rng.randint(0, 4) for _ in range(40))
@@ -639,8 +640,9 @@ def test_distinct_matrices_run_every_step(count_calls):
     v = Representation(q, QQ, dims, mats)
     eliminations = count_calls(linalg, "_gauss_jordan")
     row_updates = count_calls(linalg.RationalField, "row_update")
+    ranks = count_calls(zigzag, "rank")
     barcode(v)
-    assert (len(eliminations), len(row_updates)) == (25, 52)
+    assert (len(eliminations), len(row_updates), len(ranks)) == (25, 52, 0)
 
 
 def test_rational_sweep_makes_no_fraction_arithmetic(count_calls):
