@@ -28,8 +28,8 @@ den by their gcd.
 A public name refuses a wrong argument; a private one trusts its
 callers here, which pass what checked constructors built: the sweep's
 flag steps (``_flag_image``, ``_flag_preimage``, ``_flag_moved``,
-``_flag_completed``, ``_scaled_solve``, ``_composed``; "flags"
-below), ``_echelon`` and ``_from_columns`` for the oracle's subspace
+``_flag_completed``, ``_scaled_solve``, ``_composed``, ``_carried``;
+"flags" below), ``_echelon`` and ``_from_columns`` for the oracle's subspace
 scan in ``hn`` ("subspace arithmetic" below), ``_block_diag`` for
 ``quiver.direct_sum``, and ``_read_entry`` for ``serialize``'s reader.
 That reads each distinct QQ entry string of a document once, "a" and
@@ -160,7 +160,8 @@ class RationalField:
 
     def primitive_columns(self, rows: Sequence[Sequence[int]]) -> Sequence[Sequence[int]]:
         """``rows`` with each column divided by the gcd of its entries: a smaller basis."""
-        scales = [gcd(*col) for col in zip(*rows)]
+        # a zero column, which a singular map can leave, is kept as it is
+        scales = [gcd(*col) or 1 for col in zip(*rows)]
         if any(g > 1 for g in scales):
             rows = [[x // g for x, g in zip(row, scales)] for row in rows]
         return rows
@@ -615,11 +616,15 @@ def _from_columns(field: PrimeField, vectors: Sequence[Sequence[int]], dim: int)
 # below moves the whole chain with at most one elimination.  An injective
 # map moves it with none: the images of the columns stay independent, so
 # ``_flag_moved`` is one product with the dims unchanged, and the preimage
-# flag through an invertible map is the flag moved by its inverse, which
-# ``_composed`` builds for a run of them.  A member is the span of its
-# columns, so a flag basis stands for its members up to column scaling,
-# and a map up to a nonzero scalar: the operations read the ``ints`` of
-# their Matrix arguments alone and return bases with ``den`` 1.
+# flag through an invertible map is the flag moved by its inverse.  A run
+# of square maps moves it by ``_composed``: from the identity it builds
+# the run's map, for a flag to cross by one product in every period of a
+# periodic path, and from a flag's basis it moves that basis across the
+# run with one solve per stretch of maps pointing left and one rank, and
+# builds no map.  A member is the span of its columns, so a flag basis
+# stands for its members up to column scaling, and a map up to a nonzero
+# scalar: the operations read the ``ints`` of their Matrix arguments
+# alone and return bases with ``den`` 1.
 # ---------------------------------------------------------------------------
 
 
@@ -715,26 +720,49 @@ def _scaled_solve(m: Matrix, rhs: Sequence[Sequence[int]]) -> tuple[list, int] |
     return [reduce([x * f for x in row[n:]]) for f, row in zip(scales, work)], s
 
 
-def _composed(run: Sequence[tuple[Matrix, bool]]) -> tuple[Matrix | None, int]:
+def _composed(run: Sequence[tuple[Matrix, bool]],
+              basis: Matrix | None = None) -> tuple[Matrix | None, int]:
     """The map of a run of d x d crossings up to a nonzero scalar, or None if one is singular.
 
-    ``run`` holds (matrix, points right) pairs, crossed in order.  The
-    product X so far starts as the identity: f pointing right makes it
-    f @ X, and a stretch of b1, b2, ... pointing left makes it B⁻¹ @ X for
-    B = b1 @ b2 @ ..., one ``_scaled_solve`` of [B | X] that fails exactly
-    when B is singular.  One rank of X then certifies the maps pointing
-    right, if any.  Each result goes through the field's ``primitive``: a
-    map, unlike a basis, is scaled as a whole.  Also returns the length of
-    the prefix whose left-pointing crossings a solve certified.
+    ``run`` holds (matrix, points right) pairs, crossed in order, and
+    ``_carried`` moves the identity across it; one rank of the result then
+    certifies the maps pointing right, if any.  Given a flag ``basis`` of
+    full column rank, the same steps move it instead, and the result is
+    the basis of the flag across the run, dims unchanged, or None.  Also
+    returns the length of the prefix whose left-pointing crossings a
+    solve certified.
+    """
+    moved, solved = _carried(run, basis)
+    if moved is not None and any(forward for _, forward in run) and rank(moved) < moved.cols:
+        return None, solved
+    return moved, solved
+
+
+def _carried(run: Sequence[tuple[Matrix, bool]],
+             basis: Matrix | None = None) -> tuple[Matrix | None, int]:
+    """``_composed`` with no rank: ``basis`` (the identity if None) moved across ``run``.
+
+    X starts as ``basis``: f pointing right makes it f @ X, and a stretch
+    of b1, b2, ... pointing left makes it B⁻¹ @ X for B = b1 @ b2 @ ...,
+    one ``_scaled_solve`` of [B | X] that fails exactly when B is
+    singular, and then X is None.  A map, unlike a basis, is scaled as a
+    whole: from the identity each result goes through the field's
+    ``primitive``, and a basis through its ``primitive_columns``, as in
+    ``_flag_moved``.  Also returns the length of the prefix whose
+    left-pointing crossings a solve certified.  A run of crossings known
+    to be bijections needs no rank, and ``_segments`` composes such
+    stretches here.
     """
     field, d = run[0][0].field, run[0][0].cols
     product, primitive = field.product, field.primitive
-    x, solved = None, 0
+    scaled = primitive if basis is None else field.primitive_columns
+    x, cols = (None, d) if basis is None else (basis.ints, basis.cols)
+    solved = 0
     for forward, stretch in groupby(run, itemgetter(1)):
         mats = [m for m, _ in stretch]
         if forward:
             for f in mats:
-                x = f.ints if x is None else primitive(product(f.ints, x, d))
+                x = f.ints if x is None else scaled(product(f.ints, x, cols))
         else:
             b = mats[0]
             for m in mats[1:]:
@@ -742,12 +770,9 @@ def _composed(run: Sequence[tuple[Matrix, bool]]) -> tuple[Matrix | None, int]:
             out = _scaled_solve(b, _unit_rows(d) if x is None else x)
             if out is None:
                 return None, solved
-            x = primitive(out[0])
+            x = scaled(out[0])
         solved += len(mats)
-    composed = Matrix._canonical(field, x, d)
-    if any(forward for _, forward in run) and rank(composed) < d:
-        return None, solved
-    return composed, solved
+    return Matrix._canonical(field, x, cols), solved
 
 
 def _flag_completed(basis: Matrix) -> Matrix:

@@ -112,26 +112,45 @@ one inside a run holds at the run's start.  The loop keeps the
 position, marks and rank row of each segment end of the last period,
 and a position has the row of the last segment end at or before it.
 
-On a periodic path every crossing of the period recurs, so one function,
-``_segments``, decides once per place in the period how the sweep
-crosses it; on an aperiodic path it decides nothing, and every crossing
-takes ``_flag_image`` or ``_flag_preimage``.  A bijection between
-consecutive spaces maps each flag member onto a member of the same
-dimension (Carlsson and de Silva, "Zigzag persistence", 2010), and so
-does an injective edge pointing right onto its image, so such an edge
-moves the flag by a product with its matrix or its inverse,
-``_flag_moved``, dims unchanged.  Each maximal run of square crossings
-is first decided and composed whole (``linalg._composed``): one solve of
-[B | X] per stretch of left-pointing matrices, B their product and X the
-map so far, and one rank of the run's map for the right-pointing ones.
-A crossing of a run that fails, and a non-square one, is decided alone:
+One function, ``_segments``, states how the sweep crosses each place of
+the period.  A bijection between consecutive spaces maps each flag
+member onto a member of the same dimension (Carlsson and de Silva,
+"Zigzag persistence", 2010), and so does an injective edge pointing
+right onto its image, so such an edge moves the flag by a product with
+its matrix or its inverse, dims unchanged.  A run of square crossings
+moves it by ``linalg._composed``: one product per matrix pointing
+right, one solve of [B | X] per stretch of left-pointing matrices, B
+their product and X what the run has made so far, and one rank at the
+end, which certifies the matrices pointing right.
+
+On a periodic path every crossing of the period recurs, so ``_segments``
+decides each place once, and X starts as the identity: each maximal run
+of square crossings is first composed whole into one map, which then
+moves the flag by one product, ``_flag_moved``, in every period.  A
+crossing of a run that fails, and a non-square one, is decided alone:
 it moves the flag when a solve of its run certified it, or when it
 points right or is square and has full column rank, which needs at least
 as many rows as columns, so a wider matrix is not ranked.  Each maximal
-stretch of moved square crossings is composed again into one segment,
-and every other crossing is a segment of its own.  A trivial flag keeps
-its dims across a bijection, which maps 0 to 0 and the whole space to
-the whole space, and its basis, which is never read: no product.
+stretch of moved square crossings, each of them certified already, is
+composed again into one segment with no rank (``linalg._carried``), and
+every other crossing is a segment of its own.
+
+On an aperiodic path no crossing recurs, so nothing is decided ahead,
+and no map is composed: it would never be read again, and over QQ it
+grows with the run.  Each maximal run of two or more square crossings
+is one segment, and the flag that reaches it moves its own basis across
+it, X starting as that basis, each column divided by its gcd.  With a
+basis of full rank, one final rank of full rank certifies the whole
+run, and the marks, rank row and bars are taken once for it.  A run
+with a singular matrix (a failed solve, or a final rank below d) is
+stepped one crossing at a time, as is every other crossing, by
+``_flag_image`` or ``_flag_preimage``.
+
+A trivial flag keeps its dims across a bijection, which maps 0 to 0 and
+the whole space to the whole space, and its basis, which is never read:
+no product.  So on an aperiodic path it does not try a run whole, since
+it would carry the run's map as its basis, but steps it one crossing at
+a time, each from the identity.
 
 The sweep runs on the integer rows that every ``Matrix`` holds: the
 flag operations read an edge matrix's ``ints`` and skip its
@@ -157,6 +176,7 @@ from .errors import (InternalCheckError, ShapeError, ValidationError, check_coun
 from .linalg import (
     Field,
     Matrix,
+    _carried,
     _composed,
     _flag_completed,
     _flag_image,
@@ -330,8 +350,8 @@ def _bars(fld: Field, dims: tuple[int, ...], crossings: list[tuple[Matrix, bool]
     # its period across the turn's end; matrices compare by value
     period = _least_period(crossings * 2 if len(crossings) < n - 1 else crossings)
     periodic = period < n - 1
-    # the segments of the period, each [flag operation, matrix, length]; a
-    # path that does not repeat takes one flag step per crossing
+    # the segments of the period, each [flag operation, matrix, length]; on a
+    # path that does not repeat, a run of square crossings is tried whole
     segments = _segments(crossings[:period], periodic)
     # the position, marks and rank row of each segment end of the last period
     past: deque[tuple[int, list[int], list[tuple], dict[int, int]]] = deque(
@@ -343,7 +363,8 @@ def _bars(fld: Field, dims: tuple[int, ...], crossings: list[tuple[Matrix, bool]
     basis = Matrix.identity(fld, dims[0])
     starts, pairs = [0], [(dims[0], 0)]
     g: dict[int, int] = {}  # the rank row of the last segment end swept
-    k, ahead = 0, cycle(segments)
+    # the crossings left of a run that the flag steps one at a time, the next one last
+    k, ahead, pending = 0, cycle(segments), []
     while True:
         if (periodic and len(past) == len(segments) and pairs == past[0][2]
                 and starts == _shifted(past[0][1], period)):
@@ -364,13 +385,19 @@ def _bars(fld: Field, dims: tuple[int, ...], crossings: list[tuple[Matrix, bool]
         prev_g, g = g, _rank_jumps(starts, pairs)
         _close_bars(found, prev_g, g, k)
         past.append((k, starts, pairs, g))
-        segment = next(ahead, None)
+        segment = pending.pop() if pending else next(ahead, None)
         if segment is None or k + segment[2] >= n:
             # the path ends here, or inside a run, which keeps the marks
             break
-        k += segment[2]
         a_dims, r_dims = zip(*pairs)
-        basis, new = _crossed(segment, basis, r_dims + a_dims)
+        crossed = _crossed(segment, basis, r_dims + a_dims)
+        if crossed is None:
+            # the flag does not cross the run whole: it steps one crossing at a time
+            pending = _steps(reversed(segment[1]))
+            segment = pending.pop()
+            crossed = _crossed(segment, basis, r_dims + a_dims)
+        k += segment[2]
+        basis, new = crossed
         r_dims, a_dims = new[:len(r_dims)], new[len(r_dims):]
         # nested members of equal dimension are equal: keep the first start
         previous, starts, pairs = starts, [], []
@@ -394,33 +421,44 @@ def _bars(fld: Field, dims: tuple[int, ...], crossings: list[tuple[Matrix, bool]
 def _segments(period: list[tuple[Matrix, bool]], periodic: bool) -> list[list]:
     """The segments of one ``period`` of crossings, each [flag operation, matrix, length].
 
-    A path that does not repeat decides nothing: each crossing is an image
-    or preimage step.  On a periodic path a maximal run of square crossings
-    that ``_composed`` finds all bijections is one segment.  Any other
-    crossing moves the flag when a solve of its run certified it, or when it
-    points right or is square and has full column rank; a moved non-square
-    crossing is a segment of its own, each maximal stretch of moved square
-    ones is composed into one, and every other crossing is an image or
-    preimage step.
+    On a path that does not repeat, a maximal run of two or more square
+    crossings is one segment whose operation is ``_composed`` and whose
+    matrix is the run itself: the flag that reaches it decides whether it
+    crosses whole (``_crossed``).  On a periodic path a maximal run of
+    square crossings that ``_composed`` finds all bijections is one
+    segment.  Any other crossing moves the flag when a solve of its run
+    certified it, or when it points right or is square and has full column
+    rank; a moved non-square crossing is a segment of its own, each maximal
+    stretch of moved square ones is composed into one with no further rank,
+    and every other crossing is an image or preimage step.
     """
     segments: list[list] = []
     for square, run in groupby(period, lambda c: c[0].rows == c[0].cols):
         run = list(run)
-        composed, solved = _composed(run) if periodic and square else (None, 0)
+        if not periodic:
+            segments += [[_composed, run, len(run)]] if square and len(run) > 1 else _steps(run)
+            continue
+        composed, solved = _composed(run) if square else (None, 0)
         if composed is not None:
             segments.append([_flag_moved, composed, len(run)])
             continue
-        moved = [periodic and (i < solved and not forward or (forward or square)
-                               and m.rows >= m.cols and rank(m) == m.cols)
+        moved = [i < solved and not forward or (forward or square)
+                 and m.rows >= m.cols and rank(m) == m.cols
                  for i, (m, forward) in enumerate(run)]
         for move, part in groupby(zip(moved, run), itemgetter(0)):
             part = [crossing for _, crossing in part]
-            if move and square:
-                segments.append([_flag_moved, _composed(part)[0], len(part)])
+            if not move:
+                segments += _steps(part)
+            elif square:
+                segments.append([_flag_moved, _carried(part)[0], len(part)])
             else:
-                segments += [[_flag_moved if move else _flag_image if forward else _flag_preimage,
-                              m, 1] for m, forward in part]
+                segments += [[_flag_moved, m, 1] for m, _ in part]
     return segments
+
+
+def _steps(run: Iterable[tuple[Matrix, bool]]) -> list[list]:
+    """One image or preimage segment per crossing of ``run``."""
+    return [[_flag_image if forward else _flag_preimage, m, 1] for m, forward in run]
 
 
 def _least_period(seq) -> int:
@@ -469,11 +507,19 @@ def _crossed(segment: list, basis: Matrix, dims):
     ``segment`` is [flag operation, matrix, length], one per segment of
     the period in ``_bars``; a run of bijections holds their product.  A
     trivial flag keeps its basis and dims across a bijection, and
-    otherwise steps from the identity, which keeps QQ bases small.
+    otherwise steps from the identity, which keeps QQ bases small.  A
+    run of square crossings on a path that does not repeat moves a
+    non-trivial flag's basis across it whole, when it is all bijections;
+    otherwise, and for a trivial flag, this returns None, and the run's
+    crossings are stepped one at a time.
     """
     op, m, _ = segment
     d = basis.rows
-    if set(dims) <= {0, d}:
+    trivial = set(dims) <= {0, d}
+    if op is _composed:
+        moved = None if trivial else _composed(m, basis)[0]
+        return None if moved is None else (moved, dims)
+    if trivial:
         if op is _flag_moved and m.rows == d:
             return basis, dims
         basis = Matrix.identity(m.field, d)

@@ -53,17 +53,17 @@ from hnzz.serialize import instance_from_json, instance_to_json, load_json  # no
 # accumulate in ints and make no row updates
 ROUND_WORK = {
     "lift-long": (246, 3610),
-    "zigzag-rational": (387, 6094),
-    "oracle-certify": (1340, 708),
+    "zigzag-rational": (297, 4877),
+    "oracle-certify": (1338, 707),
 }
 
 # products over the same round: flag crossings, the products that compose
 # each run of square crossings of a period (every run is composed, since
-# composing it is what certifies it), the oracle's span steps and Matrix
-# products
+# composing it is what certifies it) or move a flag's basis across a run of
+# a path that does not repeat, the oracle's span steps and Matrix products
 ROUND_PRODUCTS = {
     "lift-long": 544,
-    "zigzag-rational": 208,
+    "zigzag-rational": 243,
     "oracle-certify": 1252,
 }
 
@@ -77,7 +77,7 @@ ORACLE_WALK = {
 # (positions, segment ends swept) of the barcode sweeps over the same round
 ROUND_SWEEPS = {
     "lift-long": (5006, 88),
-    "zigzag-rational": (380, 380),
+    "zigzag-rational": (380, 234),
     "oracle-certify": (461, 194),
 }
 

@@ -516,6 +516,38 @@ class TestFlags:
                 start -= 1
             assert linalg._composed(run) == (None, len(run) if forward else start)
 
+    @pytest.mark.parametrize("fld", FIELDS, ids=repr)
+    def test_composed_moves_a_basis(self, fld):
+        # from a flag basis, a run of bijections moves every member as the
+        # run's map does, with the dims unchanged and each column divided by
+        # its gcd.  A map pointing right that kills the first column moved
+        # so far leaves a zero column, and the final rank finds it singular
+        rnd = random.Random(25)
+        for _ in range(80):
+            d = rnd.randint(1, 4)
+            run = [(random_invertible_rng(d, fld, rnd), rnd.random() < 0.5)
+                   for _ in range(rnd.randint(1, 7))]
+            basis, dims = random_flag(fld, d, rnd, rnd.randint(2, 4))
+            want = basis
+            for m, forward in run:
+                want = (m if forward else inverse(m)) @ want
+            moved, solved = linalg._composed(run, basis)
+            assert solved == len(run) and moved.cols == basis.cols and moved.den == 1
+            for k in dims:
+                assert column_echelon(columns(moved, k)) == column_echelon(columns(want, k))
+            if fld == QQ:
+                assert all(gcd(*col) == 1 for col in zip(*moved.ints))
+            if basis.cols == 0:
+                continue
+            i = rnd.randrange(len(run))
+            w = [row[0] for row in (linalg._composed(run[:i], basis)[0] if i else basis).data]
+            j = next(j for j, x in enumerate(w) if x)
+            inv = 1 / w[j] if fld == QQ else pow(w[j], -1, fld.p)
+            kill = Matrix(fld, [[(r == c) - (w[r] * inv if c == j else 0) for c in range(d)]
+                                for r in range(d)], d)
+            run[i] = (run[i][0] @ kill if run[i][1] else kill, True)
+            assert linalg._composed(run, basis) == (None, len(run))
+
     def test_completed(self):
         rnd = random.Random(22)
         for _ in range(200):

@@ -1,4 +1,5 @@
 import hashlib
+from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -512,6 +513,8 @@ def test_whole_space_flag_keeps_small_entries(monkeypatch):
 
         monkeypatch.setattr(zigzag, name, recording)
     assert bars(v) == {(0, n - 1): 3}
+    # the trivial flag steps each crossing alone: one 3 x 3 basis recorded per crossing
+    assert len(bits) == 9 * (n - 1)
     assert max(bits) <= 8
 
 
@@ -626,9 +629,13 @@ class TestSharedMatrices:
 
 def test_distinct_matrices_run_every_step(count_calls):
     # the path has no period, so no flag step is shared and no crossing is
-    # decided: every step runs its elimination, no matrix is ranked, and the
-    # rank rows are read off the marks' dims; the row updates are those of
-    # the eliminations (QQ products make none)
+    # decided ahead: each of its three runs of square crossings (3, 2 and 3
+    # long) is tried whole by the flag that reaches it, the trivial flag
+    # steps one crossing at a time at once, and the two non-trivial flags
+    # find a singular map, each with one elimination, and then step one at
+    # a time too.  Every other step runs its elimination, no matrix is
+    # ranked on its own, and the rank rows are read off the marks' dims;
+    # the row updates are those of the eliminations (QQ products make none)
     rng = make_rng(68)
     q = random_path_quiver(40, rng)
     dims = tuple(rng.randint(0, 4) for _ in range(40))
@@ -642,7 +649,7 @@ def test_distinct_matrices_run_every_step(count_calls):
     row_updates = count_calls(linalg.RationalField, "row_update")
     ranks = count_calls(zigzag, "rank")
     barcode(v)
-    assert (len(eliminations), len(row_updates), len(ranks)) == (25, 52, 0)
+    assert (len(eliminations), len(row_updates), len(ranks)) == (27, 62, 0)
 
 
 def test_rational_sweep_makes_no_fraction_arithmetic(count_calls):
@@ -928,17 +935,20 @@ def bijection_run_steps(rng, fld) -> list:
 def test_runs_of_bijections_cross_in_one_step(fld, count_calls, monkeypatch):
     # a run of square bijections within one period is one segment: every
     # prefix of paths made mostly of them must give the bars of a full sweep
-    # (period hidden, one crossing per segment), and stop at the full sweep's
-    # first position whose marks repeat those one period earlier.  A run of
-    # square crossings with a singular one is split, found singular by the
-    # solve of a stretch of left-pointing edges or by the final rank
+    # (period hidden, so that a non-trivial flag moves its basis across each
+    # run whole, or steps it one crossing at a time), and stop at the full
+    # sweep's first position whose marks repeat those one period earlier.
+    # A bijection keeps the marks, so a position inside a run that the full
+    # sweep crossed whole has the marks of the run's start.  A run of square
+    # crossings with a singular one is split, found singular by the solve of
+    # a stretch of left-pointing edges or by the final rank
     rng = make_rng(76)
     shifted = count_calls(zigzag, "_shifted_row")
     composed, splits = [], []
     compose = zigzag._composed
 
-    def composing(run):
-        out = compose(run)
+    def composing(run, basis=None):
+        out = compose(run, basis)
         if out[0] is None:
             splits.append("the final rank" if out[1] == len(run) else "a singular left stretch")
         elif len(run) > 1:
@@ -981,11 +991,14 @@ def test_runs_of_bijections_cross_in_one_step(fld, count_calls, monkeypatch):
                 and edge_kind(*steps[0]) == "bijective")
             with monkeypatch.context() as full:
                 full.setattr(zigzag, "_least_period", len)
-                marks = []
+                swept = []
                 full.setattr(zigzag, "_rank_jumps",
                              lambda starts, pairs, jumps=zigzag._rank_jumps:
-                             marks.append((starts, pairs)) or jumps(starts, pairs))
+                             swept.append((starts, pairs)) or jumps(starts, pairs))
+                ends.clear()
                 assert bars(w) == got
+            # the marks of each position: those of the last segment end at or before it
+            marks = [swept[bisect_right(ends, k) - 1] for k in range(n)]
             repeats = [k for k in range(period, n) if period < n - 1
                        and marks[k] == (zigzag._shifted(marks[k - period][0], period),
                                         marks[k - period][1])]
@@ -1000,9 +1013,10 @@ def test_split_run_work_is_bounded(count_calls, monkeypatch):
     # and 19 made singular.  The period's one run of square crossings
     # fails to compose and is split: each crossing that no solve of it
     # certified is ranked, and each stretch of bijections is composed
-    # anew.  The sweep takes 31 eliminations, against 29 with one rank or
-    # [m | I] reduction per crossing: a split costs at most 1.5 times
-    # that.  Its bars are those of a full sweep
+    # anew, with no rank, since a solve or a rank certified each of its
+    # crossings.  The sweep takes 29 eliminations, as many as one rank or
+    # [m | I] reduction per crossing takes: a split costs at most 1.5
+    # times that.  Its bars are those of a full sweep
     rng = make_rng(77)
     fld = GF(3)
     block = [(rng.random() < 0.5, random_invertible_rng(5, fld, rng)) for _ in range(20)]
@@ -1012,10 +1026,88 @@ def test_split_run_work_is_bounded(count_calls, monkeypatch):
     v = rep_of_steps(fld, block * 3)
     eliminations = count_calls(linalg, "_gauss_jordan")
     got = bars(v)
-    assert len(eliminations) == 31 <= 1.5 * 29
+    assert len(eliminations) == 29 <= 1.5 * 29
     with monkeypatch.context() as full:
         full.setattr(zigzag, "_least_period", len)
         assert bars(v) == got
+
+
+def long_run_interval_sum(rng, fld, splits: int, n: int = 1500):
+    """A random-orientation interval sum on n vertices, conjugated, with its exact multiset.
+
+    Two intervals span the path, so that its ends do not repeat each
+    other, and six more are drawn: the dims change only where one of them
+    starts or ends, and most crossings lie in long runs of square
+    bijections.  Each of ``splits`` intervals is
+    then cut at a position s inside a run of at least 20 such crossings,
+    into [lo, s - 1] and [s, hi]: no dim moves, and the crossing into s
+    becomes a singular square map.
+    """
+    q = random_path_quiver(n, rng)
+    ivs = [(0, n - 1)] * 2
+    for _ in range(6):
+        lo = rng.randrange(n)
+        ivs.append((lo, rng.randint(lo, n - 1)))
+    dims = [sum(lo <= x <= hi for lo, hi in ivs) for x in range(n)]
+    ends = [k for k in range(1, n) if dims[k - 1] != dims[k]]
+    # the crossings into s that lie 10 or more crossings inside a run of square ones
+    inside = [s for a, b in zip([0, *ends], [*ends, n]) for s in range(a + 10, b - 9)]
+    for _ in range(splits):
+        s = rng.choice(inside)
+        inside.remove(s)
+        lo, hi = next(iv for iv in ivs if iv[0] < s <= iv[1])
+        ivs.remove((lo, hi))
+        ivs += [(lo, s - 1), (s, hi)]
+    rep = zero_representation(q, fld)
+    for lo, hi in ivs:
+        rep = direct_sum(rep, interval_module(q, Interval(lo, hi), fld))
+    rep = conjugate(rep, conjugating_bases(rep, rng))
+    assert zigzag._least_period([(rep.mats[e], fwd) for e, fwd in path_steps(q)]) == n - 1
+    return rep, dict(Counter(ivs))
+
+
+@pytest.mark.parametrize("fld", [QQ, GF(3)], ids=repr)
+def test_aperiodic_runs_cross_whole(fld, count_calls):
+    # a path that does not repeat: a non-trivial flag moves its basis across
+    # each run of square bijections with one solve per stretch of
+    # left-pointing maps and one rank, and its marks and rank row are built
+    # once per run.  The trivial flag of the first long run steps it one
+    # crossing at a time.  The sweep takes 600 eliminations for its 1,499
+    # crossings, against 1,501 when each crossing steps alone, and builds
+    # 272 rank rows, not 1,500
+    rng = make_rng(78)
+    v, truth = long_run_interval_sum(rng, fld, 0)
+    eliminations = count_calls(linalg, "_gauss_jordan")
+    swept = count_calls(zigzag, "_rank_jumps")
+    assert bars(v) == truth
+    assert (len(eliminations), len(swept)) == (600, 272)
+
+
+@pytest.mark.parametrize("splits", [1, 5])
+@pytest.mark.parametrize("fld", [QQ, GF(3)], ids=repr)
+def test_singular_crossings_inside_runs(fld, splits, count_calls, monkeypatch):
+    # the same kind of path with 1 or 5 singular square maps inside long
+    # runs: a flag that tries such a run whole finds the singular map with
+    # a failed solve or its final rank, and steps the run one crossing at a
+    # time.  The bars stay exact, and the sweep takes at most 1.5
+    # eliminations per crossing
+    rng = make_rng(79)
+    v, truth = long_run_interval_sum(rng, fld, splits)
+    n = v.quiver.vertex_count
+    failed = []
+    compose = zigzag._composed
+
+    def composing(run, basis=None):
+        out = compose(run, basis)
+        failed.append(out[0] is None)
+        return out
+
+    monkeypatch.setattr(zigzag, "_composed", composing)
+    eliminations = count_calls(linalg, "_gauss_jordan")
+    assert bars(v) == truth
+    print(f"  {len(eliminations)} eliminations, {sum(failed)} of {len(failed)} runs failed")
+    assert any(failed) and not all(failed)
+    assert len(eliminations) <= 1.5 * (n - 1)
 
 
 # signs, small integers and proper fractions, one with a denominator past
