@@ -363,7 +363,7 @@ def _bars(fld: Field, dims: tuple[int, ...], crossings: list[tuple[Matrix, bool]
     basis = Matrix.identity(fld, dims[0])
     starts, pairs = [0], [(dims[0], 0)]
     g: dict[int, int] = {}  # the rank row of the last segment end swept
-    # the crossings left of a run that the flag steps one at a time, the next one last
+    # the remaining crossings of a run that the flag steps one at a time, the next one last
     k, ahead, pending = 0, cycle(segments), []
     while True:
         if (periodic and len(past) == len(segments) and pairs == past[0][2]

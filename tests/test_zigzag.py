@@ -1038,10 +1038,10 @@ def long_run_interval_sum(rng, fld, splits: int, n: int = 1500):
     Two intervals span the path, so that its ends do not repeat each
     other, and six more are drawn: the dims change only where one of them
     starts or ends, and most crossings lie in long runs of square
-    bijections.  Each of ``splits`` intervals is
-    then cut at a position s inside a run of at least 20 such crossings,
-    into [lo, s - 1] and [s, hi]: no dim moves, and the crossing into s
-    becomes a singular square map.
+    bijections.  Each of ``splits`` intervals is then cut at a position s
+    whose crossing has at least 9 square crossings of its run on either
+    side, into [lo, s - 1] and [s, hi]: no dim moves, and the crossing
+    into s becomes a singular square map.
     """
     q = random_path_quiver(n, rng)
     ivs = [(0, n - 1)] * 2
@@ -1050,7 +1050,7 @@ def long_run_interval_sum(rng, fld, splits: int, n: int = 1500):
         ivs.append((lo, rng.randint(lo, n - 1)))
     dims = [sum(lo <= x <= hi for lo, hi in ivs) for x in range(n)]
     ends = [k for k in range(1, n) if dims[k - 1] != dims[k]]
-    # the crossings into s that lie 10 or more crossings inside a run of square ones
+    # the positions s whose crossing has 9 or more square crossings on either side
     inside = [s for a, b in zip([0, *ends], [*ends, n]) for s in range(a + 10, b - 9)]
     for _ in range(splits):
         s = rng.choice(inside)
@@ -1086,7 +1086,7 @@ def test_aperiodic_runs_cross_whole(fld, count_calls):
 @pytest.mark.parametrize("splits", [1, 5])
 @pytest.mark.parametrize("fld", [QQ, GF(3)], ids=repr)
 def test_singular_crossings_inside_runs(fld, splits, count_calls, monkeypatch):
-    # the same kind of path with 1 or 5 singular square maps inside long
+    # the same kind of path with 1 or 5 singular square maps well inside
     # runs: a flag that tries such a run whole finds the singular map with
     # a failed solve or its final rank, and steps the run one crossing at a
     # time.  The bars stay exact, and the sweep takes at most 1.5
