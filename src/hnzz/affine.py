@@ -25,14 +25,21 @@ A lift window is the plain length D of the truncated unwinding 0..D;
 ``classify_lift`` alone checks it (a multiple of n, at least
 ``default_window``, at most ``LIFT_MAX_WINDOW``) and keys each wrapped
 interval it recovers by its ``NClass(u, v)``, the same key the
-generators and serializers use.  ``campaign.check_b`` recovers many
-classes of one report through ``_recovered``, which takes the cycle
-resolved once and returns None for a p = 1 class.
+generators and serializers use.
+
+Each request resolves its cycle once, with one ``affine_of_quiver``:
+``classify_lift`` through ``default_window``, ``eta_from_lift`` itself,
+and ``campaign.fast_report``, which hands the cycle it found to
+``_eta``.  The private steps behind them (``_classified``, ``_eta``,
+``_turn``) trust a v whose quiver was resolved so.
+``campaign.check_b`` recovers many classes of one report through
+``_recovery``, which takes the cycle resolved once and returns None for
+a p = 1 class, and builds no class or slope per candidate.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -221,9 +228,15 @@ def default_window(v: Representation) -> int:
     dim-at-x_0 times, so its length is under (dim + 1) * n and the
     translate starting in [1, n] fits strictly inside the window 0..D.
     The input is checked first: a quiver with no vertex has no x_0.
+    This is where ``classify_lift`` resolves the cycle, once.
     """
     check_type(v, Representation, "lift input")
-    return affine_of_quiver(v.quiver).n * (v.dims[0] + 2)
+    return _least_window(v, affine_of_quiver(v.quiver))
+
+
+def _least_window(v: Representation, aq: AffineQuiver) -> int:
+    """``default_window(v)`` for v on the cycle ``aq``, resolved already."""
+    return aq.n * (v.dims[0] + 2)
 
 
 def _check_window_cap(D) -> None:
@@ -234,12 +247,12 @@ def _check_window_cap(D) -> None:
 
 
 def _turn(v: Representation) -> list[tuple[Matrix, bool]]:
-    """One turn of the cycle v's unwinding, e_1 round to e_0: for i = 1..n, the
-    (edge matrix, points right) joining positions i-1 and i, that of e_{i mod n},
-    which points right iff it is CW; ``affine_of_quiver`` refuses a non-cycle."""
-    orientation = affine_of_quiver(v.quiver).orientation
-    n = len(orientation)
-    return [(v.mats[i % n], orientation[i % n] == CW) for i in range(1, n + 1)]
+    """One turn of the cycle v's unwinding, e_1 round to e_0, for a v whose
+    quiver ``affine_of_quiver`` took: for i = 1..n, the (edge matrix, points
+    right) joining positions i-1 and i, that of e_{i mod n}, which points
+    right iff it is CW, so iff its target is x_{i mod n}."""
+    edges, n = v.quiver.edges, v.quiver.vertex_count
+    return [(v.mats[j], edges[j][1] == j) for j in (i % n for i in range(1, n + 1))]
 
 
 def lift_truncated(v: Representation, D: int) -> Representation:
@@ -254,6 +267,7 @@ def lift_truncated(v: Representation, D: int) -> Representation:
     if D < 0:
         raise ValidationError(f"window length {D} is negative")
     check_type(v, Representation, "lift input")
+    affine_of_quiver(v.quiver)  # a quiver that is no cycle raises ShapeError
     turn = _turn(v)
     n = len(turn)
     crossings = [turn[(i - 1) % n] for i in range(1, D + 1)]
@@ -288,7 +302,13 @@ def classify_lift(
     int (a bool included), or a v that is not a Representation, raises
     ValidationError.
     """
-    bound = default_window(v)
+    return _classified(v, default_window(v), window)
+
+
+def _classified(v: Representation, bound: int,
+                window: int | None) -> tuple[int, dict[NClass, int], Barcode]:
+    """``classify_lift(v, window)`` for v on a resolved cycle whose
+    ``default_window`` is ``bound``."""
     n = v.quiver.vertex_count
     D = bound if window is None else window
     _check_window_cap(D)
@@ -328,8 +348,13 @@ def eta_from_lift(v: Representation) -> HNReport:
     constant dimension vector).  The zero representation has no classes
     and gets the empty report.
     """
-    d_inf, classes, _ = classify_lift(v)
-    aq = affine_of_quiver(v.quiver)
+    check_type(v, Representation, "lift input")
+    return _eta(v, affine_of_quiver(v.quiver))
+
+
+def _eta(v: Representation, aq: AffineQuiver) -> HNReport:
+    """``eta_from_lift(v)`` for v on the cycle ``aq``, resolved already."""
+    d_inf, classes, _ = _classified(v, _least_window(v, aq), None)
     n = aq.n
     parts = [
         (euler_slope_N(aq, c.u, c.v), tuple(mult * d for d in wrap_counts(n, c.u, c.v)))
@@ -343,19 +368,27 @@ def eta_from_lift(v: Representation) -> HNReport:
     return report
 
 
-def _recovered(rep: HNReport, aq: AffineQuiver, u: int, v: int) -> int | None:
-    """``recover_N_multiplicities`` on ``aq``, the cycle of ``rep``; None for a p = 1 class.
+def _recovery(rep: HNReport, aq: AffineQuiver) -> Callable[[int, int], int | None]:
+    """``recover_N_multiplicities`` on ``aq``, the cycle of ``rep``, as a function of
+    an on-cycle (u, v); it returns None for a p = 1 class.
 
-    One ``p_value`` per class, and no slope for a p = 1 class.
+    It builds no class and no slope: the steps are keyed by the numerator
+    and denominator of their slopes, and the slope (1 - p) / (v - u + 1) of
+    a p != 1 class has numerator 1 - p = +-1, so (1 - p, v - u + 1) is
+    already in lowest terms.  p is ``p_value``'s count, read off the
+    orientation.
     """
-    p = p_value(aq, u, v)
-    if p == 1:
-        return None
-    target = Fraction(1 - p, v - u + 1)  # euler_slope_N(aq, u, v), from p
-    for sl, dims in rep.steps:
-        if sl == target:
-            return dims[u] - dims[u - 1]
-    return 0
+    steps = {(sl.numerator, sl.denominator): dims for sl, dims in rep.steps}
+    n, orientation = aq.n, aq.orientation
+
+    def recovered(u: int, v: int) -> int | None:
+        p = (orientation[u] == CW) + (orientation[(v + 1) % n] == CCW)
+        if p == 1:
+            return None
+        dims = steps.get((1 - p, v - u + 1))
+        return 0 if dims is None else dims[u] - dims[u - 1]
+
+    return recovered
 
 
 def recover_N_multiplicities(rep: HNReport, u: int, v: int) -> int:
@@ -369,7 +402,9 @@ def recover_N_multiplicities(rep: HNReport, u: int, v: int) -> int:
     checks.
     """
     check_type(rep, HNReport, "HN report")
-    got = _recovered(rep, affine_of_quiver(rep.quiver), u, v)
+    aq = affine_of_quiver(rep.quiver)
+    NClass(u, v).on_cycle(aq.n)
+    got = _recovery(rep, aq)(u, v)
     if got is None:
         raise ValidationError("p = 1 classes have slope 0 and are not recoverable")
     return got

@@ -19,16 +19,16 @@ from dataclasses import dataclass
 from .affine import (
     AffineQuiver,
     NClass,
-    _recovered,
+    _eta,
+    _recovery,
     affine_of_quiver,
-    eta_from_lift,
 )
 from .errors import (GuardError, InternalCheckError, ShapeError, ValidationError, check_counts,
                      check_ints, check_type, shown)
 from .generators import gen_affine, gen_persistence
 from .hn import ENUM_MAX_DIM, ORACLE_MAX_TOTAL_DIM, HNReport, hn_bruteforce, hn_from_barcode
 from .linalg import GF
-from .quiver import Quiver, Representation, StabilityCondition, euler_stability
+from .quiver import Quiver, Representation, StabilityCondition, _euler_weights, euler_stability
 from .serialize import instance_to_json
 from .zigzag import Barcode, Interval, barcode, is_path
 
@@ -44,17 +44,18 @@ def _cycle(q: Quiver) -> AffineQuiver | None:
 def fast_report(rep: Representation, alpha: StabilityCondition) -> HNReport | None:
     """HN report of ``rep`` under ``alpha`` by the fast route; None if none applies.
 
-    The shape is resolved before the weights are compared, since
-    ``euler_stability`` refuses cyclic quivers.  An input of the wrong type
-    raises ValidationError.
+    The shape is resolved once, and the cycle it finds is handed to the
+    lift route; the weights are compared with the integer Euler weights
+    1 - in_degree, so no second ``StabilityCondition`` is built.  An input
+    of the wrong type raises ValidationError.
     """
     check_type(rep, Representation, "HN input")
     check_type(alpha, StabilityCondition, "stability condition")
     q = rep.quiver
     cycle = _cycle(q)
-    if (cycle is None and not is_path(q)) or alpha != euler_stability(q):
+    if (cycle is None and not is_path(q)) or alpha.weights != tuple(_euler_weights(q)):
         return None
-    return eta_from_lift(rep) if cycle is not None else hn_from_barcode(barcode(rep), q)
+    return _eta(rep, cycle) if cycle is not None else hn_from_barcode(barcode(rep), q)
 
 
 @dataclass(frozen=True)
@@ -111,19 +112,21 @@ def check_a(case: Case) -> str | None:
 
 def check_b(case: Case) -> str | None:
     check_type(case, Case, "Theorem B case")
-    aq, truth_n = affine_of_quiver(case.rep.quiver), case.summands
+    aq = affine_of_quiver(case.rep.quiver)
     report = _euler_oracle(case.rep)
     if report is None:
         return "eta_from_lift differs from the oracle"
-    # every summand class and every other class shorter than 2n; slope-0
-    # (p = 1) classes blend together and are not recoverable
-    classes = set(truth_n) | {NClass(u, u + k) for u in range(aq.n) for k in range(2 * aq.n)}
-    for cls in sorted(classes):
-        got = _recovered(report, aq, cls.u, cls.v)
-        if got is None:
-            continue
-        if got != truth_n.get(cls, 0):
-            return f"N({cls.u},{cls.v}) recovered {got} times, built {truth_n.get(cls, 0)}"
+    # every summand class and every other class shorter than 2n, as (u, v)
+    # pairs in order; slope-0 (p = 1) classes blend together and are not
+    # recoverable
+    truth = {(cls.u, cls.v): mult for cls, mult in case.summands.items()}
+    recovered = _recovery(report, aq)
+    for u, v in sorted(truth.keys() | {(u, u + k) for u in range(aq.n) for k in range(2 * aq.n)}):
+        if u >= aq.n:
+            NClass(u, v).on_cycle(aq.n)  # a summand class off the cycle: ValidationError
+        got = recovered(u, v)
+        if got is not None and got != truth.get((u, v), 0):
+            return f"N({u},{v}) recovered {got} times, built {truth.get((u, v), 0)}"
     return None
 
 

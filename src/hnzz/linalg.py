@@ -13,17 +13,20 @@ that clears every entry, so each matrix has exactly one (ints, den)
 pair.  The entries themselves, Fractions over QQ, are built only when
 ``data`` is read.
 
-Outside input, instance files included, enters through the public
-``Matrix(field, data, cols)``, which checks the shape and hands the rows
-to the field's ``read_rows``.  That takes each entry as the field's
-``coerce`` would, refusing floats, and clears the rows into their one
-(ints, den) pair.  Rows of ints (in [0, p) over GF(p)), and over QQ rows
-of ints and Fractions, are checked and cleared with no Python call per
-entry; any other rows go through ``coerce`` entry by entry.  Results
-computed here skip that pass: the private ``Matrix._canonical`` takes
-integer rows over a den as they are, and a den past 1, which only QQ
-results have, goes to ``RationalField.lowest``, which divides rows and
-den by their gcd.
+Outside input enters through the public ``Matrix(field, data, cols)``,
+which checks the shape and hands the rows to the field's ``read_rows``.
+That takes each entry as the field's ``coerce`` would, refusing floats,
+and clears the rows into their one (ints, den) pair.  Rows of ints (in
+[0, p) over GF(p)), and over QQ rows of ints and Fractions, are checked
+and cleared with no Python call per entry; any other rows go through
+``coerce`` entry by entry.  A GF(p) instance file enters through
+``PrimeField._read_blocks`` instead, when every entry of it is a
+residue: the same C-level checks, run once over all of its matrices,
+and then each is built by ``Matrix._canonical``; any other file goes
+through ``Matrix``.  Results computed here skip that pass: the private
+``Matrix._canonical`` takes integer rows over a den as they are, and a
+den past 1, which only QQ results have, goes to ``RationalField.lowest``,
+which divides rows and den by their gcd.
 
 A public name refuses a wrong argument; a private one trusts its
 callers here, which pass what checked constructors built: the sweep's
@@ -31,10 +34,10 @@ flag steps (``_flag_image``, ``_flag_preimage``, ``_flag_moved``,
 ``_flag_completed``, ``_scaled_solve``, ``_composed``, ``_carried``;
 "flags" below), ``_echelon`` and ``_from_columns`` for the oracle's subspace
 scan in ``hn`` ("subspace arithmetic" below), ``_block_diag`` for
-``quiver.direct_sum``, and ``_read_entry`` for ``serialize``'s reader.
-That reads each distinct QQ entry string of a document once, "a" and
-"a/b" straight into ints, and ``read_rows`` takes the ``_Ratio`` pairs
-it returns as they are.
+``quiver.direct_sum``, and ``_read_entry`` and ``PrimeField._read_blocks``
+for ``serialize``'s reader.  ``_read_entry`` reads each distinct QQ entry
+string of a document once, "a" and "a/b" straight into ints, and
+``read_rows`` takes the ``_Ratio`` pairs it returns as they are.
 
 Everything here is pure and deterministic: echelon forms are the unique
 reduced ones, so equality of spans reduces to equality of basis matrices.
@@ -73,13 +76,29 @@ from .errors import ValidationError, check_counts, check_ints, check_type, shown
 
 
 def _is_prime(n: int) -> bool:
+    """Whether n is prime, by Miller-Rabin to the bases 2, 3, 5 and 7.
+
+    Those bases decide every n below 3,215,031,751 (Jaeschke, Math. Comp.
+    1993), which covers the moduli up to 2**31 that ``PrimeField`` takes.
+    """
     if n < 2:
         return False
-    i = 2
-    while i * i <= n:
-        if n % i == 0:
+    for a in (2, 3, 5, 7):
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        i += 1
     return True
 
 
@@ -188,12 +207,14 @@ class PrimeField:
 
     def __post_init__(self) -> None:
         check_ints((self.p,), "modulus")
-        # bound first: trial division of a huge modulus would not finish
+        # bound first: the primality test is exact only below it
         if self.p > 2**31:
             raise ValidationError(f"modulus {shown(self.p)} exceeds 2**31")
         if not _is_prime(self.p):
             raise ValidationError(f"modulus {self.p} is not prime")
-        object.__setattr__(self, "_residues", bytes(x % self.p for x in range(256)))
+        # x % p for each byte x: 0 .. p-1 repeated, cut to 256 bytes
+        residues = bytes(range(min(self.p, 256))) * (256 // self.p + 1)
+        object.__setattr__(self, "_residues", residues[:256])
         # whether a packed row step fits in bytes (``row_update``)
         object.__setattr__(self, "_packs_rows", 2 * (self.p - 1) ** 2 < 256)
 
@@ -212,11 +233,44 @@ class PrimeField:
         in C.  Any other rows go through ``coerce`` entry by entry, in row
         order, so the first entry it refuses raises.
         """
-        flat = list(chain.from_iterable(rows))
-        if set(map(type, flat)) <= {int} and (not flat or min(flat) >= 0 and max(flat) < self.p):
+        if self._all_residues(rows):
             return tuple(map(tuple, rows)), 1
         coerce = self.coerce
         return tuple(tuple(map(coerce, row)) for row in rows), 1
+
+    def _all_residues(self, rows: Sequence[Sequence]) -> bool:
+        """Whether every entry of ``rows`` is an int in [0, p), from checks that run in C.
+
+        No list of the entries is built: after the type check, ``bytes``
+        packs them one byte each, and deleting the bytes below p (the first
+        p bytes of the residue table, all 256 of them past p = 256) must
+        leave nothing.  An entry outside [0, 256) stops the packing, and
+        then only for p > 256 can every entry still be a residue.
+        """
+        entries = chain.from_iterable
+        if not set(map(type, entries(rows))) <= {int}:
+            return False
+        try:
+            return not bytes(entries(rows)).translate(None, self._residues[:self.p])
+        except ValueError:
+            return self.p > 256 and min(entries(rows)) >= 0 and max(entries(rows)) < self.p
+
+    def _read_blocks(self, blocks: Sequence[tuple[list, int]]) -> list["Matrix"] | None:
+        """The Matrices of many (rows, cols) ``blocks`` of residues, for ``serialize``'s reader.
+
+        Every row of every block must be a list of cols ints in [0, p):
+        one pass checks the rows and entries of all the blocks together,
+        and ``Matrix._canonical`` builds each block, as ``Matrix`` would
+        have built it.  Any other blocks give None, and the reader builds
+        them one by one with ``Matrix``, which reduces or refuses what
+        this does not take.
+        """
+        every_row = list(chain.from_iterable(rows for rows, _ in blocks))
+        if not (set(map(type, every_row)) <= {list}
+                and all(set(map(len, rows)) <= {cols} for rows, cols in blocks)
+                and self._all_residues(every_row)):
+            return None
+        return [Matrix._canonical(self, rows, cols) for rows, cols in blocks]
 
     def row_update(self, row: Sequence[int], a: int, b: int, prow: Sequence[int]) -> Sequence[int]:
         """``a * row - b * prow`` in residues, for nonzero ``a``, ``b`` and rows in residues.
@@ -362,7 +416,8 @@ class Matrix:
     ``den`` and all of ``ints`` is 1.
     ``Matrix._canonical`` trusts integer rows over a den and puts them in
     that form, a den past 1 (QQ only) with ``RationalField.lowest``; it is
-    only for results computed in this module.  ``data`` builds the entries.
+    only for results computed in this module and for the residue rows that
+    ``PrimeField._read_blocks`` checked.  ``data`` builds the entries.
     """
 
     __slots__ = ("field", "rows", "cols", "ints", "den")

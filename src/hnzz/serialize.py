@@ -2,15 +2,20 @@
 
 Rational entries travel as strings ("a/b" or "a") to avoid float loss;
 prime-field entries are plain ints with the modulus stated once in the
-field descriptor.  The reader builds matrices with the public ``Matrix``
-and weights with ``StabilityCondition``, so each entry is taken as its
-field's ``coerce`` takes it; an entry the field refuses is malformed
-input (``ParseError``).  Over QQ the reader reads each distinct entry
-string once per document (``_RationalReader``): "a" and "a/b" in ASCII
-digits straight into ints, any other through ``QQ.coerce``; ``Matrix``
-then clears each matrix into integer rows over one denominator in one
-call of the field, and over GF(p) takes rows of residues as they are.
-The writer reads the entries back through ``data``.  The reader
+field descriptor.  Each entry is taken as its field's ``coerce`` takes
+it, and an entry the field refuses is malformed input (``ParseError``);
+the weights are read by ``StabilityCondition``.  A GF(p) document whose
+matrices are all there, one per edge, of rows of residues, is read in
+one pass (``_residue_matrices``): the field checks every entry of the
+document at once and builds each matrix as the public ``Matrix`` would.
+Any other document is read matrix by matrix in document order with the
+public ``Matrix`` (``_read_matrices``), so the first malformed matrix
+raises, with the words it always had.  Over QQ the reader reads each
+distinct entry string once per document (``_RationalReader``): "a" and
+"a/b" in ASCII digits straight into ints, any other through
+``QQ.coerce``; ``Matrix`` then clears each matrix into integer rows over
+one denominator in one call of the field.  The writer reads the entries
+back through ``data``.  The reader
 returns the ``Representation`` alone, which checks its matrix shapes
 itself; an ``affine`` quiver is checked by ``AffineQuiver`` and read as
 ``to_quiver`` builds it, and the writer refuses an ``affine`` spelling
@@ -145,19 +150,58 @@ def instance_from_json(doc) -> Representation:
             f"dims has {len(dims)} entries for {quiver.vertex_count} vertices"
         )
     mat_docs = _need(doc, "matrices", list, "instance")
-    slots: dict[int, Matrix] = {}
     # QQ entry strings repeat across a document: each is read once
     reader = _RationalReader() if isinstance(fld, RationalField) else None
+    mats = _residue_matrices(fld, quiver.edges, dims, mat_docs) if reader is None else None
+    if mats is None:
+        mats = _read_matrices(fld, quiver.edges, dims, mat_docs, reader)
+    return Representation(quiver, fld, tuple(dims), mats)
+
+
+def _residue_matrices(fld: PrimeField, edges, dims: list, mat_docs: list) -> list | None:
+    """The matrices of a GF(p) document read in one pass, or None if it needs ``_read_matrices``.
+
+    A document with one ``{"edge": e, "rows": rows}`` per edge hands the
+    rows of all its matrices to the field's ``_read_blocks``, each with the
+    dimension of its edge's source as its width, and that checks their
+    shapes and entries together and builds each matrix.  Any other
+    document, and one with a matrix of another width or an entry that
+    ``coerce`` would reduce or refuse, gives None, and ``_read_matrices``
+    reads it matrix by matrix in document order, so what is accepted or
+    refused, and in which order, stays as it was.
+    """
+    slots: dict[int, list] = {}
+    for mobj in mat_docs:
+        if type(mobj) is not dict:
+            return None
+        e, rows = mobj.get("edge"), mobj.get("rows")
+        if type(e) is not int or not 0 <= e < len(edges) or e in slots or type(rows) is not list:
+            return None
+        slots[e] = rows
+    if len(slots) != len(edges):
+        return None
+    return fld._read_blocks([(slots[e], dims[src]) for e, (src, _) in enumerate(edges)])
+
+
+def _read_matrices(fld: Field, edges, dims: list, mat_docs: list,
+                   reader: _RationalReader | None) -> tuple:
+    """The matrices of a document, each read by the public ``Matrix`` in document order.
+
+    The first matrix that is malformed raises: ``ParseError`` for a bad
+    key, edge or entry, ``ValidationError`` for ragged rows.  Over QQ
+    ``reader`` reads the entry strings first.
+    """
+    slots: dict[int, Matrix] = {}
     for mobj in mat_docs:
         e = _need(mobj, "edge", int, "matrix")
-        if e < 0 or e >= len(quiver.edges):
+        if e < 0 or e >= len(edges):
             raise ParseError(f"matrix for unknown edge {e}")
         if e in slots:
             raise ParseError(f"duplicate matrix for edge {e}")
         rows = _need(mobj, "rows", list, f"matrix {e}")
         if not all(isinstance(row, list) for row in rows):
             raise ParseError(f"matrix {e}: rows must be arrays")
-        width = len(rows[0]) if rows else dims[quiver.edges[e][0]]
+        width = len(rows[0]) if rows else dims[edges[e][0]]
         if any(len(row) != width for row in rows):
             raise ValidationError("ragged rows in matrix data")
         try:
@@ -166,10 +210,10 @@ def instance_from_json(doc) -> Representation:
             slots[e] = Matrix(fld, rows, width)
         except ValidationError as exc:
             raise ParseError(f"matrix {e}: {exc}") from exc
-    if len(slots) != len(quiver.edges):
-        missing = sorted(set(range(len(quiver.edges))) - set(slots))
+    if len(slots) != len(edges):
+        missing = sorted(set(range(len(edges))) - set(slots))
         raise ParseError(f"missing matrices for edges {missing}")
-    return Representation(quiver, fld, tuple(dims), tuple(slots[e] for e in range(len(quiver.edges))))
+    return tuple(slots[e] for e in range(len(edges)))
 
 
 def barcode_to_json(bar: Barcode) -> list[dict]:

@@ -168,7 +168,7 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import cycle, groupby
+from itertools import accumulate, cycle, groupby
 from operator import itemgetter
 
 from .errors import (InternalCheckError, ShapeError, ValidationError, check_counts, check_ints,
@@ -256,13 +256,14 @@ class Barcode:
         return Barcode(tuple(sorted(d.items())))
 
     def dims_vector(self, n: int) -> tuple[int, ...]:
+        """The dimension at each of n positions: one difference per bar end, then their sums."""
         check_counts((n,), "path length")
-        dims = [0] * n
+        steps = [0] * (n + 1)
         for iv, mult in self.entries:
             iv.check_on_path(n)
-            for x in range(iv.lo, iv.hi + 1):
-                dims[x] += mult
-        return tuple(dims)
+            steps[iv.lo] += mult
+            steps[iv.hi + 1] -= mult
+        return tuple(accumulate(steps[:n]))
 
     def __iter__(self):
         return iter(self.entries)
@@ -347,8 +348,10 @@ def _bars(fld: Field, dims: tuple[int, ...], crossings: list[tuple[Matrix, bool]
         return Barcode(())
     _check_entry_cap(max(dims) ** 2, "flag basis")
     # fewer crossings than edges are one turn of a cycle, and two turns carry
-    # its period across the turn's end; matrices compare by value
-    period = _least_period(crossings * 2 if len(crossings) < n - 1 else crossings)
+    # its period across the turn's end; matrices compare by value, as the
+    # keys that ``Matrix.__eq__`` compares, less the one field
+    keys = [(m.rows, m.cols, m.den, m.ints, forward) for m, forward in crossings]
+    period = _least_period(keys * 2 if len(crossings) < n - 1 else keys)
     periodic = period < n - 1
     # the segments of the period, each [flag operation, matrix, length]; on a
     # path that does not repeat, a run of square crossings is tried whole

@@ -83,11 +83,13 @@ ROUND_SWEEPS = {
 
 
 # Fractions built over the same round: the QQ entries that ``data`` writes
-# back, slopes and weights; QQ instance entries are read into ints
+# back, slopes and weights; QQ instance entries are read into ints, each hn
+# request builds its Euler weights once (``fast_report`` compares ints), and
+# ``check_b`` recovers its classes with no slope per candidate
 ROUND_FRACTIONS = {
-    "lift-long": 693,
-    "zigzag-rational": 144,
-    "oracle-certify": 1614,
+    "lift-long": 353,
+    "zigzag-rational": 84,
+    "oracle-certify": 1191,
 }
 
 

@@ -1,15 +1,17 @@
 import dataclasses
+import importlib
 import json
 import os
 import random
 import subprocess
 import sys
 from fractions import Fraction
+from pkgutil import iter_modules
 
 import pytest
 
 import hnzz
-from hnzz import campaign, cli, serialize
+from hnzz import affine, campaign, cli, quiver, serialize
 from hnzz.affine import AffineQuiver, CCW, CW, NClass, indec_N, indec_T, to_quiver
 from hnzz.cli import main
 from hnzz.errors import InternalCheckError
@@ -698,6 +700,70 @@ class TestMalformedInput:
         assert run(["barcode", inp]) == 2
         assert capsys.readouterr().err == err
 
+    @pytest.mark.parametrize(
+        "fld, matrices, code, err",
+        [
+            (GF(3), [[[3]], [[-1]], [["1"]]], 2,
+             "error: matrix 2: GF(3) entry must be an int, not str\n"),
+            (QQ, [[["2/4"]], [["0.5"]], [[0.5]]], 2,
+             "error: matrix 2: QQ entry must be exact, not float\n"),
+            (GF(3), [[[1]], [[True]], [[1]]], 2,
+             "error: matrix 1: GF(3) entry must be an int, not bool\n"),
+            (GF(3), [[["1"]], [[1], [1, 0]], [[1]]], 2,
+             "error: matrix 0: GF(3) entry must be an int, not str\n"),
+            (QQ, [[[0.5]], [["1"], ["1", "0"]], [["1"]]], 2,
+             "error: matrix 0: QQ entry must be exact, not float\n"),
+            (GF(3), [[["1"]], ("edge", 7), [[1]]], 2,
+             "error: matrix 0: GF(3) entry must be an int, not str\n"),
+            (GF(3), [[["1"]], ("edge", 0), [[1]]], 2,
+             "error: matrix 0: GF(3) entry must be an int, not str\n"),
+            (GF(3), [[[1]], [[1], [1, 0]], [["1"]]], 3,
+             "invariant violation: ragged rows in matrix data\n"),
+            (GF(3), [[[3]], [[1]], ("edge", 5)], 2, "error: matrix for unknown edge 5\n"),
+        ],
+        ids=["gf3-after-residues", "qq-after-strings", "gf3-true", "entry-then-ragged",
+             "qq-entry-then-ragged", "entry-then-unknown-edge", "entry-then-duplicate-edge",
+             "ragged-then-entry", "residue-then-unknown-edge"],
+    )
+    def test_first_refusal_in_document_order(self, tmp_path, capsys, fld, matrices, code, err):
+        # a document of three matrices, each 1x1 unless it says otherwise, or
+        # with its "edge" key replaced: the first refusal in document order
+        # is the one printed, whatever valid but non-canonical entries the
+        # matrices before it hold and whatever errors the matrices after it hold
+        doc = instance_to_json(interval_module(equioriented_quiver(4), Interval(0, 3), fld))
+        for mobj, change in zip(doc["matrices"], matrices):
+            if isinstance(change, tuple):
+                mobj[change[0]] = change[1]
+            else:
+                mobj["rows"] = change
+        inp = tmp_path / "inst.json"
+        write_json(str(inp), doc)
+        assert run(["barcode", inp]) == code
+        assert capsys.readouterr().err == err
+
+    @pytest.mark.parametrize("fld", [GF(3), QQ], ids=repr)
+    def test_matrices_out_of_edge_order(self, tmp_path, capsys, fld):
+        # each matrix is read into the slot of its edge, and a bad entry is
+        # refused in the order the document lists the matrices
+        doc = instance_to_json(interval_module(equioriented_quiver(4), Interval(0, 3), fld))
+        entry = (lambda x: x) if fld == GF(3) else str
+        for mobj, x in zip(doc["matrices"], (2, 0, 1)):
+            mobj["rows"] = [[entry(x)]]
+        listed = dict(doc, matrices=doc["matrices"][::-1])
+        inp = tmp_path / "inst.json"
+        write_json(str(inp), listed)
+        rep = instance_from_json(load_json(str(inp)))
+        assert [m.data for m in rep.mats] == [((2,),), ((0,),), ((1,),)]
+        assert run(["barcode", inp]) == 0
+        assert capsys.readouterr().err == ""
+        listed["matrices"][2]["rows"] = [["x"]]  # edge 0, listed last
+        listed["matrices"][1]["rows"] = [[0.5]]  # edge 1
+        write_json(str(inp), listed)
+        assert run(["barcode", inp]) == 2
+        must = "an int" if fld == GF(3) else "exact"
+        err = f"error: matrix 1: {fld!r} entry must be {must}, not float\n"
+        assert capsys.readouterr().err == err
+
     def test_repeated_entry_strings_read_once(self, tmp_path, monkeypatch, count_calls):
         # one read per distinct string of the document, however often it
         # occurs in the matrices, and each into ints: no Fraction is built
@@ -843,3 +909,30 @@ class TestClosedStdout:
             assert proc.wait(timeout=60) == 1
         assert "Traceback" not in err
         assert "Exception ignored" not in err
+
+
+def calls_everywhere(count_calls, function) -> list[list]:
+    """``count_calls`` on every module of the package that binds ``function`` by name."""
+    modules = [importlib.import_module(f"hnzz.{info.name}") for info in iter_modules(hnzz.__path__)]
+    name = function.__name__
+    return [count_calls(module, name) for module in modules
+            if getattr(module, name, None) is function]
+
+
+def test_each_request_resolves_and_weighs_once(tmp_path, count_calls):
+    # a lift or hn request on a cycle resolves it with one affine_of_quiver,
+    # and an hn request builds its Euler weights once; an hn request on a
+    # path also asks once whether it is a cycle
+    aq = AffineQuiver(3, (CW, CW, CCW))
+    cycle = write_instance(tmp_path, indec_N(aq, 0, 4, GF(3)), aq)
+    path = write_instance(tmp_path, interval_module(equioriented_quiver(3), Interval(0, 1), GF(3)),
+                          name="path.json")
+    resolved = calls_everywhere(count_calls, affine.affine_of_quiver)
+    weighed = calls_everywhere(count_calls, quiver.euler_stability)
+    assert resolved and weighed
+    for command, inp in (("lift", cycle), ("hn", cycle), ("hn", path)):
+        for calls in resolved + weighed:
+            calls.clear()
+        assert run([command, inp, "--out", tmp_path / "out.json"]) == 0
+        counts = sum(map(len, resolved)), sum(map(len, weighed))
+        assert counts == (1, int(command == "hn")), (command, inp)

@@ -2,7 +2,7 @@ import random
 import time
 from decimal import Decimal
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 from pathlib import Path
 
 import pytest
@@ -218,6 +218,29 @@ def assert_int_rows(m: Matrix) -> None:
     """A basis as the flag operations hand it on: a canonical Matrix of integer rows."""
     assert type(m) is Matrix and m.den == 1
     assert_canonical(m)
+
+
+def trial_division(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+class TestPrimeModulus:
+    def test_is_prime_agrees_with_trial_division(self):
+        assert [n for n in range(200_000) if linalg._is_prime(n) != trial_division(n)] == []
+
+    @pytest.mark.parametrize("n, prime", [
+        (2047, False), (1_373_653, False), (25_326_001, False),  # strong pseudoprimes to base 2
+        (2_147_483_629, True), (2_147_483_647, True),
+    ])
+    def test_is_prime_on_pseudoprimes_and_large_primes(self, n, prime):
+        assert linalg._is_prime(n) is prime
+        if n < 30_000_000:
+            assert trial_division(n) is prime
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 251, 257, 65_537, 2**31 - 1])
+    def test_residue_table(self, p):
+        # the byte table that the packed row steps reduce through
+        assert GF(p)._residues == bytes(x % p for x in range(256))
 
 
 class TestTrustedConstructor:

@@ -10,6 +10,7 @@ from hnzz.generators import gen_affine, gen_persistence
 from hnzz.hn import hn_bruteforce
 from hnzz.linalg import GF, QQ, Matrix
 from hnzz.quiver import direct_sum, euler_stability
+from hnzz import serialize
 from hnzz.serialize import (
     _field_from_json,
     _field_to_json,
@@ -181,6 +182,82 @@ class TestReaderAgainstCoerce:
         assert read_by_reader(QQ, rows) == (((6, -8, 0), (48, 9, -36)), 12)
         assert read_by_reader(QQ, [["-3", "10/5"], ["0", "7"]]) == (((-3, 2), (0, 7)), 1)
         assert read_by_reader(GF(3), [[0, 2], [1, 1]]) == (((0, 2), (1, 1)), 1)
+
+
+def read_outcome(doc):
+    """What ``instance_from_json`` makes of ``doc``: the matrices, or the error's type and text."""
+    try:
+        return [(m.rows, m.cols, m.ints, m.den) for m in instance_from_json(doc).mats]
+    except (ParseError, ValidationError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+# changes to one matrix object of a GF(p) document: the one-pass read takes
+# none of them, and the read matrix by matrix accepts or refuses each
+MATRIX_CHANGES = [
+    lambda m, p: m["rows"][0].__setitem__(0, p),  # reduced by coerce
+    lambda m, p: m["rows"][0].__setitem__(0, -1),
+    lambda m, p: m["rows"][0].__setitem__(0, True),
+    lambda m, p: m["rows"][0].__setitem__(0, "1"),
+    lambda m, p: m["rows"][0].__setitem__(0, 1.0),
+    lambda m, p: m["rows"].append(m["rows"][0] + [0]),  # ragged
+    lambda m, p: m["rows"].__setitem__(0, tuple(m["rows"][0])),
+    lambda m, p: m["rows"].__setitem__(0, 5),
+    lambda m, p: m.__setitem__("rows", tuple(m["rows"])),
+    lambda m, p: m.__setitem__("edge", 99),
+    lambda m, p: m.__setitem__("edge", 0),  # a duplicate unless it is edge 0
+    lambda m, p: m.__setitem__("edge", True),
+    lambda m, p: m.pop("rows"),
+    lambda m, p: m.clear(),
+]
+
+
+class TestOnePassReader:
+    """A GF(p) document read in one pass reads as it did matrix by matrix."""
+
+    def test_same_outcome_as_read_matrix_by_matrix(self, monkeypatch):
+        rng = make_rng(52)
+        seen, cases = set(), 0
+        for _ in range(60):
+            p = rng.choice((2, 3, 5, 257))
+            aq, rep, _, _ = gen_affine(rng.randint(2, 4), GF(p), 3, rng, min_summands=1)
+            clean = instance_to_json(rep, aq)
+            docs = [clean]
+            for _ in range(8):
+                doc = json.loads(json.dumps(clean))
+                rng.shuffle(doc["matrices"])
+                for _ in range(rng.randint(0, 2)):
+                    mobj = rng.choice(doc["matrices"])
+                    rows = mobj.get("rows")
+                    if type(rows) is list and rows and type(rows[0]) is list and rows[0]:
+                        rng.choice(MATRIX_CHANGES)(mobj, p)
+                if rng.random() < 0.1:
+                    doc["matrices"].pop()
+                if rng.random() < 0.1:  # one edge twice, every edge there
+                    doc["matrices"].append(json.loads(json.dumps(rng.choice(doc["matrices"]))))
+                docs.append(doc)
+            for doc in docs:
+                got = read_outcome(doc)
+                with monkeypatch.context() as slow:
+                    slow.setattr(serialize, "_residue_matrices", lambda *args: None)
+                    assert read_outcome(doc) == got
+                seen.add(got[0] if isinstance(got, tuple) else "read")
+                seen.add("duplicate" if "duplicate matrix" in got[-1] else "")
+                cases += 1
+        assert cases == 540
+        assert seen == {"read", "ParseError", "ValidationError", "duplicate", ""}
+
+    def test_residues_build_no_public_matrix(self, count_calls):
+        aq = AffineQuiver(3, (CW, CW, CCW))
+        rep = indec_N(aq, 0, 5, GF(3))
+        doc = instance_to_json(rep, aq)
+        built = count_calls(Matrix, "__init__")
+        mats = instance_from_json(doc).mats
+        assert len(built) == 0
+        assert mats == rep.mats
+        doc["matrices"][2]["rows"][0][0] += 3  # a residue only after coerce
+        assert instance_from_json(doc).mats == mats
+        assert len(built) == 3
 
 
 class TestReportCodecs:
