@@ -209,11 +209,13 @@ def p_value(aq: AffineQuiver, u: int, v: int) -> int:
     slope of the wrapped-interval indecomposable.
     """
     check_type(aq, AffineQuiver, "cycle")
-    n = aq.n
-    NClass(u, v).on_cycle(n)
-    into_left = aq.orientation[u] == CW
-    into_right = aq.orientation[(v + 1) % n] == CCW
-    return int(into_left) + int(into_right)
+    NClass(u, v).on_cycle(aq.n)
+    return _edges_into(aq, u, v)
+
+
+def _edges_into(aq: AffineQuiver, u: int, v: int) -> int:
+    """``p_value(aq, u, v)`` for an on-cycle (u, v), unchecked."""
+    return (aq.orientation[u] == CW) + (aq.orientation[(v + 1) % aq.n] == CCW)
 
 
 def euler_slope_N(aq: AffineQuiver, u: int, v: int) -> Fraction:
@@ -375,14 +377,12 @@ def _recovery(rep: HNReport, aq: AffineQuiver) -> Callable[[int, int], int | Non
     It builds no class and no slope: the steps are keyed by the numerator
     and denominator of their slopes, and the slope (1 - p) / (v - u + 1) of
     a p != 1 class has numerator 1 - p = +-1, so (1 - p, v - u + 1) is
-    already in lowest terms.  p is ``p_value``'s count, read off the
-    orientation.
+    already in lowest terms.  p is ``p_value``'s count, unchecked.
     """
     steps = {(sl.numerator, sl.denominator): dims for sl, dims in rep.steps}
-    n, orientation = aq.n, aq.orientation
 
     def recovered(u: int, v: int) -> int | None:
-        p = (orientation[u] == CW) + (orientation[(v + 1) % n] == CCW)
+        p = _edges_into(aq, u, v)
         if p == 1:
             return None
         dims = steps.get((1 - p, v - u + 1))
