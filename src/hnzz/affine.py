@@ -233,12 +233,7 @@ def default_window(v: Representation) -> int:
     This is where ``classify_lift`` resolves the cycle, once.
     """
     check_type(v, Representation, "lift input")
-    return _least_window(v, affine_of_quiver(v.quiver))
-
-
-def _least_window(v: Representation, aq: AffineQuiver) -> int:
-    """``default_window(v)`` for v on the cycle ``aq``, resolved already."""
-    return aq.n * (v.dims[0] + 2)
+    return affine_of_quiver(v.quiver).n * (v.dims[0] + 2)
 
 
 def _check_window_cap(D) -> None:
@@ -304,14 +299,14 @@ def classify_lift(
     int (a bool included), or a v that is not a Representation, raises
     ValidationError.
     """
-    return _classified(v, default_window(v), window)
+    default_window(v)  # checks v and resolves its cycle
+    return _classified(v, window)
 
 
-def _classified(v: Representation, bound: int,
-                window: int | None) -> tuple[int, dict[NClass, int], Barcode]:
-    """``classify_lift(v, window)`` for v on a resolved cycle whose
-    ``default_window`` is ``bound``."""
+def _classified(v: Representation, window: int | None) -> tuple[int, dict[NClass, int], Barcode]:
+    """``classify_lift(v, window)`` for v on a resolved cycle."""
     n = v.quiver.vertex_count
+    bound = (v.dims[0] + 2) * n  # default_window(v)
     D = bound if window is None else window
     _check_window_cap(D)
     if D % n != 0:
@@ -356,7 +351,7 @@ def eta_from_lift(v: Representation) -> HNReport:
 
 def _eta(v: Representation, aq: AffineQuiver) -> HNReport:
     """``eta_from_lift(v)`` for v on the cycle ``aq``, resolved already."""
-    d_inf, classes, _ = _classified(v, _least_window(v, aq), None)
+    d_inf, classes, _ = _classified(v, None)
     n = aq.n
     parts = [
         (euler_slope_N(aq, c.u, c.v), tuple(mult * d for d in wrap_counts(n, c.u, c.v)))

@@ -672,14 +672,13 @@ def _from_columns(field: PrimeField, vectors: Sequence[Sequence[int]], dim: int)
 # map moves it with none: the images of the columns stay independent, so
 # ``_flag_moved`` is one product with the dims unchanged, and the preimage
 # flag through an invertible map is the flag moved by its inverse.  A run
-# of square maps moves it by ``_composed``: from the identity it builds
-# the run's map, for a flag to cross by one product in every period of a
-# periodic path, and from a flag's basis it moves that basis across the
-# run with one solve per stretch of maps pointing left and one rank, and
-# builds no map.  A member is the span of its columns, so a flag basis
-# stands for its members up to column scaling, and a map up to a nonzero
-# scalar: the operations read the ``ints`` of their Matrix arguments
-# alone and return bases with ``den`` 1.
+# of square maps moves it by the run's map, which ``_composed`` builds
+# from the identity with one solve per stretch of maps pointing left and
+# one rank, so that every flag crossing the run takes one product.  A
+# member is the span of its columns, so a flag basis stands for its
+# members up to column scaling, and a map up to a nonzero scalar: the
+# operations read the ``ints`` of their Matrix arguments alone and return
+# bases with ``den`` 1.
 # ---------------------------------------------------------------------------
 
 
@@ -775,49 +774,42 @@ def _scaled_solve(m: Matrix, rhs: Sequence[Sequence[int]]) -> tuple[list, int] |
     return [reduce([x * f for x in row[n:]]) for f, row in zip(scales, work)], s
 
 
-def _composed(run: Sequence[tuple[Matrix, bool]],
-              basis: Matrix | None = None) -> tuple[Matrix | None, int]:
+def _composed(run: Sequence[tuple[Matrix, bool]]) -> tuple[Matrix | None, int]:
     """The map of a run of d x d crossings up to a nonzero scalar, or None if one is singular.
 
     ``run`` holds (matrix, points right) pairs, crossed in order, and
-    ``_carried`` moves the identity across it; one rank of the result then
-    certifies the maps pointing right, if any.  Given a flag ``basis`` of
-    full column rank, the same steps move it instead, and the result is
-    the basis of the flag across the run, dims unchanged, or None.  Also
-    returns the length of the prefix whose left-pointing crossings a
-    solve certified.
+    ``_carried`` composes their map; one rank of it then certifies the
+    maps pointing right, if any.  Also returns the length of the prefix
+    whose left-pointing crossings a solve certified.
     """
-    moved, solved = _carried(run, basis)
+    moved, solved = _carried(run)
     if moved is not None and any(forward for _, forward in run) and rank(moved) < moved.cols:
         return None, solved
     return moved, solved
 
 
-def _carried(run: Sequence[tuple[Matrix, bool]],
-             basis: Matrix | None = None) -> tuple[Matrix | None, int]:
-    """``_composed`` with no rank: ``basis`` (the identity if None) moved across ``run``.
+def _carried(run: Sequence[tuple[Matrix, bool]]) -> tuple[Matrix | None, int]:
+    """``_composed`` with no rank: the map of ``run``, up to a nonzero scalar.
 
-    X starts as ``basis``: f pointing right makes it f @ X, and a stretch
-    of b1, b2, ... pointing left makes it B⁻¹ @ X for B = b1 @ b2 @ ...,
-    one ``_scaled_solve`` of [B | X] that fails exactly when B is
-    singular, and then X is None.  A map, unlike a basis, is scaled as a
-    whole: from the identity each result goes through the field's
-    ``primitive``, and a basis through its ``primitive_columns``, as in
-    ``_flag_moved``.  Also returns the length of the prefix whose
-    left-pointing crossings a solve certified.  A run of crossings known
-    to be bijections needs no rank, and ``_segments`` composes such
-    stretches here.
+    X starts as the identity: f pointing right makes it f @ X, and a
+    stretch of b1, b2, ... pointing left makes it B⁻¹ @ X for B = b1 @ b2
+    @ ..., one ``_scaled_solve`` of [B | X] that fails exactly when B is
+    singular, and then X is None.  Each result goes through the field's
+    ``primitive``, which over QQ divides it by the gcd of its entries.
+    Also returns the length of the prefix whose left-pointing crossings a
+    solve certified.  A run of crossings known to be bijections needs no
+    rank, and ``zigzag._decided`` composes such stretches here; a run of
+    one crossing pointing right is its own matrix, which may be
+    non-square.
     """
     field, d = run[0][0].field, run[0][0].cols
     product, primitive = field.product, field.primitive
-    scaled = primitive if basis is None else field.primitive_columns
-    x, cols = (None, d) if basis is None else (basis.ints, basis.cols)
-    solved = 0
+    x, solved = None, 0
     for forward, stretch in groupby(run, itemgetter(1)):
         mats = [m for m, _ in stretch]
         if forward:
             for f in mats:
-                x = f.ints if x is None else scaled(product(f.ints, x, cols))
+                x = f.ints if x is None else primitive(product(f.ints, x, d))
         else:
             b = mats[0]
             for m in mats[1:]:
@@ -825,9 +817,9 @@ def _carried(run: Sequence[tuple[Matrix, bool]],
             out = _scaled_solve(b, _unit_rows(d) if x is None else x)
             if out is None:
                 return None, solved
-            x = scaled(out[0])
+            x = primitive(out[0])
         solved += len(mats)
-    return Matrix._canonical(field, x, cols), solved
+    return Matrix._canonical(field, x, d), solved
 
 
 def _flag_completed(basis: Matrix) -> Matrix:

@@ -102,55 +102,48 @@ rank row and no difference of rows:
 * the last row is a swept row shifted by a whole number of periods.
 
 One loop steps the flag from segment end to segment end: a segment is
-a maximal run of square bijections within one period, or any other
-crossing, so every multiple of p is a segment end.  A square bijection
-keeps each member's dimension, so the new mark (k, dim V_k, 0) equals
-the last pair and is dropped, and the marks and rank row stay the same
-through a run.  So no bar ends inside a run, a run cut short by the
-path's end is not crossed, and the first repeat falls on a segment end:
-one inside a run holds at the run's start.  The loop keeps the
-position, marks and rank row of each segment end of the last period,
-and a position has the row of the last segment end at or before it.
+a stretch of square bijections within one period that the flag crosses
+in one step, or one crossing, so every multiple of p is a segment end.
+A square bijection keeps each member's dimension, so the new mark
+(k, dim V_k, 0) equals the last pair and is dropped, and the marks and
+rank row stay the same through a run.  So no bar ends inside a run, a
+run cut short by the path's end is not crossed, and the first repeat
+falls on a segment end: one inside a run holds at the run's start.  On
+a periodic path the loop keeps the position, marks and rank row of each
+segment end from k - p on, and a position has the row of the last
+segment end at or before it.
 
-One function, ``_segments``, states how the sweep crosses each place of
-the period.  A bijection between consecutive spaces maps each flag
-member onto a member of the same dimension (Carlsson and de Silva,
-"Zigzag persistence", 2010), and so does an injective edge pointing
-right onto its image, so such an edge moves the flag by a product with
-its matrix or its inverse, dims unchanged.  A run of square crossings
-moves it by ``linalg._composed``: one product per matrix pointing
-right, one solve of [B | X] per stretch of left-pointing matrices, B
-their product and X what the run has made so far, and one rank at the
-end, which certifies the matrices pointing right.
+One rule crosses each place of the period, a place being a maximal run
+of square crossings or one other crossing.  A bijection between
+consecutive spaces maps each flag member onto a member of the same
+dimension (Carlsson and de Silva, "Zigzag persistence", 2010), and so
+does an injective edge pointing right onto its image, so such an edge
+moves the flag by a product with its matrix or its inverse, dims
+unchanged.  ``_decided`` decides a place once, and the decision is kept
+by place: on a periodic path when a flag first reaches it, and on an
+aperiodic path when a non-trivial flag reaches a run of two or more
+square crossings.  ``linalg._composed`` composes the run's map from the
+identity: one product per matrix pointing right, one solve of [B | X]
+per stretch of left-pointing matrices, B their product and X the map so
+far, and one rank at the end, which certifies the matrices pointing
+right.  A run of bijections is then one segment, which moves the flag
+by one product with its map, ``_flag_moved``.  A crossing of a run that
+fails, and a non-square one, is decided alone: it moves the flag when a
+solve of its run certified it, or when it points right or is square and
+has full column rank, which needs at least as many rows as columns, so a
+wider matrix is not ranked.  Each maximal stretch of moved crossings,
+each of them certified already, is composed into one segment with no
+rank (``linalg._carried``), and every other crossing is a segment of its
+own, an image or preimage step.
 
-On a periodic path every crossing of the period recurs, so ``_segments``
-decides each place once, and X starts as the identity: each maximal run
-of square crossings is first composed whole into one map, which then
-moves the flag by one product, ``_flag_moved``, in every period.  A
-crossing of a run that fails, and a non-square one, is decided alone:
-it moves the flag when a solve of its run certified it, or when it
-points right or is square and has full column rank, which needs at least
-as many rows as columns, so a wider matrix is not ranked.  Each maximal
-stretch of moved square crossings, each of them certified already, is
-composed again into one segment with no rank (``linalg._carried``), and
-every other crossing is a segment of its own.
-
-On an aperiodic path no crossing recurs, so nothing is decided ahead,
-and no map is composed: it would never be read again, and over QQ it
-grows with the run.  Each maximal run of two or more square crossings
-is one segment, and the flag that reaches it moves its own basis across
-it, X starting as that basis, each column divided by its gcd.  With a
-basis of full rank, one final rank of full rank certifies the whole
-run, and the marks, rank row and bars are taken once for it.  A run
-with a singular matrix (a failed solve, or a final rank below d) is
-stepped one crossing at a time, as is every other crossing, by
-``_flag_image`` or ``_flag_preimage``.
-
-A trivial flag keeps its dims across a bijection, which maps 0 to 0 and
-the whole space to the whole space, and its basis, which is never read:
-no product.  So on an aperiodic path it does not try a run whole, since
-it would carry the run's map as its basis, but steps it one crossing at
-a time, each from the identity.
+Every other place is stepped one crossing at a time, by ``_flag_image``
+or ``_flag_preimage``.  On an aperiodic path no place recurs, so a
+decision is read once.  It saves a non-trivial flag the steps of a run
+of bijections, but nothing on a lone crossing, and a trivial flag needs
+no run's map, whose entries over QQ grow with the run: it keeps its dims
+across a bijection, which maps 0 to 0 and the whole space to the whole
+space, and its basis, which is never read, so it crosses a decided run
+with no product and steps every other crossing from the identity.
 
 The sweep runs on the integer rows that every ``Matrix`` holds: the
 flag operations read an edge matrix's ``ints`` and skip its
@@ -353,12 +346,15 @@ def _bars(fld: Field, dims: tuple[int, ...], crossings: list[tuple[Matrix, bool]
     keys = [(m.rows, m.cols, m.den, m.ints, forward) for m, forward in crossings]
     period = _least_period(keys * 2 if len(crossings) < n - 1 else keys)
     periodic = period < n - 1
-    # the segments of the period, each [flag operation, matrix, length]; on a
-    # path that does not repeat, a run of square crossings is tried whole
-    segments = _segments(crossings[:period], periodic)
-    # the position, marks and rank row of each segment end of the last period
-    past: deque[tuple[int, list[int], list[tuple], dict[int, int]]] = deque(
-        maxlen=len(segments) if periodic else 0)
+    # the places of the period: each maximal run of square crossings, and
+    # each other crossing; and the segments of each place decided so far
+    places: list[list[tuple[Matrix, bool]]] = []
+    for square, run in groupby(crossings[:period], lambda c: c[0].rows == c[0].cols):
+        places += [list(run)] if square else [[c] for c in run]
+    decided: dict[int, list[list]] = {}
+    # on a periodic path, the position, marks and rank row of each segment
+    # end from k - period on
+    past: deque[tuple[int, list[int], list[tuple], dict[int, int]]] = deque()
     found: dict[tuple[int, int], int] = {}
 
     # one flag carries both chains, over one list of marks: the starts a,
@@ -366,10 +362,12 @@ def _bars(fld: Field, dims: tuple[int, ...], crossings: list[tuple[Matrix, bool]
     basis = Matrix.identity(fld, dims[0])
     starts, pairs = [0], [(dims[0], 0)]
     g: dict[int, int] = {}  # the rank row of the last segment end swept
-    # the remaining crossings of a run that the flag steps one at a time, the next one last
-    k, ahead, pending = 0, cycle(segments), []
+    # the places in turn, and the segments left of the one the flag is in
+    k, ahead, segments = 0, cycle(enumerate(places)), iter(())
     while True:
-        if (periodic and len(past) == len(segments) and pairs == past[0][2]
+        while past and past[0][0] < k - period:
+            past.popleft()
+        if (past and past[0][0] == k - period and pairs == past[0][2]
                 and starts == _shifted(past[0][1], period)):
             # k repeats k - period, and so does every later position: the
             # row of a position i >= k is that of i - period, shifted
@@ -387,20 +385,28 @@ def _bars(fld: Field, dims: tuple[int, ...], crossings: list[tuple[Matrix, bool]
             break
         prev_g, g = g, _rank_jumps(starts, pairs)
         _close_bars(found, prev_g, g, k)
-        past.append((k, starts, pairs, g))
-        segment = pending.pop() if pending else next(ahead, None)
-        if segment is None or k + segment[2] >= n:
-            # the path ends here, or inside a run, which keeps the marks
+        if periodic:
+            past.append((k, starts, pairs, g))
+        if k == n - 1:
             break
         a_dims, r_dims = zip(*pairs)
-        crossed = _crossed(segment, basis, r_dims + a_dims)
-        if crossed is None:
-            # the flag does not cross the run whole: it steps one crossing at a time
-            pending = _steps(reversed(segment[1]))
-            segment = pending.pop()
-            crossed = _crossed(segment, basis, r_dims + a_dims)
+        flag_dims = r_dims + a_dims
+        segment = next(segments, None)
+        if segment is None:
+            # the flag reaches a place: each place of a periodic path, and a run
+            # of two or more square crossings that a non-trivial flag reaches,
+            # is decided once; any other place is stepped one crossing at a time
+            index, place = next(ahead)
+            if index not in decided and (periodic or len(place) > 1
+                                         and not set(flag_dims) <= {0, basis.rows}):
+                decided[index] = _decided(place)
+            segments = iter(decided.get(index) or _steps(place))
+            segment = next(segments)
+        if k + segment[2] >= n:
+            # the path ends inside a run, which keeps the marks
+            break
         k += segment[2]
-        basis, new = crossed
+        basis, new = _crossed(segment, basis, flag_dims)
         r_dims, a_dims = new[:len(r_dims)], new[len(r_dims):]
         # nested members of equal dimension are equal: keep the first start
         previous, starts, pairs = starts, [], []
@@ -421,41 +427,28 @@ def _bars(fld: Field, dims: tuple[int, ...], crossings: list[tuple[Matrix, bool]
     return bar
 
 
-def _segments(period: list[tuple[Matrix, bool]], periodic: bool) -> list[list]:
-    """The segments of one ``period`` of crossings, each [flag operation, matrix, length].
+def _decided(place: list[tuple[Matrix, bool]]) -> list[list]:
+    """The segments of one ``place`` of the period, each [flag operation, matrix, length].
 
-    On a path that does not repeat, a maximal run of two or more square
-    crossings is one segment whose operation is ``_composed`` and whose
-    matrix is the run itself: the flag that reaches it decides whether it
-    crosses whole (``_crossed``).  On a periodic path a maximal run of
-    square crossings that ``_composed`` finds all bijections is one
-    segment.  Any other crossing moves the flag when a solve of its run
-    certified it, or when it points right or is square and has full column
-    rank; a moved non-square crossing is a segment of its own, each maximal
-    stretch of moved square ones is composed into one with no further rank,
-    and every other crossing is an image or preimage step.
+    A place is a maximal run of square crossings or one other crossing.
+    A run that ``_composed`` finds all bijections is one segment, its
+    map.  Any other crossing moves the flag when a solve of its run
+    certified it, or when it points right or is square and has full
+    column rank; each maximal stretch of moved crossings, each of them
+    certified already, is composed into one segment with no further rank
+    (``_carried``), and every other crossing is an image or preimage step.
     """
+    square = place[0][0].rows == place[0][0].cols
+    composed, solved = _composed(place) if square else (None, 0)
+    if composed is not None:
+        return [[_flag_moved, composed, len(place)]]
+    moved = [i < solved and not forward or (forward or square)
+             and m.rows >= m.cols and rank(m) == m.cols
+             for i, (m, forward) in enumerate(place)]
     segments: list[list] = []
-    for square, run in groupby(period, lambda c: c[0].rows == c[0].cols):
-        run = list(run)
-        if not periodic:
-            segments += [[_composed, run, len(run)]] if square and len(run) > 1 else _steps(run)
-            continue
-        composed, solved = _composed(run) if square else (None, 0)
-        if composed is not None:
-            segments.append([_flag_moved, composed, len(run)])
-            continue
-        moved = [i < solved and not forward or (forward or square)
-                 and m.rows >= m.cols and rank(m) == m.cols
-                 for i, (m, forward) in enumerate(run)]
-        for move, part in groupby(zip(moved, run), itemgetter(0)):
-            part = [crossing for _, crossing in part]
-            if not move:
-                segments += _steps(part)
-            elif square:
-                segments.append([_flag_moved, _carried(part)[0], len(part)])
-            else:
-                segments += [[_flag_moved, m, 1] for m, _ in part]
+    for move, part in groupby(zip(moved, place), itemgetter(0)):
+        part = [crossing for _, crossing in part]
+        segments += [[_flag_moved, _carried(part)[0], len(part)]] if move else _steps(part)
     return segments
 
 
@@ -507,22 +500,14 @@ def _close_bars(found: dict[tuple[int, int], int], prev_g: dict[int, int], g: di
 def _crossed(segment: list, basis: Matrix, dims):
     """The flag (basis, dims) stepped and completed across a segment (module docstring).
 
-    ``segment`` is [flag operation, matrix, length], one per segment of
-    the period in ``_bars``; a run of bijections holds their product.  A
+    ``segment`` is [flag operation, matrix, length], one of a place's
+    segments in ``_bars``; a run of bijections holds their product.  A
     trivial flag keeps its basis and dims across a bijection, and
-    otherwise steps from the identity, which keeps QQ bases small.  A
-    run of square crossings on a path that does not repeat moves a
-    non-trivial flag's basis across it whole, when it is all bijections;
-    otherwise, and for a trivial flag, this returns None, and the run's
-    crossings are stepped one at a time.
+    otherwise steps from the identity, which keeps QQ bases small.
     """
     op, m, _ = segment
     d = basis.rows
-    trivial = set(dims) <= {0, d}
-    if op is _composed:
-        moved = None if trivial else _composed(m, basis)[0]
-        return None if moved is None else (moved, dims)
-    if trivial:
+    if set(dims) <= {0, d}:
         if op is _flag_moved and m.rows == d:
             return basis, dims
         basis = Matrix.identity(m.field, d)

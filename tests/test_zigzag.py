@@ -628,14 +628,16 @@ class TestSharedMatrices:
 
 
 def test_distinct_matrices_run_every_step(count_calls):
-    # the path has no period, so no flag step is shared and no crossing is
-    # decided ahead: each of its three runs of square crossings (3, 2 and 3
-    # long) is tried whole by the flag that reaches it, the trivial flag
-    # steps one crossing at a time at once, and the two non-trivial flags
-    # find a singular map, each with one elimination, and then step one at
-    # a time too.  Every other step runs its elimination, no matrix is
-    # ranked on its own, and the rank rows are read off the marks' dims;
-    # the row updates are those of the eliminations (QQ products make none)
+    # the path has no period, so no flag step is shared and a place is
+    # decided only when a non-trivial flag reaches a run of square crossings.
+    # Of its three runs (3, 2 and 3 long) the trivial flag reaches one and
+    # steps it one crossing at a time.  The two non-trivial flags compose
+    # the others from the identity and find a singular map, each with one
+    # elimination.  A failed run is then split by ranks: each of its three
+    # crossings is ranked, the one with full rank moves the flag by one
+    # product and the other two step.  Every other step runs its
+    # elimination, and the rank rows are read off the marks' dims; the row
+    # updates are those of the eliminations (QQ products make none)
     rng = make_rng(68)
     q = random_path_quiver(40, rng)
     dims = tuple(rng.randint(0, 4) for _ in range(40))
@@ -649,7 +651,7 @@ def test_distinct_matrices_run_every_step(count_calls):
     row_updates = count_calls(linalg.RationalField, "row_update")
     ranks = count_calls(zigzag, "rank")
     barcode(v)
-    assert (len(eliminations), len(row_updates), len(ranks)) == (27, 62, 0)
+    assert (len(eliminations), len(row_updates), len(ranks)) == (31, 63, 6)
 
 
 def test_rational_sweep_makes_no_fraction_arithmetic(count_calls):
@@ -935,20 +937,21 @@ def bijection_run_steps(rng, fld) -> list:
 def test_runs_of_bijections_cross_in_one_step(fld, count_calls, monkeypatch):
     # a run of square bijections within one period is one segment: every
     # prefix of paths made mostly of them must give the bars of a full sweep
-    # (period hidden, so that a non-trivial flag moves its basis across each
-    # run whole, or steps it one crossing at a time), and stop at the full
-    # sweep's first position whose marks repeat those one period earlier.
-    # A bijection keeps the marks, so a position inside a run that the full
-    # sweep crossed whole has the marks of the run's start.  A run of square
-    # crossings with a singular one is split, found singular by the solve of
-    # a stretch of left-pointing edges or by the final rank
+    # (period hidden, so that a run is composed only when a non-trivial flag
+    # reaches it, and a trivial flag steps it one crossing at a time), and
+    # stop at the full sweep's first position whose marks repeat those one
+    # period earlier.  A bijection keeps the marks, so a position inside a
+    # run that the full sweep crossed whole has the marks of the run's
+    # start.  A run of square crossings with a singular one is split, found
+    # singular by the solve of a stretch of left-pointing edges or by the
+    # final rank
     rng = make_rng(76)
     shifted = count_calls(zigzag, "_shifted_row")
     composed, splits = [], []
     compose = zigzag._composed
 
-    def composing(run, basis=None):
-        out = compose(run, basis)
+    def composing(run):
+        out = compose(run)
         if out[0] is None:
             splits.append("the final rank" if out[1] == len(run) else "a singular left stretch")
         elif len(run) > 1:
@@ -1068,13 +1071,13 @@ def long_run_interval_sum(rng, fld, splits: int, n: int = 1500):
 
 @pytest.mark.parametrize("fld", [QQ, GF(3)], ids=repr)
 def test_aperiodic_runs_cross_whole(fld, count_calls):
-    # a path that does not repeat: a non-trivial flag moves its basis across
-    # each run of square bijections with one solve per stretch of
-    # left-pointing maps and one rank, and its marks and rank row are built
-    # once per run.  The trivial flag of the first long run steps it one
-    # crossing at a time.  The sweep takes 600 eliminations for its 1,499
-    # crossings, against 1,501 when each crossing steps alone, and builds
-    # 272 rank rows, not 1,500
+    # a path that does not repeat: a non-trivial flag that reaches a run of
+    # square bijections composes its map with one solve per stretch of
+    # left-pointing maps and one rank, and crosses it by one product, so its
+    # marks and rank row are built once per run.  The trivial flag of the
+    # first long run steps it one crossing at a time.  The sweep takes 600
+    # eliminations for its 1,499 crossings, against 1,501 when each crossing
+    # steps alone, and builds 272 rank rows, not 1,500
     rng = make_rng(78)
     v, truth = long_run_interval_sum(rng, fld, 0)
     eliminations = count_calls(linalg, "_gauss_jordan")
@@ -1087,18 +1090,20 @@ def test_aperiodic_runs_cross_whole(fld, count_calls):
 @pytest.mark.parametrize("fld", [QQ, GF(3)], ids=repr)
 def test_singular_crossings_inside_runs(fld, splits, count_calls, monkeypatch):
     # the same kind of path with 1 or 5 singular square maps well inside
-    # runs: a flag that tries such a run whole finds the singular map with
-    # a failed solve or its final rank, and steps the run one crossing at a
-    # time.  The bars stay exact, and the sweep takes at most 1.5
-    # eliminations per crossing
+    # runs: a flag that composes such a run finds the singular map with a
+    # failed solve or its final rank, and splits the run by ranks.  The bars
+    # stay exact, and the sweep takes at most 1.5 eliminations per crossing.
+    # Each stretch of bijections of a split run is composed into one map and
+    # crossed by one product: 935 and 1,275 eliminations, where stepping the
+    # rest of a failed run one crossing at a time took 1,036 and 1,289
     rng = make_rng(79)
     v, truth = long_run_interval_sum(rng, fld, splits)
     n = v.quiver.vertex_count
     failed = []
     compose = zigzag._composed
 
-    def composing(run, basis=None):
-        out = compose(run, basis)
+    def composing(run):
+        out = compose(run)
         failed.append(out[0] is None)
         return out
 
@@ -1108,6 +1113,7 @@ def test_singular_crossings_inside_runs(fld, splits, count_calls, monkeypatch):
     print(f"  {len(eliminations)} eliminations, {sum(failed)} of {len(failed)} runs failed")
     assert any(failed) and not all(failed)
     assert len(eliminations) <= 1.5 * (n - 1)
+    assert len(eliminations) <= {1: 935, 5: 1275}[splits]
 
 
 # signs, small integers and proper fractions, one with a denominator past
