@@ -66,18 +66,19 @@ def _capped_sum(
     """Conjugated direct sum of the (key, module) summands, with each kept key's count.
 
     A summand whose addition would push the total (or some vertex) past
-    its cap is skipped, which keeps instances inside oracle guards.  The
-    summands are drawn in turn, then the conjugating bases.
+    its cap is skipped, which keeps instances inside oracle guards; the
+    caps are checked on the summed dims, so only a kept summand is added.
+    The summands are drawn in turn, then the conjugating bases.
     """
     rep = zero_representation(q, fld)
     kept: dict = {}
     for key, summand in summands:
-        cand = direct_sum(rep, summand)
-        if total_cap is not None and cand.total_dim() > total_cap:
+        dims = [x + y for x, y in zip(rep.dims, summand.dims)]
+        if total_cap is not None and sum(dims) > total_cap:
             continue
-        if vertex_cap is not None and max(cand.dims) > vertex_cap:
+        if vertex_cap is not None and max(dims) > vertex_cap:
             continue
-        rep = cand
+        rep = direct_sum(rep, summand)
         kept[key] = kept.get(key, 0) + 1
     bases = [random_invertible_rng(d, fld, rng) for d in rep.dims]
     return conjugate(rep, bases), kept

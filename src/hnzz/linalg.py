@@ -31,9 +31,9 @@ which divides rows and den by their gcd.
 A public name refuses a wrong argument; a private one trusts its
 callers here, which pass what checked constructors built: the sweep's
 flag steps (``_flag_image``, ``_flag_preimage``, ``_flag_moved``,
-``_flag_completed``, ``_scaled_solve``, ``_composed``, ``_carried``;
-"flags" below), ``_echelon`` and ``_from_columns`` for the oracle's subspace
-scan in ``hn`` ("subspace arithmetic" below), ``_block_diag`` for
+``_scaled_solve``, ``_composed``, ``_carried``; "flags" below),
+``_echelon`` and ``_from_columns`` for the oracle's subspace scan in
+``hn`` ("subspace arithmetic" below), ``_block_diag`` for
 ``quiver.direct_sum``, and ``_read_entry`` and ``PrimeField._read_blocks``
 for ``serialize``'s reader.  ``_read_entry`` reads each distinct QQ entry
 string of a document once, "a" and "a/b" straight into ints, and
@@ -526,21 +526,31 @@ def _block_diag(a: Matrix, b: Matrix) -> Matrix:
     return Matrix._canonical(a.field, rows, a.cols + b.cols, den)
 
 
-def _gauss_jordan(field: Field, work: list[Sequence[int]], reduced: bool = True) -> list[int]:
+def _gauss_jordan(field: Field, work: list[Sequence[int]], reduced: bool = True,
+                  order: list[int] | None = None) -> list[int]:
     """Reduce the integer rows ``work`` in place to row-echelon form.
 
     Returns the pivot columns; row i holds the pivot of column
     ``pivots[i]`` and every row past the last pivot is zero.  This is the
     one elimination loop of the package: ``rank``, ``subspace_contains``,
     ``_echelon`` (and so the oracle's floor step in ``hn``),
-    ``_flag_image``, ``_flag_preimage``, ``_flag_completed`` and
-    ``_scaled_solve`` (``inverse``'s and ``_composed``'s too) run through it
-    (a kernel is the ``_flag_preimage`` of the zero subspace), and no other
-    code takes a row step.  With ``reduced=False`` only the rows below each
-    pivot are cleared: the pivots are the same, at about half the row
-    operations, which is all a rank needs.  The rows are then unspecified,
-    and its callers (``rank``, ``subspace_contains``, ``_flag_image``,
-    ``_flag_completed``) read only the pivots.
+    ``_flag_image``, ``_flag_preimage`` and ``_scaled_solve``
+    (``inverse``'s and ``_composed``'s too) run through it (a kernel is
+    the ``_flag_preimage`` of the zero subspace), and no other code takes
+    a row step.  With ``reduced=False`` only the rows below each pivot are
+    cleared: the pivots are the same, at about half the row operations,
+    which is all a rank needs.  The rows are then unspecified, and its
+    callers (``rank``, ``subspace_contains``, ``_flag_image``) read only
+    the pivots.
+
+    ``order``, which only ``_flag_image`` passes, is a list as long as
+    ``work`` that is swapped along with the rows, one swap per pivot.
+    Passed in as the row indices, it ends with ``order[:len(pivots)]``
+    naming the rows of ``work`` that the pivot rows came from.  A row is
+    only ever updated by a pivot row, so elimination takes these rows to
+    the pivot rows by invertible steps among themselves, and their block
+    of the pivot columns, which ends in echelon form with every pivot
+    nonzero, is invertible.
 
     The rows are integer rows of ``field`` (a Matrix's ``ints``), and
     only the list is changed: a row is swapped or replaced, never written
@@ -573,6 +583,8 @@ def _gauss_jordan(field: Field, work: list[Sequence[int]], reduced: bool = True)
         if pr is None:
             continue
         work[r], work[pr] = work[pr], work[r]
+        if order is not None:
+            order[r], order[pr] = order[pr], order[r]
         prow = work[r]
         pv = prow[c]
         for i in range(0 if reduced else r + 1, nr):
@@ -665,37 +677,47 @@ def _from_columns(field: PrimeField, vectors: Sequence[Sequence[int]], dim: int)
 # flags
 #
 # A flag is a chain of nested subspaces of K^d held in one adapted basis:
-# a d x k matrix of full column rank whose first ``dims[i]`` columns span
-# member i.  Nested members are equal exactly when their dimensions are,
-# so no member needs a canonical basis of its own, and each operation
-# below moves the whole chain with at most one elimination.  An injective
-# map moves it with none: the images of the columns stay independent, so
-# ``_flag_moved`` is one product with the dims unchanged, and the preimage
-# flag through an invertible map is the flag moved by its inverse.  A run
-# of square maps moves it by the run's map, which ``_composed`` builds
-# from the identity with one solve per stretch of maps pointing left and
-# one rank, so that every flag crossing the run takes one product.  A
-# member is the span of its columns, so a flag basis stands for its
-# members up to column scaling, and a map up to a nonzero scalar: the
-# operations read the ``ints`` of their Matrix arguments alone and return
-# bases with ``den`` 1.
+# a d x d matrix of full rank whose first ``dims[i]`` columns span member
+# i.  Nested members are equal exactly when their dimensions are, so no
+# member needs a canonical basis of its own, and each operation below
+# moves the whole chain with at most one elimination, and returns a basis
+# of all of the space it lands in.  An invertible map moves it with none:
+# the images of the columns stay a basis, so ``_flag_moved`` is one
+# product with the dims unchanged, and the preimage flag through an
+# invertible map is the flag moved by its inverse.  A run of square maps
+# moves it by the run's map, which ``_composed`` builds from the identity
+# with one solve per stretch of maps pointing left and one rank, so that
+# every flag crossing the run takes one product.  A member is the span of
+# its columns, so a flag basis stands for its members up to column
+# scaling, and a map up to a nonzero scalar: the operations read the
+# ``ints`` of their Matrix arguments alone and return bases with ``den``
+# 1.
 # ---------------------------------------------------------------------------
 
 
 def _flag_image(m: Matrix, basis: Matrix, dims: Sequence[int]) -> tuple[Matrix, list[int]]:
-    """The flag of images m(member i), with one elimination of ``m @ basis``.
+    """The flag of images m(member i), in a basis of K^rows, with one elimination of ``m @ basis``.
 
     A column of ``m @ basis`` outside the span of the columns before it is
     a pivot column of its echelon form, so the pivot columns are an adapted
     basis of the image flag, and member i keeps the pivots among its first
-    ``dims[i]`` columns.
+    ``dims[i]`` columns.  They hold an invertible block in the rows that
+    the pivot rows came from (``_gauss_jordan``'s ``order``), so they and
+    the unit vectors of every other row, which follow them, span K^rows.
     """
-    if basis.cols == 0 or m.rows == 0:
-        return Matrix._canonical(m.field, ((),) * m.rows, 0), [0] * len(dims)
-    moved = m.field.product(m.ints, basis.ints, basis.cols)
-    pivots = _gauss_jordan(m.field, list(moved), reduced=False)
-    kept = [[row[j] for j in pivots] for row in moved]
-    return Matrix._canonical(m.field, kept, len(pivots)), [bisect_left(pivots, d) for d in dims]
+    field, d = m.field, m.rows
+    if basis.cols == 0 or d == 0:
+        return Matrix.identity(field, d), [0] * len(dims)
+    moved = field.product(m.ints, basis.ints, basis.cols)
+    order = list(range(d))
+    pivots = _gauss_jordan(field, list(moved), False, order)
+    r = len(pivots)
+    if r < basis.cols or r < d:
+        # not a bijection, which would keep every column of ``m @ basis`` as it is
+        moved = [[row[j] for j in pivots] + [0] * (d - r) for row in moved]
+        for c, e in enumerate(order[r:], r):
+            moved[e][c] = 1
+    return Matrix._canonical(field, moved, d), [bisect_left(pivots, x) for x in dims]
 
 
 def _flag_preimage(m: Matrix, basis: Matrix, dims: Sequence[int]) -> tuple[Matrix, list[int]]:
@@ -738,10 +760,10 @@ def _flag_preimage(m: Matrix, basis: Matrix, dims: Sequence[int]) -> tuple[Matri
 
 
 def _flag_moved(m: Matrix, basis: Matrix, dims: Sequence[int]) -> tuple[Matrix, list[int]]:
-    """The flag of images m(member i) for an injective m, with one product and no elimination.
+    """The flag of images m(member i) for an invertible m, with one product and no elimination.
 
-    An injective m keeps the columns of ``m @ basis`` independent, so they
-    are an adapted basis of the image flag with the same dims.  The
+    An invertible m keeps the columns of ``m @ basis`` a basis of K^d, so
+    they are an adapted basis of the image flag with the same dims.  The
     preimage flag through an invertible edge matrix is this flag moved by
     its inverse, as ``_composed`` builds it.  Over QQ the field's
     ``primitive_columns`` divides each column by its gcd, as for
@@ -798,9 +820,7 @@ def _carried(run: Sequence[tuple[Matrix, bool]]) -> tuple[Matrix | None, int]:
     ``primitive``, which over QQ divides it by the gcd of its entries.
     Also returns the length of the prefix whose left-pointing crossings a
     solve certified.  A run of crossings known to be bijections needs no
-    rank, and ``zigzag._decided`` composes such stretches here; a run of
-    one crossing pointing right is its own matrix, which may be
-    non-square.
+    rank, and ``zigzag._decided`` composes such stretches here.
     """
     field, d = run[0][0].field, run[0][0].cols
     product, primitive = field.product, field.primitive
@@ -821,20 +841,3 @@ def _carried(run: Sequence[tuple[Matrix, bool]]) -> tuple[Matrix | None, int]:
         solved += len(mats)
     return Matrix._canonical(field, x, d), solved
 
-
-def _flag_completed(basis: Matrix) -> Matrix:
-    """``basis`` followed by the unit vectors that extend it to all of K^d.
-
-    The unit vectors are those of the rows that are not pivots of the
-    echelon form of ``basis`` transposed, found with one elimination.
-    """
-    d = basis.rows
-    if basis.cols == d:
-        return basis
-    if basis.cols == 0:
-        return Matrix.identity(basis.field, d)
-    taken = set(_gauss_jordan(basis.field, list(zip(*basis.ints)), reduced=False))
-    extra = [r for r in range(d) if r not in taken]
-    block = zip(*[(0,) * e + (1,) + (0,) * (d - e - 1) for e in extra])  # unit columns
-    rows = [row + ext for row, ext in zip(basis.ints, block)]
-    return Matrix._canonical(basis.field, rows, d)

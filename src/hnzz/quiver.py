@@ -89,9 +89,12 @@ class Representation:
         if len(mats) != len(q.edges):
             problems.append(f"{len(mats)} matrices for {len(q.edges)} edges")
             raise ValidationError("; ".join(problems))
+        field = self.field
         for e, ((src, dst), m) in enumerate(zip(q.edges, mats)):
-            check_type(m, Matrix, f"edge {e}:")
-            if m.field != self.field:
+            # the exact type and the same field object pass with no call
+            if type(m) is not Matrix:
+                check_type(m, Matrix, f"edge {e}:")
+            if m.field is not field and m.field != field:
                 problems.append(
                     f"edge {e}: matrix field {m.field!r} != representation field {self.field!r}"
                 )

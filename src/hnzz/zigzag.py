@@ -35,27 +35,30 @@ joins the two chains into one:
     0 = R[k] <= R[k-1] <= ... <= R[0] <= A[0] <= ... <= A[k] = V_k
 
 with at most dim V_k + 1 distinct members.  The sweep keeps it as one
-flag: an adapted basis of V_k (a list of columns) whose first dim
-columns span a member.  Its marks (a, dim A[a], dim R[a]) are held as
-the list of starts a and the list of their pairs of dims.  Nested
-members are equal exactly when their dimensions are, so a mark whose
-pair of dims equals its predecessor's is dropped, and no member needs a
-canonical basis of its own.  The flag crosses an edge by one flag
-operation of ``linalg``, one elimination at most:
+flag: an adapted basis of V_k (dim V_k columns of full rank) whose
+first dim columns span a member.  Its marks (a, dim A[a], dim R[a]) are
+held as the list of starts a and the list of their pairs of dims.
+Nested members are equal exactly when their dimensions are, so a mark
+whose pair of dims equals its predecessor's is dropped, and no member
+needs a canonical basis of its own.  The flag crosses an edge by one
+flag operation of ``linalg``, one elimination at most, which returns a
+basis of all of V_k:
 
 * an edge pointing right maps the basis; the pivot columns of
-  ``m @ basis`` are the new basis, and a member keeps the pivots among
-  its first dim columns;
+  ``m @ basis`` come first in the new basis, and a member keeps the
+  pivots among its first dim columns.  The unit vectors of the rows that
+  no pivot row of the same elimination came from complete them to V_k;
 * an edge pointing left needs, for every member, the x-part of the
   kernel of [m | member].  One RREF of [m | basis], x columns first,
   gives them all: the kernel vector of a free column is zero past that
   column, so each member's preimage is spanned by the x-parts of the
-  free columns among its first ``m.cols + dim`` columns.
+  free columns among its first ``m.cols + dim`` columns.  The whole
+  basis spans V_{k-1}, whose preimage is V_k.
 
-Then the start k joins as the mark (k, dim V_k, 0): A[k] is V_k (the
-basis is extended by unit vectors, one elimination, unless it spans V_k
-already) and R[k] is the zero space, spanned by no column.  So every
-flag that crosses an edge has a zero member and a full one.
+Then the start k joins as the mark (k, dim V_k, 0): A[k] is V_k,
+spanned by the whole basis, and R[k] is the zero space, spanned by no
+column.  So every flag that crosses an edge has a zero member and a full
+one.
 
 A flag whose members are all 0 or the whole space (a trivial flag) steps
 to the same members whatever basis it carries: the zero member goes to
@@ -113,37 +116,38 @@ a periodic path the loop keeps the position, marks and rank row of each
 segment end from k - p on, and a position has the row of the last
 segment end at or before it.
 
-One rule crosses each place of the period, a place being a maximal run
-of square crossings or one other crossing.  A bijection between
-consecutive spaces maps each flag member onto a member of the same
-dimension (Carlsson and de Silva, "Zigzag persistence", 2010), and so
-does an injective edge pointing right onto its image, so such an edge
-moves the flag by a product with its matrix or its inverse, dims
-unchanged.  ``_decided`` decides a place once, and the decision is kept
-by place: on a periodic path when a flag first reaches it, and on an
-aperiodic path when a non-trivial flag reaches a run of two or more
-square crossings.  ``linalg._composed`` composes the run's map from the
-identity: one product per matrix pointing right, one solve of [B | X]
-per stretch of left-pointing matrices, B their product and X the map so
-far, and one rank at the end, which certifies the matrices pointing
-right.  A run of bijections is then one segment, which moves the flag
-by one product with its map, ``_flag_moved``.  A crossing of a run that
-fails, and a non-square one, is decided alone: it moves the flag when a
-solve of its run certified it, or when it points right or is square and
-has full column rank, which needs at least as many rows as columns, so a
-wider matrix is not ranked.  Each maximal stretch of moved crossings,
-each of them certified already, is composed into one segment with no
-rank (``linalg._carried``), and every other crossing is a segment of its
+The places of the period are its maximal runs of square crossings and
+its other crossings, one place each.  A bijection between consecutive
+spaces maps each flag member onto a member of the same dimension
+(Carlsson and de Silva, "Zigzag persistence", 2010), so it moves the
+flag by a product with its matrix or its inverse, dims unchanged, and
+the moved basis still spans the whole space.  ``_decided`` decides a
+run of square crossings once, and the decision is kept by place: on a
+periodic path when a flag first reaches it, and on an aperiodic path
+when a non-trivial flag reaches a run of two or more.
+``linalg._composed`` composes the run's map from the identity: one
+product per matrix pointing right, one solve of [B | X] per stretch of
+left-pointing matrices, B their product and X the map so far, and one
+rank at the end, which certifies the matrices pointing right.  A run of
+bijections is then one segment, which moves the flag by one product
+with its map, ``_flag_moved``.  A crossing of a run that fails is
+decided alone: it moves the flag when a solve of its run certified it
+or it has full rank.  Each maximal stretch of moved crossings, each of
+them certified already, is composed into one segment with no rank
+(``linalg._carried``), and every other crossing is a segment of its
 own, an image or preimage step.
 
-Every other place is stepped one crossing at a time, by ``_flag_image``
-or ``_flag_preimage``.  On an aperiodic path no place recurs, so a
-decision is read once.  It saves a non-trivial flag the steps of a run
-of bijections, but nothing on a lone crossing, and a trivial flag needs
-no run's map, whose entries over QQ grow with the run: it keeps its dims
-across a bijection, which maps 0 to 0 and the whole space to the whole
-space, and its basis, which is never read, so it crosses a decided run
-with no product and steps every other crossing from the identity.
+Every other place, each crossing that is not square among them, is
+stepped one crossing at a time, by ``_flag_image`` or
+``_flag_preimage``, one elimination each, and the flag needs no other
+work to span the whole space.  On an aperiodic path no place recurs, so
+a decision is read once.  It saves a non-trivial flag the steps of a
+run of bijections, but nothing on a lone crossing, and a trivial flag
+needs no run's map, whose entries over QQ grow with the run: it keeps
+its dims across a bijection, which maps 0 to 0 and the whole space to
+the whole space, and its basis, which is never read, so it crosses a
+decided run with no product and steps every other crossing from the
+identity.
 
 The sweep runs on the integer rows that every ``Matrix`` holds: the
 flag operations read an edge matrix's ``ints`` and skip its
@@ -171,7 +175,6 @@ from .linalg import (
     Matrix,
     _carried,
     _composed,
-    _flag_completed,
     _flag_image,
     _flag_moved,
     _flag_preimage,
@@ -346,11 +349,12 @@ def _bars(fld: Field, dims: tuple[int, ...], crossings: list[tuple[Matrix, bool]
     keys = [(m.rows, m.cols, m.den, m.ints, forward) for m, forward in crossings]
     period = _least_period(keys * 2 if len(crossings) < n - 1 else keys)
     periodic = period < n - 1
-    # the places of the period: each maximal run of square crossings, and
-    # each other crossing; and the segments of each place decided so far
-    places: list[list[tuple[Matrix, bool]]] = []
+    # the places of the period, each with whether it is square: each maximal
+    # run of square crossings, and each other crossing; and the segments of
+    # each run decided so far
+    places: list[tuple[bool, list[tuple[Matrix, bool]]]] = []
     for square, run in groupby(crossings[:period], lambda c: c[0].rows == c[0].cols):
-        places += [list(run)] if square else [[c] for c in run]
+        places += [(True, list(run))] if square else [(False, [c]) for c in run]
     decided: dict[int, list[list]] = {}
     # on a periodic path, the position, marks and rank row of each segment
     # end from k - period on
@@ -393,12 +397,13 @@ def _bars(fld: Field, dims: tuple[int, ...], crossings: list[tuple[Matrix, bool]
         flag_dims = r_dims + a_dims
         segment = next(segments, None)
         if segment is None:
-            # the flag reaches a place: each place of a periodic path, and a run
-            # of two or more square crossings that a non-trivial flag reaches,
-            # is decided once; any other place is stepped one crossing at a time
-            index, place = next(ahead)
-            if index not in decided and (periodic or len(place) > 1
-                                         and not set(flag_dims) <= {0, basis.rows}):
+            # the flag reaches a place: each run of square crossings of a
+            # periodic path, and each run of two or more that a non-trivial flag
+            # reaches, is decided once; any other place is stepped one crossing
+            # at a time
+            index, (square, place) = next(ahead)
+            if square and index not in decided and (
+                    periodic or len(place) > 1 and not set(flag_dims) <= {0, basis.rows}):
                 decided[index] = _decided(place)
             segments = iter(decided.get(index) or _steps(place))
             segment = next(segments)
@@ -427,26 +432,23 @@ def _bars(fld: Field, dims: tuple[int, ...], crossings: list[tuple[Matrix, bool]
     return bar
 
 
-def _decided(place: list[tuple[Matrix, bool]]) -> list[list]:
-    """The segments of one ``place`` of the period, each [flag operation, matrix, length].
+def _decided(run: list[tuple[Matrix, bool]]) -> list[list]:
+    """The segments of a maximal ``run`` of square crossings, each [flag operation, matrix, length].
 
-    A place is a maximal run of square crossings or one other crossing.
     A run that ``_composed`` finds all bijections is one segment, its
-    map.  Any other crossing moves the flag when a solve of its run
-    certified it, or when it points right or is square and has full
-    column rank; each maximal stretch of moved crossings, each of them
-    certified already, is composed into one segment with no further rank
-    (``_carried``), and every other crossing is an image or preimage step.
+    map.  Otherwise a crossing is a bijection when a solve of the run
+    certified it or it has full rank; each maximal stretch of bijections,
+    each of them certified already, is composed into one segment with no
+    further rank (``_carried``), and every other crossing is an image or
+    preimage step.
     """
-    square = place[0][0].rows == place[0][0].cols
-    composed, solved = _composed(place) if square else (None, 0)
+    composed, solved = _composed(run)
     if composed is not None:
-        return [[_flag_moved, composed, len(place)]]
-    moved = [i < solved and not forward or (forward or square)
-             and m.rows >= m.cols and rank(m) == m.cols
-             for i, (m, forward) in enumerate(place)]
+        return [[_flag_moved, composed, len(run)]]
+    moved = [i < solved and not forward or rank(m) == m.cols
+             for i, (m, forward) in enumerate(run)]
     segments: list[list] = []
-    for move, part in groupby(zip(moved, place), itemgetter(0)):
+    for move, part in groupby(zip(moved, run), itemgetter(0)):
         part = [crossing for _, crossing in part]
         segments += [[_flag_moved, _carried(part)[0], len(part)]] if move else _steps(part)
     return segments
@@ -498,21 +500,22 @@ def _close_bars(found: dict[tuple[int, int], int], prev_g: dict[int, int], g: di
 
 
 def _crossed(segment: list, basis: Matrix, dims):
-    """The flag (basis, dims) stepped and completed across a segment (module docstring).
+    """The flag (basis, dims) stepped across a segment (module docstring).
 
     ``segment`` is [flag operation, matrix, length], one of a place's
-    segments in ``_bars``; a run of bijections holds their product.  A
-    trivial flag keeps its basis and dims across a bijection, and
-    otherwise steps from the identity, which keeps QQ bases small.
+    segments in ``_bars``; a run of bijections holds their product.  Each
+    flag operation returns a basis of the whole space it lands in, ready
+    for the mark of the next start.  A trivial flag keeps its basis and
+    dims across a bijection, and otherwise steps from the identity, which
+    keeps QQ bases small.
     """
     op, m, _ = segment
     d = basis.rows
     if set(dims) <= {0, d}:
-        if op is _flag_moved and m.rows == d:
+        if op is _flag_moved:
             return basis, dims
         basis = Matrix.identity(m.field, d)
-    basis, dims = op(m, basis, dims)
-    return _flag_completed(basis), dims
+    return op(m, basis, dims)
 
 
 def _rank_jumps(starts: list[int], pairs: list[tuple[int, int]]) -> dict[int, int]:

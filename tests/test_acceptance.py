@@ -282,19 +282,20 @@ def test_lift_window_decides_each_crossing_once(count_calls):
     # (5 x 5) and 2 (6 x 6) edges, and each run is decided and composed in
     # one pass: one [B | X] solve per stretch of left-pointing edges (27
     # and 1) and one rank of the product for the right-pointing ones, 30
-    # eliminations, and 70 products.  The two 6 x 5 edges cost a rank
-    # (pointing right, injective) and 4 preimages (pointing left), and 4
-    # completions run.  The sweep stops once its marks repeat one cycle
-    # later, so 39 eliminations run over 701 window positions (107 with
-    # one rank or [m | I] reduction per square crossing).  Flags that are
-    # not trivial cross the runs and the injective edge by 11 products, 81
-    # in all (300 at one product per bijective crossing).  A change may
-    # lower these pins, never raise them
+    # eliminations, and 70 products.  The two 6 x 5 edges are not square
+    # and are stepped, not decided: the one pointing right (injective) by 4
+    # image steps, each one product and one elimination that also
+    # completes the image to all of K^6, and the one pointing left by 4
+    # preimages.  The sweep stops once its marks repeat one cycle later, so
+    # 38 eliminations run over 701 window positions (107 with one rank or
+    # [m | I] reduction per square crossing).  Flags that are not trivial
+    # cross the runs by 7 products, 81 in all (300 at one product per
+    # bijective crossing).  A change may lower these pins, never raise them
     rep = _scaling_instance(100, 1)
     positions = default_window(rep) + 1
     calls = count_calls(linalg, "_gauss_jordan")
     products = count_calls(linalg.PrimeField, "product")
     eta_from_lift(rep)
     print(f"  {len(calls)} eliminations and {len(products)} products over {positions} window positions")
-    assert (len(calls), positions) == (39, 701)
+    assert (len(calls), positions) == (38, 701)
     assert len(products) == 81

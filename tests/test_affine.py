@@ -334,10 +334,9 @@ class TestBijectiveCrossings:
         # and composed once: one [B | X] solve per stretch of left-pointing
         # edges, and one rank of the product for the right-pointing ones,
         # of which an acyclic orientation has one at least.  The flag
-        # needs no product, and no completion runs: the flag keeps all of
-        # V_k.  One rank or [m | I] reduction per crossing ran n here, and
-        # the elimination route n + (left-pointing edges), a kernel more
-        # per such edge
+        # needs no product and keeps all of V_k.  One rank or [m | I]
+        # reduction per crossing ran n here, and the elimination route n +
+        # (left-pointing edges), a kernel more per such edge
         rng = make_rng(34)
         eliminations = count_calls(linalg, "_gauss_jordan")
         for n in (2, 7, 12):
@@ -354,7 +353,7 @@ class TestBijectiveCrossings:
     def test_wide_edge_pointing_right_is_not_ranked(self, count_calls):
         # dims (2, 1, 2): the turn from x_0 crosses e1 (1x2, pointing
         # right), e2 (1x2, pointing left) and e0 (2x2, pointing right).  A
-        # matrix with fewer rows than columns is never injective, so e1
+        # crossing that is not square is never decided or ranked, so e1
         # steps by an image with no rank; e2 steps by a preimage, and e0 is
         # a run of square crossings that _composed decides on its own
         aq = AffineQuiver(3, (CW, CW, CCW))

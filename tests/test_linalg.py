@@ -20,7 +20,6 @@ from hnzz.linalg import (
     PrimeField,
     RationalField,
     _block_diag,
-    _flag_completed,
     _flag_image,
     _flag_preimage,
     inverse,
@@ -260,7 +259,6 @@ class TestTrustedConstructor:
             _flag_preimage(m, Matrix.zeros(fld, r, 0), ())[0],
             _flag_image(m, flag, [0, flag.cols])[0],
             _flag_preimage(m, space, [0, space.cols])[0],
-            _flag_completed(space),
         ):
             assert_int_rows(result)
         out = [
@@ -476,7 +474,9 @@ class TestFlags:
                                       rnd.randint(3, 6))
             moved, new_dims = op(m, basis, dims)
             assert rank(moved) == moved.cols  # still an adapted basis
-            assert max(new_dims) == moved.cols
+            # an image basis spans the whole target, a preimage one the
+            # preimage of the flag's largest member
+            assert moved.cols == (dst if op is _flag_image else max(new_dims))
             for d, nd in zip(dims, new_dims):
                 member = column_echelon(columns(basis, d))
                 assert column_echelon(columns(moved, nd)) == reference(m, member)
@@ -539,15 +539,38 @@ class TestFlags:
                 start -= 1
             assert linalg._composed(run) == (None, len(run) if forward else start)
 
-    def test_completed(self):
+    @pytest.mark.parametrize("fld", [QQ, GF(2), GF(3), GF(13), GF(2**31 - 1)], ids=repr)
+    def test_image_completes_itself(self, fld, count_calls):
+        # the image flag comes in a full-rank d x d basis, d the rows of m,
+        # whose first dims[i] columns span m(member i); the columns past the
+        # image are unit vectors of rows that hold no pivot, so the image
+        # columns are invertible on the other rows.  One elimination, that
+        # of m @ basis, finds both
         rnd = random.Random(22)
-        for _ in range(200):
-            fld = rnd.choice(FIELDS)
-            d = rnd.randint(0, 5)
-            basis, _ = random_flag(fld, d, rnd, 1)
-            full = _flag_completed(basis)
-            assert full.cols == d and rank(full) == d
-            assert columns(full, basis.cols) == basis
+        eliminations = count_calls(linalg, "_gauss_jordan")
+        completed = 0
+        for _ in range(150):
+            src, dst = rnd.randint(0, 5), rnd.randint(0, 5)
+            m = random_map(fld, dst, src, rnd)
+            basis, dims = random_flag(fld, src, rnd, rnd.randint(1, 4))
+            eliminations.clear()
+            moved, new_dims = _flag_image(m, basis, dims)
+            assert len(eliminations) == (1 if basis.cols and dst else 0)
+            assert (moved.rows, moved.cols) == (dst, dst) and rank(moved) == dst
+            for d, nd in zip(dims, new_dims):
+                assert column_echelon(columns(moved, nd)) == reference_image(m, columns(basis, d))
+            r = rank(m @ basis)
+            assert max(new_dims) == r
+            units = []
+            for c in range(r, dst):
+                column = [row[c] for row in moved.data]
+                assert sorted(column) == [0] * (dst - 1) + [1]
+                units.append(column.index(1))
+            assert len(set(units)) == dst - r
+            rest = [row[:r] for i, row in enumerate(moved.data) if i not in units]
+            assert rank(Matrix(fld, rest, r)) == r
+            completed += 0 < r < dst
+        assert completed >= 20
 
 
 # Over QQ the package eliminates and multiplies on integer rows; these
@@ -760,8 +783,8 @@ class TestSubspaceOps:
         m = Matrix(GF(3), [[1, 2], [0, 1]])
         s = Matrix(GF(3), [[1], [1]])
         img, (dim,) = _flag_image(m, s, [1])
-        assert dim == 1 and column_echelon(img) == reference_image(m, s)
-        assert subspace_contains(img, m @ s)
+        assert dim == 1 and column_echelon(columns(img, dim)) == reference_image(m, s)
+        assert subspace_contains(columns(img, dim), m @ s)
 
     def test_preimage(self):
         rnd = random.Random(5)

@@ -763,9 +763,11 @@ def test_periodic_paths_replay_their_repeats(fld, count_calls):
 
 
 def edge_kind(forward: bool, m: Matrix) -> str:
-    """m as the sweep sees it: "bijective", "singular" (square), "injective" or "other".
+    """The kind of m: "bijective", "singular" (square), "injective" or "other".
 
-    "injective" is a non-square m of full column rank on an edge pointing right.
+    "injective" is a non-square m of full column rank on an edge pointing
+    right, whose image step leaves a flag that only its own elimination
+    completes.
     """
     full = rank(m) == m.cols
     if m.rows == m.cols:
@@ -773,12 +775,25 @@ def edge_kind(forward: bool, m: Matrix) -> str:
     return "injective" if forward and full else "other"
 
 
+def rank_one_then_bijections(rng, fld) -> Representation:
+    """A d x d rank-1 map and 2-3 invertible d x d maps, d in 2-3, pointing either way, repeated.
+
+    The rank-1 map leaves the flag a member of dimension 1 or d - 1, so a
+    flag that is not trivial crosses the run of bijections after it.
+    """
+    d = rng.randint(2, 3)
+    block = [(rng.random() < 0.5, Matrix(fld, [[1] * d] + [[0] * d] * (d - 1), d))]
+    block += [(rng.random() < 0.5, random_invertible_rng(d, fld, rng))
+              for _ in range(rng.randint(2, 3))]
+    return rep_of_steps(fld, block * rng.randint(2, 4))
+
+
 @pytest.mark.parametrize("fld", [GF(2), GF(3), QQ], ids=repr)
 def test_product_route_agrees_with_elimination(fld, count_calls):
-    # on a periodic path a bijective edge moves both flags by one product
-    # (an injective one pointing right moves the image flag), with the
-    # same members as elimination would find: periodic paths and lift
-    # windows, priced against one generalized rank per interval
+    # on a periodic path a run of bijective edges moves both flags by one
+    # product, with the same members as elimination would find: periodic
+    # paths, paths whose period has a run of bijections after a rank-1 map,
+    # and lift windows, priced against one generalized rank per interval
     rng = make_rng(73)
     moved = count_calls(zigzag, "_flag_moved")
     kinds = set()
@@ -788,6 +803,7 @@ def test_product_route_agrees_with_elimination(fld, count_calls):
         _, v, _, _ = gen_affine(rng.randint(2, 3), fld, 3, rng, min_summands=1, total_cap=5,
                                 vertex_cap=2)
         draws.append(lift_truncated(v, default_window(v)))
+    draws += [rank_one_then_bijections(rng, fld) for _ in range(10)]
     for v in draws:
         start = len(moved)
         assert bars(v) == inclusion_exclusion_bars(v)
@@ -1017,9 +1033,10 @@ def test_split_run_work_is_bounded(count_calls, monkeypatch):
     # fails to compose and is split: each crossing that no solve of it
     # certified is ranked, and each stretch of bijections is composed
     # anew, with no rank, since a solve or a rank certified each of its
-    # crossings.  The sweep takes 29 eliminations, as many as one rank or
-    # [m | I] reduction per crossing takes: a split costs at most 1.5
-    # times that.  Its bars are those of a full sweep
+    # crossings.  The sweep takes 26 eliminations, 3 fewer than one rank or
+    # [m | I] reduction per crossing takes, since each of the 3 image steps
+    # completes its flag in its own elimination: a split costs at most 1.5
+    # times that count of 29.  Its bars are those of a full sweep
     rng = make_rng(77)
     fld = GF(3)
     block = [(rng.random() < 0.5, random_invertible_rng(5, fld, rng)) for _ in range(20)]
@@ -1029,7 +1046,7 @@ def test_split_run_work_is_bounded(count_calls, monkeypatch):
     v = rep_of_steps(fld, block * 3)
     eliminations = count_calls(linalg, "_gauss_jordan")
     got = bars(v)
-    assert len(eliminations) == 29 <= 1.5 * 29
+    assert len(eliminations) == 26 <= 1.5 * 29
     with monkeypatch.context() as full:
         full.setattr(zigzag, "_least_period", len)
         assert bars(v) == got
@@ -1075,15 +1092,15 @@ def test_aperiodic_runs_cross_whole(fld, count_calls):
     # square bijections composes its map with one solve per stretch of
     # left-pointing maps and one rank, and crosses it by one product, so its
     # marks and rank row are built once per run.  The trivial flag of the
-    # first long run steps it one crossing at a time.  The sweep takes 600
-    # eliminations for its 1,499 crossings, against 1,501 when each crossing
-    # steps alone, and builds 272 rank rows, not 1,500
+    # first long run steps it one crossing at a time.  The sweep takes 598
+    # eliminations for its 1,499 crossings, against 1,499 when each crossing
+    # steps alone, one elimination each, and builds 272 rank rows, not 1,500
     rng = make_rng(78)
     v, truth = long_run_interval_sum(rng, fld, 0)
     eliminations = count_calls(linalg, "_gauss_jordan")
     swept = count_calls(zigzag, "_rank_jumps")
     assert bars(v) == truth
-    assert (len(eliminations), len(swept)) == (600, 272)
+    assert (len(eliminations), len(swept)) == (598, 272)
 
 
 @pytest.mark.parametrize("splits", [1, 5])
@@ -1114,6 +1131,28 @@ def test_singular_crossings_inside_runs(fld, splits, count_calls, monkeypatch):
     assert any(failed) and not all(failed)
     assert len(eliminations) <= 1.5 * (n - 1)
     assert len(eliminations) <= {1: 935, 5: 1275}[splits]
+
+
+@pytest.mark.parametrize("fld", [QQ, GF(3)], ids=repr)
+def test_rank_three_path_steps_once_per_crossing(fld, count_calls):
+    # an equioriented path of 300 vertices whose distinct 4 x 4 maps have
+    # rank 3, each with its last row the sum of the first two: the trivial
+    # flag at vertex 0 reaches the one run of square crossings, so every
+    # crossing is an image step, and each image step completes its flag to
+    # all of K^4 in its own elimination, 299 in all (598 when a second
+    # elimination completed it)
+    rng = make_rng(80)
+    steps = []
+    while len(steps) < 299:
+        top = [[rng.randint(-3, 3) for _ in range(4)] for _ in range(3)]
+        m = Matrix(fld, [*top, [a + b for a, b in zip(*top[:2])]], 4)
+        if rank(m) == 3:
+            steps.append((True, m))
+    v = rep_of_steps(fld, steps)
+    assert zigzag._least_period([(m, True) for _, m in steps]) == 299
+    eliminations = count_calls(linalg, "_gauss_jordan")
+    barcode(v)
+    assert len(eliminations) == 299
 
 
 # signs, small integers and proper fractions, one with a denominator past
